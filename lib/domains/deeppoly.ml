@@ -8,8 +8,39 @@ module Box = Ivan_spec.Box
 (* Symbolic post-activation bounds of one layer, expressed over the
    previous layer's post-activations (the input for layer 0):
    lw x + lb <= post <= uw x + ub, row per neuron.  Stored as raw row
-   arrays — this module is the analyzer stack's hot path. *)
-type sym = { lw : float array array; lconst : Vec.t; uw : float array array; uconst : Vec.t }
+   arrays — this module is the analyzer stack's hot path.  Each row
+   carries the indices of its nonzero entries ([lnz], [unz]), so
+   back-substitution walks only those: conv-lowered rows are mostly
+   structural zeros. *)
+type sym = {
+  lw : float array array;
+  lnz : int array array;
+  lconst : Vec.t;
+  uw : float array array;
+  unz : int array array;
+  uconst : Vec.t;
+}
+
+(* Indices of a row's nonzero entries, in increasing order. *)
+let nonzeros row =
+  let count = ref 0 in
+  for p = 0 to Array.length row - 1 do
+    if row.(p) <> 0.0 then incr count
+  done;
+  let nz = Array.make !count 0 in
+  let k = ref 0 in
+  for p = 0 to Array.length row - 1 do
+    if row.(p) <> 0.0 then begin
+      nz.(!k) <- p;
+      incr k
+    end
+  done;
+  nz
+
+let make_sym ~lw ~lconst ~uw ~uconst =
+  let lnz = Array.map nonzeros lw in
+  let unz = if lw == uw then lnz else Array.map nonzeros uw in
+  { lw; lnz; lconst; uw; unz; uconst }
 
 type analysis = { syms : sym array; bounds : Bounds.t; box : Box.t }
 
@@ -20,7 +51,9 @@ exception Empty_region
 (* One back-substitution step: rewrite the expression rows (w, c) over
    layer [k]'s posts into rows over layer [k-1]'s posts using layer
    [k]'s symbolic bounds.  [lower] selects which bound a positive
-   coefficient takes. *)
+   coefficient takes.  Only the nonzero entries of each symbolic row are
+   visited: a zero entry adds nothing, so skipping it leaves the bounds
+   bit-identical. *)
 let step ~lower sym w c =
   let rows = Array.length w in
   let inner = Array.length sym.lw in
@@ -35,11 +68,12 @@ let step ~lower sym w c =
       if coeff <> 0.0 then begin
         let take_lower = if lower then coeff > 0.0 else coeff < 0.0 in
         let srow = if take_lower then sym.lw.(j) else sym.uw.(j) in
+        let snz = if take_lower then sym.lnz.(j) else sym.unz.(j) in
         let sconst = if take_lower then sym.lconst.(j) else sym.uconst.(j) in
         c'.(r) <- c'.(r) +. (coeff *. sconst);
-        for p = 0 to prev - 1 do
-          let s = srow.(p) in
-          if s <> 0.0 then wr'.(p) <- wr'.(p) +. (coeff *. s)
+        for q = 0 to Array.length snz - 1 do
+          let p = snz.(q) in
+          wr'.(p) <- wr'.(p) +. (coeff *. srow.(p))
         done
       end
     done
@@ -81,7 +115,7 @@ let analyze net ~box ~splits =
     invalid_arg "Deeppoly.analyze: box dimension mismatch";
   let layers = Network.layers net in
   let count = Array.length layers in
-  let syms = Array.make count { lw = [||]; lconst = [||]; uw = [||]; uconst = [||] } in
+  let syms = Array.make count (make_sym ~lw:[||] ~lconst:[||] ~uw:[||] ~uconst:[||]) in
   let bounds_layers = Array.make count None in
   try
     for li = 0 to count - 1 do
@@ -94,7 +128,7 @@ let analyze net ~box ~splits =
       let pre_hi = backsub_upper syms box ~upto:li w b in
       match Layer.classify (Layer.activation layers.(li)) with
       | Layer.Linear_activation ->
-          syms.(li) <- { lw = w; lconst = b; uw = w; uconst = b };
+          syms.(li) <- make_sym ~lw:w ~lconst:b ~uw:w ~uconst:b;
           bounds_layers.(li) <-
             Some
               {
@@ -127,7 +161,7 @@ let analyze net ~box ~splits =
             post_lo.(idx) <- f l;
             post_hi.(idx) <- f u
           done;
-          syms.(li) <- { lw; lconst; uw; uconst };
+          syms.(li) <- make_sym ~lw ~lconst ~uw ~uconst;
           bounds_layers.(li) <- Some { Bounds.pre_lo; pre_hi; post_lo; post_hi }
       | Layer.Piecewise slope ->
           (* Per-neuron activation relaxation slopes; the symbolic bound
@@ -192,7 +226,7 @@ let analyze net ~box ~splits =
                   post_hi.(idx) <- ub
                 end
           done;
-          syms.(li) <- { lw; lconst; uw; uconst };
+          syms.(li) <- make_sym ~lw ~lconst ~uw ~uconst;
           bounds_layers.(li) <- Some { Bounds.pre_lo; pre_hi; post_lo; post_hi }
     done;
     let layers_bounds = Array.map (function Some l -> l | None -> assert false) bounds_layers in

@@ -156,14 +156,17 @@ let add_constraint p coeffs cmp rhs =
   ignore (add_row p idx cf cmp rhs)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded-variable primal simplex on a dense tableau.
+(* Bounded-variable primal simplex on a dense tableau (pivots touch only
+   the pivot row's nonzero columns, see [pivot]).
 
-   Cold-solve column layout: [0, n) structural, [n, n+m) slacks,
-   [n+m, n+2m) artificials.  Row i is  a_i^T x + s_i + d_i t_i = b_i
-   where the slack bound encodes the comparison and d_i = ±1 makes the
-   artificial start non-negative.  Phase 1 minimizes the artificial sum
-   from the all-artificial basis; phase 2 minimizes the true objective
-   with the artificials pinned to zero.
+   Cold-solve column layout: [0, n) structural, [n, n+m) slacks, then
+   one artificial per row whose slack cannot start basic, in row order.
+   Such a row i is  d_i (a_i^T x + s_i) + t_i = d_i b_i  where the slack
+   bound encodes the comparison and d_i = ±1 makes the artificial start
+   non-negative.  Phase 1 minimizes the artificial sum from that start;
+   phase 2 minimizes the true objective with the artificials pinned to
+   zero.  The order structural < slack < artificial is what Bland's rule
+   and the leaving-row tie-break compare.
 
    Warm solves ([solve_from]) build an artificial-free tableau
    ([0, n+m) columns only), re-install a captured parent basis by
@@ -189,7 +192,12 @@ type tableau = {
   bval : float array;  (* value of the basic variable of each row *)
   basis : int array;  (* row -> column *)
   stat : status array;  (* column -> status *)
+  nz : int array;  (* pivot scratch: nonzero columns of the pivot row *)
+  prev_bval : float array;  (* [optimize] scratch: bval before a step *)
 }
+
+(* Slack bounds encode a row's comparison. *)
+let slack_bounds = function Le -> (0.0, infinity) | Ge -> (neg_infinity, 0.0) | Eq -> (0.0, 0.0)
 
 (* Initial value a nonbasic column rests at. *)
 let resting_value lo hi = if lo > neg_infinity then lo else if hi < infinity then hi else 0.0
@@ -223,6 +231,12 @@ let refresh_cost_row t c =
     end
   done
 
+(* Storage is dense but the kernel is sparse-row: the pivot row is
+   scaled once and its nonzero columns gathered into [t.nz]; every other
+   row (and the cost row) is then updated on those columns only.  On a
+   column where the pivot row is zero the update would subtract a signed
+   zero, so skipping it changes at most the sign of a zero entry, which
+   no comparison can see: pivot choices stay the same. *)
 let pivot t r j =
   let prow = t.tab.(r) in
   let piv = prow.(j) in
@@ -234,16 +248,25 @@ let pivot t r j =
     raise
       (Numerical_failure (Printf.sprintf "pivot element %h at row %d, column %d" piv r j));
   let inv = 1.0 /. piv in
+  let nz = t.nz in
+  let count = ref 0 in
   for k = 0 to t.ncols - 1 do
-    prow.(k) <- prow.(k) *. inv
+    let a = prow.(k) in
+    if a <> 0.0 then begin
+      prow.(k) <- a *. inv;
+      nz.(!count) <- k;
+      incr count
+    end
   done;
+  let count = !count in
   t.rhs_col.(r) <- t.rhs_col.(r) *. inv;
   for i = 0 to t.m - 1 do
     if i <> r then begin
       let row = t.tab.(i) in
       let f = row.(j) in
       if Float.abs f > 0.0 then begin
-        for k = 0 to t.ncols - 1 do
+        for q = 0 to count - 1 do
+          let k = nz.(q) in
           row.(k) <- row.(k) -. (f *. prow.(k))
         done;
         row.(j) <- 0.0;
@@ -253,7 +276,8 @@ let pivot t r j =
   done;
   let f = t.zrow.(j) in
   if Float.abs f > 0.0 then begin
-    for k = 0 to t.ncols - 1 do
+    for q = 0 to count - 1 do
+      let k = nz.(q) in
       t.zrow.(k) <- t.zrow.(k) -. (f *. prow.(k))
     done;
     t.zrow.(j) <- 0.0
@@ -402,7 +426,7 @@ let optimize t ~counter =
       check_tableau_finite t
     end;
     let bland = !degenerate_streak > 2 * (t.m + 1) in
-    let before = Array.copy t.bval in
+    Array.blit t.bval 0 t.prev_bval 0 t.m;
     (match simplex_step t ~bland with
     | Step_optimal -> finished := Some `Optimal
     | Step_unbounded -> finished := Some `Unbounded
@@ -410,7 +434,7 @@ let optimize t ~counter =
         incr counter;
         let moved = ref false in
         for i = 0 to t.m - 1 do
-          if Float.abs (t.bval.(i) -. before.(i)) > eps_ratio then moved := true
+          if Float.abs (t.bval.(i) -. t.prev_bval.(i)) > eps_ratio then moved := true
         done;
         if !moved then degenerate_streak := 0 else incr degenerate_streak)
   done;
@@ -488,21 +512,38 @@ let solve_cold ?(warm_note = Cold) p =
   let n = p.nvars in
   let m = p.nrows in
   let rows = p.rows in
-  let ncols = n + m + m in
+  (* Residual of each row at the resting point (slack at zero).  Rows
+     whose residual fits inside the slack's own bounds start with the
+     slack basic — no artificial needed; only the remaining rows get an
+     artificial column, numbered in row order after the slacks, and
+     phase 1 is skipped entirely when there are none. *)
+  let resid = Array.make m 0.0 in
+  let artificial = Array.make m (-1) in
+  let ncols = ref (n + m) in
+  for i = 0 to m - 1 do
+    let r = rows.(i) in
+    let acc = ref r.rhs in
+    for k = 0 to Array.length r.idx - 1 do
+      let j = r.idx.(k) in
+      acc := !acc -. (r.cf.(k) *. resting_value p.lo.(j) p.hi.(j))
+    done;
+    resid.(i) <- !acc;
+    let slo, shi = slack_bounds r.cmp in
+    if not (!acc >= slo -. 1e-12 && !acc <= shi +. 1e-12) then begin
+      artificial.(i) <- !ncols;
+      incr ncols
+    end
+  done;
+  let ncols = !ncols in
   let lob = Array.make ncols 0.0 in
-  let hib = Array.make ncols 0.0 in
+  (* Artificials: [0, inf) during phase 1. *)
+  let hib = Array.make ncols infinity in
   Array.blit p.lo 0 lob 0 n;
   Array.blit p.hi 0 hib 0 n;
   for i = 0 to m - 1 do
-    (* Slack bounds encode the comparison. *)
-    let slo, shi =
-      match rows.(i).cmp with Le -> (0.0, infinity) | Ge -> (neg_infinity, 0.0) | Eq -> (0.0, 0.0)
-    in
+    let slo, shi = slack_bounds rows.(i).cmp in
     lob.(n + i) <- slo;
-    hib.(n + i) <- shi;
-    (* Artificials: [0, inf) during phase 1. *)
-    lob.(n + m + i) <- 0.0;
-    hib.(n + m + i) <- infinity
+    hib.(n + i) <- shi
   done;
   let stat = Array.make ncols At_lower in
   let xval = Array.make ncols 0.0 in
@@ -510,30 +551,15 @@ let solve_cold ?(warm_note = Cold) p =
     stat.(j) <- resting_status lob.(j) hib.(j);
     xval.(j) <- resting_value lob.(j) hib.(j)
   done;
-  (* Residual of each row at the resting point (slack at zero).  Rows
-     whose residual fits inside the slack's own bounds start with the
-     slack basic — no artificial needed; only the remaining rows get an
-     artificial, and phase 1 is skipped entirely when there are none. *)
-  let resid = Array.make m 0.0 in
-  for i = 0 to m - 1 do
-    let r = rows.(i) in
-    let acc = ref r.rhs in
-    for k = 0 to Array.length r.idx - 1 do
-      acc := !acc -. (r.cf.(k) *. xval.(r.idx.(k)))
-    done;
-    resid.(i) <- !acc
-  done;
   let tab = Array.make_matrix m ncols 0.0 in
   let rhs_col = Array.make m 0.0 in
   let basis = Array.make m 0 in
   let bval = Array.make m 0.0 in
-  let artificial_rows = ref 0 in
   for i = 0 to m - 1 do
     let r = rows.(i) in
-    let slack_feasible = resid.(i) >= lob.(n + i) -. 1e-12 && resid.(i) <= hib.(n + i) +. 1e-12 in
-    if slack_feasible then begin
-      (* Slack basis: row stays in its natural orientation; the
-         artificial column is unused and pinned at 0. *)
+    let a = artificial.(i) in
+    if a < 0 then begin
+      (* Slack basis: row stays in its natural orientation. *)
       for k = 0 to Array.length r.idx - 1 do
         tab.(i).(r.idx.(k)) <- tab.(i).(r.idx.(k)) +. r.cf.(k)
       done;
@@ -541,30 +567,42 @@ let solve_cold ?(warm_note = Cold) p =
       rhs_col.(i) <- r.rhs;
       basis.(i) <- n + i;
       stat.(n + i) <- Basic;
-      hib.(n + m + i) <- 0.0;
       bval.(i) <- resid.(i);
       xval.(n + i) <- resid.(i)
     end
     else begin
-      incr artificial_rows;
       let sign = if resid.(i) >= 0.0 then 1.0 else -1.0 in
       for k = 0 to Array.length r.idx - 1 do
         tab.(i).(r.idx.(k)) <- tab.(i).(r.idx.(k)) +. (sign *. r.cf.(k))
       done;
       tab.(i).(n + i) <- sign;
-      tab.(i).(n + m + i) <- 1.0;
+      tab.(i).(a) <- 1.0;
       rhs_col.(i) <- sign *. r.rhs;
-      basis.(i) <- n + m + i;
-      stat.(n + m + i) <- Basic;
+      basis.(i) <- a;
+      stat.(a) <- Basic;
       bval.(i) <- Float.abs resid.(i);
-      xval.(n + m + i) <- bval.(i)
+      xval.(a) <- bval.(i)
     end
   done;
   let t =
-    { m; ncols; tab; zrow = Array.make ncols 0.0; rhs_col; lob; hib; xval; bval; basis; stat }
+    {
+      m;
+      ncols;
+      tab;
+      zrow = Array.make ncols 0.0;
+      rhs_col;
+      lob;
+      hib;
+      xval;
+      bval;
+      basis;
+      stat;
+      nz = Array.make ncols 0;
+      prev_bval = Array.make m 0.0;
+    }
   in
   let counter = ref 0 in
-  let used_phase1 = !artificial_rows > 0 in
+  let used_phase1 = ncols > n + m in
   let record ?certificate result =
     p.last_stats <-
       Some { pivots = !counter; factor_pivots = 0; phase1 = used_phase1; warm = warm_note };
@@ -577,10 +615,8 @@ let solve_cold ?(warm_note = Cold) p =
   let infeasible =
     used_phase1
     && begin
-         let phase1_cost = Array.make ncols 0.0 in
-         for i = 0 to m - 1 do
-           phase1_cost.(n + m + i) <- 1.0
-         done;
+         let phase1_cost = Array.make ncols 1.0 in
+         Array.fill phase1_cost 0 (n + m) 0.0;
          refresh_cost_row t phase1_cost;
          (match optimize t ~counter with
          | `Optimal -> ()
@@ -591,8 +627,8 @@ let solve_cold ?(warm_note = Cold) p =
              raise Iteration_limit);
          refresh_basic_values t;
          let infeasibility = ref 0.0 in
-         for i = 0 to m - 1 do
-           infeasibility := !infeasibility +. Float.max 0.0 t.xval.(n + m + i)
+         for a = n + m to ncols - 1 do
+           infeasibility := !infeasibility +. Float.max 0.0 t.xval.(a)
          done;
          !infeasibility > eps_feas
        end
@@ -602,12 +638,12 @@ let solve_cold ?(warm_note = Cold) p =
   if infeasible then record ~certificate:(Certificate.Farkas (extract_multipliers p t)) Infeasible
   else begin
     (* Pin artificials at zero and install the true objective. *)
-    for i = 0 to m - 1 do
-      lob.(n + m + i) <- 0.0;
-      hib.(n + m + i) <- 0.0;
-      if t.stat.(n + m + i) <> Basic then begin
-        t.stat.(n + m + i) <- At_lower;
-        t.xval.(n + m + i) <- 0.0
+    for a = n + m to ncols - 1 do
+      lob.(a) <- 0.0;
+      hib.(a) <- 0.0;
+      if t.stat.(a) <> Basic then begin
+        t.stat.(a) <- At_lower;
+        t.xval.(a) <- 0.0
       end
     done;
     let phase2_cost = Array.make ncols 0.0 in
@@ -650,9 +686,7 @@ let build_warm_tableau p =
   let rhs_col = Array.make m 0.0 in
   for i = 0 to m - 1 do
     let r = p.rows.(i) in
-    let slo, shi =
-      match r.cmp with Le -> (0.0, infinity) | Ge -> (neg_infinity, 0.0) | Eq -> (0.0, 0.0)
-    in
+    let slo, shi = slack_bounds r.cmp in
     lob.(n + i) <- slo;
     hib.(n + i) <- shi;
     for k = 0 to Array.length r.idx - 1 do
@@ -673,6 +707,8 @@ let build_warm_tableau p =
     bval = Array.make m 0.0;
     basis = Array.make m 0;
     stat = Array.make ncols At_lower;
+    nz = Array.make ncols 0;
+    prev_bval = Array.make m 0.0;
   }
 
 (* Re-derive every nonbasic column's value from its status against the

@@ -44,6 +44,37 @@ let random_net ~seed ~dims =
   let rng = Rng.create seed in
   Builder.dense_net ~rng ~dims
 
+(* Subjects of the golden kernel tests: seeded dense nets and one
+   untrained conv net with conv-cifar-deep's shape (3x8x8 input, convs
+   3 / 4 stride 2 / 6 / 6 stride 2, dense 24 / 10), each with a
+   robustness property in an eps-ball around a seeded centre, target
+   the predicted class against the runner-up. *)
+let golden_subjects () =
+  let subject name net ~seed ~eps =
+    let rng = Rng.create seed in
+    let center = Array.init (Network.input_dim net) (fun _ -> Rng.uniform rng 0.0 1.0) in
+    let y = Network.forward net center in
+    let target = Vec.argmax y in
+    let adversary = ref (if target = 0 then 1 else 0) in
+    Array.iteri (fun j v -> if j <> target && v > y.(!adversary) then adversary := j) y;
+    let prop =
+      Prop.robustness ~name ~center ~eps ~target ~adversary:!adversary
+        ~num_outputs:(Network.output_dim net) ~clip:(Some (0.0, 1.0))
+    in
+    (name, net, prop)
+  in
+  let stage out_channels stride = { Builder.out_channels; kernel = 3; stride; padding = 1 } in
+  let conv =
+    Builder.conv_net ~rng:(Rng.create 1006) ~in_channels:3 ~in_height:8 ~in_width:8
+      ~convs:[ stage 3 1; stage 4 2; stage 6 1; stage 6 2 ]
+      ~dense:[ 24; 10 ]
+  in
+  [
+    subject "dense-8x24x24x3" (random_net ~seed:11 ~dims:[ 8; 24; 24; 3 ]) ~seed:111 ~eps:0.1;
+    subject "dense-16x32x32x32x5" (random_net ~seed:12 ~dims:[ 16; 32; 32; 32; 5 ]) ~seed:112 ~eps:0.05;
+    subject "conv-cifar-deep-shape" conv ~seed:113 ~eps:0.01;
+  ]
+
 (* Sample-based soundness check: every sampled point's objective margin
    must respect a claimed lower bound. *)
 let check_margin_lb ?(samples = 200) ~seed net prop lb =

@@ -423,6 +423,61 @@ let test_diff_budget () =
       | Diff.Deviation _ -> () (* centre probe may legitimately catch it *)
       | Diff.Equivalent -> Alcotest.fail "cannot be proved with one box")
 
+(* ---------------- golden DeepPoly bounds ---------------- *)
+
+module Prop = Ivan_spec.Prop
+
+(* MD5 of the exact bit patterns of every bound of an analysis and of
+   its back-substituted objective interval. *)
+let deeppoly_digest net (prop : Prop.t) ~splits =
+  match Deeppoly.analyze net ~box:prop.Prop.input ~splits with
+  | Deeppoly.Infeasible -> "infeasible"
+  | Deeppoly.Feasible a ->
+      let buf = Buffer.create 4096 in
+      let add x = Buffer.add_string buf (Printf.sprintf "%Lx " (Int64.bits_of_float x)) in
+      Array.iter
+        (fun (l : Bounds.layer) -> List.iter (Array.iter add) [ l.pre_lo; l.pre_hi; l.post_lo; l.post_hi ])
+        (Deeppoly.bounds a).Bounds.layers;
+      let itv = Deeppoly.objective_itv a ~c:prop.Prop.c ~offset:prop.Prop.offset in
+      add itv.Itv.lo;
+      add itv.Itv.hi;
+      Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Recorded from the dense back-substitution kernel.  The sparse kernel
+   performs the same float operations on every nonzero entry in the same
+   order, so the bounds must match bit for bit: at the root, and with
+   the first root-ambiguous ReLU split active and the second inactive. *)
+let golden_deeppoly =
+  [
+    "dense-8x24x24x3 root 0d866d482e00f3f2e5184af58d3a6592";
+    "dense-8x24x24x3 split 8137d2a10f53de0c0c15b11c1e586a27";
+    "dense-16x32x32x32x5 root a877f7ca07a2dab27b83bcecef44a937";
+    "dense-16x32x32x32x5 split 2838105a28cfcfea8e93feb6b00b96d4";
+    "conv-cifar-deep-shape root cb027dccd3af1058af950433013edb90";
+    "conv-cifar-deep-shape split 61a724b703f94ab6dfdf8ff9ee0e9c9c";
+  ]
+
+let test_deeppoly_golden () =
+  let observed =
+    List.concat_map
+      (fun (name, net, (prop : Prop.t)) ->
+        let root = deeppoly_digest net prop ~splits:Splits.empty in
+        let splits =
+          match Deeppoly.analyze net ~box:prop.Prop.input ~splits:Splits.empty with
+          | Deeppoly.Infeasible -> Alcotest.failf "%s: root infeasible" name
+          | Deeppoly.Feasible a -> (
+              match Bounds.ambiguous_relus (Deeppoly.bounds a) net ~splits:Splits.empty with
+              | r1 :: r2 :: _ -> Splits.add r2 Splits.Neg (Splits.add r1 Splits.Pos Splits.empty)
+              | _ -> Alcotest.failf "%s: fewer than two ambiguous ReLUs" name)
+        in
+        [
+          Printf.sprintf "%s root %s" name root;
+          Printf.sprintf "%s split %s" name (deeppoly_digest net prop ~splits);
+        ])
+      (Fixtures.golden_subjects ())
+  in
+  Alcotest.(check (list string)) "bound bit patterns" golden_deeppoly observed
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -447,4 +502,5 @@ let suite =
     ("diff equivalence quantized", `Quick, test_diff_equivalence_quantized);
     ("diff detects deviation", `Quick, test_diff_detects_deviation);
     ("diff budget", `Quick, test_diff_budget);
+    ("deeppoly golden bounds", `Quick, test_deeppoly_golden);
   ]

@@ -583,6 +583,143 @@ let prop_milp_matches_enumeration =
       | Milp.Optimal { objective; _ } -> Float.abs (objective -. !best) < 1e-6
       | Milp.Infeasible _ | Milp.Node_limit _ | Milp.Solver_failure _ -> false)
 
+(* ---------------- Golden triangle-encoding solves ---------------- *)
+
+module Encoding = Ivan_analyzer.Encoding
+module Deeppoly = Ivan_domains.Deeppoly
+module Bounds = Ivan_domains.Bounds
+module Splits = Ivan_domains.Splits
+module Prop = Ivan_spec.Prop
+
+(* [%h] of a float with its zero sign dropped (x +. 0.0 maps -0.0 to
+   0.0): two values print alike exactly when they are equal under [=]. *)
+let hex x = Printf.sprintf "%h" (x +. 0.0)
+
+let multipliers_digest y =
+  Digest.to_hex (Digest.string (String.concat " " (Array.to_list (Array.map hex y))))
+
+(* One line per solve: how it started, its pivot counts, its optimum and
+   an MD5 of its Dual or Farkas multipliers. *)
+let solve_summary p result =
+  let stats = match Lp.last_stats p with Some s -> s | None -> Alcotest.fail "no solve stats" in
+  let start =
+    match stats.Lp.warm with Lp.Cold -> "cold" | Lp.Warm_hit -> "hit" | Lp.Warm_miss -> "miss"
+  in
+  let outcome =
+    match result with
+    | Lp.Optimal s -> "opt=" ^ hex s.Lp.objective
+    | Lp.Infeasible -> "infeasible"
+    | Lp.Unbounded -> "unbounded"
+  in
+  let certificate =
+    match Lp.last_certificate p with
+    | Some (Lp.Certificate.Dual y) -> "dual=" ^ multipliers_digest y
+    | Some (Lp.Certificate.Farkas y) -> "farkas=" ^ multipliers_digest y
+    | None -> "none"
+  in
+  Printf.sprintf "%s pivots=%d factor=%d %s %s" start stats.Lp.pivots stats.Lp.factor_pivots outcome
+    certificate
+
+(* The analyzer's LP sequence on one subject: a cold root solve, warm
+   solves from the root basis with the first root-ambiguous ReLU split
+   either way, and a cold solve made infeasible by cutting the objective
+   one unit below the root optimum. *)
+let triangle_solves (name, net, (prop : Prop.t)) =
+  let box = prop.Prop.input in
+  let enc =
+    match Encoding.Triangle.build net ~prop with
+    | Some e -> e
+    | None -> Alcotest.failf "%s: empty root region" name
+  in
+  let lp = Encoding.Triangle.lp enc in
+  let bounds_at splits =
+    match Deeppoly.analyze net ~box ~splits with
+    | Deeppoly.Feasible a -> Some (Deeppoly.bounds a)
+    | Deeppoly.Infeasible -> None
+  in
+  let root = match bounds_at Splits.empty with Some b -> b | None -> Alcotest.fail "root" in
+  Encoding.Triangle.specialize enc ~box ~splits:Splits.empty ~bounds:root;
+  let cold = Lp.solve lp in
+  let cold_line = solve_summary lp cold in
+  let basis = match Lp.basis lp with Some b -> b | None -> Alcotest.failf "%s: no basis" name in
+  let relu =
+    match Bounds.ambiguous_relus root net ~splits:Splits.empty with
+    | r :: _ -> r
+    | [] -> Alcotest.failf "%s: no ambiguous ReLU" name
+  in
+  let warm phase =
+    let splits = Splits.add relu phase Splits.empty in
+    match bounds_at splits with
+    | None -> "empty region"
+    | Some bounds ->
+        Encoding.Triangle.specialize enc ~box ~splits ~bounds;
+        solve_summary lp (Lp.solve_from lp basis)
+  in
+  let pos = warm Splits.Pos in
+  let neg = warm Splits.Neg in
+  Encoding.Triangle.specialize enc ~box ~splits:Splits.empty ~bounds:root;
+  let optimum = match cold with Lp.Optimal s -> s.Lp.objective | _ -> Alcotest.fail "root" in
+  let obj = Lp.objective_coeffs lp in
+  let idx = List.filter (fun j -> obj.(j) <> 0.0) (List.init (Array.length obj) Fun.id) in
+  let idx = Array.of_list idx in
+  ignore (Lp.add_row lp idx (Array.map (fun j -> obj.(j)) idx) Lp.Le (optimum -. 1.0));
+  let cut = solve_summary lp (Lp.solve lp) in
+  List.map
+    (fun (case, line) -> Printf.sprintf "%s %s %s" name case line)
+    [ ("root", cold_line); ("pos", pos); ("neg", neg); ("cut", cut) ]
+
+(* Recorded from the dense simplex kernel.  The sparse kernel may only
+   flip the sign of a zero tableau entry, which no comparison sees, so
+   every choice — and with it every pivot count, optimum and
+   multiplier — must match exactly. *)
+let golden_triangle =
+  [
+    "dense-8x24x24x3 root cold pivots=30 factor=0 opt=-0x1.02545429c255cp-2 \
+     dual=03870eb1e2a340c0dd081dcdcc413094";
+    "dense-8x24x24x3 pos hit pivots=14 factor=15 opt=-0x1.36ac4e5819938p-4 \
+     dual=053bf3aee2dd5a43de459b44215db0b1";
+    "dense-8x24x24x3 neg hit pivots=2 factor=15 opt=-0x1.c391bd52430bep-3 \
+     dual=22aaaf6decbf50326df1bbd55056262b";
+    "dense-8x24x24x3 cut cold pivots=25 factor=0 infeasible \
+     farkas=ec730a4af7661efc2f1d431b7ad0f047";
+    "dense-16x32x32x32x5 root cold pivots=20 factor=0 opt=0x1.33087849096ddp-1 \
+     dual=982fa0653885001a0d17b29686759fab";
+    "dense-16x32x32x32x5 pos hit pivots=0 factor=13 opt=0x1.33541d77a43dcp-1 \
+     dual=070a8f1b8036d3fb383ade1338be1d0e";
+    "dense-16x32x32x32x5 neg hit pivots=29 factor=13 opt=0x1.40bfc44402311p-1 \
+     dual=eb4d69714228a713d750da5367e892c3";
+    "dense-16x32x32x32x5 cut cold pivots=20 factor=0 infeasible \
+     farkas=aeb579203d36fe184cf1b6c2e077892d";
+    "conv-cifar-deep-shape root cold pivots=188 factor=0 opt=-0x1.eb8c704c21679p-4 \
+     dual=e996789c9b262fe7c0b36ddb299c81c2";
+    "conv-cifar-deep-shape pos hit pivots=51 factor=51 opt=-0x1.d27b0fe35075ep-4 \
+     dual=a43b57e6d17bda9cc01aa25a0ab7f69d";
+    "conv-cifar-deep-shape neg hit pivots=16 factor=51 opt=-0x1.d96722cd0c91cp-4 \
+     dual=fcf7715014b239626afda515e3d8a731";
+    "conv-cifar-deep-shape cut cold pivots=182 factor=0 infeasible \
+     farkas=f41edaafd981985b968c5a6615000f94";
+  ]
+
+let test_triangle_golden () =
+  let observed = List.concat_map triangle_solves (Fixtures.golden_subjects ()) in
+  Alcotest.(check (list string)) "triangle solves" golden_triangle observed
+
+(* Both rows need an artificial and tie in the first phase-1 ratio test,
+   where the tie goes to the lower basic column.  With the artificials
+   numbered in row order the solve ends with multipliers (0, 1/2);
+   another numbering takes a different pivot sequence. *)
+let test_artificial_tie_order () =
+  let p = Lp.create 2 in
+  Lp.set_objective p [| 1.0; 1.0 |];
+  Lp.set_bounds p 0 0.0 10.0;
+  Lp.set_bounds p 1 0.0 10.0;
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Ge 1.0);
+  ignore (Lp.add_row p [| 0; 1 |] [| 2.0; 2.0 |] Lp.Ge 2.0);
+  check_obj "tie" 1.0 (Lp.solve p);
+  match Lp.last_certificate p with
+  | Some (Lp.Certificate.Dual y) -> Alcotest.(check (array (float 0.0))) "multipliers" [| 0.0; 0.5 |] y
+  | Some (Lp.Certificate.Farkas _) | None -> Alcotest.fail "expected a dual certificate"
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -617,4 +754,6 @@ let suite =
     ("milp warm start prunes", `Quick, test_milp_warm_start_prunes);
     ("milp invalid binary", `Quick, test_milp_invalid_binary);
     q prop_milp_matches_enumeration;
+    ("golden triangle solves", `Quick, test_triangle_golden);
+    ("artificial order breaks ratio ties", `Quick, test_artificial_tie_order);
   ]
