@@ -32,7 +32,7 @@ module Runner = Ivan_harness.Runner
 module Workload = Ivan_harness.Workload
 module Report = Ivan_harness.Report
 module Experiments = Ivan_harness.Experiments
-module Clock = Ivan_harness.Clock
+module Clock = Ivan_clock.Clock
 
 open Cmdliner
 
@@ -431,8 +431,7 @@ let diff_cmd =
 
 let check_cmd =
   let run net_path prop_path budget_calls input_split strategy policy lp_warm certify_out trace_out
-      checkpoint_out checkpoint_every resume journal_out resume_journal mem_limit_mb =
-    if checkpoint_every <= 0 then failwith "--checkpoint-every must be positive";
+      journal_out resume_journal mem_limit_mb =
     let certify = certify_out <> None in
     if certify && input_split then
       failwith "--certify requires ReLU splitting (input-split proofs are not certifiable)";
@@ -443,8 +442,9 @@ let check_cmd =
       if input_split then (Analyzer.zonotope (), Ivan_bab.Heuristic.input_smear)
       else (Analyzer.lp_triangle ~warm:lp_warm ~certify (), Ivan_bab.Heuristic.zono_coeff)
     in
-    (* A damaged checkpoint or journal is an operational error, not a
-       crash: report the diagnostic and exit 2. *)
+    (* A damaged journal, or one written for another network or property,
+       is an operational error, not a crash: report the diagnostic and
+       exit 2. *)
     let or_die_2 = function
       | Ok v -> v
       | Error msg ->
@@ -452,26 +452,17 @@ let check_cmd =
           exit 2
     in
     with_trace trace_out (fun trace ->
-        (* The engine is driven step by step so a checkpoint can be taken
-           every [checkpoint_every] nodes; an interrupted run restarts
-           from its last checkpoint with --resume, or — surviving kills
-           at arbitrary points, not just checkpoint boundaries — from a
-           write-ahead journal with --resume-journal.  The CLI budget
-           (and on resume, also the strategy recorded in the
-           checkpoint/journal) governs the continued run. *)
-        (* Read the old journal in full before (possibly) opening the
-           same path as the new sink — opening truncates. *)
+        (* An interrupted run restarts from its write-ahead journal with
+           --resume-journal, surviving kills at arbitrary points.  The CLI
+           budget (and the strategy recorded in the journal) governs the
+           continued run.  Read the old journal in full before (possibly)
+           opening the same path as the new sink — opening truncates. *)
         let resume_data =
           Option.map
             (fun jpath ->
               Format.printf "resuming from journal %s@." jpath;
               or_die_2
-                (match
-                   let ic = open_in_bin jpath in
-                   Fun.protect
-                     ~finally:(fun () -> close_in_noerr ic)
-                     (fun () -> really_input_string ic (in_channel_length ic))
-                 with
+                (match In_channel.with_open_bin jpath In_channel.input_all with
                 | data -> Ok data
                 | exception Sys_error msg -> Error ("cannot read journal: " ^ msg)))
             resume_journal
@@ -482,8 +473,8 @@ let check_cmd =
           | Some data ->
               let engine, info =
                 or_die_2
-                  (Engine.resume_journal ~analyzer ~heuristic ~trace ~strategy ~policy ~certify
-                     ~budget ?journal ~net ~prop data)
+                  (Engine.resume ~analyzer ~heuristic ~trace ~strategy ~policy ~certify ~budget
+                     ?journal ~net ~prop data)
               in
               Format.printf
                 "journal recovered: %d steps replayed (%d analyzer calls), %d bytes valid, %d \
@@ -491,23 +482,11 @@ let check_cmd =
                 info.Engine.replayed_steps info.Engine.replayed_calls info.Engine.valid_bytes
                 info.Engine.dropped_bytes;
               engine
-          | None -> (
-              match resume with
-              | Some path ->
-                  Format.printf "resuming from checkpoint %s@." path;
-                  or_die_2
-                    (Engine.restore_from_file ~analyzer ~heuristic ~trace ~policy ~certify
-                       ~budget ?journal ~net ~prop path)
-              | None ->
-                  Engine.create ~analyzer ~heuristic ~strategy ~trace ~budget ~policy ~certify
-                    ?journal ~net ~prop ())
+          | None ->
+              Engine.create ~analyzer ~heuristic ~strategy ~trace ~budget ~policy ~certify ?journal
+                ~net ~prop ()
         in
-        let save e =
-          match checkpoint_out with
-          | None -> ()
-          | Some path -> Engine.checkpoint_to_file e path
-        in
-        let (result, final_engine), seconds =
+        let result, seconds =
           Clock.timed (fun () ->
               match mem_limit_mb with
               | Some mb ->
@@ -520,26 +499,14 @@ let check_cmd =
                       Supervisor.max_major_words = Supervisor.mb_words (float_of_int mb);
                     }
                   in
-                  let outcome =
-                    Supervisor.supervise ~limits
-                      ~on_escalation:(fun e ->
-                        Format.printf "supervisor: %s@." (Supervisor.escalation_to_string e))
-                      ~heuristic ~policy ~certify ?journal ~net ~prop engine
-                  in
-                  (outcome.Supervisor.run, outcome.Supervisor.engine)
-              | None ->
-                  let rec loop steps =
-                    match Engine.step engine with
-                    | Engine.Finished run -> run
-                    | Engine.Running ->
-                        if steps mod checkpoint_every = 0 then save engine;
-                        loop (steps + 1)
-                  in
-                  (loop 1, engine))
+                  (Supervisor.supervise ~limits
+                     ~on_escalation:(fun e ->
+                       Format.printf "supervisor: %s@." (Supervisor.escalation_to_string e))
+                     ~heuristic ~policy ~certify ?journal ~net ~prop engine)
+                    .Supervisor.run
+              | None -> Engine.run engine)
         in
-        save final_engine;
         Option.iter Journal.close journal;
-        Option.iter (Format.printf "checkpoint written to %s@.") checkpoint_out;
         (match result.Engine.verdict with
         | Engine.Proved -> Format.printf "holds@."
         | Engine.Disproved x ->
@@ -590,27 +557,6 @@ let check_cmd =
             "Collect an exact-arithmetic proof certificate for every verified leaf and write the \
              self-contained proof artifact to FILE; re-validate it later with cert-check.")
   in
-  let checkpoint_out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint-out" ] ~docv:"FILE"
-          ~doc:"Periodically (and on completion) write a resumable engine checkpoint to FILE.")
-  in
-  let checkpoint_every_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "checkpoint-every" ] ~docv:"STEPS"
-          ~doc:"Engine steps between checkpoint writes (with --checkpoint-out).")
-  in
-  let resume_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "resume" ] ~docv:"FILE"
-          ~doc:"Resume from a checkpoint instead of starting fresh; the checkpoint's tree, \
-                frontier, counters and strategy are restored, the command line's budget applies.")
-  in
   let journal_arg =
     Arg.(
       value
@@ -642,8 +588,8 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Verify a VNN-LIB property against a serialized network.")
     Term.(
       const run $ net_arg $ prop_arg $ budget_arg $ input_split_arg $ strategy_arg $ policy_term
-      $ lp_warm_arg $ certify_out_arg $ trace_out_arg $ checkpoint_out_arg $ checkpoint_every_arg
-      $ resume_arg $ journal_arg $ resume_journal_arg $ mem_limit_arg)
+      $ lp_warm_arg $ certify_out_arg $ trace_out_arg $ journal_arg $ resume_journal_arg
+      $ mem_limit_arg)
 
 (* ---------------- cert-check: independent proof validation ---------------- *)
 

@@ -83,7 +83,7 @@ val verify :
     [policy], when supplied, hardens the analyzer with
     {!Ivan_analyzer.Analyzer.with_fallback} (see {!Engine.create}).
     [journal], when supplied, write-ahead journals the run so it can be
-    killed and resumed via {!Engine.resume_journal} (see
+    killed and resumed via {!Engine.resume} (see
     {!Engine.create}).
     [certify] (default false) collects exact-checked per-leaf proof
     certificates into the run's [artifact] — pair it with an analyzer

@@ -44,18 +44,19 @@ type run = {
   artifact : Cert.Artifact.t option;
 }
 
-(* The resilience counters are refs rather than mutable fields: the
-   fallback [notify] closure is built before the record exists (the
-   wrapped analyzer is a [create]-time input of the record).  The same
-   holds for the journal event buffer [jbuf] and the [journaling] flag —
-   resilience events raised inside an analyzer call must land in the
-   step's journal frame too. *)
+(* The run's counters are one [Trace.aggregate], advanced by [Trace.count]
+   on every event the engine emits — so [stats], a trace replay and a
+   journal resume all count through the same fold.  [counters], [emit]
+   and the journal event buffer [jbuf] are built before the record
+   exists: resilience events raised inside an analyzer call arrive
+   through the fallback [notify] closure, a [create]-time input of the
+   wrapped analyzer. *)
 type t = {
   analyzer : Analyzer.t;  (* instrumented: each call records into [last_call] *)
   heuristic : Heuristic.t;
   budget : budget;
   check_time_every : int;
-  trace : Trace.sink;
+  emit : Trace.event -> unit;  (* trace sink, counter fold and journal buffer *)
   net : Network.t;
   prop : Prop.t;
   tree : Tree.t;
@@ -63,19 +64,17 @@ type t = {
   started : float;
   last_call : float ref;
   current_node : int ref;  (* node id under analysis, for resilience events *)
-  retries : int ref;
-  fallback_bounds : int ref;
-  faults_absorbed : int ref;
+  counters : Trace.aggregate ref;
   (* Warm-start plumbing: frontier nodes whose parent solved an LP have
      the parent's optimal basis parked here until they are dequeued.
      The table is engine-local bookkeeping, not verification state — a
-     restored checkpoint simply starts its nodes cold. *)
+     resumed checkpoint simply starts its nodes cold. *)
   bases : (int, Lp.Basis.t) Hashtbl.t;
   certify : bool;
   (* Per-leaf certificates keyed by node id, self-checked in exact
      arithmetic before being admitted; assembled into the run's proof
      artifact at [finish].  Like [bases], the table is engine-local:
-     checkpoints serialize only the counters, so a restored run cannot
+     checkpoints store only the counters, so a resumed run cannot
      produce a complete artifact for leaves verified before the
      checkpoint (they count as unavailable in the final artifact check,
      never as silently certified). *)
@@ -85,23 +84,9 @@ type t = {
      the step completes; every [journal_every] Step frames (and at the
      terminal step) a Checkpoint frame folds the whole prefix. *)
   mutable journal : Journal.writer option;
-  mutable journal_every : int;
-  journaling : bool ref;
+  journal_every : int;
   jbuf : Trace.event list ref;
   mutable jsteps : int;  (* Step frames since the last Checkpoint frame *)
-  mutable steps : int;
-  mutable calls : int;
-  mutable branchings : int;
-  mutable analyzer_seconds : float;
-  mutable max_frontier : int;
-  mutable max_depth : int;
-  mutable heuristic_failures : int;
-  mutable lp_warm_hits : int;
-  mutable lp_warm_misses : int;
-  mutable lp_cold_solves : int;
-  mutable lp_pivots : int;
-  mutable certs_emitted : int;
-  mutable certs_unavailable : int;
   mutable finished : run option;
 }
 
@@ -115,45 +100,36 @@ let status_label = function
   | Analyzer.Counterexample _ -> "counterexample"
   | Analyzer.Unknown -> "unknown"
 
-(* Shared constructor behind [create] and [restore]: wires the
-   resilience wrapper and instrumentation around the analyzer and seeds
-   the counters; the frontier starts empty and is filled by the
-   caller. *)
+(* Shared constructor behind [create] and [resume]: wires the resilience
+   wrapper and instrumentation around the analyzer and seeds the
+   counters; the frontier starts empty and is filled by the caller. *)
 let make ~analyzer ~heuristic ~strategy ~trace ~budget ~check_time_every ~policy ~certify
-    ~journal ~journal_every ~tree ~net ~prop ~started ~steps ~calls ~branchings
-    ~analyzer_seconds ~max_frontier ~max_depth ~heuristic_failures ~retries:retries0
-    ~fallback_bounds:fallback_bounds0 ~faults_absorbed:faults_absorbed0 ~lp_warm_hits
-    ~lp_warm_misses ~lp_cold_solves ~lp_pivots ~certs_emitted ~certs_unavailable () =
+    ~journal_every ~tree ~net ~prop ~started ~counters =
   if Box.dim prop.Prop.input <> Network.input_dim net then
     invalid_arg "Engine.create: property dimension does not match the network";
   if check_time_every <= 0 then invalid_arg "Engine.create: check_time_every must be positive";
   if journal_every <= 0 then invalid_arg "Engine.create: journal_every must be positive";
   let last_call = ref 0.0 in
   let current_node = ref (-1) in
-  let retries = ref retries0 in
-  let fallback_bounds = ref fallback_bounds0 in
-  let faults_absorbed = ref faults_absorbed0 in
-  let journaling = ref (journal <> None) in
+  let counters = ref counters in
   let jbuf = ref [] in
+  let emit ev =
+    Trace.emit trace ev;
+    counters := Trace.count !counters ev;
+    jbuf := ev :: !jbuf
+  in
   let analyzer =
     match policy with
     | None -> analyzer
     | Some policy ->
         let notify reason =
-          let ev =
-            match reason with
+          let node = !current_node in
+          emit
+            (match reason with
             | Analyzer.Retried { analyzer; attempt; reason } ->
-                incr retries;
-                Trace.Retried { node = !current_node; analyzer; attempt; reason }
-            | Analyzer.Fell_back { analyzer; reason } ->
-                incr fallback_bounds;
-                Trace.Fallback { node = !current_node; analyzer; reason }
-            | Analyzer.Absorbed { analyzer; reason } ->
-                incr faults_absorbed;
-                Trace.Absorbed { node = !current_node; analyzer; reason }
-          in
-          Trace.emit trace ev;
-          if !journaling then jbuf := ev :: !jbuf
+                Trace.Retried { node; analyzer; attempt; reason }
+            | Analyzer.Fell_back { analyzer; reason } -> Trace.Fallback { node; analyzer; reason }
+            | Analyzer.Absorbed { analyzer; reason } -> Trace.Absorbed { node; analyzer; reason })
         in
         Analyzer.with_fallback ~notify ~policy analyzer
   in
@@ -167,7 +143,7 @@ let make ~analyzer ~heuristic ~strategy ~trace ~budget ~check_time_every ~policy
     heuristic;
     budget;
     check_time_every;
-    trace;
+    emit;
     net;
     prop;
     tree;
@@ -175,67 +151,46 @@ let make ~analyzer ~heuristic ~strategy ~trace ~budget ~check_time_every ~policy
     started;
     last_call;
     current_node;
-    retries;
-    fallback_bounds;
-    faults_absorbed;
+    counters;
     bases = Hashtbl.create 64;
     certify;
     certs = Hashtbl.create 64;
-    journal;
+    journal = None;
     journal_every;
-    journaling;
     jbuf;
     jsteps = 0;
-    steps;
-    calls;
-    branchings;
-    analyzer_seconds;
-    max_frontier;
-    max_depth;
-    heuristic_failures;
-    lp_warm_hits;
-    lp_warm_misses;
-    lp_cold_solves;
-    lp_pivots;
-    certs_emitted;
-    certs_unavailable;
     finished = None;
   }
 
-(* Emit to the trace sink and, when a journal is attached, buffer the
-   event for the step's journal frame. *)
-let emit t ev =
-  Trace.emit t.trace ev;
-  if !(t.journaling) then t.jbuf := ev :: !(t.jbuf)
-
 let tree t = t.tree
 
-let calls t = t.calls
+let calls t = !(t.counters).Trace.analyzer_calls
 
 let frontier_length t = Frontier.length t.frontier
 
 let finished t = t.finished
 
 let stats_of t ~elapsed =
+  let c = !(t.counters) in
   {
-    analyzer_calls = t.calls;
-    branchings = t.branchings;
+    analyzer_calls = c.Trace.analyzer_calls;
+    branchings = c.Trace.branchings;
     tree_size = Tree.size t.tree;
     tree_leaves = Tree.num_leaves t.tree;
     elapsed_seconds = elapsed;
-    analyzer_seconds = t.analyzer_seconds;
-    max_frontier = t.max_frontier;
-    max_depth = t.max_depth;
-    heuristic_failures = t.heuristic_failures;
-    retries = !(t.retries);
-    fallback_bounds = !(t.fallback_bounds);
-    faults_absorbed = !(t.faults_absorbed);
-    lp_warm_hits = t.lp_warm_hits;
-    lp_warm_misses = t.lp_warm_misses;
-    lp_cold_solves = t.lp_cold_solves;
-    lp_pivots = t.lp_pivots;
-    certs_emitted = t.certs_emitted;
-    certs_unavailable = t.certs_unavailable;
+    analyzer_seconds = c.Trace.analyzer_seconds;
+    max_frontier = c.Trace.max_frontier;
+    max_depth = c.Trace.max_depth;
+    heuristic_failures = c.Trace.stuck;
+    retries = c.Trace.retries;
+    fallback_bounds = c.Trace.fallbacks;
+    faults_absorbed = c.Trace.absorbed;
+    lp_warm_hits = c.Trace.lp_warm_hits;
+    lp_warm_misses = c.Trace.lp_warm_misses;
+    lp_cold_solves = c.Trace.lp_cold_solves;
+    lp_pivots = c.Trace.lp_pivots;
+    certs_emitted = c.Trace.certified;
+    certs_unavailable = c.Trace.certs_unavailable;
   }
 
 (* The proof artifact of a certified run: the final tree with one
@@ -278,18 +233,20 @@ let finish t verdict =
   let run =
     { verdict; tree = t.tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
   in
-  emit t (Trace.Verdict { verdict = verdict_label verdict; calls = t.calls; seconds = elapsed });
+  t.emit (Trace.Verdict { verdict = verdict_label verdict; calls = calls t; seconds = elapsed });
   t.finished <- Some run;
   run
 
 (* The wall-clock budget is checked centrally, once every
    [check_time_every] steps (including step 0, so a zero budget fires
    before any analyzer call), instead of reading the clock per node.
+   Every step makes one analyzer call, so the call count is the step
+   count at every step boundary.
    [>=] rather than [>]: a 0-second budget must exhaust even when the
    clock has not advanced a full tick since [create]. *)
 let out_of_time t =
   t.budget.max_seconds < infinity
-  && t.steps mod t.check_time_every = 0
+  && calls t mod t.check_time_every = 0
   && Clock.monotonic () -. t.started >= t.budget.max_seconds
 
 type status = Running | Finished of run
@@ -299,19 +256,15 @@ let step_once t =
   | Some run -> Finished run
   | None ->
       if Frontier.is_empty t.frontier then Finished (finish t Proved)
-      else if t.calls >= t.budget.max_analyzer_calls || out_of_time t then
+      else if calls t >= t.budget.max_analyzer_calls || out_of_time t then
         Finished (finish t Exhausted)
       else begin
-        t.steps <- t.steps + 1;
         let frontier_now = Frontier.length t.frontier in
-        t.max_frontier <- max t.max_frontier frontier_now;
         let node = match Frontier.pop t.frontier with Some n -> n | None -> assert false in
         let id = Tree.node_id node in
         let depth = List.length (Tree.path_decisions node) in
-        t.max_depth <- max t.max_depth depth;
-        emit t (Trace.Dequeued { node = id; depth; frontier = frontier_now });
+        t.emit (Trace.Dequeued { node = id; depth; frontier = frontier_now });
         let box, splits = Tree.subproblem ~root_box:t.prop.Prop.input node in
-        t.calls <- t.calls + 1;
         t.current_node := id;
         (* Stage the parent's simplex basis (if the parent solved an LP)
            for the analyzer's warm start; otherwise make sure no stale
@@ -327,25 +280,19 @@ let step_once t =
              instead of crashing a run holding a reusable tree. *)
           try t.analyzer.Analyzer.run t.net ~prop:t.prop ~box ~splits
           with e when not (Analyzer.fatal_exn e) ->
-            incr t.faults_absorbed;
-            emit t
+            t.emit
               (Trace.Absorbed
                  { node = id; analyzer = t.analyzer.Analyzer.name; reason = Printexc.to_string e });
             { Analyzer.status = Analyzer.Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None }
         in
-        t.analyzer_seconds <- t.analyzer_seconds +. !(t.last_call);
-        (* Collect the LP report, if the analyzer solved any: counters
-           for the run's stats, and the node's optimal basis to hand to
-           its children (below, if it splits). *)
+        (* Collect the LP report, if the analyzer solved any: an event
+           for the run's counters, and the node's optimal basis to hand
+           to its children (below, if it splits). *)
         let solved_basis =
           match Analyzer.Warm.collect () with
           | None -> None
           | Some info ->
-              t.lp_warm_hits <- t.lp_warm_hits + info.Analyzer.Warm.warm_hits;
-              t.lp_warm_misses <- t.lp_warm_misses + info.Analyzer.Warm.warm_misses;
-              t.lp_cold_solves <- t.lp_cold_solves + info.Analyzer.Warm.cold_solves;
-              t.lp_pivots <- t.lp_pivots + info.Analyzer.Warm.pivots;
-              emit t
+              t.emit
                 (Trace.Lp_solved
                    {
                      node = id;
@@ -356,7 +303,7 @@ let step_once t =
                    });
               info.Analyzer.Warm.basis
         in
-        emit t
+        t.emit
           (Trace.Analyzed
              {
                node = id;
@@ -392,9 +339,7 @@ let step_once t =
                         | Lp.Certificate.Farkas _ -> "farkas")
                     | Error _ -> "unavailable")
               in
-              if kind = "unavailable" then t.certs_unavailable <- t.certs_unavailable + 1
-              else t.certs_emitted <- t.certs_emitted + 1;
-              emit t (Trace.Certified { node = id; kind })
+              t.emit (Trace.Certified { node = id; kind })
             end;
             Running
         | Analyzer.Counterexample x -> Finished (finish t (Disproved x))
@@ -406,13 +351,11 @@ let step_once t =
                    analyzer is exact here, so this only happens on
                    numerical failure.  Count and trace it distinctly,
                    then stop — the budget was not the problem. *)
-                t.heuristic_failures <- t.heuristic_failures + 1;
-                emit t (Trace.Stuck { node = id });
+                t.emit (Trace.Stuck { node = id });
                 Finished (finish t Exhausted)
             | Some d ->
                 let left, right = Tree.split t.tree node d in
-                t.branchings <- t.branchings + 1;
-                emit t
+                t.emit
                   (Trace.Split
                      {
                        node = id;
@@ -434,78 +377,7 @@ let step_once t =
       end
 
 (* ------------------------------------------------------------------ *)
-(* Checkpoint / restore.
-
-   A checkpoint is a self-delimiting text document: a fixed-order header
-   of counters, the terminal state, the frontier as (node id, priority)
-   pairs in re-push order, and the specification tree in its
-   {!Tree.to_string} format (which preserves node ids, so the frontier
-   references survive the round trip).  The analyzer, heuristic and
-   network are code, not state — [restore] takes them as arguments. *)
-
-(* [float_of_string_opt] accepts the "inf"/"-inf"/"nan" spellings %.17g
-   produces for non-finite values, so no special casing is needed when
-   reading tokens back. *)
-let float_token v = Printf.sprintf "%.17g" v
-
-let verdict_to_tokens = function
-  | Proved -> "proved"
-  | Exhausted -> "exhausted"
-  | Disproved x ->
-      "disproved"
-      ^ String.concat "" (List.map (fun v -> " " ^ float_token v) (Array.to_list x))
-
-let checkpoint t =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  let elapsed =
-    match t.finished with
-    | Some r -> r.stats.elapsed_seconds
-    | None -> Clock.monotonic () -. t.started
-  in
-  add "ivan-checkpoint 3";
-  add "strategy: %s" (Frontier.strategy_name (Frontier.strategy t.frontier));
-  add "max_calls: %d" t.budget.max_analyzer_calls;
-  add "max_seconds: %s" (float_token t.budget.max_seconds);
-  add "check_time_every: %d" t.check_time_every;
-  add "steps: %d" t.steps;
-  add "calls: %d" t.calls;
-  add "branchings: %d" t.branchings;
-  add "analyzer_seconds: %s" (float_token t.analyzer_seconds);
-  add "max_frontier: %d" t.max_frontier;
-  add "max_depth: %d" t.max_depth;
-  add "heuristic_failures: %d" t.heuristic_failures;
-  add "retries: %d" !(t.retries);
-  add "fallback_bounds: %d" !(t.fallback_bounds);
-  add "faults_absorbed: %d" !(t.faults_absorbed);
-  add "lp_warm_hits: %d" t.lp_warm_hits;
-  add "lp_warm_misses: %d" t.lp_warm_misses;
-  add "lp_cold_solves: %d" t.lp_cold_solves;
-  add "lp_pivots: %d" t.lp_pivots;
-  add "certs_emitted: %d" t.certs_emitted;
-  add "certs_unavailable: %d" t.certs_unavailable;
-  add "elapsed: %s" (float_token elapsed);
-  add "finished: %s"
-    (match t.finished with None -> "running" | Some r -> verdict_to_tokens r.verdict);
-  add "frontier:%s"
-    (String.concat ""
-       (List.map
-          (fun (p, n) -> Printf.sprintf " %d %s" (Tree.node_id n) (float_token p))
-          (Frontier.elements t.frontier)));
-  add "tree:";
-  Buffer.add_string buf (Tree.to_string t.tree);
-  Buffer.contents buf
-
-let checkpoint_to_file t path =
-  (* Write-then-rename so a crash mid-write never leaves a truncated
-     checkpoint at the target path. *)
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (checkpoint t));
-  Sys.rename tmp path
-
-(* ------------------------------------------------------------------ *)
-(* Write-ahead journal.
+(* Persistence: the write-ahead journal is the engine's only format.
 
    Frame protocol (see {!Ivan_resilience.Journal} for the byte layout):
    a Header frame carrying the config fingerprint opens every run; each
@@ -515,7 +387,22 @@ let checkpoint_to_file t path =
    step — a Checkpoint frame folds the entire prefix, bounding recovery
    replay.  Frames are flushed as they are appended, so after a kill the
    journal is a valid prefix plus at most one torn frame, which
-   {!Journal.scan} drops. *)
+   {!Journal.scan} drops.  A standalone checkpoint is the same thing cut
+   short: one Header and one Checkpoint frame.
+
+   A Checkpoint payload is text: [key: value] lines for the budget,
+   strategy, elapsed time, terminal state, the frontier as (node id,
+   priority) pairs in re-push order and the counters (one
+   {!Trace.aggregate_to_json} object), then a [tree:] line and the
+   specification tree in its {!Tree.to_string} format, which preserves
+   node ids so the frontier references survive the round trip.  The
+   analyzer, heuristic and network are code, not state — [resume] takes
+   them as arguments. *)
+
+(* [float_of_string_opt] accepts the "inf"/"-inf"/"nan" spellings %.17g
+   produces for non-finite values, so no special casing is needed when
+   reading tokens back. *)
+let float_token v = Printf.sprintf "%.17g" v
 
 let fingerprint ~net ~prop =
   let buf = Buffer.create 4096 in
@@ -537,37 +424,66 @@ let fingerprint ~net ~prop =
   Buffer.add_string buf (float_token prop.Prop.offset);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+let checkpoint_payload t =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
+  let elapsed =
+    match t.finished with
+    | Some r -> r.stats.elapsed_seconds
+    | None -> Clock.monotonic () -. t.started
+  in
+  add "strategy: %s" (Frontier.strategy_name (Frontier.strategy t.frontier));
+  add "max_calls: %d" t.budget.max_analyzer_calls;
+  add "max_seconds: %s" (float_token t.budget.max_seconds);
+  add "check_time_every: %d" t.check_time_every;
+  add "elapsed: %s" (float_token elapsed);
+  add "finished: %s"
+    (match t.finished with
+    | None -> "running"
+    | Some { verdict = Disproved x; _ } ->
+        String.concat " " ("disproved" :: List.map float_token (Array.to_list x))
+    | Some r -> verdict_label r.verdict);
+  add "frontier:%s"
+    (String.concat ""
+       (List.map
+          (fun (p, n) -> Printf.sprintf " %d %s" (Tree.node_id n) (float_token p))
+          (Frontier.elements t.frontier)));
+  add "counters: %s" (Trace.aggregate_to_json !(t.counters));
+  add "tree:";
+  Buffer.add_string buf (Tree.to_string t.tree);
+  Buffer.contents buf
+
+let checkpoint t w =
+  if Journal.appends w = 0 then
+    Journal.append w Journal.Header (fingerprint ~net:t.net ~prop:t.prop);
+  Journal.append w Journal.Checkpoint (checkpoint_payload t)
+
 let journal_checkpoint t w =
-  Journal.append w Journal.Checkpoint (checkpoint t);
+  checkpoint t w;
   t.jsteps <- 0
 
 (* Attach a journal sink to an engine.  [fresh_run] appends a Header
    frame unconditionally (a new run in a possibly shared journal);
-   otherwise the Header is only written when the sink is empty, so
-   restoring into an existing journal continues its current run. *)
-let attach_journal t ~fresh_run journal journal_every =
-  match journal with
-  | None -> ()
-  | Some w ->
+   otherwise {!checkpoint} writes it only when the sink is empty, so
+   resuming into an existing journal continues its current run. *)
+let attach_journal t ~fresh_run journal =
+  Option.iter
+    (fun w ->
       t.journal <- Some w;
-      t.journal_every <- journal_every;
-      t.journaling := true;
-      if fresh_run || Journal.appends w = 0 then
-        Journal.append w Journal.Header (fingerprint ~net:t.net ~prop:t.prop);
-      journal_checkpoint t w
+      if fresh_run then Journal.append w Journal.Header (fingerprint ~net:t.net ~prop:t.prop);
+      journal_checkpoint t w)
+    journal
 
 let flush_step t =
+  let events = !(t.jbuf) in
+  t.jbuf := [];
   match t.journal with
-  | None -> t.jbuf := []
-  | Some w -> (
-      match List.rev !(t.jbuf) with
-      | [] -> ()
-      | events ->
-          t.jbuf := [];
-          let payload = String.concat "\n" (List.map Trace.event_to_json events) in
-          Journal.append w Journal.Step payload;
-          t.jsteps <- t.jsteps + 1;
-          if t.finished <> None || t.jsteps >= t.journal_every then journal_checkpoint t w)
+  | Some w when events <> [] ->
+      Journal.append w Journal.Step
+        (String.concat "\n" (List.rev_map Trace.event_to_json events));
+      t.jsteps <- t.jsteps + 1;
+      if t.finished <> None || t.jsteps >= t.journal_every then journal_checkpoint t w
+  | Some _ | None -> ()
 
 let step t =
   let r = step_once t in
@@ -592,237 +508,98 @@ let create ~analyzer ~heuristic ?(strategy = Frontier.Fifo) ?(trace = Trace.null
   let tree = match initial_tree with None -> Tree.create () | Some t -> Tree.copy t in
   let t =
     make ~analyzer ~heuristic ~strategy ~trace ~budget ~check_time_every ~policy ~certify
-      ~journal:None ~journal_every ~tree ~net ~prop ~started:(Clock.monotonic ()) ~steps:0
-      ~calls:0 ~branchings:0 ~analyzer_seconds:0.0 ~max_frontier:0 ~max_depth:0
-      ~heuristic_failures:0 ~retries:0 ~fallback_bounds:0 ~faults_absorbed:0 ~lp_warm_hits:0
-      ~lp_warm_misses:0 ~lp_cold_solves:0 ~lp_pivots:0 ~certs_emitted:0 ~certs_unavailable:0 ()
+      ~journal_every ~tree ~net ~prop ~started:(Clock.monotonic ()) ~counters:Trace.empty_aggregate
   in
   List.iter (fun n -> Frontier.push t.frontier ~priority:(Tree.lb n) n) (Tree.leaves tree);
-  attach_journal t ~fresh_run:true journal journal_every;
+  attach_journal t ~fresh_run:true journal;
   t
 
 (* ------------------------------------------------------------------ *)
-(* Restore *)
+(* Resume: rebuild from the newest Checkpoint frame, then replay the
+   Step frames after it. *)
 
-let restore_exn ~analyzer ~heuristic ?(trace = Trace.null) ?policy ?(certify = false) ?budget
-    ~net ~prop data =
-  let fail fmt = Printf.ksprintf (fun s -> failwith ("Engine.restore: " ^ s)) fmt in
-  let marker = "\ntree:\n" in
-  let mpos =
-    let n = String.length data and m = String.length marker in
-    let rec go i =
-      if i + m > n then fail "missing tree section"
-      else if String.sub data i m = marker then i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let header = String.sub data 0 mpos in
-  let tree_text =
-    let start = mpos + String.length marker in
-    String.sub data start (String.length data - start)
-  in
-  let field prefix line =
-    let pl = String.length prefix in
-    if String.length line >= pl && String.sub line 0 pl = prefix then
-      String.trim (String.sub line pl (String.length line - pl))
-    else fail "expected %S, got %S" prefix line
-  in
-  let int_field prefix line =
-    let v = field prefix line in
-    match int_of_string_opt v with
-    | Some n -> n
-    | None -> fail "field %S is not an integer: %S" prefix v
-  in
-  let float_field prefix line =
-    let v = field prefix line in
-    match float_of_string_opt v with
-    | Some x -> x
-    | None -> fail "field %S is not a number: %S" prefix v
-  in
-  let lines = String.split_on_char '\n' header in
-  (* Version 1 checkpoints predate the warm-start counters; splice in
-     zero-valued lines so both versions parse through one path. *)
-  let lines =
-    match lines with
-    | "ivan-checkpoint 1" :: rest ->
-        let rec widen = function
-          | [] -> fail "truncated version-1 header"
-          | l :: rest when String.length l >= 8 && String.sub l 0 8 = "elapsed:" ->
-              "lp_warm_hits: 0" :: "lp_warm_misses: 0" :: "lp_cold_solves: 0" :: "lp_pivots: 0"
-              :: l :: rest
-          | l :: rest -> l :: widen rest
-        in
-        "ivan-checkpoint 2" :: widen rest
-    | _ -> lines
-  in
-  (* Likewise version 2 predates the certificate counters. *)
-  let lines =
-    match lines with
-    | "ivan-checkpoint 2" :: rest ->
-        let rec widen = function
-          | [] -> fail "truncated version-2 header"
-          | l :: rest when String.length l >= 8 && String.sub l 0 8 = "elapsed:" ->
-              "certs_emitted: 0" :: "certs_unavailable: 0" :: l :: rest
-          | l :: rest -> l :: widen rest
-        in
-        "ivan-checkpoint 3" :: widen rest
-    | _ -> lines
-  in
-  match lines with
-  | [
-   version;
-   strategy_l;
-   max_calls_l;
-   max_seconds_l;
-   check_every_l;
-   steps_l;
-   calls_l;
-   branchings_l;
-   analyzer_seconds_l;
-   max_frontier_l;
-   max_depth_l;
-   heuristic_failures_l;
-   retries_l;
-   fallback_bounds_l;
-   faults_absorbed_l;
-   lp_warm_hits_l;
-   lp_warm_misses_l;
-   lp_cold_solves_l;
-   lp_pivots_l;
-   certs_emitted_l;
-   certs_unavailable_l;
-   elapsed_l;
-   finished_l;
-   frontier_l;
-  ] ->
-      if version <> "ivan-checkpoint 3" then fail "unsupported header %S" version;
-      let strategy =
-        let s = field "strategy:" strategy_l in
-        match Frontier.strategy_of_string s with
-        | Some st -> st
-        | None -> fail "unknown strategy %S" s
-      in
-      let budget_overridden = budget <> None in
-      let budget =
-        match budget with
-        | Some b -> b
-        | None ->
-            {
-              max_analyzer_calls = int_field "max_calls:" max_calls_l;
-              max_seconds = float_field "max_seconds:" max_seconds_l;
-            }
-      in
-      let elapsed = float_field "elapsed:" elapsed_l in
-      let tree = Tree.of_string tree_text in
-      let t =
-        make ~analyzer ~heuristic ~strategy ~trace ~budget
-          ~check_time_every:(int_field "check_time_every:" check_every_l)
-          ~policy ~certify ~journal:None ~journal_every:default_journal_every ~tree ~net ~prop
-          ~started:(Clock.monotonic () -. elapsed)
-          ~steps:(int_field "steps:" steps_l)
-          ~calls:(int_field "calls:" calls_l)
-          ~branchings:(int_field "branchings:" branchings_l)
-          ~analyzer_seconds:(float_field "analyzer_seconds:" analyzer_seconds_l)
-          ~max_frontier:(int_field "max_frontier:" max_frontier_l)
-          ~max_depth:(int_field "max_depth:" max_depth_l)
-          ~heuristic_failures:(int_field "heuristic_failures:" heuristic_failures_l)
-          ~retries:(int_field "retries:" retries_l)
-          ~fallback_bounds:(int_field "fallback_bounds:" fallback_bounds_l)
-          ~faults_absorbed:(int_field "faults_absorbed:" faults_absorbed_l)
-          ~lp_warm_hits:(int_field "lp_warm_hits:" lp_warm_hits_l)
-          ~lp_warm_misses:(int_field "lp_warm_misses:" lp_warm_misses_l)
-          ~lp_cold_solves:(int_field "lp_cold_solves:" lp_cold_solves_l)
-          ~lp_pivots:(int_field "lp_pivots:" lp_pivots_l)
-          ~certs_emitted:(int_field "certs_emitted:" certs_emitted_l)
-          ~certs_unavailable:(int_field "certs_unavailable:" certs_unavailable_l)
-          ()
-      in
-      let nodes = Hashtbl.create 64 in
-      Tree.iter_nodes tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
-      let rec push_frontier = function
-        | [] -> ()
-        | [ tok ] -> fail "dangling frontier token %S" tok
-        | id :: prio :: rest ->
-            let id =
-              match int_of_string_opt id with
-              | Some i -> i
-              | None -> fail "frontier id %S is not an integer" id
-            in
-            let prio =
-              match float_of_string_opt prio with
-              | Some p -> p
-              | None -> fail "frontier priority %S is not a number" prio
-            in
-            (match Hashtbl.find_opt nodes id with
-            | Some n -> Frontier.push t.frontier ~priority:prio n
-            | None -> fail "frontier references unknown node %d" id);
-            push_frontier rest
-      in
-      push_frontier
-        (List.filter
-           (fun s -> s <> "")
-           (String.split_on_char ' ' (field "frontier:" frontier_l)));
-      (* Terminal runs rebuilt from a checkpoint re-derive their
-         artifact through [artifact_of]: a [Disproved] artifact needs
-         only the recorded counterexample, while a restored [Proved] one
-         has an empty certificate table (leaf certificates are not
-         checkpointed) and [Cert.check_artifact] will truthfully report
-         every leaf as missing its certificate. *)
-      let finish_restored verdict =
-        t.finished <-
-          Some { verdict; tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
-      in
-      (match String.split_on_char ' ' (field "finished:" finished_l) with
-      | [ "running" ] -> ()
-      | [ "proved" ] -> finish_restored Proved
-      | [ "exhausted" ] ->
-          (* A budget-exhausted run is the one terminal state worth
-             continuing: with a fresh budget and live frontier nodes the
-             engine picks the search back up instead of replaying the
-             recorded Exhausted verdict. *)
-          if not (budget_overridden && Frontier.length t.frontier > 0) then
-            finish_restored Exhausted
-      | "disproved" :: toks when toks <> [] ->
-          let x =
-            Array.of_list
-              (List.map
-                 (fun tok ->
-                   match float_of_string_opt tok with
-                   | Some v -> v
-                   | None -> fail "counterexample token %S is not a number" tok)
-                 toks)
-          in
-          finish_restored (Disproved x)
-      | _ -> fail "malformed finished line %S" finished_l);
-      t
-  | _ -> fail "malformed header"
+let fail fmt = Printf.ksprintf (fun s -> failwith ("Engine.resume: " ^ s)) fmt
 
-let restore ~analyzer ~heuristic ?trace ?policy ?certify ?budget ?journal
-    ?(journal_every = default_journal_every) ~net ~prop data =
-  match restore_exn ~analyzer ~heuristic ?trace ?policy ?certify ?budget ~net ~prop data with
-  | t ->
-      attach_journal t ~fresh_run:false journal journal_every;
-      Ok t
-  | exception Failure msg -> Error msg
-  | exception Invalid_argument msg -> Error ("Engine.restore: " ^ msg)
+(* Whether a terminal [Exhausted] state resumes the search: only with an
+   overriding budget and live frontier nodes, so a run that ran out of
+   budget can be granted more and continued. *)
+let continue_exhausted t ~budget_overridden = budget_overridden && Frontier.length t.frontier > 0
 
-let restore_from_file ~analyzer ~heuristic ?trace ?policy ?certify ?budget ?journal
-    ?journal_every ~net ~prop path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | data ->
-      restore ~analyzer ~heuristic ?trace ?policy ?certify ?budget ?journal ?journal_every ~net
-        ~prop data
-  | exception Sys_error msg -> Error ("Engine.restore: cannot read checkpoint: " ^ msg)
-
-(* ------------------------------------------------------------------ *)
-(* Journal resume: restore from the newest embedded checkpoint, then
-   replay the Step frames after it. *)
+(* The engine a Checkpoint payload describes.  A terminal run re-derives
+   its artifact through [artifact_of]: a [Disproved] artifact needs only
+   the recorded counterexample, while a resumed [Proved] one has an empty
+   certificate table (leaf certificates are not checkpointed) and
+   [Cert.check_artifact] truthfully reports every leaf as missing its
+   certificate. *)
+let of_checkpoint ~analyzer ~heuristic ~trace ~policy ~certify ~budget ~journal_every ~net ~prop
+    payload =
+  let rec split_at_tree header = function
+    | "tree:" :: rest -> (header, String.concat "\n" rest)
+    | line :: rest -> (
+        match String.index_opt line ':' with
+        | Some i ->
+            let value = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
+            split_at_tree ((String.sub line 0 i, value) :: header) rest
+        | None -> fail "malformed checkpoint line %S" line)
+    | [] -> fail "missing tree section"
+  in
+  let fields, tree_text = split_at_tree [] (String.split_on_char '\n' payload) in
+  let field key =
+    match List.assoc_opt key fields with Some v -> v | None -> fail "missing field %S" key
+  in
+  let number of_string what s =
+    match of_string s with Some v -> v | None -> fail "%s %S is not a number" what s
+  in
+  let int_field key = number int_of_string_opt key (field key) in
+  let float_field key = number float_of_string_opt key (field key) in
+  let strategy =
+    let s = field "strategy" in
+    match Frontier.strategy_of_string s with Some st -> st | None -> fail "unknown strategy %S" s
+  in
+  let budget_overridden = budget <> None in
+  let budget =
+    match budget with
+    | Some b -> b
+    | None ->
+        { max_analyzer_calls = int_field "max_calls"; max_seconds = float_field "max_seconds" }
+  in
+  let elapsed = float_field "elapsed" in
+  let tree = Tree.of_string tree_text in
+  let t =
+    make ~analyzer ~heuristic ~strategy ~trace ~budget
+      ~check_time_every:(int_field "check_time_every")
+      ~policy ~certify ~journal_every ~tree ~net ~prop
+      ~started:(Clock.monotonic () -. elapsed)
+      ~counters:(Trace.aggregate_of_json (field "counters"))
+  in
+  let nodes = Hashtbl.create 64 in
+  Tree.iter_nodes tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
+  let rec push_frontier = function
+    | [] -> ()
+    | [ tok ] -> fail "dangling frontier token %S" tok
+    | id :: prio :: rest ->
+        let id = number int_of_string_opt "frontier id" id in
+        let priority = number float_of_string_opt "priority" prio in
+        (match Hashtbl.find_opt nodes id with
+        | Some n -> Frontier.push t.frontier ~priority n
+        | None -> fail "frontier references unknown node %d" id);
+        push_frontier rest
+  in
+  push_frontier (List.filter (fun s -> s <> "") (String.split_on_char ' ' (field "frontier")));
+  let finish_resumed verdict =
+    t.finished <-
+      Some { verdict; tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
+  in
+  (match String.split_on_char ' ' (field "finished") with
+  | [ "running" ] -> ()
+  | [ "proved" ] -> finish_resumed Proved
+  | [ "exhausted" ] ->
+      if not (continue_exhausted t ~budget_overridden) then finish_resumed Exhausted
+  | "disproved" :: (_ :: _ as toks) ->
+      finish_resumed
+        (Disproved (Array.of_list (List.map (number float_of_string_opt "counterexample") toks)))
+  | _ -> fail "malformed finished field %S" (field "finished"));
+  t
 
 type resume_info = {
   replayed_steps : int;
@@ -831,15 +608,16 @@ type resume_info = {
   dropped_bytes : int;
 }
 
-(* Re-apply one journaled step's events to an engine restored from the
+(* Re-apply one journaled step's events to an engine resumed from the
    preceding checkpoint.  Replay is pure bookkeeping — no analyzer or LP
-   runs: the journal records what the original run computed, and the
-   tree and frontier evolve exactly as they did live ({!Tree.of_string}
-   restores the id counter, so replayed splits mint the same child ids).
-   Any divergence raises [Failure]: a diverging journal means the config
-   fingerprint lied, and the caller turns it into [Error]. *)
+   runs: the journal records what the original run computed, every
+   event advances the counters through [Trace.count] exactly as it did
+   live, and the tree and frontier evolve exactly as they did live
+   ({!Tree.of_string} restores the id counter, so replayed splits mint
+   the same child ids).  Any divergence raises [Failure]: a diverging
+   journal means the config fingerprint lied, and the caller turns it
+   into [Error]. *)
 let replay_events t ~nodes ~budget_overridden events =
-  let fail fmt = Printf.ksprintf (fun s -> failwith ("Engine.resume_journal: " ^ s)) fmt in
   let find_node id =
     match Hashtbl.find_opt nodes id with
     | Some n -> n
@@ -854,84 +632,63 @@ let replay_events t ~nodes ~budget_overridden events =
   in
   List.iter
     (fun ev ->
-      if t.finished <> None then fail "journal has events after the terminal verdict"
-      else
-        match ev with
-        | Trace.Dequeued { node; depth = _; frontier } ->
-            let now = Frontier.length t.frontier in
-            if now <> frontier then
-              fail "frontier length diverged at node %d (journal %d, engine %d)" node frontier
-                now;
-            t.steps <- t.steps + 1;
-            t.max_frontier <- max t.max_frontier now;
-            (match Frontier.pop t.frontier with
-            | None -> fail "journal dequeues node %d from an empty frontier" node
-            | Some n ->
-                if Tree.node_id n <> node then
-                  fail "frontier order diverged (journal dequeued %d, engine popped %d)" node
-                    (Tree.node_id n);
-                t.max_depth <- max t.max_depth (List.length (Tree.path_decisions n)))
-        | Trace.Analyzed { node; status = _; lb; seconds } ->
-            t.calls <- t.calls + 1;
-            t.analyzer_seconds <- t.analyzer_seconds +. seconds;
-            Tree.set_lb (find_node node) lb;
-            last_lb := lb
-        | Trace.Lp_solved { warm_hits; warm_misses; cold_solves; pivots; node = _ } ->
-            t.lp_warm_hits <- t.lp_warm_hits + warm_hits;
-            t.lp_warm_misses <- t.lp_warm_misses + warm_misses;
-            t.lp_cold_solves <- t.lp_cold_solves + cold_solves;
-            t.lp_pivots <- t.lp_pivots + pivots
-        | Trace.Split { node; decision; left; right } ->
-            let n = find_node node in
-            let l, r = Tree.split t.tree n decision in
-            if Tree.node_id l <> left || Tree.node_id r <> right then
-              fail "replayed split of node %d minted ids %d/%d where the journal recorded %d/%d"
-                node (Tree.node_id l) (Tree.node_id r) left right;
-            Hashtbl.replace nodes left l;
-            Hashtbl.replace nodes right r;
-            t.branchings <- t.branchings + 1;
-            Frontier.push t.frontier ~priority:!last_lb l;
-            Frontier.push t.frontier ~priority:!last_lb r
-        | Trace.Pruned _ -> fail "unexpected pruner event in an engine journal"
-        | Trace.Stuck _ -> t.heuristic_failures <- t.heuristic_failures + 1
-        | Trace.Retried _ -> incr t.retries
-        | Trace.Fallback _ -> incr t.fallback_bounds
-        | Trace.Absorbed _ -> incr t.faults_absorbed
-        | Trace.Certified { kind; node = _ } ->
-            if kind = "unavailable" then t.certs_unavailable <- t.certs_unavailable + 1
-            else t.certs_emitted <- t.certs_emitted + 1
-        | Trace.Verdict { verdict; calls = _; seconds = _ } -> (
-            match verdict with
-            | "proved" -> finish_replayed Proved
-            | "exhausted" ->
-                if not (budget_overridden && Frontier.length t.frontier > 0) then
-                  finish_replayed Exhausted
-            | "disproved" ->
-                (* Unreachable: terminal disproved steps are dropped
-                   before replay (the event does not carry the
-                   counterexample vector) and redone live. *)
-                fail "disproved verdict in replay"
-            | v -> fail "unknown journaled verdict %S" v))
+      if t.finished <> None then fail "journal has events after the terminal verdict";
+      t.counters := Trace.count !(t.counters) ev;
+      match ev with
+      | Trace.Dequeued { node; depth = _; frontier } -> (
+          let now = Frontier.length t.frontier in
+          if now <> frontier then
+            fail "frontier length diverged at node %d (journal %d, engine %d)" node frontier now;
+          match Frontier.pop t.frontier with
+          | None -> fail "journal dequeues node %d from an empty frontier" node
+          | Some n ->
+              if Tree.node_id n <> node then
+                fail "frontier order diverged (journal dequeued %d, engine popped %d)" node
+                  (Tree.node_id n))
+      | Trace.Analyzed { node; lb; _ } ->
+          Tree.set_lb (find_node node) lb;
+          last_lb := lb
+      | Trace.Split { node; decision; left; right } ->
+          let l, r = Tree.split t.tree (find_node node) decision in
+          if Tree.node_id l <> left || Tree.node_id r <> right then
+            fail "replayed split of node %d minted ids %d/%d where the journal recorded %d/%d" node
+              (Tree.node_id l) (Tree.node_id r) left right;
+          Hashtbl.replace nodes left l;
+          Hashtbl.replace nodes right r;
+          Frontier.push t.frontier ~priority:!last_lb l;
+          Frontier.push t.frontier ~priority:!last_lb r
+      | Trace.Pruned _ -> fail "unexpected pruner event in an engine journal"
+      | Trace.Verdict { verdict; _ } -> (
+          match verdict with
+          | "proved" -> finish_replayed Proved
+          | "exhausted" ->
+              if not (continue_exhausted t ~budget_overridden) then finish_replayed Exhausted
+          | "disproved" ->
+              (* Unreachable: terminal disproved steps are dropped before
+                 replay (the event does not carry the counterexample
+                 vector) and redone live. *)
+              fail "disproved verdict in replay"
+          | v -> fail "unknown journaled verdict %S" v)
+      | Trace.Lp_solved _ | Trace.Stuck _ | Trace.Retried _ | Trace.Fallback _
+      | Trace.Absorbed _ | Trace.Certified _ ->
+          ())
     events
 
-let resume_journal ~analyzer ~heuristic ?(trace = Trace.null) ?(strategy = Frontier.Fifo)
+let resume ~analyzer ~heuristic ?(trace = Trace.null) ?(strategy = Frontier.Fifo)
     ?check_time_every ?policy ?(certify = false) ?budget ?journal
     ?(journal_every = default_journal_every) ~net ~prop data =
   let recovery = Journal.scan data in
-  let records = Journal.last_run recovery.Journal.records in
-  match records with
-  | [] -> Error "Engine.resume_journal: no valid journal frames"
+  match Journal.last_run recovery.Journal.records with
+  | [] -> Error "Engine.resume: no valid journal frames"
   | first :: rest -> (
       match
         (match first.Journal.kind with
         | Journal.Header ->
-            let fp = fingerprint ~net ~prop in
-            if first.Journal.payload <> fp then
-              failwith
-                "Engine.resume_journal: config fingerprint mismatch — the journal was written \
-                 for a different network or property"
-        | Journal.Step | Journal.Checkpoint ->
-            failwith "Engine.resume_journal: journal has no run header");
+            if first.Journal.payload <> fingerprint ~net ~prop then
+              fail
+                "config fingerprint mismatch — the journal was written for a different network or \
+                 property"
+        | Journal.Step | Journal.Checkpoint -> fail "journal has no run header");
         (* Newest checkpoint wins; only the Step frames after it replay. *)
         let ckpt, steps_rev =
           List.fold_left
@@ -947,7 +704,6 @@ let resume_journal ~analyzer ~heuristic ?(trace = Trace.null) ?(strategy = Front
             (fun line -> if String.trim line = "" then None else Some (Trace.event_of_json line))
             (String.split_on_char '\n' payload)
         in
-        let steps = List.rev_map parse_step steps_rev in
         (* A terminal disproved step is dropped, not replayed: the
            Verdict event lacks the counterexample vector, so the node is
            left on the frontier and redone live — still at most one node
@@ -955,55 +711,38 @@ let resume_journal ~analyzer ~heuristic ?(trace = Trace.null) ?(strategy = Front
            records the counterexample there instead, and the fold above
            leaves no steps to replay.) *)
         let steps =
-          match List.rev steps with
+          match List.map parse_step steps_rev with
           | last :: prefix
             when List.exists
                    (function Trace.Verdict { verdict = "disproved"; _ } -> true | _ -> false)
                    last ->
               List.rev prefix
-          | _ -> steps
+          | steps_rev -> List.rev steps_rev
         in
-        let budget_overridden = budget <> None in
         let t =
           match ckpt with
-          | Some doc ->
-              restore_exn ~analyzer ~heuristic ~trace ?policy ~certify ?budget ~net ~prop doc
+          | Some payload ->
+              of_checkpoint ~analyzer ~heuristic ~trace ~policy ~certify ~budget ~journal_every
+                ~net ~prop payload
           | None ->
               (* Killed before the first checkpoint frame landed: start
                  fresh (nothing had happened yet). *)
               create ~analyzer ~heuristic ~strategy ~trace ?budget ?check_time_every ?policy
-                ~certify ~net ~prop ()
+                ~certify ~journal_every ~net ~prop ()
         in
         let nodes = Hashtbl.create 64 in
         Tree.iter_nodes t.tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
-        let replayed_calls = ref 0 in
-        List.iter
-          (fun events ->
-            replay_events t ~nodes ~budget_overridden events;
-            List.iter (function Trace.Analyzed _ -> incr replayed_calls | _ -> ()) events)
-          steps;
-        attach_journal t ~fresh_run:false journal journal_every;
+        let calls_before = calls t in
+        List.iter (replay_events t ~nodes ~budget_overridden:(budget <> None)) steps;
+        attach_journal t ~fresh_run:false journal;
         ( t,
           {
             replayed_steps = List.length steps;
-            replayed_calls = !replayed_calls;
+            replayed_calls = calls t - calls_before;
             valid_bytes = recovery.Journal.valid_bytes;
             dropped_bytes = recovery.Journal.dropped_bytes;
           } )
       with
       | result -> Ok result
       | exception Failure msg -> Error msg
-      | exception Invalid_argument msg -> Error ("Engine.resume_journal: " ^ msg))
-
-let resume_journal_file ~analyzer ~heuristic ?trace ?strategy ?check_time_every ?policy ?certify
-    ?budget ?journal ?journal_every ~net ~prop path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | data ->
-      resume_journal ~analyzer ~heuristic ?trace ?strategy ?check_time_every ?policy ?certify
-        ?budget ?journal ?journal_every ~net ~prop data
-  | exception Sys_error msg -> Error ("Engine.resume_journal: cannot read journal: " ^ msg)
+      | exception Invalid_argument msg -> Error ("Engine.resume: " ^ msg))

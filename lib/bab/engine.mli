@@ -13,7 +13,9 @@
     The node-selection order is a pluggable {!Frontier.strategy}; every
     step can be observed through a {!Trace.sink}.  The wall-clock budget
     is enforced centrally — one clock read every [check_time_every]
-    steps rather than per node. *)
+    steps rather than per node.  The run's counters are a
+    {!Trace.aggregate} folded from the events the engine emits, so a
+    trace and the run's {!stats} cannot disagree. *)
 
 type budget = {
   max_analyzer_calls : int;
@@ -55,7 +57,7 @@ type stats = {
       (** warm-start attempts that fell back to an internal cold solve *)
   lp_cold_solves : int;
       (** node LP solves that never attempted a warm start (root node,
-          restored checkpoints, non-reusable encodings, [--no-lp-warm]) *)
+          resumed checkpoints, non-reusable encodings, [--no-lp-warm]) *)
   lp_pivots : int;  (** total simplex pivots across all node LP solves *)
   certs_emitted : int;
       (** verified leaves whose certificate passed the emission-time
@@ -125,7 +127,7 @@ val create :
     step), and every [journal_every] (default
     {!default_journal_every}) steps — plus the terminal step — a
     Checkpoint frame folds the whole prefix.  A killed run resumes from
-    its journal via {!resume_journal} with at most one node of rework.
+    its journal via {!resume} with at most one node of rework.
     Events produced while a journal is attached still reach [trace]
     unchanged.
 
@@ -160,6 +162,7 @@ val tree : t -> Ivan_spectree.Tree.t
 (** Live view of the specification tree being grown. *)
 
 val calls : t -> int
+(** Analyzer calls completed so far ([Trace.Analyzed] events counted). *)
 
 val frontier_length : t -> int
 
@@ -167,97 +170,45 @@ val finished : t -> run option
 
 (** {2 Checkpoint / resume}
 
-    An engine's complete resumable state — counters, budget, strategy,
-    terminal state, frontier order, and the specification tree — as a
-    self-delimiting text document.  The analyzer, heuristic, network,
-    property, trace sink and resilience policy are code rather than
-    state and are supplied again at {!restore} time; the restored engine
-    continues exactly where the checkpoint was taken (the elapsed-time
-    clock resumes from the recorded value).
+    The write-ahead journal ({!Ivan_resilience.Journal}) is the engine's
+    only persistence format.  An engine's complete resumable state —
+    counters, budget, strategy, terminal state, frontier order, and the
+    specification tree — is one Checkpoint frame; a standalone
+    checkpoint is a journal holding a Header frame (the net/property
+    {!fingerprint}) and that one Checkpoint frame.  The analyzer,
+    heuristic, network, property, trace sink and resilience policy are
+    code rather than state and are supplied again at {!resume} time; the
+    resumed engine continues exactly where the state was taken (the
+    elapsed-time clock resumes from the recorded value).
 
-    Parked warm-start bases are deliberately {e not} serialized — they
+    Parked warm-start bases are deliberately {e not} persisted — they
     are a performance cache, not verification state — so the first LP
-    solve of each restored frontier node runs cold and the search
-    proceeds identically otherwise.  Version-1 checkpoints (written
-    before the warm-start counters existed) restore with those counters
-    zeroed. *)
+    solve of each resumed frontier node runs cold and the search
+    proceeds identically otherwise.  Nor are leaf certificates: leaves
+    verified before the checkpoint have no certificate in the resumed
+    run, so a resumed [Proved] artifact fails
+    {!Ivan_cert.Cert.check_artifact} with those leaves reported missing
+    — certification honestly requires an uninterrupted run. *)
 
-val checkpoint : t -> string
-(** Serialize the engine's current state.  Safe at any point, including
-    after completion (restoring a terminal checkpoint yields an engine
-    whose {!finished} run is already set). *)
+val checkpoint : t -> Ivan_resilience.Journal.writer -> unit
+(** Append the engine's current state as a Checkpoint frame, preceded
+    by a Header frame when the writer is still empty.  Safe at any
+    point, including after completion (resuming a terminal checkpoint
+    yields an engine whose {!finished} run is already set).  For a
+    standalone snapshot, write into
+    {!Ivan_resilience.Journal.to_buffer}. *)
 
-val checkpoint_to_file : t -> string -> unit
-(** {!checkpoint} written atomically: the document goes to a [.tmp]
-    sibling first and is renamed over the target, so a crash mid-write
-    never leaves a truncated checkpoint behind. *)
+(** {2 Resume}
 
-val restore :
-  analyzer:Ivan_analyzer.Analyzer.t ->
-  heuristic:Heuristic.t ->
-  ?trace:Trace.sink ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?certify:bool ->
-  ?budget:budget ->
-  ?journal:Ivan_resilience.Journal.writer ->
-  ?journal_every:int ->
-  net:Ivan_nn.Network.t ->
-  prop:Ivan_spec.Prop.t ->
-  string ->
-  (t, string) result
-(** Rebuild an engine from a {!checkpoint} document.  [budget] overrides
-    the recorded budget (e.g. to grant a resumed run more time); all
-    other recorded state — strategy, counters, frontier, tree — is taken
-    from the checkpoint.  Terminal checkpoints stay terminal, with one
-    exception: an [Exhausted] checkpoint restored with an overriding
-    [budget] and a non-empty frontier resumes the search, so a run that
-    ran out of budget can be granted more and continued.
-
-    A truncated, corrupt or otherwise malformed document — and a
-    [net]/[prop] pair that does not match it — yields [Error] with a
-    diagnostic message; no parse exception escapes.
-
-    [journal], when supplied, attaches write-ahead journaling to the
-    restored engine (see {!create}); a Header frame is written only if
-    the sink is empty, so restoring into an existing journal continues
-    its current run.
-
-    [certify] (default false) re-enables certificate collection on the
-    restored engine, but note that leaf certificates are {e not} part of
-    a checkpoint (only the two counters are): leaves verified before the
-    checkpoint have no certificate in the restored run, so a resumed
-    [Proved] artifact will fail {!Ivan_cert.Cert.check_artifact} with
-    those leaves reported missing — certification honestly requires an
-    uninterrupted run.  Version-1 and version-2 checkpoints (predating
-    the warm-start and certificate counters respectively) restore with
-    the missing counters zeroed. *)
-
-val restore_from_file :
-  analyzer:Ivan_analyzer.Analyzer.t ->
-  heuristic:Heuristic.t ->
-  ?trace:Trace.sink ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?certify:bool ->
-  ?budget:budget ->
-  ?journal:Ivan_resilience.Journal.writer ->
-  ?journal_every:int ->
-  net:Ivan_nn.Network.t ->
-  prop:Ivan_spec.Prop.t ->
-  string ->
-  (t, string) result
-(** {!restore} reading the document from a file path; [Error] also when
-    the file cannot be read. *)
-
-(** {2 Journal resume}
-
-    Recovery after a kill: {!Ivan_resilience.Journal.scan} truncates the
-    journal to its valid frame prefix, the engine restores from the
-    newest embedded Checkpoint frame, and the Step frames recorded after
-    it replay as pure bookkeeping — no analyzer or LP calls; the tree,
-    frontier and counters evolve exactly as the original run's trace
-    says they did.  Work is lost only for the step that was in flight
-    when the process died (its Step frame never landed), so rework is
-    bounded by one node. *)
+    Recovery after a kill or from a snapshot:
+    {!Ivan_resilience.Journal.scan} truncates the journal to its valid
+    frame prefix, the engine is rebuilt from the newest Checkpoint
+    frame, and the Step frames recorded after it replay as pure
+    bookkeeping — no analyzer or LP calls; the tree, frontier and
+    counters evolve exactly as the original run's trace says they did.
+    Work is lost only for the step that was in flight when the process
+    died (its Step frame never landed), so rework is bounded by one
+    node. *)
 
 type resume_info = {
   replayed_steps : int;  (** Step frames replayed onto the checkpoint *)
@@ -266,7 +217,7 @@ type resume_info = {
   dropped_bytes : int;  (** torn / corrupt tail bytes discarded *)
 }
 
-val resume_journal :
+val resume :
   analyzer:Ivan_analyzer.Analyzer.t ->
   heuristic:Heuristic.t ->
   ?trace:Trace.sink ->
@@ -281,43 +232,33 @@ val resume_journal :
   prop:Ivan_spec.Prop.t ->
   string ->
   (t * resume_info, string) result
-(** Rebuild an engine from raw journal bytes (the newest run in the
-    journal, per {!Ivan_resilience.Journal.last_run}).  The journal's
-    Header fingerprint must match [net]/[prop] — resuming against the
-    wrong problem is an [Error], as is any replay divergence, so a stale
-    journal can never silently corrupt a verdict.  [strategy] and
-    [check_time_every] only apply when the journal died before its first
-    Checkpoint frame landed (the run is started fresh); otherwise the
-    checkpoint's recorded values win.  [budget] overrides as in
-    {!restore}.
+(** Rebuild an engine from raw journal bytes — a journal written by
+    {!create}'s [journal] or a {!checkpoint} — taking the newest run in
+    them, per {!Ivan_resilience.Journal.last_run}.  The Header
+    fingerprint must match [net]/[prop]: resuming against the wrong
+    problem is an [Error], as is a truncated, corrupt or otherwise
+    malformed state and any replay divergence, so stale state can never
+    silently corrupt a verdict.  No parse exception escapes.
+
+    [budget] overrides the recorded budget (e.g. to grant a resumed run
+    more time); all other recorded state — strategy, counters, frontier,
+    tree — is taken from the checkpoint.  Terminal states stay terminal,
+    with one exception: an [Exhausted] state resumed with an overriding
+    [budget] and a non-empty frontier continues the search, so a run
+    that ran out of budget can be granted more and continued.
+    [strategy] and [check_time_every] only apply when the journal died
+    before its first Checkpoint frame landed (the run is started fresh).
 
     A terminal [Disproved] step whose Checkpoint frame never landed is
     redone live rather than replayed (the journaled verdict event does
     not carry the counterexample vector) — the one case where resume
     re-runs the analyzer, still within the one-node rework bound.
 
-    [journal], when supplied, continues journaling: into the same file
-    (the journal is rewritten compacted — Header, then a Checkpoint of
-    the resumed state) or a fresh one. *)
-
-val resume_journal_file :
-  analyzer:Ivan_analyzer.Analyzer.t ->
-  heuristic:Heuristic.t ->
-  ?trace:Trace.sink ->
-  ?strategy:Frontier.strategy ->
-  ?check_time_every:int ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?certify:bool ->
-  ?budget:budget ->
-  ?journal:Ivan_resilience.Journal.writer ->
-  ?journal_every:int ->
-  net:Ivan_nn.Network.t ->
-  prop:Ivan_spec.Prop.t ->
-  string ->
-  (t * resume_info, string) result
-(** {!resume_journal} reading the journal from a file path.  Read the
-    old journal fully before opening the same path as the new [journal]
-    sink — {!Ivan_resilience.Journal.open_file} truncates. *)
+    [journal], when supplied, continues journaling: a Header frame is
+    written only if the sink is empty, then a Checkpoint of the resumed
+    state.  To continue into the file the bytes came from, read it fully
+    before opening it as the new sink —
+    {!Ivan_resilience.Journal.open_file} truncates. *)
 
 val fingerprint : net:Ivan_nn.Network.t -> prop:Ivan_spec.Prop.t -> string
 (** The config digest stored in journal Header frames: an MD5 hex digest

@@ -154,11 +154,13 @@ let parse_flat line =
   end;
   List.rev !fields
 
-let event_of_json line =
+(* Typed accessors over one parsed flat object; every failure, a missing
+   key or a malformed number alike, is [Failure]. *)
+let accessors line =
   let fields = parse_flat line in
-  let fail key = failwith (Printf.sprintf "Trace.event_of_json: missing field %S in %S" key line) in
+  let fail key = failwith (Printf.sprintf "Trace: missing field %S in %S" key line) in
   let str key =
-    match List.assoc_opt key fields with Some (`Str s) -> s | Some (`Bare s) -> s | None -> fail key
+    match List.assoc_opt key fields with Some (`Str s | `Bare s) -> s | None -> fail key
   in
   let int key = int_of_string (str key) in
   let float key =
@@ -167,6 +169,10 @@ let event_of_json line =
     | Some (`Bare s) -> float_of_string s
     | None -> fail key
   in
+  (str, int, float)
+
+let event_of_json line =
+  let str, int, float = accessors line in
   match str "ev" with
   | "dequeued" -> Dequeued { node = int "node"; depth = int "depth"; frontier = int "frontier" }
   | "analyzed" ->
@@ -276,42 +282,73 @@ let empty_aggregate =
     verdict = None;
   }
 
-let aggregate events =
-  List.fold_left
-    (fun acc ev ->
-      let acc = { acc with events = acc.events + 1 } in
-      match ev with
-      | Dequeued { depth; frontier; _ } ->
-          {
-            acc with
-            max_frontier = max acc.max_frontier frontier;
-            max_depth = max acc.max_depth depth;
-          }
-      | Analyzed { seconds; _ } ->
-          {
-            acc with
-            analyzer_calls = acc.analyzer_calls + 1;
-            analyzer_seconds = acc.analyzer_seconds +. seconds;
-          }
-      | Lp_solved { warm_hits; warm_misses; cold_solves; pivots; _ } ->
-          {
-            acc with
-            lp_warm_hits = acc.lp_warm_hits + warm_hits;
-            lp_warm_misses = acc.lp_warm_misses + warm_misses;
-            lp_cold_solves = acc.lp_cold_solves + cold_solves;
-            lp_pivots = acc.lp_pivots + pivots;
-          }
-      | Split _ -> { acc with branchings = acc.branchings + 1 }
-      | Pruned _ -> { acc with pruned = acc.pruned + 1 }
-      | Stuck _ -> { acc with stuck = acc.stuck + 1 }
-      | Retried _ -> { acc with retries = acc.retries + 1 }
-      | Fallback _ -> { acc with fallbacks = acc.fallbacks + 1 }
-      | Absorbed _ -> { acc with absorbed = acc.absorbed + 1 }
-      | Certified { kind; _ } ->
-          if kind = "unavailable" then { acc with certs_unavailable = acc.certs_unavailable + 1 }
-          else { acc with certified = acc.certified + 1 }
-      | Verdict { verdict; _ } -> { acc with verdict = Some verdict })
-    empty_aggregate events
+let count acc ev =
+  let acc = { acc with events = acc.events + 1 } in
+  match ev with
+  | Dequeued { depth; frontier; _ } ->
+      { acc with max_frontier = max acc.max_frontier frontier; max_depth = max acc.max_depth depth }
+  | Analyzed { seconds; _ } ->
+      {
+        acc with
+        analyzer_calls = acc.analyzer_calls + 1;
+        analyzer_seconds = acc.analyzer_seconds +. seconds;
+      }
+  | Lp_solved { warm_hits; warm_misses; cold_solves; pivots; _ } ->
+      {
+        acc with
+        lp_warm_hits = acc.lp_warm_hits + warm_hits;
+        lp_warm_misses = acc.lp_warm_misses + warm_misses;
+        lp_cold_solves = acc.lp_cold_solves + cold_solves;
+        lp_pivots = acc.lp_pivots + pivots;
+      }
+  | Split _ -> { acc with branchings = acc.branchings + 1 }
+  | Pruned _ -> { acc with pruned = acc.pruned + 1 }
+  | Stuck _ -> { acc with stuck = acc.stuck + 1 }
+  | Retried _ -> { acc with retries = acc.retries + 1 }
+  | Fallback _ -> { acc with fallbacks = acc.fallbacks + 1 }
+  | Absorbed _ -> { acc with absorbed = acc.absorbed + 1 }
+  | Certified { kind; _ } ->
+      if kind = "unavailable" then { acc with certs_unavailable = acc.certs_unavailable + 1 }
+      else { acc with certified = acc.certified + 1 }
+  | Verdict { verdict; _ } -> { acc with verdict = Some verdict }
+
+let aggregate events = List.fold_left count empty_aggregate events
+
+(* A missing verdict is written as the empty string, which no [Verdict]
+   event carries. *)
+let aggregate_to_json a =
+  Printf.sprintf
+    ({|{"events":%d,"analyzer_calls":%d,"analyzer_seconds":%s,"branchings":%d,"pruned":%d,|}
+    ^^ {|"stuck":%d,"retries":%d,"fallbacks":%d,"absorbed":%d,"max_frontier":%d,"max_depth":%d,|}
+    ^^ {|"lp_warm_hits":%d,"lp_warm_misses":%d,"lp_cold_solves":%d,"lp_pivots":%d,|}
+    ^^ {|"certified":%d,"certs_unavailable":%d,"verdict":%S}|})
+    a.events a.analyzer_calls (float_token a.analyzer_seconds) a.branchings a.pruned a.stuck
+    a.retries a.fallbacks a.absorbed a.max_frontier a.max_depth a.lp_warm_hits a.lp_warm_misses
+    a.lp_cold_solves a.lp_pivots a.certified a.certs_unavailable
+    (Option.value a.verdict ~default:"")
+
+let aggregate_of_json line =
+  let str, int, float = accessors line in
+  {
+    events = int "events";
+    analyzer_calls = int "analyzer_calls";
+    analyzer_seconds = float "analyzer_seconds";
+    branchings = int "branchings";
+    pruned = int "pruned";
+    stuck = int "stuck";
+    retries = int "retries";
+    fallbacks = int "fallbacks";
+    absorbed = int "absorbed";
+    max_frontier = int "max_frontier";
+    max_depth = int "max_depth";
+    lp_warm_hits = int "lp_warm_hits";
+    lp_warm_misses = int "lp_warm_misses";
+    lp_cold_solves = int "lp_cold_solves";
+    lp_pivots = int "lp_pivots";
+    certified = int "certified";
+    certs_unavailable = int "certs_unavailable";
+    verdict = (match str "verdict" with "" -> None | v -> Some v);
+  }
 
 let pp_aggregate fmt a =
   Format.fprintf fmt "%d calls (%.3fs in analyzer), %d splits, frontier peak %d, depth %d"

@@ -5,7 +5,7 @@
     away ([null]), kept in a bounded in-memory buffer ([ring]), written
     as JSON Lines ([channel] / {!with_jsonl_file}), or handed to a
     callback ([hook]).  A recorded JSONL trace {!read_jsonl}s back into
-    the same events, and {!aggregate} replays any event list into the
+    the same events, and {!aggregate} folds any event list into the
     run's summary statistics — so a trace file is a complete,
     machine-readable account of where the verifier spent its effort. *)
 
@@ -97,10 +97,23 @@ type aggregate = {
   verdict : string option;  (** from the terminal [Verdict] event *)
 }
 
+val empty_aggregate : aggregate
+(** All counters zero, no verdict. *)
+
+val count : aggregate -> event -> aggregate
+(** Fold one event into the counters.  This is the only counter logic:
+    the {!Engine} keeps its run's statistics as an [aggregate] advanced
+    by [count] on every event it emits or replays from a journal. *)
+
 val aggregate : event list -> aggregate
-(** Replay an event list into summary statistics.  On a full engine
-    trace this reproduces the run's {!Engine.stats} counters
-    (analyzer calls, branchings, analyzer seconds, frontier peak,
-    max depth) exactly. *)
+(** [List.fold_left count empty_aggregate].  On a full engine trace this
+    reproduces the run's {!Engine.stats} counters exactly. *)
+
+val aggregate_to_json : aggregate -> string
+(** One-line JSON object, floats round-tripped exactly (the engine's
+    checkpoint payload stores its counters this way). *)
+
+val aggregate_of_json : string -> aggregate
+(** Inverse of {!aggregate_to_json}.  @raise Failure on malformed input. *)
 
 val pp_aggregate : Format.formatter -> aggregate -> unit

@@ -2,8 +2,6 @@ let wall = Unix.gettimeofday
 
 let monotonic () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let now = wall
-
 let timed f =
   let t0 = monotonic () in
   let r = f () in

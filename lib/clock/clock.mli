@@ -20,9 +20,6 @@ val monotonic : unit -> float
 (** Monotonic seconds from an arbitrary origin ([CLOCK_MONOTONIC]).
     Only differences are meaningful. *)
 
-val now : unit -> float
-(** Alias of {!wall}, kept for the harness's historical interface. *)
-
 val timed : (unit -> 'a) -> 'a * float
 (** [timed f] runs [f ()] and returns its result together with the
     elapsed seconds, measured on the monotonic clock. *)

@@ -34,7 +34,7 @@ type config = {
       (** write-ahead journal sink shared by every BaB run this config
           drives — successive runs append under their own Header frames,
           and {!Ivan_resilience.Journal.last_run} recovers the newest
-          one after a crash (see {!Ivan_bab.Engine.resume_journal}) *)
+          one after a crash (see {!Ivan_bab.Engine.resume}) *)
 }
 
 val default_config : config

@@ -7,6 +7,7 @@ module Bab = Ivan_bab.Bab
 module Ivan = Ivan_core.Ivan
 module Theory = Ivan_core.Theory
 module Zoo = Ivan_data.Zoo
+module Clock = Ivan_clock.Clock
 
 type scale = {
   label : string;

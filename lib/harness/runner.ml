@@ -3,6 +3,7 @@ module Heuristic = Ivan_bab.Heuristic
 module Bab = Ivan_bab.Bab
 module Ivan = Ivan_core.Ivan
 module Journal = Ivan_resilience.Journal
+module Clock = Ivan_clock.Clock
 
 type setting = {
   analyzer : Analyzer.t;

@@ -27,7 +27,7 @@ type setting = {
           [baseline], one per technique name) — one file per run, so
           parallel instances never share a sink and a crash leaves an
           unambiguous journal to resume from
-          ({!Ivan_bab.Engine.resume_journal_file}).  The directory is
+          ({!Ivan_bab.Engine.resume}).  The directory is
           created if missing (one level). *)
 }
 

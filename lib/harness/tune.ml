@@ -1,6 +1,7 @@
 module Rng = Ivan_tensor.Rng
 module Bab = Ivan_bab.Bab
 module Ivan = Ivan_core.Ivan
+module Clock = Ivan_clock.Clock
 
 type trial = { alpha : float; theta : float; speedup : float }
 

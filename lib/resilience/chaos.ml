@@ -138,7 +138,7 @@ let fresh_run w =
        ?policy:w.policy ~certify:w.certify ~budget:w.budget ~net:w.net ~prop:w.prop ())
 
 let resume ?journal w bytes =
-  Engine.resume_journal ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~strategy:w.strategy
+  Engine.resume ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~strategy:w.strategy
     ?policy:w.policy ~certify:w.certify ?journal ~journal_every:w.journal_every ~net:w.net
     ~prop:w.prop bytes
 

@@ -15,7 +15,7 @@
       recovery at that frame, never crash it.
 
     Each schedule resumes from the truncated bytes via
-    [Engine.resume_journal], runs to completion, and asserts against the
+    [Engine.resume], runs to completion, and asserts against the
     golden run: identical verdict (including the counterexample vector),
     identical stats on every deterministic counter, and — the bound the
     journal exists to provide — at most one node of rework, measured as

@@ -15,7 +15,7 @@
       problem;
     - [Step] carries one engine step's trace events (one frame per
       step, so a step is journaled atomically or not at all);
-    - [Checkpoint] carries a full engine checkpoint document folding
+    - [Checkpoint] carries the engine's full resumable state, folding
       the whole prefix — recovery restores from the newest one and
       replays only the [Step] frames after it.
 

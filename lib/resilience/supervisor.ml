@@ -65,19 +65,20 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) ~heuristic ?poli
     match !ladder with
     | a :: rest -> (
         ladder := rest;
-        let doc = Engine.checkpoint !engine in
+        let snapshot = Buffer.create 4096 in
+        Engine.checkpoint !engine (Journal.to_buffer snapshot);
         match
-          Engine.restore ~analyzer:a ~heuristic ?policy ?certify ?journal ?journal_every ~net
-            ~prop doc
+          Engine.resume ~analyzer:a ~heuristic ?policy ?certify ?journal ?journal_every ~net
+            ~prop (Buffer.contents snapshot)
         with
-        | Ok e ->
+        | Ok (e, _) ->
             engine := e;
             deadline := Clock.monotonic () +. limits.grace_seconds;
             record (Degraded { analyzer = a.Analyzer.name; reason });
             true
         | Error _ ->
-            (* A checkpoint the engine just wrote failing to restore is
-               a bug, but the watchdog's job is to stay alive: fall
+            (* A checkpoint the engine just wrote failing to resume is a
+               bug, but the watchdog's job is to stay alive: fall
                through to shedding. *)
             ladder := [];
             false)
@@ -85,9 +86,7 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) ~heuristic ?poli
         if !shed_done then false
         else begin
           shed_done := true;
-          (match journal with
-          | Some w -> Journal.append w Journal.Checkpoint (Engine.checkpoint !engine)
-          | None -> ());
+          Option.iter (Engine.checkpoint !engine) journal;
           Gc.compact ();
           deadline := Clock.monotonic () +. limits.grace_seconds;
           record (Shed { reason });

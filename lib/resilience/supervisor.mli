@@ -8,7 +8,7 @@
 
     + a memory breach first tries [Gc.compact] (the cheap fix: most of
       the engine's garbage is short-lived analyzer state);
-    + then the engine is checkpointed and restored with the next,
+    + then the engine is checkpointed and resumed with the next,
       cheaper analyzer from the fallback ladder (the PR-2 degradation
       chain), which both shrinks the working set and speeds up the
       remaining nodes — on a time breach the deadline is extended by the
@@ -48,7 +48,7 @@ type escalation =
   | Compacted of { reason : string; freed_words : float }
       (** a [Gc.compact] absorbed a memory breach *)
   | Degraded of { analyzer : string; reason : string }
-      (** the run was checkpointed and restored onto a cheaper analyzer *)
+      (** the run was checkpointed and resumed onto a cheaper analyzer *)
   | Shed of { reason : string }
       (** full state folded into the journal and the heap compacted *)
   | Cancelled of { reason : string }
@@ -86,5 +86,5 @@ val supervise :
     rebuild the engine across a degradation (they mirror what the engine
     was created with — the engine does not expose them).  When [journal]
     is supplied, degradations journal a fresh Checkpoint frame through
-    the restore path and [Shed] folds the state explicitly, so a kill at
+    the resume path and [Shed] folds the state explicitly, so a kill at
     any escalation point still resumes. *)

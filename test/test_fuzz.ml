@@ -1,8 +1,8 @@
 (* Fuzz properties: every textual parser in the trust path must reject
    arbitrary and mutated input with its documented typed error —
-   [Failure] for the parsers, [Error] for [Engine.restore] /
-   [resume_journal] — and never let [Invalid_argument], [Not_found],
-   out-of-bounds or an allocation blow-up escape. *)
+   [Failure] for the parsers, [Error] for [Engine.resume] — and never
+   let [Invalid_argument], [Not_found], out-of-bounds or an allocation
+   blow-up escape. *)
 
 module Journal = Ivan_resilience.Journal
 module Engine = Ivan_bab.Engine
@@ -98,7 +98,9 @@ let vnnlib_doc =
     ^ "(assert (>= X_1 0.0))\n(assert (<= X_1 1.0))\n"
     ^ "(assert (>= (* -1.0 Y_0) 1.7))\n")
 
-let checkpoint_doc =
+(* The Checkpoint payload of a standalone checkpoint taken three steps
+   into a run. *)
+let checkpoint_payload =
   lazy
     (let engine =
        Engine.create
@@ -108,7 +110,12 @@ let checkpoint_doc =
      for _ = 1 to 3 do
        ignore (Engine.step engine)
      done;
-     Engine.checkpoint engine)
+     let buf = Buffer.create 2048 in
+     Engine.checkpoint engine (Journal.to_buffer buf);
+     match (Journal.scan (Buffer.contents buf)).Journal.records with
+     | [ { Journal.kind = Journal.Header; _ }; { Journal.kind = Journal.Checkpoint; payload } ] ->
+         payload
+     | _ -> Alcotest.fail "a checkpoint is one Header and one Checkpoint frame")
 
 let artifact_doc =
   lazy
@@ -148,24 +155,27 @@ let artifact_fuzz () =
   fuzz ~name:"Cert.Artifact.of_string" ~count:150 (Lazy.force artifact_doc)
     Cert.Artifact.of_string
 
-let restore_fuzz () =
-  fuzz ~name:"Engine.restore" ~count:150 (Lazy.force checkpoint_doc) (fun doc ->
-      (* restore is total by contract: Ok or Error, no exception at all. *)
-      match
-        Engine.restore
-          ~analyzer:(Analyzer.zonotope ())
-          ~heuristic:Heuristic.input_smear ~net:(net ()) ~prop:(prop ()) doc
-      with
-      | Ok _ | Error _ -> ())
+(* [resume] is total by contract: Ok or Error, no exception at all. *)
+let resume bytes =
+  match
+    Engine.resume
+      ~analyzer:(Analyzer.zonotope ())
+      ~heuristic:Heuristic.input_smear ~net:(net ()) ~prop:(prop ()) bytes
+  with
+  | Ok _ | Error _ -> ()
 
-let resume_fuzz () =
-  fuzz ~name:"Engine.resume_journal" ~count:150 (Lazy.force journal_doc) (fun bytes ->
-      match
-        Engine.resume_journal
-          ~analyzer:(Analyzer.zonotope ())
-          ~heuristic:Heuristic.input_smear ~net:(net ()) ~prop:(prop ()) bytes
-      with
-      | Ok _ | Error _ -> ())
+(* Mutants of the payload are re-framed behind a valid Header: the frame
+   CRC would otherwise reject every one before the payload parser saw
+   it. *)
+let checkpoint_fuzz () =
+  let header =
+    Journal.encode_frame Journal.Header (Engine.fingerprint ~net:(net ()) ~prop:(prop ()))
+  in
+  fuzz ~name:"Engine.resume checkpoint payload" ~count:150 (Lazy.force checkpoint_payload)
+    (fun payload -> resume (header ^ Journal.encode_frame Journal.Checkpoint payload))
+
+let journal_fuzz () =
+  fuzz ~name:"Engine.resume journal bytes" ~count:150 (Lazy.force journal_doc) resume
 
 let scan_total =
   QCheck_alcotest.to_alcotest
@@ -180,7 +190,7 @@ let suite =
     serialize_fuzz ();
     vnnlib_fuzz ();
     artifact_fuzz ();
-    restore_fuzz ();
-    resume_fuzz ();
+    checkpoint_fuzz ();
+    journal_fuzz ();
     scan_total;
   ]

@@ -5,6 +5,8 @@ module Supervisor = Ivan_supervise.Supervisor
 module Engine = Ivan_bab.Engine
 module Heuristic = Ivan_bab.Heuristic
 module Analyzer = Ivan_analyzer.Analyzer
+module Network = Ivan_nn.Network
+module Layer = Ivan_nn.Layer
 
 let scan_shape = Alcotest.(triple int int int)
 
@@ -192,7 +194,7 @@ let test_journal_structure () =
 let test_resume_full_journal () =
   let net, prop, golden, bytes = journaled_run () in
   match
-    Engine.resume_journal
+    Engine.resume
       ~analyzer:(Analyzer.zonotope ())
       ~heuristic:Heuristic.input_smear ~net ~prop bytes
   with
@@ -233,7 +235,7 @@ let test_resume_truncated_journal () =
     advance 0 keep r.records
   in
   match
-    Engine.resume_journal
+    Engine.resume
       ~analyzer:(Analyzer.zonotope ())
       ~heuristic:Heuristic.input_smear ~net ~prop
       (String.sub bytes 0 cut)
@@ -249,23 +251,63 @@ let test_resume_truncated_journal () =
         "and the analyzer-call count" golden.stats.analyzer_calls
         resumed.stats.analyzer_calls
 
+(* Same shape as the paper net, first weight tripled. *)
+let reweighted_net () =
+  Network.make
+    [
+      Fixtures.dense [| [| 6.0; -1.0 |]; [| 1.0; 1.0 |] |] [| 0.0; 0.0 |];
+      Fixtures.dense [| [| 1.0; -2.0 |]; [| -1.0; 1.0 |] |] [| 0.0; 0.0 |];
+      Fixtures.dense ~activation:Layer.Identity [| [| 1.0; -1.0 |] |] [| 0.0 |];
+    ]
+
+(* Persisted state must never be resumed onto another problem, whether
+   it is a full journal or a standalone checkpoint: a different offset,
+   or a same-shape net with different weights.  The checkpoint is taken
+   three steps into the paper net with offset 1.6; the reweighted net
+   with offset 0.2 is violated, and continuing the paper net's search
+   on it would report the property proved. *)
 let test_resume_wrong_fingerprint () =
-  let _net, _prop, _run, bytes = journaled_run ~offset:1.7 () in
-  let net = Fixtures.paper_net () in
-  let other = Fixtures.paper_prop_with_offset 1.3 in
-  match
-    Engine.resume_journal
-      ~analyzer:(Analyzer.zonotope ())
-      ~heuristic:Heuristic.input_smear ~net ~prop:other bytes
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "resume against the wrong property must be Error"
+  let _net, _prop, _run, journal = journaled_run ~offset:1.7 () in
+  let checkpoint =
+    let engine =
+      Engine.create ~analyzer:(Analyzer.lp_triangle ()) ~heuristic:Heuristic.zono_coeff
+        ~net:(Fixtures.paper_net ()) ~prop:(Fixtures.paper_prop_with_offset 1.6) ()
+    in
+    for _ = 1 to 3 do
+      ignore (Engine.step engine)
+    done;
+    let buf = Buffer.create 4096 in
+    Engine.checkpoint engine (Journal.to_buffer buf);
+    Buffer.contents buf
+  in
+  let resume ~net ~prop bytes =
+    Engine.resume ~analyzer:(Analyzer.lp_triangle ()) ~heuristic:Heuristic.zono_coeff ~net ~prop
+      bytes
+  in
+  (match
+     resume ~net:(Fixtures.paper_net ()) ~prop:(Fixtures.paper_prop_with_offset 1.6) checkpoint
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "checkpoint does not resume on its own problem: %s" msg);
+  List.iter
+    (fun (state, bytes, offset) ->
+      List.iter
+        (fun (problem, net, prop) ->
+          match resume ~net ~prop bytes with
+          | Error _ -> ()
+          | Ok _ -> Alcotest.failf "%s resumed against %s must be Error" state problem)
+        [
+          ("a different offset", Fixtures.paper_net (), Fixtures.paper_prop_with_offset 1.3);
+          ("different weights", reweighted_net (), Fixtures.paper_prop_with_offset offset);
+          ("different weights and offset", reweighted_net (), Fixtures.paper_prop_with_offset 0.2);
+        ])
+    [ ("a full journal", journal, 1.7); ("a standalone checkpoint", checkpoint, 1.6) ]
 
 let test_resume_empty_journal () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.7 in
   match
-    Engine.resume_journal
+    Engine.resume
       ~analyzer:(Analyzer.zonotope ())
       ~heuristic:Heuristic.input_smear ~net ~prop ""
   with
@@ -336,7 +378,7 @@ let test_supervise_deadline_ladder () =
   let r = Journal.scan (Buffer.contents buf) in
   Alcotest.(check int) "journal flushed cleanly" 0 r.dropped_bytes;
   match
-    Engine.resume_journal
+    Engine.resume
       ~analyzer:(Analyzer.interval ())
       ~heuristic:Heuristic.input_smear ~net ~prop (Buffer.contents buf)
   with

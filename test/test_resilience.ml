@@ -19,6 +19,7 @@ module Frontier = Ivan_bab.Frontier
 module Trace = Ivan_bab.Trace
 module Tree = Ivan_spectree.Tree
 module Fault = Ivan_resilience.Fault
+module Journal = Ivan_resilience.Journal
 module Ivan = Ivan_core.Ivan
 module Diffverify = Ivan_core.Diffverify
 
@@ -482,9 +483,16 @@ let finish engine =
   let rec go () = match Engine.step engine with Engine.Running -> go () | Engine.Finished r -> r in
   go ()
 
-let restore_ok = function
-  | Ok engine -> engine
-  | Error msg -> Alcotest.failf "restore failed: %s" msg
+(* A standalone checkpoint: one Header and one Checkpoint frame. *)
+let snapshot engine =
+  let buf = Buffer.create 4096 in
+  Engine.checkpoint engine (Journal.to_buffer buf);
+  Buffer.contents buf
+
+let resume_ok ?budget ~net ~prop bytes =
+  match Engine.resume ~analyzer:lp ~heuristic:Heuristic.zono_coeff ?budget ~net ~prop bytes with
+  | Ok (engine, _) -> engine
+  | Error msg -> Alcotest.failf "resume failed: %s" msg
 
 let test_checkpoint_midrun_roundtrip () =
   let engine, net, prop = paper_engine () in
@@ -493,12 +501,9 @@ let test_checkpoint_midrun_roundtrip () =
     | Engine.Running -> ()
     | Engine.Finished _ -> Alcotest.fail "instance finished before the checkpoint"
   done;
-  let snapshot = Engine.checkpoint engine in
+  let state = snapshot engine in
   let original = finish engine in
-  let restored =
-    restore_ok (Engine.restore ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop snapshot)
-  in
-  let resumed = finish restored in
+  let resumed = finish (resume_ok ~net ~prop state) in
   Alcotest.(check bool) "same verdict" true (original.Bab.verdict = resumed.Bab.verdict);
   Alcotest.(check int) "same analyzer calls" original.Bab.stats.Bab.analyzer_calls
     resumed.Bab.stats.Bab.analyzer_calls;
@@ -510,66 +515,36 @@ let test_checkpoint_midrun_roundtrip () =
 let test_checkpoint_terminal_roundtrip () =
   let engine, net, prop = paper_engine () in
   let run = finish engine in
-  let restored =
-    restore_ok
-      (Engine.restore ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop
-         (Engine.checkpoint engine))
-  in
+  let restored = resume_ok ~net ~prop (snapshot engine) in
   (match Engine.finished restored with
   | Some r ->
       Alcotest.(check bool) "terminal verdict survives" true (r.Bab.verdict = run.Bab.verdict);
       Alcotest.(check int) "terminal calls survive" run.Bab.stats.Bab.analyzer_calls
         r.Bab.stats.Bab.analyzer_calls
-  | None -> Alcotest.fail "terminal checkpoint restored as running");
+  | None -> Alcotest.fail "terminal checkpoint resumed as running");
   match Engine.step restored with
   | Engine.Finished r ->
       Alcotest.(check bool) "stepping stays terminal" true (r.Bab.verdict = run.Bab.verdict)
   | Engine.Running -> Alcotest.fail "terminal engine resumed"
 
-let test_checkpoint_file_roundtrip () =
-  let engine, net, prop = paper_engine () in
-  (match Engine.step engine with Engine.Running -> () | Engine.Finished _ -> ());
-  let path = Filename.temp_file "ivan_ckpt" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      Engine.checkpoint_to_file engine path;
-      let original = finish engine in
-      let resumed =
-        finish
-          (restore_ok
-             (Engine.restore_from_file ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop
-                path))
-      in
-      Alcotest.(check bool) "file roundtrip verdict" true
-        (original.Bab.verdict = resumed.Bab.verdict);
-      Alcotest.(check string) "file roundtrip tree" (Tree.to_string original.Bab.tree)
-        (Tree.to_string resumed.Bab.tree))
-
 (* The budget-exhausted continuation: a run that ran out of calls is
-   checkpointed terminal, but restoring with a fresh budget resumes the
+   checkpointed terminal, but resuming with a fresh budget continues the
    search and reaches the unrestricted run's verdict and tree. *)
 let test_checkpoint_exhausted_then_more_budget () =
   let tight = { Bab.max_analyzer_calls = 2; max_seconds = infinity } in
   let engine, net, prop = paper_engine ~budget:tight () in
   let cut = finish engine in
   Alcotest.(check bool) "tight run exhausted" true (cut.Bab.verdict = Bab.Exhausted);
-  let snapshot = Engine.checkpoint engine in
-  (* Without a budget override the recorded Exhausted verdict replays. *)
-  (match
-     Engine.finished
-       (restore_ok
-          (Engine.restore ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop snapshot))
-   with
-  | Some r -> Alcotest.(check bool) "replayed as exhausted" true (r.Bab.verdict = Bab.Exhausted)
-  | None -> Alcotest.fail "no-override restore should stay terminal");
+  let state = snapshot engine in
+  (* Without a budget override the recorded Exhausted verdict stands. *)
+  (match Engine.finished (resume_ok ~net ~prop state) with
+  | Some r -> Alcotest.(check bool) "resumed as exhausted" true (r.Bab.verdict = Bab.Exhausted)
+  | None -> Alcotest.fail "no-override resume should stay terminal");
   (* With one, the search continues to the true verdict. *)
   let resumed =
     finish
-      (restore_ok
-         (Engine.restore ~analyzer:lp ~heuristic:Heuristic.zono_coeff
-            ~budget:{ Bab.max_analyzer_calls = 10_000; max_seconds = infinity }
-            ~net ~prop snapshot))
+      (resume_ok ~budget:{ Bab.max_analyzer_calls = 10_000; max_seconds = infinity } ~net ~prop
+         state)
   in
   let reference = Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop () in
   Alcotest.(check bool) "resumed run proves the property" true
@@ -582,15 +557,22 @@ let test_checkpoint_exhausted_then_more_budget () =
 let test_checkpoint_rejects_garbage () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
+  let header = Journal.encode_frame Journal.Header (Engine.fingerprint ~net ~prop) in
   List.iter
-    (fun doc ->
-      match Engine.restore ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop doc with
+    (fun bytes ->
+      match Engine.resume ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop bytes with
       | Error _ -> ()
-      | Ok _ -> Alcotest.failf "malformed checkpoint %S accepted" doc
+      | Ok _ -> Alcotest.failf "malformed checkpoint %S accepted" bytes
       | exception e ->
-          Alcotest.failf "malformed checkpoint %S raised %s instead of returning Error" doc
+          Alcotest.failf "malformed checkpoint %S raised %s instead of returning Error" bytes
             (Printexc.to_string e))
-    [ ""; "nonsense"; "ivan-checkpoint 99\ntree:\n" ]
+    [
+      "";
+      "nonsense";
+      Journal.encode_frame Journal.Checkpoint "tree:\n";
+      header ^ Journal.encode_frame Journal.Checkpoint "nonsense";
+      header ^ Journal.encode_frame Journal.Checkpoint "strategy: fifo\ntree:\n";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Interrupted trees stay usable downstream *)
@@ -664,7 +646,6 @@ let suite =
     ("two faults race the fallback chain", `Quick, test_two_faults_race_fallback_chain);
     ("checkpoint mid-run roundtrip", `Quick, test_checkpoint_midrun_roundtrip);
     ("checkpoint terminal roundtrip", `Quick, test_checkpoint_terminal_roundtrip);
-    ("checkpoint file roundtrip", `Quick, test_checkpoint_file_roundtrip);
     ("checkpoint exhausted + more budget", `Quick, test_checkpoint_exhausted_then_more_budget);
     ("checkpoint rejects garbage", `Quick, test_checkpoint_rejects_garbage);
     ("cancelled tree reusable", `Quick, test_cancelled_tree_reusable);
