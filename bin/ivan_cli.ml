@@ -101,22 +101,6 @@ let trace_out_arg =
   let doc = "Write a JSONL engine trace (one event per line) to FILE." in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
-(* LP warm starting only changes how node LPs are solved (parent-basis
-   simplex warm starts vs. cold Phase-1 restarts); verdicts, bounds and
-   trees are identical either way, so the flag is a pure performance
-   toggle — kept for benchmarking and as a numerical escape hatch. *)
-let lp_warm_arg =
-  let warm =
-    ( true,
-      Arg.info [ "lp-warm" ]
-        ~doc:"Warm-start each node LP from the parent node's simplex basis (default)." )
-  in
-  let cold =
-    ( false,
-      Arg.info [ "no-lp-warm" ] ~doc:"Solve every node LP from scratch (cold Phase-1 start)." )
-  in
-  Arg.(value & vflag true [ warm; cold ])
-
 (* Resilience policy: how analyzer failures are retried and degraded
    (Analyzer.with_fallback).  Shared by every verifying subcommand. *)
 let policy_term =
@@ -163,13 +147,14 @@ let verdict_string = function
   | Bab.Disproved _ -> "counterexample"
   | Bab.Exhausted -> "unknown (budget)"
 
-let setting_for ?(lp_warm = true) spec budget_calls strategy policy =
+(* The zoo model's analyzer stack under [config], with the CLI's budget
+   and resilience policy. *)
+let setting_for spec budget_calls policy config =
   let budget = { Bab.max_analyzer_calls = budget_calls; max_seconds = 60.0 } in
+  let config = { config with Ivan.budget; policy } in
   match spec.Zoo.kind with
-  | Zoo.Acas ->
-      (* The ACAS stack bounds with zonotopes, not LPs; nothing to warm. *)
-      Runner.acas_setting ~budget ~strategy ~policy ()
-  | Zoo.Image_classifier -> Runner.classifier_setting ~budget ~strategy ~policy ~lp_warm ()
+  | Zoo.Acas -> Runner.acas_setting ~config ()
+  | Zoo.Image_classifier -> Runner.classifier_setting ~config ()
 
 let instances_for spec net count =
   match spec.Zoo.kind with
@@ -221,9 +206,11 @@ let train_cmd =
 (* ---------------- verify ---------------- *)
 
 let verify_cmd =
-  let run spec cache count budget_calls strategy policy lp_warm trace_out =
+  let run spec cache count budget_calls strategy policy trace_out =
     let net = Zoo.load_or_train ?cache_dir:cache spec in
-    let setting = setting_for ~lp_warm spec budget_calls strategy policy in
+    let { Runner.analyzer; heuristic; config } =
+      setting_for spec budget_calls policy { Ivan.default_config with strategy }
+    in
     let instances = instances_for spec net count in
     Format.printf "verifying %d properties on %s (%s frontier)@." (List.length instances)
       spec.Zoo.name
@@ -234,10 +221,9 @@ let verify_cmd =
           (fun (inst : Workload.instance) ->
             let run, seconds =
               Clock.timed (fun () ->
-                  Bab.verify ~analyzer:setting.Runner.analyzer
-                    ~heuristic:setting.Runner.heuristic ~strategy:setting.Runner.strategy ~trace
-                    ~budget:setting.Runner.budget ~policy:setting.Runner.policy ~net
-                    ~prop:inst.Workload.prop ())
+                  Engine.run
+                    (Engine.create ~analyzer ~heuristic ~config:(Ivan.engine_config config) ~trace
+                       ~net ~prop:inst.Workload.prop ()))
             in
             (match run.Bab.verdict with
             | Bab.Proved -> incr proved
@@ -256,23 +242,24 @@ let verify_cmd =
     (Cmd.info "verify" ~doc:"Verify properties of a zoo model from scratch.")
     Term.(
       const run $ model_arg $ cache_arg $ instances_arg 10 $ budget_arg $ strategy_arg
-      $ policy_term $ lp_warm_arg $ trace_out_arg)
+      $ policy_term $ trace_out_arg)
 
 (* ---------------- incremental ---------------- *)
 
 let incremental_cmd =
-  let run spec cache update count budget_calls alpha theta strategy policy lp_warm =
+  let run spec cache update count budget_calls alpha theta strategy policy =
     let net = Zoo.load_or_train ?cache_dir:cache spec in
     let updated = apply_update update net in
-    let setting = setting_for ~lp_warm spec budget_calls strategy policy in
+    let setting =
+      setting_for spec budget_calls policy { Ivan.default_config with alpha; theta; strategy }
+    in
     let instances = instances_for spec net count in
     Format.printf "incremental verification of %s under the %s update (%d instances, %s frontier)@."
       spec.Zoo.name (update_name update) (List.length instances)
       (Frontier.strategy_name strategy);
     let comparisons =
-      Runner.run_all setting ~net ~updated
-        ~techniques:[ Ivan.Reuse; Ivan.Reorder; Ivan.Full ]
-        ~alpha ~theta instances
+      Runner.run_all setting ~net ~updated ~techniques:[ Ivan.Reuse; Ivan.Reorder; Ivan.Full ]
+        instances
     in
     List.iter
       (fun (c : Runner.comparison) ->
@@ -291,16 +278,17 @@ let incremental_cmd =
       [ Ivan.Reuse; Ivan.Reorder; Ivan.Full ]
   in
   let alpha_arg =
-    Arg.(value & opt float Experiments.alpha_default & info [ "alpha" ] ~doc:"H_delta mixing weight.")
+    Arg.(
+      value & opt float Ivan.default_config.alpha & info [ "alpha" ] ~doc:"H_delta mixing weight.")
   in
   let theta_arg =
-    Arg.(value & opt float Experiments.theta_default & info [ "theta" ] ~doc:"Pruning threshold.")
+    Arg.(value & opt float Ivan.default_config.theta & info [ "theta" ] ~doc:"Pruning threshold.")
   in
   Cmd.v
     (Cmd.info "incremental" ~doc:"Compare baseline vs. IVAN on a network update.")
     Term.(
       const run $ model_arg $ cache_arg $ update_arg $ instances_arg 10 $ budget_arg $ alpha_arg
-      $ theta_arg $ strategy_arg $ policy_term $ lp_warm_arg)
+      $ theta_arg $ strategy_arg $ policy_term)
 
 (* ---------------- prove / reverify: persistent proofs ---------------- *)
 
@@ -317,15 +305,15 @@ let nth_instance spec net index =
   | None -> failwith (Printf.sprintf "no instance with index %d" index)
 
 let prove_cmd =
-  let run spec cache index budget_calls policy lp_warm out =
+  let run spec cache index budget_calls policy out =
     let net = Zoo.load_or_train ?cache_dir:cache spec in
-    let setting = setting_for ~lp_warm spec budget_calls Frontier.Fifo policy in
+    let { Runner.analyzer; heuristic; config } =
+      setting_for spec budget_calls policy Ivan.default_config
+    in
     let inst = nth_instance spec net index in
     let prop = inst.Workload.prop in
     let result, seconds =
-      Clock.timed (fun () ->
-          Bab.verify ~analyzer:setting.Runner.analyzer ~heuristic:setting.Runner.heuristic
-            ~budget:setting.Runner.budget ~policy:setting.Runner.policy ~net ~prop ())
+      Clock.timed (fun () -> Ivan.verify_original ~analyzer ~heuristic ~config ~net ~prop)
     in
     Format.printf "%s: %s in %d analyzer calls (%.2fs), tree %d nodes@." prop.Ivan_spec.Prop.name
       (verdict_string result.Bab.verdict)
@@ -342,14 +330,15 @@ let prove_cmd =
   Cmd.v
     (Cmd.info "prove" ~doc:"Verify one property and persist its proof tree.")
     Term.(
-      const run $ model_arg $ cache_arg $ index_arg $ budget_arg $ policy_term $ lp_warm_arg
-      $ out_arg)
+      const run $ model_arg $ cache_arg $ index_arg $ budget_arg $ policy_term $ out_arg)
 
 let reverify_cmd =
-  let run spec cache update index budget_calls policy lp_warm proof_path =
+  let run spec cache update index budget_calls policy proof_path =
     let net = Zoo.load_or_train ?cache_dir:cache spec in
     let updated = apply_update update net in
-    let setting = setting_for ~lp_warm spec budget_calls Frontier.Fifo policy in
+    let { Runner.analyzer; heuristic; config } =
+      setting_for spec budget_calls policy Ivan.default_config
+    in
     let inst = nth_instance spec net index in
     let prop = inst.Workload.prop in
     let proof = Proof.of_file proof_path in
@@ -358,10 +347,7 @@ let reverify_cmd =
         proof.Proof.property_name prop.Ivan_spec.Prop.name;
     let result, seconds =
       Clock.timed (fun () ->
-          Ivan.verify_updated_with_tree ~analyzer:setting.Runner.analyzer
-            ~heuristic:setting.Runner.heuristic
-            ~config:
-              { Ivan.default_config with budget = setting.Runner.budget; policy = setting.Runner.policy }
+          Ivan.verify_updated_with_tree ~analyzer ~heuristic ~config
             ~original_tree:proof.Proof.tree ~updated ~prop)
     in
     Format.printf "%s (%s): %s in %d analyzer calls (%.2fs; original proof took %d calls)@."
@@ -380,12 +366,12 @@ let reverify_cmd =
        ~doc:"Incrementally re-verify a property on an updated network from a stored proof.")
     Term.(
       const run $ model_arg $ cache_arg $ update_arg $ index_arg $ budget_arg $ policy_term
-      $ lp_warm_arg $ proof_arg)
+      $ proof_arg)
 
 (* ---------------- diff: differential verification ---------------- *)
 
 let diff_cmd =
-  let run spec cache update index delta budget_calls lp_warm =
+  let run spec cache update index delta budget_calls =
     let net = Zoo.load_or_train ?cache_dir:cache spec in
     let updated = apply_update update net in
     let inst = nth_instance spec net index in
@@ -400,7 +386,7 @@ let diff_cmd =
         in
         Format.printf "zonotope bound: max |output drift| <= %.5f over the region@." worst);
     (* Level 2: complete differential verification. *)
-    let analyzer = Ivan_analyzer.Analyzer.lp_triangle ~warm:lp_warm () in
+    let analyzer = Ivan_analyzer.Analyzer.lp_triangle () in
     let budget = { Bab.max_analyzer_calls = budget_calls; max_seconds = 60.0 } in
     let proof =
       Ivan_core.Diffverify.verify ~analyzer ~heuristic:Ivan_bab.Heuristic.zono_coeff ~budget net
@@ -424,23 +410,30 @@ let diff_cmd =
     (Cmd.info "diff"
        ~doc:"Differentially verify that a quantized variant stays within delta of the original.")
     Term.(
-      const run $ model_arg $ cache_arg $ update_arg $ index_arg $ delta_arg $ budget_arg
-      $ lp_warm_arg)
+      const run $ model_arg $ cache_arg $ update_arg $ index_arg $ delta_arg $ budget_arg)
 
 (* ---------------- check: network file + VNN-LIB property ---------------- *)
 
 let check_cmd =
-  let run net_path prop_path budget_calls input_split strategy policy lp_warm certify_out trace_out
+  let run net_path prop_path budget_calls input_split strategy policy certify_out trace_out
       journal_out resume_journal mem_limit_mb =
     let certify = certify_out <> None in
     if certify && input_split then
       failwith "--certify requires ReLU splitting (input-split proofs are not certifiable)";
     let net = Serialize.of_file net_path in
     let prop = Ivan_spec.Vnnlib.parse_file prop_path in
-    let budget = { Bab.max_analyzer_calls = budget_calls; max_seconds = 120.0 } in
+    let config =
+      {
+        Engine.default_config with
+        strategy;
+        budget = { Bab.max_analyzer_calls = budget_calls; max_seconds = 120.0 };
+        policy = Some policy;
+        certify;
+      }
+    in
     let analyzer, heuristic =
       if input_split then (Analyzer.zonotope (), Ivan_bab.Heuristic.input_smear)
-      else (Analyzer.lp_triangle ~warm:lp_warm ~certify (), Ivan_bab.Heuristic.zono_coeff)
+      else (Analyzer.lp_triangle ~certify (), Ivan_bab.Heuristic.zono_coeff)
     in
     (* A damaged journal, or one written for another network or property,
        is an operational error, not a crash: report the diagnostic and
@@ -473,8 +466,7 @@ let check_cmd =
           | Some data ->
               let engine, info =
                 or_die_2
-                  (Engine.resume ~analyzer ~heuristic ~trace ~strategy ~policy ~certify ~budget
-                     ?journal ~net ~prop data)
+                  (Engine.resume ~analyzer ~heuristic ~config ~trace ?journal ~net ~prop data)
               in
               Format.printf
                 "journal recovered: %d steps replayed (%d analyzer calls), %d bytes valid, %d \
@@ -483,8 +475,7 @@ let check_cmd =
                 info.Engine.dropped_bytes;
               engine
           | None ->
-              Engine.create ~analyzer ~heuristic ~strategy ~trace ~budget ~policy ~certify ?journal
-                ~net ~prop ()
+              Engine.create ~analyzer ~heuristic ~config ~trace ?journal ~net ~prop ()
         in
         let result, seconds =
           Clock.timed (fun () ->
@@ -502,7 +493,7 @@ let check_cmd =
                   (Supervisor.supervise ~limits
                      ~on_escalation:(fun e ->
                        Format.printf "supervisor: %s@." (Supervisor.escalation_to_string e))
-                     ~heuristic ~policy ~certify ?journal ~net ~prop engine)
+                     engine)
                     .Supervisor.run
               | None -> Engine.run engine)
         in
@@ -588,7 +579,7 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Verify a VNN-LIB property against a serialized network.")
     Term.(
       const run $ net_arg $ prop_arg $ budget_arg $ input_split_arg $ strategy_arg $ policy_term
-      $ lp_warm_arg $ certify_out_arg $ trace_out_arg $ journal_arg $ resume_journal_arg
+      $ certify_out_arg $ trace_out_arg $ journal_arg $ resume_journal_arg
       $ mem_limit_arg)
 
 (* ---------------- cert-check: independent proof validation ---------------- *)

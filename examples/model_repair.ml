@@ -63,8 +63,7 @@ let () =
   let setting = Runner.classifier_setting () in
   let instances = Workload.robustness_instances ~spec ~net ~count:10 in
   let comparisons =
-    Runner.run_all setting ~net ~updated:repaired ~techniques:[ Ivan.Reuse; Ivan.Full ]
-      ~alpha:0.25 ~theta:0.01 instances
+    Runner.run_all setting ~net ~updated:repaired ~techniques:[ Ivan.Reuse; Ivan.Full ] instances
   in
   Format.printf "%-22s %14s %14s %14s@." "property" "baseline" "IVAN[reuse]" "IVAN";
   List.iter

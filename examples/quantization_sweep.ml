@@ -34,7 +34,7 @@ let () =
       let updated = Quant.network scheme net in
       let acc = Zoo.accuracy spec updated in
       let comparisons =
-        Runner.run_all setting ~net ~updated ~techniques:[ Ivan.Full ] ~alpha:0.25 ~theta:0.01
+        Runner.run_all setting ~net ~updated ~techniques:[ Ivan.Full ]
           instances
       in
       let total f = List.fold_left (fun a c -> a +. f c) 0.0 comparisons in

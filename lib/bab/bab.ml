@@ -36,10 +36,12 @@ type run = Engine.run = {
   artifact : Ivan_cert.Cert.Artifact.t option;
 }
 
-let verify ~analyzer ~heuristic ?strategy ?trace ?(budget = default_budget) ?policy ?certify
-    ?journal ?journal_every ?initial_tree ~net ~prop () =
+let verify ~analyzer ~heuristic ?(strategy = Frontier.Fifo) ?trace ?(budget = default_budget)
+    ?policy ?(certify = false) ?journal ?(journal_every = Engine.default_config.journal_every)
+    ?initial_tree ~net ~prop () =
   if Box.dim prop.Prop.input <> Network.input_dim net then
     invalid_arg "Bab.verify: property dimension does not match the network";
   Engine.run
-    (Engine.create ~analyzer ~heuristic ?strategy ?trace ~budget ?policy ?certify ?journal
-       ?journal_every ?initial_tree ~net ~prop ())
+    (Engine.create ~analyzer ~heuristic
+       ~config:{ Engine.strategy; budget; policy; certify; journal_every }
+       ?trace ?journal ?initial_tree ~net ~prop ())

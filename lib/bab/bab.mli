@@ -78,14 +78,16 @@ val verify :
   prop:Ivan_spec.Prop.t ->
   unit ->
   run
-(** [strategy] (default [Fifo]) selects the frontier exploration order;
-    [trace] (default {!Trace.null}) observes every engine step.
-    [policy], when supplied, hardens the analyzer with
+(** [strategy], [budget], [policy], [certify] and [journal_every] are
+    the fields of an {!Engine.config}, defaulting to
+    {!Engine.default_config}'s.  [strategy] selects the frontier
+    exploration order; [trace] (default {!Trace.null}) observes every
+    engine step.  [policy], when supplied, hardens the analyzer with
     {!Ivan_analyzer.Analyzer.with_fallback} (see {!Engine.create}).
     [journal], when supplied, write-ahead journals the run so it can be
     killed and resumed via {!Engine.resume} (see
     {!Engine.create}).
-    [certify] (default false) collects exact-checked per-leaf proof
+    [certify] collects exact-checked per-leaf proof
     certificates into the run's [artifact] — pair it with an analyzer
     built with [certify] (e.g. [Analyzer.lp_triangle ~certify:true ()]),
     otherwise every leaf counts as certificate-unavailable.

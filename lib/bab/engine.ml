@@ -12,7 +12,20 @@ type budget = { max_analyzer_calls : int; max_seconds : float }
 
 let default_budget = { max_analyzer_calls = 10_000; max_seconds = infinity }
 
-let default_journal_every = 32
+type config = {
+  strategy : Frontier.strategy;
+  budget : budget;
+  policy : Analyzer.policy option;
+  certify : bool;
+  journal_every : int;
+}
+
+let default_config =
+  { strategy = Frontier.Fifo; budget = default_budget; policy = None; certify = false;
+    journal_every = 32 }
+
+(* Steps between wall-clock budget checks. *)
+let check_time_every = 8
 
 type stats = {
   analyzer_calls : int;
@@ -54,8 +67,8 @@ type run = {
 type t = {
   analyzer : Analyzer.t;  (* instrumented: each call records into [last_call] *)
   heuristic : Heuristic.t;
-  budget : budget;
-  check_time_every : int;
+  config : config;  (* as in force: a resumed run's recorded strategy and budget *)
+  trace : Trace.sink;
   emit : Trace.event -> unit;  (* trace sink, counter fold and journal buffer *)
   net : Network.t;
   prop : Prop.t;
@@ -70,7 +83,6 @@ type t = {
      The table is engine-local bookkeeping, not verification state — a
      resumed checkpoint simply starts its nodes cold. *)
   bases : (int, Lp.Basis.t) Hashtbl.t;
-  certify : bool;
   (* Per-leaf certificates keyed by node id, self-checked in exact
      arithmetic before being admitted; assembled into the run's proof
      artifact at [finish].  Like [bases], the table is engine-local:
@@ -84,7 +96,6 @@ type t = {
      the step completes; every [journal_every] Step frames (and at the
      terminal step) a Checkpoint frame folds the whole prefix. *)
   mutable journal : Journal.writer option;
-  journal_every : int;
   jbuf : Trace.event list ref;
   mutable jsteps : int;  (* Step frames since the last Checkpoint frame *)
   mutable finished : run option;
@@ -103,12 +114,10 @@ let status_label = function
 (* Shared constructor behind [create] and [resume]: wires the resilience
    wrapper and instrumentation around the analyzer and seeds the
    counters; the frontier starts empty and is filled by the caller. *)
-let make ~analyzer ~heuristic ~strategy ~trace ~budget ~check_time_every ~policy ~certify
-    ~journal_every ~tree ~net ~prop ~started ~counters =
+let make ~analyzer ~heuristic ~config ~trace ~tree ~net ~prop ~started ~counters =
   if Box.dim prop.Prop.input <> Network.input_dim net then
     invalid_arg "Engine.create: property dimension does not match the network";
-  if check_time_every <= 0 then invalid_arg "Engine.create: check_time_every must be positive";
-  if journal_every <= 0 then invalid_arg "Engine.create: journal_every must be positive";
+  if config.journal_every <= 0 then invalid_arg "Engine.create: journal_every must be positive";
   let last_call = ref 0.0 in
   let current_node = ref (-1) in
   let counters = ref counters in
@@ -119,7 +128,7 @@ let make ~analyzer ~heuristic ~strategy ~trace ~budget ~check_time_every ~policy
     jbuf := ev :: !jbuf
   in
   let analyzer =
-    match policy with
+    match config.policy with
     | None -> analyzer
     | Some policy ->
         let notify reason =
@@ -141,22 +150,20 @@ let make ~analyzer ~heuristic ~strategy ~trace ~budget ~check_time_every ~policy
   {
     analyzer;
     heuristic;
-    budget;
-    check_time_every;
+    config;
+    trace;
     emit;
     net;
     prop;
     tree;
-    frontier = Frontier.create strategy;
+    frontier = Frontier.create config.strategy;
     started;
     last_call;
     current_node;
     counters;
     bases = Hashtbl.create 64;
-    certify;
     certs = Hashtbl.create 64;
     journal = None;
-    journal_every;
     jbuf;
     jsteps = 0;
     finished = None;
@@ -169,6 +176,8 @@ let calls t = !(t.counters).Trace.analyzer_calls
 let frontier_length t = Frontier.length t.frontier
 
 let finished t = t.finished
+
+let journal t = t.journal
 
 let stats_of t ~elapsed =
   let c = !(t.counters) in
@@ -200,7 +209,7 @@ let stats_of t ~elapsed =
    reports them as missing rather than this code guessing.  An
    [Exhausted] run proves nothing, so it carries no artifact. *)
 let artifact_of t verdict =
-  if not t.certify then None
+  if not t.config.certify then None
   else
     match verdict with
     | Exhausted -> None
@@ -245,9 +254,9 @@ let finish t verdict =
    [>=] rather than [>]: a 0-second budget must exhaust even when the
    clock has not advanced a full tick since [create]. *)
 let out_of_time t =
-  t.budget.max_seconds < infinity
-  && calls t mod t.check_time_every = 0
-  && Clock.monotonic () -. t.started >= t.budget.max_seconds
+  t.config.budget.max_seconds < infinity
+  && calls t mod check_time_every = 0
+  && Clock.monotonic () -. t.started >= t.config.budget.max_seconds
 
 type status = Running | Finished of run
 
@@ -256,7 +265,7 @@ let step_once t =
   | Some run -> Finished run
   | None ->
       if Frontier.is_empty t.frontier then Finished (finish t Proved)
-      else if calls t >= t.budget.max_analyzer_calls || out_of_time t then
+      else if calls t >= t.config.budget.max_analyzer_calls || out_of_time t then
         Finished (finish t Exhausted)
       else begin
         let frontier_now = Frontier.length t.frontier in
@@ -319,7 +328,7 @@ let step_once t =
                holds certificates the independent checker will accept —
                a float-drift cert that fails the exact check is counted
                unavailable, never emitted broken. *)
-            if t.certify then begin
+            if t.config.certify then begin
               let kind =
                 match outcome.Analyzer.cert with
                 | None -> "unavailable"
@@ -432,10 +441,9 @@ let checkpoint_payload t =
     | Some r -> r.stats.elapsed_seconds
     | None -> Clock.monotonic () -. t.started
   in
-  add "strategy: %s" (Frontier.strategy_name (Frontier.strategy t.frontier));
-  add "max_calls: %d" t.budget.max_analyzer_calls;
-  add "max_seconds: %s" (float_token t.budget.max_seconds);
-  add "check_time_every: %d" t.check_time_every;
+  add "strategy: %s" (Frontier.strategy_name t.config.strategy);
+  add "max_calls: %d" t.config.budget.max_analyzer_calls;
+  add "max_seconds: %s" (float_token t.config.budget.max_seconds);
   add "elapsed: %s" (float_token elapsed);
   add "finished: %s"
     (match t.finished with
@@ -482,7 +490,7 @@ let flush_step t =
       Journal.append w Journal.Step
         (String.concat "\n" (List.rev_map Trace.event_to_json events));
       t.jsteps <- t.jsteps + 1;
-      if t.finished <> None || t.jsteps >= t.journal_every then journal_checkpoint t w
+      if t.finished <> None || t.jsteps >= t.config.journal_every then journal_checkpoint t w
   | Some _ | None -> ()
 
 let step t =
@@ -502,13 +510,12 @@ let cancel t =
       flush_step t;
       r
 
-let create ~analyzer ~heuristic ?(strategy = Frontier.Fifo) ?(trace = Trace.null)
-    ?(budget = default_budget) ?(check_time_every = 8) ?policy ?(certify = false) ?journal
-    ?(journal_every = default_journal_every) ?initial_tree ~net ~prop () =
+let create ~analyzer ~heuristic ?(config = default_config) ?(trace = Trace.null) ?journal
+    ?initial_tree ~net ~prop () =
   let tree = match initial_tree with None -> Tree.create () | Some t -> Tree.copy t in
   let t =
-    make ~analyzer ~heuristic ~strategy ~trace ~budget ~check_time_every ~policy ~certify
-      ~journal_every ~tree ~net ~prop ~started:(Clock.monotonic ()) ~counters:Trace.empty_aggregate
+    make ~analyzer ~heuristic ~config ~trace ~tree ~net ~prop ~started:(Clock.monotonic ())
+      ~counters:Trace.empty_aggregate
   in
   List.iter (fun n -> Frontier.push t.frontier ~priority:(Tree.lb n) n) (Tree.leaves tree);
   attach_journal t ~fresh_run:true journal;
@@ -520,9 +527,9 @@ let create ~analyzer ~heuristic ?(strategy = Frontier.Fifo) ?(trace = Trace.null
 
 let fail fmt = Printf.ksprintf (fun s -> failwith ("Engine.resume: " ^ s)) fmt
 
-(* Whether a terminal [Exhausted] state resumes the search: only with an
-   overriding budget and live frontier nodes, so a run that ran out of
-   budget can be granted more and continued. *)
+(* Whether a terminal [Exhausted] state resumes the search: only with a
+   budget other than the recorded one and live frontier nodes, so a run
+   that ran out of budget can be granted more and continued. *)
 let continue_exhausted t ~budget_overridden = budget_overridden && Frontier.length t.frontier > 0
 
 (* The engine a Checkpoint payload describes.  A terminal run re-derives
@@ -530,9 +537,9 @@ let continue_exhausted t ~budget_overridden = budget_overridden && Frontier.leng
    the recorded counterexample, while a resumed [Proved] one has an empty
    certificate table (leaf certificates are not checkpointed) and
    [Cert.check_artifact] truthfully reports every leaf as missing its
-   certificate. *)
-let of_checkpoint ~analyzer ~heuristic ~trace ~policy ~certify ~budget ~journal_every ~net ~prop
-    payload =
+   certificate.  Returns the engine and whether [config] overrode the
+   recorded budget. *)
+let of_checkpoint ~analyzer ~heuristic ~config ~trace ~net ~prop payload =
   let rec split_at_tree header = function
     | "tree:" :: rest -> (header, String.concat "\n" rest)
     | line :: rest -> (
@@ -556,19 +563,19 @@ let of_checkpoint ~analyzer ~heuristic ~trace ~policy ~certify ~budget ~journal_
     let s = field "strategy" in
     match Frontier.strategy_of_string s with Some st -> st | None -> fail "unknown strategy %S" s
   in
-  let budget_overridden = budget <> None in
-  let budget =
-    match budget with
-    | Some b -> b
-    | None ->
-        { max_analyzer_calls = int_field "max_calls"; max_seconds = float_field "max_seconds" }
+  let recorded =
+    { max_analyzer_calls = int_field "max_calls"; max_seconds = float_field "max_seconds" }
+  in
+  let budget_overridden, config =
+    match config with
+    | Some c when c.budget <> recorded -> (true, { c with strategy })
+    | Some c -> (false, { c with strategy; budget = recorded })
+    | None -> (false, { default_config with strategy; budget = recorded })
   in
   let elapsed = float_field "elapsed" in
   let tree = Tree.of_string tree_text in
   let t =
-    make ~analyzer ~heuristic ~strategy ~trace ~budget
-      ~check_time_every:(int_field "check_time_every")
-      ~policy ~certify ~journal_every ~tree ~net ~prop
+    make ~analyzer ~heuristic ~config ~trace ~tree ~net ~prop
       ~started:(Clock.monotonic () -. elapsed)
       ~counters:(Trace.aggregate_of_json (field "counters"))
   in
@@ -599,7 +606,7 @@ let of_checkpoint ~analyzer ~heuristic ~trace ~policy ~certify ~budget ~journal_
       finish_resumed
         (Disproved (Array.of_list (List.map (number float_of_string_opt "counterexample") toks)))
   | _ -> fail "malformed finished field %S" (field "finished"));
-  t
+  (t, budget_overridden)
 
 type resume_info = {
   replayed_steps : int;
@@ -674,9 +681,7 @@ let replay_events t ~nodes ~budget_overridden events =
           ())
     events
 
-let resume ~analyzer ~heuristic ?(trace = Trace.null) ?(strategy = Frontier.Fifo)
-    ?check_time_every ?policy ?(certify = false) ?budget ?journal
-    ?(journal_every = default_journal_every) ~net ~prop data =
+let resume ~analyzer ~heuristic ?config ?(trace = Trace.null) ?journal ~net ~prop data =
   let recovery = Journal.scan data in
   match Journal.last_run recovery.Journal.records with
   | [] -> Error "Engine.resume: no valid journal frames"
@@ -719,21 +724,18 @@ let resume ~analyzer ~heuristic ?(trace = Trace.null) ?(strategy = Frontier.Fifo
               List.rev prefix
           | steps_rev -> List.rev steps_rev
         in
-        let t =
+        let t, budget_overridden =
           match ckpt with
-          | Some payload ->
-              of_checkpoint ~analyzer ~heuristic ~trace ~policy ~certify ~budget ~journal_every
-                ~net ~prop payload
+          | Some payload -> of_checkpoint ~analyzer ~heuristic ~config ~trace ~net ~prop payload
           | None ->
               (* Killed before the first checkpoint frame landed: start
                  fresh (nothing had happened yet). *)
-              create ~analyzer ~heuristic ~strategy ~trace ?budget ?check_time_every ?policy
-                ~certify ~journal_every ~net ~prop ()
+              (create ~analyzer ~heuristic ?config ~trace ~net ~prop (), false)
         in
         let nodes = Hashtbl.create 64 in
         Tree.iter_nodes t.tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
         let calls_before = calls t in
-        List.iter (replay_events t ~nodes ~budget_overridden:(budget <> None)) steps;
+        List.iter (replay_events t ~nodes ~budget_overridden) steps;
         attach_journal t ~fresh_run:false journal;
         ( t,
           {
@@ -746,3 +748,10 @@ let resume ~analyzer ~heuristic ?(trace = Trace.null) ?(strategy = Frontier.Fifo
       | result -> Ok result
       | exception Failure msg -> Error msg
       | exception Invalid_argument msg -> Error ("Engine.resume: " ^ msg))
+
+let degrade t analyzer =
+  let snapshot = Buffer.create 4096 in
+  checkpoint t (Journal.to_buffer snapshot);
+  Result.map fst
+    (resume ~analyzer ~heuristic:t.heuristic ~config:t.config ~trace:t.trace ?journal:t.journal
+       ~net:t.net ~prop:t.prop (Buffer.contents snapshot))

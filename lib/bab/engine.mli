@@ -10,10 +10,10 @@
     completion.  [Bab.verify] is a thin wrapper over [create] + [run]
     and keeps the historical interface.
 
-    The node-selection order is a pluggable {!Frontier.strategy}; every
-    step can be observed through a {!Trace.sink}.  The wall-clock budget
-    is enforced centrally — one clock read every [check_time_every]
-    steps rather than per node.  The run's counters are a
+    One {!config} value carries a run's settings; every step can be
+    observed through a {!Trace.sink}.  The wall-clock budget is enforced
+    centrally — one clock read every 8 steps rather than per node.  The
+    run's counters are a
     {!Trace.aggregate} folded from the events the engine emits, so a
     trace and the run's {!stats} cannot disagree. *)
 
@@ -25,9 +25,23 @@ type budget = {
 val default_budget : budget
 (** 10_000 analyzer calls, no time limit. *)
 
-val default_journal_every : int
-(** Steps between journal Checkpoint frames (32) — the default bound on
-    how many Step frames a resume must replay. *)
+type config = {
+  strategy : Frontier.strategy;
+      (** node-selection order; [Fifo] is the exact breadth-first order
+          of the original implementation *)
+  budget : budget;
+  policy : Ivan_analyzer.Analyzer.policy option;
+      (** when set, hardens the analyzer with
+          {!Ivan_analyzer.Analyzer.with_fallback} (see {!create}) *)
+  certify : bool;  (** collect per-leaf proof certificates (see {!create}) *)
+  journal_every : int;
+      (** steps between journal Checkpoint frames — the bound on how
+          many Step frames a resume must replay *)
+}
+
+val default_config : config
+(** [Fifo], {!default_budget}, no policy, no certification, a journal
+    Checkpoint frame every 32 steps. *)
 
 type stats = {
   analyzer_calls : int;  (** bounding steps (the paper's Cost metric) *)
@@ -57,12 +71,13 @@ type stats = {
       (** warm-start attempts that fell back to an internal cold solve *)
   lp_cold_solves : int;
       (** node LP solves that never attempted a warm start (root node,
-          resumed checkpoints, non-reusable encodings, [--no-lp-warm]) *)
+          resumed checkpoints, non-reusable encodings, an analyzer built
+          with [~warm:false]) *)
   lp_pivots : int;  (** total simplex pivots across all node LP solves *)
   certs_emitted : int;
       (** verified leaves whose certificate passed the emission-time
           exact self-check and joined the proof artifact (0 unless the
-          engine was created with [certify]) *)
+          engine was created with [config.certify]) *)
   certs_unavailable : int;
       (** verified leaves with no checkable certificate — the analyzer
           produced none (non-LP verdict, fallback bound) or the exact
@@ -80,7 +95,7 @@ type run = {
   stats : stats;
   artifact : Ivan_cert.Cert.Artifact.t option;
       (** the run's proof artifact, present iff the engine was created
-          with [certify] and the verdict is [Proved] or [Disproved];
+          with [config.certify] and the verdict is [Proved] or [Disproved];
           validate with {!Ivan_cert.Cert.check_artifact} — a [Proved]
           artifact is complete only when [stats.certs_unavailable = 0] *)
 }
@@ -91,27 +106,21 @@ type t
 val create :
   analyzer:Ivan_analyzer.Analyzer.t ->
   heuristic:Heuristic.t ->
-  ?strategy:Frontier.strategy ->
+  ?config:config ->
   ?trace:Trace.sink ->
-  ?budget:budget ->
-  ?check_time_every:int ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?certify:bool ->
   ?journal:Ivan_resilience.Journal.writer ->
-  ?journal_every:int ->
   ?initial_tree:Ivan_spectree.Tree.t ->
   net:Ivan_nn.Network.t ->
   prop:Ivan_spec.Prop.t ->
   unit ->
   t
-(** [strategy] defaults to [Fifo] (the exact breadth-first order of the
-    original implementation); [trace] to {!Trace.null};
-    [check_time_every] (default 8) is how many steps separate wall-clock
-    budget checks — the check always fires on the first step, so a zero
-    time budget exhausts before any analyzer call.  [initial_tree]
-    (default: a single root node) is copied, never mutated.
+(** [config] defaults to {!default_config}; [trace] to {!Trace.null}.
+    The wall-clock budget is checked every 8 steps, always including the
+    first, so a zero time budget exhausts before any analyzer call.
+    [initial_tree] (default: a single root node) is copied, never
+    mutated.
 
-    [policy], when supplied, hardens the analyzer with
+    [config.policy], when set, hardens the analyzer with
     {!Ivan_analyzer.Analyzer.with_fallback}: failures are retried, then
     degraded through cheaper analyzers, and counted into the run's
     [retries] / [fallback_bounds] / [faults_absorbed] stats and emitted
@@ -124,14 +133,13 @@ val create :
     frame with the run's config fingerprint is appended immediately,
     then each completed step appends exactly one Step frame (the step's
     trace events as JSONL — atomic, so a kill never journals half a
-    step), and every [journal_every] (default
-    {!default_journal_every}) steps — plus the terminal step — a
-    Checkpoint frame folds the whole prefix.  A killed run resumes from
+    step), and every [config.journal_every] steps — plus the terminal
+    step — a Checkpoint frame folds the whole prefix.  A killed run resumes from
     its journal via {!resume} with at most one node of rework.
     Events produced while a journal is attached still reach [trace]
     unchanged.
 
-    [certify] (default false) collects a proof certificate for every
+    [config.certify] collects a proof certificate for every
     verified leaf: the analyzer's LP evidence (pass an analyzer built
     with the matching [certify] flag, e.g.
     [Analyzer.lp_triangle ~certify:true ()]) is re-checked in exact
@@ -142,7 +150,7 @@ val create :
     ["unavailable"] — the engine never emits a certificate the
     independent checker would reject.
     @raise Invalid_argument if the property's box dimension does not
-    match the network input, or if [check_time_every <= 0]. *)
+    match the network input, or if [config.journal_every <= 0]. *)
 
 type status = Running | Finished of run
 
@@ -168,6 +176,9 @@ val frontier_length : t -> int
 
 val finished : t -> run option
 
+val journal : t -> Ivan_resilience.Journal.writer option
+(** The journal sink the engine writes to, if any. *)
+
 (** {2 Checkpoint / resume}
 
     The write-ahead journal ({!Ivan_resilience.Journal}) is the engine's
@@ -176,8 +187,9 @@ val finished : t -> run option
     specification tree — is one Checkpoint frame; a standalone
     checkpoint is a journal holding a Header frame (the net/property
     {!fingerprint}) and that one Checkpoint frame.  The analyzer,
-    heuristic, network, property, trace sink and resilience policy are
-    code rather than state and are supplied again at {!resume} time; the
+    heuristic, network, property, trace sink and the rest of the
+    {!config} are code rather than state and are supplied again at
+    {!resume} time; the
     resumed engine continues exactly where the state was taken (the
     elapsed-time clock resumes from the recorded value).
 
@@ -220,14 +232,9 @@ type resume_info = {
 val resume :
   analyzer:Ivan_analyzer.Analyzer.t ->
   heuristic:Heuristic.t ->
+  ?config:config ->
   ?trace:Trace.sink ->
-  ?strategy:Frontier.strategy ->
-  ?check_time_every:int ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?certify:bool ->
-  ?budget:budget ->
   ?journal:Ivan_resilience.Journal.writer ->
-  ?journal_every:int ->
   net:Ivan_nn.Network.t ->
   prop:Ivan_spec.Prop.t ->
   string ->
@@ -240,14 +247,16 @@ val resume :
     malformed state and any replay divergence, so stale state can never
     silently corrupt a verdict.  No parse exception escapes.
 
-    [budget] overrides the recorded budget (e.g. to grant a resumed run
-    more time); all other recorded state — strategy, counters, frontier,
-    tree — is taken from the checkpoint.  Terminal states stay terminal,
-    with one exception: an [Exhausted] state resumed with an overriding
-    [budget] and a non-empty frontier continues the search, so a run
-    that ran out of budget can be granted more and continued.
-    [strategy] and [check_time_every] only apply when the journal died
-    before its first Checkpoint frame landed (the run is started fresh).
+    The recorded strategy and budget govern, except that a [config]
+    whose budget differs from the recorded one overrides it (e.g. to
+    grant a resumed run more time); the rest of [config] (default
+    {!default_config}) applies as given.  All other recorded state —
+    counters, frontier, tree — is taken from the checkpoint.  Terminal
+    states stay terminal, with one exception: an [Exhausted] state
+    resumed with an overriding budget and a non-empty frontier continues
+    the search, so a run that ran out of budget can be granted more and
+    continued.  When the journal died before its first Checkpoint frame
+    landed, the run starts fresh under [config].
 
     A terminal [Disproved] step whose Checkpoint frame never landed is
     redone live rather than replayed (the journaled verdict event does
@@ -259,6 +268,13 @@ val resume :
     state.  To continue into the file the bytes came from, read it fully
     before opening it as the new sink —
     {!Ivan_resilience.Journal.open_file} truncates. *)
+
+val degrade : t -> Ivan_analyzer.Analyzer.t -> (t, string) result
+(** The engine's current state continued on another analyzer: a
+    {!checkpoint} into a buffer, {!resume}d with the engine's own
+    heuristic, config, trace sink, journal, network and property, so the
+    fingerprint check stays on this path.  With a journal attached, the
+    resumed engine appends a Checkpoint frame to it. *)
 
 val fingerprint : net:Ivan_nn.Network.t -> prop:Ivan_spec.Prop.t -> string
 (** The config digest stored in journal Header frames: an MD5 hex digest

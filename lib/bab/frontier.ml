@@ -77,7 +77,7 @@ type 'a repr =
   | Stack of (float * 'a) list ref
   | Heap of 'a heap
 
-type 'a t = { strategy : strategy; repr : 'a repr; mutable count : int; mutable seq : int }
+type 'a t = { repr : 'a repr; mutable count : int; mutable seq : int }
 
 let create strategy =
   let repr =
@@ -86,9 +86,7 @@ let create strategy =
     | Lifo -> Stack (ref [])
     | Best_first -> Heap { arr = [||]; len = 0 }
   in
-  { strategy; repr; count = 0; seq = 0 }
-
-let strategy t = t.strategy
+  { repr; count = 0; seq = 0 }
 
 let length t = t.count
 

@@ -25,8 +25,6 @@ type 'a t
 
 val create : strategy -> 'a t
 
-val strategy : 'a t -> strategy
-
 val push : 'a t -> priority:float -> 'a -> unit
 (** [priority] is the analyzer lower bound associated with the item (its
     parent's bound for freshly split children).  Only [Best_first]

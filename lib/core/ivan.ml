@@ -1,5 +1,6 @@
 module Network = Ivan_nn.Network
 module Bab = Ivan_bab.Bab
+module Engine = Ivan_bab.Engine
 
 type technique = Baseline | Reuse | Reorder | Full
 
@@ -32,34 +33,39 @@ let default_config =
     journal = None;
   }
 
-let verify_original ~analyzer ~heuristic ?(budget = Bab.default_budget)
-    ?(strategy = Ivan_bab.Frontier.Fifo) ?(policy = Ivan_analyzer.Analyzer.default_policy)
-    ?(certify = false) ?journal ~net ~prop () =
-  Bab.verify ~analyzer ~heuristic ~strategy ~budget ~policy ~certify ?journal ~net ~prop ()
+(* The one place the flat IVAN config becomes an engine config. *)
+let engine_config c =
+  {
+    Engine.strategy = c.strategy;
+    budget = c.budget;
+    policy = Some c.policy;
+    certify = c.certify;
+    journal_every = Engine.default_config.Engine.journal_every;
+  }
+
+let bab ~analyzer ~heuristic ~config ?initial_tree ~net ~prop () =
+  Engine.run
+    (Engine.create ~analyzer ~heuristic ~config:(engine_config config) ?journal:config.journal
+       ?initial_tree ~net ~prop ())
+
+let verify_original ~analyzer ~heuristic ~config ~net ~prop =
+  bab ~analyzer ~heuristic ~config ~net ~prop ()
 
 let verify_updated_with_tree ~analyzer ~heuristic ~config ~original_tree ~updated ~prop =
-  let strategy = config.strategy in
-  let policy = config.policy in
-  let certify = config.certify in
-  let journal = config.journal in
   let hdelta () =
     let observed = Effectiveness.observe original_tree in
     Hdelta.make ~base:heuristic ~observed ~alpha:config.alpha ~theta:config.theta
   in
+  let run ?initial_tree heuristic =
+    bab ~analyzer ~heuristic ~config ?initial_tree ~net:updated ~prop ()
+  in
   match config.technique with
-  | Baseline ->
-      Bab.verify ~analyzer ~heuristic ~strategy ~budget:config.budget ~policy ~certify ?journal
-        ~net:updated ~prop ()
-  | Reuse ->
-      Bab.verify ~analyzer ~heuristic ~strategy ~budget:config.budget ~policy ~certify ?journal
-        ~initial_tree:original_tree ~net:updated ~prop ()
-  | Reorder ->
-      Bab.verify ~analyzer ~heuristic:(hdelta ()) ~strategy ~budget:config.budget ~policy ~certify
-        ?journal ~net:updated ~prop ()
+  | Baseline -> run heuristic
+  | Reuse -> run ~initial_tree:original_tree heuristic
+  | Reorder -> run (hdelta ())
   | Full ->
       let pruned = Prune.prune ~theta:config.theta original_tree in
-      Bab.verify ~analyzer ~heuristic:(hdelta ()) ~strategy ~budget:config.budget ~policy ~certify
-        ?journal ~initial_tree:pruned ~net:updated ~prop ()
+      run ~initial_tree:pruned (hdelta ())
 
 let verify_updated ~analyzer ~heuristic ~config ~original_run ~updated ~prop =
   verify_updated_with_tree ~analyzer ~heuristic ~config ~original_tree:original_run.Bab.tree
@@ -70,10 +76,7 @@ type result = { original : Bab.run; updated : Bab.run }
 let verify_incremental ~analyzer ~heuristic ?(config = default_config) ~net ~updated ~prop () =
   if not (Network.same_architecture net updated) then
     invalid_arg "Ivan.verify_incremental: networks must share an architecture";
-  let original =
-    verify_original ~analyzer ~heuristic ~budget:config.budget ~strategy:config.strategy
-      ~policy:config.policy ~net ~prop ()
-  in
+  let original = verify_original ~analyzer ~heuristic ~config ~net ~prop in
   let updated_run = verify_updated ~analyzer ~heuristic ~config ~original_run:original ~updated ~prop in
   { original; updated = updated_run }
 
@@ -83,10 +86,7 @@ let verify_chain ~analyzer ~heuristic ?(config = default_config) ~net ~updates ~
       if not (Network.same_architecture net u) then
         invalid_arg "Ivan.verify_chain: every update must share the architecture")
     updates;
-  let original =
-    verify_original ~analyzer ~heuristic ~budget:config.budget ~strategy:config.strategy
-      ~policy:config.policy ~net ~prop ()
-  in
+  let original = verify_original ~analyzer ~heuristic ~config ~net ~prop in
   let _, reversed_runs =
     List.fold_left
       (fun (previous, acc) updated ->

@@ -43,19 +43,21 @@ val default_config : config
     frontier, {!Ivan_analyzer.Analyzer.default_policy}, certification
     off and no journal. *)
 
+val engine_config : config -> Ivan_bab.Engine.config
+(** The engine settings of every BaB run [config] drives: its strategy,
+    budget, policy and certification, and the engine's default journal
+    cadence. *)
+
 val verify_original :
   analyzer:Ivan_analyzer.Analyzer.t ->
   heuristic:Ivan_bab.Heuristic.t ->
-  ?budget:Ivan_bab.Bab.budget ->
-  ?strategy:Ivan_bab.Frontier.strategy ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?certify:bool ->
-  ?journal:Ivan_resilience.Journal.writer ->
+  config:config ->
   net:Ivan_nn.Network.t ->
   prop:Ivan_spec.Prop.t ->
-  unit ->
   Ivan_bab.Bab.run
-(** Step 1 of Algorithm 5: plain BaB on [N], producing [T_f^N]. *)
+(** Step 1 of Algorithm 5: plain BaB on [N] under [config] (its
+    technique and hyperparameters play no part), producing [T_f^N].  On
+    [N^a] it is the from-scratch baseline. *)
 
 val verify_updated :
   analyzer:Ivan_analyzer.Analyzer.t ->

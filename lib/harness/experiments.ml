@@ -50,10 +50,6 @@ let full =
     perturb_fractions = [ 0.02; 0.05; 0.10 ];
   }
 
-let alpha_default = 0.25
-
-let theta_default = 0.01
-
 type context = {
   scale : scale;
   cache_dir : string option;
@@ -81,6 +77,13 @@ let net_of ctx spec =
       Hashtbl.add ctx.nets spec.Zoo.name net;
       net
 
+(* Every BaB run of an experiment — original, baseline and incremental —
+   goes through one config. *)
+let config ctx budget = { Ivan.default_config with budget; strategy = ctx.strategy }
+
+let classifier_setting ctx =
+  Runner.classifier_setting ~config:(config ctx ctx.scale.classifier_budget) ()
+
 let all_techniques = [ Ivan.Reuse; Ivan.Reorder; Ivan.Full ]
 
 let campaign ctx spec scheme =
@@ -93,16 +96,15 @@ let campaign ctx spec scheme =
       let setting, instances =
         match spec.Zoo.kind with
         | Zoo.Acas ->
-            ( Runner.acas_setting ~budget:ctx.scale.acas_budget ~strategy:ctx.strategy (),
+            ( Runner.acas_setting ~config:(config ctx ctx.scale.acas_budget) (),
               Workload.acas_instances ~net ~margins:ctx.scale.acas_margins ~seed:333 )
         | Zoo.Image_classifier ->
-            ( Runner.classifier_setting ~budget:ctx.scale.classifier_budget
-                ~strategy:ctx.strategy (),
+            ( classifier_setting ctx,
               Workload.robustness_instances ~spec ~net ~count:ctx.scale.classifier_instances )
       in
       let result =
         Runner.run_all ~domains:ctx.domains setting ~net ~updated ~techniques:all_techniques
-          ~alpha:alpha_default ~theta:theta_default instances
+          instances
       in
       Hashtbl.add ctx.campaigns key result;
       result
@@ -227,9 +229,7 @@ let fig8 ctx fmt =
   let spec = Zoo.fcn_mnist in
   let net = net_of ctx spec in
   let updated = Quant.network Quant.Int16 net in
-  let setting =
-    Runner.classifier_setting ~budget:ctx.scale.classifier_budget ~strategy:ctx.strategy ()
-  in
+  let { Runner.analyzer; heuristic; config } = classifier_setting ctx in
   let instances =
     Workload.robustness_instances ~spec ~net ~count:ctx.scale.sweep_instances
   in
@@ -238,15 +238,10 @@ let fig8 ctx fmt =
     List.map
       (fun (inst : Workload.instance) ->
         let prop = inst.Workload.prop in
-        let original =
-          Bab.verify ~analyzer:setting.Runner.analyzer ~heuristic:setting.Runner.heuristic
-            ~strategy:setting.Runner.strategy ~budget:setting.Runner.budget ~net ~prop ()
-        in
+        let original = Ivan.verify_original ~analyzer ~heuristic ~config ~net ~prop in
         let baseline, baseline_time =
           Clock.timed (fun () ->
-              Bab.verify ~analyzer:setting.Runner.analyzer ~heuristic:setting.Runner.heuristic
-                ~strategy:setting.Runner.strategy ~budget:setting.Runner.budget ~net:updated
-                ~prop ())
+              Ivan.verify_original ~analyzer ~heuristic ~config ~net:updated ~prop)
         in
         (inst, original, baseline, baseline_time))
       instances
@@ -256,23 +251,11 @@ let fig8 ctx fmt =
     List.iter
       (fun ((inst : Workload.instance), original, baseline, baseline_time) ->
         if baseline.Bab.verdict <> Bab.Exhausted then begin
-          let config =
-            {
-              Ivan.technique;
-              alpha;
-              theta;
-              budget = setting.Runner.budget;
-              strategy = setting.Runner.strategy;
-              policy = setting.Runner.policy;
-              certify = setting.Runner.certify;
-              journal = None;
-            }
-          in
           let _run, tech_time =
             Clock.timed (fun () ->
-                Ivan.verify_updated ~analyzer:setting.Runner.analyzer
-                  ~heuristic:setting.Runner.heuristic ~config ~original_run:original ~updated
-                  ~prop:inst.Workload.prop)
+                Ivan.verify_updated ~analyzer ~heuristic
+                  ~config:{ config with Ivan.technique; alpha; theta }
+                  ~original_run:original ~updated ~prop:inst.Workload.prop)
           in
           base_total := !base_total +. baseline_time;
           tech_total := !tech_total +. tech_time
@@ -316,9 +299,7 @@ let table3 ctx fmt =
   List.iter
     (fun spec ->
       let net = net_of ctx spec in
-      let setting =
-        Runner.classifier_setting ~budget:ctx.scale.classifier_budget ~strategy:ctx.strategy ()
-      in
+      let setting = classifier_setting ctx in
       let instances =
         Workload.robustness_instances ~spec ~net ~count:ctx.scale.perturb_instances
       in
@@ -329,7 +310,7 @@ let table3 ctx fmt =
           let updated = Perturb.random_relative ~rng ~fraction net in
           let comparisons =
             Runner.run_all ~domains:ctx.domains setting ~net ~updated ~techniques:[ Ivan.Full ]
-              ~alpha:alpha_default ~theta:theta_default instances
+              instances
           in
           let s = Report.summarize comparisons Ivan.Full in
           Format.fprintf fmt " %6.2fx" s.Report.sp_time)
@@ -384,9 +365,7 @@ let theorem4 ctx fmt =
   section fmt "Theorem 4: last-layer perturbation bound (empirical check)";
   let spec = Zoo.fcn_mnist in
   let net = net_of ctx spec in
-  let setting =
-    Runner.classifier_setting ~budget:ctx.scale.classifier_budget ~strategy:ctx.strategy ()
-  in
+  let { Runner.analyzer; heuristic; config } = classifier_setting ctx in
   let instances =
     Workload.robustness_instances ~spec ~net ~count:ctx.scale.sweep_instances
   in
@@ -395,19 +374,16 @@ let theorem4 ctx fmt =
   List.iter
     (fun (inst : Workload.instance) ->
       let prop = inst.Workload.prop in
-      let run =
-        Bab.verify ~analyzer:setting.Runner.analyzer ~heuristic:setting.Runner.heuristic
-          ~strategy:setting.Runner.strategy ~budget:setting.Runner.budget ~net ~prop ()
-      in
+      let run = Ivan.verify_original ~analyzer ~heuristic ~config ~net ~prop in
       if run.Bab.verdict = Bab.Proved then begin
         let tree = run.Bab.tree in
-        let delta = Theory.delta_bound ~analyzer:setting.Runner.analyzer net ~prop tree in
+        let delta = Theory.delta_bound ~analyzer net ~prop tree in
         if Float.is_finite delta && delta > 0.0 then begin
           let preserved budget =
             let count = ref 0 in
             for _ = 1 to trials do
               let p = Perturb.last_layer ~rng ~delta:budget net in
-              if Theory.verified_with_tree ~analyzer:setting.Runner.analyzer p ~prop tree then
+              if Theory.verified_with_tree ~analyzer p ~prop tree then
                 incr count
             done;
             !count
@@ -432,9 +408,7 @@ let milp_warmstart ctx fmt =
   let spec = Zoo.fcn_mnist in
   let net = net_of ctx spec in
   let updated = Quant.network Quant.Int16 net in
-  let setting =
-    Runner.classifier_setting ~budget:ctx.scale.classifier_budget ~strategy:ctx.strategy ()
-  in
+  let { Runner.analyzer; heuristic; config } = classifier_setting ctx in
   let instances = Workload.robustness_instances ~spec ~net ~count:ctx.scale.sweep_instances in
   Format.fprintf fmt "%-22s %10s %10s %10s %12s@." "property" "cold-nodes" "warm-nodes"
     "warm-gain" "ivan-calls";
@@ -464,20 +438,10 @@ let milp_warmstart ctx fmt =
       in
       begin
           (* IVAN's incremental BaB on the same instance. *)
-          let bab_original =
-            Bab.verify ~analyzer:setting.Runner.analyzer ~heuristic:setting.Runner.heuristic
-              ~strategy:setting.Runner.strategy ~budget:setting.Runner.budget ~net ~prop ()
-          in
+          let bab_original = Ivan.verify_original ~analyzer ~heuristic ~config ~net ~prop in
           let ivan_run =
-            Ivan.verify_updated ~analyzer:setting.Runner.analyzer
-              ~heuristic:setting.Runner.heuristic
-              ~config:
-                {
-                  Ivan.default_config with
-                  budget = setting.Runner.budget;
-                  strategy = setting.Runner.strategy;
-                }
-              ~original_run:bab_original ~updated ~prop
+            Ivan.verify_updated ~analyzer ~heuristic ~config ~original_run:bab_original ~updated
+              ~prop
           in
           cold_total := !cold_total + cold.Ivan_analyzer.Analyzer.nodes;
           warm_total := !warm_total + warm.Ivan_analyzer.Analyzer.nodes;
@@ -508,17 +472,8 @@ let ablation_heuristics ctx fmt =
   Format.fprintf fmt "%-16s %8s %8s %10s@." "heuristic" "Sp(time)" "Sp(call)" "+solved";
   List.iter
     (fun heuristic ->
-      let setting =
-        { (Runner.classifier_setting ~budget:ctx.scale.classifier_budget
-             ~strategy:ctx.strategy ())
-          with
-          Runner.heuristic
-        }
-      in
-      let comparisons =
-        Runner.run_all setting ~net ~updated ~techniques:[ Ivan.Full ] ~alpha:alpha_default
-          ~theta:theta_default instances
-      in
+      let setting = { (classifier_setting ctx) with Runner.heuristic } in
+      let comparisons = Runner.run_all setting ~net ~updated ~techniques:[ Ivan.Full ] instances in
       let s = Report.summarize comparisons Ivan.Full in
       Format.fprintf fmt "%-16s %7.2fx %7.2fx %10d@." heuristic.Ivan_bab.Heuristic.name
         s.Report.sp_time s.Report.sp_calls s.Report.plus_solved)

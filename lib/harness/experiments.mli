@@ -34,12 +34,6 @@ val create :
     domains; [strategy] (default [Fifo]) is the frontier exploration
     order of every BaB run the experiments drive. *)
 
-val alpha_default : float
-(** 0.25 — the best Figure-8 cell, used by every non-sweep experiment. *)
-
-val theta_default : float
-(** 0.01. *)
-
 val campaign :
   context -> Ivan_data.Zoo.spec -> Ivan_nn.Quant.scheme -> Runner.comparison list
 (** The (model, quantization) workload run with all three techniques;

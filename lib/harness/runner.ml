@@ -2,58 +2,25 @@ module Analyzer = Ivan_analyzer.Analyzer
 module Heuristic = Ivan_bab.Heuristic
 module Bab = Ivan_bab.Bab
 module Ivan = Ivan_core.Ivan
-module Journal = Ivan_resilience.Journal
 module Clock = Ivan_clock.Clock
 
-type setting = {
-  analyzer : Analyzer.t;
-  heuristic : Heuristic.t;
-  budget : Bab.budget;
-  strategy : Ivan_bab.Frontier.strategy;
-  policy : Analyzer.policy;
-  certify : bool;
-  journal_dir : string option;
-}
+type setting = { analyzer : Analyzer.t; heuristic : Heuristic.t; config : Ivan.config }
 
-let classifier_setting ?(budget = { Bab.max_analyzer_calls = 400; max_seconds = 30.0 })
-    ?(strategy = Ivan_bab.Frontier.Fifo) ?(policy = Analyzer.default_policy) ?(lp_warm = true)
-    ?(certify = false) ?journal_dir () =
+let classifier_setting
+    ?(config =
+      { Ivan.default_config with budget = { Bab.max_analyzer_calls = 400; max_seconds = 30.0 } })
+    () =
   {
-    analyzer = Analyzer.lp_triangle ~warm:lp_warm ~certify ();
+    analyzer = Analyzer.lp_triangle ~certify:config.Ivan.certify ();
     heuristic = Heuristic.zono_coeff;
-    budget;
-    strategy;
-    policy;
-    certify;
-    journal_dir;
+    config;
   }
 
-let acas_setting ?(budget = { Bab.max_analyzer_calls = 3000; max_seconds = 60.0 })
-    ?(strategy = Ivan_bab.Frontier.Fifo) ?(policy = Analyzer.default_policy) ?journal_dir () =
-  {
-    analyzer = Analyzer.zonotope ();
-    heuristic = Heuristic.input_smear;
-    budget;
-    strategy;
-    policy;
-    certify = false;
-    journal_dir;
-  }
-
-(* One journal file per (instance, phase): crash recovery needs to know
-   which run the surviving bytes belong to, and parallel instances must
-   never share a sink. *)
-let with_journal setting ~(instance : Workload.instance) ~phase f =
-  match setting.journal_dir with
-  | None -> f None
-  | Some dir ->
-      (if not (Sys.file_exists dir) then
-         try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let path =
-        Filename.concat dir (Printf.sprintf "instance-%d-%s.wal" instance.Workload.id phase)
-      in
-      let w = Journal.open_file path in
-      Fun.protect ~finally:(fun () -> Journal.close w) (fun () -> f (Some w))
+let acas_setting
+    ?(config =
+      { Ivan.default_config with budget = { Bab.max_analyzer_calls = 3000; max_seconds = 60.0 } })
+    () =
+  { analyzer = Analyzer.zonotope (); heuristic = Heuristic.input_smear; config }
 
 type measurement = {
   verdict : Bab.verdict;
@@ -93,44 +60,24 @@ let measure_of_run (run : Bab.run) seconds =
     artifact = run.Bab.artifact;
   }
 
-let run_instance setting ~net ~updated ~techniques ~alpha ~theta (instance : Workload.instance) =
+let run_instance setting ~net ~updated ~techniques (instance : Workload.instance) =
   let prop = instance.Workload.prop in
+  let { analyzer; heuristic; config } = setting in
   let original_run, original_time =
-    with_journal setting ~instance ~phase:"original" (fun journal ->
-        Clock.timed (fun () ->
-            Bab.verify ~analyzer:setting.analyzer ~heuristic:setting.heuristic
-              ~strategy:setting.strategy ~budget:setting.budget ~policy:setting.policy
-              ~certify:setting.certify ?journal ~net ~prop ()))
+    Clock.timed (fun () -> Ivan.verify_original ~analyzer ~heuristic ~config ~net ~prop)
   in
   let baseline_run, baseline_time =
-    with_journal setting ~instance ~phase:"baseline" (fun journal ->
-        Clock.timed (fun () ->
-            Bab.verify ~analyzer:setting.analyzer ~heuristic:setting.heuristic
-              ~strategy:setting.strategy ~budget:setting.budget ~policy:setting.policy
-              ~certify:setting.certify ?journal ~net:updated ~prop ()))
+    Clock.timed (fun () -> Ivan.verify_original ~analyzer ~heuristic ~config ~net:updated ~prop)
   in
   let technique_runs =
     List.map
       (fun technique ->
-        with_journal setting ~instance ~phase:(Ivan.technique_name technique) (fun journal ->
-            let config =
-              {
-                Ivan.technique;
-                alpha;
-                theta;
-                budget = setting.budget;
-                strategy = setting.strategy;
-                policy = setting.policy;
-                certify = setting.certify;
-                journal;
-              }
-            in
-            let run, seconds =
-              Clock.timed (fun () ->
-                  Ivan.verify_updated ~analyzer:setting.analyzer ~heuristic:setting.heuristic
-                    ~config ~original_run ~updated ~prop)
-            in
-            (technique, measure_of_run run seconds)))
+        let run, seconds =
+          Clock.timed (fun () ->
+              Ivan.verify_updated ~analyzer ~heuristic ~config:{ config with Ivan.technique }
+                ~original_run ~updated ~prop)
+        in
+        (technique, measure_of_run run seconds))
       techniques
   in
   {
@@ -140,9 +87,9 @@ let run_instance setting ~net ~updated ~techniques ~alpha ~theta (instance : Wor
     techniques = technique_runs;
   }
 
-let run_all ?(domains = 1) setting ~net ~updated ~techniques ~alpha ~theta instances =
+let run_all ?(domains = 1) setting ~net ~updated ~techniques instances =
   if domains <= 1 then
-    List.map (run_instance setting ~net ~updated ~techniques ~alpha ~theta) instances
+    List.map (run_instance setting ~net ~updated ~techniques) instances
   else begin
     (* Freeze the lazily-built dense lowerings before sharing the
        networks across domains. *)
@@ -156,7 +103,7 @@ let run_all ?(domains = 1) setting ~net ~updated ~techniques ~alpha ~theta insta
       while !continue do
         let i = Atomic.fetch_and_add next 1 in
         if i >= Array.length items then continue := false
-        else results.(i) <- Some (run_instance setting ~net ~updated ~techniques ~alpha ~theta items.(i))
+        else results.(i) <- Some (run_instance setting ~net ~updated ~techniques items.(i))
       done
     in
     let spawned = List.init (domains - 1) (fun _ -> Domain.spawn worker) in

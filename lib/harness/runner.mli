@@ -10,57 +10,21 @@
 type setting = {
   analyzer : Ivan_analyzer.Analyzer.t;
   heuristic : Ivan_bab.Heuristic.t;
-  budget : Ivan_bab.Bab.budget;
-  strategy : Ivan_bab.Frontier.strategy;
-      (** frontier exploration order used by every BaB run of the
-          setting (original, baseline and incremental alike) *)
-  policy : Ivan_analyzer.Analyzer.policy;
-      (** resilience (retry / fallback / node-timeout) policy used by
-          every BaB run of the setting *)
-  certify : bool;
-      (** collect exact-checked proof certificates on every BaB run of
-          the setting; the analyzer must be built with its matching
-          [certify] flag ({!classifier_setting} does this itself) *)
-  journal_dir : string option;
-      (** when set, every BaB run journals to
-          [<dir>/instance-<id>-<phase>.wal] (phases: [original],
-          [baseline], one per technique name) — one file per run, so
-          parallel instances never share a sink and a crash leaves an
-          unambiguous journal to resume from
-          ({!Ivan_bab.Engine.resume}).  The directory is
-          created if missing (one level). *)
+  config : Ivan_core.Ivan.config;
+      (** drives every BaB run of the setting — original, baseline and
+          incremental alike; its [technique] is replaced per run *)
 }
 
-val classifier_setting :
-  ?budget:Ivan_bab.Bab.budget ->
-  ?strategy:Ivan_bab.Frontier.strategy ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?lp_warm:bool ->
-  ?certify:bool ->
-  ?journal_dir:string ->
-  unit ->
-  setting
-(** LP triangle analyzer + zonotope-coefficient ReLU splitting (the
-    paper's §6.1 baseline stack).  Default budget: 400 calls, 30 s;
-    default strategy: [Fifo]; default policy:
-    {!Ivan_analyzer.Analyzer.default_policy}.  [lp_warm] (default true)
-    warm-starts each node's LP from the parent's simplex basis; verdicts
-    and trees are identical either way (the CLI exposes it as
-    [--lp-warm] / [--no-lp-warm]).  [certify] (default false) makes
-    every BaB run of the setting emit a proof artifact (the CLI's
-    [--certify]); verdicts and trees are again identical, only
-    certificates and their exact self-checks are added. *)
+val classifier_setting : ?config:Ivan_core.Ivan.config -> unit -> setting
+(** LP triangle analyzer (warm-started, certifying when
+    [config.certify] is set) + zonotope-coefficient ReLU splitting (the
+    paper's §6.1 baseline stack).  Default config:
+    {!Ivan_core.Ivan.default_config} with a budget of 400 calls, 30 s. *)
 
-val acas_setting :
-  ?budget:Ivan_bab.Bab.budget ->
-  ?strategy:Ivan_bab.Frontier.strategy ->
-  ?policy:Ivan_analyzer.Analyzer.policy ->
-  ?journal_dir:string ->
-  unit ->
-  setting
+val acas_setting : ?config:Ivan_core.Ivan.config -> unit -> setting
 (** Zonotope analyzer + smear input splitting (§6.4 stack).  Default
-    budget: 3000 calls, 60 s; default strategy: [Fifo]; default policy:
-    {!Ivan_analyzer.Analyzer.default_policy}. *)
+    config: {!Ivan_core.Ivan.default_config} with a budget of 3000
+    calls, 60 s. *)
 
 type measurement = {
   verdict : Ivan_bab.Bab.verdict;
@@ -94,8 +58,6 @@ val run_instance :
   net:Ivan_nn.Network.t ->
   updated:Ivan_nn.Network.t ->
   techniques:Ivan_core.Ivan.technique list ->
-  alpha:float ->
-  theta:float ->
   Workload.instance ->
   comparison
 (** The original run is shared across all techniques of the instance. *)
@@ -106,8 +68,6 @@ val run_all :
   net:Ivan_nn.Network.t ->
   updated:Ivan_nn.Network.t ->
   techniques:Ivan_core.Ivan.technique list ->
-  alpha:float ->
-  theta:float ->
   Workload.instance list ->
   comparison list
 (** [domains] > 1 runs instances in parallel on that many OCaml 5
@@ -116,4 +76,5 @@ val run_all :
     are read-only during the parallel section.  Results keep the input
     order.  Per-instance wall times remain meaningful; aggregate time
     speedups are unaffected because baseline and incremental runs of an
-    instance stay on the same domain. *)
+    instance stay on the same domain.  A [config.journal] is one sink
+    shared by every run, so journal sequential runs only. *)

@@ -10,20 +10,16 @@ type outcome = { best : trial; trials : trial list }
 let search ?(trials = 20) ?(seed = 20240705) ~setting ~technique ~net ~updated instances =
   if instances = [] then invalid_arg "Tune.search: empty calibration workload";
   let rng = Rng.create seed in
+  let { Runner.analyzer; heuristic; config } = setting in
   (* Shared preparation: original proof trees and baseline timings. *)
   let prepared =
     List.map
       (fun (inst : Workload.instance) ->
         let prop = inst.Workload.prop in
-        let original =
-          Bab.verify ~analyzer:setting.Runner.analyzer ~heuristic:setting.Runner.heuristic
-            ~strategy:setting.Runner.strategy ~budget:setting.Runner.budget ~net ~prop ()
-        in
+        let original = Ivan.verify_original ~analyzer ~heuristic ~config ~net ~prop in
         let baseline, baseline_time =
           Clock.timed (fun () ->
-              Bab.verify ~analyzer:setting.Runner.analyzer ~heuristic:setting.Runner.heuristic
-                ~strategy:setting.Runner.strategy ~budget:setting.Runner.budget ~net:updated
-                ~prop ())
+              Ivan.verify_original ~analyzer ~heuristic ~config ~net:updated ~prop)
         in
         (inst, original, baseline.Bab.verdict <> Bab.Exhausted, baseline_time))
       instances
@@ -33,23 +29,11 @@ let search ?(trials = 20) ?(seed = 20240705) ~setting ~technique ~net ~updated i
     List.iter
       (fun ((inst : Workload.instance), original, baseline_solved, baseline_time) ->
         if baseline_solved then begin
-          let config =
-            {
-              Ivan.technique;
-              alpha;
-              theta;
-              budget = setting.Runner.budget;
-              strategy = setting.Runner.strategy;
-              policy = setting.Runner.policy;
-              certify = setting.Runner.certify;
-              journal = None;
-            }
-          in
           let _run, tech_time =
             Clock.timed (fun () ->
-                Ivan.verify_updated ~analyzer:setting.Runner.analyzer
-                  ~heuristic:setting.Runner.heuristic ~config ~original_run:original ~updated
-                  ~prop:inst.Workload.prop)
+                Ivan.verify_updated ~analyzer ~heuristic
+                  ~config:{ config with Ivan.technique; alpha; theta }
+                  ~original_run:original ~updated ~prop:inst.Workload.prop)
           in
           base_total := !base_total +. baseline_time;
           tech_total := !tech_total +. tech_time

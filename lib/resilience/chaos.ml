@@ -1,5 +1,4 @@
 module Engine = Ivan_bab.Engine
-module Frontier = Ivan_bab.Frontier
 module Analyzer = Ivan_analyzer.Analyzer
 module Journal = Ivan_resilience.Journal
 
@@ -9,19 +8,13 @@ type workload = {
   prop : Ivan_spec.Prop.t;
   analyzer : unit -> Analyzer.t;
   heuristic : Ivan_bab.Heuristic.t;
-  strategy : Frontier.strategy;
-  policy : Analyzer.policy option;
-  certify : bool;
-  budget : Engine.budget;
-  journal_every : int;
+  config : Engine.config;
   compare_lp : bool;
 }
 
-let workload ~name ~net ~prop ~analyzer ~heuristic ?(strategy = Frontier.Fifo) ?policy
-    ?(certify = false) ?(budget = Engine.default_budget) ?(journal_every = 4)
-    ?(compare_lp = true) () =
-  { name; net; prop; analyzer; heuristic; strategy; policy; certify; budget; journal_every;
-    compare_lp }
+let workload ~name ~net ~prop ~analyzer ~heuristic
+    ?(config = { Engine.default_config with journal_every = 4 }) ?(compare_lp = true) () =
+  { name; net; prop; analyzer; heuristic; config; compare_lp }
 
 type golden = { run : Engine.run; journal : string; boundaries : (int * int) list }
 
@@ -42,9 +35,8 @@ let golden w =
       ()
   in
   let e =
-    Engine.create ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~strategy:w.strategy
-      ?policy:w.policy ~certify:w.certify ~budget:w.budget ~journal:jw
-      ~journal_every:w.journal_every ~net:w.net ~prop:w.prop ()
+    Engine.create ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~config:w.config ~journal:jw
+      ~net:w.net ~prop:w.prop ()
   in
   eng := Some e;
   let run = Engine.run e in
@@ -134,13 +126,12 @@ let compare_runs w (g : Engine.run) (r : Engine.run) =
 
 let fresh_run w =
   Engine.run
-    (Engine.create ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~strategy:w.strategy
-       ?policy:w.policy ~certify:w.certify ~budget:w.budget ~net:w.net ~prop:w.prop ())
+    (Engine.create ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~config:w.config ~net:w.net
+       ~prop:w.prop ())
 
 let resume ?journal w bytes =
-  Engine.resume ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~strategy:w.strategy
-    ?policy:w.policy ~certify:w.certify ?journal ~journal_every:w.journal_every ~net:w.net
-    ~prop:w.prop bytes
+  Engine.resume ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~config:w.config ?journal
+    ~net:w.net ~prop:w.prop bytes
 
 (* The analyzer calls a process killed right after writing [valid_bytes]
    had durably recorded: the counter snapshot at the last boundary
@@ -206,7 +197,7 @@ let double_kill_trial w g =
           let rec step_n i =
             if i > 0 then match Engine.step e with Engine.Running -> step_n (i - 1) | _ -> ()
           in
-          step_n (2 * w.journal_every);
+          step_n (2 * w.config.Engine.journal_every);
           let bytes2 = Buffer.contents buf2 in
           (match resume w bytes2 with
           | Error msg -> ([ Printf.sprintf "second resume failed: %s" msg ], true, 0)

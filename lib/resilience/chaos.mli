@@ -32,11 +32,7 @@ type workload = {
   analyzer : unit -> Analyzer.t;
       (** fresh analyzer per run, so no solver state leaks across trials *)
   heuristic : Ivan_bab.Heuristic.t;
-  strategy : Ivan_bab.Frontier.strategy;
-  policy : Analyzer.policy option;
-  certify : bool;
-  budget : Engine.budget;
-  journal_every : int;
+  config : Engine.config;  (** of the golden run and every resume *)
   compare_lp : bool;
       (** also assert LP counters (warm-start off / LP-free workloads
           only: parked bases are not journaled, so a resumed warm run
@@ -49,17 +45,13 @@ val workload :
   prop:Ivan_spec.Prop.t ->
   analyzer:(unit -> Analyzer.t) ->
   heuristic:Ivan_bab.Heuristic.t ->
-  ?strategy:Ivan_bab.Frontier.strategy ->
-  ?policy:Analyzer.policy ->
-  ?certify:bool ->
-  ?budget:Engine.budget ->
-  ?journal_every:int ->
+  ?config:Engine.config ->
   ?compare_lp:bool ->
   unit ->
   workload
-(** Defaults: [Fifo], no policy, no certify, default budget,
-    [journal_every = 4] (small, so chaos trials cross checkpoint
-    boundaries often), [compare_lp = true]. *)
+(** Defaults: {!Engine.default_config} with [journal_every = 4] (small,
+    so chaos trials cross checkpoint boundaries often),
+    [compare_lp = true]. *)
 
 type golden = {
   run : Engine.run;

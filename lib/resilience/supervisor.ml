@@ -1,6 +1,5 @@
 module Engine = Ivan_bab.Engine
 module Analyzer = Ivan_analyzer.Analyzer
-module Journal = Ivan_resilience.Journal
 module Clock = Ivan_clock.Clock
 
 type limits = {
@@ -39,8 +38,7 @@ type outcome = {
 
 let major_words () = float_of_int (Gc.quick_stat ()).Gc.heap_words
 
-let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) ~heuristic ?policy ?certify
-    ?journal ?journal_every ~net ~prop engine0 =
+let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) engine0 =
   if limits.check_every <= 0 then invalid_arg "Supervisor.supervise: check_every must be positive";
   let fallbacks =
     match fallbacks with
@@ -65,13 +63,8 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) ~heuristic ?poli
     match !ladder with
     | a :: rest -> (
         ladder := rest;
-        let snapshot = Buffer.create 4096 in
-        Engine.checkpoint !engine (Journal.to_buffer snapshot);
-        match
-          Engine.resume ~analyzer:a ~heuristic ?policy ?certify ?journal ?journal_every ~net
-            ~prop (Buffer.contents snapshot)
-        with
-        | Ok (e, _) ->
+        match Engine.degrade !engine a with
+        | Ok e ->
             engine := e;
             deadline := Clock.monotonic () +. limits.grace_seconds;
             record (Degraded { analyzer = a.Analyzer.name; reason });
@@ -86,7 +79,7 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) ~heuristic ?poli
         if !shed_done then false
         else begin
           shed_done := true;
-          Option.iter (Engine.checkpoint !engine) journal;
+          Option.iter (Engine.checkpoint !engine) (Engine.journal !engine);
           Gc.compact ();
           deadline := Clock.monotonic () +. limits.grace_seconds;
           record (Shed { reason });

@@ -9,10 +9,10 @@
     + a memory breach first tries [Gc.compact] (the cheap fix: most of
       the engine's garbage is short-lived analyzer state);
     + then the engine is checkpointed and resumed with the next,
-      cheaper analyzer from the fallback ladder (the PR-2 degradation
-      chain), which both shrinks the working set and speeds up the
-      remaining nodes — on a time breach the deadline is extended by the
-      configured grace;
+      cheaper analyzer from the fallback ladder ({!Engine.degrade}),
+      with its trace sink, journal and config unchanged, which both
+      shrinks the working set and speeds up the remaining nodes — on a
+      time breach the deadline is extended by the configured grace;
     + with the ladder exhausted, the frontier is shed to the journal
       (one extra Checkpoint frame folding the full engine state) and the
       heap compacted once more;
@@ -70,21 +70,13 @@ val supervise :
   limits:limits ->
   ?fallbacks:Analyzer.t list ->
   ?on_escalation:(escalation -> unit) ->
-  heuristic:Ivan_bab.Heuristic.t ->
-  ?policy:Analyzer.policy ->
-  ?certify:bool ->
-  ?journal:Ivan_resilience.Journal.writer ->
-  ?journal_every:int ->
-  net:Ivan_nn.Network.t ->
-  prop:Ivan_spec.Prop.t ->
   Engine.t ->
   outcome
 (** Drive the engine to completion under [limits].  [fallbacks] is the
     degradation ladder, tried in order (default
-    [[Analyzer.deeppoly (); Analyzer.interval ()]]); [heuristic],
-    [policy], [certify], [net], [prop] and [journal] are needed to
-    rebuild the engine across a degradation (they mirror what the engine
-    was created with — the engine does not expose them).  When [journal]
-    is supplied, degradations journal a fresh Checkpoint frame through
-    the resume path and [Shed] folds the state explicitly, so a kill at
-    any escalation point still resumes. *)
+    [[Analyzer.deeppoly (); Analyzer.interval ()]]); each rung is an
+    {!Engine.degrade}, which keeps the engine's heuristic, config, trace
+    sink and journal.  When the engine journals, degradations append a
+    fresh Checkpoint frame through the resume path and [Shed] folds the
+    state explicitly, so a kill at any escalation point still
+    resumes. *)

@@ -47,6 +47,8 @@ let prop offset =
    performance cache that is deliberately not journaled, so a resumed
    run solves colder — with [~warm:false] every LP stat is
    deterministic and must replay exactly. *)
+let chaos = { Engine.default_config with journal_every = 4 }
+
 let workloads =
   [
     Chaos.workload ~name:"lp/proved" ~net ~prop:(prop 1.7)
@@ -58,27 +60,29 @@ let workloads =
     Chaos.workload ~name:"lp/exhausted" ~net ~prop:(prop 1.7)
       ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ())
       ~heuristic:Heuristic.zono_coeff
-      ~budget:{ Engine.max_analyzer_calls = 3; max_seconds = infinity }
+      ~config:{ chaos with budget = { Engine.max_analyzer_calls = 3; max_seconds = infinity } }
       ();
     Chaos.workload ~name:"lp/certified" ~net ~prop:(prop 1.7)
       ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ~certify:true ())
-      ~heuristic:Heuristic.zono_coeff ~certify:true ();
+      ~heuristic:Heuristic.zono_coeff ~config:{ chaos with certify = true } ();
     Chaos.workload ~name:"zono/proved-bestfirst" ~net ~prop:(prop 1.7)
       ~analyzer:(fun () -> Analyzer.zonotope ())
-      ~heuristic:Heuristic.input_smear ~strategy:Frontier.Best_first ();
+      ~heuristic:Heuristic.input_smear
+      ~config:{ chaos with strategy = Frontier.Best_first } ();
     Chaos.workload ~name:"zono/disproved-lifo" ~net ~prop:(prop 1.3)
       ~analyzer:(fun () -> Analyzer.zonotope ())
-      ~heuristic:Heuristic.input_smear ~strategy:Frontier.Lifo ();
+      ~heuristic:Heuristic.input_smear
+      ~config:{ chaos with strategy = Frontier.Lifo } ();
     (* journal_every = 1 checkpoints after every step — the densest
        cadence, so every kill lands at most one Step frame from a
        Checkpoint. *)
     Chaos.workload ~name:"lp/ckpt-every-step" ~net ~prop:(prop 1.7)
       ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ())
-      ~heuristic:Heuristic.zono_coeff ~journal_every:1 ();
+      ~heuristic:Heuristic.zono_coeff ~config:{ chaos with journal_every = 1 } ();
     (* A sparse cadence exercises long replays. *)
     Chaos.workload ~name:"zono/ckpt-sparse" ~net ~prop:(prop 1.7)
       ~analyzer:(fun () -> Analyzer.zonotope ())
-      ~heuristic:Heuristic.input_smear ~journal_every:64 ();
+      ~heuristic:Heuristic.input_smear ~config:{ chaos with journal_every = 64 } ();
   ]
 
 let () =

@@ -305,13 +305,17 @@ let test_parallel_certified_runs () =
   let updated = Quant.network Quant.Int16 net in
   let setting =
     Runner.classifier_setting
-      ~budget:{ Bab.max_analyzer_calls = 150; max_seconds = 20.0 }
-      ~certify:true ()
+      ~config:
+        {
+          Ivan.default_config with
+          budget = { Bab.max_analyzer_calls = 150; max_seconds = 20.0 };
+          certify = true;
+        }
+      ()
   in
   let instances = Workload.robustness_instances ~spec ~net ~count:4 in
   let run domains =
-    Runner.run_all ~domains setting ~net ~updated ~techniques:[ Ivan.Full ] ~alpha:0.25
-      ~theta:0.01 instances
+    Runner.run_all ~domains setting ~net ~updated ~techniques:[ Ivan.Full ] instances
   in
   let seq = run 1 and par = run 4 in
   let kind (m : Runner.measurement) =

@@ -21,6 +21,8 @@ module Hdelta = Ivan_core.Hdelta
 module Prune = Ivan_core.Prune
 module Theory = Ivan_core.Theory
 module Ivan = Ivan_core.Ivan
+module Cert = Ivan_cert.Cert
+module Journal = Ivan_resilience.Journal
 
 let r l i = Decision.Relu_split (Relu_id.make ~layer:l ~index:i)
 
@@ -260,11 +262,44 @@ let test_incremental_all_techniques () =
         (result.Ivan.updated.Bab.verdict = Bab.Proved))
     [ Ivan.Baseline; Ivan.Reuse; Ivan.Reorder; Ivan.Full ]
 
+(* The original run on N obeys the whole config, as the updated run
+   does: a certifying, journaled config yields a checkable artifact for
+   both runs and one journal Header frame per run. *)
+let test_incremental_certify_and_journal () =
+  let net, updated, prop = incremental_fixture () in
+  let buf = Buffer.create 4096 in
+  let config =
+    { Ivan.default_config with certify = true; journal = Some (Journal.to_buffer buf) }
+  in
+  let result =
+    Ivan.verify_incremental
+      ~analyzer:(Analyzer.lp_triangle ~certify:true ())
+      ~heuristic:Heuristic.zono_coeff ~config ~net ~updated ~prop ()
+  in
+  List.iter
+    (fun (label, run) ->
+      match run.Bab.artifact with
+      | None -> Alcotest.failf "%s run has no artifact" label
+      | Some a -> (
+          match Cert.check_artifact a with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.failf "%s artifact rejected: %s" label msg))
+    [ ("original", result.Ivan.original); ("updated", result.Ivan.updated) ];
+  let headers =
+    List.filter
+      (fun r -> r.Journal.kind = Journal.Header)
+      (Journal.scan (Buffer.contents buf)).Journal.records
+  in
+  Alcotest.(check int) "one Header frame per run" 2 (List.length headers)
+
 let test_reuse_identical_network_is_optimal () =
   (* Theorem 6 situation: N^a = N.  Reuse bounds exactly the leaves. *)
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
-  let original = Ivan.verify_original ~analyzer ~heuristic:Heuristic.zono_coeff ~net ~prop () in
+  let original =
+    Ivan.verify_original ~analyzer ~heuristic:Heuristic.zono_coeff ~config:Ivan.default_config
+      ~net ~prop
+  in
   let config = { Ivan.default_config with technique = Ivan.Reuse } in
   let rerun =
     Ivan.verify_updated ~analyzer ~heuristic:Heuristic.zono_coeff ~config ~original_run:original
@@ -603,6 +638,7 @@ let suite =
     ("theorem4 quantities", `Quick, test_theorem4_quantities);
     ("theorem4 perturbation preserved", `Quick, test_theorem4_perturbation_preserved);
     ("incremental all techniques", `Quick, test_incremental_all_techniques);
+    ("incremental certify and journal", `Quick, test_incremental_certify_and_journal);
     ("reuse identical network optimal", `Quick, test_reuse_identical_network_is_optimal);
     ("incremental architecture mismatch", `Quick, test_incremental_architecture_mismatch);
     ("incremental counterexample case", `Quick, test_incremental_counterexample_case);

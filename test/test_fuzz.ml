@@ -123,7 +123,9 @@ let artifact_doc =
        Engine.run
          (Engine.create
             ~analyzer:(Analyzer.lp_triangle ~warm:false ~certify:true ())
-            ~heuristic:Heuristic.zono_coeff ~certify:true ~net:(net ())
+            ~heuristic:Heuristic.zono_coeff
+            ~config:{ Engine.default_config with certify = true }
+            ~net:(net ())
             ~prop:(prop ()) ())
      in
      match run.Engine.artifact with
@@ -137,7 +139,9 @@ let journal_doc =
      let engine =
        Engine.create
          ~analyzer:(Analyzer.zonotope ())
-         ~heuristic:Heuristic.input_smear ~journal ~journal_every:2 ~net:(net ())
+         ~heuristic:Heuristic.input_smear
+         ~config:{ Engine.default_config with journal_every = 2 }
+         ~journal ~net:(net ())
          ~prop:(prop ()) ()
      in
      ignore (Engine.run engine);

@@ -55,12 +55,14 @@ let test_runner_comparison () =
   let net = Lazy.force net in
   let updated = Quant.network Quant.Int16 net in
   let setting =
-    Runner.classifier_setting ~budget:{ Bab.max_analyzer_calls = 150; max_seconds = 20.0 } ()
+    Runner.classifier_setting
+      ~config:
+        { Ivan.default_config with budget = { Bab.max_analyzer_calls = 150; max_seconds = 20.0 } }
+      ()
   in
   let instances = Workload.robustness_instances ~spec ~net ~count:3 in
   let comparisons =
-    Runner.run_all setting ~net ~updated ~techniques:[ Ivan.Reuse; Ivan.Full ] ~alpha:0.25
-      ~theta:0.01 instances
+    Runner.run_all setting ~net ~updated ~techniques:[ Ivan.Reuse; Ivan.Full ] instances
   in
   Alcotest.(check int) "one comparison per instance" 3 (List.length comparisons);
   List.iter
@@ -214,7 +216,10 @@ let test_tune_search () =
   let net = Lazy.force net in
   let updated = Quant.network Quant.Int16 net in
   let setting =
-    Runner.classifier_setting ~budget:{ Bab.max_analyzer_calls = 120; max_seconds = 10.0 } ()
+    Runner.classifier_setting
+      ~config:
+        { Ivan.default_config with budget = { Bab.max_analyzer_calls = 120; max_seconds = 10.0 } }
+      ()
   in
   let instances = Workload.robustness_instances ~spec ~net ~count:3 in
   let outcome = Tune.search ~trials:5 ~setting ~technique:Ivan.Full ~net ~updated instances in
@@ -253,12 +258,14 @@ let test_parallel_matches_sequential () =
   let net = Lazy.force net in
   let updated = Quant.network Quant.Int16 net in
   let setting =
-    Runner.classifier_setting ~budget:{ Bab.max_analyzer_calls = 150; max_seconds = 20.0 } ()
+    Runner.classifier_setting
+      ~config:
+        { Ivan.default_config with budget = { Bab.max_analyzer_calls = 150; max_seconds = 20.0 } }
+      ()
   in
   let instances = Workload.robustness_instances ~spec ~net ~count:6 in
   let run domains =
-    Runner.run_all ~domains setting ~net ~updated ~techniques:[ Ivan.Full ] ~alpha:0.25
-      ~theta:0.01 instances
+    Runner.run_all ~domains setting ~net ~updated ~techniques:[ Ivan.Full ] instances
   in
   let seq = run 1 and par = run 3 in
   List.iter2

@@ -51,13 +51,15 @@ let test_incremental_agrees_after_quantization () =
   let net = Lazy.force fcn in
   let updated = Quant.network Quant.Int8 net in
   let setting =
-    Runner.classifier_setting ~budget:{ Bab.max_analyzer_calls = 200; max_seconds = 20.0 } ()
+    Runner.classifier_setting
+      ~config:
+        { Ivan.default_config with budget = { Bab.max_analyzer_calls = 200; max_seconds = 20.0 } }
+      ()
   in
   let instances = Workload.robustness_instances ~spec:Zoo.fcn_mnist ~net ~count:6 in
   let comparisons =
     Runner.run_all setting ~net ~updated
-      ~techniques:[ Ivan.Reuse; Ivan.Reorder; Ivan.Full ]
-      ~alpha:0.25 ~theta:0.01 instances
+      ~techniques:[ Ivan.Reuse; Ivan.Reorder; Ivan.Full ] instances
   in
   List.iter
     (fun (c : Runner.comparison) ->
@@ -77,7 +79,10 @@ let test_incremental_agrees_after_quantization () =
 let test_reuse_bound_on_trained_model () =
   let net = Lazy.force fcn in
   let setting =
-    Runner.classifier_setting ~budget:{ Bab.max_analyzer_calls = 200; max_seconds = 20.0 } ()
+    Runner.classifier_setting
+      ~config:
+        { Ivan.default_config with budget = { Bab.max_analyzer_calls = 200; max_seconds = 20.0 } }
+      ()
   in
   let instances = Workload.robustness_instances ~spec:Zoo.fcn_mnist ~net ~count:4 in
   List.iter
@@ -85,14 +90,13 @@ let test_reuse_bound_on_trained_model () =
       let prop = inst.Workload.prop in
       let original =
         Bab.verify ~analyzer:setting.Runner.analyzer ~heuristic:setting.Runner.heuristic
-          ~budget:setting.Runner.budget ~net ~prop ()
+          ~budget:setting.Runner.config.Ivan.budget ~net ~prop ()
       in
       if original.Bab.verdict = Bab.Proved then begin
         let rerun =
           Ivan.verify_updated ~analyzer:setting.Runner.analyzer
             ~heuristic:setting.Runner.heuristic
-            ~config:
-              { Ivan.default_config with technique = Ivan.Reuse; budget = setting.Runner.budget }
+            ~config:{ setting.Runner.config with technique = Ivan.Reuse }
             ~original_run:original ~updated:net ~prop
         in
         Alcotest.(check int) "calls = leaves" original.Bab.stats.Bab.tree_leaves

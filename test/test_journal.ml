@@ -4,6 +4,7 @@ module Journal = Ivan_resilience.Journal
 module Supervisor = Ivan_supervise.Supervisor
 module Engine = Ivan_bab.Engine
 module Heuristic = Ivan_bab.Heuristic
+module Trace = Ivan_bab.Trace
 module Analyzer = Ivan_analyzer.Analyzer
 module Network = Ivan_nn.Network
 module Layer = Ivan_nn.Layer
@@ -170,7 +171,9 @@ let journaled_run ?(offset = 1.7) ?(journal_every = 4) () =
   let engine =
     Engine.create
       ~analyzer:(Analyzer.zonotope ())
-      ~heuristic:Heuristic.input_smear ~journal ~journal_every ~net ~prop ()
+      ~heuristic:Heuristic.input_smear
+      ~config:{ Engine.default_config with journal_every }
+      ~journal ~net ~prop ()
   in
   let run = Engine.run engine in
   Journal.close journal;
@@ -325,8 +328,7 @@ let test_supervise_clean_run () =
       ~heuristic:Heuristic.input_smear ~net ~prop ()
   in
   let outcome =
-    Supervisor.supervise ~limits:Supervisor.default_limits
-      ~heuristic:Heuristic.input_smear ~net ~prop engine
+    Supervisor.supervise ~limits:Supervisor.default_limits engine
   in
   Alcotest.(check string) "clean verdict" "proved"
     (verdict_name outcome.run.verdict);
@@ -353,9 +355,7 @@ let test_supervise_deadline_ladder () =
     }
   in
   let outcome =
-    Supervisor.supervise ~limits
-      ~fallbacks:[ Analyzer.interval () ]
-      ~heuristic:Heuristic.input_smear ~journal ~net ~prop engine
+    Supervisor.supervise ~limits ~fallbacks:[ Analyzer.interval () ] engine
   in
   Journal.close journal;
   Alcotest.(check string) "cancelled cleanly" "exhausted"
@@ -384,6 +384,37 @@ let test_supervise_deadline_ladder () =
   with
   | Error msg -> Alcotest.failf "post-cancel journal not resumable: %s" msg
   | Ok _ -> ()
+
+(* A degraded engine keeps the trace sink it was created with: the
+   events after the [Degraded] rung reach the same sink, so the trace
+   accounts for every analyzer call and carries the verdict. *)
+let test_supervise_degrade_keeps_trace () =
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.55 in
+  let trace = Trace.ring ~capacity:1000 in
+  let engine =
+    Engine.create
+      ~analyzer:(Analyzer.zonotope ())
+      ~heuristic:Heuristic.input_smear ~trace ~net ~prop ()
+  in
+  let limits =
+    {
+      Supervisor.max_seconds = 0.0 (* breached from the first check *);
+      max_major_words = infinity;
+      check_every = 1;
+      grace_seconds = 60.0;
+    }
+  in
+  let outcome = Supervisor.supervise ~limits engine in
+  Alcotest.(check bool) "the run was degraded" true
+    (List.exists
+       (function Supervisor.Degraded _ -> true | _ -> false)
+       outcome.escalations);
+  let agg = Trace.aggregate (Trace.ring_contents trace) in
+  Alcotest.(check int) "trace counts every analyzer call"
+    outcome.run.stats.analyzer_calls agg.Trace.analyzer_calls;
+  Alcotest.(check (option string)) "trace carries the verdict"
+    (Some (verdict_name outcome.run.verdict)) agg.Trace.verdict
 
 let test_mb_words () =
   (* 1 MB = 131072 8-byte words. *)
@@ -419,5 +450,7 @@ let suite =
     Alcotest.test_case "supervise: clean run" `Quick test_supervise_clean_run;
     Alcotest.test_case "supervise: deadline escalation ladder" `Quick
       test_supervise_deadline_ladder;
+    Alcotest.test_case "supervise: degrade keeps the trace sink" `Quick
+      test_supervise_degrade_keeps_trace;
     Alcotest.test_case "mb_words" `Quick test_mb_words;
   ]

@@ -472,10 +472,10 @@ let test_two_faults_race_fallback_chain () =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / resume *)
 
-let paper_engine ?policy ?budget () =
+let paper_engine ?config () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
-  ( Engine.create ~analyzer:lp ~heuristic:Heuristic.zono_coeff ?policy ?budget ~net ~prop (),
+  ( Engine.create ~analyzer:lp ~heuristic:Heuristic.zono_coeff ?config ~net ~prop (),
     net,
     prop )
 
@@ -489,8 +489,8 @@ let snapshot engine =
   Engine.checkpoint engine (Journal.to_buffer buf);
   Buffer.contents buf
 
-let resume_ok ?budget ~net ~prop bytes =
-  match Engine.resume ~analyzer:lp ~heuristic:Heuristic.zono_coeff ?budget ~net ~prop bytes with
+let resume_ok ?config ~net ~prop bytes =
+  match Engine.resume ~analyzer:lp ~heuristic:Heuristic.zono_coeff ?config ~net ~prop bytes with
   | Ok (engine, _) -> engine
   | Error msg -> Alcotest.failf "resume failed: %s" msg
 
@@ -532,7 +532,7 @@ let test_checkpoint_terminal_roundtrip () =
    search and reaches the unrestricted run's verdict and tree. *)
 let test_checkpoint_exhausted_then_more_budget () =
   let tight = { Bab.max_analyzer_calls = 2; max_seconds = infinity } in
-  let engine, net, prop = paper_engine ~budget:tight () in
+  let engine, net, prop = paper_engine ~config:{ Engine.default_config with budget = tight } () in
   let cut = finish engine in
   Alcotest.(check bool) "tight run exhausted" true (cut.Bab.verdict = Bab.Exhausted);
   let state = snapshot engine in
@@ -543,8 +543,13 @@ let test_checkpoint_exhausted_then_more_budget () =
   (* With one, the search continues to the true verdict. *)
   let resumed =
     finish
-      (resume_ok ~budget:{ Bab.max_analyzer_calls = 10_000; max_seconds = infinity } ~net ~prop
-         state)
+      (resume_ok
+         ~config:
+           {
+             Engine.default_config with
+             budget = { Bab.max_analyzer_calls = 10_000; max_seconds = infinity };
+           }
+         ~net ~prop state)
   in
   let reference = Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop () in
   Alcotest.(check bool) "resumed run proves the property" true
@@ -584,7 +589,9 @@ let test_cancelled_tree_reusable () =
   let engine =
     Engine.create
       ~analyzer:(Fault.wrap_analyzer plan lp)
-      ~heuristic:Heuristic.zono_coeff ~policy:Analyzer.default_policy ~net ~prop ()
+      ~heuristic:Heuristic.zono_coeff
+      ~config:{ Engine.default_config with policy = Some Analyzer.default_policy }
+      ~net ~prop ()
   in
   for _ = 1 to 2 do
     ignore (Engine.step engine)
