@@ -49,20 +49,20 @@ let random_net ~seed ~dims =
    3 / 4 stride 2 / 6 / 6 stride 2, dense 24 / 10), each with a
    robustness property in an eps-ball around a seeded centre, target
    the predicted class against the runner-up. *)
-let golden_subjects () =
-  let subject name net ~seed ~eps =
-    let rng = Rng.create seed in
-    let center = Array.init (Network.input_dim net) (fun _ -> Rng.uniform rng 0.0 1.0) in
-    let y = Network.forward net center in
-    let target = Vec.argmax y in
-    let adversary = ref (if target = 0 then 1 else 0) in
-    Array.iteri (fun j v -> if j <> target && v > y.(!adversary) then adversary := j) y;
-    let prop =
-      Prop.robustness ~name ~center ~eps ~target ~adversary:!adversary
-        ~num_outputs:(Network.output_dim net) ~clip:(Some (0.0, 1.0))
-    in
-    (name, net, prop)
+let subject name net ~seed ~eps =
+  let rng = Rng.create seed in
+  let center = Array.init (Network.input_dim net) (fun _ -> Rng.uniform rng 0.0 1.0) in
+  let y = Network.forward net center in
+  let target = Vec.argmax y in
+  let adversary = ref (if target = 0 then 1 else 0) in
+  Array.iteri (fun j v -> if j <> target && v > y.(!adversary) then adversary := j) y;
+  let prop =
+    Prop.robustness ~name ~center ~eps ~target ~adversary:!adversary
+      ~num_outputs:(Network.output_dim net) ~clip:(Some (0.0, 1.0))
   in
+  (name, net, prop)
+
+let golden_subjects () =
   let stage out_channels stride = { Builder.out_channels; kernel = 3; stride; padding = 1 } in
   let conv =
     Builder.conv_net ~rng:(Rng.create 1006) ~in_channels:3 ~in_height:8 ~in_width:8
@@ -74,6 +74,31 @@ let golden_subjects () =
     subject "dense-16x32x32x32x5" (random_net ~seed:12 ~dims:[ 16; 32; 32; 32; 5 ]) ~seed:112 ~eps:0.05;
     subject "conv-cifar-deep-shape" conv ~seed:113 ~eps:0.01;
   ]
+
+(* Subjects of the golden zonotope test: the kernel subjects above plus
+   an ACAS-shaped ReLU net (5 -> 6 x 50 -> 5), a leaky-ReLU net and a
+   net with one sigmoid and one tanh hidden layer. *)
+let zonotope_subjects () =
+  let smooth =
+    let net =
+      Builder.dense_net_act ~hidden_activation:Layer.Sigmoid ~rng:(Rng.create 16) ~dims:[ 6; 16; 16; 3 ]
+    in
+    Network.make
+      (List.mapi
+         (fun i l -> if i = 1 then Layer.make (Layer.affine l) Layer.Tanh else l)
+         (Array.to_list (Network.layers net)))
+  in
+  golden_subjects ()
+  @ [
+      subject "acas-shape-5x6x50"
+        (random_net ~seed:13 ~dims:[ 5; 50; 50; 50; 50; 50; 50; 5 ])
+        ~seed:114 ~eps:0.05;
+      subject "leaky-8x24x24x3"
+        (Builder.dense_net_act ~hidden_activation:(Layer.Leaky_relu 0.1) ~rng:(Rng.create 15)
+           ~dims:[ 8; 24; 24; 3 ])
+        ~seed:115 ~eps:0.1;
+      subject "sigmoid-tanh-6x16x16x3" smooth ~seed:116 ~eps:0.2;
+    ]
 
 (* Sample-based soundness check: every sampled point's objective margin
    must respect a claimed lower bound. *)

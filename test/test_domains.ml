@@ -478,6 +478,103 @@ let test_deeppoly_golden () =
   in
   Alcotest.(check (list string)) "bound bit patterns" golden_deeppoly observed
 
+(* ---------------- golden zonotope analyses ---------------- *)
+
+(* MD5 of the exact bit patterns of everything an analysis returns:
+   per-layer bounds, the output forms, the ReLU term map and [nterms]. *)
+let zonotope_digest net box ~splits =
+  match Zonotope.analyze net ~box ~splits with
+  | Zonotope.Infeasible -> "infeasible"
+  | Zonotope.Feasible a ->
+      let buf = Buffer.create 65536 in
+      let add x = Buffer.add_string buf (Printf.sprintf "%Lx " (Int64.bits_of_float x)) in
+      Array.iter
+        (fun (l : Bounds.layer) -> List.iter (Array.iter add) [ l.pre_lo; l.pre_hi; l.post_lo; l.post_hi ])
+        a.Zonotope.bounds.Bounds.layers;
+      Array.iter add a.Zonotope.output_center;
+      Array.iter (Array.iter add) a.Zonotope.output_gen;
+      Relu_id.Map.iter
+        (fun r t -> Buffer.add_string buf (Printf.sprintf "%d.%d:%d " r.Relu_id.layer r.Relu_id.index t))
+        a.Zonotope.relu_terms;
+      Buffer.add_string buf (string_of_int a.Zonotope.nterms);
+      Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* The cases of one subject: the root, the lower half of the box split
+   on input 0, and for nets with splittable units the first two
+   root-ambiguous units split Pos and Neg, and a Neg split of the
+   deepest root-stable active unit (an empty region). *)
+let zonotope_cases net (prop : Prop.t) =
+  let box = prop.Prop.input in
+  let root_bounds =
+    match Zonotope.analyze net ~box ~splits:Splits.empty with
+    | Zonotope.Infeasible -> Alcotest.fail "root infeasible"
+    | Zonotope.Feasible a -> a.Zonotope.bounds
+  in
+  let half, _ = Box.split_dim box 0 in
+  let relu_cases =
+    if Network.num_relus net = 0 then []
+    else
+      let split =
+        match Bounds.ambiguous_relus root_bounds net ~splits:Splits.empty with
+        | r1 :: r2 :: _ -> Splits.add r2 Splits.Neg (Splits.add r1 Splits.Pos Splits.empty)
+        | _ -> Alcotest.fail "fewer than two ambiguous units"
+      in
+      let active =
+        Array.fold_left
+          (fun acc r -> if (Bounds.pre_itv root_bounds r).Itv.lo > 0.0 then Some r else acc)
+          None (Network.relu_ids net)
+      in
+      let empty =
+        match active with
+        | Some r -> Splits.add r Splits.Neg Splits.empty
+        | None -> Alcotest.fail "no stably active unit"
+      in
+      [ ("split", box, split); ("empty", box, empty) ]
+  in
+  [ ("root", box, Splits.empty); ("half", half, Splits.empty) ] @ relu_cases
+
+(* Recorded from the kernel that allocates a fresh generator matrix per
+   layer.  Any kernel must perform the same float operations on every
+   possibly-nonzero entry in the same order, so all of it must match
+   bit for bit. *)
+let golden_zonotope =
+  [
+    "dense-8x24x24x3 root 82877521a289a74247bcf96a5210944b";
+    "dense-8x24x24x3 half 866baa49fba579b561b848e2ca6be6c9";
+    "dense-8x24x24x3 split 92e449cdca5a17b79c9fb61931da17ab";
+    "dense-8x24x24x3 empty infeasible";
+    "dense-16x32x32x32x5 root 5f65664476fd71e0f1b16deb7494c6aa";
+    "dense-16x32x32x32x5 half c3c7a07fdfa2a6e040975d8e7420c25b";
+    "dense-16x32x32x32x5 split 9af6bca77565eee0b0e64ad4666c9233";
+    "dense-16x32x32x32x5 empty infeasible";
+    "conv-cifar-deep-shape root 2b751db9f7fb26e96d9bf06c2541f5e9";
+    "conv-cifar-deep-shape half a408dd5be9835244e731ba54d1d74bbd";
+    "conv-cifar-deep-shape split 189d50b3b2396efdcdf62d4c538f146d";
+    "conv-cifar-deep-shape empty infeasible";
+    "acas-shape-5x6x50 root 9144e467de8b1b7926bbf708b90db824";
+    "acas-shape-5x6x50 half ffeefe51f106e44cfefedde0ffbd4815";
+    "acas-shape-5x6x50 split f9473815cd0468dbc0667749a598d8e2";
+    "acas-shape-5x6x50 empty infeasible";
+    "leaky-8x24x24x3 root b8d16824e83fb30c94bbb4cb3d294fb8";
+    "leaky-8x24x24x3 half a3316ac5386afe5c07c3b987c779a1ff";
+    "leaky-8x24x24x3 split 1543a87d3a4b979a894459404b9007ae";
+    "leaky-8x24x24x3 empty infeasible";
+    "sigmoid-tanh-6x16x16x3 root 613b54dab9c4af1853083c20b2e171ae";
+    "sigmoid-tanh-6x16x16x3 half 33512b40fafd7eb2890c2c07aecd6e35";
+  ]
+
+let test_zonotope_golden () =
+  let observed =
+    List.concat_map
+      (fun (name, net, prop) ->
+        List.map
+          (fun (case, box, splits) ->
+            Printf.sprintf "%s %s %s" name case (zonotope_digest net box ~splits))
+          (zonotope_cases net prop))
+      (Fixtures.zonotope_subjects ())
+  in
+  Alcotest.(check (list string)) "analysis bit patterns" golden_zonotope observed
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -503,4 +600,5 @@ let suite =
     ("diff detects deviation", `Quick, test_diff_detects_deviation);
     ("diff budget", `Quick, test_diff_budget);
     ("deeppoly golden bounds", `Quick, test_deeppoly_golden);
+    ("zonotope golden analyses", `Quick, test_zonotope_golden);
   ]
