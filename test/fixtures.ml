@@ -81,7 +81,8 @@ let golden_subjects () =
 let zonotope_subjects () =
   let smooth =
     let net =
-      Builder.dense_net_act ~hidden_activation:Layer.Sigmoid ~rng:(Rng.create 16) ~dims:[ 6; 16; 16; 3 ]
+      Builder.dense_net_act ~hidden_activation:Layer.Sigmoid ~rng:(Rng.create 16)
+        ~dims:[ 6; 16; 16; 3 ]
     in
     Network.make
       (List.mapi

@@ -601,4 +601,7 @@ let suite =
     ("diff budget", `Quick, test_diff_budget);
     ("deeppoly golden bounds", `Quick, test_deeppoly_golden);
     ("zonotope golden analyses", `Quick, test_zonotope_golden);
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| Zonotope_oracle.Oracle.seed |])
+      (Zonotope_oracle.Oracle.test ~count:Zonotope_oracle.Oracle.tier1_count);
   ]
