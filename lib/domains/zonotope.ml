@@ -21,65 +21,149 @@ exception Empty_region
 (* Interval concretization of an affine form. *)
 let form_radius gen = Array.fold_left (fun acc g -> acc +. Float.abs g) 0.0 gen
 
-let form_itv center gen =
-  let r = form_radius gen in
-  (center -. r, center +. r)
+(* The same over the [len] terms of a row stored at [data.(base)]. *)
+let row_radius data base len =
+  let acc = ref 0.0 in
+  for t = base to base + len - 1 do
+    acc := !acc +. Float.abs data.(t)
+  done;
+  !acc
 
-(* Affine image: given per-neuron (center, gen) of the previous layer,
-   compute the same for W x + b.  Hot path: raw weight rows, structural
-   zeros skipped. *)
-let affine_image w b centers gens nterms =
+(* The affine forms of one layer's neurons.  Row [i]'s coefficient of
+   [eps_t] is [data.(i * stride + t)].  Terms [0, prefix) may be nonzero
+   in any row.  Past [prefix] lies the fresh block of the activation
+   that produced the rows; it is one-hot, so row [i] holds at most one
+   nonzero there, at [fresh.(i)] ([-1] if none).  [zero.(i)] marks a
+   row whose prefix is all zeros (a unit fixed at slope 0). *)
+type forms = {
+  centers : float array;
+  data : float array;
+  stride : int;
+  prefix : int;
+  fresh : int array;
+  zero : bool array;
+}
+
+(* Affine image [W x + b] of [src] over its [nterms] terms, written to
+   the first [rows * stride] entries of [data] ([wrow] holds a weight
+   row).  Each entry sums [w_ij * g_j] over [j] in increasing order from
+   +0, as a dense product would; the terms it skips are exact zeros of
+   [src], and adding a signed zero to an accumulator that starts at +0
+   changes no bit, so the result is the dense product's bit for bit. *)
+let affine_image w b (src : forms) ~nterms ~stride data ~wrow =
   let rows = Mat.rows w and cols = Mat.cols w in
-  let out_centers = Array.make rows 0.0 in
-  let out_gens = Array.init rows (fun _ -> Array.make nterms 0.0) in
+  let sdata = src.data and sstride = src.stride and prefix = src.prefix in
+  (* The prefix loop below indexes without bounds checks; this is the
+     condition that keeps every index in range. *)
+  if
+    prefix > min stride sstride
+    || rows * stride > Array.length data
+    || cols * sstride > Array.length sdata
+  then invalid_arg "Zonotope.affine_image: buffer too small";
+  let centers = Array.make rows 0.0 in
   for i = 0 to rows - 1 do
-    let wrow = Mat.row w i in
+    let base = i * stride in
+    Array.fill data base nterms 0.0;
+    Mat.blit_row w i wrow;
     let acc = ref b.(i) in
-    let row_gen = out_gens.(i) in
     for j = 0 to cols - 1 do
       let wij = wrow.(j) in
       if wij <> 0.0 then begin
-        acc := !acc +. (wij *. centers.(j));
-        let g = gens.(j) in
-        for t = 0 to nterms - 1 do
-          let gt = g.(t) in
-          if gt <> 0.0 then row_gen.(t) <- row_gen.(t) +. (wij *. gt)
-        done
+        acc := !acc +. (wij *. src.centers.(j));
+        let sbase = j * sstride in
+        if not src.zero.(j) then
+          for t = 0 to prefix - 1 do
+            Array.unsafe_set data (base + t)
+              (Array.unsafe_get data (base + t) +. (wij *. Array.unsafe_get sdata (sbase + t)))
+          done;
+        let f = src.fresh.(j) in
+        if f >= 0 then data.(base + f) <- data.(base + f) +. (wij *. sdata.(sbase + f))
       end
     done;
-    out_centers.(i) <- !acc
+    centers.(i) <- !acc
   done;
-  (out_centers, out_gens)
+  centers
+
+(* Rewrite row [idx] in place as [s * x] over its [nterms] terms, clear
+   the [width] fresh terms after them and return whether the scaled row
+   is all zeros. *)
+let scale_row data ~stride idx s ~nterms ~width =
+  let base = idx * stride in
+  let zero = ref true in
+  for t = base to base + nterms - 1 do
+    let v = s *. data.(t) in
+    data.(t) <- v;
+    if v <> 0.0 then zero := false
+  done;
+  Array.fill data (base + nterms) width 0.0;
+  !zero
+
+(* Number of fresh noise terms a layer's activation may add. *)
+let fresh_capacity layer =
+  match Layer.classify (Layer.activation layer) with
+  | Layer.Linear_activation -> 0
+  | Layer.Piecewise _ | Layer.Smooth _ -> Layer.output_dim layer
+
+(* Sizes of the two generator buffers.  The input forms go to buffer 0
+   and layer [li] writes its rows to buffer [(li + 1) mod 2], at a
+   stride of at most every term the layers before it can add plus its
+   own fresh block. *)
+let buffer_sizes layers d =
+  let sizes = [| d * d; 0 |] in
+  let bound = ref d in
+  Array.iteri
+    (fun li layer ->
+      let stride = !bound + fresh_capacity layer in
+      let k = (li + 1) mod 2 in
+      sizes.(k) <- max sizes.(k) (Layer.output_dim layer * stride);
+      bound := stride)
+    layers;
+  sizes
 
 let analyze net ~box ~splits =
   let d = Box.dim box in
   if d <> Network.input_dim net then invalid_arg "Zonotope.analyze: box dimension mismatch";
-  (* Input forms: x_j = mid_j + rad_j * eps_j. *)
-  let centers = ref (Array.init d (fun j -> 0.5 *. (Box.lo_at box j +. Box.hi_at box j))) in
-  let gens =
+  let layers = Network.layers net in
+  let buffers = Array.map (fun n -> Array.make n 0.0) (buffer_sizes layers d) in
+  let wrow = Array.make (Array.fold_left (fun m l -> max m (Layer.input_dim l)) 0 layers) 0.0 in
+  (* Input forms: x_j = mid_j + rad_j * eps_j, a one-hot block. *)
+  let input = buffers.(0) in
+  for j = 0 to d - 1 do
+    input.((j * d) + j) <- 0.5 *. Box.width box j
+  done;
+  let src =
     ref
-      (Array.init d (fun j ->
-           let g = Array.make d 0.0 in
-           g.(j) <- 0.5 *. Box.width box j;
-           g))
+      {
+        centers = Array.init d (fun j -> 0.5 *. (Box.lo_at box j +. Box.hi_at box j));
+        data = input;
+        stride = d;
+        prefix = 0;
+        fresh = Array.init d Fun.id;
+        zero = Array.make d false;
+      }
   in
   let nterms = ref d in
   let relu_terms = ref Relu_id.Map.empty in
-  let layers = Network.layers net in
   let bounds_layers = Array.make (Array.length layers) None in
   try
     Array.iteri
       (fun li layer ->
         let w, b = Layer.dense_affine layer in
-        let pre_centers, pre_gens = affine_image w b !centers !gens !nterms in
-        let dim = Array.length pre_centers in
+        let dim = Mat.rows w in
+        let nt = !nterms in
+        let stride = nt + fresh_capacity layer in
+        let data = buffers.((li + 1) mod 2) in
+        let centers = affine_image w b !src ~nterms:nt ~stride data ~wrow in
         let pre_lo = Array.make dim 0.0 and pre_hi = Array.make dim 0.0 in
         for idx = 0 to dim - 1 do
-          let lo, hi = form_itv pre_centers.(idx) pre_gens.(idx) in
-          pre_lo.(idx) <- lo;
-          pre_hi.(idx) <- hi
+          let r = row_radius data (idx * stride) nt in
+          pre_lo.(idx) <- centers.(idx) -. r;
+          pre_hi.(idx) <- centers.(idx) +. r
         done;
-        match Layer.classify (Layer.activation layer) with
+        (* The activation rewrites the rows in place: fresh term [k] of
+           this layer is [eps_(nt + k)]. *)
+        let fresh = Array.make dim (-1) and zero = Array.make dim false in
+        (match Layer.classify (Layer.activation layer) with
         | Layer.Linear_activation ->
             bounds_layers.(li) <-
               Some
@@ -88,47 +172,38 @@ let analyze net ~box ~splits =
                   pre_hi;
                   post_lo = Array.copy pre_lo;
                   post_hi = Array.copy pre_hi;
-                };
-            centers := pre_centers;
-            gens := pre_gens
+                }
         | Layer.Smooth { f; df } ->
             (* Minimal parallelogram for a monotone S-shaped function:
                slope min(f'(l), f'(u)) keeps f(x) - lambda*x
                nondecreasing, so its range is the endpoint image.  One
                fresh symbol per neuron. *)
-            let nterms' = !nterms + dim in
-            let post_centers = Array.make dim 0.0 in
-            let post_gens = Array.init dim (fun _ -> Array.make nterms' 0.0) in
+            nterms := nt + dim;
             let post_lo = Array.make dim 0.0 and post_hi = Array.make dim 0.0 in
             for idx = 0 to dim - 1 do
               let l = pre_lo.(idx) and u = pre_hi.(idx) in
               let lambda = Float.min (df l) (df u) in
               let g_lo = f l -. (lambda *. l) and g_hi = f u -. (lambda *. u) in
               let mid = 0.5 *. (g_lo +. g_hi) and rad = 0.5 *. (g_hi -. g_lo) in
-              post_centers.(idx) <- (lambda *. pre_centers.(idx)) +. mid;
-              let g = post_gens.(idx) and pg = pre_gens.(idx) in
-              for t = 0 to !nterms - 1 do
-                g.(t) <- lambda *. pg.(t)
-              done;
-              g.(!nterms + idx) <- rad;
-              let lo, hi = form_itv post_centers.(idx) post_gens.(idx) in
-              post_lo.(idx) <- Float.max lo (f l);
-              post_hi.(idx) <- Float.min hi (f u)
+              centers.(idx) <- (lambda *. centers.(idx)) +. mid;
+              zero.(idx) <- scale_row data ~stride idx lambda ~nterms:nt ~width:dim;
+              data.((idx * stride) + nt + idx) <- rad;
+              fresh.(idx) <- nt + idx;
+              let r = row_radius data (idx * stride) !nterms in
+              post_lo.(idx) <- Float.max (centers.(idx) -. r) (f l);
+              post_hi.(idx) <- Float.min (centers.(idx) +. r) (f u)
             done;
-            bounds_layers.(li) <- Some { Bounds.pre_lo; pre_hi; post_lo; post_hi };
-            centers := post_centers;
-            gens := post_gens;
-            nterms := nterms'
+            bounds_layers.(li) <- Some { Bounds.pre_lo; pre_hi; post_lo; post_hi }
         | Layer.Piecewise slope ->
             (* Classify neurons, checking split phases and counting the
                fresh noise symbols needed.  [`Linear s]: the activation
                acts as y = s*x on the neuron's (possibly phase-refined)
                range. *)
             let kind = Array.make dim (`Linear 1.0) in
-            let fresh = ref 0 in
+            let count = ref 0 in
             for idx = 0 to dim - 1 do
               let phase = Splits.find (Relu_id.make ~layer:li ~index:idx) splits in
-              (match phase with
+              match phase with
               | Some Splits.Pos ->
                   if pre_hi.(idx) < 0.0 then raise Empty_region;
                   pre_lo.(idx) <- Float.max 0.0 pre_lo.(idx);
@@ -141,23 +216,18 @@ let analyze net ~box ~splits =
                   if pre_lo.(idx) >= 0.0 then kind.(idx) <- `Linear 1.0
                   else if pre_hi.(idx) <= 0.0 then kind.(idx) <- `Linear slope
                   else begin
-                    kind.(idx) <- `Ambiguous !fresh;
-                    incr fresh
-                  end)
+                    kind.(idx) <- `Ambiguous !count;
+                    incr count
+                  end
             done;
-            let nterms' = !nterms + !fresh in
-            let post_centers = Array.make dim 0.0 in
-            let post_gens = Array.init dim (fun _ -> Array.make nterms' 0.0) in
+            nterms := nt + !count;
             let post_lo = Array.make dim 0.0 and post_hi = Array.make dim 0.0 in
             let act v = if v >= 0.0 then v else slope *. v in
             for idx = 0 to dim - 1 do
               (match kind.(idx) with
               | `Linear s ->
-                  post_centers.(idx) <- s *. pre_centers.(idx);
-                  let g = post_gens.(idx) and pg = pre_gens.(idx) in
-                  for t = 0 to !nterms - 1 do
-                    g.(t) <- s *. pg.(t)
-                  done
+                  centers.(idx) <- s *. centers.(idx);
+                  zero.(idx) <- scale_row data ~stride idx s ~nterms:nt ~width:!count
               | `Ambiguous k ->
                   (* Minimal-area parallelogram for the two-piece
                      activation: chord slope lambda through the
@@ -165,32 +235,30 @@ let analyze net ~box ~splits =
                   let lb = pre_lo.(idx) and ub = pre_hi.(idx) in
                   let lambda = (ub -. (slope *. lb)) /. (ub -. lb) in
                   let mu = (1.0 -. slope) *. ub *. -.lb /. (ub -. lb) /. 2.0 in
-                  post_centers.(idx) <- (lambda *. pre_centers.(idx)) +. mu;
-                  let g = post_gens.(idx) in
-                  let pg = pre_gens.(idx) in
-                  for t = 0 to !nterms - 1 do
-                    g.(t) <- lambda *. pg.(t)
-                  done;
-                  g.(!nterms + k) <- mu;
+                  centers.(idx) <- (lambda *. centers.(idx)) +. mu;
+                  zero.(idx) <- scale_row data ~stride idx lambda ~nterms:nt ~width:!count;
+                  data.((idx * stride) + nt + k) <- mu;
+                  fresh.(idx) <- nt + k;
                   relu_terms :=
-                    Relu_id.Map.add (Relu_id.make ~layer:li ~index:idx) (!nterms + k) !relu_terms);
-              let lo, hi = form_itv post_centers.(idx) post_gens.(idx) in
+                    Relu_id.Map.add (Relu_id.make ~layer:li ~index:idx) (nt + k) !relu_terms);
+              let r = row_radius data (idx * stride) !nterms in
               (* The exact post-activation range is also within the
                  activation image of the pre bounds; meet the two. *)
-              post_lo.(idx) <- Float.max lo (act pre_lo.(idx));
-              post_hi.(idx) <- Float.min hi (act pre_hi.(idx))
+              post_lo.(idx) <- Float.max (centers.(idx) -. r) (act pre_lo.(idx));
+              post_hi.(idx) <- Float.min (centers.(idx) +. r) (act pre_hi.(idx))
             done;
-            bounds_layers.(li) <- Some { Bounds.pre_lo; pre_hi; post_lo; post_hi };
-            centers := post_centers;
-            gens := post_gens;
-            nterms := nterms')
+            bounds_layers.(li) <- Some { Bounds.pre_lo; pre_hi; post_lo; post_hi });
+        src := { centers; data; stride; prefix = nt; fresh; zero })
       layers;
     let layers_bounds = Array.map (function Some l -> l | None -> assert false) bounds_layers in
+    let out = !src in
     Feasible
       {
         bounds = { Bounds.layers = layers_bounds };
-        output_center = !centers;
-        output_gen = !gens;
+        output_center = out.centers;
+        output_gen =
+          Array.init (Array.length out.centers) (fun i ->
+              Array.sub out.data (i * out.stride) !nterms);
         relu_terms = !relu_terms;
         nterms = !nterms;
         input_box = box;

@@ -39,6 +39,8 @@ let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m 
 
 let row m i = Array.sub m.data (i * m.cols) m.cols
 
+let blit_row m i dst = Array.blit m.data (i * m.cols) dst 0 m.cols
+
 let col m j = Array.init m.rows (fun i -> get m i j)
 
 let transpose m = init m.cols m.rows (fun i j -> get m j i)
@@ -84,6 +86,22 @@ let matvec_t m x =
     if xi <> 0.0 then
       for j = 0 to m.cols - 1 do
         y.(j) <- y.(j) +. (m.data.(base + j) *. xi)
+      done
+  done;
+  y
+
+let abs_matvec_t m x =
+  if Array.length x <> m.rows then
+    invalid_arg
+      (Printf.sprintf "Mat.abs_matvec_t: %dx%d with vector of dim %d" m.rows m.cols
+         (Array.length x));
+  let y = Array.make m.cols 0.0 in
+  for i = 0 to m.rows - 1 do
+    let base = i * m.cols in
+    let xi = x.(i) in
+    if xi <> 0.0 then
+      for j = 0 to m.cols - 1 do
+        y.(j) <- y.(j) +. (Float.abs m.data.(base + j) *. xi)
       done
   done;
   y

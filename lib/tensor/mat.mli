@@ -30,6 +30,10 @@ val to_arrays : t -> float array array
 val row : t -> int -> Vec.t
 (** [row m i] is a fresh copy of row [i]. *)
 
+val blit_row : t -> int -> float array -> unit
+(** [blit_row m i dst] copies row [i] into [dst.(0 .. cols m - 1)]
+    without allocating.  @raise Invalid_argument if [dst] is shorter. *)
+
 val col : t -> int -> Vec.t
 
 val transpose : t -> t
@@ -47,6 +51,10 @@ val matvec : t -> Vec.t -> Vec.t
 
 val matvec_t : t -> Vec.t -> Vec.t
 (** [matvec_t m x] is [mᵀ · x] without materializing the transpose. *)
+
+val abs_matvec_t : t -> Vec.t -> Vec.t
+(** [abs_matvec_t m x] is [|m|ᵀ · x], with the same products in the same
+    order as [matvec_t (map Float.abs m) x], without building [|m|]. *)
 
 val matmul : t -> t -> t
 
