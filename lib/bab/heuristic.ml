@@ -98,8 +98,7 @@ let influence net c =
   let acc = ref (Vec.map Float.abs c) in
   for li = count - 1 downto 0 do
     let w, _ = Network.layer_dense net li in
-    let absw = Mat.map Float.abs w in
-    acc := Mat.matvec_t absw !acc
+    acc := Mat.abs_matvec_t w !acc
   done;
   !acc
 

@@ -145,7 +145,17 @@ let test_mat_matvec_t () =
   let m = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
   let x = Vec.of_list [ 1.0; 2.0 ] in
   let direct = Mat.matvec (Mat.transpose m) x in
-  Alcotest.(check bool) "matvec_t agrees with transpose" true (Vec.equal (Mat.matvec_t m x) direct)
+  Alcotest.(check bool) "matvec_t agrees with transpose" true (Vec.equal (Mat.matvec_t m x) direct);
+  (* |m|^T x is the same sum of the same products as matvec_t on a copy
+     of |m|, bit for bit, signed zeros included. *)
+  let rng = Rng.create 144 in
+  let m =
+    Mat.init 7 5 (fun i j -> if (i + j) mod 4 = 0 then -0.0 else Rng.uniform rng (-2.0) 2.0)
+  in
+  let x = Array.init 7 (fun i -> if i = 3 then 0.0 else Rng.uniform rng 0.0 3.0) in
+  Alcotest.(check (list int64)) "abs_matvec_t bits"
+    (Array.to_list (Array.map Int64.bits_of_float (Mat.matvec_t (Mat.map Float.abs m) x)))
+    (Array.to_list (Array.map Int64.bits_of_float (Mat.abs_matvec_t m x)))
 
 let test_mat_matmul_identity () =
   let m = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
