@@ -25,6 +25,7 @@ module Heuristic = Ivan_bab.Heuristic
 module Bab = Ivan_bab.Bab
 module Ivan = Ivan_core.Ivan
 module Zoo = Ivan_data.Zoo
+module Acas = Ivan_data.Acas
 module Experiments = Ivan_harness.Experiments
 module Workload = Ivan_harness.Workload
 module Report = Ivan_harness.Report
@@ -34,13 +35,16 @@ module Clock = Ivan_clock.Clock
 (* Bechamel micro-benchmarks *)
 
 (* Shared fixture: the fcn-mnist model, its hardest sampled robustness
-   property, and the proof tree from verifying it. *)
+   property, and the proof tree from verifying it; and the ACAS model
+   with one of its calibrated property regions. *)
 type fixture = {
   net : Network.t;
   updated : Network.t;
   prop : Ivan_spec.Prop.t;
   original : Bab.run;
   analyzer : Analyzer.t;
+  acas : Network.t;
+  acas_prop : Ivan_spec.Prop.t;
 }
 
 let make_fixture () =
@@ -63,9 +67,15 @@ let make_fixture () =
       | Some (_, r) when r.Bab.stats.Bab.tree_size >= run.Bab.stats.Bab.tree_size -> ()
       | Some _ | None -> best := Some (inst.Workload.prop, run))
     instances;
+  let acas = Zoo.load_or_train Zoo.acas in
+  let acas_prop =
+    match Acas.properties ~net:acas ~margin:0.2 ~rng:(Rng.create 1) with
+    | p :: _ -> p
+    | [] -> failwith "bench fixture: no ACAS properties"
+  in
   match !best with
   | None -> failwith "bench fixture: no instances"
-  | Some (prop, original) -> { net; updated; prop; original; analyzer }
+  | Some (prop, original) -> { net; updated; prop; original; analyzer; acas; acas_prop }
 
 let micro_tests fx =
   let open Bechamel in
@@ -100,11 +110,13 @@ let micro_tests fx =
            let observed = Ivan_core.Effectiveness.observe fx.original.Bab.tree in
            ignore
              (Ivan_core.Hdelta.make ~base:Heuristic.zono_coeff ~observed ~alpha:0.25 ~theta:0.01)));
-    (* F9: a zonotope analyzer call (the ACAS bounding step). *)
+    (* F9: a zonotope pass over an ACAS property region (the bounding
+       step of input-splitting BaB). *)
     Test.make ~name:"fig9/zonotope-call"
       (Staged.stage (fun () ->
            ignore
-             (Zonotope.analyze fx.net ~box:fx.prop.Ivan_spec.Prop.input ~splits:Splits.empty)));
+             (Zonotope.analyze fx.acas ~box:fx.acas_prop.Ivan_spec.Prop.input
+                ~splits:Splits.empty)));
     (* T3: the random-perturbation update generator. *)
     Test.make ~name:"table3/perturb-network"
       (Staged.stage
