@@ -18,11 +18,9 @@ type result = Feasible of analysis | Infeasible
 
 exception Empty_region
 
-(* Interval concretization of an affine form. *)
-let form_radius gen = Array.fold_left (fun acc g -> acc +. Float.abs g) 0.0 gen
-
-(* The same over the [len] terms of a row stored at [data.(base)]. *)
-let row_radius data base len =
+(* Interval concretization of an affine form: the radius of the [len]
+   terms stored from [data.(base)]. *)
+let radius data base len =
   let acc = ref 0.0 in
   for t = base to base + len - 1 do
     acc := !acc +. Float.abs data.(t)
@@ -156,7 +154,7 @@ let analyze net ~box ~splits =
         let centers = affine_image w b !src ~nterms:nt ~stride data ~wrow in
         let pre_lo = Array.make dim 0.0 and pre_hi = Array.make dim 0.0 in
         for idx = 0 to dim - 1 do
-          let r = row_radius data (idx * stride) nt in
+          let r = radius data (idx * stride) nt in
           pre_lo.(idx) <- centers.(idx) -. r;
           pre_hi.(idx) <- centers.(idx) +. r
         done;
@@ -189,7 +187,7 @@ let analyze net ~box ~splits =
               zero.(idx) <- scale_row data ~stride idx lambda ~nterms:nt ~width:dim;
               data.((idx * stride) + nt + idx) <- rad;
               fresh.(idx) <- nt + idx;
-              let r = row_radius data (idx * stride) !nterms in
+              let r = radius data (idx * stride) !nterms in
               post_lo.(idx) <- Float.max (centers.(idx) -. r) (f l);
               post_hi.(idx) <- Float.min (centers.(idx) +. r) (f u)
             done;
@@ -241,7 +239,7 @@ let analyze net ~box ~splits =
                   fresh.(idx) <- nt + k;
                   relu_terms :=
                     Relu_id.Map.add (Relu_id.make ~layer:li ~index:idx) (nt + k) !relu_terms);
-              let r = row_radius data (idx * stride) !nterms in
+              let r = radius data (idx * stride) !nterms in
               (* The exact post-activation range is also within the
                  activation image of the pre bounds; meet the two. *)
               post_lo.(idx) <- Float.max (centers.(idx) -. r) (act pre_lo.(idx));
@@ -279,8 +277,8 @@ let objective_coeffs a ~c =
 
 let objective_itv a ~c ~offset =
   let center = Vec.dot c a.output_center +. offset in
-  let radius = form_radius (objective_coeffs a ~c) in
-  Itv.make (center -. radius) (center +. radius)
+  let r = radius (objective_coeffs a ~c) 0 a.nterms in
+  Itv.make (center -. r) (center +. r)
 
 let relu_score_from_coeffs a obj r =
   match Relu_id.Map.find_opt r a.relu_terms with None -> 0.0 | Some t -> Float.abs obj.(t)
