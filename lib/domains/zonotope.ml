@@ -27,40 +27,40 @@ let radius data base len =
   done;
   !acc
 
-(* The affine forms of one layer's neurons.  Row [i]'s coefficient of
-   [eps_t] is [data.(i * stride + t)].  Terms [0, prefix) may be nonzero
-   in any row.  Past [prefix] lies the fresh block of the activation
-   that produced the rows; it is one-hot, so row [i] holds at most one
-   nonzero there, at [fresh.(i)] ([-1] if none).  [zero.(i)] marks a
-   row whose prefix is all zeros (a unit fixed at slope 0). *)
+(* The affine forms of one layer's neurons.  Row [i] is a dense prefix,
+   its coefficients of [eps_0 .. eps_(stride - 1)] at
+   [data.(i * stride)], plus at most one term past it: the activation
+   that produced the rows gave each unit its own fresh term, so row [i]
+   holds [fresh_coeff.(i)] on [eps_(fresh.(i))] ([fresh.(i) = -1] and
+   [fresh_coeff.(i) = 0.] if none) and zeros on the rest of that block.
+   [zero.(i)] marks a row whose prefix is all zeros (a unit fixed at
+   slope 0). *)
 type forms = {
   centers : float array;
   data : float array;
   stride : int;
-  prefix : int;
   fresh : int array;
+  fresh_coeff : float array;
   zero : bool array;
 }
 
-(* Affine image [W x + b] of [src] over its [nterms] terms, written to
-   the first [rows * stride] entries of [data] ([wrow] holds a weight
-   row).  Each entry sums [w_ij * g_j] over [j] in increasing order from
-   +0, as a dense product would; the terms it skips are exact zeros of
-   [src], and adding a signed zero to an accumulator that starts at +0
-   changes no bit, so the result is the dense product's bit for bit. *)
-let affine_image w b (src : forms) ~nterms ~stride data ~wrow =
+(* Affine image [W x + b] of [src], written densely over its [nterms]
+   terms to the first [rows * nterms] entries of [data] ([wrow] holds a
+   weight row).  Each entry sums [w_ij * g_j] over [j] in increasing
+   order from +0, as a dense product would; the terms it skips are exact
+   zeros of [src], and adding a signed zero to an accumulator that
+   starts at +0 changes no bit, so the result is the dense product's bit
+   for bit. *)
+let affine_image w b (src : forms) ~nterms data ~wrow =
   let rows = Mat.rows w and cols = Mat.cols w in
-  let sdata = src.data and sstride = src.stride and prefix = src.prefix in
+  let sdata = src.data and prefix = src.stride in
   (* The prefix loop below indexes without bounds checks; this is the
      condition that keeps every index in range. *)
-  if
-    prefix > min stride sstride
-    || rows * stride > Array.length data
-    || cols * sstride > Array.length sdata
+  if prefix > nterms || rows * nterms > Array.length data || cols * prefix > Array.length sdata
   then invalid_arg "Zonotope.affine_image: buffer too small";
   let centers = Array.make rows 0.0 in
   for i = 0 to rows - 1 do
-    let base = i * stride in
+    let base = i * nterms in
     Array.fill data base nterms 0.0;
     Mat.blit_row w i wrow;
     let acc = ref b.(i) in
@@ -68,32 +68,29 @@ let affine_image w b (src : forms) ~nterms ~stride data ~wrow =
       let wij = wrow.(j) in
       if wij <> 0.0 then begin
         acc := !acc +. (wij *. src.centers.(j));
-        let sbase = j * sstride in
+        let sbase = j * prefix in
         if not src.zero.(j) then
           for t = 0 to prefix - 1 do
             Array.unsafe_set data (base + t)
               (Array.unsafe_get data (base + t) +. (wij *. Array.unsafe_get sdata (sbase + t)))
           done;
         let f = src.fresh.(j) in
-        if f >= 0 then data.(base + f) <- data.(base + f) +. (wij *. sdata.(sbase + f))
+        if f >= 0 then data.(base + f) <- data.(base + f) +. (wij *. src.fresh_coeff.(j))
       end
     done;
     centers.(i) <- !acc
   done;
   centers
 
-(* Rewrite row [idx] in place as [s * x] over its [nterms] terms, clear
-   the [width] fresh terms after them and return whether the scaled row
-   is all zeros. *)
-let scale_row data ~stride idx s ~nterms ~width =
-  let base = idx * stride in
+(* Rewrite row [idx]'s [stride] terms in place as [s * x] and return
+   whether the scaled row is all zeros. *)
+let scale_row data ~stride idx s =
   let zero = ref true in
-  for t = base to base + nterms - 1 do
+  for t = idx * stride to ((idx + 1) * stride) - 1 do
     let v = s *. data.(t) in
     data.(t) <- v;
     if v <> 0.0 then zero := false
   done;
-  Array.fill data (base + nterms) width 0.0;
   !zero
 
 (* Number of fresh noise terms a layer's activation may add. *)
@@ -102,19 +99,16 @@ let fresh_capacity layer =
   | Layer.Linear_activation -> 0
   | Layer.Piecewise _ | Layer.Smooth _ -> Layer.output_dim layer
 
-(* Sizes of the two generator buffers.  The input forms go to buffer 0
-   and layer [li] writes its rows to buffer [(li + 1) mod 2], at a
-   stride of at most every term the layers before it can add plus its
-   own fresh block. *)
+(* Sizes of the two generator buffers.  Layer [li] writes its rows to
+   buffer [li mod 2], one per unit, each over at most the input's terms
+   and every fresh term the layers before it can add. *)
 let buffer_sizes layers d =
-  let sizes = [| d * d; 0 |] in
+  let sizes = [| 0; 0 |] in
   let bound = ref d in
   Array.iteri
     (fun li layer ->
-      let stride = !bound + fresh_capacity layer in
-      let k = (li + 1) mod 2 in
-      sizes.(k) <- max sizes.(k) (Layer.output_dim layer * stride);
-      bound := stride)
+      sizes.(li mod 2) <- max sizes.(li mod 2) (Layer.output_dim layer * !bound);
+      bound := !bound + fresh_capacity layer)
     layers;
   sizes
 
@@ -124,19 +118,16 @@ let analyze net ~box ~splits =
   let layers = Network.layers net in
   let buffers = Array.map (fun n -> Array.make n 0.0) (buffer_sizes layers d) in
   let wrow = Array.make (Array.fold_left (fun m l -> max m (Layer.input_dim l)) 0 layers) 0.0 in
-  (* Input forms: x_j = mid_j + rad_j * eps_j, a one-hot block. *)
-  let input = buffers.(0) in
-  for j = 0 to d - 1 do
-    input.((j * d) + j) <- 0.5 *. Box.width box j
-  done;
+  (* Input forms: x_j = mid_j + rad_j * eps_j, an empty prefix and one
+     fresh term each. *)
   let src =
     ref
       {
         centers = Array.init d (fun j -> 0.5 *. (Box.lo_at box j +. Box.hi_at box j));
-        data = input;
-        stride = d;
-        prefix = 0;
+        data = [||];
+        stride = 0;
         fresh = Array.init d Fun.id;
+        fresh_coeff = Array.init d (fun j -> 0.5 *. Box.width box j);
         zero = Array.make d false;
       }
   in
@@ -149,18 +140,21 @@ let analyze net ~box ~splits =
         let w, b = Layer.dense_affine layer in
         let dim = Mat.rows w in
         let nt = !nterms in
-        let stride = nt + fresh_capacity layer in
-        let data = buffers.((li + 1) mod 2) in
-        let centers = affine_image w b !src ~nterms:nt ~stride data ~wrow in
+        let data = buffers.(li mod 2) in
+        let centers = affine_image w b !src ~nterms:nt data ~wrow in
         let pre_lo = Array.make dim 0.0 and pre_hi = Array.make dim 0.0 in
         for idx = 0 to dim - 1 do
-          let r = radius data (idx * stride) nt in
+          let r = radius data (idx * nt) nt in
           pre_lo.(idx) <- centers.(idx) -. r;
           pre_hi.(idx) <- centers.(idx) +. r
         done;
-        (* The activation rewrites the rows in place: fresh term [k] of
-           this layer is [eps_(nt + k)]. *)
-        let fresh = Array.make dim (-1) and zero = Array.make dim false in
+        (* The activation rewrites the rows in place and gives unit
+           [idx] its fresh term, if any; the old kernel summed the same
+           row with zeros on the rest of the fresh block, which leave the
+           radius unchanged. *)
+        let fresh = Array.make dim (-1) and fresh_coeff = Array.make dim 0.0 in
+        let zero = Array.make dim false in
+        let post_radius idx = radius data (idx * nt) nt +. Float.abs fresh_coeff.(idx) in
         (match Layer.classify (Layer.activation layer) with
         | Layer.Linear_activation ->
             bounds_layers.(li) <-
@@ -184,10 +178,10 @@ let analyze net ~box ~splits =
               let g_lo = f l -. (lambda *. l) and g_hi = f u -. (lambda *. u) in
               let mid = 0.5 *. (g_lo +. g_hi) and rad = 0.5 *. (g_hi -. g_lo) in
               centers.(idx) <- (lambda *. centers.(idx)) +. mid;
-              zero.(idx) <- scale_row data ~stride idx lambda ~nterms:nt ~width:dim;
-              data.((idx * stride) + nt + idx) <- rad;
+              zero.(idx) <- scale_row data ~stride:nt idx lambda;
               fresh.(idx) <- nt + idx;
-              let r = radius data (idx * stride) !nterms in
+              fresh_coeff.(idx) <- rad;
+              let r = post_radius idx in
               post_lo.(idx) <- Float.max (centers.(idx) -. r) (f l);
               post_hi.(idx) <- Float.min (centers.(idx) +. r) (f u)
             done;
@@ -225,7 +219,7 @@ let analyze net ~box ~splits =
               (match kind.(idx) with
               | `Linear s ->
                   centers.(idx) <- s *. centers.(idx);
-                  zero.(idx) <- scale_row data ~stride idx s ~nterms:nt ~width:!count
+                  zero.(idx) <- scale_row data ~stride:nt idx s
               | `Ambiguous k ->
                   (* Minimal-area parallelogram for the two-piece
                      activation: chord slope lambda through the
@@ -234,29 +228,36 @@ let analyze net ~box ~splits =
                   let lambda = (ub -. (slope *. lb)) /. (ub -. lb) in
                   let mu = (1.0 -. slope) *. ub *. -.lb /. (ub -. lb) /. 2.0 in
                   centers.(idx) <- (lambda *. centers.(idx)) +. mu;
-                  zero.(idx) <- scale_row data ~stride idx lambda ~nterms:nt ~width:!count;
-                  data.((idx * stride) + nt + k) <- mu;
+                  zero.(idx) <- scale_row data ~stride:nt idx lambda;
                   fresh.(idx) <- nt + k;
+                  fresh_coeff.(idx) <- mu;
                   relu_terms :=
                     Relu_id.Map.add (Relu_id.make ~layer:li ~index:idx) (nt + k) !relu_terms);
-              let r = radius data (idx * stride) !nterms in
+              let r = post_radius idx in
               (* The exact post-activation range is also within the
                  activation image of the pre bounds; meet the two. *)
               post_lo.(idx) <- Float.max (centers.(idx) -. r) (act pre_lo.(idx));
               post_hi.(idx) <- Float.min (centers.(idx) +. r) (act pre_hi.(idx))
             done;
             bounds_layers.(li) <- Some { Bounds.pre_lo; pre_hi; post_lo; post_hi });
-        src := { centers; data; stride; prefix = nt; fresh; zero })
+        src := { centers; data; stride = nt; fresh; fresh_coeff; zero })
       layers;
     let layers_bounds = Array.map (function Some l -> l | None -> assert false) bounds_layers in
     let out = !src in
+    let output_gen =
+      Array.mapi
+        (fun i f ->
+          let g = Array.make !nterms 0.0 in
+          Array.blit out.data (i * out.stride) g 0 out.stride;
+          if f >= 0 then g.(f) <- out.fresh_coeff.(i);
+          g)
+        out.fresh
+    in
     Feasible
       {
         bounds = { Bounds.layers = layers_bounds };
         output_center = out.centers;
-        output_gen =
-          Array.init (Array.length out.centers) (fun i ->
-              Array.sub out.data (i * out.stride) !nterms);
+        output_gen;
         relu_terms = !relu_terms;
         nterms = !nterms;
         input_box = box;
