@@ -149,9 +149,9 @@ let analyze net ~box ~splits =
           pre_hi.(idx) <- centers.(idx) +. r
         done;
         (* The activation rewrites the rows in place and gives unit
-           [idx] its fresh term, if any; the old kernel summed the same
-           row with zeros on the rest of the fresh block, which leave the
-           radius unchanged. *)
+           [idx] its fresh term, if any.  The dense row would also hold
+           zeros on the rest of the fresh block; they leave the radius
+           unchanged. *)
         let fresh = Array.make dim (-1) and fresh_coeff = Array.make dim 0.0 in
         let zero = Array.make dim false in
         let post_radius idx = radius data (idx * nt) nt +. Float.abs fresh_coeff.(idx) in
