@@ -138,46 +138,57 @@ let micro_tests fx =
 
 module Lp = Ivan_lp.Lp
 
-(* Micro fixture: a dense random LP re-solved after a small bound nudge
-   — cold (full Phase-1 restart) vs. warm (re-priced from the optimal
-   basis of the unperturbed problem), the exact situation of a BaB child
-   node re-solving its parent's LP. *)
+(* Micro fixture: the analyzer's persistent triangle encoding of an
+   untrained conv-cifar-deep (robustness in an eps-ball around a seeded
+   centre, target against runner-up), solved at the root, then
+   specialized to a child that splits the first root-ambiguous ReLU.
+   The child LP is re-solved cold (full Phase-1 restart) vs. warm
+   (re-priced from the root's optimal basis), the exact situation of a
+   BaB child node; about half its rows are vacuous slots. *)
 let lp_micro_tests () =
   let open Bechamel in
-  let n = 60 and rows = 45 in
-  let rng = Rng.create 20230807 in
-  let p = Lp.create n in
-  Lp.set_objective p (Array.init n (fun _ -> Rng.uniform rng (-1.0) 1.0));
-  for j = 0 to n - 1 do
-    Lp.set_bounds p j 0.0 (1.0 +. Rng.float rng 1.0)
-  done;
-  let idx = Array.init n Fun.id in
-  for _ = 1 to rows do
-    let cf = Array.init n (fun _ -> Rng.uniform rng (-1.0) 1.0) in
-    ignore (Lp.add_row p idx cf Lp.Le (Rng.uniform rng 1.0 (float_of_int n /. 4.0)))
-  done;
+  let module Encoding = Ivan_analyzer.Encoding in
+  let module Bounds = Ivan_domains.Bounds in
+  let net = Zoo.untrained Zoo.conv_cifar_deep in
+  let rng = Rng.create 113 in
+  let center = Array.init (Network.input_dim net) (fun _ -> Rng.uniform rng 0.0 1.0) in
+  let y = Network.forward net center in
+  let target = Vec.argmax y in
+  let adversary = ref (if target = 0 then 1 else 0) in
+  Array.iteri (fun j v -> if j <> target && v > y.(!adversary) then adversary := j) y;
+  let prop =
+    Ivan_spec.Prop.robustness ~name:"lp-micro" ~center ~eps:0.01 ~target ~adversary:!adversary
+      ~num_outputs:(Network.output_dim net) ~clip:(Some (0.0, 1.0))
+  in
+  let box = prop.Ivan_spec.Prop.input in
+  let bounds_at splits =
+    match Deeppoly.analyze net ~box ~splits with
+    | Deeppoly.Feasible a -> Deeppoly.bounds a
+    | Deeppoly.Infeasible -> failwith "lp micro fixture: empty region"
+  in
+  let enc =
+    match Encoding.Triangle.build net ~prop with
+    | Some e -> e
+    | None -> failwith "lp micro fixture: empty root region"
+  in
+  let p = Encoding.Triangle.lp enc in
+  let root = bounds_at Splits.empty in
+  Encoding.Triangle.specialize enc ~box ~splits:Splits.empty ~bounds:root;
   (match Lp.solve p with
   | Lp.Optimal _ -> ()
-  | Lp.Infeasible | Lp.Unbounded -> failwith "lp micro fixture: base LP not optimal");
+  | Lp.Infeasible | Lp.Unbounded -> failwith "lp micro fixture: root LP not optimal");
   let basis =
     match Lp.basis p with Some b -> b | None -> failwith "lp micro fixture: no basis captured"
   in
-  let tick = ref 0 in
-  let nudge () =
-    (* The same deterministic bound nudge before every measured solve,
-       so the cold and warm tests price identical problem sequences. *)
-    incr tick;
-    Lp.set_bounds p (!tick mod n) 0.0 (1.0 +. (0.001 *. float_of_int (1 + (!tick mod 7))))
+  let splits =
+    match Bounds.ambiguous_relus root net ~splits:Splits.empty with
+    | r :: _ -> Splits.add r Splits.Pos Splits.empty
+    | [] -> failwith "lp micro fixture: no ambiguous ReLU"
   in
+  Encoding.Triangle.specialize enc ~box ~splits ~bounds:(bounds_at splits);
   [
-    Test.make ~name:"lp/cold-resolve"
-      (Staged.stage (fun () ->
-           nudge ();
-           ignore (Lp.solve p)));
-    Test.make ~name:"lp/warm-resolve"
-      (Staged.stage (fun () ->
-           nudge ();
-           ignore (Lp.solve_from p basis)));
+    Test.make ~name:"lp/cold-resolve" (Staged.stage (fun () -> ignore (Lp.solve p)));
+    Test.make ~name:"lp/warm-resolve" (Staged.stage (fun () -> ignore (Lp.solve_from p basis)));
   ]
 
 (* Engine statistics of the fixture's from-scratch run and one

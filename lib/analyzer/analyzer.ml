@@ -101,8 +101,8 @@ module Warm = struct
 end
 
 (* Report one LP solve's statistics through the side channel.  Only
-   called after a solve that returned (exceptions leave [last_stats]
-   stale from some earlier solve of the same persistent problem). *)
+   called after a solve that returned: a solve that raises leaves
+   [last_stats] and [basis] at [None]. *)
 let record_lp_info lp ~reusable =
   match Lp.last_stats lp with
   | None -> ()

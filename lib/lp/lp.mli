@@ -1,16 +1,21 @@
 (** Linear programming.
 
-    A self-contained dense simplex solver standing in for the commercial
-    LP back-end (GUROBI) used by the paper.  It solves
+    A self-contained simplex solver standing in for the commercial LP
+    back-end (GUROBI) used by the paper.  It solves
 
     {v minimize    c^T x
   subject to  a_i^T x (<= | = | >=) b_i     for each row i
               lo_j <= x_j <= hi_j           for each variable j v}
 
     using a primal simplex on bounded variables with a Phase-1 artificial
-    start and Bland's anti-cycling rule.  Problem sizes in this repository
-    (at most a few hundred variables and rows) are well within dense-
-    tableau territory.
+    start and Bland's anti-cycling rule.  The tableau is dense over the
+    live rows only: an inert row (no terms, right-hand side 0, such as
+    the vacuous slots the persistent encodings write) is satisfied by
+    its slack at 0 and never enters the tableau, and pivots visit only
+    the pivot row's nonzero columns.  Which rows are inert changes no
+    pivot, optimum, basis or certificate.  Problem sizes in this
+    repository (at most a few hundred variables and rows) are well
+    within dense-tableau territory.
 
     The solver is {e incremental}: an optimal {!solve} snapshots its
     simplex basis, and {!solve_from} re-prices a near-identical problem
@@ -146,22 +151,37 @@ val solve : problem -> result
 (** Solve the problem as currently built, from scratch (Phase-1
     artificial start).  The problem may be extended and re-solved
     afterwards.  Records {!last_stats}, and on an [Optimal] result
-    {!basis}. *)
+    {!basis}; a solve that raises leaves {!last_stats}, {!basis} and
+    {!last_certificate} at [None]. *)
 
 (** {2 Warm starts} *)
 
+(** Where a column sits relative to the basis. *)
+type status =
+  | Basic
+  | At_lower  (** nonbasic at its lower bound *)
+  | At_upper  (** nonbasic at its upper bound *)
+  | Free_zero  (** nonbasic free column resting at 0 *)
+
 module Basis : sig
   type t
-  (** An opaque snapshot of an optimal simplex basis: the basic column
-      of every row plus the at-bound status of every structural and
-      slack column.  Immutable; safe to hold across later mutations of
-      the problem it was captured from. *)
+  (** A snapshot of an optimal simplex basis: the basic column of every
+      row plus the at-bound status of every structural and slack
+      column.  Immutable; safe to hold across later mutations of the
+      problem it was captured from. *)
+
+  val basics : t -> int array
+  (** A copy of the basic column of every row.  Column [j < num_vars]
+      is variable [j]; column [num_vars + i] is the slack of row [i]. *)
+
+  val statuses : t -> status array
+  (** A copy of the status of every column, numbered as in {!basics}. *)
 end
 
 val basis : problem -> Basis.t option
 (** The basis snapshot captured by the most recent successful solve of
     this problem, if any.  [None] before the first solve, after a
-    non-[Optimal] result, or when the optimum left an artificial column
+    non-[Optimal] result or a raised failure, or when the optimum left an artificial column
     basic (a basis the warm path could not re-install). *)
 
 val solve_from : problem -> Basis.t -> result
@@ -197,7 +217,7 @@ type solve_stats = {
 
 val last_stats : problem -> solve_stats option
 (** Statistics of the most recent solve of this problem ([None] before
-    the first).  A [Warm_miss] entry reports the pivots of the cold
+    the first, or after a solve that raised).  A [Warm_miss] entry reports the pivots of the cold
     solve that answered. *)
 
 val last_certificate : problem -> Certificate.t option

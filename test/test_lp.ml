@@ -669,9 +669,10 @@ let triangle_solves (name, net, (prop : Prop.t)) =
     [ ("root", cold_line); ("pos", pos); ("neg", neg); ("cut", cut) ]
 
 (* Recorded from the dense simplex kernel.  The sparse kernel may only
-   flip the sign of a zero tableau entry, which no comparison sees, so
-   every choice — and with it every pivot count, optimum and
-   multiplier — must match exactly. *)
+   flip the sign of a zero tableau entry, which no comparison sees, and
+   the live-row kernel leaves out only inert rows and retired columns,
+   which no later step reads, so every choice — and with it every pivot
+   count, optimum and multiplier — must match exactly. *)
 let golden_triangle =
   [
     "dense-8x24x24x3 root cold pivots=30 factor=0 opt=-0x1.02545429c255cp-2 \
@@ -720,6 +721,32 @@ let test_artificial_tie_order () =
   | Some (Lp.Certificate.Dual y) -> Alcotest.(check (array (float 0.0))) "multipliers" [| 0.0; 0.5 |] y
   | Some (Lp.Certificate.Farkas _) | None -> Alcotest.fail "expected a dual certificate"
 
+(* A solve that raises leaves no earlier solve's statistics, basis or
+   certificate behind, cold or warm. *)
+let test_raise_clears_state () =
+  let p = Lp.create 2 in
+  Lp.set_objective p [| 1.0; 1.0 |];
+  Lp.set_bounds p 0 0.0 10.0;
+  Lp.set_bounds p 1 0.0 10.0;
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Ge 1.0);
+  check_obj "before" 1.0 (Lp.solve p);
+  let basis = match Lp.basis p with Some b -> b | None -> Alcotest.fail "no basis" in
+  Lp.set_bounds p 1 nan nan;
+  let cleared what =
+    Alcotest.(check bool) (what ^ ": stats cleared") true (Lp.last_stats p = None);
+    Alcotest.(check bool) (what ^ ": basis cleared") true (Option.is_none (Lp.basis p));
+    Alcotest.(check bool) (what ^ ": certificate cleared") true (Lp.last_certificate p = None)
+  in
+  (match Lp.solve p with
+  | exception Lp.Numerical_failure _ -> cleared "solve"
+  | _ -> Alcotest.fail "solve: expected a numerical failure");
+  Lp.set_bounds p 1 0.0 10.0;
+  check_obj "again" 1.0 (Lp.solve p);
+  Lp.set_bounds p 1 nan nan;
+  match Lp.solve_from p basis with
+  | exception Lp.Numerical_failure _ -> cleared "solve_from"
+  | _ -> Alcotest.fail "solve_from: expected a numerical failure"
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -756,4 +783,8 @@ let suite =
     q prop_milp_matches_enumeration;
     ("golden triangle solves", `Quick, test_triangle_golden);
     ("artificial order breaks ratio ties", `Quick, test_artificial_tie_order);
+    ("raised solve clears state", `Quick, test_raise_clears_state);
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| Lp_oracle.Oracle.seed |])
+      (Lp_oracle.Oracle.test ~count:Lp_oracle.Oracle.tier1_count);
   ]
