@@ -103,7 +103,7 @@ end
 (* Report one LP solve's statistics through the side channel.  Only
    called after a solve that returned: a solve that raises leaves
    [last_stats] and [basis] at [None]. *)
-let record_lp_info lp ~reusable =
+let record_lp_info lp =
   match Lp.last_stats lp with
   | None -> ()
   | Some s ->
@@ -119,9 +119,7 @@ let record_lp_info lp ~reusable =
           warm_misses = misses;
           cold_solves = cold;
           pivots = s.Lp.pivots;
-          (* Only a persistent-encoding basis is offered onward: a
-             one-shot LP's basis fits no other problem. *)
-          basis = (if reusable then Lp.basis lp else None);
+          basis = Lp.basis lp;
         }
 
 (* ------------------------------------------------------------------ *)
@@ -184,31 +182,20 @@ let deeppoly () = { name = "deeppoly"; run = deeppoly_run }
    run and calls the analyzer once per node).  Per-domain so parallel
    runner workers each hold their own. *)
 
-type tri_cache = { t_net : Network.t; t_prop : Prop.t; t_enc : Encoding.Triangle.t option }
+let cached build =
+  let slot = Domain.DLS.new_key (fun () -> ref None) in
+  fun net prop ->
+    let r = Domain.DLS.get slot in
+    match !r with
+    | Some (n, p, enc) when n == net && p == prop -> enc
+    | _ ->
+        let enc = build net ~prop in
+        r := Some (net, prop, enc);
+        enc
 
-let tri_slot : tri_cache option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+let triangle_encoding = cached Encoding.Triangle.build
 
-let triangle_encoding net prop =
-  let slot = Domain.DLS.get tri_slot in
-  match !slot with
-  | Some c when c.t_net == net && c.t_prop == prop -> c.t_enc
-  | _ ->
-      let enc = Encoding.Triangle.build net ~prop in
-      slot := Some { t_net = net; t_prop = prop; t_enc = enc };
-      enc
-
-type milp_cache = { m_net : Network.t; m_prop : Prop.t; m_enc : Encoding.Milp.t option }
-
-let milp_slot : milp_cache option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let milp_encoding net prop =
-  let slot = Domain.DLS.get milp_slot in
-  match !slot with
-  | Some c when c.m_net == net && c.m_prop == prop -> c.m_enc
-  | _ ->
-      let enc = Encoding.Milp.build net ~prop in
-      slot := Some { m_net = net; m_prop = prop; m_enc = enc };
-      enc
+let milp_encoding = cached Encoding.Milp.build
 
 (* ------------------------------------------------------------------ *)
 (* LP analyzer with triangle relaxation *)
@@ -250,39 +237,29 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
       if deeppoly_shortcut && cheap_lb >= 0.0 then
         { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
       else
-        (* Specialize the persistent per-property encoding to this node;
-           fall back to a fresh one-shot LP when the node is outside the
-           encoding's shape (e.g. a split on a root-stable unit when
-           replaying a specification tree against an updated network). *)
-        let lp, const, reusable =
-          match triangle_encoding net prop with
-          | Some enc -> (
-              try
-                Encoding.Triangle.specialize enc ~box ~splits ~bounds;
-                (Encoding.Triangle.lp enc, Encoding.Triangle.const enc, true)
-              with Encoding.Mismatch ->
-                let lp, const = Encoding.build_lp net ~prop ~box ~splits ~bounds in
-                (lp, const, false))
-          | None ->
-              let lp, const = Encoding.build_lp net ~prop ~box ~splits ~bounds in
-              (lp, const, false)
-        in
+        (* Specialize the persistent per-property encoding to this node
+           and solve it, warm from the parent's basis when one is
+           offered. *)
         let hint = Warm.take_hint () in
         let solved =
           try
-            `Result
-              (match hint with
-              | Some b when warm && reusable -> Lp.solve_from lp b
-              | _ -> Lp.solve lp)
-          with Lp.Iteration_limit | Lp.Numerical_failure _ -> `Solver_failed
+            match triangle_encoding net prop with
+            | None -> `Solver_failed
+            | Some enc ->
+                Encoding.Triangle.specialize enc ~box ~splits ~bounds;
+                let lp = Encoding.Triangle.lp enc in
+                let r = match hint with Some b when warm -> Lp.solve_from lp b | _ -> Lp.solve lp in
+                `Result (lp, Encoding.Triangle.const enc, r)
+          with Encoding.Mismatch | Lp.Iteration_limit | Lp.Numerical_failure _ -> `Solver_failed
         in
         match solved with
         | `Solver_failed ->
-            (* Numerical failure: fall back on the sound cheap bound. *)
+            (* Corrupt bounds or numerical failure: fall back on the
+               sound cheap bound. *)
             if cheap_lb >= 0.0 then { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
             else { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
-        | `Result r -> (
-            record_lp_info lp ~reusable;
+        | `Result (lp, const, r) -> (
+            record_lp_info lp;
             let cert = if certify then evidence_of lp ~const else None in
             match r with
             | Lp.Infeasible ->
@@ -319,79 +296,77 @@ type milp_outcome = {
   witness : Vec.t option;
 }
 
+(* A capped, numerically failed or unencodable search: inconclusive
+   either way, never a fabricated answer. *)
+let milp_inconclusive ~nodes ~lp_solves =
+  { milp_status = Unknown; milp_lb = neg_infinity; nodes; lp_solves; witness = None }
+
 let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box ~splits =
   match Deeppoly.analyze net ~box ~splits with
   | Deeppoly.Infeasible ->
       { milp_status = Verified; milp_lb = infinity; nodes = 0; lp_solves = 0; witness = None }
   | Deeppoly.Feasible dp -> (
       let bounds = Deeppoly.bounds dp in
-      let lp, const, binaries =
-        match milp_encoding net prop with
-        | Some enc -> (
-            try
-              Encoding.Milp.specialize enc ~box ~splits ~bounds;
-              (Encoding.Milp.lp enc, Encoding.Milp.const enc, Encoding.Milp.binaries enc)
-            with Encoding.Mismatch -> Encoding.build_milp net ~prop ~box ~splits ~bounds)
-        | None -> Encoding.build_milp net ~prop ~box ~splits ~bounds
+      let specialized =
+        Option.bind (milp_encoding net prop) (fun enc ->
+            match Encoding.Milp.specialize enc ~box ~splits ~bounds with
+            | () -> Some enc
+            | exception Encoding.Mismatch -> None)
       in
-      (* Verification cutoff: branches that cannot push the objective
-         below 0 cannot yield a counterexample, so the search always
-         prunes at 0; a caller-supplied incumbent can only tighten the
-         cutoff further (this is what "warm starting" amounts to). *)
-      let cutoff = match incumbent with None -> 0.0 | Some v -> Float.min 0.0 v in
-      let report (stats : Ivan_lp.Milp.stats) =
-        Warm.record
-          {
-            Warm.warm_hits = stats.Ivan_lp.Milp.warm_hits;
-            warm_misses = 0;
-            cold_solves = stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits;
-            pivots = stats.Ivan_lp.Milp.simplex_pivots;
-            basis = None;
-          }
-      in
-      match Ivan_lp.Milp.solve ~max_nodes ~incumbent:(cutoff -. const) ~warm lp ~integer:binaries with
-      | Ivan_lp.Milp.Infeasible stats ->
-          (* Either the region is empty or nothing goes below the
-             cutoff.  With the default cutoff 0 that proves the
-             property; with a negative warm cutoff it only bounds the
-             minimum from below. *)
-          report stats;
-          {
-            milp_status = (if cutoff >= 0.0 then Verified else Unknown);
-            milp_lb = cutoff;
-            nodes = stats.Ivan_lp.Milp.nodes;
-            lp_solves = stats.Ivan_lp.Milp.lp_solves;
-            witness = None;
-          }
-      | Ivan_lp.Milp.Node_limit stats | Ivan_lp.Milp.Solver_failure stats ->
-          (* Capped or numerically failed search: inconclusive either
-             way, never a fabricated answer. *)
-          report stats;
-          {
-            milp_status = Unknown;
-            milp_lb = neg_infinity;
-            nodes = stats.Ivan_lp.Milp.nodes;
-            lp_solves = stats.Ivan_lp.Milp.lp_solves;
-            witness = None;
-          }
-      | Ivan_lp.Milp.Optimal { objective; primal; stats } ->
-          report stats;
-          let lb = objective +. const in
-          let witness = Array.sub primal 0 (Box.dim box) in
-          let status =
-            if lb >= 0.0 then Verified
-            else
-              match concrete_status net ~prop witness with
-              | Counterexample x -> Counterexample x
-              | Verified | Unknown -> Unknown
+      match specialized with
+      | None -> milp_inconclusive ~nodes:0 ~lp_solves:0
+      | Some enc -> (
+          let const = Encoding.Milp.const enc in
+          (* Verification cutoff: branches that cannot push the objective
+             below 0 cannot yield a counterexample, so the search always
+             prunes at 0; a caller-supplied incumbent can only tighten
+             the cutoff further (this is what "warm starting" amounts
+             to). *)
+          let cutoff = match incumbent with None -> 0.0 | Some v -> Float.min 0.0 v in
+          let result =
+            Ivan_lp.Milp.solve ~max_nodes ~incumbent:(cutoff -. const) ~warm (Encoding.Milp.lp enc)
+              ~integer:(Encoding.Milp.binaries enc)
           in
-          {
-            milp_status = status;
-            milp_lb = lb;
-            nodes = stats.Ivan_lp.Milp.nodes;
-            lp_solves = stats.Ivan_lp.Milp.lp_solves;
-            witness = Some witness;
-          })
+          let stats =
+            match result with
+            | Ivan_lp.Milp.Infeasible s | Node_limit s | Solver_failure s -> s
+            | Optimal { stats; _ } -> stats
+          in
+          Warm.record
+            {
+              Warm.warm_hits = stats.Ivan_lp.Milp.warm_hits;
+              warm_misses = 0;
+              cold_solves = stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits;
+              pivots = stats.Ivan_lp.Milp.simplex_pivots;
+              basis = None;
+            };
+          let nodes = stats.Ivan_lp.Milp.nodes and lp_solves = stats.Ivan_lp.Milp.lp_solves in
+          match result with
+          | Ivan_lp.Milp.Infeasible _ ->
+              (* Either the region is empty or nothing goes below the
+                 cutoff.  With the default cutoff 0 that proves the
+                 property; with a negative warm cutoff it only bounds the
+                 minimum from below. *)
+              {
+                milp_status = (if cutoff >= 0.0 then Verified else Unknown);
+                milp_lb = cutoff;
+                nodes;
+                lp_solves;
+                witness = None;
+              }
+          | Ivan_lp.Milp.Node_limit _ | Ivan_lp.Milp.Solver_failure _ ->
+              milp_inconclusive ~nodes ~lp_solves
+          | Ivan_lp.Milp.Optimal { objective; primal; _ } ->
+              let lb = objective +. const in
+              let witness = Array.sub primal 0 (Box.dim box) in
+              let status =
+                if lb >= 0.0 then Verified
+                else
+                  match concrete_status net ~prop witness with
+                  | Counterexample x -> Counterexample x
+                  | Verified | Unknown -> Unknown
+              in
+              { milp_status = status; milp_lb = lb; nodes; lp_solves; witness = Some witness }))
 
 let milp_exact ?(max_nodes = 100_000) ?(warm = true) () =
   let run net ~prop ~box ~splits =

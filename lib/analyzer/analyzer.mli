@@ -7,12 +7,16 @@
     [Counterexample x] implies [x] lies in the property's input region
     and concretely violates [psi].
 
-    Three analyzers are provided:
+    Five analyzers are provided:
     - {!lp_triangle}: DeepPoly bounds + LP with the triangle relaxation —
       the paper's baseline for ReLU-splitting BaB [Bunel et al. 2020;
       Ehlers 2017], with GUROBI replaced by {!Ivan_lp.Lp}.
     - {!zonotope}: DeepZ affine forms — the bounding engine of the
       RefineZono-style input-splitting baseline (paper §6.4).
+    - {!deeppoly}: DeepPoly bounds without the LP — the middle rung of
+      the {!with_fallback} degradation ladder.
+    - {!milp_exact}: the exact big-M MILP, complete in one call — an
+      independent decider for tests and the paper's §7 comparison.
     - {!interval}: plain box propagation, mainly for tests. *)
 
 type status = Verified | Counterexample of Ivan_tensor.Vec.t | Unknown
@@ -65,15 +69,19 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     together with a frozen copy of the node's LP, ready for exact
     re-checking.  Certification disables the DeepPoly shortcut (a
     shortcut verdict has no LP certificate) and snapshots each solved
-    LP, so it costs extra time and memory — the [--certify] bench suite
-    quantifies it.  Verdicts and bounds are unchanged.
+    LP, so it costs extra time and memory — perfbench's
+    [fcn-perturb-certified] workload measures it (its [cert.*]
+    metrics).  Verdicts and bounds are unchanged.
 
     Node LPs come from a persistent per-(network, property) encoding
     ({!Encoding.Triangle}) specialized in place per subproblem, and when
     [warm] is true (default) a parent basis offered through {!Warm} is
     used to warm-start the simplex ({!Ivan_lp.Lp.solve_from}).  [warm]
     only toggles the solver entry point — warm and cold runs share the
-    identical specialized LP, so verdicts and bounds are unchanged. *)
+    identical specialized LP, so verdicts and bounds are unchanged.  A
+    node the encoding rejects ({!Encoding.Mismatch}) is treated like a
+    failed solve: the outcome rests on the sound DeepPoly/zonotope
+    bound. *)
 
 (** {2 Warm-start side channel}
 
@@ -91,8 +99,8 @@ module Warm : sig
     cold_solves : int;  (** solves that never attempted a warm start *)
     pivots : int;  (** total simplex pivots across the call's solves *)
     basis : Ivan_lp.Lp.Basis.t option;
-        (** basis to offer to child nodes; [None] when the solve used a
-            one-shot (non-reusable) encoding or did not end [Optimal] *)
+        (** basis to offer to child nodes; [None] when the solve did not
+            end [Optimal] or the call ran the MILP search *)
   }
 
   val offer : Ivan_lp.Lp.Basis.t -> unit

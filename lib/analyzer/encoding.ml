@@ -15,13 +15,6 @@ exception Mismatch
    plus a constant. *)
 type expr = { coeffs : float array; const : float }
 
-let sparse_terms coeffs =
-  let acc = ref [] in
-  for j = Array.length coeffs - 1 downto 0 do
-    if coeffs.(j) <> 0.0 then acc := (j, coeffs.(j)) :: !acc
-  done;
-  !acc
-
 (* Sparse (indices, coefficients) arrays of an expression — the form
    {!Lp.add_row} / {!Lp.set_row} consume directly. *)
 let sparse_arrays coeffs =
@@ -39,29 +32,6 @@ let sparse_arrays coeffs =
       end)
     coeffs;
   (idx, cf)
-
-(* Count the extra LP variables needed: one per ambiguous piecewise
-   unit, and one error variable per smooth unit. *)
-let count_extra_vars net bounds ~splits =
-  let layers = Network.layers net in
-  let total = ref 0 in
-  Array.iteri
-    (fun li layer ->
-      match Layer.classify (Layer.activation layer) with
-      | Layer.Linear_activation -> ()
-      | Layer.Smooth _ -> total := !total + Layer.output_dim layer
-      | Layer.Piecewise _ ->
-          let b = bounds.Bounds.layers.(li) in
-          for idx = 0 to Ivan_tensor.Vec.dim b.Bounds.pre_lo - 1 do
-            let r = Relu_id.make ~layer:li ~index:idx in
-            if
-              b.Bounds.pre_lo.(idx) < 0.0
-              && b.Bounds.pre_hi.(idx) > 0.0
-              && not (Splits.mem r splits)
-            then incr total
-          done)
-    layers;
-  !total
 
 (* Affine image of per-neuron expressions under (w, b).  Hot path:
    iterate raw weight rows and skip structural zeros (conv-lowered rows
@@ -117,501 +87,387 @@ let var_expr nvars v =
 let scale_expr s e = { coeffs = Array.map (fun c -> s *. c) e.coeffs; const = s *. e.const }
 
 (* ------------------------------------------------------------------ *)
-(* Legacy one-shot builders: a fresh LP per subproblem.  Kept as the
-   fallback for subproblems the persistent encodings cannot express
-   (splits on units that are stable at the property root — possible
-   when a specification tree built for one network is replayed on an
-   update with different root bounds). *)
+(* Persistent encodings.
 
-let build_lp net ~prop ~box ~splits ~bounds =
+   An encoding is built ONCE per (network, property) from the root
+   DeepPoly bounds and then specialized per BaB node by mutating only
+   variable bounds and the rows of the affected units — no expression
+   recomputation, no fresh LP.  A unit stable at the root is substituted
+   away by its root phase: the root bounds hold on every node's region,
+   so that substitution is valid everywhere.  Every root-ambiguous unit
+   gets a permanent LP variable and a fixed set of row slots whose
+   coefficients the per-node table rewrites; unused slots become vacuous
+   all-zero rows.  The fixed shape is what makes warm starts work: a
+   parent's {!Lp.Basis.t} maps 1:1 onto every child's problem.
+
+   A node can split a unit that is stable at the root — a specification
+   tree built for one network and replayed on an update does.  The unit
+   is then {e pinned}: the encoding re-encodes itself once with a
+   variable and row slots for it, and the per-node table specializes it
+   like any other.  Bases from before the re-encoding no longer fit, so
+   the node that triggers it falls back to a cold solve; its children
+   warm-start again.  A pinned unit stays pinned for the encoding's
+   life, and at nodes that do not split it the table works from the
+   node's bounds, not the root's; such a node's LP can then be looser
+   than it was before the re-encoding, but never looser than the
+   invariant below allows.
+
+   Invariant: a node's LP is the same as, or tighter than, the per-node
+   encoding built from the node's own bounds ({!build_lp}).  Every
+   constraint beyond that one is a root DeepPoly fact, valid on the
+   node, so the LP stays a sound relaxation.  It is not always the same
+   LP: DeepPoly is not monotone under splits, so a unit stable at the
+   root can be ambiguous under a node's bounds, and the substitution is
+   then strictly tighter than that node's triangle.  On 1,542 random
+   subproblems of random dense ReLU nets (random sub-boxes, 30% of the
+   ReLUs split), 64 had such a unit and 19 had a strictly higher optimum,
+   by up to 28% relative; none had a lower one.  Verdicts cannot flip
+   (both LPs are sound), but a replayed node's bound may rise. *)
+
+(* Whether a piecewise unit gets LP variables: it is pinned, or
+   ambiguous under the bounds the encoding is built from. *)
+let needs_vars bounds ~pinned li idx =
+  Relu_id.Set.mem (Relu_id.make ~layer:li ~index:idx) pinned
+  ||
+  let b = bounds.Bounds.layers.(li) in
+  not (b.Bounds.pre_lo.(idx) >= 0.0 || b.Bounds.pre_hi.(idx) <= 0.0)
+
+(* Units that get LP variables: piecewise units that need them, and
+   every smooth unit. *)
+let count_units net bounds ~pinned =
+  let total = ref 0 in
+  Array.iteri
+    (fun li layer ->
+      match Layer.classify (Layer.activation layer) with
+      | Layer.Linear_activation -> ()
+      | Layer.Smooth _ -> total := !total + Layer.output_dim layer
+      | Layer.Piecewise _ ->
+          for idx = 0 to Layer.output_dim layer - 1 do
+            if needs_vars bounds ~pinned li idx then incr total
+          done)
+    (Network.layers net);
+  !total
+
+(* The walk both encodings share.  Variables [0, d) are the inputs;
+   then, in layer order, every unit that gets variables takes a block of
+   [width] fresh ones, and [on_unit] reserves its rows and returns its
+   record.  Every other piecewise unit is substituted away by its phase
+   under [bounds].  Returns the problem, the objective constant and the
+   unit records in order. *)
+let encode net ~prop ~box ~bounds ~pinned ~width ~on_unit =
   let d = Box.dim box in
-  let nvars = d + count_extra_vars net bounds ~splits in
+  let nvars = d + (width * count_units net bounds ~pinned) in
   let lp = Lp.create nvars in
   for j = 0 to d - 1 do
     Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
   done;
   let next_var = ref d in
+  let units = ref [] in
+  let fresh ~li ~idx act e =
+    let v = !next_var in
+    next_var := v + width;
+    units := on_unit lp ~li ~idx act ~v e :: !units;
+    var_expr nvars v
+  in
   let exprs = ref (input_exprs nvars d) in
-  let layers = Network.layers net in
   Array.iteri
     (fun li layer ->
       let w, b = Layer.dense_affine layer in
       let pre = affine_exprs nvars w b !exprs in
-      let dim = Array.length pre in
-      match Layer.classify (Layer.activation layer) with
-      | Layer.Linear_activation -> exprs := pre
-      | Layer.Smooth { f; df } ->
-          (* post = lambda*pre + e with e a fresh variable bounded by
-             the parallel-line sandwich (no extra rows needed). *)
-          let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
-          let ub = bounds.Bounds.layers.(li).Bounds.pre_hi in
-          let post =
-            Array.init dim (fun idx ->
-                let e = pre.(idx) in
-                let l = lb.(idx) and u = ub.(idx) in
-                let lambda = Float.min (df l) (df u) in
-                let g_lo = f l -. (lambda *. l) and g_hi = f u -. (lambda *. u) in
-                let v = !next_var in
-                incr next_var;
-                Lp.set_bounds lp v g_lo g_hi;
-                let coeffs = Array.map (fun c -> lambda *. c) e.coeffs in
-                coeffs.(v) <- coeffs.(v) +. 1.0;
-                { coeffs; const = lambda *. e.const })
-          in
-          exprs := post
-      | Layer.Piecewise slope ->
-          let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
-          let ub = bounds.Bounds.layers.(li).Bounds.pre_hi in
-          let post =
-            Array.init dim (fun idx ->
-                let e = pre.(idx) in
-                let phase = Splits.find (Relu_id.make ~layer:li ~index:idx) splits in
-                match phase with
-                | Some Splits.Pos ->
-                    (* assume pre >= 0: -(pre) <= 0; the unit is exactly
-                       the identity on this side. *)
-                    Lp.add_constraint lp
-                      (sparse_terms (Array.map (fun v -> -.v) e.coeffs))
-                      Lp.Le e.const;
-                    e
-                | Some Splits.Neg ->
-                    (* assume pre <= 0; the unit is exactly y = slope*x
-                       (the zero function for ReLU). *)
-                    Lp.add_constraint lp (sparse_terms e.coeffs) Lp.Le (-.e.const);
-                    scale_expr slope e
-                | None ->
-                    if lb.(idx) >= 0.0 then e
-                    else if ub.(idx) <= 0.0 then scale_expr slope e
-                    else begin
-                      (* Triangle relaxation with a fresh variable v:
-                         v >= pre, v >= slope*pre, and v below the chord
-                         through (l, slope*l) and (u, u). *)
-                      let v = !next_var in
-                      incr next_var;
-                      let l = lb.(idx) and u = ub.(idx) in
-                      Lp.set_bounds lp v (slope *. l) u;
-                      (* v >= pre:  pre - v <= 0 *)
-                      Lp.add_constraint lp ((v, -1.0) :: sparse_terms e.coeffs) Lp.Le (-.e.const);
-                      (* v >= slope*pre (vacuous for ReLU: covered by
-                         the variable's lower bound of 0). *)
-                      if slope > 0.0 then
-                        Lp.add_constraint lp
-                          ((v, -1.0) :: sparse_terms (Array.map (fun c -> slope *. c) e.coeffs))
-                          Lp.Le (-.slope *. e.const);
-                      (* chord: v <= lambda*pre + mu, with
-                         lambda = (u - slope*l)/(u - l) and
-                         mu = l*(slope - lambda). *)
-                      let lambda = (u -. (slope *. l)) /. (u -. l) in
-                      let mu = l *. (slope -. lambda) in
-                      let chord = Array.map (fun cv -> -.lambda *. cv) e.coeffs in
-                      Lp.add_constraint lp
-                        ((v, 1.0) :: sparse_terms chord)
-                        Lp.Le (mu +. (lambda *. e.const));
-                      let coeffs = Array.make nvars 0.0 in
-                      coeffs.(v) <- 1.0;
-                      { coeffs; const = 0.0 }
-                    end)
-          in
-          exprs := post)
-    layers;
+      let act = Layer.classify (Layer.activation layer) in
+      exprs :=
+        match act with
+        | Layer.Linear_activation -> pre
+        | Layer.Smooth _ -> Array.mapi (fun idx e -> fresh ~li ~idx act e) pre
+        | Layer.Piecewise slope ->
+            let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
+            Array.mapi
+              (fun idx e ->
+                if needs_vars bounds ~pinned li idx then fresh ~li ~idx act e
+                else if lb.(idx) >= 0.0 then e
+                else scale_expr slope e)
+              pre)
+    (Network.layers net);
   let obj, const = objective_of nvars !exprs ~c:prop.Prop.c ~offset:prop.Prop.offset in
   Lp.set_objective lp obj;
-  (lp, const)
+  (lp, const, Array.of_list (List.rev !units))
 
-let build_milp net ~prop ~box ~splits ~bounds =
-  let d = Box.dim box in
-  let ambiguous = count_extra_vars net bounds ~splits in
-  (* Inputs, then (v, z) pairs per ambiguous ReLU. *)
-  let nvars = d + (2 * ambiguous) in
-  let lp = Lp.create nvars in
-  for j = 0 to d - 1 do
+(* One encoding's current problem.  [covered] holds every unit a node
+   may split without a re-encoding: the pinned units and the units with
+   variables. *)
+type 'u shape = { lp : Lp.problem; const : float; units : 'u array; covered : Relu_id.Set.t }
+
+(* An encoding: its input dimension, its current shape, and how to
+   re-encode it with a given set of pinned units. *)
+type 'u persistent = {
+  d : int;
+  reencode : Relu_id.Set.t -> 'u shape;
+  mutable shape : 'u shape;
+}
+
+let persistent net ~prop ~box ~bounds ~pinned ~width ~on_unit ~relu =
+  let reencode pinned =
+    let lp, const, units = encode net ~prop ~box ~bounds ~pinned ~width ~on_unit in
+    let covered = Array.fold_left (fun acc u -> Relu_id.Set.add (relu u) acc) pinned units in
+    { lp; const; units; covered }
+  in
+  { d = Box.dim box; reencode; shape = reencode pinned }
+
+let split_units splits =
+  List.fold_left
+    (fun acc (id, _) -> Relu_id.Set.add id acc)
+    Relu_id.Set.empty (Splits.bindings splits)
+
+(* Make the shape cover every split of the node (pinning the units it
+   substituted away), then set the input box.  Returns the problem to
+   specialize. *)
+let prepare p ~box ~splits =
+  if Box.dim box <> p.d then raise Mismatch;
+  let split = split_units splits and covered = p.shape.covered in
+  if not (Relu_id.Set.subset split covered) then
+    p.shape <- p.reencode (Relu_id.Set.union split covered);
+  let lp = p.shape.lp in
+  for j = 0 to p.d - 1 do
     Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
   done;
-  let next_var = ref d in
-  let binaries = ref [] in
-  let exprs = ref (input_exprs nvars d) in
-  let layers = Network.layers net in
-  Array.iteri
-    (fun li layer ->
-      let w, b = Layer.dense_affine layer in
-      let pre = affine_exprs nvars w b !exprs in
-      let dim = Array.length pre in
-      match Layer.classify (Layer.activation layer) with
-      | Layer.Linear_activation -> exprs := pre
-      | Layer.Smooth _ -> invalid_arg "Analyzer.milp: only plain ReLU networks are supported"
-      | Layer.Piecewise slope ->
-          if slope <> 0.0 then
-            invalid_arg "Analyzer.milp: only plain ReLU networks are supported";
-          let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
-          let ub = bounds.Bounds.layers.(li).Bounds.pre_hi in
-          let zero_expr = { coeffs = Array.make nvars 0.0; const = 0.0 } in
-          let post =
-            Array.init dim (fun idx ->
-                let e = pre.(idx) in
-                let phase = Splits.find (Relu_id.make ~layer:li ~index:idx) splits in
-                match phase with
-                | Some Splits.Pos ->
-                    Lp.add_constraint lp
-                      (sparse_terms (Array.map (fun v -> -.v) e.coeffs))
-                      Lp.Le e.const;
-                    e
-                | Some Splits.Neg ->
-                    Lp.add_constraint lp (sparse_terms e.coeffs) Lp.Le (-.e.const);
-                    zero_expr
-                | None ->
-                    if lb.(idx) >= 0.0 then e
-                    else if ub.(idx) <= 0.0 then zero_expr
-                    else begin
-                      (* v = relu(pre) with indicator z:
-                         v >= 0, v >= pre, v <= pre - l(1-z), v <= u z. *)
-                      let v = !next_var in
-                      let z = !next_var + 1 in
-                      next_var := !next_var + 2;
-                      binaries := z :: !binaries;
-                      let l = lb.(idx) and u = ub.(idx) in
-                      Lp.set_bounds lp v 0.0 u;
-                      Lp.set_bounds lp z 0.0 1.0;
-                      (* pre - v <= 0 *)
-                      Lp.add_constraint lp ((v, -1.0) :: sparse_terms e.coeffs) Lp.Le (-.e.const);
-                      (* v - pre - l z <= -l *)
-                      Lp.add_constraint lp
-                        ((v, 1.0) :: (z, -.l) :: sparse_terms (Array.map (fun c -> -.c) e.coeffs))
-                        Lp.Le (-.l +. e.const);
-                      (* v - u z <= 0 *)
-                      Lp.add_constraint lp [ (v, 1.0); (z, -.u) ] Lp.Le 0.0;
-                      let coeffs = Array.make nvars 0.0 in
-                      coeffs.(v) <- 1.0;
-                      { coeffs; const = 0.0 }
-                    end)
-          in
-          exprs := post)
-    layers;
-  let obj, const = objective_of nvars !exprs ~c:prop.Prop.c ~offset:prop.Prop.offset in
-  Lp.set_objective lp obj;
-  (lp, const, List.rev !binaries)
+  lp
+
+(* Write a vacuous all-zero row into a slot (0 <= 0). *)
+let vacuous lp row = Lp.set_row lp row [||] [||] Lp.Le 0.0
+
+(* A unit's pre-activation bounds at the node.  @raise Mismatch on NaN
+   or inverted bounds. *)
+let node_bounds bounds li idx =
+  let l = bounds.Bounds.layers.(li).Bounds.pre_lo.(idx) in
+  let h = bounds.Bounds.layers.(li).Bounds.pre_hi.(idx) in
+  if Float.is_nan l || Float.is_nan h || l > h then raise Mismatch;
+  (l, h)
+
+(* The root DeepPoly bounds of a property; [None] when the root is
+   DeepPoly-infeasible. *)
+let root_bounds net ~prop =
+  match Deeppoly.analyze net ~box:prop.Prop.input ~splits:Splits.empty with
+  | Deeppoly.Infeasible -> None
+  | Deeppoly.Feasible dp -> Some (Deeppoly.bounds dp)
 
 (* ------------------------------------------------------------------ *)
-(* Persistent triangle encoding.
-
-   Built ONCE per (network, property) from the root DeepPoly bounds and
-   then specialized per BaB node by mutating only variable bounds and
-   the rows of the affected units — no expression recomputation, no
-   fresh LP.  The key invariant making this possible: stability is
-   monotone under subproblem tightening, so a unit stable at the root
-   stays stable (same phase) at every node and can be substituted away
-   for good, while every root-ambiguous unit gets a permanent LP
-   variable [v] and four permanent row slots whose coefficients are
-   rewritten per node:
+(* Triangle encoding.  Row slots per piecewise unit with variable [v]:
 
      A:  pre - v <= 0                (v >= pre)
      B:  v - lambda*pre <= mu        (chord / upper equality side)
      C:  slope*pre - v <= 0          (v >= slope*pre)
      D:  +/- pre <= 0                (the node's split assumption)
 
-   Unused slots become vacuous all-zero rows.  The per-node row/bound
-   table below reproduces the legacy per-node polytope exactly (same
-   feasible projection, hence the same optimum), so switching between
-   the persistent and legacy builders never changes a verdict.  The
-   fixed shape is also what makes warm starts work: a parent's
-   {!Lp.Basis.t} maps 1:1 onto every child's problem. *)
+   and per smooth unit two rows holding [v - lambda*pre] inside the
+   parallel-line sandwich. *)
 
-type punit = {
-  var : int;
-  relu : Relu_id.t;
-  li : int;
-  idx : int;
+type piecewise_rows = {
   slope : float;
-  pre_const : float;
-  pre_idx : int array;
-  pre_cf : float array;
   row_a : int;
   row_b : int;
   row_c : int;
   row_d : int;
-  vrow_idx : int array;  (* [| var; pre vars... |], shared by rows A-C *)
-  scratch : float array;  (* coefficient scratch, len 1 + nnz(pre) *)
   d_scratch : float array;  (* split-row scratch, len nnz(pre) *)
 }
 
-type sunit = {
-  svar : int;
-  sli : int;
-  sidx : int;
-  sf : float -> float;
-  sdf : float -> float;
-  spre_const : float;
-  spre_idx : int array;
-  spre_cf : float array;
-  row_hi : int;
-  row_lo : int;
-  svrow_idx : int array;
-  sscratch : float array;
+type smooth_rows = { f : float -> float; df : float -> float; row_hi : int; row_lo : int }
+
+type tkind = Piecewise_unit of piecewise_rows | Smooth_unit of smooth_rows
+
+type tunit = {
+  var : int;
+  relu : Relu_id.t;
+  li : int;
+  idx : int;
+  pre_const : float;
+  pre_idx : int array;
+  pre_cf : float array;
+  vrow_idx : int array;  (* [| var; pre vars... |], shared by the var rows *)
+  scratch : float array;  (* coefficient scratch, len 1 + nnz(pre) *)
+  kind : tkind;
 }
 
 module Triangle = struct
-  type t = {
-    lp : Lp.problem;
-    const : float;
-    d : int;
-    punits : punit array;
-    sunits : sunit array;
-    encoded : Relu_id.Set.t;
-  }
+  type t = tunit persistent
 
-  let lp t = t.lp
+  let lp t = t.shape.lp
 
-  let const t = t.const
+  let const t = t.shape.const
+
+  let on_unit lp ~li ~idx act ~v e =
+    let pre_idx, pre_cf = sparse_arrays e.coeffs in
+    let vrow_idx = Array.append [| v |] pre_idx in
+    let slot cmp = Lp.add_row lp [||] [||] cmp 0.0 in
+    let kind =
+      match act with
+      | Layer.Smooth { f; df } ->
+          let row_hi = slot Lp.Le in
+          let row_lo = slot Lp.Ge in
+          Smooth_unit { f; df; row_hi; row_lo }
+      | Layer.Piecewise slope ->
+          let row_a = slot Lp.Le in
+          let row_b = slot Lp.Le in
+          let row_c = slot Lp.Le in
+          let row_d = slot Lp.Le in
+          Piecewise_unit
+            { slope; row_a; row_b; row_c; row_d; d_scratch = Array.make (Array.length pre_idx) 0.0 }
+      | Layer.Linear_activation -> assert false
+    in
+    {
+      var = v;
+      relu = Relu_id.make ~layer:li ~index:idx;
+      li;
+      idx;
+      pre_const = e.const;
+      pre_idx;
+      pre_cf;
+      vrow_idx;
+      scratch = Array.make (Array.length vrow_idx) 0.0;
+      kind;
+    }
+
+  let make net ~prop ~box ~bounds ~pinned =
+    persistent net ~prop ~box ~bounds ~pinned ~width:1 ~on_unit ~relu:(fun u -> u.relu)
 
   let build net ~prop =
-    let box = prop.Prop.input in
-    match Deeppoly.analyze net ~box ~splits:Splits.empty with
-    | Deeppoly.Infeasible -> None
-    | Deeppoly.Feasible dp ->
-        let bounds = Deeppoly.bounds dp in
-        let d = Box.dim box in
-        let nvars = d + count_extra_vars net bounds ~splits:Splits.empty in
-        let lp = Lp.create nvars in
-        for j = 0 to d - 1 do
-          Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
-        done;
-        let next_var = ref d in
-        let punits = ref [] in
-        let sunits = ref [] in
-        let exprs = ref (input_exprs nvars d) in
-        let layers = Network.layers net in
-        Array.iteri
-          (fun li layer ->
-            let w, b = Layer.dense_affine layer in
-            let pre = affine_exprs nvars w b !exprs in
-            let dim = Array.length pre in
-            match Layer.classify (Layer.activation layer) with
-            | Layer.Linear_activation -> exprs := pre
-            | Layer.Smooth { f; df } ->
-                let post =
-                  Array.init dim (fun idx ->
-                      let e = pre.(idx) in
-                      let v = !next_var in
-                      incr next_var;
-                      let pre_idx, pre_cf = sparse_arrays e.coeffs in
-                      let svrow_idx = Array.append [| v |] pre_idx in
-                      let row_hi = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                      let row_lo = Lp.add_row lp [||] [||] Lp.Ge 0.0 in
-                      sunits :=
-                        {
-                          svar = v;
-                          sli = li;
-                          sidx = idx;
-                          sf = f;
-                          sdf = df;
-                          spre_const = e.const;
-                          spre_idx = pre_idx;
-                          spre_cf = pre_cf;
-                          row_hi;
-                          row_lo;
-                          svrow_idx;
-                          sscratch = Array.make (Array.length svrow_idx) 0.0;
-                        }
-                        :: !sunits;
-                      var_expr nvars v)
-                in
-                exprs := post
-            | Layer.Piecewise slope ->
-                let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
-                let ub = bounds.Bounds.layers.(li).Bounds.pre_hi in
-                let post =
-                  Array.init dim (fun idx ->
-                      let e = pre.(idx) in
-                      if lb.(idx) >= 0.0 then e
-                      else if ub.(idx) <= 0.0 then scale_expr slope e
-                      else begin
-                        let v = !next_var in
-                        incr next_var;
-                        let pre_idx, pre_cf = sparse_arrays e.coeffs in
-                        let vrow_idx = Array.append [| v |] pre_idx in
-                        let row_a = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                        let row_b = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                        let row_c = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                        let row_d = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                        punits :=
-                          {
-                            var = v;
-                            relu = Relu_id.make ~layer:li ~index:idx;
-                            li;
-                            idx;
-                            slope;
-                            pre_const = e.const;
-                            pre_idx;
-                            pre_cf;
-                            row_a;
-                            row_b;
-                            row_c;
-                            row_d;
-                            vrow_idx;
-                            scratch = Array.make (Array.length vrow_idx) 0.0;
-                            d_scratch = Array.make (Array.length pre_idx) 0.0;
-                          }
-                          :: !punits;
-                        var_expr nvars v
-                      end)
-                in
-                exprs := post)
-          layers;
-        let obj, const = objective_of nvars !exprs ~c:prop.Prop.c ~offset:prop.Prop.offset in
-        Lp.set_objective lp obj;
-        let punits = Array.of_list (List.rev !punits) in
-        let sunits = Array.of_list (List.rev !sunits) in
-        let encoded =
-          Array.fold_left (fun acc u -> Relu_id.Set.add u.relu acc) Relu_id.Set.empty punits
-        in
-        Some { lp; const; d; punits; sunits; encoded }
-
-  (* Write a vacuous all-zero row into a slot (0 <= 0). *)
-  let vacuous lp row = Lp.set_row lp row [||] [||] Lp.Le 0.0
+    Option.map
+      (fun bounds -> make net ~prop ~box:prop.Prop.input ~bounds ~pinned:Relu_id.Set.empty)
+      (root_bounds net ~prop)
 
   (* Row over [var; pre...]: scale*pre + vcoeff*v <= rhs. *)
-  let set_vrow lp row vrow_idx scratch pre_cf ~vcoeff ~scale ~rhs =
-    scratch.(0) <- vcoeff;
-    for k = 0 to Array.length pre_cf - 1 do
-      scratch.(k + 1) <- scale *. pre_cf.(k)
+  let set_vrow lp row u ~vcoeff ~scale ~rhs =
+    u.scratch.(0) <- vcoeff;
+    for k = 0 to Array.length u.pre_cf - 1 do
+      u.scratch.(k + 1) <- scale *. u.pre_cf.(k)
     done;
-    Lp.set_row lp row vrow_idx scratch Lp.Le rhs
+    Lp.set_row lp row u.vrow_idx u.scratch Lp.Le rhs
+
+  let specialize_piecewise lp u { slope = s; row_a; row_b; row_c; row_d; d_scratch } ~splits ~l ~h =
+    let a_active () =
+      (* A: pre - v <= 0 *)
+      set_vrow lp row_a u ~vcoeff:(-1.0) ~scale:1.0 ~rhs:(-.u.pre_const)
+    in
+    let b_chord lambda mu =
+      (* B: v - lambda*pre <= mu *)
+      set_vrow lp row_b u ~vcoeff:1.0 ~scale:(-.lambda) ~rhs:(mu +. (lambda *. u.pre_const))
+    in
+    let c_active () =
+      (* C: slope*pre - v <= 0 *)
+      set_vrow lp row_c u ~vcoeff:(-1.0) ~scale:s ~rhs:(-.s *. u.pre_const)
+    in
+    let d_split sign =
+      (* D: sign*pre <= 0 *)
+      for k = 0 to Array.length u.pre_cf - 1 do
+        d_scratch.(k) <- sign *. u.pre_cf.(k)
+      done;
+      Lp.set_row lp row_d u.pre_idx d_scratch Lp.Le (-.sign *. u.pre_const)
+    in
+    (* Even when rows pin [v] exactly (v = pre or v = slope*pre), give
+       it the finite bounds those rows imply rather than leaving it
+       free: the feasible set is unchanged, but dual certificates need
+       finite variable bounds to absorb the float residue of reduced
+       costs — a free variable with a nonzero exact reduced cost would
+       imply a bound of -inf and the proof checker would have to reject
+       the certificate. *)
+    let bound_var lo hi = Lp.set_bounds lp u.var lo hi in
+    match Splits.find u.relu splits with
+    | Some Splits.Pos ->
+        (* v = pre on this side, plus the assumption pre >= 0. *)
+        a_active ();
+        b_chord 1.0 0.0;
+        vacuous lp row_c;
+        d_split (-1.0);
+        bound_var (Float.max l 0.0) (Float.max h 0.0)
+    | Some Splits.Neg ->
+        (* v = slope*pre, plus pre <= 0. *)
+        vacuous lp row_a;
+        if s > 0.0 then begin
+          b_chord s 0.0;
+          c_active ();
+          bound_var (s *. Float.min l 0.0) (s *. Float.min h 0.0)
+        end
+        else begin
+          vacuous lp row_b;
+          vacuous lp row_c;
+          bound_var 0.0 0.0
+        end;
+        d_split 1.0
+    | None ->
+        if l >= 0.0 then begin
+          (* Stable-positive at this node: v = pre exactly. *)
+          a_active ();
+          b_chord 1.0 0.0;
+          vacuous lp row_c;
+          vacuous lp row_d;
+          bound_var l h
+        end
+        else if h <= 0.0 then begin
+          (* Stable-negative: v = slope*pre exactly. *)
+          vacuous lp row_a;
+          if s > 0.0 then begin
+            b_chord s 0.0;
+            c_active ();
+            bound_var (s *. l) (s *. h)
+          end
+          else begin
+            vacuous lp row_b;
+            vacuous lp row_c;
+            bound_var 0.0 0.0
+          end;
+          vacuous lp row_d
+        end
+        else begin
+          (* Ambiguous: the triangle relaxation. *)
+          a_active ();
+          let lambda = (h -. (s *. l)) /. (h -. l) in
+          let mu = l *. (s -. lambda) in
+          b_chord lambda mu;
+          if s > 0.0 then c_active () else vacuous lp row_c;
+          vacuous lp row_d;
+          bound_var (s *. l) h
+        end
+
+  let specialize_smooth lp u { f; df; row_hi; row_lo } ~l ~h =
+    let lambda = Float.min (df l) (df h) in
+    let g_lo = f l -. (lambda *. l) in
+    let g_hi = f h -. (lambda *. h) in
+    (* v - lambda*pre within the sandwich [g_lo, g_hi]. *)
+    u.scratch.(0) <- 1.0;
+    for k = 0 to Array.length u.pre_cf - 1 do
+      u.scratch.(k + 1) <- -.lambda *. u.pre_cf.(k)
+    done;
+    Lp.set_row lp row_hi u.vrow_idx u.scratch Lp.Le (g_hi +. (lambda *. u.pre_const));
+    Lp.set_row lp row_lo u.vrow_idx u.scratch Lp.Ge (g_lo +. (lambda *. u.pre_const));
+    (* Finite bounds implied by the sandwich rows and pre in [l, h]
+       (same rationale as the piecewise units: free variables make dual
+       certificates uncheckable). *)
+    let lo_p = Float.min (lambda *. l) (lambda *. h)
+    and hi_p = Float.max (lambda *. l) (lambda *. h) in
+    Lp.set_bounds lp u.var (lo_p +. Float.min g_lo g_hi) (hi_p +. Float.max g_lo g_hi)
 
   let specialize t ~box ~splits ~bounds =
-    if Box.dim box <> t.d then raise Mismatch;
-    List.iter
-      (fun (id, _) -> if not (Relu_id.Set.mem id t.encoded) then raise Mismatch)
-      (Splits.bindings splits);
-    for j = 0 to t.d - 1 do
-      Lp.set_bounds t.lp j (Box.lo_at box j) (Box.hi_at box j)
-    done;
+    let lp = prepare t ~box ~splits in
     Array.iter
       (fun u ->
-        let l = bounds.Bounds.layers.(u.li).Bounds.pre_lo.(u.idx) in
-        let h = bounds.Bounds.layers.(u.li).Bounds.pre_hi.(u.idx) in
-        if Float.is_nan l || Float.is_nan h || l > h then raise Mismatch;
-        let s = u.slope in
-        let lp = t.lp in
-        let a_active () =
-          (* A: pre - v <= 0 *)
-          set_vrow lp u.row_a u.vrow_idx u.scratch u.pre_cf ~vcoeff:(-1.0) ~scale:1.0
-            ~rhs:(-.u.pre_const)
-        in
-        let b_chord lambda mu =
-          (* B: v - lambda*pre <= mu *)
-          set_vrow lp u.row_b u.vrow_idx u.scratch u.pre_cf ~vcoeff:1.0 ~scale:(-.lambda)
-            ~rhs:(mu +. (lambda *. u.pre_const))
-        in
-        let c_active () =
-          (* C: slope*pre - v <= 0 *)
-          set_vrow lp u.row_c u.vrow_idx u.scratch u.pre_cf ~vcoeff:(-1.0) ~scale:s
-            ~rhs:(-.s *. u.pre_const)
-        in
-        let d_split sign =
-          (* D: sign*pre <= 0 *)
-          for k = 0 to Array.length u.pre_cf - 1 do
-            u.d_scratch.(k) <- sign *. u.pre_cf.(k)
-          done;
-          Lp.set_row lp u.row_d u.pre_idx u.d_scratch Lp.Le (-.sign *. u.pre_const)
-        in
-        (* Even when rows pin [v] exactly (v = pre or v = slope*pre),
-           give it the finite bounds those rows imply rather than
-           leaving it free: the feasible set is unchanged, but dual
-           certificates need finite variable bounds to absorb the float
-           residue of reduced costs — a free variable with a nonzero
-           exact reduced cost would imply a bound of -inf and the proof
-           checker would have to reject the certificate. *)
-        let bound_var lo hi = Lp.set_bounds lp u.var lo hi in
-        match Splits.find u.relu splits with
-        | Some Splits.Pos ->
-            (* v = pre on this side, plus the assumption pre >= 0. *)
-            a_active ();
-            b_chord 1.0 0.0;
-            vacuous lp u.row_c;
-            d_split (-1.0);
-            bound_var (Float.max l 0.0) (Float.max h 0.0)
-        | Some Splits.Neg ->
-            (* v = slope*pre, plus pre <= 0. *)
-            vacuous lp u.row_a;
-            if s > 0.0 then begin
-              b_chord s 0.0;
-              c_active ();
-              bound_var (s *. Float.min l 0.0) (s *. Float.min h 0.0)
-            end
-            else begin
-              vacuous lp u.row_b;
-              vacuous lp u.row_c;
-              Lp.set_bounds lp u.var 0.0 0.0
-            end;
-            d_split 1.0
-        | None ->
-            if l >= 0.0 then begin
-              (* Stable-positive at this node: v = pre exactly. *)
-              a_active ();
-              b_chord 1.0 0.0;
-              vacuous lp u.row_c;
-              vacuous lp u.row_d;
-              bound_var l h
-            end
-            else if h <= 0.0 then begin
-              (* Stable-negative: v = slope*pre exactly. *)
-              vacuous lp u.row_a;
-              if s > 0.0 then begin
-                b_chord s 0.0;
-                c_active ();
-                bound_var (s *. l) (s *. h)
-              end
-              else begin
-                vacuous lp u.row_b;
-                vacuous lp u.row_c;
-                Lp.set_bounds lp u.var 0.0 0.0
-              end;
-              vacuous lp u.row_d
-            end
-            else begin
-              (* Ambiguous: the triangle relaxation. *)
-              a_active ();
-              let lambda = (h -. (s *. l)) /. (h -. l) in
-              let mu = l *. (s -. lambda) in
-              b_chord lambda mu;
-              if s > 0.0 then c_active () else vacuous lp u.row_c;
-              vacuous lp u.row_d;
-              Lp.set_bounds lp u.var (s *. l) h
-            end)
-      t.punits;
-    Array.iter
-      (fun u ->
-        let l = bounds.Bounds.layers.(u.sli).Bounds.pre_lo.(u.sidx) in
-        let h = bounds.Bounds.layers.(u.sli).Bounds.pre_hi.(u.sidx) in
-        if Float.is_nan l || Float.is_nan h || l > h then raise Mismatch;
-        let lambda = Float.min (u.sdf l) (u.sdf h) in
-        let g_lo = u.sf l -. (lambda *. l) in
-        let g_hi = u.sf h -. (lambda *. h) in
-        (* v - lambda*pre within the sandwich [g_lo, g_hi]. *)
-        u.sscratch.(0) <- 1.0;
-        for k = 0 to Array.length u.spre_cf - 1 do
-          u.sscratch.(k + 1) <- -.lambda *. u.spre_cf.(k)
-        done;
-        Lp.set_row t.lp u.row_hi u.svrow_idx u.sscratch Lp.Le (g_hi +. (lambda *. u.spre_const));
-        Lp.set_row t.lp u.row_lo u.svrow_idx u.sscratch Lp.Ge (g_lo +. (lambda *. u.spre_const));
-        (* Finite bounds implied by the sandwich rows and pre in [l, h]
-           (same rationale as the piecewise units above: free variables
-           make dual certificates uncheckable). *)
-        let lo_p = Float.min (lambda *. l) (lambda *. h)
-        and hi_p = Float.max (lambda *. l) (lambda *. h) in
-        Lp.set_bounds t.lp u.svar
-          (lo_p +. Float.min g_lo g_hi)
-          (hi_p +. Float.max g_lo g_hi))
-      t.sunits
+        let l, h = node_bounds bounds u.li u.idx in
+        match u.kind with
+        | Piecewise_unit rows -> specialize_piecewise lp u rows ~splits ~l ~h
+        | Smooth_unit rows -> specialize_smooth lp u rows ~l ~h)
+      t.shape.units
 end
 
+let build_lp net ~prop ~box ~splits ~bounds =
+  let t = Triangle.make net ~prop ~box ~bounds ~pinned:(split_units splits) in
+  Triangle.specialize t ~box ~splits ~bounds;
+  (Triangle.lp t, Triangle.const t)
+
 (* ------------------------------------------------------------------ *)
-(* Persistent MILP encoding: big-M indicator form with a permanent
-   (v, z) pair per root-ambiguous ReLU.  Units resolved at a node
-   (stable or split) keep their pair with z pinned to the known phase
-   ([1,1] or [0,0]) and vacuous big-M rows, so the integral feasible
-   set — and hence the exact MILP optimum — matches the legacy per-node
-   encoding; pinned binaries are never fractional, so branching visits
-   the same candidates.  Row slots per unit:
+(* MILP encoding: big-M indicator form with a (v, z) pair per unit with
+   variables.  Units resolved at a node (stable or split) keep their
+   pair with z pinned to the known phase ([1,1] or [0,0]) and vacuous
+   big-M rows, so the integral feasible set is the node's region and
+   the MILP optimum is exact; pinned binaries are never fractional, so
+   the search never branches on them.  Row slots per unit:
 
      M1:  pre - v <= 0          (fixed at build)
      M2:  v - pre - l*z <= -l   (per-node l; vacuous when z pinned 0)
@@ -636,137 +492,63 @@ type munit = {
 }
 
 module Milp = struct
-  type t = {
-    lp : Lp.problem;
-    const : float;
-    d : int;
-    munits : munit array;
-    binaries : int list;
-    encoded : Relu_id.Set.t;
-  }
+  type t = munit persistent
 
-  let lp t = t.lp
+  let lp t = t.shape.lp
 
-  let const t = t.const
+  let const t = t.shape.const
 
-  let binaries t = t.binaries
+  let binaries t = Array.to_list (Array.map (fun u -> u.mz) t.shape.units)
 
-  (* Plain-ReLU networks only; [None] for anything else (the legacy
-     builder then raises the historical [Invalid_argument] at node
-     time) or for a root-infeasible property. *)
+  let on_unit lp ~li ~idx _act ~v e =
+    let z = v + 1 in
+    let pre_idx, pre_cf = sparse_arrays e.coeffs in
+    (* M1 is phase-independent: v >= pre always holds for ReLU. *)
+    let m1_idx = Array.append [| v |] pre_idx and m1_cf = Array.append [| -1.0 |] pre_cf in
+    ignore (Lp.add_row lp m1_idx m1_cf Lp.Le (-.e.const));
+    let row_m2 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
+    let row_m3 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
+    let row_m4 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
+    let m2_idx = Array.append [| v; z |] pre_idx in
+    {
+      mvar = v;
+      mz = z;
+      mrelu = Relu_id.make ~layer:li ~index:idx;
+      mli = li;
+      midx = idx;
+      mpre_const = e.const;
+      mpre_idx = pre_idx;
+      mpre_cf = pre_cf;
+      row_m2;
+      row_m3;
+      row_m4;
+      m2_idx;
+      m2_scratch = Array.make (Array.length m2_idx) 0.0;
+      m4_scratch = Array.make (Array.length pre_idx) 0.0;
+    }
+
   let build net ~prop =
-    let supported =
-      Array.for_all
-        (fun layer ->
+    Array.iter
+      (fun layer ->
+        let plain_relu =
           match Layer.classify (Layer.activation layer) with
           | Layer.Linear_activation -> true
           | Layer.Smooth _ -> false
-          | Layer.Piecewise slope -> slope = 0.0)
-        (Network.layers net)
-    in
-    if not supported then None
-    else
-      let box = prop.Prop.input in
-      match Deeppoly.analyze net ~box ~splits:Splits.empty with
-      | Deeppoly.Infeasible -> None
-      | Deeppoly.Feasible dp ->
-          let bounds = Deeppoly.bounds dp in
-          let d = Box.dim box in
-          let ambiguous = count_extra_vars net bounds ~splits:Splits.empty in
-          let nvars = d + (2 * ambiguous) in
-          let lp = Lp.create nvars in
-          for j = 0 to d - 1 do
-            Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
-          done;
-          let next_var = ref d in
-          let munits = ref [] in
-          let exprs = ref (input_exprs nvars d) in
-          let layers = Network.layers net in
-          Array.iteri
-            (fun li layer ->
-              let w, b = Layer.dense_affine layer in
-              let pre = affine_exprs nvars w b !exprs in
-              let dim = Array.length pre in
-              match Layer.classify (Layer.activation layer) with
-              | Layer.Linear_activation -> exprs := pre
-              | Layer.Smooth _ -> assert false
-              | Layer.Piecewise _ ->
-                  let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
-                  let ub = bounds.Bounds.layers.(li).Bounds.pre_hi in
-                  let zero_expr = { coeffs = Array.make nvars 0.0; const = 0.0 } in
-                  let post =
-                    Array.init dim (fun idx ->
-                        let e = pre.(idx) in
-                        if lb.(idx) >= 0.0 then e
-                        else if ub.(idx) <= 0.0 then zero_expr
-                        else begin
-                          let v = !next_var in
-                          let z = !next_var + 1 in
-                          next_var := !next_var + 2;
-                          let pre_idx, pre_cf = sparse_arrays e.coeffs in
-                          (* M1 is phase-independent: v >= pre always
-                             holds for ReLU. *)
-                          let m1_idx = Array.append [| v |] pre_idx in
-                          let m1_cf = Array.append [| -1.0 |] pre_cf in
-                          ignore (Lp.add_row lp m1_idx m1_cf Lp.Le (-.e.const));
-                          let row_m2 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                          let row_m3 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                          let row_m4 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-                          let m2_idx = Array.append [| v; z |] pre_idx in
-                          munits :=
-                            {
-                              mvar = v;
-                              mz = z;
-                              mrelu = Relu_id.make ~layer:li ~index:idx;
-                              mli = li;
-                              midx = idx;
-                              mpre_const = e.const;
-                              mpre_idx = pre_idx;
-                              mpre_cf = pre_cf;
-                              row_m2;
-                              row_m3;
-                              row_m4;
-                              m2_idx;
-                              m2_scratch = Array.make (Array.length m2_idx) 0.0;
-                              m4_scratch = Array.make (Array.length pre_idx) 0.0;
-                            }
-                            :: !munits;
-                          var_expr nvars v
-                        end)
-                  in
-                  exprs := post)
-            layers;
-          let obj, const = objective_of nvars !exprs ~c:prop.Prop.c ~offset:prop.Prop.offset in
-          Lp.set_objective lp obj;
-          let munits = Array.of_list (List.rev !munits) in
-          let binaries = Array.to_list (Array.map (fun u -> u.mz) munits) in
-          let encoded =
-            Array.fold_left (fun acc u -> Relu_id.Set.add u.mrelu acc) Relu_id.Set.empty munits
-          in
-          Some { lp; const; d; munits; binaries; encoded }
-
-  let vacuous lp row = Lp.set_row lp row [||] [||] Lp.Le 0.0
+          | Layer.Piecewise slope -> slope = 0.0
+        in
+        if not plain_relu then invalid_arg "Analyzer.milp: only plain ReLU networks are supported")
+      (Network.layers net);
+    Option.map
+      (fun bounds ->
+        persistent net ~prop ~box:prop.Prop.input ~bounds ~pinned:Relu_id.Set.empty ~width:2
+          ~on_unit ~relu:(fun u -> u.mrelu))
+      (root_bounds net ~prop)
 
   let specialize t ~box ~splits ~bounds =
-    if Box.dim box <> t.d then raise Mismatch;
-    List.iter
-      (fun (id, _) -> if not (Relu_id.Set.mem id t.encoded) then raise Mismatch)
-      (Splits.bindings splits);
-    for j = 0 to t.d - 1 do
-      Lp.set_bounds t.lp j (Box.lo_at box j) (Box.hi_at box j)
-    done;
+    let lp = prepare t ~box ~splits in
     Array.iter
       (fun u ->
-        let l = bounds.Bounds.layers.(u.mli).Bounds.pre_lo.(u.midx) in
-        let h = bounds.Bounds.layers.(u.mli).Bounds.pre_hi.(u.midx) in
-        if Float.is_nan l || Float.is_nan h || l > h then raise Mismatch;
-        let lp = t.lp in
-        let m4_split sign =
-          for k = 0 to Array.length u.mpre_cf - 1 do
-            u.m4_scratch.(k) <- sign *. u.mpre_cf.(k)
-          done;
-          Lp.set_row lp u.row_m4 u.mpre_idx u.m4_scratch Lp.Le (-.sign *. u.mpre_const)
-        in
+        let l, h = node_bounds bounds u.mli u.midx in
         let m2_active ll =
           (* v - pre - l*z <= -l *)
           u.m2_scratch.(0) <- 1.0;
@@ -777,23 +559,29 @@ module Milp = struct
           Lp.set_row lp u.row_m2 u.m2_idx u.m2_scratch Lp.Le (-.ll +. u.mpre_const)
         in
         let phase = Splits.find u.mrelu splits in
-        let known_pos = (match phase with Some Splits.Pos -> true | _ -> false) || l >= 0.0 in
-        let known_neg = (match phase with Some Splits.Neg -> true | _ -> false) || h <= 0.0 in
-        if known_pos then begin
+        (* M4: the split assumption sign*pre <= 0, whatever the bounds
+           say about the unit. *)
+        (match phase with
+        | None -> vacuous lp u.row_m4
+        | Some p ->
+            let sign = match p with Splits.Pos -> -1.0 | Splits.Neg -> 1.0 in
+            for k = 0 to Array.length u.mpre_cf - 1 do
+              u.m4_scratch.(k) <- sign *. u.mpre_cf.(k)
+            done;
+            Lp.set_row lp u.row_m4 u.mpre_idx u.m4_scratch Lp.Le (-.sign *. u.mpre_const));
+        if phase = Some Splits.Pos || l >= 0.0 then begin
           (* z pinned 1: v = pre via M1 + M2. *)
           Lp.set_bounds lp u.mz 1.0 1.0;
           Lp.set_bounds lp u.mvar 0.0 infinity;
           m2_active l;
-          vacuous lp u.row_m3;
-          match phase with Some Splits.Pos -> m4_split (-1.0) | _ -> vacuous lp u.row_m4
+          vacuous lp u.row_m3
         end
-        else if known_neg then begin
+        else if phase = Some Splits.Neg || h <= 0.0 then begin
           (* z pinned 0: v = 0 via its bounds. *)
           Lp.set_bounds lp u.mz 0.0 0.0;
           Lp.set_bounds lp u.mvar 0.0 0.0;
           vacuous lp u.row_m2;
-          vacuous lp u.row_m3;
-          match phase with Some Splits.Neg -> m4_split 1.0 | _ -> vacuous lp u.row_m4
+          vacuous lp u.row_m3
         end
         else begin
           (* Ambiguous at this node: the full big-M relaxation. *)
@@ -803,8 +591,7 @@ module Milp = struct
           (* M3: v - u*z <= 0 *)
           u.m2_scratch.(0) <- 1.0;
           u.m2_scratch.(1) <- -.h;
-          Lp.set_row lp u.row_m3 (Array.sub u.m2_idx 0 2) (Array.sub u.m2_scratch 0 2) Lp.Le 0.0;
-          vacuous lp u.row_m4
+          Lp.set_row lp u.row_m3 (Array.sub u.m2_idx 0 2) (Array.sub u.m2_scratch 0 2) Lp.Le 0.0
         end)
-      t.munits
+      t.shape.units
 end

@@ -71,8 +71,8 @@ type stats = {
       (** warm-start attempts that fell back to an internal cold solve *)
   lp_cold_solves : int;
       (** node LP solves that never attempted a warm start (root node,
-          resumed checkpoints, non-reusable encodings, an analyzer built
-          with [~warm:false]) *)
+          resumed checkpoints, a parent that solved no LP, an analyzer
+          built with [~warm:false]) *)
   lp_pivots : int;  (** total simplex pivots across all node LP solves *)
   certs_emitted : int;
       (** verified leaves whose certificate passed the emission-time

@@ -344,6 +344,9 @@ let suite =
     ("milp respects splits", `Quick, test_milp_respects_splits);
     ("milp warm start", `Quick, test_milp_warm_start);
     ("milp rejects leaky", `Quick, test_milp_rejects_leaky);
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| Encoding_oracle.Oracle.seed |])
+      (Encoding_oracle.Oracle.test ~count:Encoding_oracle.Oracle.tier1_count);
     ("gradient finite difference", `Quick, test_gradient_finite_difference);
     ("gradient dim check", `Quick, test_gradient_dim_check);
     ("pgd finds violation", `Quick, test_pgd_finds_violation);

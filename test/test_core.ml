@@ -23,6 +23,10 @@ module Theory = Ivan_core.Theory
 module Ivan = Ivan_core.Ivan
 module Cert = Ivan_cert.Cert
 module Journal = Ivan_resilience.Journal
+module Lp = Ivan_lp.Lp
+module Splits = Ivan_domains.Splits
+module Bounds = Ivan_domains.Bounds
+module Deeppoly = Ivan_domains.Deeppoly
 
 let r l i = Decision.Relu_split (Relu_id.make ~layer:l ~index:i)
 
@@ -291,6 +295,77 @@ let test_incremental_certify_and_journal () =
       (Journal.scan (Buffer.contents buf)).Journal.records
   in
   Alcotest.(check int) "one Header frame per run" 2 (List.length headers)
+
+(* A replayed tree that splits units stable at the updated network's
+   root: the persistent LP encoding re-encodes itself with those units,
+   and the subtrees grown under such splits keep warm-starting their LPs
+   from their parents' bases. *)
+let test_replay_splits_root_stable_units () =
+  let net = Ivan_nn.Builder.dense_net ~rng:(Rng.create 33) ~dims:[ 3; 6; 6; 6; 2 ] in
+  let updated = Perturb.random_relative ~rng:(Rng.create 1033) ~fraction:0.5 net in
+  let input = Box.make ~lo:(Vec.zeros 3) ~hi:(Vec.create 3 1.0) in
+  let prop = Prop.make ~name:"replay" ~input ~c:(Vec.of_list [ 1.0; -1.0 ]) ~offset:0.01 in
+  let config = { Ivan.default_config with technique = Ivan.Reuse } in
+  let heuristic = Heuristic.zono_coeff in
+  let original = Ivan.verify_original ~analyzer ~heuristic ~config ~net ~prop in
+  let root =
+    match Deeppoly.analyze updated ~box:input ~splits:Splits.empty with
+    | Deeppoly.Feasible a -> Deeppoly.bounds a
+    | Deeppoly.Infeasible -> Alcotest.fail "updated root is DeepPoly-infeasible"
+  in
+  let stable_at_root (r : Relu_id.t) =
+    let l = root.Bounds.layers.(r.Relu_id.layer) in
+    l.Bounds.pre_lo.(r.Relu_id.index) >= 0.0 || l.Bounds.pre_hi.(r.Relu_id.index) <= 0.0
+  in
+  let replayed = ref 0 in
+  Tree.iter_nodes original.Bab.tree (fun n ->
+      match Tree.decision n with
+      | Some (Decision.Relu_split r) when stable_at_root r -> incr replayed
+      | _ -> ());
+  Alcotest.(check bool) "N's tree splits units stable at N^a's root" true (!replayed > 0);
+  (* The solve hook names each call's LP; its stats tell whether the
+     solve started from the parent's basis. *)
+  let solved = ref None and attempts = ref 0 and hits = ref 0 in
+  let observed =
+    {
+      analyzer with
+      Analyzer.run =
+        (fun net ~prop ~box ~splits ->
+          solved := None;
+          let o = analyzer.Analyzer.run net ~prop ~box ~splits in
+          (match !solved with
+          | Some p when List.exists (fun (r, _) -> stable_at_root r) (Splits.bindings splits) -> (
+              match Lp.last_stats p with
+              | Some { Lp.warm = Lp.Warm_hit; _ } ->
+                  incr attempts;
+                  incr hits
+              | Some { Lp.warm = Lp.Warm_miss; _ } -> incr attempts
+              | Some { Lp.warm = Lp.Cold; _ } | None -> ())
+          | _ -> ());
+          o);
+    }
+  in
+  let run =
+    Fun.protect
+      ~finally:(fun () -> Lp.set_solve_hook None)
+      (fun () ->
+        Lp.set_solve_hook (Some (fun p -> solved := Some p));
+        Ivan.verify_updated ~analyzer:observed ~heuristic ~config ~original_run:original ~updated
+          ~prop)
+  in
+  let scratch = Ivan.verify_original ~analyzer ~heuristic ~config ~net:updated ~prop in
+  let kind (r : Bab.run) =
+    match r.Bab.verdict with
+    | Bab.Proved -> "proved"
+    | Bab.Disproved _ -> "disproved"
+    | Bab.Exhausted -> "exhausted"
+  in
+  Alcotest.(check string) "incremental verdict = from scratch" (kind scratch) (kind run);
+  Alcotest.(check string) "proved" "proved" (kind run);
+  Alcotest.(check bool) "well-formed tree" true (Tree.well_formed run.Bab.tree);
+  Alcotest.(check int) "no fault absorbed" 0 run.Bab.stats.Bab.faults_absorbed;
+  Alcotest.(check bool) "grown subtree attempts warm starts" true (!attempts > 0);
+  Alcotest.(check bool) "and some hit" true (!hits > 0)
 
 let test_reuse_identical_network_is_optimal () =
   (* Theorem 6 situation: N^a = N.  Reuse bounds exactly the leaves. *)
@@ -639,6 +714,7 @@ let suite =
     ("theorem4 perturbation preserved", `Quick, test_theorem4_perturbation_preserved);
     ("incremental all techniques", `Quick, test_incremental_all_techniques);
     ("incremental certify and journal", `Quick, test_incremental_certify_and_journal);
+    ("replay splits root-stable units", `Quick, test_replay_splits_root_stable_units);
     ("reuse identical network optimal", `Quick, test_reuse_identical_network_is_optimal);
     ("incremental architecture mismatch", `Quick, test_incremental_architecture_mismatch);
     ("incremental counterexample case", `Quick, test_incremental_counterexample_case);

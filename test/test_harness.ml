@@ -208,50 +208,6 @@ let test_report_split_hard () =
 
 
 
-(* ---------------- Tune ---------------- *)
-
-module Tune = Ivan_harness.Tune
-
-let test_tune_search () =
-  let net = Lazy.force net in
-  let updated = Quant.network Quant.Int16 net in
-  let setting =
-    Runner.classifier_setting
-      ~config:
-        { Ivan.default_config with budget = { Bab.max_analyzer_calls = 120; max_seconds = 10.0 } }
-      ()
-  in
-  let instances = Workload.robustness_instances ~spec ~net ~count:3 in
-  let outcome = Tune.search ~trials:5 ~setting ~technique:Ivan.Full ~net ~updated instances in
-  Alcotest.(check int) "five trials" 5 (List.length outcome.Tune.trials);
-  (* First trial is the paper default. *)
-  (match outcome.Tune.trials with
-  | first :: _ ->
-      Alcotest.(check (float 1e-12)) "default alpha" 0.25 first.Tune.alpha;
-      Alcotest.(check (float 1e-12)) "default theta" 0.01 first.Tune.theta
-  | [] -> Alcotest.fail "no trials");
-  (* Best is at least as good as every trial. *)
-  List.iter
-    (fun (t : Tune.trial) ->
-      Alcotest.(check bool) "best dominates" true
-        (outcome.Tune.best.Tune.speedup >= t.Tune.speedup))
-    outcome.Tune.trials;
-  (* Hyperparameters stay in range. *)
-  List.iter
-    (fun (t : Tune.trial) ->
-      Alcotest.(check bool) "alpha in [0,1]" true (t.Tune.alpha >= 0.0 && t.Tune.alpha <= 1.0);
-      Alcotest.(check bool) "theta >= 0" true (t.Tune.theta >= 0.0))
-    outcome.Tune.trials
-
-let test_tune_empty () =
-  let net = Lazy.force net in
-  let setting = Runner.classifier_setting () in
-  Alcotest.check_raises "empty" (Invalid_argument "Tune.search: empty calibration workload")
-    (fun () ->
-      ignore (Tune.search ~setting ~technique:Ivan.Full ~net ~updated:net []))
-
-
-
 (* ---------------- Parallel runner ---------------- *)
 
 let test_parallel_matches_sequential () =
@@ -295,7 +251,5 @@ let suite =
     ("report verdict counts", `Quick, test_report_verdict_counts);
     ("report geomean", `Quick, test_report_geomean);
     ("report split hard", `Quick, test_report_split_hard);
-    ("tune search", `Quick, test_tune_search);
-    ("tune empty", `Quick, test_tune_empty);
     ("parallel matches sequential", `Quick, test_parallel_matches_sequential);
   ]
