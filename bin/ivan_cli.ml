@@ -648,13 +648,22 @@ let experiment_cmd =
       & opt (enum [ ("quick", Experiments.quick); ("full", Experiments.full) ]) Experiments.quick
       & info [ "scale" ] ~docv:"SCALE" ~doc)
   in
-  let run experiment scale cache =
-    let ctx = Experiments.create ?cache_dir:cache scale in
-    experiment ctx Format.std_formatter
+  let jobs_arg =
+    let doc = "Run a workload's instances in parallel on N OCaml domains." in
+    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc)
+  in
+  let csv_arg =
+    let doc = "Also write each workload's per-instance results as $(docv)/<model>-<scheme>.csv." in
+    Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"DIR" ~doc)
+  in
+  let run experiment scale cache domains strategy csv =
+    let ctx = Experiments.create ?cache_dir:cache ~domains ~strategy scale in
+    experiment ctx Format.std_formatter;
+    Option.iter (fun dir -> Experiments.export_csv ctx ~dir) csv
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Regenerate one of the paper's tables or figures.")
-    Term.(const run $ id_arg $ scale_arg $ cache_arg)
+    Term.(const run $ id_arg $ scale_arg $ cache_arg $ jobs_arg $ strategy_arg $ csv_arg)
 
 let () =
   let info =

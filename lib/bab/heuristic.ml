@@ -83,14 +83,6 @@ let random ~seed =
           (candidates ctx));
   }
 
-let input_widest =
-  {
-    name = "input-widest";
-    scores =
-      (fun ctx ->
-        List.init (Box.dim ctx.box) (fun dim -> (Decision.Input_split dim, Box.width ctx.box dim)));
-  }
-
 (* Accumulated absolute influence of each input dimension on the
    objective: |c|^T |W_L| ... |W_1| computed by backward sweeps. *)
 let influence net c =

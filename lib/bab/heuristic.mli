@@ -35,9 +35,6 @@ val random : seed:int -> t
 (** ReLU splitting with pseudo-random scores (Ehlers 2017 / Katz et al.
     2017 style), deterministic in [seed] and the ReLU identity. *)
 
-val input_widest : t
-(** Input splitting on the widest box dimension. *)
-
 val input_smear : t
 (** Input splitting on the dimension maximizing width times accumulated
     absolute weight influence on the objective (a smear heuristic; the

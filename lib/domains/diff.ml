@@ -42,50 +42,3 @@ let output_difference n n' ~box =
   with
   | Zonotope.Feasible a, Zonotope.Feasible b -> Some (difference_of_analyses box a b)
   | Zonotope.Infeasible, _ | _, Zonotope.Infeasible -> None
-
-type verdict = Equivalent | Deviation of Vec.t | Unknown
-
-(* Index of the widest dimension of a box. *)
-let widest_dim box =
-  let best = ref 0 in
-  for j = 1 to Box.dim box - 1 do
-    if Box.width box j > Box.width box !best then best := j
-  done;
-  !best
-
-let max_deviation n n' x =
-  let ya = Network.forward n x and yb = Network.forward n' x in
-  Vec.norm_inf (Vec.sub ya yb)
-
-let verify_equivalence ?(max_boxes = 1000) n n' ~box ~delta =
-  if delta < 0.0 then invalid_arg "Diff.verify_equivalence: negative delta";
-  let queue = Queue.create () in
-  Queue.add box queue;
-  let boxes = ref 0 in
-  let result = ref None in
-  while !result = None && not (Queue.is_empty queue) do
-    if !boxes >= max_boxes then result := Some Unknown
-    else begin
-      incr boxes;
-      let current = Queue.pop queue in
-      (* Concrete falsification probe at the centre. *)
-      let center = Box.center current in
-      if max_deviation n n' center > delta then result := Some (Deviation center)
-      else
-        match output_difference n n' ~box:current with
-        | None -> () (* empty region: vacuously fine *)
-        | Some { lo; hi } ->
-            let worst =
-              Array.fold_left
-                (fun acc (v : float) -> Float.max acc v)
-                0.0
-                (Array.mapi (fun i l -> Float.max (Float.abs l) (Float.abs hi.(i))) lo)
-            in
-            if worst > delta then begin
-              let left, right = Box.split_dim current (widest_dim current) in
-              Queue.add left queue;
-              Queue.add right queue
-            end
-    end
-  done;
-  match !result with None -> Equivalent | Some r -> r

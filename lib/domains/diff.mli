@@ -6,7 +6,8 @@
     networks' independent ReLU-approximation symbols contribute slack.
     This is the differential-verification setting of Paulsen et al.
     (ReluDiff, ICSE 2020) that the paper positions as complementary
-    (§7); refinement is by recursive input splitting. *)
+    (§7).  The complete check, branch and bound on the product network,
+    is [Ivan_core.Diffverify]. *)
 
 type bound = { lo : Ivan_tensor.Vec.t; hi : Ivan_tensor.Vec.t }
 (** Per-output bounds on the difference [N(x) - N'(x)]. *)
@@ -16,20 +17,3 @@ val output_difference : Ivan_nn.Network.t -> Ivan_nn.Network.t -> box:Ivan_spec.
     without split assumptions, but kept total).
     @raise Invalid_argument if the networks' input/output dimensions
     differ or do not match the box. *)
-
-type verdict =
-  | Equivalent  (** [||N(x) - N'(x)||_inf <= delta] proved on the whole box *)
-  | Deviation of Ivan_tensor.Vec.t
-      (** a concrete input where some output differs by more than delta *)
-  | Unknown  (** budget exhausted *)
-
-val verify_equivalence :
-  ?max_boxes:int ->
-  Ivan_nn.Network.t ->
-  Ivan_nn.Network.t ->
-  box:Ivan_spec.Box.t ->
-  delta:float ->
-  verdict
-(** Complete-style differential check by branch and bound over input
-    splits (widest dimension first), up to [max_boxes] sub-boxes
-    (default 1000). *)

@@ -26,8 +26,4 @@ let contains a v = v >= a.lo && v <= a.hi
 
 let width a = a.hi -. a.lo
 
-let is_nonneg a = a.lo >= 0.0
-
-let is_nonpos a = a.hi <= 0.0
-
 let pp fmt a = Format.fprintf fmt "[%g, %g]" a.lo a.hi

@@ -28,8 +28,4 @@ val contains : t -> float -> bool
 
 val width : t -> float
 
-val is_nonneg : t -> bool
-
-val is_nonpos : t -> bool
-
 val pp : Format.formatter -> t -> unit

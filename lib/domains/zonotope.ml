@@ -284,8 +284,6 @@ let objective_itv a ~c ~offset =
 let relu_score_from_coeffs a obj r =
   match Relu_id.Map.find_opt r a.relu_terms with None -> 0.0 | Some t -> Float.abs obj.(t)
 
-let relu_score a ~c r = relu_score_from_coeffs a (objective_coeffs a ~c) r
-
 let minimizing_input a ~c =
   let obj = objective_coeffs a ~c in
   let d = Box.dim a.input_box in

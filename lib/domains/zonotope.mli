@@ -34,12 +34,10 @@ val objective_coeffs : analysis -> c:Ivan_tensor.Vec.t -> float array
     coefficient of [eps_t].  Compute once and reuse when scoring many
     ReLUs. *)
 
-val relu_score : analysis -> c:Ivan_tensor.Vec.t -> Ivan_nn.Relu_id.t -> float
-(** Magnitude of the ReLU's noise-term coefficient in the objective;
-    [0.] for ReLUs that did not introduce a term. *)
-
 val relu_score_from_coeffs : analysis -> float array -> Ivan_nn.Relu_id.t -> float
-(** Same as {!relu_score} given precomputed {!objective_coeffs}. *)
+(** Magnitude of the ReLU's noise-term coefficient in the objective
+    whose {!objective_coeffs} are given; [0.] for ReLUs that did not
+    introduce a term. *)
 
 val minimizing_input : analysis -> c:Ivan_tensor.Vec.t -> Ivan_tensor.Vec.t
 (** The corner of the input box that minimizes the input-symbol part of

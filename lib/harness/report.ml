@@ -99,16 +99,6 @@ let pp_engine_stats fmt (s : Bab.stats) =
     Format.fprintf fmt "  certificates %d emitted / %d unavailable" s.Bab.certs_emitted
       s.Bab.certs_unavailable
 
-(* JSON floats cannot be non-finite; elapsed/analyzer seconds always
-   are, so plain %g is enough here. *)
-let stats_to_json (s : Bab.stats) =
-  Printf.sprintf
-    {|{"analyzer_calls":%d,"branchings":%d,"tree_size":%d,"tree_leaves":%d,"elapsed_seconds":%g,"analyzer_seconds":%g,"max_frontier":%d,"max_depth":%d,"heuristic_failures":%d,"retries":%d,"fallback_bounds":%d,"faults_absorbed":%d,"lp_warm_hits":%d,"lp_warm_misses":%d,"lp_cold_solves":%d,"lp_pivots":%d,"certs_emitted":%d,"certs_unavailable":%d}|}
-    s.Bab.analyzer_calls s.Bab.branchings s.Bab.tree_size s.Bab.tree_leaves s.Bab.elapsed_seconds
-    s.Bab.analyzer_seconds s.Bab.max_frontier s.Bab.max_depth s.Bab.heuristic_failures s.Bab.retries
-    s.Bab.fallback_bounds s.Bab.faults_absorbed s.Bab.lp_warm_hits s.Bab.lp_warm_misses
-    s.Bab.lp_cold_solves s.Bab.lp_pivots s.Bab.certs_emitted s.Bab.certs_unavailable
-
 let to_csv comparisons =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf

@@ -35,11 +35,6 @@ val pp_engine_stats : Format.formatter -> Ivan_bab.Bab.stats -> unit
     max dequeued depth, and (when non-zero) heuristic failures, retries,
     fallback bounds and absorbed faults. *)
 
-val stats_to_json : Ivan_bab.Bab.stats -> string
-(** The full stats record as a one-line JSON object, including the
-    resilience counters — consumed by the bench output so degraded-mode
-    overhead is visible in the perf trajectory. *)
-
 val to_csv : Runner.comparison list -> string
 (** Machine-readable per-instance results: one row per (instance,
     technique) pair plus the baseline, with verdicts, analyzer calls,

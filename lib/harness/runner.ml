@@ -88,6 +88,8 @@ let run_instance setting ~net ~updated ~techniques (instance : Workload.instance
   }
 
 let run_all ?(domains = 1) setting ~net ~updated ~techniques instances =
+  if domains > 1 && Option.is_some setting.config.Ivan.journal then
+    invalid_arg "Runner.run_all: a journal cannot be shared by parallel runs";
   if domains <= 1 then
     List.map (run_instance setting ~net ~updated ~techniques) instances
   else begin

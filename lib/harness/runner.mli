@@ -76,5 +76,7 @@ val run_all :
     are read-only during the parallel section.  Results keep the input
     order.  Per-instance wall times remain meaningful; aggregate time
     speedups are unaffected because baseline and incremental runs of an
-    instance stay on the same domain.  A [config.journal] is one sink
-    shared by every run, so journal sequential runs only. *)
+    instance stay on the same domain.
+    @raise Invalid_argument if [domains] > 1 and [config.journal] is
+    set: the journal is one sink, and parallel runs would interleave
+    their frames in it.  The check runs before any domain is spawned. *)

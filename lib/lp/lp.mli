@@ -227,5 +227,3 @@ val last_certificate : problem -> Certificate.t option
     the first solve.  Refers to the problem's rows/bounds/objective as
     they were at that solve; snapshot them (via {!row},
     {!objective_coeffs}, {!get_bounds}) before mutating further. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -14,8 +14,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let other_side = function Left -> Right | Right -> Left
-
 let relu_phase = function Left -> Splits.Pos | Right -> Splits.Neg
 
 let pp fmt = function

@@ -15,8 +15,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val other_side : side -> side
-
 val relu_phase : side -> Ivan_domains.Splits.phase
 (** Phase assumed by the child on the given side of a ReLU split. *)
 

@@ -81,9 +81,6 @@ let depth t =
 
 let iter_nodes t f = fold_nodes (fun () n -> f n) () t.root_node
 
-let internal_nodes t =
-  List.rev (fold_nodes (fun acc n -> if is_leaf n then acc else n :: acc) [] t.root_node)
-
 let path_decisions n =
   let rec up acc n = match (n.parent_link, n.edge_label) with
     | None, _ -> acc

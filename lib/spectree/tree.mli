@@ -61,8 +61,6 @@ val depth : t -> int
 val iter_nodes : t -> (node -> unit) -> unit
 (** Pre-order traversal. *)
 
-val internal_nodes : t -> node list
-
 val path_decisions : node -> (Decision.t * Decision.side) list
 (** Root-to-node list of labelled edges. *)
 

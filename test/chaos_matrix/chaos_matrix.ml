@@ -19,7 +19,6 @@ module Analyzer = Ivan_analyzer.Analyzer
 module Heuristic = Ivan_bab.Heuristic
 module Frontier = Ivan_bab.Frontier
 module Engine = Ivan_bab.Engine
-module Chaos = Ivan_supervise.Chaos
 
 (* The paper's running example (Fig. 2), self-contained: this
    executable builds in its own directory and cannot see test/

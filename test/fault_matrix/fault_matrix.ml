@@ -20,7 +20,6 @@ module Analyzer = Ivan_analyzer.Analyzer
 module Heuristic = Ivan_bab.Heuristic
 module Bab = Ivan_bab.Bab
 module Tree = Ivan_spectree.Tree
-module Fault = Ivan_resilience.Fault
 module Cert = Ivan_cert.Cert
 
 (* The paper's running example (Fig. 2), self-contained: this

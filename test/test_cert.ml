@@ -17,7 +17,6 @@ module Bab = Ivan_bab.Bab
 module Ivan = Ivan_core.Ivan
 module Workload = Ivan_harness.Workload
 module Runner = Ivan_harness.Runner
-module Fault = Ivan_resilience.Fault
 
 (* ---------------- Exact dyadic rationals ---------------- *)
 

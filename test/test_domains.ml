@@ -374,55 +374,6 @@ let test_diff_shape_mismatch () =
   Alcotest.check_raises "shapes" (Invalid_argument "Diff.output_difference: network shapes differ")
     (fun () -> ignore (Diff.output_difference a b ~box:(unit_box 2)))
 
-let test_diff_equivalence_identical () =
-  let net, box = random_case 73 in
-  match Diff.verify_equivalence net net ~box ~delta:0.5 with
-  | Diff.Equivalent -> ()
-  | Diff.Deviation _ -> Alcotest.fail "identical networks deviated"
-  | Diff.Unknown -> Alcotest.fail "identical networks unknown"
-
-let test_diff_equivalence_quantized () =
-  (* int16 quantization perturbs outputs far less than a loose delta. *)
-  let net, box = random_case 74 in
-  let updated = Quant.network Quant.Int16 net in
-  match Diff.verify_equivalence ~max_boxes:2000 net updated ~box ~delta:0.5 with
-  | Diff.Equivalent -> ()
-  | Diff.Deviation x ->
-      Alcotest.failf "claimed deviation %.4f"
-        (Vec.norm_inf (Vec.sub (Network.forward net x) (Network.forward updated x)))
-  | Diff.Unknown -> Alcotest.fail "should converge"
-
-let test_diff_detects_deviation () =
-  let net, box = random_case 75 in
-  (* A large additive perturbation must be caught with a tiny delta. *)
-  let rng = Rng.create 75 in
-  let changed = Perturb.random_additive ~rng ~magnitude:0.5 net in
-  match Diff.verify_equivalence net changed ~box ~delta:1e-4 with
-  | Diff.Deviation x ->
-      Alcotest.(check bool) "deviation genuine" true
-        (Vec.norm_inf (Vec.sub (Network.forward net x) (Network.forward changed x)) > 1e-4)
-  | Diff.Equivalent -> Alcotest.fail "missed a large deviation"
-  | Diff.Unknown -> Alcotest.fail "budget too small for an obvious deviation"
-
-let test_diff_budget () =
-  let net, box = random_case 76 in
-  let rng = Rng.create 76 in
-  let changed = Perturb.random_relative ~rng ~fraction:0.02 net in
-  (* delta slightly below what the root bound proves, with a 1-box
-     budget: must give up rather than guess. *)
-  match Diff.output_difference net changed ~box with
-  | None -> Alcotest.fail "empty"
-  | Some { Diff.lo; hi } ->
-      let worst =
-        Array.fold_left Float.max 0.0
-          (Array.mapi (fun i l -> Float.max (Float.abs l) (Float.abs hi.(i))) lo)
-      in
-      let delta = worst /. 2.0 in
-      (match Diff.verify_equivalence ~max_boxes:1 net changed ~box ~delta with
-      | Diff.Unknown -> ()
-      | Diff.Deviation _ -> () (* centre probe may legitimately catch it *)
-      | Diff.Equivalent -> Alcotest.fail "cannot be proved with one box")
-
 (* ---------------- golden DeepPoly bounds ---------------- *)
 
 module Prop = Ivan_spec.Prop
@@ -595,10 +546,6 @@ let suite =
     ("diff identical networks", `Quick, test_diff_identical_networks);
     ("diff sound", `Quick, test_diff_sound);
     ("diff shape mismatch", `Quick, test_diff_shape_mismatch);
-    ("diff equivalence identical", `Quick, test_diff_equivalence_identical);
-    ("diff equivalence quantized", `Quick, test_diff_equivalence_quantized);
-    ("diff detects deviation", `Quick, test_diff_detects_deviation);
-    ("diff budget", `Quick, test_diff_budget);
     ("deeppoly golden bounds", `Quick, test_deeppoly_golden);
     ("zonotope golden analyses", `Quick, test_zonotope_golden);
     QCheck_alcotest.to_alcotest

@@ -11,6 +11,7 @@ module Zoo = Ivan_data.Zoo
 module Workload = Ivan_harness.Workload
 module Runner = Ivan_harness.Runner
 module Report = Ivan_harness.Report
+module Journal = Ivan_resilience.Journal
 
 (* A tiny trained model shared by the harness tests (trains in well
    under a second). *)
@@ -241,6 +242,29 @@ let test_parallel_matches_sequential () =
       Alcotest.(check int) "ivan calls equal" am.Runner.calls bm.Runner.calls)
     seq par
 
+let test_parallel_journal_rejected () =
+  let net = Lazy.force net in
+  let updated = Quant.network Quant.Int16 net in
+  let journal = Journal.to_buffer (Buffer.create 256) in
+  let setting =
+    Runner.classifier_setting
+      ~config:
+        {
+          Ivan.default_config with
+          budget = { Bab.max_analyzer_calls = 50; max_seconds = 20.0 };
+          journal = Some journal;
+        }
+      ()
+  in
+  let instances = Workload.robustness_instances ~spec ~net ~count:2 in
+  let run domains = Runner.run_all ~domains setting ~net ~updated ~techniques:[] instances in
+  Alcotest.check_raises "two domains share one journal"
+    (Invalid_argument "Runner.run_all: a journal cannot be shared by parallel runs") (fun () ->
+      ignore (run 2));
+  Alcotest.(check int) "nothing journaled before the guard" 0 (Journal.appends journal);
+  ignore (run 1);
+  Alcotest.(check bool) "one domain journals" true (Journal.appends journal > 0)
+
 let suite =
   [
     ("robustness instances", `Quick, test_robustness_instances);
@@ -252,4 +276,5 @@ let suite =
     ("report geomean", `Quick, test_report_geomean);
     ("report split hard", `Quick, test_report_split_hard);
     ("parallel matches sequential", `Quick, test_parallel_matches_sequential);
+    ("parallel journal rejected", `Quick, test_parallel_journal_rejected);
   ]

@@ -18,7 +18,6 @@ module Engine = Ivan_bab.Engine
 module Frontier = Ivan_bab.Frontier
 module Trace = Ivan_bab.Trace
 module Tree = Ivan_spectree.Tree
-module Fault = Ivan_resilience.Fault
 module Journal = Ivan_resilience.Journal
 module Ivan = Ivan_core.Ivan
 module Diffverify = Ivan_core.Diffverify
