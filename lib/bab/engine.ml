@@ -1,4 +1,6 @@
 module Network = Ivan_nn.Network
+module Layer = Ivan_nn.Layer
+module Mat = Ivan_tensor.Mat
 module Box = Ivan_spec.Box
 module Prop = Ivan_spec.Prop
 module Analyzer = Ivan_analyzer.Analyzer
@@ -413,24 +415,59 @@ let step_once t =
    reading tokens back. *)
 let float_token v = Printf.sprintf "%.17g" v
 
+(* The config digest covers the architecture and the IEEE bit pattern
+   of every weight, bias, box bound, coefficient and the offset.  Every
+   array is preceded by its length, so distinct configs give distinct
+   byte strings. *)
 let fingerprint ~net ~prop =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Ivan_nn.Serialize.to_string net);
-  Buffer.add_char buf '\000';
-  let box = prop.Prop.input in
-  for i = 0 to Box.dim box - 1 do
-    Buffer.add_string buf (float_token (Box.lo_at box i));
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf (float_token (Box.hi_at box i));
-    Buffer.add_char buf '\n'
-  done;
-  Buffer.add_char buf '\000';
+  let int n = Buffer.add_int64_be buf (Int64.of_int n) in
+  let float v = Buffer.add_int64_be buf (Int64.bits_of_float v) in
+  let floats a =
+    int (Array.length a);
+    Array.iter float a
+  in
+  let layers = Network.layers net in
+  int (Array.length layers);
   Array.iter
-    (fun c ->
-      Buffer.add_string buf (float_token c);
-      Buffer.add_char buf ' ')
-    prop.Prop.c;
-  Buffer.add_string buf (float_token prop.Prop.offset);
+    (fun layer ->
+      (match Layer.activation layer with
+      | Layer.Relu -> int 0
+      | Layer.Identity -> int 1
+      | Layer.Leaky_relu slope ->
+          int 2;
+          float slope
+      | Layer.Sigmoid -> int 3
+      | Layer.Tanh -> int 4);
+      match Layer.affine layer with
+      | Layer.Dense { weights; bias } ->
+          int 0;
+          int (Mat.rows weights);
+          int (Mat.cols weights);
+          for i = 0 to Mat.rows weights - 1 do
+            Array.iter float (Mat.row weights i)
+          done;
+          floats bias
+      | Layer.Conv2d { spec; kernel; bias } ->
+          int 1;
+          List.iter int
+            [
+              spec.in_channels;
+              spec.in_height;
+              spec.in_width;
+              spec.out_channels;
+              spec.kernel_h;
+              spec.kernel_w;
+              spec.stride;
+              spec.padding;
+            ];
+          floats kernel;
+          floats bias)
+    layers;
+  floats (Box.lo prop.Prop.input);
+  floats (Box.hi prop.Prop.input);
+  floats prop.Prop.c;
+  float prop.Prop.offset;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let checkpoint_payload t =

@@ -278,5 +278,6 @@ val degrade : t -> Ivan_analyzer.Analyzer.t -> (t, string) result
 
 val fingerprint : net:Ivan_nn.Network.t -> prop:Ivan_spec.Prop.t -> string
 (** The config digest stored in journal Header frames: an MD5 hex digest
-    over the serialized network and the property's box, coefficients and
+    over the network's architecture and the IEEE bit patterns of its
+    weights and biases, the property's box, its coefficients and its
     offset. *)

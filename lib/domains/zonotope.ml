@@ -50,35 +50,81 @@ type forms = {
    order from +0, as a dense product would; the terms it skips are exact
    zeros of [src], and adding a signed zero to an accumulator that
    starts at +0 changes no bit, so the result is the dense product's bit
-   for bit. *)
+   for bit.  A destination row's contributing source rows are gathered
+   first (compacted into the front of [wrow], their offsets into
+   [sbases]), then folded into the row's prefix 8, 4 or 1 at a time:
+   one pass per group, the entry held in a local, the rows still added
+   in increasing [j].  Fresh terms lie past the prefix, one per source
+   row, so each gets its single product as it is gathered. *)
 let affine_image w b (src : forms) ~nterms data ~wrow =
   let rows = Mat.rows w and cols = Mat.cols w in
   let sdata = src.data and prefix = src.stride in
-  (* The prefix loop below indexes without bounds checks; this is the
+  (* The prefix loops below index without bounds checks; this is the
      condition that keeps every index in range. *)
   if prefix > nterms || rows * nterms > Array.length data || cols * prefix > Array.length sdata
   then invalid_arg "Zonotope.affine_image: buffer too small";
   let centers = Array.make rows 0.0 in
+  let sbases = Array.make cols 0 in
   for i = 0 to rows - 1 do
     let base = i * nterms in
     Array.fill data base nterms 0.0;
     Mat.blit_row w i wrow;
     let acc = ref b.(i) in
+    let n = ref 0 in
     for j = 0 to cols - 1 do
       let wij = wrow.(j) in
       if wij <> 0.0 then begin
         acc := !acc +. (wij *. src.centers.(j));
-        let sbase = j * prefix in
-        if not src.zero.(j) then
-          for t = 0 to prefix - 1 do
-            Array.unsafe_set data (base + t)
-              (Array.unsafe_get data (base + t) +. (wij *. Array.unsafe_get sdata (sbase + t)))
-          done;
+        if not src.zero.(j) then begin
+          wrow.(!n) <- wij;
+          sbases.(!n) <- j * prefix;
+          incr n
+        end;
         let f = src.fresh.(j) in
         if f >= 0 then data.(base + f) <- data.(base + f) +. (wij *. src.fresh_coeff.(j))
       end
     done;
-    centers.(i) <- !acc
+    centers.(i) <- !acc;
+    let n = !n and k = ref 0 in
+    while !k + 8 <= n do
+      let g = !k in
+      let w0 = wrow.(g) and w1 = wrow.(g + 1) and w2 = wrow.(g + 2) and w3 = wrow.(g + 3) in
+      let w4 = wrow.(g + 4) and w5 = wrow.(g + 5) and w6 = wrow.(g + 6) and w7 = wrow.(g + 7) in
+      let s0 = sbases.(g) and s1 = sbases.(g + 1) and s2 = sbases.(g + 2) in
+      let s3 = sbases.(g + 3) and s4 = sbases.(g + 4) and s5 = sbases.(g + 5) in
+      let s6 = sbases.(g + 6) and s7 = sbases.(g + 7) in
+      for t = 0 to prefix - 1 do
+        let v = Array.unsafe_get data (base + t) +. (w0 *. Array.unsafe_get sdata (s0 + t)) in
+        let v = v +. (w1 *. Array.unsafe_get sdata (s1 + t)) in
+        let v = v +. (w2 *. Array.unsafe_get sdata (s2 + t)) in
+        let v = v +. (w3 *. Array.unsafe_get sdata (s3 + t)) in
+        let v = v +. (w4 *. Array.unsafe_get sdata (s4 + t)) in
+        let v = v +. (w5 *. Array.unsafe_get sdata (s5 + t)) in
+        let v = v +. (w6 *. Array.unsafe_get sdata (s6 + t)) in
+        Array.unsafe_set data (base + t) (v +. (w7 *. Array.unsafe_get sdata (s7 + t)))
+      done;
+      k := g + 8
+    done;
+    if !k + 4 <= n then begin
+      let g = !k in
+      let w0 = wrow.(g) and w1 = wrow.(g + 1) and w2 = wrow.(g + 2) and w3 = wrow.(g + 3) in
+      let s0 = sbases.(g) and s1 = sbases.(g + 1) and s2 = sbases.(g + 2) in
+      let s3 = sbases.(g + 3) in
+      for t = 0 to prefix - 1 do
+        let v = Array.unsafe_get data (base + t) +. (w0 *. Array.unsafe_get sdata (s0 + t)) in
+        let v = v +. (w1 *. Array.unsafe_get sdata (s1 + t)) in
+        let v = v +. (w2 *. Array.unsafe_get sdata (s2 + t)) in
+        Array.unsafe_set data (base + t) (v +. (w3 *. Array.unsafe_get sdata (s3 + t)))
+      done;
+      k := g + 4
+    end;
+    for g = !k to n - 1 do
+      let wg = wrow.(g) and sg = sbases.(g) in
+      for t = 0 to prefix - 1 do
+        Array.unsafe_set data (base + t)
+          (Array.unsafe_get data (base + t) +. (wg *. Array.unsafe_get sdata (sg + t)))
+      done
+    done
   done;
   centers
 

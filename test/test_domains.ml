@@ -551,4 +551,10 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Zonotope_oracle.Oracle.seed |])
       (Zonotope_oracle.Oracle.test ~count:Zonotope_oracle.Oracle.tier1_count);
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| Zonotope_oracle.Oracle.wide_seed |])
+      (Zonotope_oracle.Oracle.wide_test ~count:Zonotope_oracle.Oracle.wide_tier1_count);
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| Deeppoly_oracle.Oracle.seed |])
+      (Deeppoly_oracle.Oracle.test ~count:Deeppoly_oracle.Oracle.tier1_count);
   ]

@@ -263,6 +263,38 @@ let reweighted_net () =
       Fixtures.dense ~activation:Layer.Identity [| [| 1.0; -1.0 |] |] [| 0.0 |];
     ]
 
+(* The config fingerprint reads the bits: one ulp on one weight, or on
+   the offset, changes it; a serialization round trip, bit-exact by
+   design, does not.  Dense and conv subjects. *)
+let test_fingerprint_bits () =
+  List.iter
+    (fun (name, net, (prop : Ivan_spec.Prop.t)) ->
+      let fp = Engine.fingerprint ~net ~prop in
+      Alcotest.(check int) (name ^ ": 32 hex digits") 32 (String.length fp);
+      let first = ref true in
+      let nudged =
+        Network.map_weights
+          (fun w ->
+            if !first then begin
+              first := false;
+              Float.succ w
+            end
+            else w)
+          net
+      in
+      Alcotest.(check bool)
+        (name ^ ": one-ulp weight") false
+        (String.equal fp (Engine.fingerprint ~net:nudged ~prop));
+      Alcotest.(check bool)
+        (name ^ ": offset") false
+        (String.equal fp
+           (Engine.fingerprint ~net ~prop:{ prop with offset = Float.succ prop.offset }));
+      let reloaded = Ivan_nn.Serialize.of_string (Ivan_nn.Serialize.to_string net) in
+      Alcotest.(check string)
+        (name ^ ": serialize round trip") fp
+        (Engine.fingerprint ~net:reloaded ~prop))
+    (Fixtures.golden_subjects ())
+
 (* Persisted state must never be resumed onto another problem, whether
    it is a full journal or a standalone checkpoint: a different offset,
    or a same-shape net with different weights.  The checkpoint is taken
@@ -445,6 +477,8 @@ let suite =
       test_resume_truncated_journal;
     Alcotest.test_case "resume rejects a foreign fingerprint" `Quick
       test_resume_wrong_fingerprint;
+    Alcotest.test_case "fingerprint tracks weight and offset bits" `Quick
+      test_fingerprint_bits;
     Alcotest.test_case "resume rejects an empty journal" `Quick
       test_resume_empty_journal;
     Alcotest.test_case "supervise: clean run" `Quick test_supervise_clean_run;

@@ -135,9 +135,54 @@ let same r r' =
   | Zonotope.Feasible a, Zonotope.Feasible b -> same_analysis a b
   | Zonotope.Feasible _, Zonotope.Infeasible | Zonotope.Infeasible, Zonotope.Feasible _ -> false
 
-let test ~count =
-  QCheck.Test.make ~name:"zonotope kernel matches the reference bit for bit" ~count
+let property ~name ~count case =
+  QCheck.Test.make ~name ~count
     QCheck.(make ~print:(Printf.sprintf "case seed %d") Gen.(int_bound 1_000_000_000))
     (fun seed ->
       let net, box, splits = case seed in
       same (Reference.analyze net ~box ~splits) (Zonotope.analyze net ~box ~splits))
+
+let test ~count = property ~name:"zonotope kernel matches the reference bit for bit" ~count case
+
+(* Seed of the wide property's random state. *)
+let wide_seed = 11
+
+(* Cases in the wide property's tier-1 slice; the long run takes 20x. *)
+let wide_tier1_count = 200
+
+(* Hidden layers 17-64 units wide, so the kernel folds source rows in
+   groups of 8 and 4 as well as singly.  A third of the root-ambiguous
+   ReLUs are split Neg and some Pos: Neg rows have an all-zero prefix
+   and drop out of the middle of a group. *)
+let wide_case seed =
+  let rng = Rng.create seed in
+  let width () = 17 + Rng.int rng 48 in
+  let hidden = List.init (2 + Rng.int rng 2) (fun _ -> width ()) in
+  let dims = ((1 + Rng.int rng 8) :: hidden) @ [ 1 + Rng.int rng 8 ] in
+  let net = Builder.dense_net ~rng ~dims in
+  let net =
+    if Rng.int rng 3 = 0 then
+      let threshold = Rng.float rng 0.2 in
+      Network.map_weights
+        (fun w -> if Float.abs w < threshold then Float.copy_sign 0.0 w else w)
+        net
+    else net
+  in
+  let box = random_box rng (Network.input_dim net) in
+  let splits =
+    match Reference.analyze net ~box ~splits:Splits.empty with
+    | Zonotope.Infeasible -> Splits.empty
+    | Zonotope.Feasible a ->
+        List.fold_left
+          (fun s r ->
+            match Rng.int rng 6 with
+            | 0 | 1 -> Splits.add r Splits.Neg s
+            | 2 -> Splits.add r Splits.Pos s
+            | _ -> s)
+          Splits.empty
+          (Bounds.ambiguous_relus a.Zonotope.bounds net ~splits:Splits.empty)
+  in
+  (net, box, splits)
+
+let wide_test ~count =
+  property ~name:"wide zonotope layers match the reference bit for bit" ~count wide_case
