@@ -70,6 +70,7 @@ module Warm = struct
     warm_misses : int;
     cold_solves : int;
     pivots : int;
+    factor_pivots : int;
     basis : Lp.Basis.t option;
   }
 
@@ -119,6 +120,7 @@ let record_lp_info lp =
           warm_misses = misses;
           cold_solves = cold;
           pivots = s.Lp.pivots;
+          factor_pivots = s.Lp.factor_pivots + s.Lp.miss_pivots;
           basis = Lp.basis lp;
         }
 
@@ -260,18 +262,21 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
             else { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
         | `Result (lp, const, r) -> (
             record_lp_info lp;
-            let cert = if certify then evidence_of lp ~const else None in
+            (* Evidence is only captured where it can be used, and before
+               the shared encoding is touched again. *)
+            let evidence () = if certify then evidence_of lp ~const else None in
             match r with
             | Lp.Infeasible ->
                 (* The relaxation is a superset of the true region, so an
                    infeasible relaxation proves the region empty. *)
-                { vacuous with bounds = Some bounds; zono; cert }
+                { vacuous with bounds = Some bounds; zono; cert = evidence () }
             | Lp.Unbounded ->
                 (* Cannot happen with a bounded input box, but stay sound. *)
                 { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
             | Lp.Optimal { objective; primal; _ } ->
                 let lb = Float.max (objective +. const) cheap_lb in
-                if lb >= 0.0 then { status = Verified; lb; bounds = Some bounds; zono; cert }
+                if lb >= 0.0 then
+                  { status = Verified; lb; bounds = Some bounds; zono; cert = evidence () }
                 else
                   let candidate = Array.sub primal 0 (Box.dim box) in
                   let status = concrete_status net ~prop candidate in
@@ -338,6 +343,7 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
               warm_misses = 0;
               cold_solves = stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits;
               pivots = stats.Ivan_lp.Milp.simplex_pivots;
+              factor_pivots = stats.Ivan_lp.Milp.factor_pivots;
               basis = None;
             };
           let nodes = stats.Ivan_lp.Milp.nodes and lp_solves = stats.Ivan_lp.Milp.lp_solves in

@@ -98,6 +98,9 @@ module Warm : sig
     warm_misses : int;  (** {!Ivan_lp.Lp.solve_from} fell back to cold *)
     cold_solves : int;  (** solves that never attempted a warm start *)
     pivots : int;  (** total simplex pivots across the call's solves *)
+    factor_pivots : int;
+        (** warm-start pivots [pivots] leaves out: basis refactorizations
+            and the abandoned attempts of warm misses *)
     basis : Ivan_lp.Lp.Basis.t option;
         (** basis to offer to child nodes; [None] when the solve did not
             end [Optimal] or the call ran the MILP search *)

@@ -44,7 +44,7 @@ type stats = Engine.stats = {
   lp_pivots : int;  (** total simplex pivots across node LP solves *)
   certs_emitted : int;
       (** verified leaves whose certificate passed the emission-time
-          exact self-check (always 0 without [certify]) *)
+          check, float screen or exact (always 0 without [certify]) *)
   certs_unavailable : int;
       (** verified leaves left without a checkable certificate *)
 }

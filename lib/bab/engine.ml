@@ -7,6 +7,7 @@ module Analyzer = Ivan_analyzer.Analyzer
 module Tree = Ivan_spectree.Tree
 module Lp = Ivan_lp.Lp
 module Cert = Ivan_cert.Cert
+module Screen = Ivan_cert.Screen
 module Clock = Ivan_clock.Clock
 module Journal = Ivan_resilience.Journal
 
@@ -85,11 +86,11 @@ type t = {
      The table is engine-local bookkeeping, not verification state — a
      resumed checkpoint simply starts its nodes cold. *)
   bases : (int, Lp.Basis.t) Hashtbl.t;
-  (* Per-leaf certificates keyed by node id, self-checked in exact
-     arithmetic before being admitted; assembled into the run's proof
-     artifact at [finish].  Like [bases], the table is engine-local:
-     checkpoints store only the counters, so a resumed run cannot
-     produce a complete artifact for leaves verified before the
+  (* Per-leaf certificates keyed by node id, admitted only once the
+     float screen or the exact check has accepted them; assembled into
+     the run's proof artifact at [finish].  Like [bases], the table is
+     engine-local: checkpoints store only the counters, so a resumed run
+     cannot produce a complete artifact for leaves verified before the
      checkpoint (they count as unavailable in the final artifact check,
      never as silently certified). *)
   certs : (int, Cert.leaf) Hashtbl.t;
@@ -311,6 +312,7 @@ let step_once t =
                      warm_misses = info.Analyzer.Warm.warm_misses;
                      cold_solves = info.Analyzer.Warm.cold_solves;
                      pivots = info.Analyzer.Warm.pivots;
+                     factor_pivots = info.Analyzer.Warm.factor_pivots;
                    });
               info.Analyzer.Warm.basis
         in
@@ -325,16 +327,17 @@ let step_once t =
         Tree.set_lb node outcome.Analyzer.lb;
         match outcome.Analyzer.status with
         | Analyzer.Verified ->
-            (* Certificate collection: re-check the analyzer's evidence
-               in exact arithmetic right now, so the table only ever
-               holds certificates the independent checker will accept —
-               a float-drift cert that fails the exact check is counted
-               unavailable, never emitted broken. *)
+            (* Certificate collection: admit the analyzer's evidence
+               only once the exact checker is sure to accept it, so the
+               table never holds a certificate the independent check
+               would reject — a float-drift cert is counted unavailable,
+               never emitted broken.  The float screen settles nearly
+               every leaf; the exact check runs only when it cannot. *)
             if t.config.certify then begin
-              let kind =
+              let kind, exact =
                 match outcome.Analyzer.cert with
-                | None -> "unavailable"
-                | Some evidence -> (
+                | None -> ("unavailable", false)
+                | Some evidence ->
                     let leaf =
                       {
                         Cert.node = id;
@@ -342,15 +345,19 @@ let step_once t =
                         evidence;
                       }
                     in
-                    match Cert.check_leaf ~box:t.prop.Prop.input leaf with
-                    | Ok () ->
-                        Hashtbl.replace t.certs id leaf;
-                        (match evidence.Cert.witness with
+                    let box = t.prop.Prop.input in
+                    let exact = not (Screen.passes ~box leaf) in
+                    if exact && Result.is_error (Cert.check_leaf ~box leaf) then
+                      ("unavailable", true)
+                    else begin
+                      Hashtbl.replace t.certs id leaf;
+                      ( (match evidence.Cert.witness with
                         | Lp.Certificate.Dual _ -> "dual"
-                        | Lp.Certificate.Farkas _ -> "farkas")
-                    | Error _ -> "unavailable")
+                        | Lp.Certificate.Farkas _ -> "farkas"),
+                        exact )
+                    end
               in
-              t.emit (Trace.Certified { node = id; kind })
+              t.emit (Trace.Certified { node = id; kind; exact })
             end;
             Running
         | Analyzer.Counterexample x -> Finished (finish t (Disproved x))

@@ -76,12 +76,13 @@ type stats = {
   lp_pivots : int;  (** total simplex pivots across all node LP solves *)
   certs_emitted : int;
       (** verified leaves whose certificate passed the emission-time
-          exact self-check and joined the proof artifact (0 unless the
-          engine was created with [config.certify]) *)
+          check (float screen, else exact) and joined the proof
+          artifact (0 unless the engine was created with
+          [config.certify]) *)
   certs_unavailable : int;
       (** verified leaves with no checkable certificate — the analyzer
           produced none (non-LP verdict, fallback bound) or the exact
-          self-check rejected the solver's multipliers *)
+          check rejected the solver's multipliers *)
 }
 
 type verdict =
@@ -142,9 +143,12 @@ val create :
     [config.certify] collects a proof certificate for every
     verified leaf: the analyzer's LP evidence (pass an analyzer built
     with the matching [certify] flag, e.g.
-    [Analyzer.lp_triangle ~certify:true ()]) is re-checked in exact
-    arithmetic on the spot and, if accepted, keyed to the leaf; the
-    certificates are assembled into the run's [artifact] at completion.
+    [Analyzer.lp_triangle ~certify:true ()]) is checked on the spot and,
+    if accepted, keyed to the leaf; the certificates are assembled into
+    the run's [artifact] at completion.  The check is the float
+    {!Ivan_cert.Screen} first, which passes only evidence the exact
+    checker is certain to accept, and {!Ivan_cert.Cert.check_leaf} only
+    when the screen cannot decide; {!Trace.Certified} records which ran.
     Leaves without acceptable evidence are counted in
     [stats.certs_unavailable] and traced as {!Trace.Certified} with kind
     ["unavailable"] — the engine never emits a certificate the

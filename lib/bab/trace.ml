@@ -5,14 +5,21 @@ module Decision = Ivan_spectree.Decision
 type event =
   | Dequeued of { node : int; depth : int; frontier : int }
   | Analyzed of { node : int; status : string; lb : float; seconds : float }
-  | Lp_solved of { node : int; warm_hits : int; warm_misses : int; cold_solves : int; pivots : int }
+  | Lp_solved of {
+      node : int;
+      warm_hits : int;
+      warm_misses : int;
+      cold_solves : int;
+      pivots : int;
+      factor_pivots : int;
+    }
   | Split of { node : int; decision : Decision.t; left : int; right : int }
   | Pruned of { node : int }
   | Stuck of { node : int }
   | Retried of { node : int; analyzer : string; attempt : int; reason : string }
   | Fallback of { node : int; analyzer : string; reason : string }
   | Absorbed of { node : int; analyzer : string; reason : string }
-  | Certified of { node : int; kind : string }
+  | Certified of { node : int; kind : string; exact : bool }
   | Verdict of { verdict : string; calls : int; seconds : float }
 
 (* ---------------- sinks ---------------- *)
@@ -65,10 +72,11 @@ let event_to_json = function
   | Analyzed { node; status; lb; seconds } ->
       Printf.sprintf {|{"ev":"analyzed","node":%d,"status":%S,"lb":%s,"seconds":%s}|} node status
         (float_token lb) (float_token seconds)
-  | Lp_solved { node; warm_hits; warm_misses; cold_solves; pivots } ->
+  | Lp_solved { node; warm_hits; warm_misses; cold_solves; pivots; factor_pivots } ->
       Printf.sprintf
-        {|{"ev":"lp","node":%d,"warm_hits":%d,"warm_misses":%d,"cold_solves":%d,"pivots":%d}|} node
-        warm_hits warm_misses cold_solves pivots
+        ({|{"ev":"lp","node":%d,"warm_hits":%d,"warm_misses":%d,"cold_solves":%d,"pivots":%d,|}
+        ^^ {|"factor_pivots":%d}|})
+        node warm_hits warm_misses cold_solves pivots factor_pivots
   | Split { node; decision; left; right } ->
       Printf.sprintf {|{"ev":"split","node":%d,"decision":%S,"left":%d,"right":%d}|} node
         (Decision.to_string decision) left right
@@ -81,8 +89,8 @@ let event_to_json = function
       Printf.sprintf {|{"ev":"fallback","node":%d,"analyzer":%S,"reason":%S}|} node analyzer reason
   | Absorbed { node; analyzer; reason } ->
       Printf.sprintf {|{"ev":"absorbed","node":%d,"analyzer":%S,"reason":%S}|} node analyzer reason
-  | Certified { node; kind } ->
-      Printf.sprintf {|{"ev":"certified","node":%d,"kind":%S}|} node kind
+  | Certified { node; kind; exact } ->
+      Printf.sprintf {|{"ev":"certified","node":%d,"kind":%S,"exact":%b}|} node kind exact
   | Verdict { verdict; calls; seconds } ->
       Printf.sprintf {|{"ev":"verdict","verdict":%S,"calls":%d,"seconds":%s}|} verdict calls
         (float_token seconds)
@@ -173,6 +181,12 @@ let accessors line =
 
 let event_of_json line =
   let str, int, float = accessors line in
+  let bool key =
+    match str key with
+    | "true" -> true
+    | "false" -> false
+    | v -> failwith (Printf.sprintf "Trace: field %S is not a boolean (%S) in %S" key v line)
+  in
   match str "ev" with
   | "dequeued" -> Dequeued { node = int "node"; depth = int "depth"; frontier = int "frontier" }
   | "analyzed" ->
@@ -185,6 +199,7 @@ let event_of_json line =
           warm_misses = int "warm_misses";
           cold_solves = int "cold_solves";
           pivots = int "pivots";
+          factor_pivots = int "factor_pivots";
         }
   | "split" ->
       Split
@@ -201,7 +216,7 @@ let event_of_json line =
         { node = int "node"; analyzer = str "analyzer"; attempt = int "attempt"; reason = str "reason" }
   | "fallback" -> Fallback { node = int "node"; analyzer = str "analyzer"; reason = str "reason" }
   | "absorbed" -> Absorbed { node = int "node"; analyzer = str "analyzer"; reason = str "reason" }
-  | "certified" -> Certified { node = int "node"; kind = str "kind" }
+  | "certified" -> Certified { node = int "node"; kind = str "kind"; exact = bool "exact" }
   | "verdict" -> Verdict { verdict = str "verdict"; calls = int "calls"; seconds = float "seconds" }
   | ev -> failwith (Printf.sprintf "Trace.event_of_json: unknown event %S" ev)
 
@@ -255,8 +270,10 @@ type aggregate = {
   lp_warm_misses : int;
   lp_cold_solves : int;
   lp_pivots : int;
+  lp_factor_pivots : int;
   certified : int;
   certs_unavailable : int;
+  cert_exact_checks : int;
   verdict : string option;
 }
 
@@ -277,8 +294,10 @@ let empty_aggregate =
     lp_warm_misses = 0;
     lp_cold_solves = 0;
     lp_pivots = 0;
+    lp_factor_pivots = 0;
     certified = 0;
     certs_unavailable = 0;
+    cert_exact_checks = 0;
     verdict = None;
   }
 
@@ -293,13 +312,14 @@ let count acc ev =
         analyzer_calls = acc.analyzer_calls + 1;
         analyzer_seconds = acc.analyzer_seconds +. seconds;
       }
-  | Lp_solved { warm_hits; warm_misses; cold_solves; pivots; _ } ->
+  | Lp_solved { warm_hits; warm_misses; cold_solves; pivots; factor_pivots; _ } ->
       {
         acc with
         lp_warm_hits = acc.lp_warm_hits + warm_hits;
         lp_warm_misses = acc.lp_warm_misses + warm_misses;
         lp_cold_solves = acc.lp_cold_solves + cold_solves;
         lp_pivots = acc.lp_pivots + pivots;
+        lp_factor_pivots = acc.lp_factor_pivots + factor_pivots;
       }
   | Split _ -> { acc with branchings = acc.branchings + 1 }
   | Pruned _ -> { acc with pruned = acc.pruned + 1 }
@@ -307,7 +327,10 @@ let count acc ev =
   | Retried _ -> { acc with retries = acc.retries + 1 }
   | Fallback _ -> { acc with fallbacks = acc.fallbacks + 1 }
   | Absorbed _ -> { acc with absorbed = acc.absorbed + 1 }
-  | Certified { kind; _ } ->
+  | Certified { kind; exact; _ } ->
+      let acc =
+        if exact then { acc with cert_exact_checks = acc.cert_exact_checks + 1 } else acc
+      in
       if kind = "unavailable" then { acc with certs_unavailable = acc.certs_unavailable + 1 }
       else { acc with certified = acc.certified + 1 }
   | Verdict { verdict; _ } -> { acc with verdict = Some verdict }
@@ -321,10 +344,12 @@ let aggregate_to_json a =
     ({|{"events":%d,"analyzer_calls":%d,"analyzer_seconds":%s,"branchings":%d,"pruned":%d,|}
     ^^ {|"stuck":%d,"retries":%d,"fallbacks":%d,"absorbed":%d,"max_frontier":%d,"max_depth":%d,|}
     ^^ {|"lp_warm_hits":%d,"lp_warm_misses":%d,"lp_cold_solves":%d,"lp_pivots":%d,|}
-    ^^ {|"certified":%d,"certs_unavailable":%d,"verdict":%S}|})
+    ^^ {|"lp_factor_pivots":%d,"certified":%d,"certs_unavailable":%d,"cert_exact_checks":%d,|}
+    ^^ {|"verdict":%S}|})
     a.events a.analyzer_calls (float_token a.analyzer_seconds) a.branchings a.pruned a.stuck
     a.retries a.fallbacks a.absorbed a.max_frontier a.max_depth a.lp_warm_hits a.lp_warm_misses
-    a.lp_cold_solves a.lp_pivots a.certified a.certs_unavailable
+    a.lp_cold_solves a.lp_pivots a.lp_factor_pivots a.certified a.certs_unavailable
+    a.cert_exact_checks
     (Option.value a.verdict ~default:"")
 
 let aggregate_of_json line =
@@ -345,8 +370,10 @@ let aggregate_of_json line =
     lp_warm_misses = int "lp_warm_misses";
     lp_cold_solves = int "lp_cold_solves";
     lp_pivots = int "lp_pivots";
+    lp_factor_pivots = int "lp_factor_pivots";
     certified = int "certified";
     certs_unavailable = int "certs_unavailable";
+    cert_exact_checks = int "cert_exact_checks";
     verdict = (match str "verdict" with "" -> None | v -> Some v);
   }
 
@@ -359,8 +386,9 @@ let pp_aggregate fmt a =
   if a.fallbacks > 0 then Format.fprintf fmt ", %d fallback bounds" a.fallbacks;
   if a.absorbed > 0 then Format.fprintf fmt ", %d faults absorbed" a.absorbed;
   if a.lp_warm_hits + a.lp_warm_misses + a.lp_cold_solves > 0 then
-    Format.fprintf fmt ", LP %d warm / %d miss / %d cold (%d pivots)" a.lp_warm_hits a.lp_warm_misses
-      a.lp_cold_solves a.lp_pivots;
+    Format.fprintf fmt ", LP %d warm / %d miss / %d cold (%d pivots, %d refactor)" a.lp_warm_hits
+      a.lp_warm_misses a.lp_cold_solves a.lp_pivots a.lp_factor_pivots;
   if a.certified > 0 || a.certs_unavailable > 0 then
-    Format.fprintf fmt ", %d certified / %d uncertified" a.certified a.certs_unavailable;
+    Format.fprintf fmt ", %d certified / %d uncertified (%d exact checks)" a.certified
+      a.certs_unavailable a.cert_exact_checks;
   match a.verdict with None -> () | Some v -> Format.fprintf fmt ", verdict %s" v

@@ -16,10 +16,20 @@ type event =
   | Analyzed of { node : int; status : string; lb : float; seconds : float }
       (** an analyzer call bounded the node's subproblem ([status] is
           [verified], [counterexample] or [unknown]) *)
-  | Lp_solved of { node : int; warm_hits : int; warm_misses : int; cold_solves : int; pivots : int }
+  | Lp_solved of {
+      node : int;
+      warm_hits : int;
+      warm_misses : int;
+      cold_solves : int;
+      pivots : int;
+      factor_pivots : int;
+    }
       (** the analyzer call solved LPs: how many warm-started from a
           parent basis, how many warm attempts fell back to cold, how
-          many never attempted one, and the total simplex pivots *)
+          many never attempted one, the total simplex pivots, and the
+          warm-start pivots [pivots] leaves out — refactorizations of a
+          parent basis, plus all a warm miss spent before its cold
+          solve *)
   | Split of { node : int; decision : Ivan_spectree.Decision.t; left : int; right : int }
       (** the node branched into children [left]/[right] *)
   | Pruned of { node : int }  (** reuse-prune: an ineffective split was skipped *)
@@ -32,11 +42,12 @@ type event =
       (** a degraded (non-primary) analyzer's bound was accepted *)
   | Absorbed of { node : int; analyzer : string; reason : string }
       (** an analyzer failure was swallowed instead of crashing the run *)
-  | Certified of { node : int; kind : string }
+  | Certified of { node : int; kind : string; exact : bool }
       (** certificate collection on a verified leaf: [kind] is ["dual"]
           or ["farkas"] when a checkable certificate was emitted, and
           ["unavailable"] when the leaf's verdict carried none (or the
-          emission-time exact self-check rejected it) *)
+          emission-time exact check rejected it); [exact] says the
+          float screen could not decide, so the exact check ran *)
   | Verdict of { verdict : string; calls : int; seconds : float }
       (** terminal event: [proved], [disproved] or [exhausted] *)
 
@@ -92,8 +103,13 @@ type aggregate = {
   lp_warm_misses : int;
   lp_cold_solves : int;
   lp_pivots : int;
+  lp_factor_pivots : int;
+      (** warm-start pivots [lp_pivots] leaves out (see [Lp_solved]) *)
   certified : int;  (** [Certified] events with an emitted certificate *)
   certs_unavailable : int;  (** [Certified] events with kind ["unavailable"] *)
+  cert_exact_checks : int;
+      (** [Certified] events whose emission fell back to the exact
+          check; the rest were admitted by the float screen *)
   verdict : string option;  (** from the terminal [Verdict] event *)
 }
 

@@ -25,7 +25,11 @@
     are bound to their leaf structurally — input-variable bounds must
     equal the property box exactly, and the recorded split fingerprint
     must match the leaf's path in the tree — which is what rejects
-    transplanted or re-keyed certificates. *)
+    transplanted or re-keyed certificates.
+
+    {!Screen}, the float screen the engine runs at emission time before
+    falling back to {!check_leaf}, sits beside this module but outside
+    the trusted base: {!check_artifact} never consults it. *)
 
 module Lp = Ivan_lp.Lp
 

@@ -11,6 +11,7 @@ type warm = Cold | Warm_hit | Warm_miss
 type solve_stats = {
   pivots : int;  (* simplex iterations: basis changes + bound flips *)
   factor_pivots : int;  (* Gauss pivots spent refactorizing a warm basis *)
+  miss_pivots : int;  (* all pivots an abandoned warm attempt spent *)
   phase1 : bool;  (* a cold solve needed the artificial Phase-1 start *)
   warm : warm;
 }
@@ -634,7 +635,7 @@ let optimal_solution (p : problem) t =
   let certificate = Some (Certificate.Dual (extract_multipliers p t)) in
   { objective = !objective; primal; certificate }
 
-let solve_cold ?(warm_note = Cold) (p : problem) =
+let solve_cold ?(warm_note = Cold) ?(miss_pivots = 0) (p : problem) =
   validate_problem p;
   let n = p.nvars in
   let live, slot = live_rows p in
@@ -691,7 +692,14 @@ let solve_cold ?(warm_note = Cold) (p : problem) =
   let used_phase1 = ncols > n + m in
   let record ?certificate result =
     p.last_stats <-
-      Some { pivots = !counter; factor_pivots = 0; phase1 = used_phase1; warm = warm_note };
+      Some
+        {
+          pivots = !counter;
+          factor_pivots = 0;
+          miss_pivots;
+          phase1 = used_phase1;
+          warm = warm_note;
+        };
     p.last_basis <- (match result with Optimal _ -> capture_basis p t | _ -> None);
     p.last_certificate <- certificate;
     result
@@ -939,14 +947,14 @@ let repair_primal t ~counter =
     refresh_basic_values t
   done
 
-let warm_attempt p (b : Basis.t) =
+(* The caller owns the pivot counters, so a bailed attempt still
+   reports what it spent. *)
+let warm_attempt p (b : Basis.t) ~counter ~factor_counter =
   if b.Basis.nvars <> p.nvars || b.Basis.nrows <> p.nrows then None
   else
     match
       validate_problem p;
       let t = build_warm_tableau p in
-      let counter = ref 0 in
-      let factor_counter = ref 0 in
       refactorize p t b ~factor_counter;
       normalize_nonbasic t;
       repair_primal t ~counter;
@@ -963,7 +971,7 @@ let warm_attempt p (b : Basis.t) =
       | `Optimal -> ());
       refresh_basic_values t;
       if not (basics_within_bounds t) then raise Warm_bail;
-      (optimal_solution p t, !counter, !factor_counter, t)
+      (optimal_solution p t, t)
     with
     | exception Warm_bail -> None
     | exception Numerical_failure _ -> None
@@ -973,10 +981,19 @@ let warm_attempt p (b : Basis.t) =
 let solve_from p b =
   forget p;
   run_hook p;
-  match warm_attempt p b with
-  | Some (s, pivots, factor_pivots, t) ->
-      p.last_stats <- Some { pivots; factor_pivots; phase1 = false; warm = Warm_hit };
+  let counter = ref 0 and factor_counter = ref 0 in
+  match warm_attempt p b ~counter ~factor_counter with
+  | Some (s, t) ->
+      p.last_stats <-
+        Some
+          {
+            pivots = !counter;
+            factor_pivots = !factor_counter;
+            miss_pivots = 0;
+            phase1 = false;
+            warm = Warm_hit;
+          };
       p.last_basis <- capture_basis p t;
       p.last_certificate <- s.certificate;
       Optimal s
-  | None -> solve_cold ~warm_note:Warm_miss p
+  | None -> solve_cold ~warm_note:Warm_miss ~miss_pivots:(!counter + !factor_counter) p

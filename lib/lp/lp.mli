@@ -211,6 +211,10 @@ type solve_stats = {
   factor_pivots : int;
       (** Gauss-Jordan pivots spent re-installing a warm basis (0 for
           cold solves; rows whose own slack is basic are free) *)
+  miss_pivots : int;
+      (** on a [Warm_miss], every pivot (simplex and Gauss-Jordan) the
+          abandoned warm attempt spent before the cold solve — counted
+          in neither [pivots] nor [factor_pivots]; 0 otherwise *)
   phase1 : bool;  (** a cold solve needed the artificial Phase-1 start *)
   warm : warm;
 }

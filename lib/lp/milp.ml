@@ -1,4 +1,10 @@
-type stats = { nodes : int; lp_solves : int; simplex_pivots : int; warm_hits : int }
+type stats = {
+  nodes : int;
+  lp_solves : int;
+  simplex_pivots : int;
+  factor_pivots : int;
+  warm_hits : int;
+}
 
 type result =
   | Optimal of { objective : float; primal : float array; stats : stats }
@@ -27,6 +33,7 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
   let nodes = ref 0 in
   let lp_solves = ref 0 in
   let simplex_pivots = ref 0 in
+  let factor_pivots = ref 0 in
   let warm_hits = ref 0 in
   (* Most fractional binary of an LP solution, if any. *)
   let fractional primal =
@@ -55,6 +62,7 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
     (match Lp.last_stats p with
     | Some s ->
         simplex_pivots := !simplex_pivots + s.Lp.pivots;
+        factor_pivots := !factor_pivots + s.Lp.factor_pivots + s.Lp.miss_pivots;
         if s.Lp.warm = Lp.Warm_hit then incr warm_hits
     | None -> ());
     result
@@ -103,6 +111,7 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
       nodes = !nodes;
       lp_solves = !lp_solves;
       simplex_pivots = !simplex_pivots;
+      factor_pivots = !factor_pivots;
       warm_hits = !warm_hits;
     }
   in

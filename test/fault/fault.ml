@@ -208,8 +208,8 @@ let wrap_analyzer p a =
         { o with Analyzer.lb = neg_infinity }
     | Some ((Cert_perturb_dual | Cert_drop) as kind) ->
         (* Corrupt only the certificate evidence, never verdict or
-           bound: the engine's emission-time exact self-check must
-           reject the damaged witness and count the leaf
+           bound: the engine's emission-time check (float screen, then
+           the exact fallback) must reject the damaged witness and count the leaf
            certificate-unavailable — a lost certificate, never a forged
            one. *)
         let o = a.Analyzer.run net ~prop ~box ~splits in

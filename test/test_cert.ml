@@ -5,6 +5,7 @@
 
 module Q = Ivan_cert.Q
 module Cert = Ivan_cert.Cert
+module Screen = Ivan_cert.Screen
 module Lp = Ivan_lp.Lp
 module Vec = Ivan_tensor.Vec
 module Box = Ivan_spec.Box
@@ -14,6 +15,7 @@ module Zoo = Ivan_data.Zoo
 module Analyzer = Ivan_analyzer.Analyzer
 module Heuristic = Ivan_bab.Heuristic
 module Bab = Ivan_bab.Bab
+module Trace = Ivan_bab.Trace
 module Ivan = Ivan_core.Ivan
 module Workload = Ivan_harness.Workload
 module Runner = Ivan_harness.Runner
@@ -294,6 +296,80 @@ let test_transplanted_evidence_rejected () =
       expect_invalid "transplanted evidence" { wide with Cert.Artifact.leaves = leaves }
   | [] -> Alcotest.fail "narrow-box run emitted no certificates"
 
+(* ---------------- Float screen ---------------- *)
+
+let leaf_of ?(const = 0.0) snapshot witness =
+  { Cert.node = 0; splits = ""; evidence = { Cert.const; snapshot; witness } }
+
+let test_screen_hand_built () =
+  (* The bound 3 of [ge_snapshot] clears thresholds below it with room
+     to spare; at exactly 3 the float bound leaves no room for its own
+     error, so the screen defers to the exact check. *)
+  let box = Box.make ~lo:[| 0.0 |] ~hi:[| 10.0 |] in
+  let s = ge_snapshot () in
+  let dual const = Screen.passes ~box (leaf_of ~const s (Lp.Certificate.Dual [| 1.0 |])) in
+  Alcotest.(check bool) "clear margin passes" true (dual (-2.0));
+  Alcotest.(check bool) "zero margin is left to the exact check" false (dual (-3.0));
+  Alcotest.(check bool) "negative margin never passes" false (dual (-4.0));
+  Alcotest.(check bool) "wrong-signed multiplier never passes" false
+    (Screen.passes ~box (leaf_of s (Lp.Certificate.Dual [| -1.0 |])));
+  Alcotest.(check bool) "box mismatch never passes" false
+    (Screen.passes ~box:(Box.make ~lo:[| 0.0 |] ~hi:[| 9.0 |])
+       (leaf_of ~const:(-2.0) s (Lp.Certificate.Dual [| 1.0 |])));
+  let infeasible = { s with Cert.Snapshot.hi = [| 1.0 |] } in
+  Alcotest.(check bool) "Farkas witness passes" true
+    (Screen.passes ~box:(Box.make ~lo:[| 0.0 |] ~hi:[| 1.0 |])
+       (leaf_of infeasible (Lp.Certificate.Farkas [| 1.0 |])));
+  (* Eight products y_i b_i just above -2^-1075 each round to -0, so
+     the float bound is the constant 2^-1073 while the exact one is
+     about -2^-1073: only the underflow terms keep the screen from
+     passing. *)
+  let underflowing =
+    {
+      Cert.Snapshot.nvars = 1;
+      obj = [| 0.0 |];
+      lo = [| 0.0 |];
+      hi = [| 1.0 |];
+      rows =
+        Array.make 8
+          { Cert.Snapshot.idx = [| 0 |]; cf = [| 0.0 |]; cmp = Lp.Ge; rhs = -0x1.fffffep-538 };
+    }
+  in
+  let leaf =
+    leaf_of ~const:0x1p-1073 underflowing (Lp.Certificate.Dual (Array.make 8 0x1p-538))
+  in
+  let box = Box.make ~lo:[| 0.0 |] ~hi:[| 1.0 |] in
+  Alcotest.(check bool) "exact check rejects" true (Result.is_error (Cert.check_leaf ~box leaf));
+  Alcotest.(check bool) "underflow never passes" false (Screen.passes ~box leaf)
+
+let test_fcn_screen_decides_every_leaf () =
+  (* The fcn-mnist certify fixture: every emitted certificate is
+     admitted by the float screen alone, without an exact fallback. *)
+  let spec = Zoo.fcn_mnist in
+  let net = Zoo.train spec in
+  let totals = ref Trace.empty_aggregate in
+  List.iter
+    (fun (inst : Workload.instance) ->
+      let run =
+        Bab.verify
+          ~analyzer:(Analyzer.lp_triangle ~certify:true ())
+          ~heuristic:Heuristic.zono_coeff ~certify:true
+          ~budget:{ Bab.max_analyzer_calls = 150; max_seconds = 20.0 }
+          ~trace:(Trace.hook (fun ev -> totals := Trace.count !totals ev))
+          ~net ~prop:inst.Workload.prop ()
+      in
+      match run.Bab.artifact with
+      | Some artifact when run.Bab.verdict = Bab.Proved -> (
+          match Cert.check_artifact artifact with
+          | Ok _ -> ()
+          | Error msg -> Alcotest.failf "artifact rejected: %s" msg)
+      | _ -> ())
+    (Workload.robustness_instances ~spec ~net ~count:4);
+  let a = !totals in
+  Alcotest.(check bool) "certificates were emitted" true (a.Trace.certified > 0);
+  Alcotest.(check int) "no certificate unavailable" 0 a.Trace.certs_unavailable;
+  Alcotest.(check int) "no exact fallback" 0 a.Trace.cert_exact_checks
+
 (* ---------------- Determinism across domains ---------------- *)
 
 let test_parallel_certified_runs () =
@@ -364,4 +440,9 @@ let suite =
     ("transplanted artifact rejected", `Quick, test_transplanted_artifact_rejected);
     ("transplanted evidence rejected", `Quick, test_transplanted_evidence_rejected);
     ("parallel certified runs", `Quick, test_parallel_certified_runs);
+    ("screen hand-built", `Quick, test_screen_hand_built);
+    ("fcn screen decides every leaf", `Quick, test_fcn_screen_decides_every_leaf);
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| Screen_oracle.Oracle.seed |])
+      (Screen_oracle.Oracle.test ~count:Screen_oracle.Oracle.tier1_count);
   ]

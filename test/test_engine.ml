@@ -285,6 +285,10 @@ let sample_events =
     Trace.Retried { node = 4; analyzer = "lp-triangle"; attempt = 2; reason = "Lp.Iteration_limit" };
     Trace.Fallback { node = 4; analyzer = "interval"; reason = "degraded after retries" };
     Trace.Absorbed { node = 5; analyzer = "lp-triangle"; reason = "injected \"fault\"" };
+    Trace.Lp_solved
+      { node = 5; warm_hits = 1; warm_misses = 1; cold_solves = 0; pivots = 12; factor_pivots = 7 };
+    Trace.Certified { node = 5; kind = "dual"; exact = false };
+    Trace.Certified { node = 6; kind = "unavailable"; exact = true };
     Trace.Analyzed { node = 1; status = "verified"; lb = neg_infinity; seconds = nan };
     Trace.Verdict { verdict = "proved"; calls = 7; seconds = 1.5 };
   ]
@@ -301,6 +305,21 @@ let test_event_json_roundtrip () =
             (a.node = b.node && a.status = b.status && a.lb = b.lb && Float.is_nan b.seconds)
       | _ -> Alcotest.(check bool) json true (e = back))
     sample_events
+
+let test_aggregate_lp_and_cert_counters () =
+  (* Refactorization pivots and exact certificate fallbacks are summed
+     apart from simplex pivots and emitted certificates, and survive the
+     aggregate's JSON round trip. *)
+  let a = Trace.aggregate sample_events in
+  let b = Trace.aggregate_of_json (Trace.aggregate_to_json a) in
+  List.iter
+    (fun (agg : Trace.aggregate) ->
+      Alcotest.(check int) "simplex pivots" 12 agg.Trace.lp_pivots;
+      Alcotest.(check int) "refactor pivots" 7 agg.Trace.lp_factor_pivots;
+      Alcotest.(check int) "certified" 1 agg.Trace.certified;
+      Alcotest.(check int) "unavailable" 1 agg.Trace.certs_unavailable;
+      Alcotest.(check int) "exact fallbacks" 1 agg.Trace.cert_exact_checks)
+    [ a; b ]
 
 let test_jsonl_file_roundtrip_and_aggregate () =
   let net = Fixtures.paper_net () in
@@ -369,6 +388,7 @@ let suite =
     ("golden: call budgets match seed", `Quick, test_golden_call_budget);
     ("golden: initial-tree reuse matches seed", `Quick, test_golden_initial_tree_reuse);
     ("golden: input splitting matches seed", `Quick, test_golden_input_splitting);
+    ("aggregate lp and cert counters", `Quick, test_aggregate_lp_and_cert_counters);
     ("frontier fifo order", `Quick, test_frontier_fifo_order);
     ("frontier lifo order", `Quick, test_frontier_lifo_order);
     ("frontier best order", `Quick, test_frontier_best_order);

@@ -294,10 +294,34 @@ let test_solve_from_stats () =
   | Lp.Optimal s -> Alcotest.(check (float 1e-6)) "warm objective" (-4.0) s.objective
   | Lp.Infeasible | Lp.Unbounded -> Alcotest.fail "warm solve failed");
   match Lp.last_stats p with
-  | Some { Lp.warm = Lp.Warm_hit; _ } -> ()
+  | Some ({ Lp.warm = Lp.Warm_hit; _ } as s) ->
+      Alcotest.(check int) "a hit abandons nothing" 0 s.Lp.miss_pivots
   | Some { Lp.warm = Lp.Warm_miss; _ } ->
       Alcotest.fail "expected a warm hit on a one-bound nudge"
   | Some { Lp.warm = Lp.Cold; _ } | None -> Alcotest.fail "warm stats not recorded"
+
+(* A warm miss reports what its abandoned attempt spent: only the cold
+   path may decide [Infeasible], so a parent basis on a now-infeasible
+   problem is refactorized, fails its repair, and the pivots it spent
+   land in [miss_pivots] — not in the cold solve's own counts. *)
+let test_warm_miss_counts_abandoned_pivots () =
+  let p = Lp.create 2 in
+  Lp.set_objective p [| -1.0; -2.0 |];
+  Lp.set_bounds p 0 0.0 3.0;
+  Lp.set_bounds p 1 0.0 3.0;
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Le 4.0);
+  check_obj "cold" (-7.0) (Lp.solve p);
+  let b = match Lp.basis p with Some b -> b | None -> Alcotest.fail "no basis captured" in
+  Lp.set_bounds p 0 3.0 3.0;
+  Lp.set_bounds p 1 2.0 3.0;
+  (match Lp.solve_from p b with
+  | Lp.Infeasible -> ()
+  | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail "x + y <= 4 with x = 3, y >= 2 is infeasible");
+  match Lp.last_stats p with
+  | Some ({ Lp.warm = Lp.Warm_miss; _ } as s) ->
+      Alcotest.(check int) "no refactorization in the cold answer" 0 s.Lp.factor_pivots;
+      Alcotest.(check bool) "abandoned attempt spent pivots" true (s.Lp.miss_pivots > 0)
+  | Some _ | None -> Alcotest.fail "expected a warm miss"
 
 (* Randomized equivalence: after arbitrary bound nudges and an in-place
    row rewrite, [solve_from] on a stale basis must agree exactly with a
@@ -769,6 +793,7 @@ let suite =
     q prop_box_corner;
     q prop_redundant_rows;
     ("solve_from stats", `Quick, test_solve_from_stats);
+    ("warm miss counts abandoned pivots", `Quick, test_warm_miss_counts_abandoned_pivots);
     q prop_solve_from_matches_cold;
     q prop_optimal_certificate_checks;
     q prop_farkas_certificate_checks;
