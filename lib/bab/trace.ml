@@ -271,6 +271,8 @@ type aggregate = {
   lp_cold_solves : int;
   lp_pivots : int;
   lp_factor_pivots : int;
+  lp_hit_pivots : int;
+  lp_hit_solves : int;
   certified : int;
   certs_unavailable : int;
   cert_exact_checks : int;
@@ -295,6 +297,8 @@ let empty_aggregate =
     lp_cold_solves = 0;
     lp_pivots = 0;
     lp_factor_pivots = 0;
+    lp_hit_pivots = 0;
+    lp_hit_solves = 0;
     certified = 0;
     certs_unavailable = 0;
     cert_exact_checks = 0;
@@ -313,6 +317,7 @@ let count acc ev =
         analyzer_seconds = acc.analyzer_seconds +. seconds;
       }
   | Lp_solved { warm_hits; warm_misses; cold_solves; pivots; factor_pivots; _ } ->
+      let all_hits = warm_hits > 0 && warm_misses = 0 && cold_solves = 0 in
       {
         acc with
         lp_warm_hits = acc.lp_warm_hits + warm_hits;
@@ -320,6 +325,8 @@ let count acc ev =
         lp_cold_solves = acc.lp_cold_solves + cold_solves;
         lp_pivots = acc.lp_pivots + pivots;
         lp_factor_pivots = acc.lp_factor_pivots + factor_pivots;
+        lp_hit_pivots = (acc.lp_hit_pivots + if all_hits then pivots + factor_pivots else 0);
+        lp_hit_solves = (acc.lp_hit_solves + if all_hits then warm_hits else 0);
       }
   | Split _ -> { acc with branchings = acc.branchings + 1 }
   | Pruned _ -> { acc with pruned = acc.pruned + 1 }
@@ -344,12 +351,12 @@ let aggregate_to_json a =
     ({|{"events":%d,"analyzer_calls":%d,"analyzer_seconds":%s,"branchings":%d,"pruned":%d,|}
     ^^ {|"stuck":%d,"retries":%d,"fallbacks":%d,"absorbed":%d,"max_frontier":%d,"max_depth":%d,|}
     ^^ {|"lp_warm_hits":%d,"lp_warm_misses":%d,"lp_cold_solves":%d,"lp_pivots":%d,|}
-    ^^ {|"lp_factor_pivots":%d,"certified":%d,"certs_unavailable":%d,"cert_exact_checks":%d,|}
-    ^^ {|"verdict":%S}|})
+    ^^ {|"lp_factor_pivots":%d,"lp_hit_pivots":%d,"lp_hit_solves":%d,"certified":%d,|}
+    ^^ {|"certs_unavailable":%d,"cert_exact_checks":%d,"verdict":%S}|})
     a.events a.analyzer_calls (float_token a.analyzer_seconds) a.branchings a.pruned a.stuck
     a.retries a.fallbacks a.absorbed a.max_frontier a.max_depth a.lp_warm_hits a.lp_warm_misses
-    a.lp_cold_solves a.lp_pivots a.lp_factor_pivots a.certified a.certs_unavailable
-    a.cert_exact_checks
+    a.lp_cold_solves a.lp_pivots a.lp_factor_pivots a.lp_hit_pivots a.lp_hit_solves a.certified
+    a.certs_unavailable a.cert_exact_checks
     (Option.value a.verdict ~default:"")
 
 let aggregate_of_json line =
@@ -371,6 +378,8 @@ let aggregate_of_json line =
     lp_cold_solves = int "lp_cold_solves";
     lp_pivots = int "lp_pivots";
     lp_factor_pivots = int "lp_factor_pivots";
+    lp_hit_pivots = int "lp_hit_pivots";
+    lp_hit_solves = int "lp_hit_solves";
     certified = int "certified";
     certs_unavailable = int "certs_unavailable";
     cert_exact_checks = int "cert_exact_checks";
@@ -385,9 +394,15 @@ let pp_aggregate fmt a =
   if a.retries > 0 then Format.fprintf fmt ", %d retries" a.retries;
   if a.fallbacks > 0 then Format.fprintf fmt ", %d fallback bounds" a.fallbacks;
   if a.absorbed > 0 then Format.fprintf fmt ", %d faults absorbed" a.absorbed;
-  if a.lp_warm_hits + a.lp_warm_misses + a.lp_cold_solves > 0 then
-    Format.fprintf fmt ", LP %d warm / %d miss / %d cold (%d pivots, %d refactor)" a.lp_warm_hits
+  let solves = a.lp_warm_hits + a.lp_warm_misses + a.lp_cold_solves in
+  if solves > 0 then begin
+    Format.fprintf fmt ", LP %d warm / %d miss / %d cold (%d pivots, %d refactor" a.lp_warm_hits
       a.lp_warm_misses a.lp_cold_solves a.lp_pivots a.lp_factor_pivots;
+    let per total n = if n = 0 then "-" else Printf.sprintf "%.1f" (float_of_int total /. float_of_int n) in
+    Format.fprintf fmt "; %s per warm hit, %s per other solve)"
+      (per a.lp_hit_pivots a.lp_hit_solves)
+      (per (a.lp_pivots + a.lp_factor_pivots - a.lp_hit_pivots) (solves - a.lp_hit_solves))
+  end;
   if a.certified > 0 || a.certs_unavailable > 0 then
     Format.fprintf fmt ", %d certified / %d uncertified (%d exact checks)" a.certified
       a.certs_unavailable a.cert_exact_checks;

@@ -105,6 +105,14 @@ type aggregate = {
   lp_pivots : int;
   lp_factor_pivots : int;
       (** warm-start pivots [lp_pivots] leaves out (see [Lp_solved]) *)
+  lp_hit_pivots : int;
+      (** [pivots + factor_pivots] of the [Lp_solved] events whose solves
+          were all warm hits: what answering from a parent basis cost *)
+  lp_hit_solves : int;
+      (** the warm hits of those events; {!pp_aggregate} sets
+          [lp_hit_pivots / lp_hit_solves] beside the pivots per other
+          solve (cold solves, warm misses, and warm hits that share an
+          event with a cold solve, as a MILP search's do) *)
   certified : int;  (** [Certified] events with an emitted certificate *)
   certs_unavailable : int;  (** [Certified] events with kind ["unavailable"] *)
   cert_exact_checks : int;

@@ -470,6 +470,7 @@ module Artifact = struct
     let d = count_tok (field "box") in
     let lo = floats_exactly d (field "lo") in
     let hi = floats_exactly d (field "hi") in
+    Array.iteri (fun i l -> if l > hi.(i) then fail "box lo > hi on input %d" i) lo;
     let verdict =
       match tokens (field "verdict") with
       | [ "proved" ] -> Proved

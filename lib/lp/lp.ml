@@ -183,10 +183,10 @@ let add_constraint p coeffs cmp rhs =
 
    Warm solves ([solve_from]) build an artificial-free tableau
    ([0, n+m) columns only), re-install a captured parent basis by
-   Gauss-Jordan refactorization, repair any primal infeasibility left
-   by bound/row edits with a composite Phase-1, and run Phase 2 from
-   there — falling back to a cold solve on any mismatch or numerical
-   trouble.
+   Gauss-Jordan refactorization, box every inequality slack by the
+   bound the variable box implies for it, and run a bounded dual
+   simplex from there to the child's optimum — falling back to a cold
+   solve on any mismatch, infeasibility or numerical trouble.
 
    Every entry that is ever read again sees the same float operations
    in the same order as on the full tableau of every row and column, so
@@ -527,11 +527,12 @@ let check_tableau_finite t =
       raise (Numerical_failure (Printf.sprintf "non-finite reduced cost in column %d" j))
   done
 
-(* Run simplex iterations to optimality for the current cost row,
-   accumulating the iteration count into [counter].  Bland's rule takes
-   over after more degenerate steps in a row than twice the problem's
-   row count (inert rows included) plus two. *)
-let optimize t ~counter =
+(* Run iterations of [step] (the primal [simplex_step] or, on the warm
+   path, [dual_step]) until it reports an end, accumulating the
+   iteration count into [counter].  Bland's rule takes over after more
+   degenerate steps in a row than twice the problem's row count (inert
+   rows included) plus two. *)
+let iterate step t ~counter =
   let bland_after = 2 * (t.nrows + 1) in
   let rec go iter degenerate_streak =
     if iter > max_iterations then raise Iteration_limit;
@@ -539,7 +540,7 @@ let optimize t ~counter =
       refresh_basic_values t;
       check_tableau_finite t
     end;
-    match simplex_step t ~bland:(degenerate_streak > bland_after) with
+    match step t ~bland:(degenerate_streak > bland_after) with
     | Step_optimal -> `Optimal
     | Step_unbounded -> `Unbounded
     | Step_moved ->
@@ -550,6 +551,9 @@ let optimize t ~counter =
         go (iter + 1) (degenerate_streak + 1)
   in
   go 1 0
+
+(* Primal simplex to optimality for the current cost row. *)
+let optimize t ~counter = iterate simplex_step t ~counter
 
 (* Reject problems that are already numerically corrupt.  Infinite
    variable bounds are legal (they mean "unbounded in that direction"),
@@ -767,7 +771,7 @@ let solve p =
   solve_cold p
 
 (* ------------------------------------------------------------------ *)
-(* Warm start *)
+(* Warm start: a bounded dual simplex from the parent's basis *)
 
 exception Warm_bail
 
@@ -782,9 +786,8 @@ let build_warm_tableau (p : problem) =
 
 (* Re-derive every nonbasic column's value from its status against the
    problem's CURRENT bounds: bounds may have moved since the basis was
-   captured, and the feasibility repair below parks leavers at temporary
-   working bounds.  Statuses pointing at a bound that no longer exists
-   are downgraded to the resting status. *)
+   captured.  Statuses pointing at a bound that no longer exists are
+   downgraded to the resting status. *)
 let normalize_nonbasic t =
   for j = 0 to t.width - 1 do
     if t.stat.(j) <> Basic then begin
@@ -904,51 +907,175 @@ let refactorize (p : problem) t (b : Basis.t) ~factor_counter =
       t.stat.(n + k) <- stat.(n + i))
     t.live
 
-(* Composite Phase-1 from the installed basis: basic variables pushed
-   outside their bounds by the edits since capture are driven back by
-   minimizing the sum of violations.  Each round extends the violated
-   variables' working bounds to their current values (so the search can
-   only improve them) and prices +/-1 on the violation direction; the
-   true bounds are restored before checking again.  Rounds are bounded,
-   by the problem's row count — persistent violation means the parent
-   basis is a bad starting point and the caller should solve cold. *)
-let repair_primal t ~counter =
-  let max_rounds = t.nrows + 8 in
-  let rounds = ref 0 in
-  let cost = Array.make t.width 0.0 in
-  refresh_basic_values t;
-  while not (basics_within_bounds t) do
-    incr rounds;
-    if !rounds > max_rounds then raise Warm_bail;
-    Array.fill cost 0 t.width 0.0;
-    let saved = ref [] in
-    for i = 0 to t.m - 1 do
-      let b = t.basis.(i) in
-      let v = t.bval.(i) in
-      if v < t.lob.(b) -. eps_feas then begin
-        saved := (b, t.lob.(b), t.hib.(b)) :: !saved;
-        cost.(b) <- -1.0;
-        t.lob.(b) <- v
+(* Give each live inequality row's slack the finite bound the variable
+   box implies for it: a [Le] row's slack s = b - a.x is at most
+   b - sum_j min(a_j lo_j, a_j hi_j), a [Ge] row's at least
+   b - sum_j max(a_j lo_j, a_j hi_j).  The float sum is padded outward
+   by a bound on its rounding error (plus the least normal float, for
+   underflow), so no point of the box violates the implied bound; it is
+   infinite when a term's variable bound is.
+   With every slack boxed, a flip makes almost any basis dual feasible.
+   A row the box leaves no room (the implied bound reaches the slack's
+   own) goes to the cold path, which decides infeasibility. *)
+let imply_slack_bounds (p : problem) t =
+  let n = p.nvars in
+  for k = 0 to t.m - 1 do
+    let r = p.rows.(t.live.(k)) in
+    if r.cmp <> Eq then begin
+      let upper = r.cmp = Le in
+      let acc = ref 0.0 and mag = ref 0.0 in
+      for q = 0 to Array.length r.idx - 1 do
+        let a = r.cf.(q) in
+        if a <> 0.0 then begin
+          let j = r.idx.(q) in
+          let v = a *. (if a > 0.0 = upper then p.lo.(j) else p.hi.(j)) in
+          acc := !acc +. v;
+          mag := !mag +. Float.abs v
+        end
+      done;
+      let pad =
+        (float_of_int (Array.length r.idx + 2) *. epsilon_float *. (Float.abs r.rhs +. !mag))
+        +. Float.min_float
+      in
+      if upper then begin
+        let bound = r.rhs -. !acc +. pad in
+        if bound <= 0.0 then raise Warm_bail;
+        t.hib.(n + k) <- bound
       end
-      else if v > t.hib.(b) +. eps_feas then begin
-        saved := (b, t.lob.(b), t.hib.(b)) :: !saved;
-        cost.(b) <- 1.0;
-        t.hib.(b) <- v
+      else begin
+        let bound = r.rhs -. !acc -. pad in
+        if bound >= 0.0 then raise Warm_bail;
+        t.lob.(n + k) <- bound
       end
-    done;
-    refresh_cost_row t cost;
-    let outcome = optimize t ~counter in
-    List.iter (fun (b, lo, hi) ->
-        t.lob.(b) <- lo;
-        t.hib.(b) <- hi)
-      !saved;
-    (match outcome with `Unbounded -> raise Warm_bail | `Optimal -> ());
-    normalize_nonbasic t;
-    refresh_basic_values t
+    end
   done
 
-(* The caller owns the pivot counters, so a bailed attempt still
-   reports what it spent. *)
+(* An implied bound is only a device for the dual simplex: an optimum
+   that rests a slack on one is not an optimum the unchanged problem's
+   multipliers can certify. *)
+let rests_on_implied_bound (p : problem) t =
+  let n = p.nvars in
+  let found = ref false in
+  for k = 0 to t.m - 1 do
+    match (p.rows.(t.live.(k)).cmp, t.stat.(n + k)) with
+    | Le, At_upper | Ge, At_lower -> found := true
+    | _ -> ()
+  done;
+  !found
+
+(* Make the installed basis dual feasible for the current cost row:
+   every boxed nonbasic column moves onto the bound its reduced cost
+   favours.  A one-sided or free column whose reduced cost still has
+   the wrong sign — one the primal pricing would enter — bails. *)
+let flip_to_dual_feasible t =
+  for j = 0 to t.width - 1 do
+    let d = t.zrow.(j) in
+    let lo = t.lob.(j) and hi = t.hib.(j) in
+    if t.stat.(j) = Basic || lo = hi then ()
+    else if Float.is_finite lo && Float.is_finite hi then begin
+      if d > eps_cost then begin
+        t.stat.(j) <- At_lower;
+        t.xval.(j) <- lo
+      end
+      else if d < -.eps_cost then begin
+        t.stat.(j) <- At_upper;
+        t.xval.(j) <- hi
+      end
+    end
+    else
+      match t.stat.(j) with
+      | At_lower when d < -.eps_cost -> raise Warm_bail
+      | At_upper when d > eps_cost -> raise Warm_bail
+      | Free_zero when Float.abs d > eps_cost -> raise Warm_bail
+      | _ -> ()
+  done
+
+(* One bounded dual simplex iteration from a dual feasible basis.  The
+   leaving row is the basic with the largest bound violation, and it
+   leaves at the bound it violates.  The entering column is, among the
+   movable nonbasics whose move pushes that basic toward its bound (with
+   |alpha_rj| > [eps_ratio]), the one with the smallest |d_j / alpha_rj|,
+   so every reduced cost keeps its sign; ties go to the larger
+   |alpha_rj|.  Under [bland] the leaving row is the violated one with
+   the lowest basic column and ties go to the lower column.  No entering
+   column is a dual ray — the problem is infeasible — reported as
+   [Step_unbounded]. *)
+let dual_step t ~bland =
+  let r = ref (-1) in
+  let worst = ref eps_feas in
+  for i = 0 to t.m - 1 do
+    let b = t.basis.(i) in
+    let v = t.bval.(i) in
+    let viol = Float.max (t.lob.(b) -. v) (v -. t.hib.(b)) in
+    if viol > eps_feas && (if bland then !r < 0 || b < t.basis.(!r) else viol > !worst) then begin
+      r := i;
+      worst := viol
+    end
+  done;
+  if !r < 0 then Step_optimal
+  else begin
+    let r = !r in
+    let out = t.basis.(r) in
+    let below = t.bval.(r) < t.lob.(out) in
+    (* The basic must rise when [below]: column j moved up by one unit
+       moves it by -alpha_rj. *)
+    let toward = if below then -1.0 else 1.0 in
+    let prow = t.tab.(r) in
+    let entering = ref (-1) in
+    let best_ratio = ref infinity in
+    let best_alpha = ref 0.0 in
+    for j = 0 to t.width - 1 do
+      if t.stat.(j) <> Basic && t.lob.(j) < t.hib.(j) then begin
+        let alpha = prow.(j) in
+        let a = toward *. alpha in
+        let d = t.zrow.(j) in
+        let slope =
+          match t.stat.(j) with
+          | At_lower when a > eps_ratio -> Float.max 0.0 d
+          | At_upper when a < -.eps_ratio -> Float.max 0.0 (-.d)
+          | Free_zero when Float.abs a > eps_ratio -> Float.abs d
+          | _ -> -1.0 (* cannot move the basic toward its bound *)
+        in
+        if slope >= 0.0 then begin
+          let ratio = slope /. Float.abs alpha in
+          if
+            ratio < !best_ratio
+            || (ratio = !best_ratio && (not bland) && Float.abs alpha > !best_alpha)
+          then begin
+            entering := j;
+            best_ratio := ratio;
+            best_alpha := Float.abs alpha
+          end
+        end
+      end
+    done;
+    if !entering < 0 then Step_unbounded
+    else begin
+      let j = !entering in
+      let target = if below then t.lob.(out) else t.hib.(out) in
+      let step = (t.bval.(r) -. target) /. prow.(j) in
+      let moved = move_basics t j ~skip:r step in
+      t.xval.(out) <- target;
+      t.stat.(out) <- (if below then At_lower else At_upper);
+      let enter_value = t.xval.(j) +. step in
+      let stalled = Float.abs t.zrow.(j) <= eps_cost in
+      pivot t r j;
+      t.basis.(r) <- j;
+      t.stat.(j) <- Basic;
+      t.xval.(j) <- enter_value;
+      t.bval.(r) <- enter_value;
+      if moved && not stalled then Step_moved else Step_stalled
+    end
+  end
+
+(* The warm path: re-install the parent basis, box the slacks by their
+   implied bounds, flip to dual feasibility, run the dual simplex to
+   primal feasibility and a primal pass to clean up any drift.  The
+   answer stands only if it is an optimum of the unchanged problem: no
+   basic out of bounds and no slack resting on an implied bound.  A dual
+   ray (an infeasible child), an unbounded cleanup or running out of
+   iterations all bail to the cold path.  The caller owns the pivot
+   counters, so a bailed attempt still reports what it spent. *)
 let warm_attempt p (b : Basis.t) ~counter ~factor_counter =
   if b.Basis.nvars <> p.nvars || b.Basis.nrows <> p.nrows then None
   else
@@ -956,21 +1083,17 @@ let warm_attempt p (b : Basis.t) ~counter ~factor_counter =
       validate_problem p;
       let t = build_warm_tableau p in
       refactorize p t b ~factor_counter;
+      imply_slack_bounds p t;
       normalize_nonbasic t;
-      repair_primal t ~counter;
-      (* Phase 2 from the repaired parent basis. *)
       let cost = Array.make t.width 0.0 in
       Array.blit p.obj 0 cost 0 p.nvars;
       refresh_cost_row t cost;
-      (match optimize t ~counter with
-      | `Unbounded ->
-          (* Node LPs are bounded; an unbounded claim from a recycled
-             basis is more likely numerical drift than truth.  Certify
-             it with a cold solve instead. *)
-          raise Warm_bail
-      | `Optimal -> ());
+      flip_to_dual_feasible t;
       refresh_basic_values t;
-      if not (basics_within_bounds t) then raise Warm_bail;
+      (match iterate dual_step t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
+      (match optimize t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
+      refresh_basic_values t;
+      if (not (basics_within_bounds t)) || rests_on_implied_bound p t then raise Warm_bail;
       (optimal_solution p t, t)
     with
     | exception Warm_bail -> None

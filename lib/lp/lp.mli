@@ -18,14 +18,23 @@
     within dense-tableau territory.
 
     The solver is {e incremental}: an optimal {!solve} snapshots its
-    simplex basis, and {!solve_from} re-prices a near-identical problem
+    simplex basis, and {!solve_from} re-solves a near-identical problem
     (bounds moved by {!set_bounds}, rows rewritten in place by
-    {!set_row}) from that snapshot instead of restarting Phase 1 — the
-    branch-and-bound verifier re-solves each child node's LP from its
-    parent's basis this way.  Warm starts never change answers: any
-    basis mismatch, unrepairable infeasibility, or numerical trouble
-    falls back to an ordinary cold solve inside {!solve_from}, and
-    infeasibility verdicts are only ever issued by the cold path. *)
+    {!set_row}, a new objective) from that snapshot with a bounded dual
+    simplex instead of restarting Phase 1 — the branch-and-bound
+    verifier re-solves each child node's LP from its parent's basis
+    this way, as the paper's GUROBI back-end does.  To make the parent
+    basis dual feasible, the warm path boxes every inequality row's
+    slack by the finite bound the variable box implies for it (rounded
+    outward, so it cuts off no point of the box) and flips each boxed
+    nonbasic column onto the bound its reduced cost favours.  Warm
+    starts never change answers: an optimum is kept only if no slack
+    rests on an implied bound, so it is an optimum of the unchanged
+    problem with the multipliers a cold solve would certify it by; any
+    other outcome — a basis mismatch, a column the flips cannot fix, an
+    infeasible child, the iteration cap, numerical trouble — falls back
+    to an ordinary cold solve inside {!solve_from}, and infeasibility
+    verdicts are only ever issued by the cold path. *)
 
 type cmp = Le | Ge | Eq
 
@@ -186,16 +195,26 @@ val basis : problem -> Basis.t option
 
 val solve_from : problem -> Basis.t -> result
 (** [solve_from p b] solves [p] warm-starting from basis [b] (typically
-    the parent node's {!basis}): the basis is re-installed by
-    refactorization, primal feasibility is repaired with a composite
-    Phase 1 if bound/row edits pushed basic variables out of bounds, and
-    Phase 2 runs from there — usually a handful of pivots instead of a
-    full two-phase solve.  Falls back to an internal cold {!solve} (and
-    reports [Warm_miss] in {!last_stats}) whenever the snapshot does not
-    fit: shape mismatch, singular or inconsistent basis, unrepairable
-    infeasibility, an unbounded warm claim, or numerical failure.
-    Verdicts are identical to a cold solve's — in particular
-    [Infeasible] is only ever decided by the cold path. *)
+    the parent node's {!basis}).  The basis is re-installed by
+    refactorization; each live [Le] / [Ge] row's slack gets its implied
+    bound ([b - sum_j min(a_j lo_j, a_j hi_j)] above for [Le], the
+    [max] below for [Ge], padded outward; infinite when a term's
+    variable bound is); boxed nonbasic columns flip to the bound their
+    reduced cost favours; a bounded dual simplex (largest bound
+    violation leaves, smallest [|d_j / alpha_rj|] enters, ties to the
+    larger [|alpha_rj|], Bland's rule after a degenerate run) drives the
+    basics into their bounds; and a primal pass cleans up drift —
+    usually a handful of pivots instead of a full two-phase solve.
+    Falls back to an internal cold {!solve} (and reports [Warm_miss] in
+    {!last_stats}) whenever the snapshot does not fit: shape mismatch,
+    singular or inconsistent basis, a row whose implied bound leaves
+    its slack no room, a one-sided or free column with a wrong-signed
+    reduced cost, no entering column (an infeasible child), an
+    unbounded cleanup, the iteration cap, numerical failure, or an
+    optimum with a slack resting on its implied bound.  Optima agree
+    with a cold solve's up to float tolerance (the vertex may differ
+    where the optimum is not unique); [Infeasible] and [Unbounded] are
+    only ever decided by the cold path. *)
 
 (** {2 Per-solve statistics} *)
 

@@ -95,17 +95,21 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
               Lp.set_bounds p j lo hi
         end
   in
+  (* The binaries' bounds come back on every exit, an exception that
+     escapes the search (its own [invalid_arg], or whatever a solve hook
+     raises) included. *)
   let outcome =
-    match explore None with
-    | () -> `Done
-    | exception Out_of_nodes -> `Capped
-    | exception (Lp.Iteration_limit | Lp.Numerical_failure _) ->
-        (* An inner LP gave up; the search below this node is incomplete,
-           so no exact answer exists.  Surfaced as a result rather than
-           an exception so callers degrade instead of crashing. *)
-        `Failed
+    Fun.protect ~finally:restore (fun () ->
+        match explore None with
+        | () -> `Done
+        | exception Out_of_nodes -> `Capped
+        | exception (Lp.Iteration_limit | Lp.Numerical_failure _) ->
+            (* An inner LP gave up; the search below this node is
+               incomplete, so no exact answer exists.  Surfaced as a
+               result rather than an exception so callers degrade
+               instead of crashing. *)
+            `Failed)
   in
-  restore ();
   let stats =
     {
       nodes = !nodes;

@@ -46,7 +46,7 @@ val solve :
   result
 (** [solve p ~integer] minimizes over [p] with the [integer] variables
     binary.  The problem's bounds are temporarily tightened during the
-    search and restored before returning.  [incumbent] is a known upper
+    search and restored before it returns or raises.  [incumbent] is a known upper
     bound on the optimum (e.g. from a feasible point or a previous
     solve); branches whose LP relaxation cannot beat it are pruned, and
     if no solution improves on it the result is [Infeasible] (meaning:

@@ -1,8 +1,14 @@
-(* Differential oracle for the simplex kernel: on random LPs and warm
-   re-solve sequences, every [Lp] solve must match the {!Reference}
-   solve of the same problem bit for bit — result, pivot counts, Phase-1
-   use, warm kind, primal values, objective, multipliers and captured
-   basis.  A solve that raises must raise in both. *)
+(* Differential oracle for the simplex kernel, on random LPs and warm
+   re-solve sequences.  Every cold [Lp] solve must match the
+   {!Reference} solve of the same problem bit for bit — result, pivot
+   counts, Phase-1 use, primal values, objective, multipliers and
+   captured basis.  A warm child is checked against the reference's
+   cold solve of the same edited problem: a warm miss answers with the
+   cold solve, so it must match bit for bit (and is the only way a warm
+   solve may report [Infeasible]); a warm hit must find an optimum of
+   the same value with a feasible primal, a captured basis and
+   sign-admissible multipliers whose weak-duality bound reaches it.  A
+   solve that raises must raise in both. *)
 
 module Lp = Ivan_lp.Lp
 module Rng = Ivan_tensor.Rng
@@ -93,22 +99,63 @@ let set_objective tw c =
   Lp.set_objective tw.lp c;
   R.set_objective tw.rf c
 
+(* Each variable's summed coefficient in a row. *)
+let net_coefficients n (idx, cf, _, _) =
+  let s = Array.make n 0.0 in
+  Array.iteri (fun k j -> s.(j) <- s.(j) +. cf.(k)) idx;
+  s
+
+(* The row a case of the implied-bound family aims at: [Le] or [Ge]
+   over boxed variables that rest at [x0] on the bounds extremizing its
+   left-hand side — the minimum for [Le], the maximum for [Ge] — so
+   that its slack there is as far from zero as the box allows, the
+   bound the warm path implies for it. *)
+let extreme_row rng tw bounds =
+  let len = 1 + Rng.int rng (min tw.n 5) in
+  let idx = Array.init len (fun _ -> Rng.int rng tw.n) in
+  let cf = Array.init len (fun _ -> coefficient ~integral:tw.integral rng) in
+  let cmp = if Rng.bool rng then Lp.Le else Lp.Ge in
+  let s = net_coefficients tw.n (idx, cf, cmp, 0.0) in
+  Array.iter
+    (fun j ->
+      let lo, hi = bounds.(j) in
+      tw.x0.(j) <- (if s.(j) > 0.0 = (cmp = Lp.Le) then lo else hi))
+    idx;
+  let ax = ref 0.0 in
+  Array.iteri (fun k j -> ax := !ax +. (cf.(k) *. tw.x0.(j))) idx;
+  let room = if tw.integral || Rng.bool rng then 0.0 else Rng.float rng 1.0 in
+  (idx, cf, cmp, if cmp = Lp.Le then !ax +. room else !ax -. room)
+
 (* Most problems are small; one in four is larger, and half of those
    integral, so highly degenerate vertices, long degenerate runs and
-   Bland's rule get exercised too. *)
-let build rng =
+   Bland's rule get exercised too.  With [aimed], every variable is
+   boxed and row 0 is an {!extreme_row}. *)
+let build ~aimed rng =
   let large = Rng.int rng 4 = 0 in
   let integral = large && Rng.bool rng in
   let n = 1 + Rng.int rng (if large then 16 else 8) in
-  let bounds = Array.init n (fun _ -> random_bounds rng) in
+  let boxed () =
+    let lo = float_of_int (Rng.int rng 5 - 2) in
+    (lo, lo +. float_of_int (1 + Rng.int rng 3))
+  in
+  let bounds = Array.init n (fun _ -> if aimed then boxed () else random_bounds rng) in
   let x0 = Array.map (point_in ~integral rng) bounds in
   let tw = { lp = Lp.create n; rf = R.create n; n; x0; integral } in
   Array.iteri (set_bounds tw) bounds;
   set_objective tw (Array.init n (fun _ -> coefficient rng));
+  if aimed then add_row tw (extreme_row rng tw bounds);
   for _ = 1 to Rng.int rng (if large then 30 else 12) do
     add_row tw (if Rng.int rng 3 = 0 then inert_row rng else live_row rng tw)
   done;
   tw
+
+(* Turn the objective to row 0's extreme: minimize its left-hand side
+   for [Le], maximize it for [Ge].  [x0] attains it, so when [x0] is
+   feasible the optimum rests row 0's slack on its implied bound. *)
+let aim tw =
+  let ((_, _, cmp, _) as r) = Lp.row tw.lp 0 in
+  let s = net_coefficients tw.n r in
+  set_objective tw (if cmp = Lp.Le then s else Array.map Float.neg s)
 
 (* One edit between solves, as a BaB child makes them: a slot goes
    vacuous or comes back, a variable's box is split or replaced, the
@@ -166,17 +213,16 @@ let same_result r r' =
   | Lp.Infeasible, R.Infeasible | Lp.Unbounded, R.Unbounded -> true
   | _ -> false
 
-let same_warm w w' =
-  match (w, w') with
-  | Lp.Cold, R.Cold | Lp.Warm_hit, R.Warm_hit | Lp.Warm_miss, R.Warm_miss -> true
-  | _ -> false
-
-let same_stats s s' =
+(* A warm miss answers with a cold solve: the same statistics as the
+   reference's, but noted as a miss. *)
+let same_stats ~miss s s' =
   match (s, s') with
   | Some s, Some s' ->
       s.Lp.pivots = s'.R.pivots
       && s.Lp.factor_pivots = s'.R.factor_pivots
-      && s.Lp.phase1 = s'.R.phase1 && same_warm s.Lp.warm s'.R.warm
+      && s.Lp.phase1 = s'.R.phase1
+      && s'.R.warm = R.Cold
+      && s.Lp.warm = if miss then Lp.Warm_miss else Lp.Cold
   | None, None -> true
   | _ -> false
 
@@ -194,26 +240,115 @@ let same_basis b b' =
   | None, None -> true
   | _ -> false
 
-(* Solve both (cold, or warm from each side's own basis) and compare.
-   Returns the captured bases when both returned, [None] when both
-   raised: a raising solve clears the library's recorded state, which
-   the reference leaves stale, so a sequence ends there. *)
+let eps_feas = 1e-7
+
+(* Every bound and row of the current problem holds at [x] within
+   [eps_feas]. *)
+let feasible tw x =
+  let ok = ref true in
+  for j = 0 to tw.n - 1 do
+    let lo, hi = Lp.get_bounds tw.lp j in
+    if x.(j) < lo -. eps_feas || x.(j) > hi +. eps_feas then ok := false
+  done;
+  for i = 0 to Lp.num_rows tw.lp - 1 do
+    let idx, cf, cmp, rhs = Lp.row tw.lp i in
+    let ax = ref 0.0 in
+    Array.iteri (fun k j -> ax := !ax +. (cf.(k) *. x.(j))) idx;
+    let holds =
+      match cmp with
+      | Lp.Le -> !ax <= rhs +. eps_feas
+      | Lp.Ge -> !ax >= rhs -. eps_feas
+      | Lp.Eq -> Float.abs (!ax -. rhs) <= eps_feas
+    in
+    if not holds then ok := false
+  done;
+  !ok
+
+(* [y] has the sign each row's comparison admits. *)
+let admissible tw y =
+  Array.length y = Lp.num_rows tw.lp
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun i yi ->
+            let _, _, cmp, _ = Lp.row tw.lp i in
+            match cmp with Lp.Le -> yi <= 0.0 | Lp.Ge -> yi >= 0.0 | Lp.Eq -> true)
+          y)
+
+(* The weak-duality bound [y] implies, in floats: y.b plus each
+   variable's reduced cost times its box end that minimizes it.  A
+   reduced cost within float drift of zero contributes nothing, so an
+   infinite bound only counts against a clearly nonzero one. *)
+let dual_bound tw y =
+  let reduced = Lp.objective_coeffs tw.lp in
+  let bound = ref 0.0 in
+  Array.iteri
+    (fun i yi ->
+      let idx, cf, _, rhs = Lp.row tw.lp i in
+      bound := !bound +. (yi *. rhs);
+      Array.iteri (fun k j -> reduced.(j) <- reduced.(j) -. (yi *. cf.(k))) idx)
+    y;
+  Array.iteri
+    (fun j r ->
+      if Float.abs r > 1e-7 then begin
+        let lo, hi = Lp.get_bounds tw.lp j in
+        bound := !bound +. (r *. if r > 0.0 then lo else hi)
+      end)
+    reduced;
+  !bound
+
+(* A warm hit against the reference's cold solve of the same problem. *)
+let check_hit tw label r r' =
+  let fail what = QCheck.Test.fail_reportf "%s: %s" label what in
+  (match Lp.last_stats tw.lp with
+  | Some s when s.Lp.miss_pivots = 0 && not s.Lp.phase1 -> ()
+  | Some _ | None -> fail "a warm hit reported a miss or a Phase 1");
+  match (r, r') with
+  | Lp.Optimal s, R.Optimal s' ->
+      let cold = s'.R.objective in
+      if Float.abs (s.Lp.objective -. cold) > 1e-9 *. (1.0 +. Float.abs cold) then
+        fail (Printf.sprintf "warm objective %h, cold %h" s.Lp.objective cold);
+      if not (feasible tw s.Lp.primal) then fail "the warm primal violates a row or bound";
+      if Option.is_none (Lp.basis tw.lp) then fail "a warm hit captured no basis";
+      (match (s.Lp.certificate, Lp.last_certificate tw.lp) with
+      | Some (Lp.Certificate.Dual y), Some (Lp.Certificate.Dual y') when bits_equal y y' ->
+          if not (admissible tw y) then fail "warm multipliers have a wrong sign";
+          let b = dual_bound tw y in
+          if b < s.Lp.objective -. (1e-6 *. (1.0 +. Float.abs s.Lp.objective)) then
+            fail (Printf.sprintf "warm multipliers bound %h, objective %h" b s.Lp.objective)
+      | _ -> fail "a warm hit carried no dual certificate")
+  | Lp.Optimal _, (R.Infeasible | R.Unbounded) -> fail "a warm hit found an optimum cold did not"
+  | (Lp.Infeasible | Lp.Unbounded), _ -> fail "a warm hit returned no optimum"
+
+(* Solve the library cold or warm from [start], and the reference cold,
+   and compare.  Returns the library's captured basis when both
+   returned, [None] when both raised: a raising solve clears the
+   library's recorded state, which the reference leaves stale, so a
+   sequence ends there. *)
 let solve_both tw label start =
-  let lp_out, rf_out =
+  let lp_out =
     match start with
-    | None -> (run_lp (fun () -> Lp.solve tw.lp), run_ref (fun () -> R.solve tw.rf))
-    | Some (b, b') ->
-        (run_lp (fun () -> Lp.solve_from tw.lp b), run_ref (fun () -> R.solve_from tw.rf b'))
+    | None -> run_lp (fun () -> Lp.solve tw.lp)
+    | Some b -> run_lp (fun () -> Lp.solve_from tw.lp b)
   in
+  let rf_out = run_ref (fun () -> R.solve tw.rf) in
   let fail what = QCheck.Test.fail_reportf "%s: %s differ" label what in
   match (lp_out, rf_out) with
   | Returned r, Returned r' ->
-      if not (same_result r r') then fail "results";
-      if not (same_stats (Lp.last_stats tw.lp) (R.last_stats tw.rf)) then fail "statistics";
-      if not (same_certificate (Lp.last_certificate tw.lp) (R.last_certificate tw.rf)) then
-        fail "certificates";
-      if not (same_basis (Lp.basis tw.lp) (R.basis tw.rf)) then fail "captured bases";
-      Some (match (Lp.basis tw.lp, R.basis tw.rf) with Some b, Some b' -> Some (b, b') | _ -> None)
+      let warm = match Lp.last_stats tw.lp with Some s -> s.Lp.warm | None -> Lp.Cold in
+      (match (start, warm) with
+      | Some _, Lp.Warm_hit -> check_hit tw label r r'
+      | Some _, Lp.Cold -> QCheck.Test.fail_reportf "%s: a warm solve recorded a cold start" label
+      | None, (Lp.Warm_hit | Lp.Warm_miss) ->
+          QCheck.Test.fail_reportf "%s: a cold solve recorded a warm start" label
+      | (Some _ | None), (Lp.Warm_miss | Lp.Cold) ->
+          let miss = warm = Lp.Warm_miss in
+          if not (same_result r r') then fail "results";
+          if not (same_stats ~miss (Lp.last_stats tw.lp) (R.last_stats tw.rf)) then
+            fail "statistics";
+          if not (same_certificate (Lp.last_certificate tw.lp) (R.last_certificate tw.rf)) then
+            fail "certificates";
+          if not (same_basis (Lp.basis tw.lp) (R.basis tw.rf)) then fail "captured bases");
+      Some (Lp.basis tw.lp)
   | Raised e, Raised e' when e = e' ->
       if Lp.last_stats tw.lp <> None || Lp.basis tw.lp <> None || Lp.last_certificate tw.lp <> None
       then QCheck.Test.fail_reportf "%s: a raised solve left state behind" label;
@@ -223,20 +358,31 @@ let solve_both tw label start =
   | Raised e, Raised e' -> QCheck.Test.fail_reportf "%s: kernel raised %s, reference %s" label e e'
 
 (* A cold root solve, then up to five child solves, each after a few
-   edits: cold, warm from the root's basis, or warm from the latest. *)
+   edits: cold, warm from the root's basis, or warm from the latest.
+   One case in eight is aimed: its first child turns the objective to
+   row 0's extreme and re-solves warm from the root. *)
 let run_case seed =
   let rng = Rng.create seed in
-  let tw = build rng in
+  let aimed = Rng.int rng 8 = 0 in
+  let tw = build ~aimed rng in
   match solve_both tw "root" None with
   | None -> ()
   | Some root ->
       let children = Rng.int rng 6 in
       let rec child step latest =
-        if step <= children then begin
-          for _ = 0 to Rng.int rng 3 do
-            edit rng tw
-          done;
-          let start = match Rng.int rng 4 with 0 -> None | 1 -> root | _ -> latest in
+        if step <= children || (aimed && step = 1) then begin
+          let start =
+            if aimed && step = 1 then begin
+              aim tw;
+              root
+            end
+            else begin
+              for _ = 0 to Rng.int rng 3 do
+                edit rng tw
+              done;
+              match Rng.int rng 4 with 0 -> None | 1 -> root | _ -> latest
+            end
+          in
           let how = if Option.is_none start then "cold" else "warm" in
           let label = Printf.sprintf "child %d (%s)" step how in
           match solve_both tw label start with

@@ -321,6 +321,37 @@ let test_aggregate_lp_and_cert_counters () =
       Alcotest.(check int) "exact fallbacks" 1 agg.Trace.cert_exact_checks)
     [ a; b ]
 
+(* Pivots per warm hit come only from events whose solves were all warm
+   hits; everything else, a mixed event's hit included, counts per other
+   solve. *)
+let test_aggregate_hit_pivots () =
+  let lp node ~hits ~misses ~colds pivots factor_pivots =
+    Trace.Lp_solved
+      { node; warm_hits = hits; warm_misses = misses; cold_solves = colds; pivots; factor_pivots }
+  in
+  let events =
+    [
+      lp 1 ~hits:1 ~misses:0 ~colds:0 5 3;
+      lp 2 ~hits:1 ~misses:1 ~colds:0 12 7;
+      lp 3 ~hits:0 ~misses:0 ~colds:1 20 0;
+    ]
+  in
+  let a = Trace.aggregate events in
+  let b = Trace.aggregate_of_json (Trace.aggregate_to_json a) in
+  List.iter
+    (fun (agg : Trace.aggregate) ->
+      Alcotest.(check int) "hit pivots" 8 agg.Trace.lp_hit_pivots;
+      Alcotest.(check int) "hit solves" 1 agg.Trace.lp_hit_solves;
+      Alcotest.(check int) "simplex pivots unchanged" 37 agg.Trace.lp_pivots)
+    [ a; b ];
+  let line = Format.asprintf "%a" Trace.pp_aggregate a in
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) line true (contains line "8.0 per warm hit, 13.0 per other solve")
+
 let test_jsonl_file_roundtrip_and_aggregate () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
@@ -389,6 +420,7 @@ let suite =
     ("golden: initial-tree reuse matches seed", `Quick, test_golden_initial_tree_reuse);
     ("golden: input splitting matches seed", `Quick, test_golden_input_splitting);
     ("aggregate lp and cert counters", `Quick, test_aggregate_lp_and_cert_counters);
+    ("aggregate warm hit pivots", `Quick, test_aggregate_hit_pivots);
     ("frontier fifo order", `Quick, test_frontier_fifo_order);
     ("frontier lifo order", `Quick, test_frontier_lifo_order);
     ("frontier best order", `Quick, test_frontier_best_order);

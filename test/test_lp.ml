@@ -302,8 +302,9 @@ let test_solve_from_stats () =
 
 (* A warm miss reports what its abandoned attempt spent: only the cold
    path may decide [Infeasible], so a parent basis on a now-infeasible
-   problem is refactorized, fails its repair, and the pivots it spent
-   land in [miss_pivots] — not in the cold solve's own counts. *)
+   problem is refactorized, found to leave its row no room, and the
+   pivots it spent land in [miss_pivots] — not in the cold solve's own
+   counts. *)
 let test_warm_miss_counts_abandoned_pivots () =
   let p = Lp.create 2 in
   Lp.set_objective p [| -1.0; -2.0 |];
@@ -322,6 +323,57 @@ let test_warm_miss_counts_abandoned_pivots () =
       Alcotest.(check int) "no refactorization in the cold answer" 0 s.Lp.factor_pivots;
       Alcotest.(check bool) "abandoned attempt spent pivots" true (s.Lp.miss_pivots > 0)
   | Some _ | None -> Alcotest.fail "expected a warm miss"
+
+(* The warm path boxes each inequality slack by the bound the variable
+   box implies for it.  Here the child's optimum (minimize x + y over the
+   unit box) takes the slack of x + y <= 1.5 to that bound: the dual
+   simplex flips the slack up to it and stops with the slack resting
+   there, which is no optimum the unchanged problem's multipliers
+   certify, so the answer must come from the cold path. *)
+let test_warm_implied_bound_misses () =
+  let p = Lp.create 2 in
+  Lp.set_objective p [| -1.0; -1.0 |];
+  Lp.set_bounds p 0 0.0 1.0;
+  Lp.set_bounds p 1 0.0 1.0;
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Le 1.5);
+  check_obj "parent" (-1.5) (Lp.solve p);
+  let b = match Lp.basis p with Some b -> b | None -> Alcotest.fail "no basis captured" in
+  Lp.set_objective p [| 1.0; 1.0 |];
+  let warm = Lp.solve_from p b in
+  (match Lp.last_stats p with
+  | Some { Lp.warm = Lp.Warm_miss; _ } -> ()
+  | Some _ | None -> Alcotest.fail "a slack resting on its implied bound must miss");
+  let warm_certificate = Lp.last_certificate p in
+  let cold = Lp.solve p in
+  match (warm, cold) with
+  | Lp.Optimal w, Lp.Optimal c ->
+      Alcotest.(check (float 0.0)) "cold objective" c.Lp.objective w.Lp.objective;
+      Alcotest.(check (array (float 0.0))) "cold primal" c.Lp.primal w.Lp.primal;
+      Alcotest.(check bool) "cold certificate" true (warm_certificate = Lp.last_certificate p)
+  | _ -> Alcotest.fail "both solves must be optimal"
+
+(* The implied bound is padded outward by the float sum's rounding error.
+   Over x in [2^40, 2^40 + 1] and y in [3 * 2^-13, 1] the minimum of
+   x + y rounds up, so an unpadded bound on the slack of x + y <= b would
+   sit 2^-13 below the slack's true maximum, cutting off the child's
+   optimum and forcing a miss.  The padded bound covers it: the child
+   (minimize x + y) is a warm hit with the cold optimum. *)
+let test_warm_implied_bound_covers_box () =
+  let big = Float.ldexp 1.0 40 in
+  let p = Lp.create 2 in
+  Lp.set_objective p [| -1.0; -1.0 |];
+  Lp.set_bounds p 0 big (big +. 1.0);
+  Lp.set_bounds p 1 (Float.ldexp 3.0 (-13)) 1.0;
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Le (big +. 1.5));
+  ignore (get_opt "parent" (Lp.solve p));
+  let b = match Lp.basis p with Some b -> b | None -> Alcotest.fail "no basis captured" in
+  Lp.set_objective p [| 1.0; 1.0 |];
+  let warm = get_opt "warm" (Lp.solve_from p b) in
+  (match Lp.last_stats p with
+  | Some { Lp.warm = Lp.Warm_hit; _ } -> ()
+  | Some _ | None -> Alcotest.fail "the padded implied bound must keep the warm hit");
+  let cold = get_opt "cold" (Lp.solve p) in
+  Alcotest.(check (float 0.0)) "cold optimum" cold.Lp.objective warm.Lp.objective
 
 (* Randomized equivalence: after arbitrary bound nudges and an in-place
    row rewrite, [solve_from] on a stale basis must agree exactly with a
@@ -474,6 +526,33 @@ let prop_warm_and_cold_both_certify =
               in
               audit warm_p (Lp.solve_from warm_p b) && audit cold_p (Lp.solve cold_p))))
 
+(* One bound edit makes the child infeasible, though each row alone still
+   fits the box: y >= 2 forces x >= y >= 2 and x + y >= 4 > 3.  The warm
+   attempt may not decide that; the cold path does, with a Farkas
+   witness the exact checker accepts. *)
+let test_warm_infeasible_child () =
+  let p = Lp.create 2 in
+  Lp.set_objective p [| -1.0; 1.0 |];
+  Lp.set_bounds p 0 0.0 3.0;
+  Lp.set_bounds p 1 0.0 3.0;
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Le 3.0);
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; -1.0 |] Lp.Ge 0.0);
+  check_obj "parent" (-3.0) (Lp.solve p);
+  let b = match Lp.basis p with Some b -> b | None -> Alcotest.fail "no basis captured" in
+  Lp.set_bounds p 1 2.0 3.0;
+  (match Lp.solve_from p b with
+  | Lp.Infeasible -> ()
+  | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail "x + y <= 3, x >= y >= 2 is infeasible");
+  (match Lp.last_stats p with
+  | Some { Lp.warm = Lp.Warm_miss; _ } -> ()
+  | Some _ | None -> Alcotest.fail "only the cold path may decide infeasibility");
+  match Lp.last_certificate p with
+  | Some (Lp.Certificate.Farkas y) -> (
+      match Cert.check_farkas (Cert.Snapshot.of_problem p) ~y with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "Farkas witness rejected: %s" msg)
+  | Some (Lp.Certificate.Dual _) | None -> Alcotest.fail "no Farkas witness"
+
 (* ---------------- Milp ---------------- *)
 
 module Milp = Ivan_lp.Milp
@@ -521,6 +600,35 @@ let test_milp_tighter_than_relaxation () =
 let test_milp_bounds_restored () =
   let p = knapsack_problem () in
   ignore (Milp.solve p ~integer:[ 0; 1; 2 ]);
+  for j = 0 to 2 do
+    let lo, hi = Lp.get_bounds p j in
+    Alcotest.(check (float 0.0)) "lo restored" 0.0 lo;
+    Alcotest.(check (float 0.0)) "hi restored" 1.0 hi
+  done
+
+(* An exception escaping the search — here from a solve hook that
+   raises on the third node LP, when the first branch has pinned a
+   binary — must still leave every binary's bounds as they were. *)
+let test_milp_bounds_restored_on_raise () =
+  let p = Lp.create 3 in
+  Lp.set_objective p [| -10.0; -6.0; -4.0 |];
+  for j = 0 to 2 do
+    Lp.set_bounds p j 0.0 1.0
+  done;
+  Lp.add_constraint p [ (0, 1.0); (1, 1.0); (2, 1.0) ] Lp.Le 1.5;
+  let solves = ref 0 in
+  Lp.set_solve_hook
+    (Some
+       (fun _ ->
+         incr solves;
+         if !solves = 3 then raise Exit));
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> Lp.set_solve_hook None)
+      (fun () -> match Milp.solve p ~integer:[ 0; 1; 2 ] with _ -> `Returned | exception Exit -> `Raised)
+  in
+  Alcotest.(check bool) "the hook's exception escapes" true (outcome = `Raised);
+  Alcotest.(check int) "raised on the third solve" 3 !solves;
   for j = 0 to 2 do
     let lo, hi = Lp.get_bounds p j in
     Alcotest.(check (float 0.0)) "lo restored" 0.0 lo;
@@ -692,35 +800,37 @@ let triangle_solves (name, net, (prop : Prop.t)) =
     (fun (case, line) -> Printf.sprintf "%s %s %s" name case line)
     [ ("root", cold_line); ("pos", pos); ("neg", neg); ("cut", cut) ]
 
-(* Recorded from the dense simplex kernel.  The sparse kernel may only
-   flip the sign of a zero tableau entry, which no comparison sees, and
-   the live-row kernel leaves out only inert rows and retired columns,
-   which no later step reads, so every choice — and with it every pivot
-   count, optimum and multiplier — must match exactly. *)
+(* The cold [root] and [cut] lines were recorded from the dense simplex
+   kernel.  The sparse kernel may only flip the sign of a zero tableau
+   entry, which no comparison sees, and the live-row kernel leaves out
+   only inert rows and retired columns, which no later step reads, so
+   every choice — and with it every pivot count, optimum and multiplier
+   — must match exactly.  The warm [hit] lines were recorded from the
+   bounded dual simplex; they pin its pivot choices the same way. *)
 let golden_triangle =
   [
     "dense-8x24x24x3 root cold pivots=30 factor=0 opt=-0x1.02545429c255cp-2 \
      dual=03870eb1e2a340c0dd081dcdcc413094";
-    "dense-8x24x24x3 pos hit pivots=14 factor=15 opt=-0x1.36ac4e5819938p-4 \
-     dual=053bf3aee2dd5a43de459b44215db0b1";
-    "dense-8x24x24x3 neg hit pivots=2 factor=15 opt=-0x1.c391bd52430bep-3 \
-     dual=22aaaf6decbf50326df1bbd55056262b";
+    "dense-8x24x24x3 pos hit pivots=6 factor=15 opt=-0x1.36ac4e5819914p-4 \
+     dual=1f8497e5409d248b00473e42c411e068";
+    "dense-8x24x24x3 neg hit pivots=4 factor=15 opt=-0x1.c391bd52430bfp-3 \
+     dual=7a51163db74322b7fc0884c86647aafd";
     "dense-8x24x24x3 cut cold pivots=25 factor=0 infeasible \
      farkas=ec730a4af7661efc2f1d431b7ad0f047";
     "dense-16x32x32x32x5 root cold pivots=20 factor=0 opt=0x1.33087849096ddp-1 \
      dual=982fa0653885001a0d17b29686759fab";
     "dense-16x32x32x32x5 pos hit pivots=0 factor=13 opt=0x1.33541d77a43dcp-1 \
      dual=070a8f1b8036d3fb383ade1338be1d0e";
-    "dense-16x32x32x32x5 neg hit pivots=29 factor=13 opt=0x1.40bfc44402311p-1 \
-     dual=eb4d69714228a713d750da5367e892c3";
+    "dense-16x32x32x32x5 neg hit pivots=20 factor=13 opt=0x1.40bfc4440231p-1 \
+     dual=7698b61724837f8bdfa5558266856eb5";
     "dense-16x32x32x32x5 cut cold pivots=20 factor=0 infeasible \
      farkas=aeb579203d36fe184cf1b6c2e077892d";
     "conv-cifar-deep-shape root cold pivots=188 factor=0 opt=-0x1.eb8c704c21679p-4 \
      dual=e996789c9b262fe7c0b36ddb299c81c2";
-    "conv-cifar-deep-shape pos hit pivots=51 factor=51 opt=-0x1.d27b0fe35075ep-4 \
-     dual=a43b57e6d17bda9cc01aa25a0ab7f69d";
-    "conv-cifar-deep-shape neg hit pivots=16 factor=51 opt=-0x1.d96722cd0c91cp-4 \
-     dual=fcf7715014b239626afda515e3d8a731";
+    "conv-cifar-deep-shape pos hit pivots=7 factor=51 opt=-0x1.d27b0fe350763p-4 \
+     dual=0b303006c893be31ce120cf4cde2ec40";
+    "conv-cifar-deep-shape neg hit pivots=8 factor=51 opt=-0x1.d96722cd0c935p-4 \
+     dual=83cc377da367b9776b3e4cf702713b50";
     "conv-cifar-deep-shape cut cold pivots=182 factor=0 infeasible \
      farkas=f41edaafd981985b968c5a6615000f94";
   ]
@@ -728,6 +838,32 @@ let golden_triangle =
 let test_triangle_golden () =
   let observed = List.concat_map triangle_solves (Fixtures.golden_subjects ()) in
   Alcotest.(check (list string)) "triangle solves" golden_triangle observed
+
+(* The exact MILP of a golden subject at its root: node LPs re-solved
+   from the parent basis hit, and reach the cold search's optimum. *)
+let test_milp_warm_hits_match_cold () =
+  let name, net, prop = List.hd (Fixtures.golden_subjects ()) in
+  let enc =
+    match Encoding.Milp.build net ~prop with
+    | Some e -> e
+    | None -> Alcotest.failf "%s: empty root region" name
+  in
+  let box = prop.Prop.input in
+  let splits = Splits.empty in
+  let bounds =
+    match Deeppoly.analyze net ~box ~splits with
+    | Deeppoly.Feasible a -> Deeppoly.bounds a
+    | Deeppoly.Infeasible -> Alcotest.failf "%s: empty root region" name
+  in
+  Encoding.Milp.specialize enc ~box ~splits ~bounds;
+  let solve warm =
+    milp_opt name (Milp.solve ~warm (Encoding.Milp.lp enc) ~integer:(Encoding.Milp.binaries enc))
+  in
+  let warm_obj, _, warm_stats = solve true in
+  let cold_obj, _, cold_stats = solve false in
+  Alcotest.(check bool) "warm hits" true (warm_stats.Milp.warm_hits >= 1);
+  Alcotest.(check int) "no warm hits when cold" 0 cold_stats.Milp.warm_hits;
+  Alcotest.(check (float 1e-9)) "same optimum" cold_obj warm_obj
 
 (* Both rows need an artificial and tie in the first phase-1 ratio test,
    where the tie goes to the lower basic column.  With the artificials
@@ -794,6 +930,9 @@ let suite =
     q prop_redundant_rows;
     ("solve_from stats", `Quick, test_solve_from_stats);
     ("warm miss counts abandoned pivots", `Quick, test_warm_miss_counts_abandoned_pivots);
+    ("warm miss on an implied slack bound", `Quick, test_warm_implied_bound_misses);
+    ("warm implied bound covers the box", `Quick, test_warm_implied_bound_covers_box);
+    ("warm infeasible child goes cold", `Quick, test_warm_infeasible_child);
     q prop_solve_from_matches_cold;
     q prop_optimal_certificate_checks;
     q prop_farkas_certificate_checks;
@@ -801,6 +940,8 @@ let suite =
     ("milp knapsack", `Quick, test_milp_knapsack);
     ("milp tighter than relaxation", `Quick, test_milp_tighter_than_relaxation);
     ("milp bounds restored", `Quick, test_milp_bounds_restored);
+    ("milp bounds restored on raise", `Quick, test_milp_bounds_restored_on_raise);
+    ("milp warm hits match cold", `Quick, test_milp_warm_hits_match_cold);
     ("milp infeasible", `Quick, test_milp_infeasible);
     ("milp node limit", `Quick, test_milp_node_limit);
     ("milp warm start prunes", `Quick, test_milp_warm_start_prunes);
