@@ -69,6 +69,7 @@ module Warm = struct
     warm_hits : int;
     warm_misses : int;
     cold_solves : int;
+    phase1_solves : int;
     pivots : int;
     factor_pivots : int;
     basis : Lp.Basis.t option;
@@ -119,6 +120,7 @@ let record_lp_info lp =
           Warm.warm_hits = hits;
           warm_misses = misses;
           cold_solves = cold;
+          phase1_solves = Bool.to_int s.Lp.phase1;
           pivots = s.Lp.pivots;
           factor_pivots = s.Lp.factor_pivots + s.Lp.miss_pivots;
           basis = Lp.basis lp;
@@ -218,6 +220,17 @@ let evidence_of lp ~const =
           witness;
         }
 
+(* The box corner a cold solve's crash basis starts from: each input at
+   the end that minimizes its coefficient in the zonotope objective,
+   the lower end for a zero coefficient or without a zonotope. *)
+let crash_corner ~prop ~box zono =
+  let d = Box.dim box in
+  match zono with
+  | None -> Array.make d false
+  | Some a ->
+      let obj = Zonotope.objective_coeffs a ~c:prop.Prop.c in
+      Array.init d (fun j -> obj.(j) < 0.0)
+
 let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
   match Deeppoly.analyze net ~box ~splits with
   | Deeppoly.Infeasible -> vacuous
@@ -241,7 +254,8 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
       else
         (* Specialize the persistent per-property encoding to this node
            and solve it, warm from the parent's basis when one is
-           offered. *)
+           offered, else cold from the crash basis of a concrete forward
+           pass. *)
         let hint = Warm.take_hint () in
         let solved =
           try
@@ -250,7 +264,13 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
             | Some enc ->
                 Encoding.Triangle.specialize enc ~box ~splits ~bounds;
                 let lp = Encoding.Triangle.lp enc in
-                let r = match hint with Some b when warm -> Lp.solve_from lp b | _ -> Lp.solve lp in
+                let r =
+                  match hint with
+                  | Some b when warm -> Lp.solve_from lp b
+                  | _ ->
+                      let upper = crash_corner ~prop ~box zono in
+                      Lp.solve ?start:(Encoding.Triangle.crash enc ~upper) lp
+                in
                 `Result (lp, Encoding.Triangle.const enc, r)
           with Encoding.Mismatch | Lp.Iteration_limit | Lp.Numerical_failure _ -> `Solver_failed
         in
@@ -342,6 +362,7 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
               Warm.warm_hits = stats.Ivan_lp.Milp.warm_hits;
               warm_misses = 0;
               cold_solves = stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits;
+              phase1_solves = stats.Ivan_lp.Milp.phase1_solves;
               pivots = stats.Ivan_lp.Milp.simplex_pivots;
               factor_pivots = stats.Ivan_lp.Milp.factor_pivots;
               basis = None;

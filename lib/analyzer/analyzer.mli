@@ -76,9 +76,15 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     Node LPs come from a persistent per-(network, property) encoding
     ({!Encoding.Triangle}) specialized in place per subproblem, and when
     [warm] is true (default) a parent basis offered through {!Warm} is
-    used to warm-start the simplex ({!Ivan_lp.Lp.solve_from}).  [warm]
-    only toggles the solver entry point — warm and cold runs share the
-    identical specialized LP, so verdicts and bounds are unchanged.  A
+    used to warm-start the simplex ({!Ivan_lp.Lp.solve_from}).  Every
+    other node LP is solved cold, from the crash basis of a concrete
+    forward pass ({!Encoding.Triangle.crash}) at the box corner that
+    minimizes the zonotope objective's input part; the solver falls back
+    to Phase 1 when that basis is infeasible.  [~warm:false] still
+    crash-starts every solve and only ignores the offered parent bases,
+    so every node is a cold solve.  [warm] only toggles the solver entry
+    point — warm and cold runs share the identical specialized LP, so
+    verdicts and bounds are unchanged.  A
     node the encoding rejects ({!Encoding.Mismatch}) is treated like a
     failed solve: the outcome rests on the sound DeepPoly/zonotope
     bound. *)
@@ -96,11 +102,17 @@ module Warm : sig
   type lp_info = {
     warm_hits : int;  (** solves warm-started successfully *)
     warm_misses : int;  (** {!Ivan_lp.Lp.solve_from} fell back to cold *)
-    cold_solves : int;  (** solves that never attempted a warm start *)
+    cold_solves : int;
+        (** solves that never attempted a warm start, crash-started or
+            not *)
+    phase1_solves : int;
+        (** cold solves and warm misses answered by the Phase-1 start:
+            the ones a crash basis did not cover *)
     pivots : int;  (** total simplex pivots across the call's solves *)
     factor_pivots : int;
-        (** warm-start pivots [pivots] leaves out: basis refactorizations
-            and the abandoned attempts of warm misses *)
+        (** pivots [pivots] leaves out: refactorizations of a parent or
+            crash basis, and the abandoned attempts of warm misses and
+            infeasible crash starts *)
     basis : Ivan_lp.Lp.Basis.t option;
         (** basis to offer to child nodes; [None] when the solve did not
             end [Optimal] or the call ran the MILP search *)

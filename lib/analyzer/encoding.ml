@@ -454,6 +454,57 @@ module Triangle = struct
         | Piecewise_unit rows -> specialize_piecewise lp u rows ~splits ~l ~h
         | Smooth_unit rows -> specialize_smooth lp u rows ~l ~h)
       t.shape.units
+
+  (* The crash basis of the current specialization.  Each input rests
+     on the box end [upper] names, and a forward pass through the units'
+     own pre-activation rows gives every unit its exact value under the
+     values before it.  A value strictly inside the unit's bounds makes
+     the unit basic in its tight row, A ([pre - v <= 0]) when [pre >= 0]
+     and C ([slope*pre - v <= 0]) otherwise, with that row's slack at 0;
+     each such row holds the unit's variable with coefficient -1 and
+     only earlier variables besides, so the basis matrix is
+     unit-triangular in layer order.  Any other value rests the
+     variable on the bound it reaches.  Every other row keeps its slack
+     basic, so its slack value says whether the point satisfies it.
+     Such a row has no room when the point sits outside the node's
+     region (a split row), and the solver then falls back to Phase 1. *)
+  let crash t ~upper =
+    let lp = t.shape.lp in
+    let n = Lp.num_vars lp and m = Lp.num_rows lp in
+    if Array.length upper <> t.d then invalid_arg "Encoding.Triangle.crash: corner dimension";
+    let value = Array.make n 0.0 in
+    let statuses = Array.make (n + m) Lp.Basic in
+    let basics = Array.init m (fun i -> n + i) in
+    let rest j ~at_upper =
+      let lo, hi = Lp.get_bounds lp j in
+      let v = if at_upper then hi else lo in
+      if not (Float.is_finite v) then raise Exit;
+      value.(j) <- v;
+      statuses.(j) <- (if at_upper then Lp.At_upper else Lp.At_lower)
+    in
+    let unit u =
+      match u.kind with
+      | Smooth_unit _ -> raise Exit
+      | Piecewise_unit { slope; row_a; row_c; _ } ->
+          let pre = ref u.pre_const in
+          Array.iteri (fun k j -> pre := !pre +. (u.pre_cf.(k) *. value.(j))) u.pre_idx;
+          let pre = !pre in
+          let exact = if pre >= 0.0 then pre else slope *. pre in
+          let lo, hi = Lp.get_bounds lp u.var in
+          if lo < exact && exact < hi then begin
+            let row = if pre >= 0.0 then row_a else row_c in
+            value.(u.var) <- exact;
+            basics.(row) <- u.var;
+            statuses.(n + row) <- Lp.At_lower
+          end
+          else rest u.var ~at_upper:(exact > lo)
+    in
+    match
+      Array.iteri (fun j at_upper -> rest j ~at_upper) upper;
+      Array.iter unit t.shape.units
+    with
+    | () -> Some (Lp.Basis.make ~basics ~statuses)
+    | exception Exit -> None
 end
 
 let build_lp net ~prop ~box ~splits ~bounds =

@@ -77,6 +77,22 @@ module Triangle : sig
   val const : t -> float
   (** Objective constant, fixed between re-encodings: root-stable units
       are substituted with node-independent expressions. *)
+
+  val crash : t -> upper:bool array -> Lp.Basis.t option
+  (** A start basis for a cold {!Ivan_lp.Lp.solve} of the current
+      specialization, built by a concrete forward pass.  Input [j] rests
+      on its upper box end when [upper.(j)], else on its lower one.
+      Every unit whose exact value under that point lies strictly inside
+      its variable bounds is basic in its tight row (A, [pre - v <= 0],
+      when active; C, [slope*pre - v <= 0], when leaky and inactive)
+      with that row's slack at 0.  Every other variable rests on the
+      bound it reaches, and every other row keeps its own slack basic.
+      The basis is primal feasible exactly when the point satisfies the
+      node's rows; the solver checks that and falls back to Phase 1
+      otherwise (a corner outside a split, say).  [None] for an
+      encoding with smooth units, or a variable that would rest on an
+      infinite bound.  @raise Invalid_argument when [upper] does not
+      have the input dimension. *)
 end
 
 (** Persistent big-M MILP encoding (plain-ReLU networks only). *)

@@ -21,14 +21,17 @@ type event =
       warm_hits : int;
       warm_misses : int;
       cold_solves : int;
+      phase1 : int;
       pivots : int;
       factor_pivots : int;
     }
       (** the analyzer call solved LPs: how many warm-started from a
           parent basis, how many warm attempts fell back to cold, how
-          many never attempted one, the total simplex pivots, and the
-          warm-start pivots [pivots] leaves out — refactorizations of a
-          parent basis, plus all a warm miss spent before its cold
+          many never attempted one (crash-started or not), how many of
+          the cold solves and misses were answered by the Phase-1 start,
+          the total simplex pivots, and the pivots [pivots] leaves out —
+          refactorizations of a parent or crash basis, plus all a warm
+          miss or an infeasible crash start spent before the Phase-1
           solve *)
   | Split of { node : int; decision : Ivan_spectree.Decision.t; left : int; right : int }
       (** the node branched into children [left]/[right] *)
@@ -102,9 +105,14 @@ type aggregate = {
   lp_warm_hits : int;  (** summed from [Lp_solved] events *)
   lp_warm_misses : int;
   lp_cold_solves : int;
+  lp_phase1_solves : int;
+      (** solves answered by the Phase-1 start: [lp_cold_solves] minus
+          this is what the crash start covered, when no warm miss fell
+          back to Phase 1 *)
   lp_pivots : int;
   lp_factor_pivots : int;
-      (** warm-start pivots [lp_pivots] leaves out (see [Lp_solved]) *)
+      (** refactorization and abandoned-start pivots [lp_pivots] leaves
+          out (see [Lp_solved]) *)
   lp_hit_pivots : int;
       (** [pivots + factor_pivots] of the [Lp_solved] events whose solves
           were all warm hits: what answering from a parent basis cost *)

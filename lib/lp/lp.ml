@@ -10,24 +10,31 @@ type warm = Cold | Warm_hit | Warm_miss
 
 type solve_stats = {
   pivots : int;  (* simplex iterations: basis changes + bound flips *)
-  factor_pivots : int;  (* Gauss pivots spent refactorizing a warm basis *)
-  miss_pivots : int;  (* all pivots an abandoned warm attempt spent *)
+  factor_pivots : int;  (* Gauss pivots spent installing a start basis *)
+  miss_pivots : int;  (* all pivots an abandoned start spent *)
   phase1 : bool;  (* a cold solve needed the artificial Phase-1 start *)
   warm : warm;
 }
 
 module Basis = struct
-  (* A snapshot of the simplex basis at an optimum: which column is
-     basic in each row, and the resting status of every structural and
-     slack column.  Captured by [capture] below only when no artificial
-     column is basic, so a snapshot can always be re-installed on a
-     tableau built without artificials. *)
+  (* A simplex basis: which column is basic in each row, and the
+     resting status of every structural and slack column.  Captured at
+     an optimum by [capture_basis] below only when no artificial column
+     is basic, so a snapshot can always be re-installed on a tableau
+     built without artificials; [make] builds a start basis for a cold
+     solve. *)
   type t = {
     nvars : int;
     nrows : int;
     basics : int array;  (* row -> basic column in [0, nvars + nrows) *)
     statuses : status array;  (* structural + slack columns *)
   }
+
+  let make ~basics ~statuses =
+    let nrows = Array.length basics in
+    let nvars = Array.length statuses - nrows in
+    if nvars < 0 then invalid_arg "Lp.Basis.make: fewer statuses than rows";
+    { nvars; nrows; basics = Array.copy basics; statuses = Array.copy statuses }
 
   let basics b = Array.copy b.basics
 
@@ -181,12 +188,15 @@ let add_constraint p coeffs cmp rhs =
    read touches.  The order structural < slack < artificial is what
    Bland's rule and the leaving-row tie-break compare.
 
-   Warm solves ([solve_from]) build an artificial-free tableau
-   ([0, n+m) columns only), re-install a captured parent basis by
-   Gauss-Jordan refactorization, box every inequality slack by the
-   bound the variable box implies for it, and run a bounded dual
-   simplex from there to the child's optimum — falling back to a cold
-   solve on any mismatch, infeasibility or numerical trouble.
+   Solves from a basis build an artificial-free tableau ([0, n+m)
+   columns only) and install the basis by Gauss-Jordan
+   refactorization.  A start basis ([solve ~start]) must then be
+   primal feasible, and the primal simplex runs from it to the
+   optimum.  A parent basis ([solve_from]) gets every inequality slack
+   boxed by the bound the variable box implies for it, and a bounded
+   dual simplex runs from there to the child's optimum.  Either falls
+   back to the Phase-1 cold solve on any mismatch, infeasibility or
+   numerical trouble.
 
    Every entry that is ever read again sees the same float operations
    in the same order as on the full tableau of every row and column, so
@@ -765,13 +775,9 @@ let forget p =
   p.last_basis <- None;
   p.last_certificate <- None
 
-let solve p =
-  forget p;
-  run_hook p;
-  solve_cold p
-
 (* ------------------------------------------------------------------ *)
-(* Warm start: a bounded dual simplex from the parent's basis *)
+(* Solves from a basis: a primal-feasible start, or the parent's basis
+   re-solved by a bounded dual simplex *)
 
 exception Warm_bail
 
@@ -1068,55 +1074,83 @@ let dual_step t ~bland =
     end
   end
 
-(* The warm path: re-install the parent basis, box the slacks by their
-   implied bounds, flip to dual feasibility, run the dual simplex to
-   primal feasibility and a primal pass to clean up any drift.  The
-   answer stands only if it is an optimum of the unchanged problem: no
-   basic out of bounds and no slack resting on an implied bound.  A dual
-   ray (an infeasible child), an unbounded cleanup or running out of
-   iterations all bail to the cold path.  The caller owns the pivot
-   counters, so a bailed attempt still reports what it spent. *)
-let warm_attempt p (b : Basis.t) ~counter ~factor_counter =
+(* Install [b] on a fresh artificial-free tableau and let [run] take
+   it to an optimum.  [None] when the basis does not fit the problem's
+   shape, or [run] bails, overruns or fails numerically.  The caller
+   owns the pivot counters, so a bailed attempt still reports what it
+   spent. *)
+let from_basis p (b : Basis.t) ~factor_counter run =
   if b.Basis.nvars <> p.nvars || b.Basis.nrows <> p.nrows then None
   else
     match
       validate_problem p;
       let t = build_warm_tableau p in
       refactorize p t b ~factor_counter;
+      run t;
+      (optimal_solution p t, t)
+    with
+    | exception (Warm_bail | Numerical_failure _ | Iteration_limit) -> None
+    | outcome -> Some outcome
+
+let price_objective (p : problem) t =
+  let cost = Array.make t.width 0.0 in
+  Array.blit p.obj 0 cost 0 p.nvars;
+  refresh_cost_row t cost
+
+(* The start path: every basic of the installed start basis must lie
+   within its bounds, and the primal simplex runs from there.  An
+   unbounded run bails too: verdicts other than an optimum come only
+   from the Phase-1 path. *)
+let start_attempt p b ~counter ~factor_counter =
+  from_basis p b ~factor_counter (fun t ->
+      normalize_nonbasic t;
+      refresh_basic_values t;
+      if not (basics_within_bounds t) then raise Warm_bail;
+      price_objective p t;
+      (match optimize t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
+      refresh_basic_values t)
+
+(* The warm path: box the slacks by their implied bounds, flip to dual
+   feasibility, run the dual simplex to primal feasibility and a primal
+   pass to clean up any drift.  The answer stands only if it is an
+   optimum of the unchanged problem: no basic out of bounds and no slack
+   resting on an implied bound.  A dual ray (an infeasible child), an
+   unbounded cleanup or running out of iterations all bail to the cold
+   path. *)
+let warm_attempt p b ~counter ~factor_counter =
+  from_basis p b ~factor_counter (fun t ->
       imply_slack_bounds p t;
       normalize_nonbasic t;
-      let cost = Array.make t.width 0.0 in
-      Array.blit p.obj 0 cost 0 p.nvars;
-      refresh_cost_row t cost;
+      price_objective p t;
       flip_to_dual_feasible t;
       refresh_basic_values t;
       (match iterate dual_step t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
       (match optimize t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
       refresh_basic_values t;
-      if (not (basics_within_bounds t)) || rests_on_implied_bound p t then raise Warm_bail;
-      (optimal_solution p t, t)
-    with
-    | exception Warm_bail -> None
-    | exception Numerical_failure _ -> None
-    | exception Iteration_limit -> None
-    | outcome -> Some outcome
+      if (not (basics_within_bounds t)) || rests_on_implied_bound p t then raise Warm_bail)
 
-let solve_from p b =
+(* Answer from a basis when [attempt] reaches an optimum, and with the
+   Phase-1 cold solve otherwise. *)
+let solve_with attempt p b ~warm ~fallback =
   forget p;
   run_hook p;
   let counter = ref 0 and factor_counter = ref 0 in
-  match warm_attempt p b ~counter ~factor_counter with
+  match attempt p b ~counter ~factor_counter with
   | Some (s, t) ->
       p.last_stats <-
         Some
-          {
-            pivots = !counter;
-            factor_pivots = !factor_counter;
-            miss_pivots = 0;
-            phase1 = false;
-            warm = Warm_hit;
-          };
+          { pivots = !counter; factor_pivots = !factor_counter; miss_pivots = 0; phase1 = false; warm };
       p.last_basis <- capture_basis p t;
       p.last_certificate <- s.certificate;
       Optimal s
-  | None -> solve_cold ~warm_note:Warm_miss ~miss_pivots:(!counter + !factor_counter) p
+  | None -> solve_cold ~warm_note:fallback ~miss_pivots:(!counter + !factor_counter) p
+
+let solve ?start p =
+  match start with
+  | None ->
+      forget p;
+      run_hook p;
+      solve_cold p
+  | Some b -> solve_with start_attempt p b ~warm:Cold ~fallback:Cold
+
+let solve_from p b = solve_with warm_attempt p b ~warm:Warm_hit ~fallback:Warm_miss

@@ -7,15 +7,26 @@
   subject to  a_i^T x (<= | = | >=) b_i     for each row i
               lo_j <= x_j <= hi_j           for each variable j v}
 
-    using a primal simplex on bounded variables with a Phase-1 artificial
-    start and Bland's anti-cycling rule.  The tableau is dense over the
-    live rows only: an inert row (no terms, right-hand side 0, such as
-    the vacuous slots the persistent encodings write) is satisfied by
-    its slack at 0 and never enters the tableau, and pivots visit only
-    the pivot row's nonzero columns.  Which rows are inert changes no
+    using a primal simplex on bounded variables with Bland's
+    anti-cycling rule, started from a primal-feasible start basis the
+    caller supplies or, failing one, from a Phase-1 artificial start.
+    The tableau is dense over the live rows only: an inert row (no
+    terms, right-hand side 0, such as the vacuous slots the persistent
+    encodings write) is satisfied by its slack at 0 and never enters
+    the tableau, and pivots visit only the pivot row's nonzero
+    columns.  Which rows are inert changes no
     pivot, optimum, basis or certificate.  Problem sizes in this
     repository (at most a few hundred variables and rows) are well
     within dense-tableau territory.
+
+    A cold {!solve} can be handed a start basis (the analyzer builds one
+    from a concrete forward pass through its encoding): installed by
+    refactorization, it replaces Phase 1 whenever every basic lies
+    within its bounds, and the primal simplex runs straight from it to
+    the optimum.  A start that is singular or infeasible, or a run that
+    hits the iteration cap, numerical trouble or an unbounded ray, falls
+    back to the Phase-1 solve, which alone decides [Infeasible] and
+    [Unbounded].
 
     The solver is {e incremental}: an optimal {!solve} snapshots its
     simplex basis, and {!solve_from} re-solves a near-identical problem
@@ -33,8 +44,8 @@
     problem with the multipliers a cold solve would certify it by; any
     other outcome — a basis mismatch, a column the flips cannot fix, an
     infeasible child, the iteration cap, numerical trouble — falls back
-    to an ordinary cold solve inside {!solve_from}, and infeasibility
-    verdicts are only ever issued by the cold path. *)
+    to the Phase-1 cold solve inside {!solve_from}, and infeasibility
+    verdicts are only ever issued by Phase 1. *)
 
 type cmp = Le | Ge | Eq
 
@@ -96,8 +107,9 @@ val set_solve_hook : (problem -> unit) option -> unit
     production code leaves it unset.  The hook cell is atomic, so
     installing and clearing it is safe even while {!Runner} worker
     domains are solving: every domain sees either the hook or [None],
-    never a torn value.  ({!solve_from} triggers the hook once, even
-    when it falls back to an internal cold solve.) *)
+    never a torn value.  ({!solve_from} and {!solve} with a start
+    basis trigger the hook once, even when they fall back to an internal
+    Phase-1 solve.) *)
 
 val create : int -> problem
 (** [create n] is a problem over [n] variables with zero objective and
@@ -156,14 +168,7 @@ val set_row : problem -> int -> int array -> float array -> cmp -> float -> unit
     updated rows.  @raise Invalid_argument on an out-of-range row or
     variable index, or mismatched array lengths. *)
 
-val solve : problem -> result
-(** Solve the problem as currently built, from scratch (Phase-1
-    artificial start).  The problem may be extended and re-solved
-    afterwards.  Records {!last_stats}, and on an [Optimal] result
-    {!basis}; a solve that raises leaves {!last_stats}, {!basis} and
-    {!last_certificate} at [None]. *)
-
-(** {2 Warm starts} *)
+(** {2 Solving} *)
 
 (** Where a column sits relative to the basis. *)
 type status =
@@ -174,10 +179,19 @@ type status =
 
 module Basis : sig
   type t
-  (** A snapshot of an optimal simplex basis: the basic column of every
-      row plus the at-bound status of every structural and slack
-      column.  Immutable; safe to hold across later mutations of the
-      problem it was captured from. *)
+  (** A simplex basis: the basic column of every row plus the at-bound
+      status of every structural and slack column.  Either a snapshot of
+      an optimum ({!basis}) or a start built by {!make}.  Immutable; safe
+      to hold across later mutations of the problem it came from. *)
+
+  val make : basics:int array -> statuses:status array -> t
+  (** A basis from the basic column of every row and the status of every
+      column, numbered as in {!basics}: [Array.length statuses] is
+      [num_vars + num_rows].  The arrays are copied; a basis that does
+      not fit a problem (wrong shape, repeated basics, statuses that
+      disagree with [basics]) is caught when a solve installs it.
+      @raise Invalid_argument when [statuses] is shorter than
+      [basics]. *)
 
   val basics : t -> int array
   (** A copy of the basic column of every row.  Column [j < num_vars]
@@ -186,6 +200,23 @@ module Basis : sig
   val statuses : t -> status array
   (** A copy of the status of every column, numbered as in {!basics}. *)
 end
+
+val solve : ?start:Basis.t -> problem -> result
+(** Solve the problem as currently built, from scratch.  Without
+    [start], from a Phase-1 artificial start (bit for bit the solver's
+    long-standing cold solve).  With [start], the basis is installed by
+    refactorization and, when every basic lies within its bounds (to
+    within [1e-7]), the primal simplex runs from it straight to the
+    optimum, with no Phase 1; otherwise — a singular or infeasible
+    start, an unbounded ray, the iteration cap, numerical trouble — the
+    Phase-1 solve answers, so [Infeasible] and its Farkas witness, and
+    [Unbounded], only ever come from Phase 1.  Both are [Cold] in
+    {!last_stats}; [phase1] tells them apart.  The problem may be
+    extended and re-solved afterwards.  Records {!last_stats}, and on an
+    [Optimal] result {!basis}; a solve that raises leaves {!last_stats},
+    {!basis} and {!last_certificate} at [None]. *)
+
+(** {2 Warm starts} *)
 
 val basis : problem -> Basis.t option
 (** The basis snapshot captured by the most recent successful solve of
@@ -219,7 +250,7 @@ val solve_from : problem -> Basis.t -> result
 (** {2 Per-solve statistics} *)
 
 type warm =
-  | Cold  (** ordinary {!solve} *)
+  | Cold  (** {!solve}, with or without a start basis *)
   | Warm_hit  (** {!solve_from} succeeded from the given basis *)
   | Warm_miss  (** {!solve_from} fell back to a cold solve *)
 
@@ -228,13 +259,18 @@ type solve_stats = {
       (** simplex iterations performed (basis changes + bound flips),
           across all phases of the solve *)
   factor_pivots : int;
-      (** Gauss-Jordan pivots spent re-installing a warm basis (0 for
-          cold solves; rows whose own slack is basic are free) *)
+      (** Gauss-Jordan pivots spent installing the basis that answered: a
+          parent basis or a start basis (0 for a Phase-1 solve; rows
+          whose own slack is basic are free) *)
   miss_pivots : int;
-      (** on a [Warm_miss], every pivot (simplex and Gauss-Jordan) the
-          abandoned warm attempt spent before the cold solve — counted
-          in neither [pivots] nor [factor_pivots]; 0 otherwise *)
-  phase1 : bool;  (** a cold solve needed the artificial Phase-1 start *)
+      (** when a warm attempt or a start basis was abandoned for the
+          Phase-1 solve, every pivot (simplex and Gauss-Jordan) it spent
+          — counted in neither [pivots] nor [factor_pivots]; 0
+          otherwise *)
+  phase1 : bool;
+      (** the answer came from the artificial Phase-1 start: a cold
+          solve without a usable start basis, or a warm miss, that had
+          rows its slack basis could not satisfy *)
   warm : warm;
 }
 

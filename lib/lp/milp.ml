@@ -4,6 +4,7 @@ type stats = {
   simplex_pivots : int;
   factor_pivots : int;
   warm_hits : int;
+  phase1_solves : int;
 }
 
 type result =
@@ -35,6 +36,7 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
   let simplex_pivots = ref 0 in
   let factor_pivots = ref 0 in
   let warm_hits = ref 0 in
+  let phase1_solves = ref 0 in
   (* Most fractional binary of an LP solution, if any. *)
   let fractional primal =
     let best = ref None in
@@ -63,7 +65,8 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
     | Some s ->
         simplex_pivots := !simplex_pivots + s.Lp.pivots;
         factor_pivots := !factor_pivots + s.Lp.factor_pivots + s.Lp.miss_pivots;
-        if s.Lp.warm = Lp.Warm_hit then incr warm_hits
+        if s.Lp.warm = Lp.Warm_hit then incr warm_hits;
+        if s.Lp.phase1 then incr phase1_solves
     | None -> ());
     result
   in
@@ -117,6 +120,7 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
       simplex_pivots = !simplex_pivots;
       factor_pivots = !factor_pivots;
       warm_hits = !warm_hits;
+      phase1_solves = !phase1_solves;
     }
   in
   match outcome with

@@ -23,6 +23,7 @@ type stats = {
   warm_hits : int;
       (** node LPs answered from the parent basis without a cold
           fallback; 0 when [warm:false] *)
+  phase1_solves : int;  (** node LPs answered by a Phase-1 start ({!Lp.solve_stats}) *)
 }
 
 type result =

@@ -6,11 +6,15 @@ let () =
   let status =
     QCheck_base_runner.run_tests ~verbose:true
       ~rand:(Random.State.make [| seed |])
-      [ test ~count:(20 * tier1_count) ]
+      [ test ~count:(20 * tier1_count); crash_test ~count:(20 * crash_tier1_count) ]
   in
   Printf.printf
     "%d subproblems: %d split a root-stable unit, %d a unit ambiguous at the root but stable at \
      the node; %d strictly tighter than the reference; %d MILP pairs compared\n"
     tally.subproblems tally.root_stable_splits tally.node_stable_splits tally.tighter
     tally.milp_compared;
+  Printf.printf
+    "%d crash-started solves compared: %d answered without the Phase 1 the plain solve ran; %d \
+     corners outside a split row fell back\n"
+    crash_tally.crash_compared crash_tally.crash_covered crash_tally.crash_violating;
   exit status

@@ -11,7 +11,18 @@
        reference makes the encoding infeasible too);
    (b) the triangle optimum is at most the margin of every sampled
        concrete point of the subproblem (soundness);
-   (c) both MILPs are exact, so when both searches finish they agree. *)
+   (c) both MILPs are exact, so when both searches finish they agree.
+
+   A second property ({!crash_test}) checks the crash start of
+   {!Encoding.Triangle.crash} against the Phase-1 solve of the same
+   node LP, on dense ReLU and leaky-ReLU nets:
+
+   (d) a crash-started solve ends in the same status, with the optimum
+       within 1e-6 relative;
+   (e) at the root every corner's crash basis is feasible, so Phase 1
+       never runs;
+   (f) a corner that violates a split row falls back to the Phase-1
+       solve: the same result, bit for bit, and the same pivots. *)
 
 module Rng = Ivan_tensor.Rng
 module Lp = Ivan_lp.Lp
@@ -52,6 +63,16 @@ let tally =
     tighter = 0;
     milp_compared = 0;
   }
+
+(* Crash-started solves the crash property compared, and how many of
+   them were answered without Phase 1. *)
+type crash_tally = {
+  mutable crash_compared : int;
+  mutable crash_covered : int;
+  mutable crash_violating : int;  (* corners outside a split row *)
+}
+
+let crash_tally = { crash_compared = 0; crash_covered = 0; crash_violating = 0 }
 
 let pick rng a = a.(Rng.int rng (Array.length a))
 
@@ -265,3 +286,163 @@ let test ~count =
     ~count
     QCheck.(make ~print:(Printf.sprintf "case seed %d") Gen.(int_bound 1_000_000_000))
     check
+
+(* ---------------- crash starts ---------------- *)
+
+(* Cases in the crash property's tier-1 slice; 20x under
+   [dune build @encoding-oracle]. *)
+let crash_tier1_count = 1000
+
+(* A dense net whose hidden layers are all ReLU or all leaky ReLU. *)
+let random_dense_net rng =
+  let hidden = List.init (1 + Rng.int rng 3) (fun _ -> 1 + Rng.int rng 8) in
+  let dims = (1 + Rng.int rng 4) :: (hidden @ [ 1 + Rng.int rng 3 ]) in
+  let base = Builder.dense_net ~rng ~dims in
+  if Rng.int rng 2 = 0 then base
+  else
+    let slope = 0.05 +. Rng.float rng 0.9 in
+    let layers = Network.layers base in
+    let last = Array.length layers - 1 in
+    Network.make
+      (List.mapi
+         (fun i l -> if i = last then l else Layer.make (Layer.affine l) (Layer.Leaky_relu slope))
+         (Array.to_list layers))
+
+let corner_point box upper =
+  Array.mapi (fun j up -> if up then Box.hi_at box j else Box.lo_at box j) upper
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let same_certificate c c' =
+  match (c, c') with
+  | Some (Lp.Certificate.Dual y), Some (Lp.Certificate.Dual y')
+  | Some (Lp.Certificate.Farkas y), Some (Lp.Certificate.Farkas y') ->
+      bits_equal y y'
+  | None, None -> true
+  | _ -> false
+
+let outcome = function
+  | Lp.Optimal { objective; _ } -> Some objective
+  | Lp.Infeasible -> None
+  | Lp.Unbounded -> failwith "unbounded triangle LP over a bounded box"
+
+(* The node's LP solved from Phase 1 and from the crash basis of the
+   corner [upper]; [Exit] (the case is skipped) when either solve gives
+   up or the encoding has no crash basis. *)
+let solve_both tri ~upper =
+  let lp = Encoding.Triangle.lp tri in
+  let solve ?start () =
+    match Lp.solve ?start lp with
+    | r -> (r, Option.get (Lp.last_stats lp))
+    | exception (Lp.Iteration_limit | Lp.Numerical_failure _) -> raise Exit
+  in
+  let plain = solve () in
+  match Encoding.Triangle.crash tri ~upper with
+  | None -> raise Exit
+  | Some start -> (plain, solve ~start ())
+
+(* (d): same status, optimum within 1e-6 relative. *)
+let check_agree label ((r, _), (r', _)) =
+  crash_tally.crash_compared <- crash_tally.crash_compared + 1;
+  match (outcome r, outcome r') with
+  | Some v, Some v' when Float.abs (v' -. v) <= 1e-6 *. (1.0 +. Float.abs v) -> ()
+  | None, None -> ()
+  | v, v' -> failf "%s: crash start %s, Phase 1 %s" label (show v') (show v)
+
+(* (f): the Phase-1 solve's answer, bit for bit. *)
+let check_fell_back ((r, st), (r', st')) =
+  let same =
+    match (r, r') with
+    | Lp.Optimal s, Lp.Optimal s' ->
+        Int64.equal (Int64.bits_of_float s.Lp.objective) (Int64.bits_of_float s'.Lp.objective)
+        && bits_equal s.Lp.primal s'.Lp.primal
+        && same_certificate s.Lp.certificate s'.Lp.certificate
+    | Lp.Infeasible, Lp.Infeasible -> true
+    | _ -> false
+  in
+  if not (same && st.Lp.pivots = st'.Lp.pivots && st.Lp.phase1 = st'.Lp.phase1) then
+    failf "a corner outside a split row did not fall back to the Phase-1 answer"
+
+let random_corner rng d = Array.init d (fun _ -> Rng.int rng 2 = 0)
+
+(* A first-layer unit whose pre-activation at [x] is clear of zero,
+   split to the side [x] is not on. *)
+let violated_split rng net x =
+  let trace = Network.forward_trace net x in
+  let clear =
+    List.filter
+      (fun r -> r.Relu_id.layer = 0 && Float.abs (pre_at trace r) > 1e-3)
+      (Array.to_list (Network.relu_ids net))
+  in
+  match clear with
+  | [] -> None
+  | _ ->
+      let r = List.nth clear (Rng.int rng (List.length clear)) in
+      Some (r, if pre_at trace r >= 0.0 then Splits.Neg else Splits.Pos)
+
+let specialize_node net tri ~box ~splits =
+  match Deeppoly.analyze net ~box ~splits with
+  | Deeppoly.Infeasible -> false
+  | Deeppoly.Feasible dp ->
+      Encoding.Triangle.specialize tri ~box ~splits ~bounds:(Deeppoly.bounds dp);
+      true
+
+(* One case: the root, a run of random subproblems, and one corner
+   outside a split row. *)
+let check_crash seed =
+  let rng = Rng.create seed in
+  let net = random_dense_net rng in
+  let prop = random_prop rng net in
+  let d = Network.input_dim net in
+  let attempt f = try f () with Exit -> () in
+  match Encoding.Triangle.build net ~prop with
+  | None -> failf "root of a random property is DeepPoly-infeasible"
+  | Some tri ->
+      let crash_solve ~box ~splits ~upper =
+        if specialize_node net tri ~box ~splits then Some (solve_both tri ~upper) else None
+      in
+      let covered ((_, st), (_, st')) =
+        if st.Lp.phase1 && not st'.Lp.phase1 then
+          crash_tally.crash_covered <- crash_tally.crash_covered + 1
+      in
+      (* (e) *)
+      attempt (fun () ->
+          match
+            crash_solve ~box:prop.Prop.input ~splits:Splits.empty ~upper:(random_corner rng d)
+          with
+          | None -> ()
+          | Some ((_, (_, st')) as both) ->
+              check_agree "root" both;
+              covered both;
+              if st'.Lp.phase1 then failf "Phase 1 ran for a crash start at the root");
+      (* (d) *)
+      for _ = 0 to Rng.int rng 4 do
+        attempt (fun () ->
+            let box = sub_box rng prop.Prop.input in
+            let splits = random_splits rng net (point_in rng box) in
+            match crash_solve ~box ~splits ~upper:(random_corner rng d) with
+            | None -> ()
+            | Some both ->
+                check_agree "subproblem" both;
+                covered both)
+      done;
+      (* (f) *)
+      attempt (fun () ->
+          let box = sub_box rng prop.Prop.input in
+          let upper = random_corner rng d in
+          match violated_split rng net (corner_point box upper) with
+          | None -> ()
+          | Some (r, phase) -> (
+              match crash_solve ~box ~splits:(Splits.add r phase Splits.empty) ~upper with
+              | None -> ()
+              | Some both ->
+                  crash_tally.crash_violating <- crash_tally.crash_violating + 1;
+                  check_fell_back both));
+      true
+
+let crash_test ~count =
+  QCheck.Test.make ~name:"crash-started triangle solves agree with Phase 1" ~count
+    QCheck.(make ~print:(Printf.sprintf "case seed %d") Gen.(int_bound 1_000_000_000))
+    check_crash

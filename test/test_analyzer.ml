@@ -347,6 +347,9 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Encoding_oracle.Oracle.seed |])
       (Encoding_oracle.Oracle.test ~count:Encoding_oracle.Oracle.tier1_count);
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| Encoding_oracle.Oracle.seed |])
+      (Encoding_oracle.Oracle.crash_test ~count:Encoding_oracle.Oracle.crash_tier1_count);
     ("gradient finite difference", `Quick, test_gradient_finite_difference);
     ("gradient dim check", `Quick, test_gradient_dim_check);
     ("pgd finds violation", `Quick, test_pgd_finds_violation);

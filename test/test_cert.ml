@@ -19,6 +19,9 @@ module Trace = Ivan_bab.Trace
 module Ivan = Ivan_core.Ivan
 module Workload = Ivan_harness.Workload
 module Runner = Ivan_harness.Runner
+module Encoding = Ivan_analyzer.Encoding
+module Deeppoly = Ivan_domains.Deeppoly
+module Splits = Ivan_domains.Splits
 
 (* ---------------- Exact dyadic rationals ---------------- *)
 
@@ -370,6 +373,34 @@ let test_fcn_screen_decides_every_leaf () =
   Alcotest.(check int) "no certificate unavailable" 0 a.Trace.certs_unavailable;
   Alcotest.(check int) "no exact fallback" 0 a.Trace.cert_exact_checks
 
+let test_crash_start_certificate () =
+  (* A root LP answered from the crash basis (refactorization pivots,
+     no Phase 1) carries a Dual certificate that the float screen and
+     the exact check both accept at a margin just above the optimum. *)
+  List.iter
+    (fun (name, net, prop) ->
+      let box = prop.Prop.input in
+      let tri = Option.get (Encoding.Triangle.build net ~prop) in
+      (match Deeppoly.analyze net ~box ~splits:Splits.empty with
+      | Deeppoly.Infeasible -> Alcotest.failf "%s: root DeepPoly-infeasible" name
+      | Deeppoly.Feasible dp ->
+          Encoding.Triangle.specialize tri ~box ~splits:Splits.empty ~bounds:(Deeppoly.bounds dp));
+      let lp = Encoding.Triangle.lp tri in
+      let upper = Array.init (Box.dim box) (fun j -> j mod 2 = 1) in
+      let start = Option.get (Encoding.Triangle.crash tri ~upper) in
+      match Lp.solve ~start lp with
+      | Lp.Optimal { objective; certificate = Some witness; _ } ->
+          let s = Option.get (Lp.last_stats lp) in
+          Alcotest.(check bool) (name ^ ": answered from the crash basis") true
+            (s.Lp.factor_pivots > 0 && s.Lp.miss_pivots = 0 && not s.Lp.phase1);
+          let const = (1e-6 *. (1.0 +. Float.abs objective)) -. objective in
+          let leaf = leaf_of ~const (Cert.Snapshot.of_problem lp) witness in
+          Alcotest.(check bool) (name ^ ": screen passes") true (Screen.passes ~box leaf);
+          Alcotest.(check bool) (name ^ ": exact check accepts") true
+            (Result.is_ok (Cert.check_leaf ~box leaf))
+      | _ -> Alcotest.failf "%s: no certified optimum" name)
+    (Fixtures.golden_subjects ())
+
 (* ---------------- Determinism across domains ---------------- *)
 
 let test_parallel_certified_runs () =
@@ -442,6 +473,7 @@ let suite =
     ("parallel certified runs", `Quick, test_parallel_certified_runs);
     ("screen hand-built", `Quick, test_screen_hand_built);
     ("fcn screen decides every leaf", `Quick, test_fcn_screen_decides_every_leaf);
+    ("crash start certificate", `Quick, test_crash_start_certificate);
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Screen_oracle.Oracle.seed |])
       (Screen_oracle.Oracle.test ~count:Screen_oracle.Oracle.tier1_count);

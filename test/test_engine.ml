@@ -286,7 +286,15 @@ let sample_events =
     Trace.Fallback { node = 4; analyzer = "interval"; reason = "degraded after retries" };
     Trace.Absorbed { node = 5; analyzer = "lp-triangle"; reason = "injected \"fault\"" };
     Trace.Lp_solved
-      { node = 5; warm_hits = 1; warm_misses = 1; cold_solves = 0; pivots = 12; factor_pivots = 7 };
+      {
+        node = 5;
+        warm_hits = 1;
+        warm_misses = 1;
+        cold_solves = 0;
+        phase1 = 1;
+        pivots = 12;
+        factor_pivots = 7;
+      };
     Trace.Certified { node = 5; kind = "dual"; exact = false };
     Trace.Certified { node = 6; kind = "unavailable"; exact = true };
     Trace.Analyzed { node = 1; status = "verified"; lb = neg_infinity; seconds = nan };
@@ -307,15 +315,16 @@ let test_event_json_roundtrip () =
     sample_events
 
 let test_aggregate_lp_and_cert_counters () =
-  (* Refactorization pivots and exact certificate fallbacks are summed
-     apart from simplex pivots and emitted certificates, and survive the
-     aggregate's JSON round trip. *)
+  (* Refactorization pivots, Phase-1 solves and exact certificate
+     fallbacks are summed apart from simplex pivots, solves and emitted
+     certificates, and survive the aggregate's JSON round trip. *)
   let a = Trace.aggregate sample_events in
   let b = Trace.aggregate_of_json (Trace.aggregate_to_json a) in
   List.iter
     (fun (agg : Trace.aggregate) ->
       Alcotest.(check int) "simplex pivots" 12 agg.Trace.lp_pivots;
       Alcotest.(check int) "refactor pivots" 7 agg.Trace.lp_factor_pivots;
+      Alcotest.(check int) "phase-1 solves" 1 agg.Trace.lp_phase1_solves;
       Alcotest.(check int) "certified" 1 agg.Trace.certified;
       Alcotest.(check int) "unavailable" 1 agg.Trace.certs_unavailable;
       Alcotest.(check int) "exact fallbacks" 1 agg.Trace.cert_exact_checks)
@@ -327,7 +336,15 @@ let test_aggregate_lp_and_cert_counters () =
 let test_aggregate_hit_pivots () =
   let lp node ~hits ~misses ~colds pivots factor_pivots =
     Trace.Lp_solved
-      { node; warm_hits = hits; warm_misses = misses; cold_solves = colds; pivots; factor_pivots }
+      {
+        node;
+        warm_hits = hits;
+        warm_misses = misses;
+        cold_solves = colds;
+        phase1 = 0;
+        pivots;
+        factor_pivots;
+      }
   in
   let events =
     [
