@@ -255,7 +255,8 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
         (* Specialize the persistent per-property encoding to this node
            and solve it, warm from the parent's basis when one is
            offered, else cold from the crash basis of a concrete forward
-           pass. *)
+           pass.  A warm miss falls back on the crash basis too, so it
+           is built only when a solve asks for it. *)
         let hint = Warm.take_hint () in
         let solved =
           try
@@ -264,12 +265,11 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
             | Some enc ->
                 Encoding.Triangle.specialize enc ~box ~splits ~bounds;
                 let lp = Encoding.Triangle.lp enc in
+                let start () = Encoding.Triangle.crash enc ~upper:(crash_corner ~prop ~box zono) in
                 let r =
                   match hint with
-                  | Some b when warm -> Lp.solve_from lp b
-                  | _ ->
-                      let upper = crash_corner ~prop ~box zono in
-                      Lp.solve ?start:(Encoding.Triangle.crash enc ~upper) lp
+                  | Some b when warm -> Lp.solve_from ~start lp b
+                  | _ -> Lp.solve ?start:(start ()) lp
                 in
                 `Result (lp, Encoding.Triangle.const enc, r)
           with Encoding.Mismatch | Lp.Iteration_limit | Lp.Numerical_failure _ -> `Solver_failed

@@ -79,8 +79,11 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     used to warm-start the simplex ({!Ivan_lp.Lp.solve_from}).  Every
     other node LP is solved cold, from the crash basis of a concrete
     forward pass ({!Encoding.Triangle.crash}) at the box corner that
-    minimizes the zonotope objective's input part; the solver falls back
-    to Phase 1 when that basis is infeasible.  [~warm:false] still
+    minimizes the zonotope objective's input part; when that basis is
+    infeasible the solver's dual simplex repairs it.  A warm attempt
+    that misses tries the same crash basis, built only then.  Phase 1
+    runs only when neither answers (an infeasible node, say).
+    [~warm:false] still
     crash-starts every solve and only ignores the offered parent bases,
     so every node is a cold solve.  [warm] only toggles the solver entry
     point — warm and cold runs share the identical specialized LP, so
@@ -101,18 +104,21 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
 module Warm : sig
   type lp_info = {
     warm_hits : int;  (** solves warm-started successfully *)
-    warm_misses : int;  (** {!Ivan_lp.Lp.solve_from} fell back to cold *)
+    warm_misses : int;
+        (** {!Ivan_lp.Lp.solve_from} abandoned the parent basis; the
+            crash basis or Phase 1 answered *)
     cold_solves : int;
         (** solves that never attempted a warm start, crash-started or
             not *)
     phase1_solves : int;
         (** cold solves and warm misses answered by the Phase-1 start:
-            the ones a crash basis did not cover *)
+            the ones no basis answered *)
     pivots : int;  (** total simplex pivots across the call's solves *)
     factor_pivots : int;
         (** pivots [pivots] leaves out: refactorizations of a parent or
-            crash basis, and the abandoned attempts of warm misses and
-            infeasible crash starts *)
+            crash basis, and everything the attempts a solve abandoned
+            spent (a warm attempt that missed, a crash start that did
+            not answer) *)
     basis : Ivan_lp.Lp.Basis.t option;
         (** basis to offer to child nodes; [None] when the solve did not
             end [Optimal] or the call ran the MILP search *)

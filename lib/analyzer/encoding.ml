@@ -467,7 +467,8 @@ module Triangle = struct
      variable on the bound it reaches.  Every other row keeps its slack
      basic, so its slack value says whether the point satisfies it.
      Such a row has no room when the point sits outside the node's
-     region (a split row), and the solver then falls back to Phase 1. *)
+     region (a split row), and the solver's dual simplex then repairs
+     the basis. *)
   let crash t ~upper =
     let lp = t.shape.lp in
     let n = Lp.num_vars lp and m = Lp.num_rows lp in

@@ -88,8 +88,8 @@ module Triangle : sig
       with that row's slack at 0.  Every other variable rests on the
       bound it reaches, and every other row keeps its own slack basic.
       The basis is primal feasible exactly when the point satisfies the
-      node's rows; the solver checks that and falls back to Phase 1
-      otherwise (a corner outside a split, say).  [None] for an
+      node's rows; otherwise (a corner outside a split, say) the
+      solver's dual simplex repairs it.  [None] for an
       encoding with smooth units, or a variable that would rest on an
       infinite bound.  @raise Invalid_argument when [upper] does not
       have the input dimension. *)

@@ -30,9 +30,10 @@ type event =
           many never attempted one (crash-started or not), how many of
           the cold solves and misses were answered by the Phase-1 start,
           the total simplex pivots, and the pivots [pivots] leaves out —
-          refactorizations of a parent or crash basis, plus all a warm
-          miss or an infeasible crash start spent before the Phase-1
-          solve *)
+          refactorizations of the basis that answered (a parent or crash
+          basis), plus everything the attempts a solve abandoned spent:
+          a warm attempt before the crash basis or Phase 1 answered, a
+          crash start before Phase 1 did *)
   | Split of { node : int; decision : Ivan_spectree.Decision.t; left : int; right : int }
       (** the node branched into children [left]/[right] *)
   | Pruned of { node : int }  (** reuse-prune: an ineffective split was skipped *)
@@ -106,9 +107,8 @@ type aggregate = {
   lp_warm_misses : int;
   lp_cold_solves : int;
   lp_phase1_solves : int;
-      (** solves answered by the Phase-1 start: [lp_cold_solves] minus
-          this is what the crash start covered, when no warm miss fell
-          back to Phase 1 *)
+      (** solves answered by the Phase-1 start, cold solves and warm
+          misses alike: the ones no parent or crash basis answered *)
   lp_pivots : int;
   lp_factor_pivots : int;
       (** refactorization and abandoned-start pivots [lp_pivots] leaves

@@ -190,13 +190,14 @@ let add_constraint p coeffs cmp rhs =
 
    Solves from a basis build an artificial-free tableau ([0, n+m)
    columns only) and install the basis by Gauss-Jordan
-   refactorization.  A start basis ([solve ~start]) must then be
-   primal feasible, and the primal simplex runs from it to the
-   optimum.  A parent basis ([solve_from]) gets every inequality slack
+   refactorization.  A primal feasible start basis ([solve ~start])
+   runs the primal simplex to the optimum.  A parent basis
+   ([solve_from]) or an infeasible start gets every inequality slack
    boxed by the bound the variable box implies for it, and a bounded
-   dual simplex runs from there to the child's optimum.  Either falls
-   back to the Phase-1 cold solve on any mismatch, infeasibility or
-   numerical trouble.
+   dual simplex runs from there to the optimum.  A parent basis that
+   does not answer hands over to the start basis, unless its dual
+   simplex met a ray; anything else falls back to the Phase-1 cold
+   solve, which alone decides infeasibility.
 
    Every entry that is ever read again sees the same float operations
    in the same order as on the full tableau of every row and column, so
@@ -776,8 +777,9 @@ let forget p =
   p.last_certificate <- None
 
 (* ------------------------------------------------------------------ *)
-(* Solves from a basis: a primal-feasible start, or the parent's basis
-   re-solved by a bounded dual simplex *)
+(* Solves from a basis: a start or a parent's basis, re-solved by the
+   primal simplex when primal feasible, else by a bounded dual
+   simplex *)
 
 exception Warm_bail
 
@@ -1074,13 +1076,20 @@ let dual_step t ~bland =
     end
   end
 
+(* How an attempt from a basis ended: at an optimum, at a dual ray (the
+   dual simplex found no entering column, so the problem is
+   infeasible), or bailed for any other reason. *)
+type attempt = Answered of (solution * tableau) | Dual_ray | Bailed
+
+exception Ray
+
 (* Install [b] on a fresh artificial-free tableau and let [run] take
-   it to an optimum.  [None] when the basis does not fit the problem's
+   it to an optimum.  [Bailed] when the basis does not fit the problem's
    shape, or [run] bails, overruns or fails numerically.  The caller
-   owns the pivot counters, so a bailed attempt still reports what it
-   spent. *)
+   owns the pivot counters, so an abandoned attempt still reports what
+   it spent. *)
 let from_basis p (b : Basis.t) ~factor_counter run =
-  if b.Basis.nvars <> p.nvars || b.Basis.nrows <> p.nrows then None
+  if b.Basis.nvars <> p.nvars || b.Basis.nrows <> p.nrows then Bailed
   else
     match
       validate_problem p;
@@ -1089,68 +1098,88 @@ let from_basis p (b : Basis.t) ~factor_counter run =
       run t;
       (optimal_solution p t, t)
     with
-    | exception (Warm_bail | Numerical_failure _ | Iteration_limit) -> None
-    | outcome -> Some outcome
+    | exception Ray -> Dual_ray
+    | exception (Warm_bail | Numerical_failure _ | Iteration_limit) -> Bailed
+    | s, t -> Answered (s, t)
 
 let price_objective (p : problem) t =
   let cost = Array.make t.width 0.0 in
   Array.blit p.obj 0 cost 0 p.nvars;
   refresh_cost_row t cost
 
-(* The start path: every basic of the installed start basis must lie
-   within its bounds, and the primal simplex runs from there.  An
-   unbounded run bails too: verdicts other than an optimum come only
-   from the Phase-1 path. *)
+(* The bounded dual simplex from an installed basis: box the slacks by
+   their implied bounds, flip to dual feasibility, run the dual simplex
+   to primal feasibility and a primal pass to clean up any drift.  The
+   answer stands only if it is an optimum of the unchanged problem: no
+   basic out of bounds and no slack resting on an implied bound.  A
+   dual ray raises [Ray]; an unbounded cleanup or running out of
+   iterations bails. *)
+let dual_simplex p t ~counter =
+  imply_slack_bounds p t;
+  normalize_nonbasic t;
+  price_objective p t;
+  flip_to_dual_feasible t;
+  refresh_basic_values t;
+  (match iterate dual_step t ~counter with `Unbounded -> raise Ray | `Optimal -> ());
+  (match optimize t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
+  refresh_basic_values t;
+  if (not (basics_within_bounds t)) || rests_on_implied_bound p t then raise Warm_bail
+
+(* The start path: when every basic of the installed start basis lies
+   within its bounds, the primal simplex runs from there, with no
+   implied bounds and no flips; otherwise the dual simplex repairs it.
+   An unbounded primal run bails: verdicts other than an optimum come
+   only from the Phase-1 path. *)
 let start_attempt p b ~counter ~factor_counter =
   from_basis p b ~factor_counter (fun t ->
       normalize_nonbasic t;
       refresh_basic_values t;
-      if not (basics_within_bounds t) then raise Warm_bail;
-      price_objective p t;
-      (match optimize t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
-      refresh_basic_values t)
+      if basics_within_bounds t then begin
+        price_objective p t;
+        (match optimize t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
+        refresh_basic_values t
+      end
+      else dual_simplex p t ~counter)
 
-(* The warm path: box the slacks by their implied bounds, flip to dual
-   feasibility, run the dual simplex to primal feasibility and a primal
-   pass to clean up any drift.  The answer stands only if it is an
-   optimum of the unchanged problem: no basic out of bounds and no slack
-   resting on an implied bound.  A dual ray (an infeasible child), an
-   unbounded cleanup or running out of iterations all bail to the cold
-   path. *)
+(* The warm path: the dual simplex from the parent's basis. *)
 let warm_attempt p b ~counter ~factor_counter =
-  from_basis p b ~factor_counter (fun t ->
-      imply_slack_bounds p t;
-      normalize_nonbasic t;
-      price_objective p t;
-      flip_to_dual_feasible t;
-      refresh_basic_values t;
-      (match iterate dual_step t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
-      (match optimize t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
-      refresh_basic_values t;
-      if (not (basics_within_bounds t)) || rests_on_implied_bound p t then raise Warm_bail)
+  from_basis p b ~factor_counter (dual_simplex p ~counter)
 
-(* Answer from a basis when [attempt] reaches an optimum, and with the
-   Phase-1 cold solve otherwise. *)
-let solve_with attempt p b ~warm ~fallback =
+(* Record an answer from a basis. *)
+let answered p (s, t) ~pivots ~factor_pivots ~miss_pivots ~warm =
+  p.last_stats <- Some { pivots; factor_pivots; miss_pivots; phase1 = false; warm };
+  p.last_basis <- capture_basis p t;
+  p.last_certificate <- s.certificate;
+  Optimal s
+
+(* Answer from the start basis [b] when its attempt reaches an optimum,
+   and with the Phase-1 cold solve otherwise; [spent] is what an earlier
+   abandoned attempt of this solve already spent. *)
+let from_start p b ~warm ~spent =
+  let counter = ref 0 and factor_counter = ref 0 in
+  match start_attempt p b ~counter ~factor_counter with
+  | Answered a ->
+      answered p a ~pivots:!counter ~factor_pivots:!factor_counter ~miss_pivots:spent ~warm
+  | Dual_ray | Bailed ->
+      solve_cold ~warm_note:warm ~miss_pivots:(spent + !counter + !factor_counter) p
+
+let solve ?start p =
+  forget p;
+  run_hook p;
+  match start with None -> solve_cold p | Some b -> from_start p b ~warm:Cold ~spent:0
+
+(* A warm attempt that bails tries the start next; a dual ray (an
+   infeasible child) goes straight to Phase 1, which decides it. *)
+let solve_from ?start p b =
   forget p;
   run_hook p;
   let counter = ref 0 and factor_counter = ref 0 in
-  match attempt p b ~counter ~factor_counter with
-  | Some (s, t) ->
-      p.last_stats <-
-        Some
-          { pivots = !counter; factor_pivots = !factor_counter; miss_pivots = 0; phase1 = false; warm };
-      p.last_basis <- capture_basis p t;
-      p.last_certificate <- s.certificate;
-      Optimal s
-  | None -> solve_cold ~warm_note:fallback ~miss_pivots:(!counter + !factor_counter) p
-
-let solve ?start p =
-  match start with
-  | None ->
-      forget p;
-      run_hook p;
-      solve_cold p
-  | Some b -> solve_with start_attempt p b ~warm:Cold ~fallback:Cold
-
-let solve_from p b = solve_with warm_attempt p b ~warm:Warm_hit ~fallback:Warm_miss
+  match warm_attempt p b ~counter ~factor_counter with
+  | Answered a ->
+      answered p a ~pivots:!counter ~factor_pivots:!factor_counter ~miss_pivots:0 ~warm:Warm_hit
+  | outcome -> (
+      let spent = !counter + !factor_counter in
+      let start = match (outcome, start) with Bailed, Some f -> f () | _ -> None in
+      match start with
+      | Some s -> from_start p s ~warm:Warm_miss ~spent
+      | None -> solve_cold ~warm_note:Warm_miss ~miss_pivots:spent p)

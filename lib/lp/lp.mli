@@ -8,8 +8,8 @@
               lo_j <= x_j <= hi_j           for each variable j v}
 
     using a primal simplex on bounded variables with Bland's
-    anti-cycling rule, started from a primal-feasible start basis the
-    caller supplies or, failing one, from a Phase-1 artificial start.
+    anti-cycling rule, started from a start basis the caller supplies
+    or, failing one, from a Phase-1 artificial start.
     The tableau is dense over the live rows only: an inert row (no
     terms, right-hand side 0, such as the vacuous slots the persistent
     encodings write) is satisfied by its slack at 0 and never enters
@@ -19,33 +19,34 @@
     repository (at most a few hundred variables and rows) are well
     within dense-tableau territory.
 
-    A cold {!solve} can be handed a start basis (the analyzer builds one
-    from a concrete forward pass through its encoding): installed by
-    refactorization, it replaces Phase 1 whenever every basic lies
-    within its bounds, and the primal simplex runs straight from it to
-    the optimum.  A start that is singular or infeasible, or a run that
-    hits the iteration cap, numerical trouble or an unbounded ray, falls
-    back to the Phase-1 solve, which alone decides [Infeasible] and
-    [Unbounded].
-
     The solver is {e incremental}: an optimal {!solve} snapshots its
     simplex basis, and {!solve_from} re-solves a near-identical problem
     (bounds moved by {!set_bounds}, rows rewritten in place by
     {!set_row}, a new objective) from that snapshot with a bounded dual
     simplex instead of restarting Phase 1 — the branch-and-bound
     verifier re-solves each child node's LP from its parent's basis
-    this way, as the paper's GUROBI back-end does.  To make the parent
-    basis dual feasible, the warm path boxes every inequality row's
-    slack by the finite bound the variable box implies for it (rounded
-    outward, so it cuts off no point of the box) and flips each boxed
-    nonbasic column onto the bound its reduced cost favours.  Warm
-    starts never change answers: an optimum is kept only if no slack
-    rests on an implied bound, so it is an optimum of the unchanged
-    problem with the multipliers a cold solve would certify it by; any
-    other outcome — a basis mismatch, a column the flips cannot fix, an
-    infeasible child, the iteration cap, numerical trouble — falls back
-    to the Phase-1 cold solve inside {!solve_from}, and infeasibility
-    verdicts are only ever issued by Phase 1. *)
+    this way, as the paper's GUROBI back-end does.  To make a basis
+    dual feasible, the dual path boxes every inequality row's slack by
+    the finite bound the variable box implies for it (rounded outward,
+    so it cuts off no point of the box) and flips each boxed nonbasic
+    column onto the bound its reduced cost favours.  An optimum is kept
+    only if no slack rests on an implied bound, so it is an optimum of
+    the unchanged problem with the multipliers a cold solve would
+    certify it by.
+
+    A cold {!solve} can be handed a start basis (the analyzer builds one
+    from a concrete forward pass through its encoding), installed by
+    refactorization.  When every basic lies within its bounds the
+    primal simplex runs straight from it to the optimum; otherwise the
+    same dual path repairs it.  {!solve_from} takes that start basis
+    too, and tries it when the parent basis does not answer for any
+    reason but a dual ray.
+
+    Phase 1 runs only when no basis answers: a basis that does not fit,
+    a column the flips cannot fix, the iteration cap, numerical trouble
+    — or a dual ray, which means the problem is infeasible.  Phase 1
+    alone decides [Infeasible], with its Farkas witness, and
+    [Unbounded]; solves from a basis never change answers. *)
 
 type cmp = Le | Ge | Eq
 
@@ -205,16 +206,18 @@ val solve : ?start:Basis.t -> problem -> result
 (** Solve the problem as currently built, from scratch.  Without
     [start], from a Phase-1 artificial start (bit for bit the solver's
     long-standing cold solve).  With [start], the basis is installed by
-    refactorization and, when every basic lies within its bounds (to
-    within [1e-7]), the primal simplex runs from it straight to the
-    optimum, with no Phase 1; otherwise — a singular or infeasible
-    start, an unbounded ray, the iteration cap, numerical trouble — the
-    Phase-1 solve answers, so [Infeasible] and its Farkas witness, and
-    [Unbounded], only ever come from Phase 1.  Both are [Cold] in
-    {!last_stats}; [phase1] tells them apart.  The problem may be
-    extended and re-solved afterwards.  Records {!last_stats}, and on an
-    [Optimal] result {!basis}; a solve that raises leaves {!last_stats},
-    {!basis} and {!last_certificate} at [None]. *)
+    refactorization.  When every basic lies within its bounds (to
+    within [1e-7]) the primal simplex runs from it straight to the
+    optimum, with no implied bounds and no flips.  Otherwise the bounded
+    dual simplex of {!solve_from} runs from it, under the same
+    acceptance test.  A start that is singular, a dual ray, an unbounded
+    ray, the iteration cap or numerical trouble hands the solve to
+    Phase 1, so [Infeasible] and its Farkas witness, and [Unbounded],
+    only ever come from Phase 1.  Both are [Cold] in {!last_stats};
+    [phase1] tells them apart.  The problem may be extended and
+    re-solved afterwards.  Records {!last_stats}, and on an [Optimal]
+    result {!basis}; a solve that raises leaves {!last_stats}, {!basis}
+    and {!last_certificate} at [None]. *)
 
 (** {2 Warm starts} *)
 
@@ -224,35 +227,42 @@ val basis : problem -> Basis.t option
     non-[Optimal] result or a raised failure, or when the optimum left an artificial column
     basic (a basis the warm path could not re-install). *)
 
-val solve_from : problem -> Basis.t -> result
-(** [solve_from p b] solves [p] warm-starting from basis [b] (typically
-    the parent node's {!basis}).  The basis is re-installed by
-    refactorization; each live [Le] / [Ge] row's slack gets its implied
-    bound ([b - sum_j min(a_j lo_j, a_j hi_j)] above for [Le], the
-    [max] below for [Ge], padded outward; infinite when a term's
+val solve_from : ?start:(unit -> Basis.t option) -> problem -> Basis.t -> result
+(** [solve_from ?start p b] solves [p] warm-starting from basis [b]
+    (typically the parent node's {!basis}).  The basis is re-installed
+    by refactorization; each live [Le] / [Ge] row's slack gets its
+    implied bound ([b - sum_j min(a_j lo_j, a_j hi_j)] above for [Le],
+    the [max] below for [Ge], padded outward; infinite when a term's
     variable bound is); boxed nonbasic columns flip to the bound their
     reduced cost favours; a bounded dual simplex (largest bound
     violation leaves, smallest [|d_j / alpha_rj|] enters, ties to the
     larger [|alpha_rj|], Bland's rule after a degenerate run) drives the
     basics into their bounds; and a primal pass cleans up drift —
     usually a handful of pivots instead of a full two-phase solve.
-    Falls back to an internal cold {!solve} (and reports [Warm_miss] in
+
+    The attempt is abandoned (and the solve reports [Warm_miss] in
     {!last_stats}) whenever the snapshot does not fit: shape mismatch,
     singular or inconsistent basis, a row whose implied bound leaves
     its slack no room, a one-sided or free column with a wrong-signed
-    reduced cost, no entering column (an infeasible child), an
-    unbounded cleanup, the iteration cap, numerical failure, or an
-    optimum with a slack resting on its implied bound.  Optima agree
-    with a cold solve's up to float tolerance (the vertex may differ
-    where the optimum is not unique); [Infeasible] and [Unbounded] are
-    only ever decided by the cold path. *)
+    reduced cost, no entering column (a dual ray: the child is
+    infeasible), an unbounded cleanup, the iteration cap, numerical
+    failure, or an optimum with a slack resting on its implied bound.
+    An abandoned attempt other than a dual ray then calls [start] (at
+    most once, and only then) and, when it gives a basis, answers as
+    {!solve} with that start would; a dual ray, or no start, goes
+    straight to the Phase-1 solve.  Optima agree with a cold solve's up
+    to float tolerance (the vertex may differ where the optimum is not
+    unique); [Infeasible] and [Unbounded] are only ever decided by
+    Phase 1. *)
 
 (** {2 Per-solve statistics} *)
 
 type warm =
   | Cold  (** {!solve}, with or without a start basis *)
   | Warm_hit  (** {!solve_from} succeeded from the given basis *)
-  | Warm_miss  (** {!solve_from} fell back to a cold solve *)
+  | Warm_miss
+      (** {!solve_from} abandoned the given basis; the start basis or
+          the Phase-1 solve answered *)
 
 type solve_stats = {
   pivots : int;
@@ -263,21 +273,22 @@ type solve_stats = {
           parent basis or a start basis (0 for a Phase-1 solve; rows
           whose own slack is basic are free) *)
   miss_pivots : int;
-      (** when a warm attempt or a start basis was abandoned for the
-          Phase-1 solve, every pivot (simplex and Gauss-Jordan) it spent
-          — counted in neither [pivots] nor [factor_pivots]; 0
-          otherwise *)
+      (** every pivot (simplex and Gauss-Jordan) spent by the attempts
+          this solve abandoned before the one that answered — a warm
+          attempt, a start basis, or both — counted in neither [pivots]
+          nor [factor_pivots]; 0 when the first attempt answered *)
   phase1 : bool;
       (** the answer came from the artificial Phase-1 start: a cold
-          solve without a usable start basis, or a warm miss, that had
+          solve or a warm miss that no basis answered, and that had
           rows its slack basis could not satisfy *)
   warm : warm;
 }
 
 val last_stats : problem -> solve_stats option
 (** Statistics of the most recent solve of this problem ([None] before
-    the first, or after a solve that raised).  A [Warm_miss] entry reports the pivots of the cold
-    solve that answered. *)
+    the first, or after a solve that raised).  A [Warm_miss] entry
+    reports the pivots of the solve that answered: from the start
+    basis, or by Phase 1. *)
 
 val last_certificate : problem -> Certificate.t option
 (** Certificate of the most recent solve: [Some (Dual _)] after an

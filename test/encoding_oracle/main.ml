@@ -15,6 +15,8 @@ let () =
     tally.milp_compared;
   Printf.printf
     "%d crash-started solves compared: %d answered without the Phase 1 the plain solve ran; %d \
-     corners outside a split row fell back\n"
-    crash_tally.crash_compared crash_tally.crash_covered crash_tally.crash_violating;
+     corners outside a split row: %d answered by the dual simplex, %d by Phase 1\n"
+    crash_tally.crash_compared crash_tally.crash_covered
+    (crash_tally.violating_dual + crash_tally.violating_phase1)
+    crash_tally.violating_dual crash_tally.violating_phase1;
   exit status

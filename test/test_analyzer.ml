@@ -8,6 +8,11 @@ module Box = Ivan_spec.Box
 module Prop = Ivan_spec.Prop
 module Splits = Ivan_domains.Splits
 module Analyzer = Ivan_analyzer.Analyzer
+module Lp = Ivan_lp.Lp
+module Encoding = Ivan_analyzer.Encoding
+module Deeppoly = Ivan_domains.Deeppoly
+module Zonotope = Ivan_domains.Zonotope
+module Relu_id = Ivan_nn.Relu_id
 
 let analyzers () = [ Analyzer.interval (); Analyzer.zonotope (); Analyzer.lp_triangle () ]
 
@@ -327,6 +332,74 @@ let test_pgd_best_margin () =
   Alcotest.(check bool) "above the true min" true (margin >= -1.5 -. 1e-9);
   Alcotest.(check bool) "close to the true min" true (margin < -1.3)
 
+(* The crash wiring of [lp_triangle] on a golden dense subject.  The
+   node splits a first-layer unit to the side the crash corner (each
+   input at the end minimizing its zonotope objective coefficient) is
+   not on, and its plain solve needs Phase 1.  With no hint, the crash
+   basis violates the split and the dual simplex answers: one cold
+   solve, no Phase 1, the plain solve's bound.  With a hint the solver
+   cannot install, the warm miss is answered by the crash basis too. *)
+let test_crash_wiring () =
+  let _, net, prop = List.hd (Fixtures.golden_subjects ()) in
+  let box = prop.Prop.input in
+  let corner splits =
+    match Zonotope.analyze net ~box ~splits with
+    | Zonotope.Infeasible -> None
+    | Zonotope.Feasible a ->
+        let obj = Zonotope.objective_coeffs a ~c:prop.Prop.c in
+        Some (Array.init (Box.dim box) (fun j -> if obj.(j) < 0.0 then Box.hi_at box j else Box.lo_at box j))
+  in
+  let tri = Option.get (Encoding.Triangle.build net ~prop) in
+  (* The node's plain Phase-1 optimum, when it has one and used Phase 1. *)
+  let plain splits =
+    match Deeppoly.analyze net ~box ~splits with
+    | Deeppoly.Infeasible -> None
+    | Deeppoly.Feasible dp -> (
+        Encoding.Triangle.specialize tri ~box ~splits ~bounds:(Deeppoly.bounds dp);
+        let lp = Encoding.Triangle.lp tri in
+        match Lp.solve lp with
+        | Lp.Optimal s when (Option.get (Lp.last_stats lp)).Lp.phase1 ->
+            Some (s.Lp.objective +. Encoding.Triangle.const tri)
+        | _ -> None)
+  in
+  let violating (r : Relu_id.t) =
+    List.find_map
+      (fun phase ->
+        let splits = Splits.add r phase Splits.empty in
+        match corner splits with
+        | None -> None
+        | Some x ->
+            let pre = (Network.forward_trace net x).Network.pre.(r.Relu_id.layer).(r.Relu_id.index) in
+            let outside = if phase = Splits.Neg then pre > 1e-6 else pre < -1e-6 in
+            if outside then Option.map (fun v -> (splits, v)) (plain splits) else None)
+      [ Splits.Neg; Splits.Pos ]
+  in
+  let splits, expected =
+    match
+      List.find_map
+        (fun (r : Relu_id.t) -> if r.Relu_id.layer = 0 then violating r else None)
+        (Array.to_list (Network.relu_ids net))
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "no node whose crash corner violates its split"
+  in
+  let a = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let run () =
+    let o = a.Analyzer.run net ~prop ~box ~splits in
+    match Analyzer.Warm.collect () with
+    | Some info -> (o, info)
+    | None -> Alcotest.fail "no LP report"
+  in
+  Analyzer.Warm.clear ();
+  let o, info = run () in
+  Alcotest.(check int) "one cold solve" 1 info.Analyzer.Warm.cold_solves;
+  Alcotest.(check int) "no Phase 1" 0 info.Analyzer.Warm.phase1_solves;
+  Alcotest.(check (float (1e-6 *. (1.0 +. Float.abs expected)))) "plain bound" expected o.Analyzer.lb;
+  Analyzer.Warm.offer (Lp.Basis.make ~basics:[||] ~statuses:[||]);
+  let _, info = run () in
+  Alcotest.(check int) "one warm miss" 1 info.Analyzer.Warm.warm_misses;
+  Alcotest.(check int) "no Phase 1 after the miss" 0 info.Analyzer.Warm.phase1_solves
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -344,6 +417,7 @@ let suite =
     ("milp respects splits", `Quick, test_milp_respects_splits);
     ("milp warm start", `Quick, test_milp_warm_start);
     ("milp rejects leaky", `Quick, test_milp_rejects_leaky);
+    ("crash basis wiring", `Quick, test_crash_wiring);
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Encoding_oracle.Oracle.seed |])
       (Encoding_oracle.Oracle.test ~count:Encoding_oracle.Oracle.tier1_count);

@@ -22,6 +22,8 @@ module Runner = Ivan_harness.Runner
 module Encoding = Ivan_analyzer.Encoding
 module Deeppoly = Ivan_domains.Deeppoly
 module Splits = Ivan_domains.Splits
+module Network = Ivan_nn.Network
+module Relu_id = Ivan_nn.Relu_id
 
 (* ---------------- Exact dyadic rationals ---------------- *)
 
@@ -375,30 +377,60 @@ let test_fcn_screen_decides_every_leaf () =
 
 let test_crash_start_certificate () =
   (* A root LP answered from the crash basis (refactorization pivots,
-     no Phase 1) carries a Dual certificate that the float screen and
-     the exact check both accept at a margin just above the optimum. *)
+     no Phase 1), and a split node whose crash corner lies outside the
+     split, answered by the dual simplex from that infeasible basis:
+     each carries a Dual certificate that the float screen and the exact
+     check both accept at a margin just above the optimum. *)
   List.iter
     (fun (name, net, prop) ->
       let box = prop.Prop.input in
       let tri = Option.get (Encoding.Triangle.build net ~prop) in
-      (match Deeppoly.analyze net ~box ~splits:Splits.empty with
-      | Deeppoly.Infeasible -> Alcotest.failf "%s: root DeepPoly-infeasible" name
-      | Deeppoly.Feasible dp ->
-          Encoding.Triangle.specialize tri ~box ~splits:Splits.empty ~bounds:(Deeppoly.bounds dp));
       let lp = Encoding.Triangle.lp tri in
       let upper = Array.init (Box.dim box) (fun j -> j mod 2 = 1) in
-      let start = Option.get (Encoding.Triangle.crash tri ~upper) in
-      match Lp.solve ~start lp with
-      | Lp.Optimal { objective; certificate = Some witness; _ } ->
-          let s = Option.get (Lp.last_stats lp) in
-          Alcotest.(check bool) (name ^ ": answered from the crash basis") true
-            (s.Lp.factor_pivots > 0 && s.Lp.miss_pivots = 0 && not s.Lp.phase1);
-          let const = (1e-6 *. (1.0 +. Float.abs objective)) -. objective in
-          let leaf = leaf_of ~const (Cert.Snapshot.of_problem lp) witness in
-          Alcotest.(check bool) (name ^ ": screen passes") true (Screen.passes ~box leaf);
-          Alcotest.(check bool) (name ^ ": exact check accepts") true
-            (Result.is_ok (Cert.check_leaf ~box leaf))
-      | _ -> Alcotest.failf "%s: no certified optimum" name)
+      let specialize splits =
+        match Deeppoly.analyze net ~box ~splits with
+        | Deeppoly.Infeasible -> false
+        | Deeppoly.Feasible dp ->
+            Encoding.Triangle.specialize tri ~box ~splits ~bounds:(Deeppoly.bounds dp);
+            true
+      in
+      let certified label =
+        let start = Option.get (Encoding.Triangle.crash tri ~upper) in
+        match Lp.solve ~start lp with
+        | Lp.Optimal { objective; certificate = Some witness; _ } ->
+            let s = Option.get (Lp.last_stats lp) in
+            Alcotest.(check bool) (label ^ ": answered from the crash basis") true
+              (s.Lp.factor_pivots > 0 && s.Lp.miss_pivots = 0 && not s.Lp.phase1);
+            let const = (1e-6 *. (1.0 +. Float.abs objective)) -. objective in
+            let leaf = leaf_of ~const (Cert.Snapshot.of_problem lp) witness in
+            Alcotest.(check bool) (label ^ ": screen passes") true (Screen.passes ~box leaf);
+            Alcotest.(check bool) (label ^ ": exact check accepts") true
+              (Result.is_ok (Cert.check_leaf ~box leaf))
+        | _ -> Alcotest.failf "%s: no certified optimum" label
+      in
+      if not (specialize Splits.empty) then Alcotest.failf "%s: root DeepPoly-infeasible" name;
+      certified name;
+      (* The first first-layer unit clear of zero at the corner whose
+         split to the other side leaves a feasible node LP. *)
+      let corner = Array.mapi (fun j up -> if up then Box.hi_at box j else Box.lo_at box j) upper in
+      let pre = (Network.forward_trace net corner).Network.pre.(0) in
+      let feasible splits =
+        specialize splits
+        && match Lp.solve lp with Lp.Optimal _ -> true | Lp.Infeasible | Lp.Unbounded -> false
+      in
+      let node =
+        List.find_map
+          (fun (r : Relu_id.t) ->
+            let v = pre.(r.Relu_id.index) in
+            if r.Relu_id.layer <> 0 || Float.abs v <= 1e-3 then None
+            else
+              let splits = Splits.add r (if v > 0.0 then Splits.Neg else Splits.Pos) Splits.empty in
+              if feasible splits then Some r else None)
+          (Array.to_list (Network.relu_ids net))
+      in
+      match node with
+      | None -> Alcotest.failf "%s: no feasible split against the corner" name
+      | Some r -> certified (Printf.sprintf "%s, split against the corner at unit %d" name r.Relu_id.index))
     (Fixtures.golden_subjects ())
 
 (* ---------------- Determinism across domains ---------------- *)

@@ -553,6 +553,110 @@ let test_warm_infeasible_child () =
       | Error msg -> Alcotest.failf "Farkas witness rejected: %s" msg)
   | Some (Lp.Certificate.Dual _) | None -> Alcotest.fail "no Farkas witness"
 
+(* ---------------- Routing between a start basis and Phase 1 ---------------- *)
+
+(* min -x - 2y  s.t.  x + y <= 4, x - y >= 1, x, y in [0, 3]: optimum
+   -5.5 at (2.5, 1.5).  Phase 1 runs for the plain solve (x - y >= 1
+   fails at the resting point 0). *)
+let routing_lp () =
+  let p = Lp.create 2 in
+  Lp.set_objective p [| -1.0; -2.0 |];
+  Lp.set_bounds p 0 0.0 3.0;
+  Lp.set_bounds p 1 0.0 3.0;
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Le 4.0);
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; -1.0 |] Lp.Ge 1.0);
+  p
+
+(* Both variables at their upper ends, both slacks basic: x + y = 6
+   violates the first row. *)
+let violating_start () =
+  Lp.Basis.make ~basics:[| 2; 3 |] ~statuses:[| Lp.At_upper; Lp.At_upper; Lp.Basic; Lp.Basic |]
+
+let stats_of p = match Lp.last_stats p with Some s -> s | None -> Alcotest.fail "no solve stats"
+
+let farkas_of p =
+  match Lp.last_certificate p with
+  | Some (Lp.Certificate.Farkas y) -> y
+  | Some (Lp.Certificate.Dual _) | None -> Alcotest.fail "no Farkas witness"
+
+let bits y = Array.map Int64.bits_of_float y
+
+(* (a) A start outside a row of a feasible LP is repaired by the dual
+   simplex: an optimum with no Phase 1 and a Dual certificate, equal to
+   the plain solve's. *)
+let test_start_violating_row () =
+  let p = routing_lp () in
+  let plain = get_opt "plain" (Lp.solve p) in
+  Alcotest.(check bool) "the plain solve runs Phase 1" true (stats_of p).Lp.phase1;
+  let s = get_opt "start" (Lp.solve ~start:(violating_start ()) p) in
+  let st = stats_of p in
+  Alcotest.(check bool) "no Phase 1" false st.Lp.phase1;
+  Alcotest.(check bool) "a cold solve" true (st.Lp.warm = Lp.Cold);
+  Alcotest.(check int) "nothing abandoned" 0 st.Lp.miss_pivots;
+  (match Lp.last_certificate p with
+  | Some (Lp.Certificate.Dual _) -> ()
+  | Some (Lp.Certificate.Farkas _) | None -> Alcotest.fail "no Dual certificate");
+  Alcotest.(check (float (1e-9 *. (1.0 +. Float.abs plain.objective))))
+    "plain optimum" plain.objective s.objective;
+  Alcotest.(check (float 1e-9)) "analytic optimum" (-5.5) s.objective
+
+(* (b) On an infeasible LP the start's dual simplex decides nothing:
+   Phase 1 answers, with the plain solve's Farkas vector bit for bit. *)
+let test_start_infeasible_lp () =
+  let p = routing_lp () in
+  Lp.set_bounds p 1 2.5 3.0;
+  (match Lp.solve p with
+  | Lp.Infeasible -> ()
+  | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail "x - y >= 1, y >= 2.5, x + y <= 4 is infeasible");
+  let plain = farkas_of p in
+  (match Lp.solve ~start:(violating_start ()) p with
+  | Lp.Infeasible -> ()
+  | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail "a start solve must agree: infeasible");
+  Alcotest.(check bool) "Phase 1 decided it" true (stats_of p).Lp.phase1;
+  Alcotest.(check (array int64)) "plain Farkas vector" (bits plain) (bits (farkas_of p))
+
+(* (c) A parent basis refactorization cannot install — each row's
+   recorded basic is the other row's slack, zero in that row, and each
+   row's own slack is already basic — hands the child to the start
+   basis, with no Phase 1. *)
+let test_warm_singular_takes_start () =
+  let p = routing_lp () in
+  let plain = get_opt "plain" (Lp.solve p) in
+  let singular =
+    Lp.Basis.make ~basics:[| 3; 2 |] ~statuses:[| Lp.At_lower; Lp.At_lower; Lp.Basic; Lp.Basic |]
+  in
+  let s = get_opt "warm" (Lp.solve_from ~start:(fun () -> Some (violating_start ())) p singular) in
+  let st = stats_of p in
+  Alcotest.(check bool) "a warm miss" true (st.Lp.warm = Lp.Warm_miss);
+  Alcotest.(check bool) "no Phase 1" false st.Lp.phase1;
+  Alcotest.(check (float (1e-9 *. (1.0 +. Float.abs plain.objective))))
+    "plain optimum" plain.objective s.objective
+
+(* (d) A child whose dual simplex meets a ray is infeasible: Phase 1
+   decides it at once, and the start is never asked for. *)
+let test_warm_ray_skips_start () =
+  let p = Lp.create 2 in
+  Lp.set_objective p [| -1.0; 1.0 |];
+  Lp.set_bounds p 0 0.0 3.0;
+  Lp.set_bounds p 1 0.0 3.0;
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Le 3.0);
+  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; -1.0 |] Lp.Ge 0.0);
+  ignore (get_opt "parent" (Lp.solve p));
+  let b = match Lp.basis p with Some b -> b | None -> Alcotest.fail "no basis captured" in
+  Lp.set_bounds p 1 2.0 3.0;
+  let without = Lp.solve_from p b in
+  let without_stats = stats_of p and without_farkas = farkas_of p in
+  let asked = ref false in
+  let start () =
+    asked := true;
+    Some (Lp.Basis.make ~basics:[| 2; 3 |] ~statuses:[| Lp.At_lower; Lp.At_lower; Lp.Basic; Lp.Basic |])
+  in
+  let with_start = Lp.solve_from ~start p b in
+  Alcotest.(check bool) "the start is never asked for" false !asked;
+  Alcotest.(check bool) "the same result" true (with_start = without && without = Lp.Infeasible);
+  Alcotest.(check bool) "the same stats" true (stats_of p = without_stats);
+  Alcotest.(check (array int64)) "the same Farkas vector" (bits without_farkas) (bits (farkas_of p))
+
 (* ---------------- Milp ---------------- *)
 
 module Milp = Ivan_lp.Milp
@@ -933,6 +1037,10 @@ let suite =
     ("warm miss on an implied slack bound", `Quick, test_warm_implied_bound_misses);
     ("warm implied bound covers the box", `Quick, test_warm_implied_bound_covers_box);
     ("warm infeasible child goes cold", `Quick, test_warm_infeasible_child);
+    ("start outside a row: dual simplex", `Quick, test_start_violating_row);
+    ("start on an infeasible LP: Phase 1", `Quick, test_start_infeasible_lp);
+    ("singular warm basis takes the start", `Quick, test_warm_singular_takes_start);
+    ("warm dual ray skips the start", `Quick, test_warm_ray_skips_start);
     q prop_solve_from_matches_cold;
     q prop_optimal_certificate_checks;
     q prop_farkas_certificate_checks;
