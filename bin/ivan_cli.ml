@@ -5,8 +5,8 @@
      train        train a zoo model and cache its weights
      verify       verify robustness properties of a zoo model
      incremental  compare baseline vs. incremental verification on an update
-     prove        verify one property and persist its proof tree
-     reverify     re-verify an updated network from a stored proof
+     prove        verify one property, journaling the run to a file
+     reverify     re-verify an updated network from a prove journal
      diff         differential verification of a quantized variant
      check        verify a VNN-LIB property against a serialized network
      cert-check   re-validate a proof artifact in exact arithmetic
@@ -35,6 +35,28 @@ module Experiments = Ivan_harness.Experiments
 module Clock = Ivan_clock.Clock
 
 open Cmdliner
+
+(* An input the run cannot use (an unreadable path, an instance index past
+   the suite, a journal damaged or written for another network or
+   property) is an operational error, not a crash: report the diagnostic
+   and exit 2. *)
+let or_die_2 = function
+  | Ok v -> v
+  | Error msg ->
+      Format.eprintf "error: %s@." msg;
+      exit 2
+
+let read_journal path =
+  or_die_2
+    (match In_channel.with_open_bin path In_channel.input_all with
+    | data -> Ok data
+    | exception Sys_error msg -> Error ("cannot read journal: " ^ msg))
+
+let open_journal path =
+  or_die_2
+    (match Journal.open_file path with
+    | w -> Ok w
+    | exception Sys_error msg -> Error ("cannot open journal: " ^ msg))
 
 (* ---------------- shared arguments ---------------- *)
 
@@ -290,9 +312,7 @@ let incremental_cmd =
       const run $ model_arg $ cache_arg $ update_arg $ instances_arg 10 $ budget_arg $ alpha_arg
       $ theta_arg $ strategy_arg $ policy_term)
 
-(* ---------------- prove / reverify: persistent proofs ---------------- *)
-
-module Proof = Ivan_core.Proof
+(* ---------------- prove / reverify: the run journal as the proof ---------------- *)
 
 let index_arg =
   let doc = "Instance index within the model's property suite." in
@@ -302,7 +322,7 @@ let nth_instance spec net index =
   let instances = instances_for spec net (index + 1) in
   match List.nth_opt instances index with
   | Some inst -> inst
-  | None -> failwith (Printf.sprintf "no instance with index %d" index)
+  | None -> or_die_2 (Error (Printf.sprintf "no instance with index %d" index))
 
 let prove_cmd =
   let run spec cache index budget_calls policy out =
@@ -310,25 +330,28 @@ let prove_cmd =
     let { Runner.analyzer; heuristic; config } =
       setting_for spec budget_calls policy Ivan.default_config
     in
-    let inst = nth_instance spec net index in
-    let prop = inst.Workload.prop in
+    let prop = (nth_instance spec net index).Workload.prop in
+    let journal = open_journal out in
     let result, seconds =
-      Clock.timed (fun () -> Ivan.verify_original ~analyzer ~heuristic ~config ~net ~prop)
+      Clock.timed (fun () ->
+          Ivan.verify_original ~analyzer ~heuristic
+            ~config:{ config with Ivan.journal = Some journal } ~net ~prop)
     in
+    Journal.close journal;
     Format.printf "%s: %s in %d analyzer calls (%.2fs), tree %d nodes@." prop.Ivan_spec.Prop.name
       (verdict_string result.Bab.verdict)
       result.Bab.stats.Bab.analyzer_calls seconds result.Bab.stats.Bab.tree_size;
-    Proof.to_file out (Proof.of_run ~prop result);
     Format.printf "proof written to %s@." out
   in
   let out_arg =
     Arg.(
       required
       & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Where to store the proof.")
+      & info [ "o"; "out" ] ~docv:"FILE"
+          ~doc:"Journal the run to FILE; its final checkpoint holds the proof tree.")
   in
   Cmd.v
-    (Cmd.info "prove" ~doc:"Verify one property and persist its proof tree.")
+    (Cmd.info "prove" ~doc:"Verify one property and journal the run as its proof.")
     Term.(
       const run $ model_arg $ cache_arg $ index_arg $ budget_arg $ policy_term $ out_arg)
 
@@ -339,31 +362,39 @@ let reverify_cmd =
     let { Runner.analyzer; heuristic; config } =
       setting_for spec budget_calls policy Ivan.default_config
     in
-    let inst = nth_instance spec net index in
-    let prop = inst.Workload.prop in
-    let proof = Proof.of_file proof_path in
-    if proof.Proof.property_name <> prop.Ivan_spec.Prop.name then
-      Format.printf "warning: proof was recorded for %S, reverifying %S@."
-        proof.Proof.property_name prop.Ivan_spec.Prop.name;
+    let prop = (nth_instance spec net index).Workload.prop in
+    (* The journal's Header fingerprint binds it to this network and
+       property.  With no config override the recorded budget governs, so
+       a finished run comes back as recorded, without an analyzer call. *)
+    let engine, _ =
+      or_die_2
+        (Result.map_error
+           (fun msg -> proof_path ^ ": " ^ msg)
+           (Engine.resume ~analyzer ~heuristic ~net ~prop (read_journal proof_path)))
+    in
+    let original_run =
+      or_die_2
+        (Option.to_result (Engine.finished engine)
+           ~none:(proof_path ^ ": the journaled run never finished; rerun prove"))
+    in
     let result, seconds =
       Clock.timed (fun () ->
-          Ivan.verify_updated_with_tree ~analyzer ~heuristic ~config
-            ~original_tree:proof.Proof.tree ~updated ~prop)
+          Ivan.verify_updated ~analyzer ~heuristic ~config ~original_run ~updated ~prop)
     in
     Format.printf "%s (%s): %s in %d analyzer calls (%.2fs; original proof took %d calls)@."
       prop.Ivan_spec.Prop.name (update_name update)
       (verdict_string result.Bab.verdict)
-      result.Bab.stats.Bab.analyzer_calls seconds proof.Proof.analyzer_calls
+      result.Bab.stats.Bab.analyzer_calls seconds original_run.Bab.stats.Bab.analyzer_calls
   in
   let proof_arg =
     Arg.(
       required
-      & opt (some string) None
-      & info [ "proof" ] ~docv:"FILE" ~doc:"Proof produced by the prove subcommand.")
+      & opt (some file) None
+      & info [ "proof" ] ~docv:"FILE" ~doc:"Run journal written by the prove subcommand.")
   in
   Cmd.v
     (Cmd.info "reverify"
-       ~doc:"Incrementally re-verify a property on an updated network from a stored proof.")
+       ~doc:"Incrementally re-verify a property on an updated network from a prove journal.")
     Term.(
       const run $ model_arg $ cache_arg $ update_arg $ index_arg $ budget_arg $ policy_term
       $ proof_arg)
@@ -419,7 +450,7 @@ let check_cmd =
       journal_out resume_journal mem_limit_mb =
     let certify = certify_out <> None in
     if certify && input_split then
-      failwith "--certify requires ReLU splitting (input-split proofs are not certifiable)";
+      or_die_2 (Error "--certify requires ReLU splitting (input-split proofs are not certifiable)");
     let net = Serialize.of_file net_path in
     let prop = Ivan_spec.Vnnlib.parse_file prop_path in
     let config =
@@ -435,15 +466,6 @@ let check_cmd =
       if input_split then (Analyzer.zonotope (), Ivan_bab.Heuristic.input_smear)
       else (Analyzer.lp_triangle ~certify (), Ivan_bab.Heuristic.zono_coeff)
     in
-    (* A damaged journal, or one written for another network or property,
-       is an operational error, not a crash: report the diagnostic and
-       exit 2. *)
-    let or_die_2 = function
-      | Ok v -> v
-      | Error msg ->
-          Format.eprintf "error: %s@." msg;
-          exit 2
-    in
     with_trace trace_out (fun trace ->
         (* An interrupted run restarts from its write-ahead journal with
            --resume-journal, surviving kills at arbitrary points.  The CLI
@@ -454,13 +476,10 @@ let check_cmd =
           Option.map
             (fun jpath ->
               Format.printf "resuming from journal %s@." jpath;
-              or_die_2
-                (match In_channel.with_open_bin jpath In_channel.input_all with
-                | data -> Ok data
-                | exception Sys_error msg -> Error ("cannot read journal: " ^ msg)))
+              read_journal jpath)
             resume_journal
         in
-        let journal = Option.map Journal.open_file journal_out in
+        let journal = Option.map open_journal journal_out in
         let engine =
           match resume_data with
           | Some data ->

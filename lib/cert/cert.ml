@@ -369,7 +369,7 @@ module Artifact = struct
   let to_string (t : t) =
     let buf = Buffer.create 65536 in
     let addf fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-    addf "ivan-proof 1";
+    addf "ivan-cert 1";
     addf "name: %S" t.prop.Prop.name;
     addf "offset: %s" (ftok t.prop.Prop.offset);
     addf "c: %d %s" (Array.length t.prop.Prop.c) (ftoks t.prop.Prop.c);
@@ -463,7 +463,7 @@ module Artifact = struct
       done;
       Buffer.contents buf
     in
-    if String.trim (next ()) <> "ivan-proof 1" then fail "missing ivan-proof header";
+    if String.trim (next ()) <> "ivan-cert 1" then fail "missing ivan-cert header";
     let name = quoted (field "name") in
     let offset = float_tok (field "offset") in
     let c = counted_floats (field "c") in

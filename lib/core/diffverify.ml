@@ -58,7 +58,6 @@ let verify_incremental ~analyzer ~heuristic ?(config = Ivan.default_config) ~pre
     invalid_arg "Diffverify.verify_incremental: previous proof has a different shape";
   conclude
     (List.map2
-       (fun prop (prev : Bab.run) ->
-         Ivan.verify_updated_with_tree ~analyzer ~heuristic ~config ~original_tree:prev.Bab.tree
-           ~updated:combined ~prop)
+       (fun prop original_run ->
+         Ivan.verify_updated ~analyzer ~heuristic ~config ~original_run ~updated:combined ~prop)
        props previous.runs)

@@ -51,7 +51,8 @@ let bab ~analyzer ~heuristic ~config ?initial_tree ~net ~prop () =
 let verify_original ~analyzer ~heuristic ~config ~net ~prop =
   bab ~analyzer ~heuristic ~config ~net ~prop ()
 
-let verify_updated_with_tree ~analyzer ~heuristic ~config ~original_tree ~updated ~prop =
+let verify_updated ~analyzer ~heuristic ~config ~original_run ~updated ~prop =
+  let original_tree = original_run.Bab.tree in
   let hdelta () =
     let observed = Effectiveness.observe original_tree in
     Hdelta.make ~base:heuristic ~observed ~alpha:config.alpha ~theta:config.theta
@@ -66,10 +67,6 @@ let verify_updated_with_tree ~analyzer ~heuristic ~config ~original_tree ~update
   | Full ->
       let pruned = Prune.prune ~theta:config.theta original_tree in
       run ~initial_tree:pruned (hdelta ())
-
-let verify_updated ~analyzer ~heuristic ~config ~original_run ~updated ~prop =
-  verify_updated_with_tree ~analyzer ~heuristic ~config ~original_tree:original_run.Bab.tree
-    ~updated ~prop
 
 type result = { original : Bab.run; updated : Bab.run }
 

@@ -69,18 +69,9 @@ val verify_updated :
   Ivan_bab.Bab.run
 (** Steps 2–4: build [T_0^{N^a}] and [H_Delta] according to the
     technique, then run the incremental verifier on [N^a].  The
-    original run may be shared across techniques and updates. *)
-
-val verify_updated_with_tree :
-  analyzer:Ivan_analyzer.Analyzer.t ->
-  heuristic:Ivan_bab.Heuristic.t ->
-  config:config ->
-  original_tree:Ivan_spectree.Tree.t ->
-  updated:Ivan_nn.Network.t ->
-  prop:Ivan_spec.Prop.t ->
-  Ivan_bab.Bab.run
-(** Same, from a bare specification tree — e.g. one reloaded from a
-    persisted {!Proof.t} in a later session. *)
+    original run may be shared across techniques and updates, and may
+    be an interrupted one (only its tree is read) or one recovered from
+    its journal in a later process by {!Ivan_bab.Engine.resume}. *)
 
 type result = { original : Ivan_bab.Bab.run; updated : Ivan_bab.Bab.run }
 

@@ -190,6 +190,30 @@ let test_artifact_round_trip () =
   | Error msg -> Alcotest.failf "re-parsed artifact rejected: %s" msg);
   Alcotest.(check string) "print/parse/print is stable" text (Cert.Artifact.to_string artifact')
 
+(* A run journal (what prove writes) and a certificate artifact (what
+   check --certify writes) are distinct formats: each reader refuses the
+   other's file. *)
+let test_artifact_rejects_journal () =
+  let buf = Buffer.create 4096 in
+  ignore
+    (Ivan.verify_original ~analyzer:(Analyzer.lp_triangle ()) ~heuristic:Heuristic.zono_coeff
+       ~config:{ Ivan.default_config with journal = Some (Ivan_resilience.Journal.to_buffer buf) }
+       ~net:(Fixtures.paper_net ()) ~prop:(paper_prop ()));
+  match Cert.Artifact.of_string (Buffer.contents buf) with
+  | _ -> Alcotest.fail "a run journal parsed as a certificate artifact"
+  | exception Failure msg ->
+      Alcotest.(check string) "header diagnostic"
+        "Cert.Artifact.of_string: missing ivan-cert header" msg
+
+let test_journal_resume_rejects_artifact () =
+  let _, artifact = certified_run () in
+  match
+    Ivan_bab.Engine.resume ~analyzer:(Analyzer.lp_triangle ()) ~heuristic:Heuristic.zono_coeff
+      ~net:(Fixtures.paper_net ()) ~prop:(paper_prop ()) (Cert.Artifact.to_string artifact)
+  with
+  | Ok _ -> Alcotest.fail "a certificate artifact resumed as a journal"
+  | Error msg -> Alcotest.(check string) "diagnostic" "Engine.resume: no valid journal frames" msg
+
 (* ---------------- Adversarial mutations ---------------- *)
 
 (* Rewrite the witness multipliers of the [i]th leaf. *)
@@ -496,6 +520,8 @@ let suite =
     ("check_farkas hand-built", `Quick, test_check_farkas_hand_built);
     ("golden run certifies", `Quick, test_golden_run_certifies);
     ("artifact round trip", `Quick, test_artifact_round_trip);
+    ("artifact rejects a run journal", `Quick, test_artifact_rejects_journal);
+    ("journal resume rejects an artifact", `Quick, test_journal_resume_rejects_artifact);
     ("every leaf mutation rejected", `Quick, test_every_leaf_mutation_rejected);
     ("bit flip rejected", `Quick, test_bit_flip_rejected);
     ("deleted leaf rejected", `Quick, test_deleted_leaf_rejected);

@@ -440,52 +440,79 @@ let prop_incremental_matches_baseline_verdict =
 
 
 
-(* ---------------- Proof persistence ---------------- *)
+(* ---------------- The run journal as a persistent proof ---------------- *)
 
-module Proof = Ivan_core.Proof
+module Engine = Ivan_bab.Engine
 
-let test_proof_roundtrip () =
+(* A verify_original run on the paper net journaled in memory, as the
+   CLI's prove journals into its -o file, with the journal's bytes. *)
+let journaled_original () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
-  let run = Bab.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~net ~prop () in
-  let proof = Proof.of_run ~prop run in
-  Alcotest.(check bool) "verdict" true (proof.Proof.verdict = Proof.Proved);
-  let proof' = Proof.of_string (Proof.to_string proof) in
-  Alcotest.(check string) "name" proof.Proof.property_name proof'.Proof.property_name;
-  Alcotest.(check int) "calls" proof.Proof.analyzer_calls proof'.Proof.analyzer_calls;
-  Alcotest.(check int) "tree size" (Tree.size proof.Proof.tree) (Tree.size proof'.Proof.tree);
-  Alcotest.(check string) "tree identical" (Tree.to_string proof.Proof.tree)
-    (Tree.to_string proof'.Proof.tree)
+  let buf = Buffer.create 4096 in
+  let run =
+    Ivan.verify_original ~analyzer ~heuristic:Heuristic.zono_coeff
+      ~config:{ Ivan.default_config with journal = Some (Journal.to_buffer buf) }
+      ~net ~prop
+  in
+  (net, prop, run, Buffer.contents buf)
 
-let test_proof_file_roundtrip () =
-  let net = Fixtures.paper_net () in
-  let prop = Fixtures.paper_prop_with_offset 1.6 in
-  let run = Bab.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~net ~prop () in
-  let path = Filename.temp_file "ivan_proof" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Proof.to_file path (Proof.of_run ~prop run);
-      let proof = Proof.of_file path in
-      (* Resume incremental verification from the reloaded proof. *)
-      let updated = Quant.network Quant.Int8 net in
-      let rerun =
-        Ivan.verify_updated_with_tree ~analyzer ~heuristic:Heuristic.zono_coeff
-          ~config:Ivan.default_config ~original_tree:proof.Proof.tree ~updated ~prop
-      in
-      match rerun.Bab.verdict with
-      | Bab.Proved | Bab.Disproved _ -> ()
-      | Bab.Exhausted -> Alcotest.fail "resumed verification exhausted")
+let resume ~net ~prop data = Engine.resume ~analyzer ~heuristic:Heuristic.zono_coeff ~net ~prop data
 
-let test_proof_malformed () =
-  (match Proof.of_string "garbage" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure");
-  match Proof.of_string "ivan-proof 1\nproperty: x\nverdict: bogus\ncalls: 1\ntree:\nleaf 0 nan" with
-  | exception Failure _ -> ()
-  | _ -> Alcotest.fail "expected Failure on bad verdict"
+let resumed_finished ~net ~prop data =
+  match resume ~net ~prop data with
+  | Error msg -> Alcotest.fail msg
+  | Ok (engine, _) -> (
+      match Engine.finished engine with
+      | Some run -> run
+      | None -> Alcotest.fail "a complete journal resumed unfinished")
 
+let check_same_run label (a : Bab.run) (b : Bab.run) =
+  Alcotest.(check bool) (label ^ ": verdict") true (a.Bab.verdict = b.Bab.verdict);
+  Alcotest.(check int) (label ^ ": calls") a.Bab.stats.Bab.analyzer_calls
+    b.Bab.stats.Bab.analyzer_calls;
+  Alcotest.(check string) (label ^ ": tree") (Tree.to_string a.Bab.tree) (Tree.to_string b.Bab.tree)
 
+let test_journal_proof_resumes_run () =
+  let net, prop, run, data = journaled_original () in
+  Alcotest.(check bool) "proved with splits" true
+    (run.Bab.verdict = Bab.Proved && Tree.size run.Bab.tree > 1);
+  check_same_run "resumed" run (resumed_finished ~net ~prop data)
+
+let test_journal_proof_seeds_update () =
+  let net, prop, run, data = journaled_original () in
+  let updated = Quant.network Quant.Int8 net in
+  let reverify original_run =
+    Ivan.verify_updated ~analyzer ~heuristic:Heuristic.zono_coeff ~config:Ivan.default_config
+      ~original_run ~updated ~prop
+  in
+  check_same_run "seeded from the journal" (reverify run)
+    (reverify (resumed_finished ~net ~prop data))
+
+let test_journal_proof_bound_to_property () =
+  let net, _, _, data = journaled_original () in
+  match resume ~net ~prop:(Fixtures.paper_prop_with_offset 1.4) data with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a journal for another property was accepted"
+
+let test_journal_proof_unfinished () =
+  let net, prop, _, data = journaled_original () in
+  (* Cut the terminal Step and Checkpoint frames: a prove killed during
+     its last step. *)
+  let records = (Journal.scan data).Journal.records in
+  let kinds = List.rev_map (fun r -> r.Journal.kind) records in
+  (match kinds with
+  | Journal.Checkpoint :: Journal.Step :: _ -> ()
+  | _ -> Alcotest.fail "journal does not end in a terminal Step and Checkpoint");
+  let cut =
+    List.filteri (fun i _ -> i < List.length records - 2) records
+    |> List.map (fun r -> Journal.encode_frame r.Journal.kind r.Journal.payload)
+    |> String.concat ""
+  in
+  match resume ~net ~prop cut with
+  | Error msg -> Alcotest.fail msg
+  | Ok (engine, _) ->
+      Alcotest.(check bool) "resumes unfinished" true (Engine.finished engine = None)
 
 (* ---------------- Differential verification ---------------- *)
 
@@ -719,9 +746,10 @@ let suite =
     ("incremental architecture mismatch", `Quick, test_incremental_architecture_mismatch);
     ("incremental counterexample case", `Quick, test_incremental_counterexample_case);
     q prop_incremental_matches_baseline_verdict;
-    ("proof roundtrip", `Quick, test_proof_roundtrip);
-    ("proof file roundtrip", `Quick, test_proof_file_roundtrip);
-    ("proof malformed", `Quick, test_proof_malformed);
+    ("journal proof resumes run", `Quick, test_journal_proof_resumes_run);
+    ("journal proof seeds update", `Quick, test_journal_proof_seeds_update);
+    ("journal proof bound to property", `Quick, test_journal_proof_bound_to_property);
+    ("journal proof unfinished", `Quick, test_journal_proof_unfinished);
     ("diffverify identical", `Quick, test_diffverify_identical);
     ("diffverify quantization bounded", `Quick, test_diffverify_quantization_bounded);
     ("diffverify detects deviation", `Quick, test_diffverify_detects_deviation);

@@ -602,8 +602,8 @@ let test_cancelled_tree_reusable () =
   (* The partial tree seeds incremental re-verification of an update. *)
   let updated = Quant.network Quant.Int16 net in
   let rerun =
-    Ivan.verify_updated_with_tree ~analyzer:lp ~heuristic:Heuristic.zono_coeff
-      ~config:Ivan.default_config ~original_tree:cancelled.Bab.tree ~updated ~prop
+    Ivan.verify_updated ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~config:Ivan.default_config
+      ~original_run:cancelled ~updated ~prop
   in
   Alcotest.(check bool) "incremental run completes from the partial tree" true
     (rerun.Bab.verdict <> Bab.Exhausted)
