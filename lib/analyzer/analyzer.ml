@@ -69,7 +69,6 @@ module Warm = struct
     warm_hits : int;
     warm_misses : int;
     cold_solves : int;
-    phase1_solves : int;
     pivots : int;
     factor_pivots : int;
     basis : Lp.Basis.t option;
@@ -120,7 +119,6 @@ let record_lp_info lp =
           Warm.warm_hits = hits;
           warm_misses = misses;
           cold_solves = cold;
-          phase1_solves = Bool.to_int s.Lp.phase1;
           pivots = s.Lp.pivots;
           factor_pivots = s.Lp.factor_pivots + s.Lp.miss_pivots;
           basis = Lp.basis lp;
@@ -360,9 +358,10 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
           Warm.record
             {
               Warm.warm_hits = stats.Ivan_lp.Milp.warm_hits;
-              warm_misses = 0;
-              cold_solves = stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits;
-              phase1_solves = stats.Ivan_lp.Milp.phase1_solves;
+              warm_misses = stats.Ivan_lp.Milp.warm_misses;
+              cold_solves =
+                stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits
+                - stats.Ivan_lp.Milp.warm_misses;
               pivots = stats.Ivan_lp.Milp.simplex_pivots;
               factor_pivots = stats.Ivan_lp.Milp.factor_pivots;
               basis = None;

@@ -80,10 +80,10 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     other node LP is solved cold, from the crash basis of a concrete
     forward pass ({!Encoding.Triangle.crash}) at the box corner that
     minimizes the zonotope objective's input part; when that basis is
-    infeasible the solver's dual simplex repairs it.  A warm attempt
-    that misses tries the same crash basis, built only then.  Phase 1
-    runs only when neither answers (an infeasible node, say).
-    [~warm:false] still
+    infeasible the solver's dual simplex repairs it, and decides an
+    infeasible node by its dual ray.  A warm attempt that misses tries
+    the same crash basis, built only then; the slack basis answers when
+    neither does.  [~warm:false] still
     crash-starts every solve and only ignores the offered parent bases,
     so every node is a cold solve.  [warm] only toggles the solver entry
     point — warm and cold runs share the identical specialized LP, so
@@ -106,13 +106,10 @@ module Warm : sig
     warm_hits : int;  (** solves warm-started successfully *)
     warm_misses : int;
         (** {!Ivan_lp.Lp.solve_from} abandoned the parent basis; the
-            crash basis or Phase 1 answered *)
+            crash basis or the slack basis answered *)
     cold_solves : int;
         (** solves that never attempted a warm start, crash-started or
             not *)
-    phase1_solves : int;
-        (** cold solves and warm misses answered by the Phase-1 start:
-            the ones no basis answered *)
     pivots : int;  (** total simplex pivots across the call's solves *)
     factor_pivots : int;
         (** pivots [pivots] leaves out: refactorizations of a parent or

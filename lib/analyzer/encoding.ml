@@ -622,9 +622,10 @@ module Milp = struct
             done;
             Lp.set_row lp u.row_m4 u.mpre_idx u.m4_scratch Lp.Le (-.sign *. u.mpre_const));
         if phase = Some Splits.Pos || l >= 0.0 then begin
-          (* z pinned 1: v = pre via M1 + M2. *)
+          (* z pinned 1: v = pre via M1 + M2, so v <= h already; the
+             bound keeps every column of the MILP boxed. *)
           Lp.set_bounds lp u.mz 1.0 1.0;
-          Lp.set_bounds lp u.mvar 0.0 infinity;
+          Lp.set_bounds lp u.mvar 0.0 (Float.max 0.0 h);
           m2_active l;
           vacuous lp u.row_m3
         end

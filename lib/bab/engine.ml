@@ -311,7 +311,6 @@ let step_once t =
                      warm_hits = info.Analyzer.Warm.warm_hits;
                      warm_misses = info.Analyzer.Warm.warm_misses;
                      cold_solves = info.Analyzer.Warm.cold_solves;
-                     phase1 = info.Analyzer.Warm.phase1_solves;
                      pivots = info.Analyzer.Warm.pivots;
                      factor_pivots = info.Analyzer.Warm.factor_pivots;
                    });

@@ -10,7 +10,6 @@ type event =
       warm_hits : int;
       warm_misses : int;
       cold_solves : int;
-      phase1 : int;
       pivots : int;
       factor_pivots : int;
     }
@@ -73,11 +72,11 @@ let event_to_json = function
   | Analyzed { node; status; lb; seconds } ->
       Printf.sprintf {|{"ev":"analyzed","node":%d,"status":%S,"lb":%s,"seconds":%s}|} node status
         (float_token lb) (float_token seconds)
-  | Lp_solved { node; warm_hits; warm_misses; cold_solves; phase1; pivots; factor_pivots } ->
+  | Lp_solved { node; warm_hits; warm_misses; cold_solves; pivots; factor_pivots } ->
       Printf.sprintf
-        ({|{"ev":"lp","node":%d,"warm_hits":%d,"warm_misses":%d,"cold_solves":%d,"phase1":%d,|}
+        ({|{"ev":"lp","node":%d,"warm_hits":%d,"warm_misses":%d,"cold_solves":%d,|}
         ^^ {|"pivots":%d,"factor_pivots":%d}|})
-        node warm_hits warm_misses cold_solves phase1 pivots factor_pivots
+        node warm_hits warm_misses cold_solves pivots factor_pivots
   | Split { node; decision; left; right } ->
       Printf.sprintf {|{"ev":"split","node":%d,"decision":%S,"left":%d,"right":%d}|} node
         (Decision.to_string decision) left right
@@ -199,7 +198,6 @@ let event_of_json line =
           warm_hits = int "warm_hits";
           warm_misses = int "warm_misses";
           cold_solves = int "cold_solves";
-          phase1 = int "phase1";
           pivots = int "pivots";
           factor_pivots = int "factor_pivots";
         }
@@ -271,7 +269,6 @@ type aggregate = {
   lp_warm_hits : int;
   lp_warm_misses : int;
   lp_cold_solves : int;
-  lp_phase1_solves : int;
   lp_pivots : int;
   lp_factor_pivots : int;
   lp_hit_pivots : int;
@@ -298,7 +295,6 @@ let empty_aggregate =
     lp_warm_hits = 0;
     lp_warm_misses = 0;
     lp_cold_solves = 0;
-    lp_phase1_solves = 0;
     lp_pivots = 0;
     lp_factor_pivots = 0;
     lp_hit_pivots = 0;
@@ -320,14 +316,13 @@ let count acc ev =
         analyzer_calls = acc.analyzer_calls + 1;
         analyzer_seconds = acc.analyzer_seconds +. seconds;
       }
-  | Lp_solved { warm_hits; warm_misses; cold_solves; phase1; pivots; factor_pivots; _ } ->
+  | Lp_solved { warm_hits; warm_misses; cold_solves; pivots; factor_pivots; _ } ->
       let all_hits = warm_hits > 0 && warm_misses = 0 && cold_solves = 0 in
       {
         acc with
         lp_warm_hits = acc.lp_warm_hits + warm_hits;
         lp_warm_misses = acc.lp_warm_misses + warm_misses;
         lp_cold_solves = acc.lp_cold_solves + cold_solves;
-        lp_phase1_solves = acc.lp_phase1_solves + phase1;
         lp_pivots = acc.lp_pivots + pivots;
         lp_factor_pivots = acc.lp_factor_pivots + factor_pivots;
         lp_hit_pivots = (acc.lp_hit_pivots + if all_hits then pivots + factor_pivots else 0);
@@ -355,13 +350,12 @@ let aggregate_to_json a =
   Printf.sprintf
     ({|{"events":%d,"analyzer_calls":%d,"analyzer_seconds":%s,"branchings":%d,"pruned":%d,|}
     ^^ {|"stuck":%d,"retries":%d,"fallbacks":%d,"absorbed":%d,"max_frontier":%d,"max_depth":%d,|}
-    ^^ {|"lp_warm_hits":%d,"lp_warm_misses":%d,"lp_cold_solves":%d,"lp_phase1_solves":%d,|}
-    ^^ {|"lp_pivots":%d,|}
+    ^^ {|"lp_warm_hits":%d,"lp_warm_misses":%d,"lp_cold_solves":%d,"lp_pivots":%d,|}
     ^^ {|"lp_factor_pivots":%d,"lp_hit_pivots":%d,"lp_hit_solves":%d,"certified":%d,|}
     ^^ {|"certs_unavailable":%d,"cert_exact_checks":%d,"verdict":%S}|})
     a.events a.analyzer_calls (float_token a.analyzer_seconds) a.branchings a.pruned a.stuck
     a.retries a.fallbacks a.absorbed a.max_frontier a.max_depth a.lp_warm_hits a.lp_warm_misses
-    a.lp_cold_solves a.lp_phase1_solves a.lp_pivots a.lp_factor_pivots a.lp_hit_pivots a.lp_hit_solves a.certified
+    a.lp_cold_solves a.lp_pivots a.lp_factor_pivots a.lp_hit_pivots a.lp_hit_solves a.certified
     a.certs_unavailable a.cert_exact_checks
     (Option.value a.verdict ~default:"")
 
@@ -382,7 +376,6 @@ let aggregate_of_json line =
     lp_warm_hits = int "lp_warm_hits";
     lp_warm_misses = int "lp_warm_misses";
     lp_cold_solves = int "lp_cold_solves";
-    lp_phase1_solves = int "lp_phase1_solves";
     lp_pivots = int "lp_pivots";
     lp_factor_pivots = int "lp_factor_pivots";
     lp_hit_pivots = int "lp_hit_pivots";
@@ -403,9 +396,8 @@ let pp_aggregate fmt a =
   if a.absorbed > 0 then Format.fprintf fmt ", %d faults absorbed" a.absorbed;
   let solves = a.lp_warm_hits + a.lp_warm_misses + a.lp_cold_solves in
   if solves > 0 then begin
-    Format.fprintf fmt ", LP %d warm / %d miss / %d cold, %d by Phase 1 (%d pivots, %d refactor"
-      a.lp_warm_hits a.lp_warm_misses a.lp_cold_solves a.lp_phase1_solves a.lp_pivots
-      a.lp_factor_pivots;
+    Format.fprintf fmt ", LP %d warm / %d miss / %d cold (%d pivots, %d refactor" a.lp_warm_hits
+      a.lp_warm_misses a.lp_cold_solves a.lp_pivots a.lp_factor_pivots;
     let per total n = if n = 0 then "-" else Printf.sprintf "%.1f" (float_of_int total /. float_of_int n) in
     Format.fprintf fmt "; %s per warm hit, %s per other solve)"
       (per a.lp_hit_pivots a.lp_hit_solves)

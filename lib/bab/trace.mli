@@ -21,19 +21,17 @@ type event =
       warm_hits : int;
       warm_misses : int;
       cold_solves : int;
-      phase1 : int;
       pivots : int;
       factor_pivots : int;
     }
       (** the analyzer call solved LPs: how many warm-started from a
           parent basis, how many warm attempts fell back to cold, how
-          many never attempted one (crash-started or not), how many of
-          the cold solves and misses were answered by the Phase-1 start,
-          the total simplex pivots, and the pivots [pivots] leaves out —
+          many never attempted one (crash-started or not), the total
+          simplex pivots, and the pivots [pivots] leaves out —
           refactorizations of the basis that answered (a parent or crash
           basis), plus everything the attempts a solve abandoned spent:
-          a warm attempt before the crash basis or Phase 1 answered, a
-          crash start before Phase 1 did *)
+          a warm attempt before the crash or slack basis answered, a
+          crash start before the slack basis did *)
   | Split of { node : int; decision : Ivan_spectree.Decision.t; left : int; right : int }
       (** the node branched into children [left]/[right] *)
   | Pruned of { node : int }  (** reuse-prune: an ineffective split was skipped *)
@@ -106,9 +104,6 @@ type aggregate = {
   lp_warm_hits : int;  (** summed from [Lp_solved] events *)
   lp_warm_misses : int;
   lp_cold_solves : int;
-  lp_phase1_solves : int;
-      (** solves answered by the Phase-1 start, cold solves and warm
-          misses alike: the ones no parent or crash basis answered *)
   lp_pivots : int;
   lp_factor_pivots : int;
       (** refactorization and abandoned-start pivots [lp_pivots] leaves

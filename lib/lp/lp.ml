@@ -11,18 +11,15 @@ type warm = Cold | Warm_hit | Warm_miss
 type solve_stats = {
   pivots : int;  (* simplex iterations: basis changes + bound flips *)
   factor_pivots : int;  (* Gauss pivots spent installing a start basis *)
-  miss_pivots : int;  (* all pivots an abandoned start spent *)
-  phase1 : bool;  (* a cold solve needed the artificial Phase-1 start *)
+  miss_pivots : int;  (* all pivots an abandoned attempt spent *)
   warm : warm;
 }
 
 module Basis = struct
   (* A simplex basis: which column is basic in each row, and the
      resting status of every structural and slack column.  Captured at
-     an optimum by [capture_basis] below only when no artificial column
-     is basic, so a snapshot can always be re-installed on a tableau
-     built without artificials; [make] builds a start basis for a cold
-     solve. *)
+     every optimum by [capture_basis] below; [make] builds a start
+     basis. *)
   type t = {
     nvars : int;
     nrows : int;
@@ -168,7 +165,7 @@ let add_constraint p coeffs cmp rhs =
   ignore (add_row p idx cf cmp rhs)
 
 (* ------------------------------------------------------------------ *)
-(* Bounded-variable primal simplex on a dense tableau of live rows.
+(* Bounded-variable simplex on a dense tableau of live rows.
 
    An inert row ([idx = [||]], [rhs = 0]: the vacuous slots of the
    persistent encodings) has its slack basic at zero from the start, is
@@ -178,26 +175,14 @@ let add_constraint p coeffs cmp rhs =
    slacks, and [capture_basis], [extract_multipliers] and [refactorize]
    map back to problem coordinates at the boundary.
 
-   Cold-solve column layout: [0, n) structural, [n, n+m) the slacks of
-   the m live rows in row order, then one artificial per live row whose
-   slack cannot start basic, in row order.  Such a row i is
-   d_i (a_i^T x + s_i) + t_i = d_i b_i  where the slack bound encodes the
-   comparison and d_i = ±1 makes the artificial start non-negative.
-   Phase 1 minimizes the artificial sum from that start; phase 2 pins
-   the artificials to zero and retires their columns, which no later
-   read touches.  The order structural < slack < artificial is what
+   Column layout: [0, n) structural, then the slacks of the m live rows
+   in row order; every row is a_i^T x + s_i = b_i, the slack bounds
+   encoding the comparison.  The order structural < slack is what
    Bland's rule and the leaving-row tie-break compare.
 
-   Solves from a basis build an artificial-free tableau ([0, n+m)
-   columns only) and install the basis by Gauss-Jordan
-   refactorization.  A primal feasible start basis ([solve ~start])
-   runs the primal simplex to the optimum.  A parent basis
-   ([solve_from]) or an infeasible start gets every inequality slack
-   boxed by the bound the variable box implies for it, and a bounded
-   dual simplex runs from there to the optimum.  A parent basis that
-   does not answer hands over to the start basis, unless its dual
-   simplex met a ray; anything else falls back to the Phase-1 cold
-   solve, which alone decides infeasibility.
+   Every solve installs a basis — a parent's, a start, or the slack
+   basis — and runs the primal simplex from it when it is primal
+   feasible, a bounded dual simplex otherwise (see the interface).
 
    Every entry that is ever read again sees the same float operations
    in the same order as on the full tableau of every row and column, so
@@ -212,7 +197,7 @@ let max_iterations = 50_000
 type tableau = {
   m : int;  (* live rows *)
   nrows : int;  (* problem rows, live and inert *)
-  mutable width : int;  (* columns still in play: all, until phase 2 retires the artificials *)
+  ncols : int;  (* structural + live slack columns *)
   tab : float array array;  (* m x ncols: current B^{-1} A_full *)
   zrow : float array;  (* reduced costs, updated by pivots *)
   rhs_col : float array;  (* B^{-1} b *)
@@ -254,51 +239,52 @@ let live_rows (p : problem) =
   Array.iteri (fun i k -> if k >= 0 then live.(k) <- i) slot;
   (live, slot)
 
-(* A tableau over the structural columns, the live rows' slacks and
-   [extra] artificial columns, with the bounds of the first two filled
-   in and every row still zero. *)
-let make_tableau (p : problem) ~live ~slot ~extra =
+(* A tableau over the structural columns and the live rows' slacks,
+   each live row loaded in its natural orientation with the slack
+   identity in place, at the slack basis: every slack basic, every
+   structural at its resting status. *)
+let build_tableau (p : problem) =
   let n = p.nvars in
+  let live, slot = live_rows p in
   let m = Array.length live in
-  let ncols = n + m + extra in
+  let ncols = n + m in
   let lob = Array.make ncols 0.0 in
-  (* Artificials: [0, inf) during phase 1. *)
-  let hib = Array.make ncols infinity in
+  let hib = Array.make ncols 0.0 in
   Array.blit p.lo 0 lob 0 n;
   Array.blit p.hi 0 hib 0 n;
-  for k = 0 to m - 1 do
-    let slo, shi = slack_bounds p.rows.(live.(k)).cmp in
-    lob.(n + k) <- slo;
-    hib.(n + k) <- shi
-  done;
+  let tab = Array.make_matrix m ncols 0.0 in
+  let rhs_col = Array.make m 0.0 in
+  Array.iteri
+    (fun k i ->
+      let r = p.rows.(i) in
+      let slo, shi = slack_bounds r.cmp in
+      lob.(n + k) <- slo;
+      hib.(n + k) <- shi;
+      let row = tab.(k) in
+      for q = 0 to Array.length r.idx - 1 do
+        row.(r.idx.(q)) <- row.(r.idx.(q)) +. r.cf.(q)
+      done;
+      row.(n + k) <- 1.0;
+      rhs_col.(k) <- r.rhs)
+    live;
   {
     m;
     nrows = p.nrows;
-    width = ncols;
-    tab = Array.make_matrix m ncols 0.0;
+    ncols;
+    tab;
     zrow = Array.make ncols 0.0;
-    rhs_col = Array.make m 0.0;
+    rhs_col;
     lob;
     hib;
     xval = Array.make ncols 0.0;
     bval = Array.make m 0.0;
-    basis = Array.make m 0;
-    stat = Array.make ncols At_lower;
+    basis = Array.init m (fun k -> n + k);
+    stat = Array.init ncols (fun j -> if j < n then resting_status lob.(j) hib.(j) else Basic);
     live;
     slot;
     nz = Array.make ncols 0;
     nzv = Array.make ncols 0.0;
   }
-
-(* Write problem row [r] into tableau row [k], scaled by [sign], with
-   its slack coefficient. *)
-let load_row t k (r : row) ~n ~sign =
-  let row = t.tab.(k) in
-  for q = 0 to Array.length r.idx - 1 do
-    row.(r.idx.(q)) <- row.(r.idx.(q)) +. (sign *. r.cf.(q))
-  done;
-  row.(n + k) <- sign;
-  t.rhs_col.(k) <- sign *. r.rhs
 
 (* Recompute basic values from the pivoted system: for each row,
    bval = rhs - sum over nonbasic columns of tab * xval.  The nonbasic
@@ -306,7 +292,7 @@ let load_row t k (r : row) ~n ~sign =
 let refresh_basic_values t =
   let cols = t.nz in
   let count = ref 0 in
-  for j = 0 to t.width - 1 do
+  for j = 0 to t.ncols - 1 do
     if t.stat.(j) <> Basic && t.xval.(j) <> 0.0 then begin
       cols.(!count) <- j;
       incr count
@@ -324,14 +310,15 @@ let refresh_basic_values t =
     t.xval.(t.basis.(i)) <- !acc
   done
 
-(* Rebuild the reduced-cost row for objective [c] (length ncols). *)
-let refresh_cost_row t c =
-  Array.blit c 0 t.zrow 0 t.width;
+(* Rebuild the reduced-cost row for the problem's objective. *)
+let price_objective (p : problem) t =
+  Array.fill t.zrow 0 t.ncols 0.0;
+  Array.blit p.obj 0 t.zrow 0 p.nvars;
   for i = 0 to t.m - 1 do
-    let cb = c.(t.basis.(i)) in
+    let cb = if t.basis.(i) < p.nvars then p.obj.(t.basis.(i)) else 0.0 in
     if cb <> 0.0 then begin
       let row = t.tab.(i) in
-      for j = 0 to t.width - 1 do
+      for j = 0 to t.ncols - 1 do
         t.zrow.(j) <- t.zrow.(j) -. (cb *. row.(j))
       done
     end
@@ -358,9 +345,8 @@ let pivot t r j =
   let inv = 1.0 /. piv in
   let nz = t.nz in
   let nzv = t.nzv in
-  let width = t.width in
   let count = ref 0 in
-  for k = 0 to width - 1 do
+  for k = 0 to t.ncols - 1 do
     let a = prow.(k) in
     if a <> 0.0 then begin
       let v = a *. inv in
@@ -374,7 +360,7 @@ let pivot t r j =
   t.rhs_col.(r) <- t.rhs_col.(r) *. inv;
   (* The packed indices come from checked reads of the pivot row, and
      every tableau row and the cost row are as long as it (all are
-     allocated [ncols] wide by [make_tableau]), so the updates below
+     allocated [ncols] wide by [build_tableau]), so the updates below
      skip the per-entry bounds checks. *)
   for i = 0 to t.m - 1 do
     if i <> r then begin
@@ -402,7 +388,13 @@ let pivot t r j =
 
 (* [Step_moved] when some basic value changed by more than [eps_ratio],
    [Step_stalled] for a degenerate step. *)
-type step_outcome = Step_optimal | Step_unbounded | Step_moved | Step_stalled
+type step_outcome = Step_optimal | Step_moved | Step_stalled
+
+(* The verdicts a solve reaches short of an optimum: [Infeasible] with
+   its Farkas witness, and [Unbounded] from a primal ray. *)
+exception Decided_infeasible of float array
+
+exception Decided_unbounded
 
 (* Move the basic value of every row but [skip] by [step] units of
    column [j], and say whether any moved by more than [eps_ratio]. *)
@@ -422,19 +414,21 @@ let move_basics t j ~skip step =
   done;
   !moved
 
-(* One simplex iteration.  [bland] forces Bland's rule for entering and
-   leaving choices (anti-cycling); otherwise the most-improving reduced
-   cost is used. *)
+(* One primal simplex iteration.  [bland] forces Bland's rule for
+   entering and leaving choices (anti-cycling); otherwise the
+   most-improving reduced cost is used.  An improving column that
+   nothing blocks is a primal ray: the problem is unbounded. *)
 let simplex_step t ~bland =
   (* Entering column selection.  A column moving in direction [d] gains
      -d * z per unit.  Fixed columns (lo = hi) can never improve the
-     objective and are skipped. *)
-  let width = t.width in
+     objective and are skipped.  A [Free_zero] column moves whichever
+     way its reduced cost favours, from wherever it rests. *)
+  let ncols = t.ncols in
   let entering = ref (-1) in
   let enter_dir = ref 1.0 in
   let best = ref eps_cost in
   let c = ref 0 in
-  while !c < width && not (bland && !entering >= 0) do
+  while !c < ncols && not (bland && !entering >= 0) do
     let j = !c in
     if t.lob.(j) < t.hib.(j) then begin
       let z = t.zrow.(j) in
@@ -493,8 +487,8 @@ let simplex_step t ~bland =
         end
       end
     done;
-    (* The entering variable's own opposite bound can also bind. *)
-    let own_span = t.hib.(j) -. t.lob.(j) in
+    (* The entering variable's own bound ahead of it can also bind. *)
+    let own_span = if dir > 0.0 then t.hib.(j) -. t.xval.(j) else t.xval.(j) -. t.lob.(j) in
     let flip = own_span < !limit -. eps_ratio in
     if flip then begin
       (* Bound flip: no basis change. *)
@@ -503,7 +497,7 @@ let simplex_step t ~bland =
       t.stat.(j) <- (if dir > 0.0 then At_upper else At_lower);
       if moved then Step_moved else Step_stalled
     end
-    else if !leaving < 0 then Step_unbounded
+    else if !leaving < 0 then raise Decided_unbounded
     else begin
       let r = !leaving in
       let step = dir *. !limit in
@@ -533,16 +527,16 @@ let check_tableau_finite t =
     if Float.is_nan t.bval.(i) || Float.is_nan t.rhs_col.(i) then
       raise (Numerical_failure (Printf.sprintf "non-finite basic value in row %d" t.live.(i)))
   done;
-  for j = 0 to t.width - 1 do
+  for j = 0 to t.ncols - 1 do
     if Float.is_nan t.zrow.(j) then
       raise (Numerical_failure (Printf.sprintf "non-finite reduced cost in column %d" j))
   done
 
-(* Run iterations of [step] (the primal [simplex_step] or, on the warm
-   path, [dual_step]) until it reports an end, accumulating the
-   iteration count into [counter].  Bland's rule takes over after more
-   degenerate steps in a row than twice the problem's row count (inert
-   rows included) plus two. *)
+(* Run iterations of [step] (the primal [simplex_step] or the
+   [dual_step]) until it reports an optimum, accumulating the iteration
+   count into [counter].  Bland's rule takes over after more degenerate
+   steps in a row than twice the problem's row count (inert rows
+   included) plus two. *)
 let iterate step t ~counter =
   let bland_after = 2 * (t.nrows + 1) in
   let rec go iter degenerate_streak =
@@ -552,8 +546,7 @@ let iterate step t ~counter =
       check_tableau_finite t
     end;
     match step t ~bland:(degenerate_streak > bland_after) with
-    | Step_optimal -> `Optimal
-    | Step_unbounded -> `Unbounded
+    | Step_optimal -> ()
     | Step_moved ->
         incr counter;
         go (iter + 1) 0
@@ -589,56 +582,35 @@ let validate_problem p =
   done
 
 (* Snapshot the optimal basis in problem coordinates; an inert row's
-   basic is its own slack.  A degenerate optimum can leave an
-   artificial column basic at zero; artificials do not exist on the
-   warm tableau, so such a row's basic column is substituted with the
-   row's own slack when that slack is nonbasic.  The substituted
-   snapshot is no longer the exact optimal basis, only a near-identical
-   starting point — which is all the warm path needs, and a singular
-   substitution makes the child's refactorization fall back to a cold
-   solve anyway.  Only a row whose slack is already basic elsewhere
-   (impossible to substitute) declines the capture. *)
+   basic is its own slack. *)
 let capture_basis (p : problem) t =
   let n = p.nvars in
-  let m = p.nrows in
-  let basics = Array.init m (fun i -> n + i) in
-  let statuses = Array.make (n + m) Basic in
+  let basics = Array.init p.nrows (fun i -> n + i) in
+  let statuses = Array.make (n + p.nrows) Basic in
   Array.blit t.stat 0 statuses 0 n;
-  for k = 0 to t.m - 1 do
-    statuses.(n + t.live.(k)) <- t.stat.(n + k)
-  done;
-  let ok = ref true in
-  for k = 0 to t.m - 1 do
-    let i = t.live.(k) in
-    let c = t.basis.(k) in
-    if c < n then basics.(i) <- c
-    else if c < n + t.m then basics.(i) <- n + t.live.(c - n)
-    else begin
-      let s = n + i in
-      if statuses.(s) <> Basic then statuses.(s) <- Basic else ok := false
-    end
-  done;
-  if not !ok then None else Some { Basis.nvars = n; nrows = m; basics; statuses }
+  Array.iteri
+    (fun k i ->
+      statuses.(n + i) <- t.stat.(n + k);
+      let c = t.basis.(k) in
+      basics.(i) <- (if c < n then c else n + t.live.(c - n)))
+    t.live;
+  { Basis.nvars = n; nrows = p.nrows; basics; statuses }
+
+(* Clamp a row multiplier to the sign its comparison admits: simplex
+   tolerances can leave a wrong-signed residue which exact certificate
+   checking would reject, and clamping only ever weakens the certified
+   bound. *)
+let admissible cmp v = match cmp with Le -> Float.min 0.0 v | Ge -> Float.max 0.0 v | Eq -> v
 
 (* Row multipliers implied by the current reduced-cost row.  The slack
-   of row i appears only in row i, with coefficient +1 on warm tableaus
-   and the phase-1 scaling sign on cold ones; either way the scaling
-   cancels and the slack's reduced cost is the negated multiplier of
-   the row in its {e natural} orientation, so y_i = -zrow(slack of i)
-   uniformly; an inert row's slack reduced cost is +0.  Multipliers are
-   clamped to the sign their comparison admits: simplex tolerances can
-   leave a wrong-signed residue of order [eps_cost] which exact
-   certificate checking would reject, and clamping only ever weakens
-   the certified bound. *)
+   of row i appears only in row i, with coefficient +1, so its reduced
+   cost is the row's negated multiplier: y_i = -zrow(slack of i); an
+   inert row's slack reduced cost is +0. *)
 let extract_multipliers (p : problem) t =
   let n = p.nvars in
   Array.init p.nrows (fun i ->
       let k = t.slot.(i) in
-      let v = -.(if k < 0 then 0.0 else t.zrow.(n + k)) in
-      match p.rows.(i).cmp with
-      | Le -> Float.min 0.0 v
-      | Ge -> Float.max 0.0 v
-      | Eq -> v)
+      admissible p.rows.(i).cmp (-.(if k < 0 then 0.0 else t.zrow.(n + k))))
 
 let optimal_solution (p : problem) t =
   let n = p.nvars in
@@ -650,125 +622,6 @@ let optimal_solution (p : problem) t =
   let certificate = Some (Certificate.Dual (extract_multipliers p t)) in
   { objective = !objective; primal; certificate }
 
-let solve_cold ?(warm_note = Cold) ?(miss_pivots = 0) (p : problem) =
-  validate_problem p;
-  let n = p.nvars in
-  let live, slot = live_rows p in
-  let m = Array.length live in
-  (* Residual of each live row at the resting point (slack at zero).
-     Rows whose residual fits inside the slack's own bounds start with
-     the slack basic — no artificial needed; only the remaining rows get
-     an artificial column, numbered in row order after the slacks, and
-     phase 1 is skipped entirely when there are none. *)
-  let resid = Array.make m 0.0 in
-  let artificial = Array.make m (-1) in
-  let ncols = ref (n + m) in
-  for k = 0 to m - 1 do
-    let r = p.rows.(live.(k)) in
-    let acc = ref r.rhs in
-    for q = 0 to Array.length r.idx - 1 do
-      let j = r.idx.(q) in
-      acc := !acc -. (r.cf.(q) *. resting_value p.lo.(j) p.hi.(j))
-    done;
-    resid.(k) <- !acc;
-    let slo, shi = slack_bounds r.cmp in
-    if not (!acc >= slo -. 1e-12 && !acc <= shi +. 1e-12) then begin
-      artificial.(k) <- !ncols;
-      incr ncols
-    end
-  done;
-  let ncols = !ncols in
-  let t = make_tableau p ~live ~slot ~extra:(ncols - n - m) in
-  for j = 0 to n + m - 1 do
-    t.stat.(j) <- resting_status t.lob.(j) t.hib.(j);
-    t.xval.(j) <- resting_value t.lob.(j) t.hib.(j)
-  done;
-  for k = 0 to m - 1 do
-    let r = p.rows.(live.(k)) in
-    let a = artificial.(k) in
-    if a < 0 then begin
-      (* Slack basis: row stays in its natural orientation. *)
-      load_row t k r ~n ~sign:1.0;
-      t.basis.(k) <- n + k;
-      t.stat.(n + k) <- Basic;
-      t.bval.(k) <- resid.(k);
-      t.xval.(n + k) <- resid.(k)
-    end
-    else begin
-      load_row t k r ~n ~sign:(if resid.(k) >= 0.0 then 1.0 else -1.0);
-      t.tab.(k).(a) <- 1.0;
-      t.basis.(k) <- a;
-      t.stat.(a) <- Basic;
-      t.bval.(k) <- Float.abs resid.(k);
-      t.xval.(a) <- t.bval.(k)
-    end
-  done;
-  let counter = ref 0 in
-  let used_phase1 = ncols > n + m in
-  let record ?certificate result =
-    p.last_stats <-
-      Some
-        {
-          pivots = !counter;
-          factor_pivots = 0;
-          miss_pivots;
-          phase1 = used_phase1;
-          warm = warm_note;
-        };
-    p.last_basis <- (match result with Optimal _ -> capture_basis p t | _ -> None);
-    p.last_certificate <- certificate;
-    result
-  in
-  (* Phase 1: minimize the artificial sum (skipped when the slack basis
-     is already feasible). *)
-  let infeasible =
-    used_phase1
-    && begin
-         let phase1_cost = Array.make ncols 1.0 in
-         Array.fill phase1_cost 0 (n + m) 0.0;
-         refresh_cost_row t phase1_cost;
-         (match optimize t ~counter with
-         | `Optimal -> ()
-         | `Unbounded ->
-             (* The phase-1 objective is bounded below by 0; reaching
-                here means numerical trouble, which we surface as a
-                solver failure. *)
-             raise Iteration_limit);
-         refresh_basic_values t;
-         let infeasibility = ref 0.0 in
-         for a = n + m to ncols - 1 do
-           infeasibility := !infeasibility +. Float.max 0.0 t.xval.(a)
-         done;
-         !infeasibility > eps_feas
-       end
-  in
-  (* On infeasibility the cost row still holds the phase-1 reduced
-     costs, whose multipliers are exactly a Farkas witness. *)
-  if infeasible then record ~certificate:(Certificate.Farkas (extract_multipliers p t)) Infeasible
-  else begin
-    (* Pin the artificials at zero and retire their columns: a pinned
-       column never enters, and a basic one is read only through its
-       bounds, so pivots and pricing stop at the slacks. *)
-    for a = n + m to ncols - 1 do
-      t.lob.(a) <- 0.0;
-      t.hib.(a) <- 0.0;
-      if t.stat.(a) <> Basic then begin
-        t.stat.(a) <- At_lower;
-        t.xval.(a) <- 0.0
-      end
-    done;
-    t.width <- n + m;
-    let phase2_cost = Array.make ncols 0.0 in
-    Array.blit p.obj 0 phase2_cost 0 n;
-    refresh_cost_row t phase2_cost;
-    match optimize t ~counter with
-    | `Unbounded -> record Unbounded
-    | `Optimal ->
-        refresh_basic_values t;
-        let s = optimal_solution p t in
-        record ?certificate:s.certificate (Optimal s)
-  end
-
 (* A solve starts from a clean slate: one that raises leaves no
    statistics, basis or certificate of an earlier solve behind. *)
 let forget p =
@@ -777,61 +630,45 @@ let forget p =
   p.last_certificate <- None
 
 (* ------------------------------------------------------------------ *)
-(* Solves from a basis: a start or a parent's basis, re-solved by the
-   primal simplex when primal feasible, else by a bounded dual
-   simplex *)
+(* Installing a basis *)
 
+(* An attempt from a parent basis or a start that does not answer. *)
 exception Warm_bail
-
-(* Artificial-free tableau over structural + live slack columns, rows
-   in their natural orientation with the slack identity in place. *)
-let build_warm_tableau (p : problem) =
-  let n = p.nvars in
-  let live, slot = live_rows p in
-  let t = make_tableau p ~live ~slot ~extra:0 in
-  Array.iteri (fun k i -> load_row t k p.rows.(i) ~n ~sign:1.0) live;
-  t
 
 (* Re-derive every nonbasic column's value from its status against the
    problem's CURRENT bounds: bounds may have moved since the basis was
    captured.  Statuses pointing at a bound that no longer exists are
    downgraded to the resting status. *)
 let normalize_nonbasic t =
-  for j = 0 to t.width - 1 do
+  for j = 0 to t.ncols - 1 do
     if t.stat.(j) <> Basic then begin
-      (match t.stat.(j) with
+      match t.stat.(j) with
       | At_lower when t.lob.(j) > neg_infinity -> t.xval.(j) <- t.lob.(j)
       | At_upper when t.hib.(j) < infinity -> t.xval.(j) <- t.hib.(j)
       | Free_zero when t.lob.(j) = neg_infinity && t.hib.(j) = infinity -> t.xval.(j) <- 0.0
       | _ ->
           t.stat.(j) <- resting_status t.lob.(j) t.hib.(j);
-          t.xval.(j) <- resting_value t.lob.(j) t.hib.(j));
-      ()
+          t.xval.(j) <- resting_value t.lob.(j) t.hib.(j)
     end
   done
 
 let basics_within_bounds t =
-  let ok = ref true in
-  for i = 0 to t.m - 1 do
-    let b = t.basis.(i) in
-    let v = t.bval.(i) in
-    if v < t.lob.(b) -. eps_feas || v > t.hib.(b) +. eps_feas then ok := false
-  done;
-  !ok
+  Array.for_all2
+    (fun b v -> not (v < t.lob.(b) -. eps_feas || v > t.hib.(b) +. eps_feas))
+    t.basis t.bval
 
-(* Install a captured basis on a fresh warm tableau and bring the
-   tableau to that basis by Gauss-Jordan elimination.  Rows whose basic
-   column is their own slack are already unit-pivoted (the slack column
-   appears in no other row, so later pivots never disturb them); the
-   remaining rows are pivoted greedily on the largest available pivot
-   element.  When every remaining row's recorded column has collapsed —
-   typically a row rewritten by {!set_row} since the capture, e.g. a
-   ReLU constraint slot gone vacuous at this node — the basis is
-   repaired locally: such a row takes its own slack as basic (a unit
-   coefficient while the row is unpivoted) and the recorded column is
-   demoted to nonbasic.  Only when no repair applies either is the
-   snapshot truly singular for the current rows — bail to a cold
-   solve.
+(* Install a captured basis on a fresh tableau and bring the tableau to
+   that basis by Gauss-Jordan elimination.  Rows whose basic column is
+   their own slack are already unit-pivoted (the slack column appears in
+   no other row, so later pivots never disturb them); the remaining rows
+   are pivoted greedily on the largest available pivot element.  When
+   every remaining row's recorded column has collapsed — typically a row
+   rewritten by {!set_row} since the capture, e.g. a ReLU constraint
+   slot gone vacuous at this node — the basis is repaired locally: such
+   a row takes its own slack as basic (a unit coefficient while the row
+   is unpivoted) and the recorded column is demoted to nonbasic.  Only
+   when no repair applies either is the snapshot truly singular for the
+   current rows — the attempt bails.
 
    The basis, the pending rows and the repair order stay in problem
    coordinates.  An inert row is e_(its slack) and every inert slack
@@ -915,16 +752,26 @@ let refactorize (p : problem) t (b : Basis.t) ~factor_counter =
       t.stat.(n + k) <- stat.(n + i))
     t.live
 
+(* ------------------------------------------------------------------ *)
+(* The bounded dual simplex *)
+
+(* A row the box alone violates is its own Farkas witness: multiplier
+   -1 on a [Le] row, +1 on a [Ge] row. *)
+let row_witness (p : problem) i =
+  let y = Array.make p.nrows 0.0 in
+  y.(i) <- (if p.rows.(i).cmp = Le then -1.0 else 1.0);
+  y
+
 (* Give each live inequality row's slack the finite bound the variable
    box implies for it: a [Le] row's slack s = b - a.x is at most
    b - sum_j min(a_j lo_j, a_j hi_j), a [Ge] row's at least
    b - sum_j max(a_j lo_j, a_j hi_j).  The float sum is padded outward
    by a bound on its rounding error (plus the least normal float, for
    underflow), so no point of the box violates the implied bound; it is
-   infinite when a term's variable bound is.
-   With every slack boxed, a flip makes almost any basis dual feasible.
-   A row the box leaves no room (the implied bound reaches the slack's
-   own) goes to the cold path, which decides infeasibility. *)
+   infinite when a term's variable bound is.  With every slack boxed, a
+   flip makes almost any basis dual feasible.  A row the box leaves no
+   room (the padded implied bound reaches the slack's own) is
+   infeasible over the box, and is its own witness. *)
 let imply_slack_bounds (p : problem) t =
   let n = p.nvars in
   for k = 0 to t.m - 1 do
@@ -945,58 +792,88 @@ let imply_slack_bounds (p : problem) t =
         (float_of_int (Array.length r.idx + 2) *. epsilon_float *. (Float.abs r.rhs +. !mag))
         +. Float.min_float
       in
+      let no_room () = raise (Decided_infeasible (row_witness p t.live.(k))) in
       if upper then begin
         let bound = r.rhs -. !acc +. pad in
-        if bound <= 0.0 then raise Warm_bail;
+        if bound <= 0.0 then no_room ();
         t.hib.(n + k) <- bound
       end
       else begin
         let bound = r.rhs -. !acc -. pad in
-        if bound >= 0.0 then raise Warm_bail;
+        if bound >= 0.0 then no_room ();
         t.lob.(n + k) <- bound
       end
     end
   done
 
-(* An implied bound is only a device for the dual simplex: an optimum
-   that rests a slack on one is not an optimum the unchanged problem's
-   multipliers can certify. *)
-let rests_on_implied_bound (p : problem) t =
-  let n = p.nvars in
-  let found = ref false in
-  for k = 0 to t.m - 1 do
-    match (p.rows.(t.live.(k)).cmp, t.stat.(n + k)) with
-    | Le, At_upper | Ge, At_lower -> found := true
+(* The bounds a column has in the problem itself. *)
+let real_bounds (p : problem) t j =
+  if j < p.nvars then (p.lo.(j), p.hi.(j)) else slack_bounds p.rows.(t.live.(j - p.nvars)).cmp
+
+(* Implied slack bounds and artificial bounds are only devices for the
+   dual simplex: an optimum that rests a column on one is not an
+   optimum the unchanged problem's multipliers certify.  Restore every
+   column's own bounds, and say whether a nonbasic column rested on a
+   device bound; such a column is [Free_zero] until the primal simplex
+   moves it, whichever way its reduced cost favours, as far as its
+   bound ahead. *)
+let drop_device_bounds (p : problem) t =
+  let rested = ref false in
+  for j = 0 to t.ncols - 1 do
+    let lo, hi = real_bounds p t j in
+    t.lob.(j) <- lo;
+    t.hib.(j) <- hi;
+    match t.stat.(j) with
+    | (At_lower | At_upper) when t.xval.(j) <> (if t.stat.(j) = At_lower then lo else hi) ->
+        t.stat.(j) <- Free_zero;
+        rested := true
     | _ -> ()
   done;
-  !found
+  !rested
+
+(* A one-sided or free column's first artificial bound lies this far
+   from where it rests. *)
+let artificial_span = 1e6
 
 (* Make the installed basis dual feasible for the current cost row:
    every boxed nonbasic column moves onto the bound its reduced cost
-   favours.  A one-sided or free column whose reduced cost still has
-   the wrong sign — one the primal pricing would enter — bails. *)
-let flip_to_dual_feasible t =
-  for j = 0 to t.width - 1 do
+   favours.  A one-sided or free column whose reduced cost has the
+   wrong sign — one the primal pricing would enter — bails when
+   [artificial] is empty; otherwise it is marked there and boxed by an
+   artificial bound [artificial_span] away on the side it favours. *)
+let flip_to_dual_feasible t ~artificial =
+  for j = 0 to t.ncols - 1 do
     let d = t.zrow.(j) in
-    let lo = t.lob.(j) and hi = t.hib.(j) in
-    if t.stat.(j) = Basic || lo = hi then ()
-    else if Float.is_finite lo && Float.is_finite hi then begin
-      if d > eps_cost then begin
-        t.stat.(j) <- At_lower;
-        t.xval.(j) <- lo
-      end
-      else if d < -.eps_cost then begin
-        t.stat.(j) <- At_upper;
-        t.xval.(j) <- hi
-      end
+    let boxed () = Float.is_finite t.lob.(j) && Float.is_finite t.hib.(j) in
+    if t.stat.(j) <> Basic && t.lob.(j) < t.hib.(j) then begin
+      let wrong =
+        match t.stat.(j) with
+        | At_lower -> d < -.eps_cost
+        | At_upper -> d > eps_cost
+        | Free_zero -> Float.abs d > eps_cost
+        | Basic -> false
+      in
+      let artificial_bound = wrong && not (boxed ()) in
+      if artificial_bound then begin
+        if artificial = [||] then raise Warm_bail;
+        artificial.(j) <- true;
+        if d < 0.0 then t.hib.(j) <- t.xval.(j) +. artificial_span
+        else t.lob.(j) <- t.xval.(j) -. artificial_span
+      end;
+      if artificial_bound || boxed () then
+        if d > eps_cost then begin
+          t.stat.(j) <- At_lower;
+          t.xval.(j) <- t.lob.(j)
+        end
+        else if d < -.eps_cost then begin
+          t.stat.(j) <- At_upper;
+          t.xval.(j) <- t.hib.(j)
+        end
     end
-    else
-      match t.stat.(j) with
-      | At_lower when d < -.eps_cost -> raise Warm_bail
-      | At_upper when d > eps_cost -> raise Warm_bail
-      | Free_zero when Float.abs d > eps_cost -> raise Warm_bail
-      | _ -> ()
   done
+
+(* Raised by [dual_step] when the leaving row has no entering column. *)
+exception Dual_ray of int
 
 (* One bounded dual simplex iteration from a dual feasible basis.  The
    leaving row is the basic with the largest bound violation, and it
@@ -1006,8 +883,7 @@ let flip_to_dual_feasible t =
    so every reduced cost keeps its sign; ties go to the larger
    |alpha_rj|.  Under [bland] the leaving row is the violated one with
    the lowest basic column and ties go to the lower column.  No entering
-   column is a dual ray — the problem is infeasible — reported as
-   [Step_unbounded]. *)
+   column is a dual ray, raised as [Dual_ray r]. *)
 let dual_step t ~bland =
   let r = ref (-1) in
   let worst = ref eps_feas in
@@ -1032,7 +908,7 @@ let dual_step t ~bland =
     let entering = ref (-1) in
     let best_ratio = ref infinity in
     let best_alpha = ref 0.0 in
-    for j = 0 to t.width - 1 do
+    for j = 0 to t.ncols - 1 do
       if t.stat.(j) <> Basic && t.lob.(j) < t.hib.(j) then begin
         let alpha = prow.(j) in
         let a = toward *. alpha in
@@ -1057,7 +933,7 @@ let dual_step t ~bland =
         end
       end
     done;
-    if !entering < 0 then Step_unbounded
+    if !entering < 0 then raise (Dual_ray r)
     else begin
       let j = !entering in
       let target = if below then t.lob.(out) else t.hib.(out) in
@@ -1076,110 +952,178 @@ let dual_step t ~bland =
     end
   end
 
-(* How an attempt from a basis ended: at an optimum, at a dual ray (the
-   dual simplex found no entering column, so the problem is
-   infeasible), or bailed for any other reason. *)
-type attempt = Answered of (solution * tableau) | Dual_ray | Bailed
+(* The direction the basic of ray row [r] must move: -1 when it lies
+   below its lower bound, +1 above its upper. *)
+let ray_direction t r = if t.bval.(r) < t.lob.(t.basis.(r)) then -1.0 else 1.0
 
-exception Ray
+(* The Farkas witness of a dual ray in row [r]: row r of B^-1 (the
+   row's slack columns), signed so that the basic cannot reach its
+   bound, and clamped to each comparison's sign.  A wrong-signed entry
+   belongs to a slack resting on its implied bound; zeroing it is at
+   least as strong, because the box implies that bound. *)
+let ray_witness (p : problem) t r =
+  let n = p.nvars in
+  let toward = ray_direction t r in
+  let y = Array.make p.nrows 0.0 in
+  Array.iteri (fun k i -> y.(i) <- admissible p.rows.(i).cmp (toward *. t.tab.(r).(n + k))) t.live;
+  y
 
-(* Install [b] on a fresh artificial-free tableau and let [run] take
-   it to an optimum.  [Bailed] when the basis does not fit the problem's
-   shape, or [run] bails, overruns or fails numerically.  The caller
-   owns the pivot counters, so an abandoned attempt still reports what
-   it spent. *)
-let from_basis p (b : Basis.t) ~factor_counter run =
-  if b.Basis.nvars <> p.nvars || b.Basis.nrows <> p.nrows then Bailed
-  else
-    match
-      validate_problem p;
-      let t = build_warm_tableau p in
-      refactorize p t b ~factor_counter;
-      run t;
-      (optimal_solution p t, t)
-    with
-    | exception Ray -> Dual_ray
-    | exception (Warm_bail | Numerical_failure _ | Iteration_limit) -> Bailed
-    | s, t -> Answered (s, t)
-
-let price_objective (p : problem) t =
-  let cost = Array.make t.width 0.0 in
-  Array.blit p.obj 0 cost 0 p.nvars;
-  refresh_cost_row t cost
+(* Whether an artificial bound, not the problem, stops ray row [r]: the
+   bound the row's basic violates is one, or a marked column rests on
+   one and moving past it would push the basic toward its bound.  Then
+   every artificial bound moves out to [artificial_span] beyond twice
+   its distance from 0, its column moving along if it rests there,
+   which keeps the basis dual feasible; this counts as an iteration. *)
+let widened_past_ray p t ~artificial r ~counter =
+  let toward = ray_direction t r in
+  let stops j =
+    let lo, hi = real_bounds p t j in
+    match t.stat.(j) with
+    | Basic -> j = t.basis.(r) && if toward < 0.0 then t.lob.(j) <> lo else t.hib.(j) <> hi
+    | At_upper -> t.hib.(j) <> hi && toward *. t.tab.(r).(j) > eps_ratio
+    | At_lower -> t.lob.(j) <> lo && toward *. t.tab.(r).(j) < -.eps_ratio
+    | Free_zero -> false
+  in
+  let blocked = ref false in
+  Array.iteri (fun j marked -> if marked && stops j then blocked := true) artificial;
+  if !blocked then begin
+    let widen v = (2.0 *. Float.abs v) +. artificial_span in
+    Array.iteri
+      (fun j marked ->
+        if marked then
+          if t.hib.(j) <> snd (real_bounds p t j) then t.hib.(j) <- widen t.hib.(j)
+          else t.lob.(j) <- -.widen t.lob.(j))
+      artificial;
+    normalize_nonbasic t;
+    incr counter;
+    if !counter > max_iterations then raise Iteration_limit;
+    refresh_basic_values t
+  end;
+  !blocked
 
 (* The bounded dual simplex from an installed basis: box the slacks by
    their implied bounds, flip to dual feasibility, run the dual simplex
-   to primal feasibility and a primal pass to clean up any drift.  The
-   answer stands only if it is an optimum of the unchanged problem: no
-   basic out of bounds and no slack resting on an implied bound.  A
-   dual ray raises [Ray]; an unbounded cleanup or running out of
-   iterations bails. *)
-let dual_simplex p t ~counter =
+   to primal feasibility and a primal pass to clean up any drift.  A
+   dual ray decides [Infeasible].  An optimum with a basic out of bounds
+   or a column on a device bound bails, unless the attempt must answer
+   ([always], from the slack basis): then drift re-runs the dual simplex
+   and the device bounds are dropped for the primal simplex. *)
+let dual_simplex p t ~counter ~always =
   imply_slack_bounds p t;
   normalize_nonbasic t;
   price_objective p t;
-  flip_to_dual_feasible t;
+  let artificial = if always then Array.make t.ncols false else [||] in
+  flip_to_dual_feasible t ~artificial;
   refresh_basic_values t;
-  (match iterate dual_step t ~counter with `Unbounded -> raise Ray | `Optimal -> ());
-  (match optimize t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
+  let rec settle () =
+    let before = !counter in
+    match iterate dual_step t ~counter with
+    | exception Dual_ray r -> (
+        (* A violation the incremental updates made up is no ray: decide
+           only on basic values recomputed from the nonbasic ones. *)
+        let drifted = t.bval.(r) in
+        refresh_basic_values t;
+        if t.bval.(r) <> drifted || widened_past_ray p t ~artificial r ~counter then settle ()
+        else raise (Decided_infeasible (ray_witness p t r)))
+    | () ->
+        optimize t ~counter;
+        refresh_basic_values t;
+        if not (basics_within_bounds t) then begin
+          if not always then raise Warm_bail;
+          if !counter = before then raise (Numerical_failure "basic values drift out of bounds");
+          settle ()
+        end
+        else if drop_device_bounds p t then begin
+          if not always then raise Warm_bail;
+          optimize t ~counter;
+          refresh_basic_values t
+        end
+  in
+  settle ()
+
+(* From a start or the slack basis: when every basic lies within its
+   bounds the primal simplex runs from there, with no device bounds and
+   no flips; otherwise the dual simplex repairs it. *)
+let primal_or_dual p t ~counter ~always =
+  normalize_nonbasic t;
   refresh_basic_values t;
-  if (not (basics_within_bounds t)) || rests_on_implied_bound p t then raise Warm_bail
+  if basics_within_bounds t then begin
+    price_objective p t;
+    optimize t ~counter;
+    refresh_basic_values t
+  end
+  else dual_simplex p t ~counter ~always
 
-(* The start path: when every basic of the installed start basis lies
-   within its bounds, the primal simplex runs from there, with no
-   implied bounds and no flips; otherwise the dual simplex repairs it.
-   An unbounded primal run bails: verdicts other than an optimum come
-   only from the Phase-1 path. *)
-let start_attempt p b ~counter ~factor_counter =
-  from_basis p b ~factor_counter (fun t ->
-      normalize_nonbasic t;
-      refresh_basic_values t;
-      if basics_within_bounds t then begin
-        price_objective p t;
-        (match optimize t ~counter with `Unbounded -> raise Warm_bail | `Optimal -> ());
-        refresh_basic_values t
-      end
-      else dual_simplex p t ~counter)
+(* ------------------------------------------------------------------ *)
+(* Solving *)
 
-(* The warm path: the dual simplex from the parent's basis. *)
-let warm_attempt p b ~counter ~factor_counter =
-  from_basis p b ~factor_counter (dual_simplex p ~counter)
+(* Run [path] on the installed tableau and record its answer: the
+   optimum with its basis and dual certificate, or a decided verdict. *)
+let decide p t path =
+  match path t with
+  | () ->
+      let s = optimal_solution p t in
+      p.last_basis <- Some (capture_basis p t);
+      p.last_certificate <- s.certificate;
+      Optimal s
+  | exception Decided_infeasible y ->
+      p.last_certificate <- Some (Certificate.Farkas y);
+      Infeasible
+  | exception Decided_unbounded -> Unbounded
 
-(* Record an answer from a basis. *)
-let answered p (s, t) ~pivots ~factor_pivots ~miss_pivots ~warm =
-  p.last_stats <- Some { pivots; factor_pivots; miss_pivots; phase1 = false; warm };
-  p.last_basis <- capture_basis p t;
-  p.last_certificate <- s.certificate;
-  Optimal s
+(* Install [b] and run [path] from it; [None] when the basis does not fit
+   the problem, or the attempt bails, overruns or fails numerically.
+   The caller owns the pivot counters, so an abandoned attempt still
+   reports what it spent. *)
+let attempt p (b : Basis.t) ~factor_counter path =
+  if b.Basis.nvars <> p.nvars || b.Basis.nrows <> p.nrows then None
+  else
+    let t = build_tableau p in
+    match
+      refactorize p t b ~factor_counter;
+      decide p t path
+    with
+    | r -> Some r
+    | exception (Warm_bail | Numerical_failure _ | Iteration_limit) -> None
 
-(* Answer from the start basis [b] when its attempt reaches an optimum,
-   and with the Phase-1 cold solve otherwise; [spent] is what an earlier
-   abandoned attempt of this solve already spent. *)
-let from_start p b ~warm ~spent =
-  let counter = ref 0 and factor_counter = ref 0 in
-  match start_attempt p b ~counter ~factor_counter with
-  | Answered a ->
-      answered p a ~pivots:!counter ~factor_pivots:!factor_counter ~miss_pivots:spent ~warm
-  | Dual_ray | Bailed ->
-      solve_cold ~warm_note:warm ~miss_pivots:(spent + !counter + !factor_counter) p
+let record p result ~pivots ~factor_pivots ~miss_pivots ~warm =
+  p.last_stats <- Some { pivots; factor_pivots; miss_pivots; warm };
+  result
+
+(* The slack basis always answers (or raises). *)
+let from_slack_basis p ~warm ~spent =
+  let counter = ref 0 in
+  let t = build_tableau p in
+  let result = decide p t (primal_or_dual p ~counter ~always:true) in
+  record p result ~pivots:!counter ~factor_pivots:0 ~miss_pivots:spent ~warm
+
+(* Answer from the start basis when it gives one and its attempt
+   answers, and from the slack basis otherwise; [spent] is what an
+   earlier abandoned attempt of this solve already spent. *)
+let from_start p start ~warm ~spent =
+  match start with
+  | None -> from_slack_basis p ~warm ~spent
+  | Some b -> (
+      let counter = ref 0 and factor_counter = ref 0 in
+      match attempt p b ~factor_counter (primal_or_dual p ~counter ~always:false) with
+      | Some result ->
+          record p result ~pivots:!counter ~factor_pivots:!factor_counter ~miss_pivots:spent ~warm
+      | None -> from_slack_basis p ~warm ~spent:(spent + !counter + !factor_counter))
 
 let solve ?start p =
   forget p;
   run_hook p;
-  match start with None -> solve_cold p | Some b -> from_start p b ~warm:Cold ~spent:0
+  validate_problem p;
+  from_start p start ~warm:Cold ~spent:0
 
-(* A warm attempt that bails tries the start next; a dual ray (an
-   infeasible child) goes straight to Phase 1, which decides it. *)
 let solve_from ?start p b =
   forget p;
   run_hook p;
+  validate_problem p;
   let counter = ref 0 and factor_counter = ref 0 in
-  match warm_attempt p b ~counter ~factor_counter with
-  | Answered a ->
-      answered p a ~pivots:!counter ~factor_pivots:!factor_counter ~miss_pivots:0 ~warm:Warm_hit
-  | outcome -> (
+  match attempt p b ~factor_counter (dual_simplex p ~counter ~always:false) with
+  | Some result ->
+      record p result ~pivots:!counter ~factor_pivots:!factor_counter ~miss_pivots:0 ~warm:Warm_hit
+  | None ->
       let spent = !counter + !factor_counter in
-      let start = match (outcome, start) with Bailed, Some f -> f () | _ -> None in
-      match start with
-      | Some s -> from_start p s ~warm:Warm_miss ~spent
-      | None -> solve_cold ~warm_note:Warm_miss ~miss_pivots:spent p)
+      from_start p (Option.bind start (fun f -> f ())) ~warm:Warm_miss ~spent

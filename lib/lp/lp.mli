@@ -7,46 +7,31 @@
   subject to  a_i^T x (<= | = | >=) b_i     for each row i
               lo_j <= x_j <= hi_j           for each variable j v}
 
-    using a primal simplex on bounded variables with Bland's
-    anti-cycling rule, started from a start basis the caller supplies
-    or, failing one, from a Phase-1 artificial start.
-    The tableau is dense over the live rows only: an inert row (no
-    terms, right-hand side 0, such as the vacuous slots the persistent
-    encodings write) is satisfied by its slack at 0 and never enters
-    the tableau, and pivots visit only the pivot row's nonzero
-    columns.  Which rows are inert changes no
-    pivot, optimum, basis or certificate.  Problem sizes in this
-    repository (at most a few hundred variables and rows) are well
-    within dense-tableau territory.
+    by one bounded-variable simplex, primal and dual, with Bland's
+    anti-cycling rule.  The tableau is dense over the live rows only: an
+    inert row (no terms, right-hand side 0, such as the vacuous slots
+    the persistent encodings write) is satisfied by its slack at 0 and
+    never enters it, and pivots visit only the pivot row's nonzero
+    columns; which rows are inert changes no pivot, optimum, basis or
+    certificate.
 
-    The solver is {e incremental}: an optimal {!solve} snapshots its
-    simplex basis, and {!solve_from} re-solves a near-identical problem
-    (bounds moved by {!set_bounds}, rows rewritten in place by
-    {!set_row}, a new objective) from that snapshot with a bounded dual
-    simplex instead of restarting Phase 1 — the branch-and-bound
-    verifier re-solves each child node's LP from its parent's basis
-    this way, as the paper's GUROBI back-end does.  To make a basis
-    dual feasible, the dual path boxes every inequality row's slack by
-    the finite bound the variable box implies for it (rounded outward,
-    so it cuts off no point of the box) and flips each boxed nonbasic
-    column onto the bound its reduced cost favours.  An optimum is kept
-    only if no slack rests on an implied bound, so it is an optimum of
-    the unchanged problem with the multipliers a cold solve would
-    certify it by.
-
-    A cold {!solve} can be handed a start basis (the analyzer builds one
-    from a concrete forward pass through its encoding), installed by
-    refactorization.  When every basic lies within its bounds the
-    primal simplex runs straight from it to the optimum; otherwise the
-    same dual path repairs it.  {!solve_from} takes that start basis
-    too, and tries it when the parent basis does not answer for any
-    reason but a dual ray.
-
-    Phase 1 runs only when no basis answers: a basis that does not fit,
-    a column the flips cannot fix, the iteration cap, numerical trouble
-    — or a dual ray, which means the problem is infeasible.  Phase 1
-    alone decides [Infeasible], with its Farkas witness, and
-    [Unbounded]; solves from a basis never change answers. *)
+    Every solve runs from a basis: a parent's ({!solve_from}), a start
+    the caller supplies, or the slack basis (every slack basic, every
+    variable at its finite bound, the lower one when both are, or at 0
+    when free).  From a basis whose basics lie within their bounds the
+    primal simplex runs; from any other, a bounded dual simplex, with
+    every inequality slack boxed by the finite bound the variable box
+    implies for it (rounded outward) and every boxed nonbasic column
+    flipped onto the bound its reduced cost favours.  A dual ray decides
+    [Infeasible], with that row of the basis inverse as the Farkas
+    witness, and so does a row the box leaves no room, with that row
+    alone; a primal ray decides [Unbounded].  A parent basis or a start
+    answers only with an optimum of the unchanged problem, and hands
+    anything else to the next basis.  The slack basis always answers: a
+    one-sided or free column with a wrong-signed reduced cost gets an
+    artificial bound (widened while it blocks a dual ray), and an
+    optimum resting on an implied or artificial bound drops those bounds
+    and continues by the primal simplex. *)
 
 type cmp = Le | Ge | Eq
 
@@ -64,10 +49,11 @@ type problem
 
     (slacks included) is a sound lower bound on the LP's optimum, even
     if every float pivot was wrong.  An [Infeasible] verdict yields the
-    phase-1 multipliers, a Farkas witness: the same computation with a
-    zero objective comes out strictly positive, which no feasible point
-    allows.  The exact-arithmetic checker lives in [Ivan_cert.Cert];
-    extraction here is float-only and untrusted. *)
+    multipliers of a dual ray (or of a row the box alone violates), a
+    Farkas witness: the same computation with a zero objective comes out
+    strictly positive, which no feasible point allows.  The
+    exact-arithmetic checker lives in [Ivan_cert.Cert]; extraction here
+    is float-only and untrusted. *)
 
 module Certificate : sig
   type t =
@@ -108,9 +94,8 @@ val set_solve_hook : (problem -> unit) option -> unit
     production code leaves it unset.  The hook cell is atomic, so
     installing and clearing it is safe even while {!Runner} worker
     domains are solving: every domain sees either the hook or [None],
-    never a torn value.  ({!solve_from} and {!solve} with a start
-    basis trigger the hook once, even when they fall back to an internal
-    Phase-1 solve.) *)
+    never a torn value.  ({!solve_from} and {!solve} trigger the hook
+    once, however many bases they try.) *)
 
 val create : int -> problem
 (** [create n] is a problem over [n] variables with zero objective and
@@ -203,92 +188,70 @@ module Basis : sig
 end
 
 val solve : ?start:Basis.t -> problem -> result
-(** Solve the problem as currently built, from scratch.  Without
-    [start], from a Phase-1 artificial start (bit for bit the solver's
-    long-standing cold solve).  With [start], the basis is installed by
-    refactorization.  When every basic lies within its bounds (to
-    within [1e-7]) the primal simplex runs from it straight to the
-    optimum, with no implied bounds and no flips.  Otherwise the bounded
-    dual simplex of {!solve_from} runs from it, under the same
-    acceptance test.  A start that is singular, a dual ray, an unbounded
-    ray, the iteration cap or numerical trouble hands the solve to
-    Phase 1, so [Infeasible] and its Farkas witness, and [Unbounded],
-    only ever come from Phase 1.  Both are [Cold] in {!last_stats};
-    [phase1] tells them apart.  The problem may be extended and
-    re-solved afterwards.  Records {!last_stats}, and on an [Optimal]
-    result {!basis}; a solve that raises leaves {!last_stats}, {!basis}
-    and {!last_certificate} at [None]. *)
+(** Solve the problem as currently built, from scratch: from [start]
+    when it is given and answers, otherwise from the slack basis, which
+    always answers.  A start whose basics all lie within their bounds
+    (to within [1e-7]) runs the primal simplex, with no implied bounds
+    and no flips; any other start, or a slack basis that violates a row,
+    runs the bounded dual simplex.  Every solve is [Cold] in
+    {!last_stats}.  The problem may be extended and re-solved
+    afterwards.  Records {!last_stats}, and on an [Optimal] result
+    {!basis}; a solve that raises leaves {!last_stats}, {!basis} and
+    {!last_certificate} at [None]. *)
 
 (** {2 Warm starts} *)
 
 val basis : problem -> Basis.t option
-(** The basis snapshot captured by the most recent successful solve of
-    this problem, if any.  [None] before the first solve, after a
-    non-[Optimal] result or a raised failure, or when the optimum left an artificial column
-    basic (a basis the warm path could not re-install). *)
+(** The basis snapshot captured by the most recent solve of this
+    problem.  Every [Optimal] result captures one; [None] before the
+    first solve, after an [Infeasible] or [Unbounded] result, or after a
+    raised failure. *)
 
 val solve_from : ?start:(unit -> Basis.t option) -> problem -> Basis.t -> result
 (** [solve_from ?start p b] solves [p] warm-starting from basis [b]
-    (typically the parent node's {!basis}).  The basis is re-installed
-    by refactorization; each live [Le] / [Ge] row's slack gets its
-    implied bound ([b - sum_j min(a_j lo_j, a_j hi_j)] above for [Le],
-    the [max] below for [Ge], padded outward; infinite when a term's
-    variable bound is); boxed nonbasic columns flip to the bound their
-    reduced cost favours; a bounded dual simplex (largest bound
+    (typically the parent node's {!basis}), re-installed by
+    refactorization, with the bounded dual simplex (largest bound
     violation leaves, smallest [|d_j / alpha_rj|] enters, ties to the
-    larger [|alpha_rj|], Bland's rule after a degenerate run) drives the
-    basics into their bounds; and a primal pass cleans up drift —
-    usually a handful of pivots instead of a full two-phase solve.
-
-    The attempt is abandoned (and the solve reports [Warm_miss] in
-    {!last_stats}) whenever the snapshot does not fit: shape mismatch,
-    singular or inconsistent basis, a row whose implied bound leaves
-    its slack no room, a one-sided or free column with a wrong-signed
-    reduced cost, no entering column (a dual ray: the child is
-    infeasible), an unbounded cleanup, the iteration cap, numerical
-    failure, or an optimum with a slack resting on its implied bound.
-    An abandoned attempt other than a dual ray then calls [start] (at
-    most once, and only then) and, when it gives a basis, answers as
-    {!solve} with that start would; a dual ray, or no start, goes
-    straight to the Phase-1 solve.  Optima agree with a cold solve's up
-    to float tolerance (the vertex may differ where the optimum is not
-    unique); [Infeasible] and [Unbounded] are only ever decided by
-    Phase 1. *)
+    larger [|alpha_rj|], Bland's rule after a degenerate run) and a
+    primal pass for drift — usually a handful of pivots.  The parent
+    basis answers ([Warm_hit]) with an optimum, or with [Infeasible] from
+    a dual ray or a no-room row.  It is abandoned ([Warm_miss]) on a
+    shape mismatch, a singular or inconsistent basis, a one-sided or
+    free column with a wrong-signed reduced cost, the iteration cap,
+    numerical failure, or an optimum with a slack resting on its implied
+    bound; then [start] is called (at most once, and only then) and the
+    solve answers as {!solve} with that start would. *)
 
 (** {2 Per-solve statistics} *)
 
 type warm =
   | Cold  (** {!solve}, with or without a start basis *)
-  | Warm_hit  (** {!solve_from} succeeded from the given basis *)
+  | Warm_hit  (** {!solve_from} answered from the given basis *)
   | Warm_miss
       (** {!solve_from} abandoned the given basis; the start basis or
-          the Phase-1 solve answered *)
+          the slack basis answered *)
 
 type solve_stats = {
   pivots : int;
-      (** simplex iterations performed (basis changes + bound flips),
-          across all phases of the solve *)
+      (** simplex iterations performed (basis changes + bound flips)
+          by the attempt that answered *)
   factor_pivots : int;
-      (** Gauss-Jordan pivots spent installing the basis that answered: a
-          parent basis or a start basis (0 for a Phase-1 solve; rows
+      (** Gauss-Jordan pivots spent installing the basis that answered:
+          a parent basis or a start basis (0 for the slack basis; rows
           whose own slack is basic are free) *)
   miss_pivots : int;
       (** every pivot (simplex and Gauss-Jordan) spent by the attempts
           this solve abandoned before the one that answered — a warm
           attempt, a start basis, or both — counted in neither [pivots]
           nor [factor_pivots]; 0 when the first attempt answered *)
-  phase1 : bool;
-      (** the answer came from the artificial Phase-1 start: a cold
-          solve or a warm miss that no basis answered, and that had
-          rows its slack basis could not satisfy *)
   warm : warm;
 }
 
 val last_stats : problem -> solve_stats option
 (** Statistics of the most recent solve of this problem ([None] before
     the first, or after a solve that raised).  A [Warm_miss] entry
-    reports the pivots of the solve that answered: from the start
-    basis, or by Phase 1. *)
+    reports the pivots of the attempt that answered: from the start
+    basis, or from the slack basis. *)
 
 val last_certificate : problem -> Certificate.t option
 (** Certificate of the most recent solve: [Some (Dual _)] after an

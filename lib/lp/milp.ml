@@ -4,7 +4,7 @@ type stats = {
   simplex_pivots : int;
   factor_pivots : int;
   warm_hits : int;
-  phase1_solves : int;
+  warm_misses : int;
 }
 
 type result =
@@ -36,7 +36,7 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
   let simplex_pivots = ref 0 in
   let factor_pivots = ref 0 in
   let warm_hits = ref 0 in
-  let phase1_solves = ref 0 in
+  let warm_misses = ref 0 in
   (* Most fractional binary of an LP solution, if any. *)
   let fractional primal =
     let best = ref None in
@@ -65,8 +65,10 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
     | Some s ->
         simplex_pivots := !simplex_pivots + s.Lp.pivots;
         factor_pivots := !factor_pivots + s.Lp.factor_pivots + s.Lp.miss_pivots;
-        if s.Lp.warm = Lp.Warm_hit then incr warm_hits;
-        if s.Lp.phase1 then incr phase1_solves
+        (match s.Lp.warm with
+        | Lp.Warm_hit -> incr warm_hits
+        | Lp.Warm_miss -> incr warm_misses
+        | Lp.Cold -> ())
     | None -> ());
     result
   in
@@ -120,7 +122,7 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
       simplex_pivots = !simplex_pivots;
       factor_pivots = !factor_pivots;
       warm_hits = !warm_hits;
-      phase1_solves = !phase1_solves;
+      warm_misses = !warm_misses;
     }
   in
   match outcome with

@@ -21,9 +21,12 @@ type stats = {
           refactorizations and abandoned warm attempts
           ({!Lp.solve_stats}) *)
   warm_hits : int;
-      (** node LPs answered from the parent basis without a cold
-          fallback; 0 when [warm:false] *)
-  phase1_solves : int;  (** node LPs answered by a Phase-1 start ({!Lp.solve_stats}) *)
+      (** node LPs answered from the parent basis; 0 when [warm:false] *)
+  warm_misses : int;
+      (** node LPs that abandoned the parent basis and were answered
+          from the slack basis; 0 when [warm:false].  The node LPs
+          solved without a parent basis (the root, or every node when
+          [warm:false]) are [lp_solves - warm_hits - warm_misses]. *)
 }
 
 type result =
@@ -52,10 +55,11 @@ val solve :
     solve); branches whose LP relaxation cannot beat it are pruned, and
     if no solution improves on it the result is [Infeasible] (meaning:
     the true optimum is at least [incumbent]).  [warm] (default [true])
-    re-prices each child node's LP from its parent's basis; the verdict
-    and optimum are unchanged either way ({!Lp.solve_from} falls back to
-    a cold solve rather than alter an answer), only the pivot count
-    drops.  Binary variables must have bounds within [0, 1].
+    re-prices each child node's LP from its parent's basis (every
+    optimal node captures one, so with [warm] only the root is solved
+    without); the verdict and optimum are unchanged either way
+    ({!Lp.solve_from} falls back to the slack basis rather than alter an
+    answer), only the pivot count drops.  Binary variables must have bounds within [0, 1].
     Inner LP failures ({!Lp.Iteration_limit}, {!Lp.Numerical_failure})
     are absorbed into [Solver_failure] rather than escaping.
     @raise Invalid_argument on out-of-range or mis-bounded binaries. *)

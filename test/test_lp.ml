@@ -300,11 +300,12 @@ let test_solve_from_stats () =
       Alcotest.fail "expected a warm hit on a one-bound nudge"
   | Some { Lp.warm = Lp.Cold; _ } | None -> Alcotest.fail "warm stats not recorded"
 
-(* A warm miss reports what its abandoned attempt spent: only the cold
-   path may decide [Infeasible], so a parent basis on a now-infeasible
-   problem is refactorized, found to leave its row no room, and the
-   pivots it spent land in [miss_pivots] — not in the cold solve's own
-   counts. *)
+(* A warm miss reports what its abandoned attempt spent.  The parent
+   basis (x basic, y at its upper bound 3) is refactorized; the child
+   frees y upward, which leaves y one-sided with a reduced cost of the
+   wrong sign, so the attempt bails.  The slack basis answers (the
+   optimum moves to y = 4), and the refactorization pivot lands in
+   [miss_pivots] — not in the answering solve's own counts. *)
 let test_warm_miss_counts_abandoned_pivots () =
   let p = Lp.create 2 in
   Lp.set_objective p [| -1.0; -2.0 |];
@@ -313,14 +314,11 @@ let test_warm_miss_counts_abandoned_pivots () =
   ignore (Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Le 4.0);
   check_obj "cold" (-7.0) (Lp.solve p);
   let b = match Lp.basis p with Some b -> b | None -> Alcotest.fail "no basis captured" in
-  Lp.set_bounds p 0 3.0 3.0;
-  Lp.set_bounds p 1 2.0 3.0;
-  (match Lp.solve_from p b with
-  | Lp.Infeasible -> ()
-  | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail "x + y <= 4 with x = 3, y >= 2 is infeasible");
+  Lp.set_bounds p 1 0.0 infinity;
+  check_obj "child" (-8.0) (Lp.solve_from p b);
   match Lp.last_stats p with
   | Some ({ Lp.warm = Lp.Warm_miss; _ } as s) ->
-      Alcotest.(check int) "no refactorization in the cold answer" 0 s.Lp.factor_pivots;
+      Alcotest.(check int) "no refactorization in the slack-basis answer" 0 s.Lp.factor_pivots;
       Alcotest.(check bool) "abandoned attempt spent pivots" true (s.Lp.miss_pivots > 0)
   | Some _ | None -> Alcotest.fail "expected a warm miss"
 
@@ -329,7 +327,8 @@ let test_warm_miss_counts_abandoned_pivots () =
    unit box) takes the slack of x + y <= 1.5 to that bound: the dual
    simplex flips the slack up to it and stops with the slack resting
    there, which is no optimum the unchanged problem's multipliers
-   certify, so the answer must come from the cold path. *)
+   certify, so the answer must come from the slack basis, as a plain
+   solve's does. *)
 let test_warm_implied_bound_misses () =
   let p = Lp.create 2 in
   Lp.set_objective p [| -1.0; -1.0 |];
@@ -347,9 +346,9 @@ let test_warm_implied_bound_misses () =
   let cold = Lp.solve p in
   match (warm, cold) with
   | Lp.Optimal w, Lp.Optimal c ->
-      Alcotest.(check (float 0.0)) "cold objective" c.Lp.objective w.Lp.objective;
-      Alcotest.(check (array (float 0.0))) "cold primal" c.Lp.primal w.Lp.primal;
-      Alcotest.(check bool) "cold certificate" true (warm_certificate = Lp.last_certificate p)
+      Alcotest.(check (float 0.0)) "plain objective" c.Lp.objective w.Lp.objective;
+      Alcotest.(check (array (float 0.0))) "plain primal" c.Lp.primal w.Lp.primal;
+      Alcotest.(check bool) "plain certificate" true (warm_certificate = Lp.last_certificate p)
   | _ -> Alcotest.fail "both solves must be optimal"
 
 (* The implied bound is padded outward by the float sum's rounding error.
@@ -463,32 +462,91 @@ let prop_optimal_certificate_checks =
               Q.compare bound (Q.of_float (s.Lp.objective +. 1e-6)) <= 0
               && Q.compare bound (Q.of_float (s.Lp.objective -. 1e-4)) >= 0))
 
+(* The last solve of [p] ended [Infeasible] with a Farkas witness the
+   exact checker accepts. *)
+let farkas_checks label p = function
+  | Lp.Optimal _ | Lp.Unbounded -> QCheck.Test.fail_reportf "%s: not infeasible" label
+  | Lp.Infeasible -> (
+      match Lp.last_certificate p with
+      | Some (Lp.Certificate.Farkas y) -> (
+          match Cert.check_farkas (Cert.Snapshot.of_problem p) ~y with
+          | Ok () -> true
+          | Error msg -> QCheck.Test.fail_reportf "%s: Farkas witness rejected: %s" label msg)
+      | Some (Lp.Certificate.Dual _) | None ->
+          QCheck.Test.fail_reportf "%s: infeasible solve returned no Farkas witness" label)
+
+(* Cold solves, children re-solved from their parent's basis, and solves
+   from a start basis.  The cold problem's one row, sum x_j >= nvars +
+   gap over the unit box, leaves its slack no room.  The child's rows
+   each fit the box, but together they do not: x_0 >= x_1 >= t and
+   x_0 + x_1 <= 1 < 2t, so its witness combines both rows. *)
 let prop_farkas_certificate_checks =
   QCheck.Test.make ~name:"infeasible solves yield checkable Farkas witnesses" ~count:60
     QCheck.(make QCheck.Gen.(pair (int_range 1 1_000_000) (float_range 0.1 2.0)))
     (fun (seed, gap) ->
       let rng = Rng.create seed in
       let nvars = 2 + Rng.int rng 5 in
-      let p = Lp.create nvars in
-      for j = 0 to nvars - 1 do
-        Lp.set_bounds p j 0.0 1.0
-      done;
-      (* sum x_j >= nvars + gap is unsatisfiable over the unit box. *)
-      Lp.add_constraint p
+      let unit_box () =
+        let p = Lp.create nvars in
+        for j = 0 to nvars - 1 do
+          Lp.set_bounds p j 0.0 1.0
+        done;
+        Lp.set_objective p (Array.init nvars (fun _ -> Rng.uniform rng (-1.0) 1.0));
+        p
+      in
+      let cold = unit_box () in
+      Lp.add_constraint cold
         (List.init nvars (fun j -> (j, 1.0)))
         Lp.Ge
         (float_of_int nvars +. gap);
-      match Lp.solve p with
-      | Lp.Optimal _ | Lp.Unbounded -> false
-      | Lp.Infeasible -> (
-          let snap = Cert.Snapshot.of_problem p in
-          match Lp.last_certificate p with
-          | Some (Lp.Certificate.Farkas y) -> (
-              match Cert.check_farkas snap ~y with
-              | Ok () -> true
-              | Error msg -> QCheck.Test.fail_reportf "Farkas witness rejected: %s" msg)
-          | Some (Lp.Certificate.Dual _) | None ->
-              QCheck.Test.fail_report "infeasible solve returned no Farkas witness"))
+      let child = unit_box () in
+      Lp.add_constraint child [ (0, 1.0); (1, 1.0) ] Lp.Le 1.0;
+      Lp.add_constraint child [ (0, 1.0); (1, -1.0) ] Lp.Ge 0.0;
+      let parent =
+        match Lp.solve child with
+        | Lp.Optimal _ -> Option.get (Lp.basis child)
+        | Lp.Infeasible | Lp.Unbounded -> QCheck.Test.fail_report "the parent is feasible"
+      in
+      Lp.set_bounds child 1 (0.5 +. (gap /. 5.0)) 1.0;
+      let corner =
+        Lp.Basis.make
+          ~basics:[| nvars; nvars + 1 |]
+          ~statuses:(Array.init (nvars + 2) (fun j -> if j < nvars then Lp.At_upper else Lp.Basic))
+      in
+      farkas_checks "cold" cold (Lp.solve cold)
+      && farkas_checks "cold from a start" cold (Lp.solve ~start:corner cold)
+      && farkas_checks "child" child (Lp.solve_from child parent)
+      && farkas_checks "child from a start" child (Lp.solve ~start:corner child)
+      && farkas_checks "child cold" child (Lp.solve child))
+
+(* A single row the box cannot satisfy is its own witness, decided from
+   any basis: x + y >= 3 over the unit square, cold and from the basis
+   of the parent x + y >= 1, where it counts as a warm hit. *)
+let test_no_room_row () =
+  let p = Lp.create 2 in
+  Lp.set_objective p [| 1.0; 2.0 |];
+  Lp.set_bounds p 0 0.0 1.0;
+  Lp.set_bounds p 1 0.0 1.0;
+  let row = Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Ge 1.0 in
+  check_obj "parent" 1.0 (Lp.solve p);
+  let b = match Lp.basis p with Some b -> b | None -> Alcotest.fail "no basis captured" in
+  Lp.set_row p row [| 0; 1 |] [| 1.0; 1.0 |] Lp.Ge 3.0;
+  let witness label result =
+    (match result with
+    | Lp.Infeasible -> ()
+    | Lp.Optimal _ | Lp.Unbounded -> Alcotest.failf "%s: x + y >= 3 is infeasible" label);
+    match Lp.last_certificate p with
+    | Some (Lp.Certificate.Farkas y) ->
+        Alcotest.(check (array (float 0.0))) (label ^ ": the row alone") [| 1.0 |] y;
+        Alcotest.(check bool) (label ^ ": exact check accepts") true
+          (Result.is_ok (Cert.check_farkas (Cert.Snapshot.of_problem p) ~y))
+    | Some (Lp.Certificate.Dual _) | None -> Alcotest.failf "%s: no Farkas witness" label
+  in
+  witness "cold" (Lp.solve p);
+  witness "warm" (Lp.solve_from p b);
+  match Lp.last_stats p with
+  | Some { Lp.warm = Lp.Warm_hit; miss_pivots = 0; _ } -> ()
+  | Some _ | None -> Alcotest.fail "the parent basis decided it: a warm hit"
 
 let prop_warm_and_cold_both_certify =
   QCheck.Test.make ~name:"warm and cold solves both yield checking certificates" ~count:40
@@ -527,9 +585,9 @@ let prop_warm_and_cold_both_certify =
               audit warm_p (Lp.solve_from warm_p b) && audit cold_p (Lp.solve cold_p))))
 
 (* One bound edit makes the child infeasible, though each row alone still
-   fits the box: y >= 2 forces x >= y >= 2 and x + y >= 4 > 3.  The warm
-   attempt may not decide that; the cold path does, with a Farkas
-   witness the exact checker accepts. *)
+   fits the box: y >= 2 forces x >= y >= 2 and x + y >= 4 > 3.  The dual
+   simplex from the parent basis meets a ray and decides it, a warm
+   hit, with a Farkas witness the exact checker accepts. *)
 let test_warm_infeasible_child () =
   let p = Lp.create 2 in
   Lp.set_objective p [| -1.0; 1.0 |];
@@ -544,8 +602,8 @@ let test_warm_infeasible_child () =
   | Lp.Infeasible -> ()
   | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail "x + y <= 3, x >= y >= 2 is infeasible");
   (match Lp.last_stats p with
-  | Some { Lp.warm = Lp.Warm_miss; _ } -> ()
-  | Some _ | None -> Alcotest.fail "only the cold path may decide infeasibility");
+  | Some { Lp.warm = Lp.Warm_hit; miss_pivots = 0; _ } -> ()
+  | Some _ | None -> Alcotest.fail "the parent basis decides infeasibility");
   match Lp.last_certificate p with
   | Some (Lp.Certificate.Farkas y) -> (
       match Cert.check_farkas (Cert.Snapshot.of_problem p) ~y with
@@ -553,11 +611,11 @@ let test_warm_infeasible_child () =
       | Error msg -> Alcotest.failf "Farkas witness rejected: %s" msg)
   | Some (Lp.Certificate.Dual _) | None -> Alcotest.fail "no Farkas witness"
 
-(* ---------------- Routing between a start basis and Phase 1 ---------------- *)
+(* ---------------- Routing between a start basis and the slack basis ---------------- *)
 
 (* min -x - 2y  s.t.  x + y <= 4, x - y >= 1, x, y in [0, 3]: optimum
-   -5.5 at (2.5, 1.5).  Phase 1 runs for the plain solve (x - y >= 1
-   fails at the resting point 0). *)
+   -5.5 at (2.5, 1.5).  The plain solve's slack basis violates
+   x - y >= 1 at the resting point 0, so the dual simplex repairs it. *)
 let routing_lp () =
   let p = Lp.create 2 in
   Lp.set_objective p [| -1.0; -2.0 |];
@@ -582,15 +640,13 @@ let farkas_of p =
 let bits y = Array.map Int64.bits_of_float y
 
 (* (a) A start outside a row of a feasible LP is repaired by the dual
-   simplex: an optimum with no Phase 1 and a Dual certificate, equal to
-   the plain solve's. *)
+   simplex: an optimum from the start, abandoning nothing, with a Dual
+   certificate, equal to the plain solve's. *)
 let test_start_violating_row () =
   let p = routing_lp () in
   let plain = get_opt "plain" (Lp.solve p) in
-  Alcotest.(check bool) "the plain solve runs Phase 1" true (stats_of p).Lp.phase1;
   let s = get_opt "start" (Lp.solve ~start:(violating_start ()) p) in
   let st = stats_of p in
-  Alcotest.(check bool) "no Phase 1" false st.Lp.phase1;
   Alcotest.(check bool) "a cold solve" true (st.Lp.warm = Lp.Cold);
   Alcotest.(check int) "nothing abandoned" 0 st.Lp.miss_pivots;
   (match Lp.last_certificate p with
@@ -600,25 +656,29 @@ let test_start_violating_row () =
     "plain optimum" plain.objective s.objective;
   Alcotest.(check (float 1e-9)) "analytic optimum" (-5.5) s.objective
 
-(* (b) On an infeasible LP the start's dual simplex decides nothing:
-   Phase 1 answers, with the plain solve's Farkas vector bit for bit. *)
+(* (b) On an infeasible LP the start's dual simplex meets a ray and
+   decides it, abandoning nothing; its Farkas witness, like the plain
+   solve's, passes the exact check. *)
 let test_start_infeasible_lp () =
   let p = routing_lp () in
   Lp.set_bounds p 1 2.5 3.0;
+  let checked label =
+    match Cert.check_farkas (Cert.Snapshot.of_problem p) ~y:(farkas_of p) with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: Farkas witness rejected: %s" label msg
+  in
   (match Lp.solve p with
-  | Lp.Infeasible -> ()
+  | Lp.Infeasible -> checked "plain"
   | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail "x - y >= 1, y >= 2.5, x + y <= 4 is infeasible");
-  let plain = farkas_of p in
   (match Lp.solve ~start:(violating_start ()) p with
-  | Lp.Infeasible -> ()
+  | Lp.Infeasible -> checked "start"
   | Lp.Optimal _ | Lp.Unbounded -> Alcotest.fail "a start solve must agree: infeasible");
-  Alcotest.(check bool) "Phase 1 decided it" true (stats_of p).Lp.phase1;
-  Alcotest.(check (array int64)) "plain Farkas vector" (bits plain) (bits (farkas_of p))
+  Alcotest.(check int) "the start answered" 0 (stats_of p).Lp.miss_pivots
 
 (* (c) A parent basis refactorization cannot install — each row's
    recorded basic is the other row's slack, zero in that row, and each
    row's own slack is already basic — hands the child to the start
-   basis, with no Phase 1. *)
+   basis, which answers. *)
 let test_warm_singular_takes_start () =
   let p = routing_lp () in
   let plain = get_opt "plain" (Lp.solve p) in
@@ -628,12 +688,12 @@ let test_warm_singular_takes_start () =
   let s = get_opt "warm" (Lp.solve_from ~start:(fun () -> Some (violating_start ())) p singular) in
   let st = stats_of p in
   Alcotest.(check bool) "a warm miss" true (st.Lp.warm = Lp.Warm_miss);
-  Alcotest.(check bool) "no Phase 1" false st.Lp.phase1;
+
   Alcotest.(check (float (1e-9 *. (1.0 +. Float.abs plain.objective))))
     "plain optimum" plain.objective s.objective
 
-(* (d) A child whose dual simplex meets a ray is infeasible: Phase 1
-   decides it at once, and the start is never asked for. *)
+(* (d) A child whose dual simplex meets a ray is infeasible: the parent
+   basis decides it at once, and the start is never asked for. *)
 let test_warm_ray_skips_start () =
   let p = Lp.create 2 in
   Lp.set_objective p [| -1.0; 1.0 |];
@@ -655,6 +715,7 @@ let test_warm_ray_skips_start () =
   Alcotest.(check bool) "the start is never asked for" false !asked;
   Alcotest.(check bool) "the same result" true (with_start = without && without = Lp.Infeasible);
   Alcotest.(check bool) "the same stats" true (stats_of p = without_stats);
+  Alcotest.(check bool) "a warm hit" true (without_stats.Lp.warm = Lp.Warm_hit);
   Alcotest.(check (array int64)) "the same Farkas vector" (bits without_farkas) (bits (farkas_of p))
 
 (* ---------------- Milp ---------------- *)
@@ -904,39 +965,39 @@ let triangle_solves (name, net, (prop : Prop.t)) =
     (fun (case, line) -> Printf.sprintf "%s %s %s" name case line)
     [ ("root", cold_line); ("pos", pos); ("neg", neg); ("cut", cut) ]
 
-(* The cold [root] and [cut] lines were recorded from the dense simplex
-   kernel.  The sparse kernel may only flip the sign of a zero tableau
-   entry, which no comparison sees, and the live-row kernel leaves out
-   only inert rows and retired columns, which no later step reads, so
-   every choice — and with it every pivot count, optimum and multiplier
-   — must match exactly.  The warm [hit] lines were recorded from the
-   bounded dual simplex; they pin its pivot choices the same way. *)
+(* Every root solve starts from a slack basis that violates a row, so
+   the bounded dual simplex answers it; each cut is infeasible, and a
+   dual ray or its own row (no room over the box) decides it.  The warm
+   [hit] lines are the bounded dual simplex from the root's basis.  On
+   the conv subject refactorization cannot install that basis in either
+   child, so the slack basis answers those [miss] lines.  The lines pin
+   every pivot choice, optimum and multiplier. *)
 let golden_triangle =
   [
-    "dense-8x24x24x3 root cold pivots=30 factor=0 opt=-0x1.02545429c255cp-2 \
-     dual=03870eb1e2a340c0dd081dcdcc413094";
-    "dense-8x24x24x3 pos hit pivots=6 factor=15 opt=-0x1.36ac4e5819914p-4 \
-     dual=1f8497e5409d248b00473e42c411e068";
-    "dense-8x24x24x3 neg hit pivots=4 factor=15 opt=-0x1.c391bd52430bfp-3 \
-     dual=7a51163db74322b7fc0884c86647aafd";
-    "dense-8x24x24x3 cut cold pivots=25 factor=0 infeasible \
-     farkas=ec730a4af7661efc2f1d431b7ad0f047";
-    "dense-16x32x32x32x5 root cold pivots=20 factor=0 opt=0x1.33087849096ddp-1 \
-     dual=982fa0653885001a0d17b29686759fab";
-    "dense-16x32x32x32x5 pos hit pivots=0 factor=13 opt=0x1.33541d77a43dcp-1 \
-     dual=070a8f1b8036d3fb383ade1338be1d0e";
-    "dense-16x32x32x32x5 neg hit pivots=20 factor=13 opt=0x1.40bfc4440231p-1 \
-     dual=7698b61724837f8bdfa5558266856eb5";
-    "dense-16x32x32x32x5 cut cold pivots=20 factor=0 infeasible \
-     farkas=aeb579203d36fe184cf1b6c2e077892d";
-    "conv-cifar-deep-shape root cold pivots=188 factor=0 opt=-0x1.eb8c704c21679p-4 \
-     dual=e996789c9b262fe7c0b36ddb299c81c2";
-    "conv-cifar-deep-shape pos hit pivots=7 factor=51 opt=-0x1.d27b0fe350763p-4 \
-     dual=0b303006c893be31ce120cf4cde2ec40";
-    "conv-cifar-deep-shape neg hit pivots=8 factor=51 opt=-0x1.d96722cd0c935p-4 \
-     dual=83cc377da367b9776b3e4cf702713b50";
-    "conv-cifar-deep-shape cut cold pivots=182 factor=0 infeasible \
-     farkas=f41edaafd981985b968c5a6615000f94";
+    "dense-8x24x24x3 root cold pivots=16 factor=0 opt=-0x1.02545429c2558p-2 \
+     dual=188683f147bb3c750a59cab950da6241";
+    "dense-8x24x24x3 pos hit pivots=6 factor=11 opt=-0x1.36ac4e5819976p-4 \
+     dual=23f954281f166b74588b8cb6c2a06a23";
+    "dense-8x24x24x3 neg hit pivots=4 factor=11 opt=-0x1.c391bd52430cap-3 \
+     dual=300ab852f63f96a062cb85bb982e7f09";
+    "dense-8x24x24x3 cut cold pivots=0 factor=0 infeasible \
+     farkas=70b8b2d2973a82e433899cac505c1ded";
+    "dense-16x32x32x32x5 root cold pivots=17 factor=0 opt=0x1.33087849096dbp-1 \
+     dual=f957ffda52073eb274a2417deebfb9bc";
+    "dense-16x32x32x32x5 pos hit pivots=0 factor=11 opt=0x1.33541d77a43ddp-1 \
+     dual=1956896ac3cdc28d4df8b4141104b207";
+    "dense-16x32x32x32x5 neg hit pivots=15 factor=11 opt=0x1.40bfc44402311p-1 \
+     dual=4100c13e28629cb896ced8d5efe771f6";
+    "dense-16x32x32x32x5 cut cold pivots=0 factor=0 infeasible \
+     farkas=4b525ad103f1449233463b66a2f53985";
+    "conv-cifar-deep-shape root cold pivots=589 factor=0 opt=-0x1.eb8c704c2159dp-4 \
+     dual=822c3779ec950637030a29b24e9bd34b";
+    "conv-cifar-deep-shape pos miss pivots=570 factor=0 opt=-0x1.d27b0fe35063p-4 \
+     dual=ae9f8fc7e0733c4b7a9bf65d4ce1fce1";
+    "conv-cifar-deep-shape neg miss pivots=554 factor=0 opt=-0x1.d96722cd0c8bdp-4 \
+     dual=ca1e5b905c839b4da3ee34786037c3d2";
+    "conv-cifar-deep-shape cut cold pivots=0 factor=0 infeasible \
+     farkas=2404349bda3b308cf9c2cd6d35c63e48";
   ]
 
 let test_triangle_golden () =
@@ -944,7 +1005,8 @@ let test_triangle_golden () =
   Alcotest.(check (list string)) "triangle solves" golden_triangle observed
 
 (* The exact MILP of a golden subject at its root: node LPs re-solved
-   from the parent basis hit, and reach the cold search's optimum. *)
+   from the parent basis hit or miss, never solve without one below the
+   root, and reach the cold search's optimum. *)
 let test_milp_warm_hits_match_cold () =
   let name, net, prop = List.hd (Fixtures.golden_subjects ()) in
   let enc =
@@ -966,24 +1028,75 @@ let test_milp_warm_hits_match_cold () =
   let warm_obj, _, warm_stats = solve true in
   let cold_obj, _, cold_stats = solve false in
   Alcotest.(check bool) "warm hits" true (warm_stats.Milp.warm_hits >= 1);
+  (* Every optimal node captures a basis, so only the root solves
+     without a parent's. *)
+  Alcotest.(check int) "one solve without a parent basis (the root)" 1
+    (warm_stats.Milp.lp_solves - warm_stats.Milp.warm_hits - warm_stats.Milp.warm_misses);
   Alcotest.(check int) "no warm hits when cold" 0 cold_stats.Milp.warm_hits;
   Alcotest.(check (float 1e-9)) "same optimum" cold_obj warm_obj
 
-(* Both rows need an artificial and tie in the first phase-1 ratio test,
-   where the tie goes to the lower basic column.  With the artificials
-   numbered in row order the solve ends with multipliers (0, 1/2);
-   another numbering takes a different pivot sequence. *)
-let test_artificial_tie_order () =
-  let p = Lp.create 2 in
-  Lp.set_objective p [| 1.0; 1.0 |];
-  Lp.set_bounds p 0 0.0 10.0;
-  Lp.set_bounds p 1 0.0 10.0;
-  ignore (Lp.add_row p [| 0; 1 |] [| 1.0; 1.0 |] Lp.Ge 1.0);
-  ignore (Lp.add_row p [| 0; 1 |] [| 2.0; 2.0 |] Lp.Ge 2.0);
-  check_obj "tie" 1.0 (Lp.solve p);
-  match Lp.last_certificate p with
-  | Some (Lp.Certificate.Dual y) -> Alcotest.(check (array (float 0.0))) "multipliers" [| 0.0; 0.5 |] y
-  | Some (Lp.Certificate.Farkas _) | None -> Alcotest.fail "expected a dual certificate"
+(* From the slack basis, min -x over a free x with 2e6 <= x <= 3e6
+   puts x on an artificial upper bound 1e6, short of the row x >= 2e6:
+   the dual simplex meets a ray that only that bound stops, so the
+   bound is widened instead of deciding [Infeasible]; the optimum then
+   rests x on it, so the bound is dropped and the primal simplex moves x
+   to 3e6.  The multipliers certify the optimum exactly. *)
+let test_artificial_bound_widens () =
+  let p = Lp.create 1 in
+  Lp.set_objective p [| -1.0 |];
+  ignore (Lp.add_row p [| 0 |] [| 1.0 |] Lp.Le 3e6);
+  ignore (Lp.add_row p [| 0 |] [| 1.0 |] Lp.Ge 2e6);
+  let check label p =
+    let s = get_opt label (Lp.solve p) in
+    Alcotest.(check (float 0.0)) (label ^ ": optimum") (-3e6) s.Lp.objective;
+    match audited_bound p s with
+    | Ok bound ->
+        Alcotest.(check bool) (label ^ ": exact bound") true (Q.compare bound (Q.of_float (-3e6)) = 0)
+    | Error msg -> Alcotest.failf "%s: certificate rejected: %s" label msg
+  in
+  check "x >= 2e6" p
+
+(* Rows millions away over free and one-sided columns, solved from the
+   slack basis, reach past the artificial bounds: a ray can be stopped
+   by the bound a basic column violates as well as by one a nonbasic
+   rests on.  Every solve agrees with the reference kernel, which
+   decides by Phase 1: the same status, the optimum within 1e-6
+   relative. *)
+let test_far_rows_agree_with_reference () =
+  let module R = Lp_oracle.Reference in
+  for seed = 1 to 5000 do
+    let rng = Rng.create seed in
+    let n = 1 + Rng.int rng 3 in
+    let p = Lp.create n and r = R.create n in
+    let c = Array.init n (fun _ -> float_of_int (Rng.int rng 5 - 2)) in
+    Lp.set_objective p c;
+    R.set_objective r c;
+    for j = 0 to n - 1 do
+      let lo, hi =
+        match Rng.int rng 3 with
+        | 0 -> (neg_infinity, infinity)
+        | 1 -> (0.0, infinity)
+        | _ -> (neg_infinity, 0.0)
+      in
+      Lp.set_bounds p j lo hi;
+      R.set_bounds r j lo hi
+    done;
+    for _ = 0 to Rng.int rng 3 do
+      let idx = Array.init n Fun.id in
+      let cf = Array.init n (fun _ -> float_of_int (Rng.int rng 5 - 2)) in
+      let rhs = float_of_int (Rng.int rng 7 - 3) *. 1e6 in
+      let k = Rng.int rng 3 in
+      ignore (Lp.add_row p idx cf [| Lp.Le; Lp.Ge; Lp.Eq |].(k) rhs);
+      ignore (R.add_row r idx cf [| R.Le; R.Ge; R.Eq |].(k) rhs)
+    done;
+    match (Lp.solve p, R.solve r) with
+    | Lp.Optimal s, R.Optimal s' ->
+        let tolerance = 1e-6 *. (1.0 +. Float.abs s'.R.objective) in
+        if Float.abs (s.Lp.objective -. s'.R.objective) > tolerance then
+          Alcotest.failf "seed %d: optimum %h, reference %h" seed s.Lp.objective s'.R.objective
+    | Lp.Infeasible, R.Infeasible | Lp.Unbounded, R.Unbounded -> ()
+    | _ -> Alcotest.failf "seed %d: the status differs from the reference's" seed
+  done
 
 (* A solve that raises leaves no earlier solve's statistics, basis or
    certificate behind, cold or warm. *)
@@ -1036,14 +1149,17 @@ let suite =
     ("warm miss counts abandoned pivots", `Quick, test_warm_miss_counts_abandoned_pivots);
     ("warm miss on an implied slack bound", `Quick, test_warm_implied_bound_misses);
     ("warm implied bound covers the box", `Quick, test_warm_implied_bound_covers_box);
-    ("warm infeasible child goes cold", `Quick, test_warm_infeasible_child);
+    ("warm infeasible child: dual ray", `Quick, test_warm_infeasible_child);
     ("start outside a row: dual simplex", `Quick, test_start_violating_row);
-    ("start on an infeasible LP: Phase 1", `Quick, test_start_infeasible_lp);
+    ("start on an infeasible LP: dual ray", `Quick, test_start_infeasible_lp);
     ("singular warm basis takes the start", `Quick, test_warm_singular_takes_start);
     ("warm dual ray skips the start", `Quick, test_warm_ray_skips_start);
     q prop_solve_from_matches_cold;
     q prop_optimal_certificate_checks;
     q prop_farkas_certificate_checks;
+    ("no-room row is its own witness", `Quick, test_no_room_row);
+    ("artificial bound widens past a ray", `Quick, test_artificial_bound_widens);
+    ("far rows agree with the reference", `Quick, test_far_rows_agree_with_reference);
     q prop_warm_and_cold_both_certify;
     ("milp knapsack", `Quick, test_milp_knapsack);
     ("milp tighter than relaxation", `Quick, test_milp_tighter_than_relaxation);
@@ -1056,7 +1172,6 @@ let suite =
     ("milp invalid binary", `Quick, test_milp_invalid_binary);
     q prop_milp_matches_enumeration;
     ("golden triangle solves", `Quick, test_triangle_golden);
-    ("artificial order breaks ratio ties", `Quick, test_artificial_tie_order);
     ("raised solve clears state", `Quick, test_raise_clears_state);
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Lp_oracle.Oracle.seed |])
