@@ -348,7 +348,9 @@ let prove_cmd =
       required
       & opt (some string) None
       & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Journal the run to FILE; its final checkpoint holds the proof tree.")
+          ~doc:
+            "Journal the run to FILE: its checkpoint of the starting state and the Step frames \
+             after it rebuild the proof tree.")
   in
   Cmd.v
     (Cmd.info "prove" ~doc:"Verify one property and journal the run as its proof.")
@@ -455,8 +457,7 @@ let check_cmd =
     let prop = Ivan_spec.Vnnlib.parse_file prop_path in
     let config =
       {
-        Engine.default_config with
-        strategy;
+        Engine.strategy;
         budget = { Bab.max_analyzer_calls = budget_calls; max_seconds = 120.0 };
         policy = Some policy;
         certify;
@@ -572,9 +573,9 @@ let check_cmd =
       value
       & opt (some string) None
       & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Write-ahead journal the run to FILE (one flushed frame per engine step plus \
-                periodic checkpoints), so a kill at any point can be resumed with \
-                --resume-journal losing at most one node of work.")
+          ~doc:"Write-ahead journal the run to FILE (a checkpoint of the starting state, then \
+                one flushed frame per engine step), so a kill at any point can be resumed with \
+                --resume-journal losing only the step in flight.")
   in
   let resume_journal_arg =
     Arg.(
@@ -582,8 +583,8 @@ let check_cmd =
       & opt (some file) None
       & info [ "resume-journal" ] ~docv:"FILE"
           ~doc:"Resume a killed run from its write-ahead journal: torn or corrupt tail frames \
-                are dropped, the newest embedded checkpoint is restored and the steps after it \
-                are replayed.  Combine with --journal (same FILE is fine) to keep journaling.")
+                are dropped, the run's checkpoint is restored and every step after it is \
+                replayed.  Combine with --journal (same FILE is fine) to keep journaling.")
   in
   let mem_limit_arg =
     Arg.(
@@ -591,8 +592,8 @@ let check_cmd =
       & opt (some int) None
       & info [ "mem-limit-mb" ] ~docv:"MB"
           ~doc:"Supervise the run under a major-heap memory watermark: on a breach the watchdog \
-                compacts, then degrades to cheaper analyzers, then sheds state to the journal, \
-                and only as a last resort ends the run cleanly (exhausted verdict).")
+                compacts, then degrades to cheaper analyzers, and only as a last resort ends \
+                the run cleanly (exhausted verdict).")
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Verify a VNN-LIB property against a serialized network.")

@@ -37,11 +37,10 @@ type run = Engine.run = {
 }
 
 let verify ~analyzer ~heuristic ?(strategy = Frontier.Fifo) ?trace ?(budget = default_budget)
-    ?policy ?(certify = false) ?journal ?(journal_every = Engine.default_config.journal_every)
-    ?initial_tree ~net ~prop () =
+    ?policy ?(certify = false) ?journal ?initial_tree ~net ~prop () =
   if Box.dim prop.Prop.input <> Network.input_dim net then
     invalid_arg "Bab.verify: property dimension does not match the network";
   Engine.run
     (Engine.create ~analyzer ~heuristic
-       ~config:{ Engine.strategy; budget; policy; certify; journal_every }
+       ~config:{ Engine.strategy; budget; policy; certify }
        ?trace ?journal ?initial_tree ~net ~prop ())

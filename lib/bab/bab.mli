@@ -72,14 +72,13 @@ val verify :
   ?policy:Ivan_analyzer.Analyzer.policy ->
   ?certify:bool ->
   ?journal:Ivan_resilience.Journal.writer ->
-  ?journal_every:int ->
   ?initial_tree:Ivan_spectree.Tree.t ->
   net:Ivan_nn.Network.t ->
   prop:Ivan_spec.Prop.t ->
   unit ->
   run
-(** [strategy], [budget], [policy], [certify] and [journal_every] are
-    the fields of an {!Engine.config}, defaulting to
+(** [strategy], [budget], [policy] and [certify] are the fields of an
+    {!Engine.config}, defaulting to
     {!Engine.default_config}'s.  [strategy] selects the frontier
     exploration order; [trace] (default {!Trace.null}) observes every
     engine step.  [policy], when supplied, hardens the analyzer with

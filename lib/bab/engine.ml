@@ -20,12 +20,10 @@ type config = {
   budget : budget;
   policy : Analyzer.policy option;
   certify : bool;
-  journal_every : int;
 }
 
 let default_config =
-  { strategy = Frontier.Fifo; budget = default_budget; policy = None; certify = false;
-    journal_every = 32 }
+  { strategy = Frontier.Fifo; budget = default_budget; policy = None; certify = false }
 
 (* Steps between wall-clock budget checks. *)
 let check_time_every = 8
@@ -77,7 +75,7 @@ type t = {
   prop : Prop.t;
   tree : Tree.t;
   frontier : Tree.node Frontier.t;
-  started : float;
+  mutable started : float;  (* the run clock's origin; replay moves it back *)
   last_call : float ref;
   current_node : int ref;  (* node id under analysis, for resilience events *)
   counters : Trace.aggregate ref;
@@ -96,11 +94,9 @@ type t = {
   certs : (int, Cert.leaf) Hashtbl.t;
   (* Write-ahead journal: events of the step in flight accumulate in
      [jbuf] (newest first) and are flushed as one atomic Step frame when
-     the step completes; every [journal_every] Step frames (and at the
-     terminal step) a Checkpoint frame folds the whole prefix. *)
+     the step completes. *)
   mutable journal : Journal.writer option;
   jbuf : Trace.event list ref;
-  mutable jsteps : int;  (* Step frames since the last Checkpoint frame *)
   mutable finished : run option;
 }
 
@@ -120,7 +116,6 @@ let status_label = function
 let make ~analyzer ~heuristic ~config ~trace ~tree ~net ~prop ~started ~counters =
   if Box.dim prop.Prop.input <> Network.input_dim net then
     invalid_arg "Engine.create: property dimension does not match the network";
-  if config.journal_every <= 0 then invalid_arg "Engine.create: journal_every must be positive";
   let last_call = ref 0.0 in
   let current_node = ref (-1) in
   let counters = ref counters in
@@ -168,7 +163,6 @@ let make ~analyzer ~heuristic ~config ~trace ~tree ~net ~prop ~started ~counters
     certs = Hashtbl.create 64;
     journal = None;
     jbuf;
-    jsteps = 0;
     finished = None;
   }
 
@@ -179,8 +173,6 @@ let calls t = !(t.counters).Trace.analyzer_calls
 let frontier_length t = Frontier.length t.frontier
 
 let finished t = t.finished
-
-let journal t = t.journal
 
 let stats_of t ~elapsed =
   let c = !(t.counters) in
@@ -240,12 +232,20 @@ let artifact_of t verdict =
             leaves = [];
           }
 
+let finished_run t ~elapsed verdict =
+  { verdict; tree = t.tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
+
 let finish t verdict =
   let elapsed = Clock.monotonic () -. t.started in
-  let run =
-    { verdict; tree = t.tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
-  in
-  t.emit (Trace.Verdict { verdict = verdict_label verdict; calls = calls t; seconds = elapsed });
+  let run = finished_run t ~elapsed verdict in
+  t.emit
+    (Trace.Verdict
+       {
+         verdict = verdict_label verdict;
+         calls = calls t;
+         seconds = elapsed;
+         counterexample = (match verdict with Disproved x -> Some x | Proved | Exhausted -> None);
+       });
   t.finished <- Some run;
   run
 
@@ -398,15 +398,15 @@ let step_once t =
 (* Persistence: the write-ahead journal is the engine's only format.
 
    Frame protocol (see {!Ivan_resilience.Journal} for the byte layout):
-   a Header frame carrying the config fingerprint opens every run; each
-   completed engine step appends exactly one Step frame holding the
+   every run opens with a Header frame carrying the config fingerprint
+   and one Checkpoint frame holding the state the run starts from; each
+   completed engine step then appends exactly one Step frame holding the
    step's trace events as JSONL (atomic: a step is journaled whole or
-   not at all); every [journal_every] steps — and always at the terminal
-   step — a Checkpoint frame folds the entire prefix, bounding recovery
-   replay.  Frames are flushed as they are appended, so after a kill the
-   journal is a valid prefix plus at most one torn frame, which
-   {!Journal.scan} drops.  A standalone checkpoint is the same thing cut
-   short: one Header and one Checkpoint frame.
+   not at all); the terminal step's events end in the [Verdict] event.
+   Frames are flushed as they are appended, so after a kill the journal
+   is a valid prefix plus at most one torn frame, which {!Journal.scan}
+   drops.  A standalone checkpoint is the same thing cut short: one
+   Header and one Checkpoint frame.
 
    A Checkpoint payload is text: [key: value] lines for the budget,
    strategy, elapsed time, terminal state, the frontier as (node id,
@@ -506,24 +506,18 @@ let checkpoint_payload t =
   Buffer.contents buf
 
 let checkpoint t w =
-  if Journal.appends w = 0 then
-    Journal.append w Journal.Header (fingerprint ~net:t.net ~prop:t.prop);
+  Journal.append w Journal.Header (fingerprint ~net:t.net ~prop:t.prop);
   Journal.append w Journal.Checkpoint (checkpoint_payload t)
 
-let journal_checkpoint t w =
-  checkpoint t w;
-  t.jsteps <- 0
-
-(* Attach a journal sink to an engine.  [fresh_run] appends a Header
-   frame unconditionally (a new run in a possibly shared journal);
-   otherwise {!checkpoint} writes it only when the sink is empty, so
-   resuming into an existing journal continues its current run. *)
+(* Attach a journal sink to an engine.  A fresh run opens its own run in
+   the sink, Header and Checkpoint; a resumed engine does so only in an
+   empty sink, and in a non-empty one (the run's own journal, as
+   [degrade] passes it) continues the current run with Step frames. *)
 let attach_journal t ~fresh_run journal =
   Option.iter
     (fun w ->
       t.journal <- Some w;
-      if fresh_run then Journal.append w Journal.Header (fingerprint ~net:t.net ~prop:t.prop);
-      journal_checkpoint t w)
+      if fresh_run || Journal.appends w = 0 then checkpoint t w)
     journal
 
 let flush_step t =
@@ -532,9 +526,7 @@ let flush_step t =
   match t.journal with
   | Some w when events <> [] ->
       Journal.append w Journal.Step
-        (String.concat "\n" (List.rev_map Trace.event_to_json events));
-      t.jsteps <- t.jsteps + 1;
-      if t.finished <> None || t.jsteps >= t.config.journal_every then journal_checkpoint t w
+        (String.concat "\n" (List.rev_map Trace.event_to_json events))
   | Some _ | None -> ()
 
 let step t =
@@ -566,8 +558,8 @@ let create ~analyzer ~heuristic ?(config = default_config) ?(trace = Trace.null)
   t
 
 (* ------------------------------------------------------------------ *)
-(* Resume: rebuild from the newest Checkpoint frame, then replay the
-   Step frames after it. *)
+(* Resume: rebuild from the run's Checkpoint frame, then replay the Step
+   frames after it. *)
 
 let fail fmt = Printf.ksprintf (fun s -> failwith ("Engine.resume: " ^ s)) fmt
 
@@ -637,10 +629,7 @@ let of_checkpoint ~analyzer ~heuristic ~config ~trace ~net ~prop payload =
         push_frontier rest
   in
   push_frontier (List.filter (fun s -> s <> "") (String.split_on_char ' ' (field "frontier")));
-  let finish_resumed verdict =
-    t.finished <-
-      Some { verdict; tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
-  in
+  let finish_resumed verdict = t.finished <- Some (finished_run t ~elapsed verdict) in
   (match String.split_on_char ' ' (field "finished") with
   | [ "running" ] -> ()
   | [ "proved" ] -> finish_resumed Proved
@@ -660,14 +649,16 @@ type resume_info = {
 }
 
 (* Re-apply one journaled step's events to an engine resumed from the
-   preceding checkpoint.  Replay is pure bookkeeping — no analyzer or LP
+   run's checkpoint.  Replay is pure bookkeeping — no analyzer or LP
    runs: the journal records what the original run computed, every
    event advances the counters through [Trace.count] exactly as it did
    live, and the tree and frontier evolve exactly as they did live
    ({!Tree.of_string} restores the id counter, so replayed splits mint
-   the same child ids).  Any divergence raises [Failure]: a diverging
-   journal means the config fingerprint lied, and the caller turns it
-   into [Error]. *)
+   the same child ids).  The run clock moves back by each replayed
+   analyzer call's seconds, so a resumed run does not regain time it
+   spent, and a replayed verdict takes the elapsed time it recorded.
+   Any divergence raises [Failure]: a diverging journal means the config
+   fingerprint lied, and the caller turns it into [Error]. *)
 let replay_events t ~nodes ~budget_overridden events =
   let find_node id =
     match Hashtbl.find_opt nodes id with
@@ -675,12 +666,6 @@ let replay_events t ~nodes ~budget_overridden events =
     | None -> fail "journal references unknown node %d" id
   in
   let last_lb = ref neg_infinity in
-  let finish_replayed verdict =
-    let elapsed = Clock.monotonic () -. t.started in
-    t.finished <-
-      Some
-        { verdict; tree = t.tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
-  in
   List.iter
     (fun ev ->
       if t.finished <> None then fail "journal has events after the terminal verdict";
@@ -696,9 +681,10 @@ let replay_events t ~nodes ~budget_overridden events =
               if Tree.node_id n <> node then
                 fail "frontier order diverged (journal dequeued %d, engine popped %d)" node
                   (Tree.node_id n))
-      | Trace.Analyzed { node; lb; _ } ->
+      | Trace.Analyzed { node; lb; seconds; _ } ->
           Tree.set_lb (find_node node) lb;
-          last_lb := lb
+          last_lb := lb;
+          t.started <- t.started -. seconds
       | Trace.Split { node; decision; left; right } ->
           let l, r = Tree.split t.tree (find_node node) decision in
           if Tree.node_id l <> left || Tree.node_id r <> right then
@@ -709,17 +695,17 @@ let replay_events t ~nodes ~budget_overridden events =
           Frontier.push t.frontier ~priority:!last_lb l;
           Frontier.push t.frontier ~priority:!last_lb r
       | Trace.Pruned _ -> fail "unexpected pruner event in an engine journal"
-      | Trace.Verdict { verdict; _ } -> (
-          match verdict with
-          | "proved" -> finish_replayed Proved
-          | "exhausted" ->
+      | Trace.Verdict { verdict; seconds; counterexample; _ } -> (
+          t.started <- Clock.monotonic () -. seconds;
+          let finish_replayed verdict =
+            t.finished <- Some (finished_run t ~elapsed:seconds verdict)
+          in
+          match (verdict, counterexample) with
+          | "proved", None -> finish_replayed Proved
+          | "exhausted", None ->
               if not (continue_exhausted t ~budget_overridden) then finish_replayed Exhausted
-          | "disproved" ->
-              (* Unreachable: terminal disproved steps are dropped before
-                 replay (the event does not carry the counterexample
-                 vector) and redone live. *)
-              fail "disproved verdict in replay"
-          | v -> fail "unknown journaled verdict %S" v)
+          | "disproved", Some x -> finish_replayed (Disproved x)
+          | v, _ -> fail "malformed journaled verdict %S" v)
       | Trace.Lp_solved _ | Trace.Stuck _ | Trace.Retried _ | Trace.Fallback _
       | Trace.Absorbed _ | Trace.Certified _ ->
           ())
@@ -738,43 +724,26 @@ let resume ~analyzer ~heuristic ?config ?(trace = Trace.null) ?journal ~net ~pro
                 "config fingerprint mismatch — the journal was written for a different network or \
                  property"
         | Journal.Step | Journal.Checkpoint -> fail "journal has no run header");
-        (* Newest checkpoint wins; only the Step frames after it replay. *)
-        let ckpt, steps_rev =
-          List.fold_left
-            (fun (ck, steps) r ->
-              match r.Journal.kind with
-              | Journal.Header -> (ck, steps)
-              | Journal.Checkpoint -> (Some r.Journal.payload, [])
-              | Journal.Step -> (ck, r.Journal.payload :: steps))
-            (None, []) rest
+        let parse_step (r : Journal.record) =
+          match r.kind with
+          | Journal.Step ->
+              List.filter_map
+                (fun line ->
+                  if String.trim line = "" then None else Some (Trace.event_of_json line))
+                (String.split_on_char '\n' r.payload)
+          | Journal.Header | Journal.Checkpoint ->
+              fail "%s frame after the run's Checkpoint" (Journal.kind_name r.kind)
         in
-        let parse_step payload =
-          List.filter_map
-            (fun line -> if String.trim line = "" then None else Some (Trace.event_of_json line))
-            (String.split_on_char '\n' payload)
-        in
-        (* A terminal disproved step is dropped, not replayed: the
-           Verdict event lacks the counterexample vector, so the node is
-           left on the frontier and redone live — still at most one node
-           of rework.  (A journal whose final Checkpoint frame landed
-           records the counterexample there instead, and the fold above
-           leaves no steps to replay.) *)
-        let steps =
-          match List.map parse_step steps_rev with
-          | last :: prefix
-            when List.exists
-                   (function Trace.Verdict { verdict = "disproved"; _ } -> true | _ -> false)
-                   last ->
-              List.rev prefix
-          | steps_rev -> List.rev steps_rev
-        in
-        let t, budget_overridden =
-          match ckpt with
-          | Some payload -> of_checkpoint ~analyzer ~heuristic ~config ~trace ~net ~prop payload
-          | None ->
-              (* Killed before the first checkpoint frame landed: start
-                 fresh (nothing had happened yet). *)
-              (create ~analyzer ~heuristic ?config ~trace ~net ~prop (), false)
+        let (t, budget_overridden), steps =
+          match rest with
+          | [] ->
+              (* Killed before the Checkpoint frame landed: start fresh
+                 (nothing had happened yet). *)
+              ((create ~analyzer ~heuristic ?config ~trace ~net ~prop (), false), [])
+          | { Journal.kind = Journal.Checkpoint; payload } :: steps ->
+              ( of_checkpoint ~analyzer ~heuristic ~config ~trace ~net ~prop payload,
+                List.map parse_step steps )
+          | _ :: _ -> fail "the run's Header is not followed by its Checkpoint"
         in
         let nodes = Hashtbl.create 64 in
         Tree.iter_nodes t.tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);

@@ -34,14 +34,10 @@ type config = {
       (** when set, hardens the analyzer with
           {!Ivan_analyzer.Analyzer.with_fallback} (see {!create}) *)
   certify : bool;  (** collect per-leaf proof certificates (see {!create}) *)
-  journal_every : int;
-      (** steps between journal Checkpoint frames — the bound on how
-          many Step frames a resume must replay *)
 }
 
 val default_config : config
-(** [Fifo], {!default_budget}, no policy, no certification, a journal
-    Checkpoint frame every 32 steps. *)
+(** [Fifo], {!default_budget}, no policy, no certification. *)
 
 type stats = {
   analyzer_calls : int;  (** bounding steps (the paper's Cost metric) *)
@@ -131,14 +127,15 @@ val create :
     crashing the run.
 
     [journal], when supplied, turns on write-ahead journaling: a Header
-    frame with the run's config fingerprint is appended immediately,
-    then each completed step appends exactly one Step frame (the step's
-    trace events as JSONL — atomic, so a kill never journals half a
-    step), and every [config.journal_every] steps — plus the terminal
-    step — a Checkpoint frame folds the whole prefix.  A killed run resumes from
-    its journal via {!resume} with at most one node of rework.
-    Events produced while a journal is attached still reach [trace]
-    unchanged.
+    frame with the run's config fingerprint and a Checkpoint frame of
+    the state the run starts from (its initial tree) are appended
+    immediately, then each completed step appends exactly one Step
+    frame (the step's trace events as JSONL — atomic, so a kill never
+    journals half a step; the terminal step's ends in the
+    {!Trace.Verdict}, counterexample included).  A killed run resumes
+    from its journal via {!resume}, re-analyzing no node whose Step
+    frame landed.  Events produced while a journal is attached still
+    reach [trace] unchanged.
 
     [config.certify] collects a proof certificate for every
     verified leaf: the analyzer's LP evidence (pass an analyzer built
@@ -154,7 +151,7 @@ val create :
     ["unavailable"] — the engine never emits a certificate the
     independent checker would reject.
     @raise Invalid_argument if the property's box dimension does not
-    match the network input, or if [config.journal_every <= 0]. *)
+    match the network input. *)
 
 type status = Running | Finished of run
 
@@ -180,17 +177,15 @@ val frontier_length : t -> int
 
 val finished : t -> run option
 
-val journal : t -> Ivan_resilience.Journal.writer option
-(** The journal sink the engine writes to, if any. *)
-
 (** {2 Checkpoint / resume}
 
     The write-ahead journal ({!Ivan_resilience.Journal}) is the engine's
     only persistence format.  An engine's complete resumable state —
     counters, budget, strategy, terminal state, frontier order, and the
-    specification tree — is one Checkpoint frame; a standalone
-    checkpoint is a journal holding a Header frame (the net/property
-    {!fingerprint}) and that one Checkpoint frame.  The analyzer,
+    specification tree — is one Checkpoint frame.  A journaled run is a
+    Header frame (the net/property {!fingerprint}), that one Checkpoint
+    frame for the state it starts from, and its Step frames; a
+    standalone checkpoint is the same journal without Steps.  The analyzer,
     heuristic, network, property, trace sink and the rest of the
     {!config} are code rather than state and are supplied again at
     {!resume} time; the
@@ -207,24 +202,23 @@ val journal : t -> Ivan_resilience.Journal.writer option
     — certification honestly requires an uninterrupted run. *)
 
 val checkpoint : t -> Ivan_resilience.Journal.writer -> unit
-(** Append the engine's current state as a Checkpoint frame, preceded
-    by a Header frame when the writer is still empty.  Safe at any
-    point, including after completion (resuming a terminal checkpoint
-    yields an engine whose {!finished} run is already set).  For a
-    standalone snapshot, write into
+(** Append the engine's current state as a new run: a Header frame and
+    a Checkpoint frame.  Safe at any point, including after completion
+    (resuming a terminal checkpoint yields an engine whose {!finished}
+    run is already set).  For a standalone snapshot, write into
     {!Ivan_resilience.Journal.to_buffer}. *)
 
 (** {2 Resume}
 
     Recovery after a kill or from a snapshot:
     {!Ivan_resilience.Journal.scan} truncates the journal to its valid
-    frame prefix, the engine is rebuilt from the newest Checkpoint
-    frame, and the Step frames recorded after it replay as pure
-    bookkeeping — no analyzer or LP calls; the tree, frontier and
-    counters evolve exactly as the original run's trace says they did.
-    Work is lost only for the step that was in flight when the process
-    died (its Step frame never landed), so rework is bounded by one
-    node. *)
+    frame prefix, the engine is rebuilt from the run's Checkpoint frame,
+    and every Step frame after it replays as pure bookkeeping — no
+    analyzer or LP calls: the tree, frontier, counters and run clock
+    advance as the original run's trace says they did, and a terminal
+    step's verdict, counterexample included, ends the resumed run.  Only
+    the step in flight when the process died is lost (its Step frame
+    never landed); no node whose Step frame landed is analyzed again. *)
 
 type resume_info = {
   replayed_steps : int;  (** Step frames replayed onto the checkpoint *)
@@ -245,7 +239,8 @@ val resume :
   (t * resume_info, string) result
 (** Rebuild an engine from raw journal bytes — a journal written by
     {!create}'s [journal] or a {!checkpoint} — taking the newest run in
-    them, per {!Ivan_resilience.Journal.last_run}.  The Header
+    them, per {!Ivan_resilience.Journal.last_run}, which must be a Header,
+    one Checkpoint and Step frames.  The Header
     fingerprint must match [net]/[prop]: resuming against the wrong
     problem is an [Error], as is a truncated, corrupt or otherwise
     malformed state and any replay divergence, so stale state can never
@@ -255,22 +250,19 @@ val resume :
     whose budget differs from the recorded one overrides it (e.g. to
     grant a resumed run more time); the rest of [config] (default
     {!default_config}) applies as given.  All other recorded state —
-    counters, frontier, tree — is taken from the checkpoint.  Terminal
+    counters, frontier, tree — is taken from the checkpoint and the
+    replayed steps.  Terminal
     states stay terminal, with one exception: an [Exhausted] state
     resumed with an overriding budget and a non-empty frontier continues
     the search, so a run that ran out of budget can be granted more and
-    continued.  When the journal died before its first Checkpoint frame
+    continued.  When the journal died before its Checkpoint frame
     landed, the run starts fresh under [config].
 
-    A terminal [Disproved] step whose Checkpoint frame never landed is
-    redone live rather than replayed (the journaled verdict event does
-    not carry the counterexample vector) — the one case where resume
-    re-runs the analyzer, still within the one-node rework bound.
-
-    [journal], when supplied, continues journaling: a Header frame is
-    written only if the sink is empty, then a Checkpoint of the resumed
-    state.  To continue into the file the bytes came from, read it fully
-    before opening it as the new sink —
+    [journal], when supplied, continues journaling.  Into an empty sink
+    the resumed engine writes a Header and a Checkpoint of the resumed
+    state, then its Step frames; into a non-empty one (the run's own
+    journal) only further Step frames.  To continue into the file the
+    bytes came from, read it fully before opening it as the new sink —
     {!Ivan_resilience.Journal.open_file} truncates. *)
 
 val degrade : t -> Ivan_analyzer.Analyzer.t -> (t, string) result
@@ -278,7 +270,7 @@ val degrade : t -> Ivan_analyzer.Analyzer.t -> (t, string) result
     {!checkpoint} into a buffer, {!resume}d with the engine's own
     heuristic, config, trace sink, journal, network and property, so the
     fingerprint check stays on this path.  With a journal attached, the
-    resumed engine appends a Checkpoint frame to it. *)
+    resumed engine appends only further Step frames to it. *)
 
 val fingerprint : net:Ivan_nn.Network.t -> prop:Ivan_spec.Prop.t -> string
 (** The config digest stored in journal Header frames: an MD5 hex digest

@@ -20,7 +20,12 @@ type event =
   | Fallback of { node : int; analyzer : string; reason : string }
   | Absorbed of { node : int; analyzer : string; reason : string }
   | Certified of { node : int; kind : string; exact : bool }
-  | Verdict of { verdict : string; calls : int; seconds : float }
+  | Verdict of {
+      verdict : string;
+      calls : int;
+      seconds : float;
+      counterexample : float array option;
+    }
 
 (* ---------------- sinks ---------------- *)
 
@@ -91,12 +96,18 @@ let event_to_json = function
       Printf.sprintf {|{"ev":"absorbed","node":%d,"analyzer":%S,"reason":%S}|} node analyzer reason
   | Certified { node; kind; exact } ->
       Printf.sprintf {|{"ev":"certified","node":%d,"kind":%S,"exact":%b}|} node kind exact
-  | Verdict { verdict; calls; seconds } ->
-      Printf.sprintf {|{"ev":"verdict","verdict":%S,"calls":%d,"seconds":%s}|} verdict calls
+  | Verdict { verdict; calls; seconds; counterexample } ->
+      Printf.sprintf {|{"ev":"verdict","verdict":%S,"calls":%d,"seconds":%s%s}|} verdict calls
         (float_token seconds)
+        (match counterexample with
+        | None -> ""
+        | Some x ->
+            Printf.sprintf {|,"counterexample":[%s]|}
+              (String.concat "," (Array.to_list (Array.map float_token x))))
 
 (* Minimal parser for the flat one-line objects emitted above: string
-   keys mapping to either quoted strings or bare number tokens. *)
+   keys mapping to quoted strings, bare number tokens, or arrays of
+   those. *)
 let parse_flat line =
   let n = String.length line in
   let pos = ref 0 in
@@ -132,55 +143,56 @@ let parse_flat line =
   let parse_bare () =
     skip_ws ();
     let start = !pos in
-    while !pos < n && (match line.[!pos] with ',' | '}' | ' ' -> false | _ -> true) do
+    while !pos < n && (match line.[!pos] with ',' | '}' | ']' | ' ' -> false | _ -> true) do
       incr pos
     done;
     if !pos = start then fail "empty value";
     String.sub line start (!pos - start)
   in
+  let parse_scalar () =
+    skip_ws ();
+    if !pos < n && line.[!pos] = '"' then parse_string () else parse_bare ()
+  in
+  (* Comma-separated items up to [close], the opening bracket consumed. *)
+  let parse_seq close item =
+    let rec go acc =
+      let acc = item () :: acc in
+      skip_ws ();
+      if !pos < n && line.[!pos] = ',' then (incr pos; go acc)
+      else (expect close; List.rev acc)
+    in
+    skip_ws ();
+    if !pos < n && line.[!pos] = close then (incr pos; []) else go []
+  in
   expect '{';
-  let fields = ref [] in
-  skip_ws ();
-  if !pos < n && line.[!pos] = '}' then incr pos
-  else begin
-    let continue = ref true in
-    while !continue do
+  parse_seq '}' (fun () ->
       let key = parse_string () in
       expect ':';
       skip_ws ();
-      let value =
-        if !pos < n && line.[!pos] = '"' then `Str (parse_string ()) else `Bare (parse_bare ())
-      in
-      fields := (key, value) :: !fields;
-      skip_ws ();
-      if !pos < n && line.[!pos] = ',' then incr pos
-      else begin
-        expect '}';
-        continue := false
-      end
-    done
-  end;
-  List.rev !fields
+      if !pos < n && line.[!pos] = '[' then (incr pos; (key, `List (parse_seq ']' parse_scalar)))
+      else (key, `Scalar (parse_scalar ())))
 
 (* Typed accessors over one parsed flat object; every failure, a missing
    key or a malformed number alike, is [Failure]. *)
 let accessors line =
   let fields = parse_flat line in
-  let fail key = failwith (Printf.sprintf "Trace: missing field %S in %S" key line) in
+  let fail key = failwith (Printf.sprintf "Trace: missing or mistyped field %S in %S" key line) in
   let str key =
-    match List.assoc_opt key fields with Some (`Str s | `Bare s) -> s | None -> fail key
-  in
-  let int key = int_of_string (str key) in
-  let float key =
     match List.assoc_opt key fields with
-    | Some (`Str s) -> float_of_token s
-    | Some (`Bare s) -> float_of_string s
-    | None -> fail key
+    | Some (`Scalar s) -> s
+    | Some (`List _) | None -> fail key
   in
-  (str, int, float)
+  (* An optional array of floats. *)
+  let floats key =
+    match List.assoc_opt key fields with
+    | Some (`List vs) -> Some (Array.of_list (List.map float_of_token vs))
+    | None -> None
+    | Some (`Scalar _) -> fail key
+  in
+  (str, (fun key -> int_of_string (str key)), (fun key -> float_of_token (str key)), floats)
 
 let event_of_json line =
-  let str, int, float = accessors line in
+  let str, int, float, floats = accessors line in
   let bool key =
     match str key with
     | "true" -> true
@@ -217,7 +229,14 @@ let event_of_json line =
   | "fallback" -> Fallback { node = int "node"; analyzer = str "analyzer"; reason = str "reason" }
   | "absorbed" -> Absorbed { node = int "node"; analyzer = str "analyzer"; reason = str "reason" }
   | "certified" -> Certified { node = int "node"; kind = str "kind"; exact = bool "exact" }
-  | "verdict" -> Verdict { verdict = str "verdict"; calls = int "calls"; seconds = float "seconds" }
+  | "verdict" ->
+      Verdict
+        {
+          verdict = str "verdict";
+          calls = int "calls";
+          seconds = float "seconds";
+          counterexample = floats "counterexample";
+        }
   | ev -> failwith (Printf.sprintf "Trace.event_of_json: unknown event %S" ev)
 
 let rec emit sink ev =
@@ -360,7 +379,7 @@ let aggregate_to_json a =
     (Option.value a.verdict ~default:"")
 
 let aggregate_of_json line =
-  let str, int, float = accessors line in
+  let str, int, float, _ = accessors line in
   {
     events = int "events";
     analyzer_calls = int "analyzer_calls";

@@ -50,8 +50,15 @@ type event =
           ["unavailable"] when the leaf's verdict carried none (or the
           emission-time exact check rejected it); [exact] says the
           float screen could not decide, so the exact check ran *)
-  | Verdict of { verdict : string; calls : int; seconds : float }
-      (** terminal event: [proved], [disproved] or [exhausted] *)
+  | Verdict of {
+      verdict : string;
+      calls : int;
+      seconds : float;
+      counterexample : float array option;
+    }
+      (** terminal event: [proved], [disproved] or [exhausted];
+          [seconds] is the run's elapsed time, and [counterexample] the
+          concrete violating input, present exactly when [disproved] *)
 
 type sink
 
@@ -81,7 +88,8 @@ val with_jsonl_file : string -> (sink -> 'a) -> 'a
 
 val event_to_json : event -> string
 (** One-line JSON object; floats round-trip exactly (non-finite values
-    are encoded as the strings ["nan"], ["inf"], ["-inf"]). *)
+    are encoded as the strings ["nan"], ["inf"], ["-inf"]), the
+    counterexample as an array of them. *)
 
 val event_of_json : string -> event
 (** Inverse of {!event_to_json}.  @raise Failure on malformed input. *)

@@ -40,7 +40,6 @@ let engine_config c =
     budget = c.budget;
     policy = Some c.policy;
     certify = c.certify;
-    journal_every = Engine.default_config.Engine.journal_every;
   }
 
 let bab ~analyzer ~heuristic ~config ?initial_tree ~net ~prop () =

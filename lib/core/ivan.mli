@@ -45,8 +45,7 @@ val default_config : config
 
 val engine_config : config -> Ivan_bab.Engine.config
 (** The engine settings of every BaB run [config] drives: its strategy,
-    budget, policy and certification, and the engine's default journal
-    cadence. *)
+    budget, policy and certification. *)
 
 val verify_original :
   analyzer:Ivan_analyzer.Analyzer.t ->

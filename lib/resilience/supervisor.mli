@@ -1,23 +1,21 @@
 (** Watchdog supervision of a verification run.
 
-    {!supervise} drives [Engine.step] under a wall-clock deadline and a
-    major-heap memory watermark (sampled with [Gc.quick_stat], so checks
-    are cheap enough to run every few steps).  When a budget is
-    breached the supervisor does not kill the run — it escalates through
-    graceful degradation:
+    {!supervise} drives [Engine.step] under a major-heap memory
+    watermark (sampled with [Gc.quick_stat], so checks are cheap enough
+    to run every few steps); the engine's own [budget.max_seconds]
+    bounds its time.  When the watermark is breached the supervisor does
+    not kill the run — it escalates through graceful degradation:
 
-    + a memory breach first tries [Gc.compact] (the cheap fix: most of
-      the engine's garbage is short-lived analyzer state);
+    + every breach first tries [Gc.compact] (the cheap fix: most of the
+      engine's garbage is short-lived analyzer state);
     + then the engine is checkpointed and resumed with the next,
       cheaper analyzer from the fallback ladder ({!Engine.degrade}),
       with its trace sink, journal and config unchanged, which both
-      shrinks the working set and speeds up the remaining nodes — on a
-      time breach the deadline is extended by the configured grace;
-    + with the ladder exhausted, the frontier is shed to the journal
-      (one extra Checkpoint frame folding the full engine state) and the
-      heap compacted once more;
-    + and only then does the run end, via [Engine.cancel]: a clean
-      [Exhausted] verdict with the journal flushed, never a crash.
+      shrinks the working set and speeds up the remaining nodes;
+    + and with the ladder exhausted (or a degradation failed), the run
+      ends via [Engine.cancel]: a clean [Exhausted] verdict with the
+      journal flushed, never a crash.  Every Step frame is flushed as it
+      is written, so the journal needs no extra frame to resume.
 
     Every rung is reported through [on_escalation] and collected in the
     outcome, so callers can tell a clean run from a degraded one. *)
@@ -26,19 +24,15 @@ module Engine = Ivan_bab.Engine
 module Analyzer = Ivan_analyzer.Analyzer
 
 type limits = {
-  max_seconds : float;  (** wall-clock deadline; [infinity] disables *)
   max_major_words : float;
       (** major-heap watermark in words ([Gc.quick_stat ()].heap_words);
           [infinity] disables *)
   check_every : int;  (** engine steps between watchdog checks *)
-  grace_seconds : float;
-      (** extra wall-clock granted after each escalation rung, so a
-          degraded run gets a chance to finish before the next rung *)
 }
 
 val default_limits : limits
-(** No deadline, no watermark, a check every 8 steps, 1s grace —
-    supervision that only ever watches. *)
+(** No watermark, a check every 8 steps — supervision that only ever
+    watches. *)
 
 val mb_words : float -> float
 (** Convert a budget in megabytes to major-heap words for
@@ -49,8 +43,6 @@ type escalation =
       (** a [Gc.compact] absorbed a memory breach *)
   | Degraded of { analyzer : string; reason : string }
       (** the run was checkpointed and resumed onto a cheaper analyzer *)
-  | Shed of { reason : string }
-      (** full state folded into the journal and the heap compacted *)
   | Cancelled of { reason : string }
       (** budgets stayed breached: the run was ended cleanly *)
 
@@ -76,7 +68,6 @@ val supervise :
     degradation ladder, tried in order (default
     [[Analyzer.deeppoly (); Analyzer.interval ()]]); each rung is an
     {!Engine.degrade}, which keeps the engine's heuristic, config, trace
-    sink and journal.  When the engine journals, degradations append a
-    fresh Checkpoint frame through the resume path and [Shed] folds the
-    state explicitly, so a kill at any escalation point still
-    resumes. *)
+    sink and journal.  When the engine journals, the degraded engine
+    keeps appending Step frames to the same run, so a kill at any
+    escalation point still resumes. *)

@@ -12,8 +12,8 @@ type workload = {
   compare_lp : bool;
 }
 
-let workload ~name ~net ~prop ~analyzer ~heuristic
-    ?(config = { Engine.default_config with journal_every = 4 }) ?(compare_lp = true) () =
+let workload ~name ~net ~prop ~analyzer ~heuristic ?(config = Engine.default_config)
+    ?(compare_lp = true) () =
   { name; net; prop; analyzer; heuristic; config; compare_lp }
 
 type golden = { run : Engine.run; journal : string; boundaries : (int * int) list }
@@ -159,8 +159,8 @@ let trial w g bytes =
         let at_resume = Engine.calls e in
         let durable = calls_at g info.Engine.valid_bytes in
         (* Rework: calls the journal had durably recorded but the
-           resumed engine will redo.  The only admissible case is the
-           terminal disproved step, whose frame is dropped on replay. *)
+           resumed engine will redo.  Every landed Step frame replays,
+           the terminal one's verdict included, so there is none. *)
         let rework = durable - at_resume in
         let errs = ref [] in
         if rework < 0 then
@@ -168,10 +168,14 @@ let trial w g bytes =
             Printf.sprintf "resumed engine claims %d calls, journal only recorded %d" at_resume
               durable
             :: !errs;
-        if rework > 1 then
-          errs := Printf.sprintf "rework of %d nodes exceeds the one-node bound" rework :: !errs;
+        if rework > 0 then
+          errs :=
+            Printf.sprintf "%d nodes whose Step frames landed were analyzed again" rework :: !errs;
         let run = Engine.run e in
         ((!errs @ compare_runs w g.run run : string list), true, max 0 rework)
+
+(* Steps the resumed run of the double kill makes before its own kill. *)
+let second_life_steps = 8
 
 (* Kill, resume into a second journal, kill that mid-run, resume again:
    recovery must compose. *)
@@ -197,7 +201,7 @@ let double_kill_trial w g =
           let rec step_n i =
             if i > 0 then match Engine.step e with Engine.Running -> step_n (i - 1) | _ -> ()
           in
-          step_n (2 * w.config.Engine.journal_every);
+          step_n second_life_steps;
           let bytes2 = Buffer.contents buf2 in
           (match resume w bytes2 with
           | Error msg -> ([ Printf.sprintf "second resume failed: %s" msg ], true, 0)

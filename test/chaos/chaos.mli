@@ -17,10 +17,10 @@
     Each schedule resumes from the truncated bytes via
     [Engine.resume], runs to completion, and asserts against the
     golden run: identical verdict (including the counterexample vector),
-    identical stats on every deterministic counter, and — the bound the
-    journal exists to provide — at most one node of rework, measured as
-    the gap between the analyzer calls recorded in the surviving prefix
-    and the calls the resumed engine starts from. *)
+    identical stats on every deterministic counter, and — what the
+    journal exists to provide — no rework: the analyzer calls recorded
+    in the surviving prefix are exactly the calls the resumed engine
+    starts from. *)
 
 module Engine = Ivan_bab.Engine
 module Analyzer = Ivan_analyzer.Analyzer
@@ -49,9 +49,7 @@ val workload :
   ?compare_lp:bool ->
   unit ->
   workload
-(** Defaults: {!Engine.default_config} with [journal_every = 4] (small,
-    so chaos trials cross checkpoint boundaries often),
-    [compare_lp = true]. *)
+(** Defaults: {!Engine.default_config}, [compare_lp = true]. *)
 
 type golden = {
   run : Engine.run;

@@ -297,7 +297,14 @@ let sample_events =
     Trace.Certified { node = 5; kind = "dual"; exact = false };
     Trace.Certified { node = 6; kind = "unavailable"; exact = true };
     Trace.Analyzed { node = 1; status = "verified"; lb = neg_infinity; seconds = nan };
-    Trace.Verdict { verdict = "proved"; calls = 7; seconds = 1.5 };
+    Trace.Verdict { verdict = "proved"; calls = 7; seconds = 1.5; counterexample = None };
+    Trace.Verdict
+      {
+        verdict = "disproved";
+        calls = 3;
+        seconds = 0.25;
+        counterexample = Some [| 0.1; -0.0; 5e-324; 1.0 /. 3.0; infinity |];
+      };
   ]
 
 let test_event_json_roundtrip () =

@@ -139,9 +139,7 @@ let journal_doc =
      let engine =
        Engine.create
          ~analyzer:(Analyzer.zonotope ())
-         ~heuristic:Heuristic.input_smear
-         ~config:{ Engine.default_config with journal_every = 2 }
-         ~journal ~net:(net ())
+         ~heuristic:Heuristic.input_smear ~journal ~net:(net ())
          ~prop:(prop ()) ()
      in
      ignore (Engine.run engine);

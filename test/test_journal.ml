@@ -163,36 +163,53 @@ let verdict_name = function
   | Engine.Disproved _ -> "disproved"
   | Engine.Exhausted -> "exhausted"
 
-let journaled_run ?(offset = 1.7) ?(journal_every = 4) () =
+let journaled_run ?(offset = 1.7) ?(analyzer = Analyzer.zonotope ()) () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset offset in
   let buf = Buffer.create 4096 in
   let journal = Journal.to_buffer buf in
   let engine =
-    Engine.create
-      ~analyzer:(Analyzer.zonotope ())
-      ~heuristic:Heuristic.input_smear
-      ~config:{ Engine.default_config with journal_every }
-      ~journal ~net ~prop ()
+    Engine.create ~analyzer ~heuristic:Heuristic.input_smear ~journal ~net ~prop ()
   in
   let run = Engine.run engine in
   Journal.close journal;
   (net, prop, run, Buffer.contents buf)
 
+(* The events of a Step frame. *)
+let step_events (r : Journal.record) =
+  List.map Trace.event_of_json
+    (List.filter (fun l -> l <> "") (String.split_on_char '\n' r.payload))
+
+(* The journal a process killed after its [keep]-th frame leaves. *)
+let first_frames bytes keep =
+  (Journal.scan bytes).Journal.records
+  |> List.filteri (fun i _ -> i < keep)
+  |> List.map (fun (r : Journal.record) -> Journal.encode_frame r.kind r.payload)
+  |> String.concat ""
+
+(* A journaled run is its Header, one Checkpoint of the state it starts
+   from, and then only Step frames, the last holding the verdict. *)
 let test_journal_structure () =
-  let net, prop, _run, bytes = journaled_run () in
+  let net, prop, run, bytes = journaled_run () in
   let r = Journal.scan bytes in
   Alcotest.(check int) "journal has no torn tail" 0 r.dropped_bytes;
   (match r.records with
-  | { Journal.kind = Journal.Header; payload } :: _ ->
+  | { Journal.kind = Journal.Header; payload } :: { Journal.kind = Journal.Checkpoint; _ } :: steps
+    ->
       Alcotest.(check string)
         "header carries the config fingerprint"
         (Engine.fingerprint ~net ~prop)
-        payload
-  | _ -> Alcotest.fail "first frame must be a Header");
-  (match List.rev r.records with
-  | { Journal.kind = Journal.Checkpoint; _ } :: _ -> ()
-  | _ -> Alcotest.fail "terminal frame must be a Checkpoint")
+        payload;
+      Alcotest.(check bool) "only Step frames after the Checkpoint" true
+        (List.for_all (fun (s : Journal.record) -> s.kind = Journal.Step) steps);
+      Alcotest.(check int) "one Step frame per analyzer call, plus the verdict's"
+        (run.stats.analyzer_calls + 1) (List.length steps)
+  | _ -> Alcotest.fail "a run must open with a Header and a Checkpoint");
+  match List.rev r.records with
+  | ({ Journal.kind = Journal.Step; _ } as last) :: _ ->
+      Alcotest.(check bool) "the terminal Step frame carries the verdict" true
+        (List.exists (function Trace.Verdict _ -> true | _ -> false) (step_events last))
+  | _ -> Alcotest.fail "terminal frame must be a Step"
 
 let test_resume_full_journal () =
   let net, prop, golden, bytes = journaled_run () in
@@ -218,30 +235,13 @@ let test_resume_full_journal () =
       Alcotest.(check int) "nothing dropped" 0 info.dropped_bytes
 
 let test_resume_truncated_journal () =
-  let net, prop, golden, bytes = journaled_run ~journal_every:2 () in
-  let r = Journal.scan bytes in
+  let net, prop, golden, bytes = journaled_run () in
   (* Kill roughly mid-run: keep the first half of the frames. *)
-  let keep = List.length r.records / 2 in
-  let cut =
-    (* byte offset after the keep-th frame *)
-    let rec advance bytes_seen n records =
-      if n = 0 then bytes_seen
-      else
-        match records with
-        | [] -> bytes_seen
-        | (rec_ : Journal.record) :: rest ->
-            advance
-              (bytes_seen
-              + String.length (Journal.encode_frame rec_.kind rec_.payload))
-              (n - 1) rest
-    in
-    advance 0 keep r.records
-  in
+  let keep = List.length (Journal.scan bytes).Journal.records / 2 in
   match
     Engine.resume
       ~analyzer:(Analyzer.zonotope ())
-      ~heuristic:Heuristic.input_smear ~net ~prop
-      (String.sub bytes 0 cut)
+      ~heuristic:Heuristic.input_smear ~net ~prop (first_frames bytes keep)
   with
   | Error msg -> Alcotest.failf "resume failed: %s" msg
   | Ok (engine, _info) ->
@@ -253,6 +253,96 @@ let test_resume_truncated_journal () =
       Alcotest.(check int)
         "and the analyzer-call count" golden.stats.analyzer_calls
         resumed.stats.analyzer_calls
+
+(* A disproved run's complete journal ends in its terminal Step frame,
+   whose verdict carries the counterexample: resuming finishes the run
+   [Disproved] with the same vector, bit for bit, and no analyzer
+   call. *)
+let test_resume_disproved_journal () =
+  let net, prop, golden, bytes = journaled_run ~offset:1.3 () in
+  let golden_x =
+    match golden.verdict with
+    | Engine.Disproved x -> x
+    | _ -> Alcotest.fail "the paper net with offset 1.3 is violated"
+  in
+  (match List.rev (Journal.scan bytes).Journal.records with
+  | { Journal.kind = Journal.Step; _ } :: _ -> ()
+  | _ -> Alcotest.fail "terminal frame must be a Step");
+  let calls = ref 0 in
+  let base = Analyzer.zonotope () in
+  let counting =
+    {
+      base with
+      Analyzer.run =
+        (fun net ~prop ~box ~splits ->
+          incr calls;
+          base.Analyzer.run net ~prop ~box ~splits);
+    }
+  in
+  match Engine.resume ~analyzer:counting ~heuristic:Heuristic.input_smear ~net ~prop bytes with
+  | Error msg -> Alcotest.failf "resume failed: %s" msg
+  | Ok (engine, _) -> (
+      Alcotest.(check bool) "finished on replay" true (Engine.finished engine <> None);
+      let resumed = Engine.run engine in
+      Alcotest.(check int) "no analyzer call" 0 !calls;
+      Alcotest.(check int) "same analyzer calls" golden.stats.analyzer_calls
+        resumed.stats.analyzer_calls;
+      match resumed.verdict with
+      | Engine.Disproved x ->
+          Alcotest.(check (array int64))
+            "bit-identical counterexample"
+            (Array.map Int64.bits_of_float golden_x)
+            (Array.map Int64.bits_of_float x)
+      | v -> Alcotest.failf "resumed as %s" (verdict_name v))
+
+(* Replay keeps the run clock: a run resumed mid-way from its one
+   Checkpoint has spent at least the analyzer seconds its replayed
+   steps recorded, so a time budget is not granted afresh. *)
+let test_resume_keeps_run_clock () =
+  let base = Analyzer.zonotope () in
+  let slow =
+    {
+      base with
+      Analyzer.run =
+        (fun net ~prop ~box ~splits ->
+          let t0 = Ivan_clock.Clock.monotonic () in
+          while Ivan_clock.Clock.monotonic () -. t0 < 0.005 do
+            ()
+          done;
+          base.Analyzer.run net ~prop ~box ~splits);
+    }
+  in
+  let net, prop, golden, bytes = journaled_run ~offset:1.55 ~analyzer:slow () in
+  let records = (Journal.scan bytes).Journal.records in
+  let keep = 3 * List.length records / 4 in
+  let replayed_seconds =
+    List.fold_left
+      (fun acc (r : Journal.record) ->
+        if r.kind <> Journal.Step then acc
+        else
+          List.fold_left
+            (fun acc -> function Trace.Analyzed { seconds; _ } -> acc +. seconds | _ -> acc)
+            acc (step_events r))
+      0.0
+      (List.filteri (fun i _ -> i < keep) records)
+  in
+  if replayed_seconds < 0.01 then
+    Alcotest.failf "the kept steps of %d analyzer calls spent only %.4fs"
+      golden.stats.analyzer_calls replayed_seconds;
+  match
+    Engine.resume ~analyzer:slow ~heuristic:Heuristic.input_smear ~net ~prop
+      (first_frames bytes keep)
+  with
+  | Error msg -> Alcotest.failf "resume failed: %s" msg
+  | Ok (engine, _) ->
+      let resumed = Engine.run engine in
+      let elapsed = resumed.stats.elapsed_seconds in
+      if elapsed < replayed_seconds then
+        Alcotest.failf "resumed run reports %.4fs elapsed, its replayed steps spent %.4fs" elapsed
+          replayed_seconds;
+      if elapsed < resumed.stats.analyzer_seconds then
+        Alcotest.failf "resumed run reports %.4fs elapsed, %.4fs in the analyzer" elapsed
+          resumed.stats.analyzer_seconds
 
 (* Same shape as the paper net, first weight tripled. *)
 let reweighted_net () =
@@ -368,7 +458,7 @@ let test_supervise_clean_run () =
   (* a short run may finish before the first scheduled sample *)
   Alcotest.(check bool) "check counter sane" true (outcome.checks >= 0)
 
-let test_supervise_deadline_ladder () =
+let test_supervise_memory_ladder () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.7 in
   let buf = Buffer.create 4096 in
@@ -379,12 +469,7 @@ let test_supervise_deadline_ladder () =
       ~heuristic:Heuristic.input_smear ~journal ~net ~prop ()
   in
   let limits =
-    {
-      Supervisor.max_seconds = 0.0 (* breached from the first check *);
-      max_major_words = infinity;
-      check_every = 1;
-      grace_seconds = 0.0;
-    }
+    { Supervisor.max_major_words = 0.0 (* breached from the first check *); check_every = 1 }
   in
   let outcome =
     Supervisor.supervise ~limits ~fallbacks:[ Analyzer.interval () ] engine
@@ -397,7 +482,6 @@ let test_supervise_deadline_ladder () =
       (function
         | Supervisor.Compacted _ -> "compacted"
         | Supervisor.Degraded _ -> "degraded"
-        | Supervisor.Shed _ -> "shed"
         | Supervisor.Cancelled _ -> "cancelled")
       outcome.escalations
   in
@@ -430,12 +514,7 @@ let test_supervise_degrade_keeps_trace () =
       ~heuristic:Heuristic.input_smear ~trace ~net ~prop ()
   in
   let limits =
-    {
-      Supervisor.max_seconds = 0.0 (* breached from the first check *);
-      max_major_words = infinity;
-      check_every = 1;
-      grace_seconds = 60.0;
-    }
+    { Supervisor.max_major_words = 0.0 (* breached from the first check *); check_every = 1 }
   in
   let outcome = Supervisor.supervise ~limits engine in
   Alcotest.(check bool) "the run was degraded" true
@@ -475,6 +554,10 @@ let suite =
       test_resume_full_journal;
     Alcotest.test_case "resume from a truncated journal" `Quick
       test_resume_truncated_journal;
+    Alcotest.test_case "resume a disproved journal without the analyzer" `Quick
+      test_resume_disproved_journal;
+    Alcotest.test_case "resume keeps the replayed run clock" `Quick
+      test_resume_keeps_run_clock;
     Alcotest.test_case "resume rejects a foreign fingerprint" `Quick
       test_resume_wrong_fingerprint;
     Alcotest.test_case "fingerprint tracks weight and offset bits" `Quick
@@ -482,8 +565,8 @@ let suite =
     Alcotest.test_case "resume rejects an empty journal" `Quick
       test_resume_empty_journal;
     Alcotest.test_case "supervise: clean run" `Quick test_supervise_clean_run;
-    Alcotest.test_case "supervise: deadline escalation ladder" `Quick
-      test_supervise_deadline_ladder;
+    Alcotest.test_case "supervise: memory escalation ladder" `Quick
+      test_supervise_memory_ladder;
     Alcotest.test_case "supervise: degrade keeps the trace sink" `Quick
       test_supervise_degrade_keeps_trace;
     Alcotest.test_case "mb_words" `Quick test_mb_words;
