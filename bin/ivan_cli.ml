@@ -583,8 +583,9 @@ let check_cmd =
       & opt (some file) None
       & info [ "resume-journal" ] ~docv:"FILE"
           ~doc:"Resume a killed run from its write-ahead journal: torn or corrupt tail frames \
-                are dropped, the run's checkpoint is restored and every step after it is \
-                replayed.  Combine with --journal (same FILE is fine) to keep journaling.")
+                are dropped, the run is rebuilt from its starting checkpoint and every step \
+                after it is replayed.  Combine with --journal (same FILE is fine) to copy the \
+                run into that journal and keep journaling there.")
   in
   let mem_limit_arg =
     Arg.(

@@ -59,44 +59,38 @@ type run = {
 }
 
 (* The run's counters are one [Trace.aggregate], advanced by [Trace.count]
-   on every event the engine emits — so [stats], a trace replay and a
-   journal resume all count through the same fold.  [counters], [emit]
-   and the journal event buffer [jbuf] are built before the record
-   exists: resilience events raised inside an analyzer call arrive
-   through the fallback [notify] closure, a [create]-time input of the
-   wrapped analyzer. *)
+   on every event the engine emits ({!emit}) — so [stats], a trace replay
+   and a journal resume all count through the same fold. *)
 type t = {
-  analyzer : Analyzer.t;  (* instrumented: each call records into [last_call] *)
+  mutable analyzer : Analyzer.t;  (* hardened by [config.policy]; [degrade] swaps it *)
   heuristic : Heuristic.t;
   config : config;  (* as in force: a resumed run's recorded strategy and budget *)
   trace : Trace.sink;
-  emit : Trace.event -> unit;  (* trace sink, counter fold and journal buffer *)
   net : Network.t;
   prop : Prop.t;
   tree : Tree.t;
   frontier : Tree.node Frontier.t;
   mutable started : float;  (* the run clock's origin; replay moves it back *)
-  last_call : float ref;
-  current_node : int ref;  (* node id under analysis, for resilience events *)
-  counters : Trace.aggregate ref;
+  mutable current_node : int;  (* node id under analysis, for resilience events *)
+  mutable counters : Trace.aggregate;
   (* Warm-start plumbing: frontier nodes whose parent solved an LP have
      the parent's optimal basis parked here until they are dequeued.
      The table is engine-local bookkeeping, not verification state — a
-     resumed checkpoint simply starts its nodes cold. *)
+     resumed run simply starts its nodes cold. *)
   bases : (int, Lp.Basis.t) Hashtbl.t;
   (* Per-leaf certificates keyed by node id, admitted only once the
      float screen or the exact check has accepted them; assembled into
      the run's proof artifact at [finish].  Like [bases], the table is
-     engine-local: checkpoints store only the counters, so a resumed run
+     engine-local: a journal stores no certificate, so a resumed run
      cannot produce a complete artifact for leaves verified before the
-     checkpoint (they count as unavailable in the final artifact check,
-     never as silently certified). *)
+     kill (they count as unavailable in the final artifact check, never
+     as silently certified). *)
   certs : (int, Cert.leaf) Hashtbl.t;
   (* Write-ahead journal: events of the step in flight accumulate in
      [jbuf] (newest first) and are flushed as one atomic Step frame when
      the step completes. *)
   mutable journal : Journal.writer option;
-  jbuf : Trace.event list ref;
+  mutable jbuf : Trace.event list;
   mutable finished : run option;
 }
 
@@ -110,72 +104,41 @@ let status_label = function
   | Analyzer.Counterexample _ -> "counterexample"
   | Analyzer.Unknown -> "unknown"
 
-(* Shared constructor behind [create] and [resume]: wires the resilience
-   wrapper and instrumentation around the analyzer and seeds the
-   counters; the frontier starts empty and is filled by the caller. *)
-let make ~analyzer ~heuristic ~config ~trace ~tree ~net ~prop ~started ~counters =
-  if Box.dim prop.Prop.input <> Network.input_dim net then
-    invalid_arg "Engine.create: property dimension does not match the network";
-  let last_call = ref 0.0 in
-  let current_node = ref (-1) in
-  let counters = ref counters in
-  let jbuf = ref [] in
-  let emit ev =
-    Trace.emit trace ev;
-    counters := Trace.count !counters ev;
-    jbuf := ev :: !jbuf
-  in
-  let analyzer =
-    match config.policy with
-    | None -> analyzer
-    | Some policy ->
-        let notify reason =
-          let node = !current_node in
-          emit
-            (match reason with
-            | Analyzer.Retried { analyzer; attempt; reason } ->
-                Trace.Retried { node; analyzer; attempt; reason }
-            | Analyzer.Fell_back { analyzer; reason } -> Trace.Fallback { node; analyzer; reason }
-            | Analyzer.Absorbed { analyzer; reason } -> Trace.Absorbed { node; analyzer; reason })
-        in
-        Analyzer.with_fallback ~notify ~policy analyzer
-  in
-  let analyzer =
-    (* Instrument outside the fallback wrapper so [analyzer_seconds]
-       includes time burnt in retries and degraded attempts. *)
-    Analyzer.instrument ~on_run:(fun ~name:_ ~elapsed ~outcome:_ -> last_call := elapsed) analyzer
-  in
-  {
-    analyzer;
-    heuristic;
-    config;
-    trace;
-    emit;
-    net;
-    prop;
-    tree;
-    frontier = Frontier.create config.strategy;
-    started;
-    last_call;
-    current_node;
-    counters;
-    bases = Hashtbl.create 64;
-    certs = Hashtbl.create 64;
-    journal = None;
-    jbuf;
-    finished = None;
-  }
+(* Every event goes to the trace sink, the counter fold and the journal
+   buffer. *)
+let emit t ev =
+  Trace.emit t.trace ev;
+  t.counters <- Trace.count t.counters ev;
+  t.jbuf <- ev :: t.jbuf
+
+(* The analyzer as the engine runs it: with [config.policy] set, wrapped
+   in the resilience layer, whose events are emitted against the node
+   under analysis. *)
+let harden t analyzer =
+  match t.config.policy with
+  | None -> analyzer
+  | Some policy ->
+      let notify reason =
+        let node = t.current_node in
+        emit t
+          (match reason with
+          | Analyzer.Retried { analyzer; attempt; reason } ->
+              Trace.Retried { node; analyzer; attempt; reason }
+          | Analyzer.Fell_back { analyzer; reason } -> Trace.Fallback { node; analyzer; reason }
+          | Analyzer.Absorbed { analyzer; reason } -> Trace.Absorbed { node; analyzer; reason })
+      in
+      Analyzer.with_fallback ~notify ~policy analyzer
 
 let tree t = t.tree
 
-let calls t = !(t.counters).Trace.analyzer_calls
+let calls t = t.counters.Trace.analyzer_calls
 
 let frontier_length t = Frontier.length t.frontier
 
 let finished t = t.finished
 
 let stats_of t ~elapsed =
-  let c = !(t.counters) in
+  let c = t.counters in
   {
     analyzer_calls = c.Trace.analyzer_calls;
     branchings = c.Trace.branchings;
@@ -238,7 +201,7 @@ let finished_run t ~elapsed verdict =
 let finish t verdict =
   let elapsed = Clock.monotonic () -. t.started in
   let run = finished_run t ~elapsed verdict in
-  t.emit
+  emit t
     (Trace.Verdict
        {
          verdict = verdict_label verdict;
@@ -275,9 +238,9 @@ let step_once t =
         let node = match Frontier.pop t.frontier with Some n -> n | None -> assert false in
         let id = Tree.node_id node in
         let depth = List.length (Tree.path_decisions node) in
-        t.emit (Trace.Dequeued { node = id; depth; frontier = frontier_now });
+        emit t (Trace.Dequeued { node = id; depth; frontier = frontier_now });
         let box, splits = Tree.subproblem ~root_box:t.prop.Prop.input node in
-        t.current_node := id;
+        t.current_node <- id;
         (* Stage the parent's simplex basis (if the parent solved an LP)
            for the analyzer's warm start; otherwise make sure no stale
            hint from an earlier node is lying around. *)
@@ -286,16 +249,25 @@ let step_once t =
             Hashtbl.remove t.bases id;
             Analyzer.Warm.offer b
         | None -> Analyzer.Warm.clear ());
+        (* The call's time includes retries and degraded attempts inside
+           the resilience wrapper, and a call that raised. *)
+        let result, seconds =
+          Clock.timed (fun () ->
+              match t.analyzer.Analyzer.run t.net ~prop:t.prop ~box ~splits with
+              | outcome -> Ok outcome
+              | exception e when not (Analyzer.fatal_exn e) -> Error e)
+        in
         let outcome =
-          (* Last line of defense: even without a resilience policy, a
-             non-fatal analyzer exception degrades this node to Unknown
-             instead of crashing a run holding a reusable tree. *)
-          try t.analyzer.Analyzer.run t.net ~prop:t.prop ~box ~splits
-          with e when not (Analyzer.fatal_exn e) ->
-            t.emit
-              (Trace.Absorbed
-                 { node = id; analyzer = t.analyzer.Analyzer.name; reason = Printexc.to_string e });
-            { Analyzer.status = Analyzer.Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None }
+          match result with
+          | Ok outcome -> outcome
+          | Error e ->
+              (* Last line of defense: even without a resilience policy, a
+                 non-fatal analyzer exception degrades this node to Unknown
+                 instead of crashing a run holding a reusable tree. *)
+              emit t
+                (Trace.Absorbed
+                   { node = id; analyzer = t.analyzer.Analyzer.name; reason = Printexc.to_string e });
+              { Analyzer.status = Analyzer.Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None }
         in
         (* Collect the LP report, if the analyzer solved any: an event
            for the run's counters, and the node's optimal basis to hand
@@ -304,7 +276,7 @@ let step_once t =
           match Analyzer.Warm.collect () with
           | None -> None
           | Some info ->
-              t.emit
+              emit t
                 (Trace.Lp_solved
                    {
                      node = id;
@@ -316,13 +288,13 @@ let step_once t =
                    });
               info.Analyzer.Warm.basis
         in
-        t.emit
+        emit t
           (Trace.Analyzed
              {
                node = id;
                status = status_label outcome.Analyzer.status;
                lb = outcome.Analyzer.lb;
-               seconds = !(t.last_call);
+               seconds;
              });
         Tree.set_lb node outcome.Analyzer.lb;
         match outcome.Analyzer.status with
@@ -357,7 +329,7 @@ let step_once t =
                         exact )
                     end
               in
-              t.emit (Trace.Certified { node = id; kind; exact })
+              emit t (Trace.Certified { node = id; kind; exact })
             end;
             Running
         | Analyzer.Counterexample x -> Finished (finish t (Disproved x))
@@ -369,11 +341,11 @@ let step_once t =
                    analyzer is exact here, so this only happens on
                    numerical failure.  Count and trace it distinctly,
                    then stop — the budget was not the problem. *)
-                t.emit (Trace.Stuck { node = id });
+                emit t (Trace.Stuck { node = id });
                 Finished (finish t Exhausted)
             | Some d ->
                 let left, right = Tree.split t.tree node d in
-                t.emit
+                emit t
                   (Trace.Split
                      {
                        node = id;
@@ -399,21 +371,19 @@ let step_once t =
 
    Frame protocol (see {!Ivan_resilience.Journal} for the byte layout):
    every run opens with a Header frame carrying the config fingerprint
-   and one Checkpoint frame holding the state the run starts from; each
+   and one Checkpoint frame holding what the run starts from; each
    completed engine step then appends exactly one Step frame holding the
    step's trace events as JSONL (atomic: a step is journaled whole or
    not at all); the terminal step's events end in the [Verdict] event.
    Frames are flushed as they are appended, so after a kill the journal
    is a valid prefix plus at most one torn frame, which {!Journal.scan}
-   drops.  A standalone checkpoint is the same thing cut short: one
-   Header and one Checkpoint frame.
+   drops.
 
-   A Checkpoint payload is text: [key: value] lines for the budget,
-   strategy, elapsed time, terminal state, the frontier as (node id,
-   priority) pairs in re-push order and the counters (one
-   {!Trace.aggregate_to_json} object), then a [tree:] line and the
-   specification tree in its {!Tree.to_string} format, which preserves
-   node ids so the frontier references survive the round trip.  The
+   A Checkpoint payload is text: the lines [strategy:], [max_calls:] and
+   [max_seconds:], then a [tree:] line and the initial specification
+   tree in its {!Tree.to_string} format, which preserves node ids and
+   lower bounds.  Everything else a run holds — frontier, counters, run
+   clock, verdict — follows from that tree and the Step frames.  The
    analyzer, heuristic and network are code, not state — [resume] takes
    them as arguments. *)
 
@@ -477,52 +447,28 @@ let fingerprint ~net ~prop =
   float prop.Prop.offset;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let checkpoint_payload t =
-  let buf = Buffer.create 4096 in
-  let add fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  let elapsed =
-    match t.finished with
-    | Some r -> r.stats.elapsed_seconds
-    | None -> Clock.monotonic () -. t.started
-  in
-  add "strategy: %s" (Frontier.strategy_name t.config.strategy);
-  add "max_calls: %d" t.config.budget.max_analyzer_calls;
-  add "max_seconds: %s" (float_token t.config.budget.max_seconds);
-  add "elapsed: %s" (float_token elapsed);
-  add "finished: %s"
-    (match t.finished with
-    | None -> "running"
-    | Some { verdict = Disproved x; _ } ->
-        String.concat " " ("disproved" :: List.map float_token (Array.to_list x))
-    | Some r -> verdict_label r.verdict);
-  add "frontier:%s"
-    (String.concat ""
-       (List.map
-          (fun (p, n) -> Printf.sprintf " %d %s" (Tree.node_id n) (float_token p))
-          (Frontier.elements t.frontier)));
-  add "counters: %s" (Trace.aggregate_to_json !(t.counters));
-  add "tree:";
-  Buffer.add_string buf (Tree.to_string t.tree);
-  Buffer.contents buf
+(* The Checkpoint payload of an engine that has not stepped yet. *)
+let start_payload t =
+  String.concat "\n"
+    [
+      "strategy: " ^ Frontier.strategy_name t.config.strategy;
+      "max_calls: " ^ string_of_int t.config.budget.max_analyzer_calls;
+      "max_seconds: " ^ float_token t.config.budget.max_seconds;
+      "tree:";
+      Tree.to_string t.tree;
+    ]
 
-let checkpoint t w =
+(* Open the run in [w]: Header, Checkpoint [start], then [steps], Step
+   payloads already journaled elsewhere; the engine's own steps follow. *)
+let attach t w ~start ~steps =
+  t.journal <- Some w;
   Journal.append w Journal.Header (fingerprint ~net:t.net ~prop:t.prop);
-  Journal.append w Journal.Checkpoint (checkpoint_payload t)
-
-(* Attach a journal sink to an engine.  A fresh run opens its own run in
-   the sink, Header and Checkpoint; a resumed engine does so only in an
-   empty sink, and in a non-empty one (the run's own journal, as
-   [degrade] passes it) continues the current run with Step frames. *)
-let attach_journal t ~fresh_run journal =
-  Option.iter
-    (fun w ->
-      t.journal <- Some w;
-      if fresh_run || Journal.appends w = 0 then checkpoint t w)
-    journal
+  Journal.append w Journal.Checkpoint start;
+  List.iter (Journal.append w Journal.Step) steps
 
 let flush_step t =
-  let events = !(t.jbuf) in
-  t.jbuf := [];
+  let events = t.jbuf in
+  t.jbuf <- [];
   match t.journal with
   | Some w when events <> [] ->
       Journal.append w Journal.Step
@@ -548,98 +494,80 @@ let cancel t =
 
 let create ~analyzer ~heuristic ?(config = default_config) ?(trace = Trace.null) ?journal
     ?initial_tree ~net ~prop () =
+  if Box.dim prop.Prop.input <> Network.input_dim net then
+    invalid_arg "Engine.create: property dimension does not match the network";
   let tree = match initial_tree with None -> Tree.create () | Some t -> Tree.copy t in
   let t =
-    make ~analyzer ~heuristic ~config ~trace ~tree ~net ~prop ~started:(Clock.monotonic ())
-      ~counters:Trace.empty_aggregate
+    {
+      analyzer;
+      heuristic;
+      config;
+      trace;
+      net;
+      prop;
+      tree;
+      frontier = Frontier.create config.strategy;
+      started = Clock.monotonic ();
+      current_node = -1;
+      counters = Trace.empty_aggregate;
+      bases = Hashtbl.create 64;
+      certs = Hashtbl.create 64;
+      journal = None;
+      jbuf = [];
+      finished = None;
+    }
   in
+  t.analyzer <- harden t analyzer;
   List.iter (fun n -> Frontier.push t.frontier ~priority:(Tree.lb n) n) (Tree.leaves tree);
-  attach_journal t ~fresh_run:true journal;
+  Option.iter (fun w -> attach t w ~start:(start_payload t) ~steps:[]) journal;
   t
 
+let degrade t analyzer =
+  t.analyzer <- harden t analyzer;
+  Hashtbl.reset t.bases
+
 (* ------------------------------------------------------------------ *)
-(* Resume: rebuild from the run's Checkpoint frame, then replay the Step
-   frames after it. *)
+(* Resume: [create] from the run's Checkpoint frame, then replay the
+   Step frames after it. *)
 
 let fail fmt = Printf.ksprintf (fun s -> failwith ("Engine.resume: " ^ s)) fmt
 
-(* Whether a terminal [Exhausted] state resumes the search: only with a
-   budget other than the recorded one and live frontier nodes, so a run
-   that ran out of budget can be granted more and continued. *)
-let continue_exhausted t ~budget_overridden = budget_overridden && Frontier.length t.frontier > 0
+(* The strategy, budget and initial tree of a Checkpoint payload, which
+   holds exactly those lines in [start_payload]'s order: any other key,
+   such as the frontier or counters a build with mid-run checkpoints
+   wrote, makes the journal unreadable rather than misread. *)
+let parse_start payload =
+  let field key line =
+    let prefix = key ^ ": " in
+    if String.starts_with ~prefix line then
+      String.sub line (String.length prefix) (String.length line - String.length prefix)
+    else fail "expected the checkpoint field %S, found %S" key line
+  in
+  let number of_string key line =
+    let v = field key line in
+    match of_string v with Some n -> n | None -> fail "%s %S is not a number" key v
+  in
+  match String.split_on_char '\n' payload with
+  | strategy :: calls :: seconds :: "tree:" :: tree ->
+      let strategy =
+        let s = field "strategy" strategy in
+        match Frontier.strategy_of_string s with Some st -> st | None -> fail "unknown strategy %S" s
+      in
+      ( strategy,
+        {
+          max_analyzer_calls = number int_of_string_opt "max_calls" calls;
+          max_seconds = number float_of_string_opt "max_seconds" seconds;
+        },
+        Tree.of_string (String.concat "\n" tree) )
+  | _ -> fail "a checkpoint is strategy, max_calls and max_seconds lines, then tree:"
 
-(* The engine a Checkpoint payload describes.  A terminal run re-derives
-   its artifact through [artifact_of]: a [Disproved] artifact needs only
-   the recorded counterexample, while a resumed [Proved] one has an empty
-   certificate table (leaf certificates are not checkpointed) and
-   [Cert.check_artifact] truthfully reports every leaf as missing its
-   certificate.  Returns the engine and whether [config] overrode the
-   recorded budget. *)
-let of_checkpoint ~analyzer ~heuristic ~config ~trace ~net ~prop payload =
-  let rec split_at_tree header = function
-    | "tree:" :: rest -> (header, String.concat "\n" rest)
-    | line :: rest -> (
-        match String.index_opt line ':' with
-        | Some i ->
-            let value = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
-            split_at_tree ((String.sub line 0 i, value) :: header) rest
-        | None -> fail "malformed checkpoint line %S" line)
-    | [] -> fail "missing tree section"
-  in
-  let fields, tree_text = split_at_tree [] (String.split_on_char '\n' payload) in
-  let field key =
-    match List.assoc_opt key fields with Some v -> v | None -> fail "missing field %S" key
-  in
-  let number of_string what s =
-    match of_string s with Some v -> v | None -> fail "%s %S is not a number" what s
-  in
-  let int_field key = number int_of_string_opt key (field key) in
-  let float_field key = number float_of_string_opt key (field key) in
-  let strategy =
-    let s = field "strategy" in
-    match Frontier.strategy_of_string s with Some st -> st | None -> fail "unknown strategy %S" s
-  in
-  let recorded =
-    { max_analyzer_calls = int_field "max_calls"; max_seconds = float_field "max_seconds" }
-  in
-  let budget_overridden, config =
-    match config with
-    | Some c when c.budget <> recorded -> (true, { c with strategy })
-    | Some c -> (false, { c with strategy; budget = recorded })
-    | None -> (false, { default_config with strategy; budget = recorded })
-  in
-  let elapsed = float_field "elapsed" in
-  let tree = Tree.of_string tree_text in
-  let t =
-    make ~analyzer ~heuristic ~config ~trace ~tree ~net ~prop
-      ~started:(Clock.monotonic () -. elapsed)
-      ~counters:(Trace.aggregate_of_json (field "counters"))
-  in
-  let nodes = Hashtbl.create 64 in
-  Tree.iter_nodes tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
-  let rec push_frontier = function
-    | [] -> ()
-    | [ tok ] -> fail "dangling frontier token %S" tok
-    | id :: prio :: rest ->
-        let id = number int_of_string_opt "frontier id" id in
-        let priority = number float_of_string_opt "priority" prio in
-        (match Hashtbl.find_opt nodes id with
-        | Some n -> Frontier.push t.frontier ~priority n
-        | None -> fail "frontier references unknown node %d" id);
-        push_frontier rest
-  in
-  push_frontier (List.filter (fun s -> s <> "") (String.split_on_char ' ' (field "frontier")));
-  let finish_resumed verdict = t.finished <- Some (finished_run t ~elapsed verdict) in
-  (match String.split_on_char ' ' (field "finished") with
-  | [ "running" ] -> ()
-  | [ "proved" ] -> finish_resumed Proved
-  | [ "exhausted" ] ->
-      if not (continue_exhausted t ~budget_overridden) then finish_resumed Exhausted
-  | "disproved" :: (_ :: _ as toks) ->
-      finish_resumed
-        (Disproved (Array.of_list (List.map (number float_of_string_opt "counterexample") toks)))
-  | _ -> fail "malformed finished field %S" (field "finished"));
-  (t, budget_overridden)
+(* Whether a replayed [exhausted] verdict resumes the search: only under
+   a budget other than the recorded one, with frontier nodes left, and
+   with no Stuck node in the run — a stuck node was popped and never
+   split, so continuing could finish [Proved] over a leaf nothing
+   verified. *)
+let continue_exhausted t ~budget_overridden =
+  budget_overridden && Frontier.length t.frontier > 0 && t.counters.Trace.stuck = 0
 
 type resume_info = {
   replayed_steps : int;
@@ -648,17 +576,18 @@ type resume_info = {
   dropped_bytes : int;
 }
 
-(* Re-apply one journaled step's events to an engine resumed from the
-   run's checkpoint.  Replay is pure bookkeeping — no analyzer or LP
-   runs: the journal records what the original run computed, every
-   event advances the counters through [Trace.count] exactly as it did
-   live, and the tree and frontier evolve exactly as they did live
+(* Re-apply one journaled step's events to the engine [create] built from
+   the run's Checkpoint.  Replay is pure bookkeeping — no analyzer or LP
+   runs: the journal records what the original run computed, every event
+   advances the counters through [Trace.count] exactly as it did live,
+   and the tree and frontier evolve exactly as they did live
    ({!Tree.of_string} restores the id counter, so replayed splits mint
    the same child ids).  The run clock moves back by each replayed
    analyzer call's seconds, so a resumed run does not regain time it
-   spent, and a replayed verdict takes the elapsed time it recorded.
-   Any divergence raises [Failure]: a diverging journal means the config
-   fingerprint lied, and the caller turns it into [Error]. *)
+   spent, and a replayed verdict takes the elapsed time it recorded.  A
+   replayed [exhausted] verdict the run continues past leaves the engine
+   running.  Any divergence raises [Failure]: a diverging journal means
+   the config fingerprint lied, and the caller turns it into [Error]. *)
 let replay_events t ~nodes ~budget_overridden events =
   let find_node id =
     match Hashtbl.find_opt nodes id with
@@ -668,8 +597,8 @@ let replay_events t ~nodes ~budget_overridden events =
   let last_lb = ref neg_infinity in
   List.iter
     (fun ev ->
-      if t.finished <> None then fail "journal has events after the terminal verdict";
-      t.counters := Trace.count !(t.counters) ev;
+      if t.counters.Trace.verdict <> None then fail "journal has events after the terminal verdict";
+      t.counters <- Trace.count t.counters ev;
       match ev with
       | Trace.Dequeued { node; depth = _; frontier } -> (
           let now = Frontier.length t.frontier in
@@ -713,6 +642,14 @@ let replay_events t ~nodes ~budget_overridden events =
 
 let resume ~analyzer ~heuristic ?config ?(trace = Trace.null) ?journal ~net ~prop data =
   let recovery = Journal.scan data in
+  let info ~replayed_steps ~replayed_calls =
+    {
+      replayed_steps;
+      replayed_calls;
+      valid_bytes = recovery.Journal.valid_bytes;
+      dropped_bytes = recovery.Journal.dropped_bytes;
+    }
+  in
   match Journal.last_run recovery.Journal.records with
   | [] -> Error "Engine.resume: no valid journal frames"
   | first :: rest -> (
@@ -724,47 +661,49 @@ let resume ~analyzer ~heuristic ?config ?(trace = Trace.null) ?journal ~net ~pro
                 "config fingerprint mismatch — the journal was written for a different network or \
                  property"
         | Journal.Step | Journal.Checkpoint -> fail "journal has no run header");
-        let parse_step (r : Journal.record) =
-          match r.kind with
-          | Journal.Step ->
-              List.filter_map
-                (fun line ->
-                  if String.trim line = "" then None else Some (Trace.event_of_json line))
-                (String.split_on_char '\n' r.payload)
-          | Journal.Header | Journal.Checkpoint ->
-              fail "%s frame after the run's Checkpoint" (Journal.kind_name r.kind)
-        in
-        let (t, budget_overridden), steps =
-          match rest with
-          | [] ->
-              (* Killed before the Checkpoint frame landed: start fresh
-                 (nothing had happened yet). *)
-              ((create ~analyzer ~heuristic ?config ~trace ~net ~prop (), false), [])
-          | { Journal.kind = Journal.Checkpoint; payload } :: steps ->
-              ( of_checkpoint ~analyzer ~heuristic ~config ~trace ~net ~prop payload,
-                List.map parse_step steps )
-          | _ :: _ -> fail "the run's Header is not followed by its Checkpoint"
-        in
-        let nodes = Hashtbl.create 64 in
-        Tree.iter_nodes t.tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
-        let calls_before = calls t in
-        List.iter (replay_events t ~nodes ~budget_overridden) steps;
-        attach_journal t ~fresh_run:false journal;
-        ( t,
-          {
-            replayed_steps = List.length steps;
-            replayed_calls = calls t - calls_before;
-            valid_bytes = recovery.Journal.valid_bytes;
-            dropped_bytes = recovery.Journal.dropped_bytes;
-          } )
+        match rest with
+        | [] ->
+            (* Killed before the Checkpoint frame landed: start fresh
+               (nothing had happened yet). *)
+            ( create ~analyzer ~heuristic ?config ~trace ?journal ~net ~prop (),
+              info ~replayed_steps:0 ~replayed_calls:0 )
+        | { Journal.kind = Journal.Checkpoint; payload } :: steps ->
+            let strategy, recorded, tree = parse_start payload in
+            let budget_overridden, config =
+              match config with
+              | Some c when c.budget <> recorded -> (true, { c with strategy })
+              | Some c -> (false, { c with strategy; budget = recorded })
+              | None -> (false, { default_config with strategy; budget = recorded })
+            in
+            let t = create ~analyzer ~heuristic ~config ~trace ~initial_tree:tree ~net ~prop () in
+            let start = start_payload t in
+            let nodes = Hashtbl.create 64 in
+            Tree.iter_nodes t.tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
+            List.iter
+              (fun (r : Journal.record) ->
+                match r.kind with
+                | Journal.Step ->
+                    replay_events t ~nodes ~budget_overridden
+                      (List.filter_map
+                         (fun line ->
+                           if String.trim line = "" then None else Some (Trace.event_of_json line))
+                         (String.split_on_char '\n' r.payload))
+                | Journal.Header | Journal.Checkpoint ->
+                    fail "%s frame after the run's Checkpoint" (Journal.kind_name r.kind))
+              steps;
+            (* The copy leaves out the budget-exhausted terminal Step the
+               run continued past: it holds only that verdict. *)
+            let continued = t.finished = None && t.counters.Trace.verdict <> None in
+            let copied =
+              List.filteri (fun i _ -> not (continued && i = List.length steps - 1)) steps
+            in
+            Option.iter
+              (fun w ->
+                attach t w ~start ~steps:(List.map (fun (r : Journal.record) -> r.payload) copied))
+              journal;
+            (t, info ~replayed_steps:(List.length steps) ~replayed_calls:(calls t))
+        | _ :: _ -> fail "the run's Header is not followed by its Checkpoint"
       with
       | result -> Ok result
       | exception Failure msg -> Error msg
       | exception Invalid_argument msg -> Error ("Engine.resume: " ^ msg))
-
-let degrade t analyzer =
-  let snapshot = Buffer.create 4096 in
-  checkpoint t (Journal.to_buffer snapshot);
-  Result.map fst
-    (resume ~analyzer ~heuristic:t.heuristic ~config:t.config ~trace:t.trace ?journal:t.journal
-       ~net:t.net ~prop:t.prop (Buffer.contents snapshot))

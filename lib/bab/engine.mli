@@ -5,8 +5,8 @@
     frontier of unbounded leaves, counters — and {!step} processes
     exactly one frontier node: dequeue, bound with the analyzer, then
     verify / report a counterexample / branch.  Callers can drive the
-    loop themselves (interleaving verification with other work,
-    checkpointing, or cancelling via {!cancel}); {!run} steps to
+    loop themselves (interleaving verification with other work, or
+    cancelling via {!cancel}); {!run} steps to
     completion.  [Bab.verify] is a thin wrapper over [create] + [run]
     and keeps the historical interface.
 
@@ -46,8 +46,9 @@ type stats = {
   tree_leaves : int;
   elapsed_seconds : float;
   analyzer_seconds : float;
-      (** wall-clock spent inside analyzer calls, via the
-          {!Ivan_analyzer.Analyzer.instrument} hook *)
+      (** wall-clock spent inside analyzer calls, each timed around
+          the hardened analyzer, so retries, degraded attempts and a
+          call that raised count too *)
   max_frontier : int;  (** largest frontier observed at a dequeue *)
   max_depth : int;  (** deepest node dequeued *)
   heuristic_failures : int;
@@ -67,8 +68,8 @@ type stats = {
       (** warm-start attempts that fell back to an internal cold solve *)
   lp_cold_solves : int;
       (** node LP solves that never attempted a warm start (root node,
-          resumed checkpoints, a parent that solved no LP, an analyzer
-          built with [~warm:false]) *)
+          the first solves after a resume or {!degrade}, a parent that
+          solved no LP, an analyzer built with [~warm:false]) *)
   lp_pivots : int;  (** total simplex pivots across all node LP solves *)
   certs_emitted : int;
       (** verified leaves whose certificate passed the emission-time
@@ -128,7 +129,7 @@ val create :
 
     [journal], when supplied, turns on write-ahead journaling: a Header
     frame with the run's config fingerprint and a Checkpoint frame of
-    the state the run starts from (its initial tree) are appended
+    what the run starts from (strategy, budget, initial tree) are appended
     immediately, then each completed step appends exactly one Step
     frame (the step's trace events as JSONL — atomic, so a kill never
     journals half a step; the terminal step's ends in the
@@ -177,51 +178,39 @@ val frontier_length : t -> int
 
 val finished : t -> run option
 
-(** {2 Checkpoint / resume}
-
-    The write-ahead journal ({!Ivan_resilience.Journal}) is the engine's
-    only persistence format.  An engine's complete resumable state —
-    counters, budget, strategy, terminal state, frontier order, and the
-    specification tree — is one Checkpoint frame.  A journaled run is a
-    Header frame (the net/property {!fingerprint}), that one Checkpoint
-    frame for the state it starts from, and its Step frames; a
-    standalone checkpoint is the same journal without Steps.  The analyzer,
-    heuristic, network, property, trace sink and the rest of the
-    {!config} are code rather than state and are supplied again at
-    {!resume} time; the
-    resumed engine continues exactly where the state was taken (the
-    elapsed-time clock resumes from the recorded value).
-
-    Parked warm-start bases are deliberately {e not} persisted — they
-    are a performance cache, not verification state — so the first LP
-    solve of each resumed frontier node runs cold and the search
-    proceeds identically otherwise.  Nor are leaf certificates: leaves
-    verified before the checkpoint have no certificate in the resumed
-    run, so a resumed [Proved] artifact fails
-    {!Ivan_cert.Cert.check_artifact} with those leaves reported missing
-    — certification honestly requires an uninterrupted run. *)
-
-val checkpoint : t -> Ivan_resilience.Journal.writer -> unit
-(** Append the engine's current state as a new run: a Header frame and
-    a Checkpoint frame.  Safe at any point, including after completion
-    (resuming a terminal checkpoint yields an engine whose {!finished}
-    run is already set).  For a standalone snapshot, write into
-    {!Ivan_resilience.Journal.to_buffer}. *)
-
 (** {2 Resume}
 
-    Recovery after a kill or from a snapshot:
-    {!Ivan_resilience.Journal.scan} truncates the journal to its valid
-    frame prefix, the engine is rebuilt from the run's Checkpoint frame,
-    and every Step frame after it replays as pure bookkeeping — no
+    The write-ahead journal ({!Ivan_resilience.Journal}) is the engine's
+    only persistence format.  A journaled run is a Header frame (the
+    net/property {!fingerprint}), one Checkpoint frame of what the run
+    starts from — its strategy, its budget and its initial specification
+    tree — and one Step frame per completed step.  Nothing else is
+    state: the frontier is the initial tree's leaves, pushed as {!create}
+    pushes them, the counters start at zero, and the Steps carry the
+    rest.  The analyzer, heuristic, network, property, trace sink and
+    the rest of the {!config} are code rather than state and are
+    supplied again at {!resume} time.
+
+    Recovery after a kill: {!Ivan_resilience.Journal.scan} truncates the
+    journal to its valid frame prefix, {!create} builds the engine from
+    the Checkpoint, and every Step frame replays as pure bookkeeping — no
     analyzer or LP calls: the tree, frontier, counters and run clock
     advance as the original run's trace says they did, and a terminal
     step's verdict, counterexample included, ends the resumed run.  Only
     the step in flight when the process died is lost (its Step frame
-    never landed); no node whose Step frame landed is analyzed again. *)
+    never landed); no node whose Step frame landed is analyzed again.
+
+    Parked warm-start bases are deliberately {e not} journaled — they
+    are a performance cache, not verification state — so the first LP
+    solve of each resumed frontier node runs cold and the search
+    proceeds identically otherwise.  Nor are leaf certificates: leaves
+    verified before the kill have no certificate in the resumed run, so
+    a resumed [Proved] artifact fails {!Ivan_cert.Cert.check_artifact}
+    with those leaves reported missing — certification honestly
+    requires an uninterrupted run. *)
 
 type resume_info = {
-  replayed_steps : int;  (** Step frames replayed onto the checkpoint *)
+  replayed_steps : int;  (** Step frames replayed onto the initial tree *)
   replayed_calls : int;  (** analyzer calls those steps recorded *)
   valid_bytes : int;  (** journal prefix accepted by recovery *)
   dropped_bytes : int;  (** torn / corrupt tail bytes discarded *)
@@ -237,40 +226,41 @@ val resume :
   prop:Ivan_spec.Prop.t ->
   string ->
   (t * resume_info, string) result
-(** Rebuild an engine from raw journal bytes — a journal written by
-    {!create}'s [journal] or a {!checkpoint} — taking the newest run in
-    them, per {!Ivan_resilience.Journal.last_run}, which must be a Header,
-    one Checkpoint and Step frames.  The Header
-    fingerprint must match [net]/[prop]: resuming against the wrong
-    problem is an [Error], as is a truncated, corrupt or otherwise
-    malformed state and any replay divergence, so stale state can never
-    silently corrupt a verdict.  No parse exception escapes.
+(** Rebuild an engine from raw journal bytes written through {!create}'s
+    [journal], taking the newest run in them, per
+    {!Ivan_resilience.Journal.last_run}, which must be a Header, one
+    Checkpoint and Step frames.  The Header fingerprint must match
+    [net]/[prop]: resuming against the wrong problem is an [Error], as
+    is a truncated, corrupt or otherwise malformed Checkpoint (one with
+    any field besides the strategy, budget and tree included) and any
+    replay divergence, so stale state can never silently corrupt a
+    verdict.  No parse exception escapes.
 
     The recorded strategy and budget govern, except that a [config]
     whose budget differs from the recorded one overrides it (e.g. to
     grant a resumed run more time); the rest of [config] (default
-    {!default_config}) applies as given.  All other recorded state —
-    counters, frontier, tree — is taken from the checkpoint and the
-    replayed steps.  Terminal
-    states stay terminal, with one exception: an [Exhausted] state
-    resumed with an overriding budget and a non-empty frontier continues
-    the search, so a run that ran out of budget can be granted more and
-    continued.  When the journal died before its Checkpoint frame
-    landed, the run starts fresh under [config].
+    {!default_config}) applies as given.  Terminal states stay terminal,
+    with one exception: an [Exhausted] run resumed with an overriding
+    budget continues the search when its frontier still holds nodes and
+    no node ended it {!Trace.Stuck} (that node left the frontier
+    unverified, so continuing could prove the property over it).  When
+    the journal died before its Checkpoint frame landed, the run starts
+    fresh under [config].
 
-    [journal], when supplied, continues journaling.  Into an empty sink
-    the resumed engine writes a Header and a Checkpoint of the resumed
-    state, then its Step frames; into a non-empty one (the run's own
-    journal) only further Step frames.  To continue into the file the
+    [journal], when supplied, receives a copy of the run: a Header, the
+    Checkpoint with the budget now in force, and the replayed Step
+    frames — less the terminal [exhausted] Step a budget override
+    continued past — and then the resumed engine's own Steps, so the
+    sink alone resumes the whole run.  To continue into the file the
     bytes came from, read it fully before opening it as the new sink —
     {!Ivan_resilience.Journal.open_file} truncates. *)
 
-val degrade : t -> Ivan_analyzer.Analyzer.t -> (t, string) result
-(** The engine's current state continued on another analyzer: a
-    {!checkpoint} into a buffer, {!resume}d with the engine's own
-    heuristic, config, trace sink, journal, network and property, so the
-    fingerprint check stays on this path.  With a journal attached, the
-    resumed engine appends only further Step frames to it. *)
+val degrade : t -> Ivan_analyzer.Analyzer.t -> unit
+(** Continue the run on another analyzer, hardened by [config.policy]
+    as {!create} hardens its own.  The tree, frontier, counters, run
+    clock, journal and admitted certificates carry on; the parked
+    warm-start bases, which belong to the old analyzer's LPs, are
+    dropped. *)
 
 val fingerprint : net:Ivan_nn.Network.t -> prop:Ivan_spec.Prop.t -> string
 (** The config digest stored in journal Header frames: an MD5 hex digest

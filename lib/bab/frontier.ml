@@ -70,12 +70,8 @@ let heap_pop h =
     Some v
   end
 
-(* Every representation stores the push priority alongside the item so a
-   frontier can be serialized ({!elements}) and rebuilt exactly. *)
-type 'a repr =
-  | Queue of (float * 'a) Queue.t
-  | Stack of (float * 'a) list ref
-  | Heap of 'a heap
+(* Only the heap stores the push priority. *)
+type 'a repr = Queue of 'a Queue.t | Stack of 'a list ref | Heap of 'a heap
 
 type 'a t = { repr : 'a repr; mutable count : int; mutable seq : int }
 
@@ -97,8 +93,8 @@ let push t ~priority x =
      tree) sort first: nothing is known about them yet. *)
   let priority = if Float.is_nan priority then neg_infinity else priority in
   (match t.repr with
-  | Queue q -> Queue.add (priority, x) q
-  | Stack s -> s := (priority, x) :: !s
+  | Queue q -> Queue.add x q
+  | Stack s -> s := x :: !s
   | Heap h -> heap_push h (priority, t.seq, x));
   t.seq <- t.seq + 1;
   t.count <- t.count + 1
@@ -106,18 +102,9 @@ let push t ~priority x =
 let pop t =
   let popped =
     match t.repr with
-    | Queue q -> if Queue.is_empty q then None else Some (snd (Queue.pop q))
-    | Stack s -> ( match !s with [] -> None | (_, x) :: rest -> s := rest; Some x)
+    | Queue q -> Queue.take_opt q
+    | Stack s -> ( match !s with [] -> None | x :: rest -> s := rest; Some x)
     | Heap h -> heap_pop h
   in
   (match popped with Some _ -> t.count <- t.count - 1 | None -> ());
   popped
-
-let elements t =
-  match t.repr with
-  | Queue q -> List.rev (Queue.fold (fun acc e -> e :: acc) [] q)
-  | Stack s -> List.rev !s
-  | Heap h ->
-      let entries = Array.sub h.arr 0 h.len in
-      Array.sort (fun (p1, s1, _) (p2, s2, _) -> compare (p1, s1) (p2, s2)) entries;
-      Array.to_list (Array.map (fun (p, _, x) -> (p, x)) entries)

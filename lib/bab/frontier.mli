@@ -36,9 +36,3 @@ val pop : 'a t -> 'a option
 val is_empty : 'a t -> bool
 
 val length : 'a t -> int
-
-val elements : 'a t -> (float * 'a) list
-(** The frontier's (priority, item) pairs in re-push order: feeding them
-    back to {!push} on a fresh frontier of the same strategy reproduces
-    the original pop order exactly.  The frontier is not modified.  Used
-    by the engine's checkpoint serialization. *)

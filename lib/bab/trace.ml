@@ -363,48 +363,6 @@ let count acc ev =
 
 let aggregate events = List.fold_left count empty_aggregate events
 
-(* A missing verdict is written as the empty string, which no [Verdict]
-   event carries. *)
-let aggregate_to_json a =
-  Printf.sprintf
-    ({|{"events":%d,"analyzer_calls":%d,"analyzer_seconds":%s,"branchings":%d,"pruned":%d,|}
-    ^^ {|"stuck":%d,"retries":%d,"fallbacks":%d,"absorbed":%d,"max_frontier":%d,"max_depth":%d,|}
-    ^^ {|"lp_warm_hits":%d,"lp_warm_misses":%d,"lp_cold_solves":%d,"lp_pivots":%d,|}
-    ^^ {|"lp_factor_pivots":%d,"lp_hit_pivots":%d,"lp_hit_solves":%d,"certified":%d,|}
-    ^^ {|"certs_unavailable":%d,"cert_exact_checks":%d,"verdict":%S}|})
-    a.events a.analyzer_calls (float_token a.analyzer_seconds) a.branchings a.pruned a.stuck
-    a.retries a.fallbacks a.absorbed a.max_frontier a.max_depth a.lp_warm_hits a.lp_warm_misses
-    a.lp_cold_solves a.lp_pivots a.lp_factor_pivots a.lp_hit_pivots a.lp_hit_solves a.certified
-    a.certs_unavailable a.cert_exact_checks
-    (Option.value a.verdict ~default:"")
-
-let aggregate_of_json line =
-  let str, int, float, _ = accessors line in
-  {
-    events = int "events";
-    analyzer_calls = int "analyzer_calls";
-    analyzer_seconds = float "analyzer_seconds";
-    branchings = int "branchings";
-    pruned = int "pruned";
-    stuck = int "stuck";
-    retries = int "retries";
-    fallbacks = int "fallbacks";
-    absorbed = int "absorbed";
-    max_frontier = int "max_frontier";
-    max_depth = int "max_depth";
-    lp_warm_hits = int "lp_warm_hits";
-    lp_warm_misses = int "lp_warm_misses";
-    lp_cold_solves = int "lp_cold_solves";
-    lp_pivots = int "lp_pivots";
-    lp_factor_pivots = int "lp_factor_pivots";
-    lp_hit_pivots = int "lp_hit_pivots";
-    lp_hit_solves = int "lp_hit_solves";
-    certified = int "certified";
-    certs_unavailable = int "certs_unavailable";
-    cert_exact_checks = int "cert_exact_checks";
-    verdict = (match str "verdict" with "" -> None | v -> Some v);
-  }
-
 let pp_aggregate fmt a =
   Format.fprintf fmt "%d calls (%.3fs in analyzer), %d splits, frontier peak %d, depth %d"
     a.analyzer_calls a.analyzer_seconds a.branchings a.max_frontier a.max_depth;

@@ -144,11 +144,4 @@ val aggregate : event list -> aggregate
 (** [List.fold_left count empty_aggregate].  On a full engine trace this
     reproduces the run's {!Engine.stats} counters exactly. *)
 
-val aggregate_to_json : aggregate -> string
-(** One-line JSON object, floats round-tripped exactly (the engine's
-    checkpoint payload stores its counters this way). *)
-
-val aggregate_of_json : string -> aggregate
-(** Inverse of {!aggregate_to_json}.  @raise Failure on malformed input. *)
-
 val pp_aggregate : Format.formatter -> aggregate -> unit

@@ -15,9 +15,10 @@
       problem;
     - [Step] carries one engine step's trace events (one frame per
       step, so a step is journaled atomically or not at all);
-    - [Checkpoint] carries the engine's full resumable state, folding
-      the whole prefix — recovery restores from the newest one and
-      replays only the [Step] frames after it.
+    - [Checkpoint], one per run right after its [Header], carries what
+      the run starts from (strategy, budget, initial specification
+      tree) — recovery builds the engine from it and replays every
+      [Step] frame after it.
 
     The journal layer itself is engine-agnostic: payloads are opaque
     strings, and the framing never raises on malformed input. *)

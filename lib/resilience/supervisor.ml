@@ -21,7 +21,6 @@ let escalation_to_string = function
 
 type outcome = {
   run : Engine.run;
-  engine : Engine.t;
   escalations : escalation list;
   checks : int;
   peak_major_words : float;
@@ -29,14 +28,13 @@ type outcome = {
 
 let major_words () = float_of_int (Gc.quick_stat ()).Gc.heap_words
 
-let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) engine0 =
+let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) engine =
   if limits.check_every <= 0 then invalid_arg "Supervisor.supervise: check_every must be positive";
   let fallbacks =
     match fallbacks with
     | Some l -> l
     | None -> [ Analyzer.deeppoly (); Analyzer.interval () ]
   in
-  let engine = ref engine0 in
   let ladder = ref fallbacks in
   let escalations = ref [] in
   let checks = ref 0 in
@@ -44,22 +42,6 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) engine0 =
   let record e =
     escalations := e :: !escalations;
     on_escalation e
-  in
-  (* One degradation rung, or why the run must be cancelled instead: the
-     ladder is exhausted, or a checkpoint the engine just wrote failed to
-     resume — a bug, but the watchdog's job is to stay alive. *)
-  let escalate reason =
-    match !ladder with
-    | [] -> Error (reason ^ ", ladder exhausted")
-    | a :: rest -> (
-        ladder := rest;
-        match Engine.degrade !engine a with
-        | Ok e ->
-            engine := e;
-            record (Degraded { analyzer = a.Analyzer.name; reason });
-            Ok ()
-        | Error msg ->
-            Error (Printf.sprintf "%s, degrading to %s failed: %s" reason a.Analyzer.name msg))
   in
   let watchdog () =
     incr checks;
@@ -81,16 +63,20 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) engine0 =
       end
       else
         let reason = Printf.sprintf "heap %.0f words over %.0f" after limits.max_major_words in
-        match escalate reason with
-        | Ok () -> None
-        | Error reason ->
-            record (Cancelled { reason });
-            Some (Engine.cancel !engine)
+        match !ladder with
+        | a :: rest ->
+            ladder := rest;
+            Engine.degrade engine a;
+            record (Degraded { analyzer = a.Analyzer.name; reason });
+            None
+        | [] ->
+            record (Cancelled { reason = reason ^ ", ladder exhausted" });
+            Some (Engine.cancel engine)
     end
   in
   let steps_since = ref 0 in
   let rec loop () =
-    match Engine.step !engine with
+    match Engine.step engine with
     | Engine.Finished run -> run
     | Engine.Running ->
         incr steps_since;
@@ -103,7 +89,6 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) engine0 =
   let run = loop () in
   {
     run;
-    engine = !engine;
     escalations = List.rev !escalations;
     checks = !checks;
     peak_major_words = !peak;

@@ -8,12 +8,11 @@
 
     + every breach first tries [Gc.compact] (the cheap fix: most of the
       engine's garbage is short-lived analyzer state);
-    + then the engine is checkpointed and resumed with the next,
-      cheaper analyzer from the fallback ladder ({!Engine.degrade}),
-      with its trace sink, journal and config unchanged, which both
+    + then the engine continues in place on the next, cheaper analyzer
+      from the fallback ladder ({!Engine.degrade}), with its tree,
+      frontier, trace sink, journal and config unchanged, which both
       shrinks the working set and speeds up the remaining nodes;
-    + and with the ladder exhausted (or a degradation failed), the run
-      ends via [Engine.cancel]: a clean [Exhausted] verdict with the
+    + and with the ladder exhausted, the run ends via [Engine.cancel]: a clean [Exhausted] verdict with the
       journal flushed, never a crash.  Every Step frame is flushed as it
       is written, so the journal needs no extra frame to resume.
 
@@ -42,7 +41,7 @@ type escalation =
   | Compacted of { reason : string; freed_words : float }
       (** a [Gc.compact] absorbed a memory breach *)
   | Degraded of { analyzer : string; reason : string }
-      (** the run was checkpointed and resumed onto a cheaper analyzer *)
+      (** the run continued on a cheaper analyzer *)
   | Cancelled of { reason : string }
       (** budgets stayed breached: the run was ended cleanly *)
 
@@ -50,9 +49,6 @@ val escalation_to_string : escalation -> string
 
 type outcome = {
   run : Engine.run;
-  engine : Engine.t;
-      (** the engine that finished — not the input engine if a
-          degradation rebuilt it mid-run *)
   escalations : escalation list;  (** oldest first; [[]] = clean run *)
   checks : int;  (** watchdog checks performed *)
   peak_major_words : float;  (** largest heap sample observed *)
@@ -67,7 +63,7 @@ val supervise :
 (** Drive the engine to completion under [limits].  [fallbacks] is the
     degradation ladder, tried in order (default
     [[Analyzer.deeppoly (); Analyzer.interval ()]]); each rung is an
-    {!Engine.degrade}, which keeps the engine's heuristic, config, trace
-    sink and journal.  When the engine journals, the degraded engine
-    keeps appending Step frames to the same run, so a kill at any
-    escalation point still resumes. *)
+    {!Engine.degrade} of the engine itself, which keeps its heuristic,
+    config, trace sink and journal.  When the engine journals, it keeps
+    appending Step frames to the same run, so a kill at any escalation
+    point still resumes. *)

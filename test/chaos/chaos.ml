@@ -9,12 +9,13 @@ type workload = {
   analyzer : unit -> Analyzer.t;
   heuristic : Ivan_bab.Heuristic.t;
   config : Engine.config;
+  initial_tree : Ivan_spectree.Tree.t option;
   compare_lp : bool;
 }
 
-let workload ~name ~net ~prop ~analyzer ~heuristic ?(config = Engine.default_config)
+let workload ~name ~net ~prop ~analyzer ~heuristic ?(config = Engine.default_config) ?initial_tree
     ?(compare_lp = true) () =
-  { name; net; prop; analyzer; heuristic; config; compare_lp }
+  { name; net; prop; analyzer; heuristic; config; initial_tree; compare_lp }
 
 type golden = { run : Engine.run; journal : string; boundaries : (int * int) list }
 
@@ -36,7 +37,7 @@ let golden w =
   in
   let e =
     Engine.create ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~config:w.config ~journal:jw
-      ~net:w.net ~prop:w.prop ()
+      ?initial_tree:w.initial_tree ~net:w.net ~prop:w.prop ()
   in
   eng := Some e;
   let run = Engine.run e in
@@ -126,8 +127,8 @@ let compare_runs w (g : Engine.run) (r : Engine.run) =
 
 let fresh_run w =
   Engine.run
-    (Engine.create ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~config:w.config ~net:w.net
-       ~prop:w.prop ())
+    (Engine.create ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~config:w.config
+       ?initial_tree:w.initial_tree ~net:w.net ~prop:w.prop ())
 
 let resume ?journal w bytes =
   Engine.resume ~analyzer:(w.analyzer ()) ~heuristic:w.heuristic ~config:w.config ?journal
@@ -178,12 +179,17 @@ let trial w g bytes =
 let second_life_steps = 8
 
 (* Kill, resume into a second journal, kill that mid-run, resume again:
-   recovery must compose. *)
+   recovery must compose, and neither resume may redo a call whose Step
+   frame landed.  Every step flushes its frame, so the second journal
+   holds exactly the calls the first resumed engine had made when it was
+   abandoned. *)
 let double_kill_trial w g =
   let n = List.length g.boundaries in
   if n < 2 then ([], false, 0)
   else
-    let k1 = max 1 (n / 3) in
+    (* The first life keeps the Header, the Checkpoint and at least one
+       Step frame when the run wrote one. *)
+    let k1 = min n (max 3 (n / 3)) in
     let bytes1 = String.sub g.journal 0 (fst (List.nth g.boundaries (k1 - 1))) in
     if
       not
@@ -195,19 +201,28 @@ let double_kill_trial w g =
       let buf2 = Buffer.create 4096 in
       match resume ~journal:(Journal.to_buffer buf2) w bytes1 with
       | Error msg -> ([ Printf.sprintf "first resume failed: %s" msg ], false, 0)
-      | Ok (e, _) ->
+      | Ok (e, info) ->
+          let rework1 = calls_at g info.Engine.valid_bytes - Engine.calls e in
           (* Let the resumed run make some progress, then abandon it —
              the second kill.  Its journal lives on in [buf2]. *)
           let rec step_n i =
             if i > 0 then match Engine.step e with Engine.Running -> step_n (i - 1) | _ -> ()
           in
           step_n second_life_steps;
-          let bytes2 = Buffer.contents buf2 in
-          (match resume w bytes2 with
+          let durable = Engine.calls e in
+          (match resume w (Buffer.contents buf2) with
           | Error msg -> ([ Printf.sprintf "second resume failed: %s" msg ], true, 0)
           | Ok (e2, _) ->
+              let rework2 = durable - Engine.calls e2 in
+              let errs =
+                List.filter_map
+                  (fun (life, rework) ->
+                    if rework = 0 then None
+                    else Some (Printf.sprintf "%s resume: %d calls redone or invented" life rework))
+                  [ ("first", rework1); ("second", rework2) ]
+              in
               let run = Engine.run e2 in
-              (compare_runs w g.run run, true, 0))
+              (errs @ compare_runs w g.run run, true, max 0 rework1 + max 0 rework2))
 
 let frame_starts g =
   let ends = List.map fst g.boundaries in

@@ -33,6 +33,9 @@ type workload = {
       (** fresh analyzer per run, so no solver state leaks across trials *)
   heuristic : Ivan_bab.Heuristic.t;
   config : Engine.config;  (** of the golden run and every resume *)
+  initial_tree : Ivan_spectree.Tree.t option;
+      (** the tree the golden run starts from, as an incremental run
+          starts from its pruned predecessor; [None] is a single root *)
   compare_lp : bool;
       (** also assert LP counters (warm-start off / LP-free workloads
           only: parked bases are not journaled, so a resumed warm run
@@ -46,10 +49,11 @@ val workload :
   analyzer:(unit -> Analyzer.t) ->
   heuristic:Ivan_bab.Heuristic.t ->
   ?config:Engine.config ->
+  ?initial_tree:Ivan_spectree.Tree.t ->
   ?compare_lp:bool ->
   unit ->
   workload
-(** Defaults: {!Engine.default_config}, [compare_lp = true]. *)
+(** Defaults: {!Engine.default_config}, a single root, [compare_lp = true]. *)
 
 type golden = {
   run : Engine.run;
@@ -78,7 +82,7 @@ val run_workload : workload -> report
     boundary, a torn tail at every byte offset of the final frame, a
     flip of every frame's first payload byte, and a double-kill chain
     (kill, resume journaling into a fresh journal, kill that one
-    mid-run, resume again). *)
+    mid-run, resume again), whose rework both resumes count. *)
 
 val run_matrix : workload list -> report
 (** {!run_workload} over a suite, with merged counts. *)

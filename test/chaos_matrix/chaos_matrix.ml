@@ -20,6 +20,7 @@ module Analyzer = Ivan_analyzer.Analyzer
 module Heuristic = Ivan_bab.Heuristic
 module Frontier = Ivan_bab.Frontier
 module Engine = Ivan_bab.Engine
+module Tree = Ivan_spectree.Tree
 
 (* The paper's running example (Fig. 2), self-contained: this
    executable builds in its own directory and cannot see test/
@@ -47,8 +48,30 @@ let prop offset =
    performance cache that is deliberately not journaled, so a resumed
    run solves colder — with [~warm:false] every LP stat is
    deterministic and must replay exactly. *)
+(* The start an incremental run journals: N's bounded tree, pruned as
+   IVAN prunes it, seeds a best-first run on N perturbed by 2%, so the
+   frontier starts from the leaves' recorded lower bounds (N: a random
+   2-8-8-1 net whose minimum over the box is about -0.37; 21 calls on N,
+   11 seeded leaves, 13 calls on the update). *)
+let seeded =
+  let n = Ivan_nn.Builder.dense_net ~rng:(Ivan_tensor.Rng.create 3) ~dims:[ 2; 8; 8; 1 ] in
+  let original =
+    Engine.run
+      (Engine.create ~analyzer:(Analyzer.zonotope ()) ~heuristic:Heuristic.input_smear ~net:n
+         ~prop:(prop 0.42) ())
+  in
+  Chaos.workload ~name:"zono/seeded-bestfirst"
+    ~net:(Ivan_nn.Perturb.random_relative ~rng:(Ivan_tensor.Rng.create 7) ~fraction:0.02 n)
+    ~prop:(prop 0.42)
+    ~analyzer:(fun () -> Analyzer.zonotope ())
+    ~heuristic:Heuristic.input_smear
+    ~config:{ Engine.default_config with strategy = Frontier.Best_first }
+    ~initial_tree:(Ivan_core.Prune.prune ~theta:0.01 original.Engine.tree)
+    ()
+
 let workloads =
   [
+    seeded;
     Chaos.workload ~name:"lp/proved" ~net ~prop:(prop 1.7)
       ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ())
       ~heuristic:Heuristic.zono_coeff ();

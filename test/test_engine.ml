@@ -265,6 +265,41 @@ let test_stuck_heuristic_accounted () =
   in
   Alcotest.(check int) "Stuck event emitted" 1 (List.length stuck_events)
 
+(* A call that raises still took its time: the node's [Analyzed] event
+   and the run's analyzer seconds carry the 20 ms this analyzer spins
+   before it fails, with no resilience policy absorbing the exception. *)
+let test_raising_call_timed () =
+  let spin_then_raise =
+    {
+      Analyzer.name = "spin-then-raise";
+      run =
+        (fun _net ~prop:_ ~box:_ ~splits:_ ->
+          let t0 = Ivan_clock.Clock.monotonic () in
+          while Ivan_clock.Clock.monotonic () -. t0 < 0.02 do
+            ()
+          done;
+          failwith "analyzer failed");
+    }
+  in
+  let no_decisions = { Heuristic.name = "none"; scores = (fun _ -> []) } in
+  let ring = Trace.ring ~capacity:16 in
+  let run =
+    Bab.verify ~analyzer:spin_then_raise ~heuristic:no_decisions ~trace:ring
+      ~net:(Fixtures.paper_net ()) ~prop:(Fixtures.paper_prop_with_offset 1.6) ()
+  in
+  Alcotest.(check int) "the fault was absorbed" 1 run.Bab.stats.Bab.faults_absorbed;
+  let seconds =
+    List.filter_map
+      (function Trace.Analyzed { seconds; _ } -> Some seconds | _ -> None)
+      (Trace.ring_contents ring)
+  in
+  match seconds with
+  | [ s ] ->
+      if s < 0.02 then Alcotest.failf "the raising call recorded %.4fs" s;
+      if run.Bab.stats.Bab.analyzer_seconds < 0.02 then
+        Alcotest.failf "the run recorded %.4fs in the analyzer" run.Bab.stats.Bab.analyzer_seconds
+  | l -> Alcotest.failf "%d Analyzed events" (List.length l)
+
 (* ------------------------------------------------------------------ *)
 (* Trace serialization *)
 
@@ -323,17 +358,13 @@ let test_event_json_roundtrip () =
 let test_aggregate_lp_and_cert_counters () =
   (* Refactorization pivots and exact certificate
      fallbacks are summed apart from simplex pivots, solves and emitted
-     certificates, and survive the aggregate's JSON round trip. *)
-  let a = Trace.aggregate sample_events in
-  let b = Trace.aggregate_of_json (Trace.aggregate_to_json a) in
-  List.iter
-    (fun (agg : Trace.aggregate) ->
-      Alcotest.(check int) "simplex pivots" 12 agg.Trace.lp_pivots;
-      Alcotest.(check int) "refactor pivots" 7 agg.Trace.lp_factor_pivots;
-      Alcotest.(check int) "certified" 1 agg.Trace.certified;
-      Alcotest.(check int) "unavailable" 1 agg.Trace.certs_unavailable;
-      Alcotest.(check int) "exact fallbacks" 1 agg.Trace.cert_exact_checks)
-    [ a; b ]
+     certificates. *)
+  let agg = Trace.aggregate sample_events in
+  Alcotest.(check int) "simplex pivots" 12 agg.Trace.lp_pivots;
+  Alcotest.(check int) "refactor pivots" 7 agg.Trace.lp_factor_pivots;
+  Alcotest.(check int) "certified" 1 agg.Trace.certified;
+  Alcotest.(check int) "unavailable" 1 agg.Trace.certs_unavailable;
+  Alcotest.(check int) "exact fallbacks" 1 agg.Trace.cert_exact_checks
 
 (* Pivots per warm hit come only from events whose solves were all warm
    hits; everything else, a mixed event's hit included, counts per other
@@ -358,13 +389,9 @@ let test_aggregate_hit_pivots () =
     ]
   in
   let a = Trace.aggregate events in
-  let b = Trace.aggregate_of_json (Trace.aggregate_to_json a) in
-  List.iter
-    (fun (agg : Trace.aggregate) ->
-      Alcotest.(check int) "hit pivots" 8 agg.Trace.lp_hit_pivots;
-      Alcotest.(check int) "hit solves" 1 agg.Trace.lp_hit_solves;
-      Alcotest.(check int) "simplex pivots unchanged" 37 agg.Trace.lp_pivots)
-    [ a; b ];
+  Alcotest.(check int) "hit pivots" 8 a.Trace.lp_hit_pivots;
+  Alcotest.(check int) "hit solves" 1 a.Trace.lp_hit_solves;
+  Alcotest.(check int) "simplex pivots unchanged" 37 a.Trace.lp_pivots;
   let line = Format.asprintf "%a" Trace.pp_aggregate a in
   let contains s sub =
     let n = String.length sub in
@@ -452,6 +479,7 @@ let suite =
     ("step loop equals run", `Quick, test_step_loop_equals_run);
     ("cancel mid-run", `Quick, test_cancel_mid_run);
     ("stuck heuristic accounted", `Quick, test_stuck_heuristic_accounted);
+    ("a raising call is timed", `Quick, test_raising_call_timed);
     ("event json roundtrip", `Quick, test_event_json_roundtrip);
     ("jsonl file roundtrip + aggregate", `Quick, test_jsonl_file_roundtrip_and_aggregate);
     ("ring capacity", `Quick, test_ring_capacity);

@@ -98,24 +98,25 @@ let vnnlib_doc =
     ^ "(assert (>= X_1 0.0))\n(assert (<= X_1 1.0))\n"
     ^ "(assert (>= (* -1.0 Y_0) 1.7))\n")
 
-(* The Checkpoint payload of a standalone checkpoint taken three steps
-   into a run. *)
+(* The Checkpoint payload a journaled run starts from, seeded, as an
+   incremental run is, with the bounded tree of an earlier run (here one
+   cut after three calls). *)
 let checkpoint_payload =
   lazy
-    (let engine =
+    (let create ?config ?journal ?initial_tree () =
        Engine.create
          ~analyzer:(Analyzer.zonotope ())
-         ~heuristic:Heuristic.input_smear ~net:(net ()) ~prop:(prop ()) ()
+         ~heuristic:Heuristic.input_smear ?config ?journal ?initial_tree ~net:(net ())
+         ~prop:(prop ()) ()
      in
-     for _ = 1 to 3 do
-       ignore (Engine.step engine)
-     done;
+     let budget = { Engine.max_analyzer_calls = 3; max_seconds = infinity } in
+     let earlier = Engine.run (create ~config:{ Engine.default_config with budget } ()) in
      let buf = Buffer.create 2048 in
-     Engine.checkpoint engine (Journal.to_buffer buf);
+     ignore (create ~journal:(Journal.to_buffer buf) ~initial_tree:earlier.Engine.tree ());
      match (Journal.scan (Buffer.contents buf)).Journal.records with
      | [ { Journal.kind = Journal.Header; _ }; { Journal.kind = Journal.Checkpoint; payload } ] ->
          payload
-     | _ -> Alcotest.fail "a checkpoint is one Header and one Checkpoint frame")
+     | _ -> Alcotest.fail "a run opens with one Header and one Checkpoint frame")
 
 let artifact_doc =
   lazy

@@ -344,6 +344,101 @@ let test_resume_keeps_run_clock () =
         Alcotest.failf "resumed run reports %.4fs elapsed, %.4fs in the analyzer" elapsed
           resumed.stats.analyzer_seconds
 
+(* Granting an exhausted run more budget, with a sink, copies the run
+   into the sink under the budget now in force, less the terminal
+   [exhausted] Step it continues past: killed after a few steps, that
+   sink alone resumes, with no config, to the verdict, tree and call
+   count of a run given the larger budget from the start. *)
+let test_resume_budget_override_into_sink () =
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.6 in
+  let budget max_analyzer_calls =
+    { Engine.default_config with budget = { Engine.max_analyzer_calls; max_seconds = infinity } }
+  in
+  let create ?journal config =
+    Engine.create ~analyzer:(Analyzer.interval ()) ~heuristic:Heuristic.input_smear ~config
+      ?journal ~net ~prop ()
+  in
+  let reference = Engine.run (create (budget 500)) in
+  let buf = Buffer.create 4096 in
+  let cut = Engine.run (create ~journal:(Journal.to_buffer buf) (budget 3)) in
+  Alcotest.(check string) "the journaled run is exhausted" "exhausted" (verdict_name cut.verdict);
+  let buf2 = Buffer.create 4096 in
+  (match
+     Engine.resume ~analyzer:(Analyzer.interval ()) ~heuristic:Heuristic.input_smear
+       ~config:(budget 500) ~journal:(Journal.to_buffer buf2) ~net ~prop (Buffer.contents buf)
+   with
+  | Error msg -> Alcotest.failf "resume with more budget failed: %s" msg
+  | Ok (engine, _) ->
+      for _ = 1 to 4 do
+        ignore (Engine.step engine)
+      done;
+      Alcotest.(check bool) "still running when killed" true (Engine.finished engine = None));
+  match
+    Engine.resume ~analyzer:(Analyzer.interval ()) ~heuristic:Heuristic.input_smear ~net ~prop
+      (Buffer.contents buf2)
+  with
+  | Error msg -> Alcotest.failf "resume of the copy failed: %s" msg
+  | Ok (engine, _) ->
+      let resumed = Engine.run engine in
+      Alcotest.(check string) "same verdict" (verdict_name reference.verdict)
+        (verdict_name resumed.verdict);
+      Alcotest.(check int) "same analyzer calls" reference.stats.analyzer_calls
+        resumed.stats.analyzer_calls;
+      Alcotest.(check string) "same tree"
+        (Ivan_spectree.Tree.to_string reference.tree)
+        (Ivan_spectree.Tree.to_string resumed.tree)
+
+(* A run a Stuck node ended is never continued: that node left the
+   frontier unanalyzed by any split, so continuing with a larger budget
+   could prove the property over it.  The analyzer cannot bound boxes
+   holding (0.3, 0.7), and the heuristic cannot branch such a box below
+   the root: the run is stuck at node 1 after two calls. *)
+let test_resume_never_continues_stuck () =
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.7 in
+  let bad box = Ivan_spec.Box.contains box (Ivan_tensor.Vec.of_list [ 0.3; 0.7 ]) in
+  let base = Analyzer.zonotope () in
+  let analyzer () =
+    {
+      base with
+      Analyzer.run =
+        (fun net ~prop ~box ~splits ->
+          let o = base.Analyzer.run net ~prop ~box ~splits in
+          if bad box then { o with Analyzer.status = Analyzer.Unknown; lb = -1.0 }
+          else { o with Analyzer.status = Analyzer.Verified; lb = Float.max o.Analyzer.lb 0.0 });
+    }
+  in
+  let root = prop.Ivan_spec.Prop.input in
+  let heuristic =
+    {
+      Heuristic.name = "stuck-below-root";
+      scores =
+        (fun ctx ->
+          if bad ctx.Heuristic.box && ctx.Heuristic.box <> root then []
+          else Heuristic.input_smear.Heuristic.scores ctx);
+    }
+  in
+  let buf = Buffer.create 4096 in
+  let journal = Journal.to_buffer buf in
+  let budget max_analyzer_calls = { Engine.max_analyzer_calls; max_seconds = infinity } in
+  let config = { Engine.default_config with budget = budget 10 } in
+  let run = Engine.run (Engine.create ~analyzer:(analyzer ()) ~heuristic ~config ~journal ~net ~prop ()) in
+  Alcotest.(check string) "the journaled run is exhausted" "exhausted" (verdict_name run.verdict);
+  Alcotest.(check int) "after two calls" 2 run.stats.analyzer_calls;
+  Alcotest.(check int) "stuck once" 1 run.stats.heuristic_failures;
+  match
+    Engine.resume ~analyzer:(analyzer ()) ~heuristic
+      ~config:{ config with budget = budget 500 }
+      ~net ~prop (Buffer.contents buf)
+  with
+  | Error msg -> Alcotest.failf "resume failed: %s" msg
+  | Ok (engine, _) ->
+      let resumed = Engine.run engine in
+      Alcotest.(check string) "a larger budget leaves it exhausted" "exhausted"
+        (verdict_name resumed.verdict);
+      Alcotest.(check int) "with no further call" 2 resumed.stats.analyzer_calls
+
 (* Same shape as the paper net, first weight tripled. *)
 let reweighted_net () =
   Network.make
@@ -386,23 +481,23 @@ let test_fingerprint_bits () =
     (Fixtures.golden_subjects ())
 
 (* Persisted state must never be resumed onto another problem, whether
-   it is a full journal or a standalone checkpoint: a different offset,
-   or a same-shape net with different weights.  The checkpoint is taken
+   it is a full journal or a killed run's prefix: a different offset,
+   or a same-shape net with different weights.  The prefix is cut
    three steps into the paper net with offset 1.6; the reweighted net
    with offset 0.2 is violated, and continuing the paper net's search
    on it would report the property proved. *)
 let test_resume_wrong_fingerprint () =
   let _net, _prop, _run, journal = journaled_run ~offset:1.7 () in
   let checkpoint =
+    let buf = Buffer.create 4096 in
     let engine =
       Engine.create ~analyzer:(Analyzer.lp_triangle ()) ~heuristic:Heuristic.zono_coeff
-        ~net:(Fixtures.paper_net ()) ~prop:(Fixtures.paper_prop_with_offset 1.6) ()
+        ~journal:(Journal.to_buffer buf) ~net:(Fixtures.paper_net ())
+        ~prop:(Fixtures.paper_prop_with_offset 1.6) ()
     in
     for _ = 1 to 3 do
       ignore (Engine.step engine)
     done;
-    let buf = Buffer.create 4096 in
-    Engine.checkpoint engine (Journal.to_buffer buf);
     Buffer.contents buf
   in
   let resume ~net ~prop bytes =
@@ -413,7 +508,7 @@ let test_resume_wrong_fingerprint () =
      resume ~net:(Fixtures.paper_net ()) ~prop:(Fixtures.paper_prop_with_offset 1.6) checkpoint
    with
   | Ok _ -> ()
-  | Error msg -> Alcotest.failf "checkpoint does not resume on its own problem: %s" msg);
+  | Error msg -> Alcotest.failf "the prefix does not resume on its own problem: %s" msg);
   List.iter
     (fun (state, bytes, offset) ->
       List.iter
@@ -426,7 +521,7 @@ let test_resume_wrong_fingerprint () =
           ("different weights", reweighted_net (), Fixtures.paper_prop_with_offset offset);
           ("different weights and offset", reweighted_net (), Fixtures.paper_prop_with_offset 0.2);
         ])
-    [ ("a full journal", journal, 1.7); ("a standalone checkpoint", checkpoint, 1.6) ]
+    [ ("a full journal", journal, 1.7); ("a journal prefix", checkpoint, 1.6) ]
 
 let test_resume_empty_journal () =
   let net = Fixtures.paper_net () in
@@ -558,6 +653,10 @@ let suite =
       test_resume_disproved_journal;
     Alcotest.test_case "resume keeps the replayed run clock" `Quick
       test_resume_keeps_run_clock;
+    Alcotest.test_case "resume with more budget copies the run into a sink" `Quick
+      test_resume_budget_override_into_sink;
+    Alcotest.test_case "resume never continues a stuck run" `Quick
+      test_resume_never_continues_stuck;
     Alcotest.test_case "resume rejects a foreign fingerprint" `Quick
       test_resume_wrong_fingerprint;
     Alcotest.test_case "fingerprint tracks weight and offset bits" `Quick

@@ -471,10 +471,15 @@ let test_two_faults_race_fallback_chain () =
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / resume *)
 
+(* A journaled run on the paper net, and its journal as a process killed
+   at that moment would leave it. *)
 let paper_engine ?config () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
-  ( Engine.create ~analyzer:lp ~heuristic:Heuristic.zono_coeff ?config ~net ~prop (),
+  let buf = Buffer.create 4096 in
+  ( Engine.create ~analyzer:lp ~heuristic:Heuristic.zono_coeff ?config
+      ~journal:(Journal.to_buffer buf) ~net ~prop (),
+    (fun () -> Buffer.contents buf),
     net,
     prop )
 
@@ -482,25 +487,19 @@ let finish engine =
   let rec go () = match Engine.step engine with Engine.Running -> go () | Engine.Finished r -> r in
   go ()
 
-(* A standalone checkpoint: one Header and one Checkpoint frame. *)
-let snapshot engine =
-  let buf = Buffer.create 4096 in
-  Engine.checkpoint engine (Journal.to_buffer buf);
-  Buffer.contents buf
-
 let resume_ok ?config ~net ~prop bytes =
   match Engine.resume ~analyzer:lp ~heuristic:Heuristic.zono_coeff ?config ~net ~prop bytes with
   | Ok (engine, _) -> engine
   | Error msg -> Alcotest.failf "resume failed: %s" msg
 
 let test_checkpoint_midrun_roundtrip () =
-  let engine, net, prop = paper_engine () in
+  let engine, snapshot, net, prop = paper_engine () in
   for _ = 1 to 3 do
     match Engine.step engine with
     | Engine.Running -> ()
     | Engine.Finished _ -> Alcotest.fail "instance finished before the checkpoint"
   done;
-  let state = snapshot engine in
+  let state = snapshot () in
   let original = finish engine in
   let resumed = finish (resume_ok ~net ~prop state) in
   Alcotest.(check bool) "same verdict" true (original.Bab.verdict = resumed.Bab.verdict);
@@ -512,9 +511,9 @@ let test_checkpoint_midrun_roundtrip () =
     (Tree.to_string resumed.Bab.tree)
 
 let test_checkpoint_terminal_roundtrip () =
-  let engine, net, prop = paper_engine () in
+  let engine, snapshot, net, prop = paper_engine () in
   let run = finish engine in
-  let restored = resume_ok ~net ~prop (snapshot engine) in
+  let restored = resume_ok ~net ~prop (snapshot ()) in
   (match Engine.finished restored with
   | Some r ->
       Alcotest.(check bool) "terminal verdict survives" true (r.Bab.verdict = run.Bab.verdict);
@@ -531,10 +530,12 @@ let test_checkpoint_terminal_roundtrip () =
    search and reaches the unrestricted run's verdict and tree. *)
 let test_checkpoint_exhausted_then_more_budget () =
   let tight = { Bab.max_analyzer_calls = 2; max_seconds = infinity } in
-  let engine, net, prop = paper_engine ~config:{ Engine.default_config with budget = tight } () in
+  let engine, snapshot, net, prop =
+    paper_engine ~config:{ Engine.default_config with budget = tight } ()
+  in
   let cut = finish engine in
   Alcotest.(check bool) "tight run exhausted" true (cut.Bab.verdict = Bab.Exhausted);
-  let state = snapshot engine in
+  let state = snapshot () in
   (* Without a budget override the recorded Exhausted verdict stands. *)
   (match Engine.finished (resume_ok ~net ~prop state) with
   | Some r -> Alcotest.(check bool) "resumed as exhausted" true (r.Bab.verdict = Bab.Exhausted)
@@ -562,6 +563,14 @@ let test_checkpoint_rejects_garbage () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
   let header = Journal.encode_frame Journal.Header (Engine.fingerprint ~net ~prop) in
+  let start = "strategy: fifo\nmax_calls: 10\nmax_seconds: inf\n" in
+  let tree = "tree:\n" ^ Tree.to_string (Tree.create ()) in
+  (match
+     Engine.resume ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop
+       (header ^ Journal.encode_frame Journal.Checkpoint (start ^ tree))
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "a start checkpoint does not resume: %s" msg);
   List.iter
     (fun bytes ->
       match Engine.resume ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop bytes with
@@ -576,6 +585,11 @@ let test_checkpoint_rejects_garbage () =
       Journal.encode_frame Journal.Checkpoint "tree:\n";
       header ^ Journal.encode_frame Journal.Checkpoint "nonsense";
       header ^ Journal.encode_frame Journal.Checkpoint "strategy: fifo\ntree:\n";
+      (* A mid-run state as earlier builds wrote it: refused, not misread. *)
+      header
+      ^ Journal.encode_frame Journal.Checkpoint
+          (start ^ "elapsed: 0\nfinished: running\nfrontier: 0 -inf\n" ^ tree);
+      header ^ Journal.encode_frame Journal.Checkpoint ("max_calls: 10\n" ^ start ^ tree);
     ]
 
 (* ------------------------------------------------------------------ *)
