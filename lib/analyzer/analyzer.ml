@@ -53,16 +53,17 @@ let concrete_status net ~prop candidate =
 
    The engine sits above the analyzer abstraction and only sees
    [outcome]s, while warm-starting needs two extra pieces of plumbing:
-   the parent node's simplex basis flowing IN to the next analyzer call,
-   and the solved node's basis plus solver statistics flowing OUT.
-   Rather than widen every analyzer signature (most analyzers never
-   touch an LP), both travel through a per-domain side channel: the
-   engine {!Warm.offer}s a hint before calling the analyzer and
-   {!Warm.collect}s the report afterwards.  Slots are domain-local
-   ([Domain.DLS]), so parallel runner workers verifying different
-   properties never see each other's bases, and both slots are consumed
-   on read, so a retry of a failed analyzer call runs cold instead of
-   reusing a hint that may have contributed to the failure. *)
+   the parent node's report (its simplex basis and DeepPoly run)
+   flowing IN to the next analyzer call, and the solved node's report
+   plus solver statistics flowing OUT.  Rather than widen every
+   analyzer signature (most analyzers never touch an LP), both travel
+   through a per-domain side channel: the engine {!Warm.offer}s the
+   parent's report before calling the analyzer and {!Warm.collect}s the
+   node's afterwards.  Slots are domain-local ([Domain.DLS]), so
+   parallel runner workers verifying different properties never see
+   each other's reports, and both slots are consumed on read, so a
+   retry of a failed analyzer call runs cold instead of reusing a hint
+   that may have contributed to the failure. *)
 
 module Warm = struct
   type lp_info = {
@@ -72,15 +73,16 @@ module Warm = struct
     pivots : int;
     factor_pivots : int;
     basis : Lp.Basis.t option;
+    deeppoly : Deeppoly.parent option;
   }
 
-  let hint_slot : Lp.Basis.t option ref Domain.DLS.key =
+  let hint_slot : lp_info option ref Domain.DLS.key =
     Domain.DLS.new_key (fun () -> ref None)
 
   let info_slot : lp_info option ref Domain.DLS.key =
     Domain.DLS.new_key (fun () -> ref None)
 
-  let offer b = Domain.DLS.get hint_slot := Some b
+  let offer info = Domain.DLS.get hint_slot := Some info
 
   let clear () =
     Domain.DLS.get hint_slot := None;
@@ -101,10 +103,11 @@ module Warm = struct
     v
 end
 
-(* Report one LP solve's statistics through the side channel.  Only
-   called after a solve that returned: a solve that raises leaves
-   [last_stats] and [basis] at [None]. *)
-let record_lp_info lp =
+(* Report one LP solve's statistics through the side channel, with the
+   node's DeepPoly run for its children to resume from.  Only called
+   after a solve that returned: a solve that raises leaves [last_stats]
+   and [basis] at [None]. *)
+let record_lp_info lp deeppoly =
   match Lp.last_stats lp with
   | None -> ()
   | Some s ->
@@ -122,6 +125,7 @@ let record_lp_info lp =
           pivots = s.Lp.pivots;
           factor_pivots = s.Lp.factor_pivots + s.Lp.miss_pivots;
           basis = Lp.basis lp;
+          deeppoly = Some deeppoly;
         }
 
 (* ------------------------------------------------------------------ *)
@@ -230,10 +234,19 @@ let crash_corner ~prop ~box zono =
       Array.init d (fun j -> obj.(j) < 0.0)
 
 let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
-  match Deeppoly.analyze net ~box ~splits with
+  (* The parent's report, when the engine staged one: DeepPoly resumes
+     from the parent's run whatever [warm] says, since the result is the
+     same bit for bit; the parent's basis starts the simplex only under
+     [warm].  Taken before anything can fail, so a retry runs cold. *)
+  let hint = Warm.take_hint () in
+  let parent = Option.bind hint (fun h -> h.Warm.deeppoly) in
+  match Deeppoly.analyze ?parent net ~box ~splits with
   | Deeppoly.Infeasible -> vacuous
   | Deeppoly.Feasible dp -> (
       let bounds = Deeppoly.bounds dp in
+      (* Taken now, so that the symbolic rows [dp] holds are garbage
+         during the LP solve. *)
+      let resume_from = Deeppoly.as_parent dp in
       (* Zonotope pass for branching scores (and a second bound). *)
       let zono =
         match Zonotope.analyze net ~box ~splits with
@@ -255,7 +268,7 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
            offered, else cold from the crash basis of a concrete forward
            pass.  A warm miss falls back on the crash basis too, so it
            is built only when a solve asks for it. *)
-        let hint = Warm.take_hint () in
+        let basis = if warm then Option.bind hint (fun h -> h.Warm.basis) else None in
         let solved =
           try
             match triangle_encoding net prop with
@@ -265,9 +278,9 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
                 let lp = Encoding.Triangle.lp enc in
                 let start () = Encoding.Triangle.crash enc ~upper:(crash_corner ~prop ~box zono) in
                 let r =
-                  match hint with
-                  | Some b when warm -> Lp.solve_from ~start lp b
-                  | _ -> Lp.solve ?start:(start ()) lp
+                  match basis with
+                  | Some b -> Lp.solve_from ~start lp b
+                  | None -> Lp.solve ?start:(start ()) lp
                 in
                 `Result (lp, Encoding.Triangle.const enc, r)
           with Encoding.Mismatch | Lp.Iteration_limit | Lp.Numerical_failure _ -> `Solver_failed
@@ -279,7 +292,7 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
             if cheap_lb >= 0.0 then { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
             else { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
         | `Result (lp, const, r) -> (
-            record_lp_info lp;
+            record_lp_info lp resume_from;
             (* Evidence is only captured where it can be used, and before
                the shared encoding is touched again. *)
             let evidence () = if certify then evidence_of lp ~const else None in
@@ -365,6 +378,7 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
               pivots = stats.Ivan_lp.Milp.simplex_pivots;
               factor_pivots = stats.Ivan_lp.Milp.factor_pivots;
               basis = None;
+              deeppoly = None;
             };
           let nodes = stats.Ivan_lp.Milp.nodes and lp_solves = stats.Ivan_lp.Milp.lp_solves in
           match result with

@@ -94,13 +94,18 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
 
 (** {2 Warm-start side channel}
 
-    The BaB engine offers a parent node's simplex basis before an
-    analyzer call and collects the solve report afterwards.  Both slots
-    are domain-local and consumed on read: parallel runner workers never
-    observe each other's bases, and an analyzer retry (under
-    {!with_fallback}) runs cold rather than re-using a hint that may
-    have contributed to the failure.  Analyzers without an LP back-end
-    simply never touch the channel. *)
+    The BaB engine offers a parent node's report before an analyzer call
+    and collects the node's own report afterwards.  {!lp_triangle} takes
+    two things from an offered report: its DeepPoly run, which the node
+    resumes below its new split ({!Ivan_domains.Deeppoly.analyze}
+    [?parent]; used whatever [warm] says, since the bounds come out the
+    same bit for bit), and its basis, which warm-starts the simplex when
+    [warm] holds.  Both slots are domain-local and consumed on read:
+    parallel runner workers never observe each other's reports, and an
+    analyzer retry (under {!with_fallback}) runs cold, DeepPoly and LP
+    both, rather than re-using a hint that may have contributed to the
+    failure.  Analyzers without an LP back-end simply never touch the
+    channel. *)
 module Warm : sig
   type lp_info = {
     warm_hits : int;  (** solves warm-started successfully *)
@@ -119,11 +124,14 @@ module Warm : sig
     basis : Ivan_lp.Lp.Basis.t option;
         (** basis to offer to child nodes; [None] when the solve did not
             end [Optimal] or the call ran the MILP search *)
+    deeppoly : Ivan_domains.Deeppoly.parent option;
+        (** the node's DeepPoly run, for child nodes to resume from;
+            O(neurons); [None] when the call ran the MILP search *)
   }
 
-  val offer : Ivan_lp.Lp.Basis.t -> unit
-  (** Stage a parent basis for the next LP-backed analyzer call on this
-      domain. *)
+  val offer : lp_info -> unit
+  (** Stage a parent's report for the next LP-backed analyzer call on
+      this domain; only its [basis] and [deeppoly] are read. *)
 
   val clear : unit -> unit
   (** Drop any staged hint and pending report (call before analyzing a

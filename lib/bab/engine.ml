@@ -74,13 +74,14 @@ type t = {
   mutable current_node : int;  (* node id under analysis, for resilience events *)
   mutable counters : Trace.aggregate;
   (* Warm-start plumbing: frontier nodes whose parent solved an LP have
-     the parent's optimal basis parked here until they are dequeued.
-     The table is engine-local bookkeeping, not verification state — a
-     resumed run simply starts its nodes cold. *)
-  bases : (int, Lp.Basis.t) Hashtbl.t;
+     the parent's report — its basis and its DeepPoly run — parked here
+     until they are dequeued.  The table is engine-local bookkeeping,
+     not verification state — a resumed run simply starts its nodes
+     cold. *)
+  hints : (int, Analyzer.Warm.lp_info) Hashtbl.t;
   (* Per-leaf certificates keyed by node id, admitted only once the
      float screen or the exact check has accepted them; assembled into
-     the run's proof artifact at [finish].  Like [bases], the table is
+     the run's proof artifact at [finish].  Like [hints], the table is
      engine-local: a journal stores no certificate, so a resumed run
      cannot produce a complete artifact for leaves verified before the
      kill (they count as unavailable in the final artifact check, never
@@ -241,13 +242,13 @@ let step_once t =
         emit t (Trace.Dequeued { node = id; depth; frontier = frontier_now });
         let box, splits = Tree.subproblem ~root_box:t.prop.Prop.input node in
         t.current_node <- id;
-        (* Stage the parent's simplex basis (if the parent solved an LP)
-           for the analyzer's warm start; otherwise make sure no stale
-           hint from an earlier node is lying around. *)
-        (match Hashtbl.find_opt t.bases id with
-        | Some b ->
-            Hashtbl.remove t.bases id;
-            Analyzer.Warm.offer b
+        (* Stage the parent's report (if the parent solved an LP) for
+           the analyzer's warm start; otherwise make sure no stale hint
+           from an earlier node is lying around. *)
+        (match Hashtbl.find_opt t.hints id with
+        | Some info ->
+            Hashtbl.remove t.hints id;
+            Analyzer.Warm.offer info
         | None -> Analyzer.Warm.clear ());
         (* The call's time includes retries and degraded attempts inside
            the resilience wrapper, and a call that raised. *)
@@ -270,9 +271,9 @@ let step_once t =
               { Analyzer.status = Analyzer.Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None }
         in
         (* Collect the LP report, if the analyzer solved any: an event
-           for the run's counters, and the node's optimal basis to hand
-           to its children (below, if it splits). *)
-        let solved_basis =
+           for the run's counters, and the report to hand to the node's
+           children (below, if it splits). *)
+        let report =
           match Analyzer.Warm.collect () with
           | None -> None
           | Some info ->
@@ -286,7 +287,7 @@ let step_once t =
                      pivots = info.Analyzer.Warm.pivots;
                      factor_pivots = info.Analyzer.Warm.factor_pivots;
                    });
-              info.Analyzer.Warm.basis
+              Some info
         in
         emit t
           (Trace.Analyzed
@@ -355,12 +356,12 @@ let step_once t =
                      });
                 (* Children inherit the parent's freshly computed bound
                    as their best-first priority until analyzed, and the
-                   parent's simplex basis as their warm start. *)
-                (match solved_basis with
-                | None -> ()
-                | Some b ->
-                    Hashtbl.replace t.bases (Tree.node_id left) b;
-                    Hashtbl.replace t.bases (Tree.node_id right) b);
+                   parent's report as their warm start. *)
+                Option.iter
+                  (fun info ->
+                    Hashtbl.replace t.hints (Tree.node_id left) info;
+                    Hashtbl.replace t.hints (Tree.node_id right) info)
+                  report;
                 Frontier.push t.frontier ~priority:outcome.Analyzer.lb left;
                 Frontier.push t.frontier ~priority:outcome.Analyzer.lb right;
                 Running)
@@ -510,7 +511,7 @@ let create ~analyzer ~heuristic ?(config = default_config) ?(trace = Trace.null)
       started = Clock.monotonic ();
       current_node = -1;
       counters = Trace.empty_aggregate;
-      bases = Hashtbl.create 64;
+      hints = Hashtbl.create 64;
       certs = Hashtbl.create 64;
       journal = None;
       jbuf = [];
@@ -524,7 +525,7 @@ let create ~analyzer ~heuristic ?(config = default_config) ?(trace = Trace.null)
 
 let degrade t analyzer =
   t.analyzer <- harden t analyzer;
-  Hashtbl.reset t.bases
+  Hashtbl.reset t.hints
 
 (* ------------------------------------------------------------------ *)
 (* Resume: [create] from the run's Checkpoint frame, then replay the

@@ -200,14 +200,14 @@ val finished : t -> run option
     the step in flight when the process died is lost (its Step frame
     never landed); no node whose Step frame landed is analyzed again.
 
-    Parked warm-start bases are deliberately {e not} journaled — they
-    are a performance cache, not verification state — so the first LP
-    solve of each resumed frontier node runs cold and the search
-    proceeds identically otherwise.  Nor are leaf certificates: leaves
-    verified before the kill have no certificate in the resumed run, so
-    a resumed [Proved] artifact fails {!Ivan_cert.Cert.check_artifact}
-    with those leaves reported missing — certification honestly
-    requires an uninterrupted run. *)
+    Parked warm-start hints (a parent's basis and DeepPoly run) are
+    deliberately {e not} journaled — they are a performance cache, not
+    verification state — so each resumed frontier node's first analyzer
+    call runs cold and the search proceeds identically otherwise.  Nor
+    are leaf certificates: leaves verified before the kill have no
+    certificate in the resumed run, so a resumed [Proved] artifact fails
+    {!Ivan_cert.Cert.check_artifact} with those leaves reported missing
+    — certification honestly requires an uninterrupted run. *)
 
 type resume_info = {
   replayed_steps : int;  (** Step frames replayed onto the initial tree *)
@@ -259,7 +259,7 @@ val degrade : t -> Ivan_analyzer.Analyzer.t -> unit
 (** Continue the run on another analyzer, hardened by [config.policy]
     as {!create} hardens its own.  The tree, frontier, counters, run
     clock, journal and admitted certificates carry on; the parked
-    warm-start bases, which belong to the old analyzer's LPs, are
+    warm-start hints, which belong to the old analyzer's LPs, are
     dropped. *)
 
 val fingerprint : net:Ivan_nn.Network.t -> prop:Ivan_spec.Prop.t -> string

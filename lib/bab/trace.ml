@@ -65,6 +65,12 @@ let float_token v =
   else if v = neg_infinity then "\"-inf\""
   else Printf.sprintf "%.17g" v
 
+(* A duration as an exact token of one width: [%.16e] carries the 17
+   significant digits binary64 needs, so any finite seconds from 1e-99
+   to 1e99 print as 22 bytes and an event's length does not vary with
+   timing.  Parsed by [float_of_token] like any other float. *)
+let seconds_token v = if Float.is_finite v then Printf.sprintf "%.16e" v else float_token v
+
 let float_of_token = function
   | "nan" -> nan
   | "inf" -> infinity
@@ -76,7 +82,7 @@ let event_to_json = function
       Printf.sprintf {|{"ev":"dequeued","node":%d,"depth":%d,"frontier":%d}|} node depth frontier
   | Analyzed { node; status; lb; seconds } ->
       Printf.sprintf {|{"ev":"analyzed","node":%d,"status":%S,"lb":%s,"seconds":%s}|} node status
-        (float_token lb) (float_token seconds)
+        (float_token lb) (seconds_token seconds)
   | Lp_solved { node; warm_hits; warm_misses; cold_solves; pivots; factor_pivots } ->
       Printf.sprintf
         ({|{"ev":"lp","node":%d,"warm_hits":%d,"warm_misses":%d,"cold_solves":%d,|}
@@ -98,7 +104,7 @@ let event_to_json = function
       Printf.sprintf {|{"ev":"certified","node":%d,"kind":%S,"exact":%b}|} node kind exact
   | Verdict { verdict; calls; seconds; counterexample } ->
       Printf.sprintf {|{"ev":"verdict","verdict":%S,"calls":%d,"seconds":%s%s}|} verdict calls
-        (float_token seconds)
+        (seconds_token seconds)
         (match counterexample with
         | None -> ""
         | Some x ->

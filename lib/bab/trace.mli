@@ -89,7 +89,9 @@ val with_jsonl_file : string -> (sink -> 'a) -> 'a
 val event_to_json : event -> string
 (** One-line JSON object; floats round-trip exactly (non-finite values
     are encoded as the strings ["nan"], ["inf"], ["-inf"]), the
-    counterexample as an array of them. *)
+    counterexample as an array of them.  Durations ([seconds]) print as
+    fixed-width [%.16e] tokens, so an event's length does not depend on
+    timing. *)
 
 val event_of_json : string -> event
 (** Inverse of {!event_to_json}.  @raise Failure on malformed input. *)

@@ -13,8 +13,25 @@ type analysis
 
 type result = Feasible of analysis | Infeasible
 
-val analyze : Ivan_nn.Network.t -> box:Ivan_spec.Box.t -> splits:Splits.t -> result
-(** @raise Invalid_argument on box/network dimension mismatch. *)
+type parent
+(** What a child run resumes from: a feasible run's network, box,
+    splits and per-neuron bounds — O(neurons) beyond the shared network
+    and box, none of the symbolic rows. *)
+
+val as_parent : analysis -> parent
+
+val analyze :
+  ?parent:parent -> Ivan_nn.Network.t -> box:Ivan_spec.Box.t -> splits:Splits.t -> result
+(** [parent] lets a BaB child skip the back-substitution of the layers
+    its new splits leave alone.  It applies when it analyzed the same
+    network (physically) over a box with bit-equal corners, with splits
+    that are a subset of [splits] (same units, same phases).  With [l]
+    the lowest layer of the units [splits] adds, the run then takes the
+    pre-activation bounds of layers [<= l] from [parent], rebuilds those
+    layers' symbolic bounds from them, and back-substitutes only layers
+    above [l].  The result is bit for bit the result without [parent];
+    a parent that does not apply is ignored.
+    @raise Invalid_argument on box/network dimension mismatch. *)
 
 val bounds : analysis -> Bounds.t
 

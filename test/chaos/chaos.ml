@@ -102,7 +102,18 @@ let compare_runs w (g : Engine.run) (r : Engine.run) =
     chk "lp_warm_hits" gs.Engine.lp_warm_hits rs.Engine.lp_warm_hits;
     chk "lp_warm_misses" gs.Engine.lp_warm_misses rs.Engine.lp_warm_misses;
     chk "lp_cold_solves" gs.Engine.lp_cold_solves rs.Engine.lp_cold_solves;
-    chk "lp_pivots" gs.Engine.lp_pivots rs.Engine.lp_pivots
+    chk "lp_pivots" gs.Engine.lp_pivots rs.Engine.lp_pivots;
+    (* A resumed run's first nodes run DeepPoly cold where the golden
+       run resumed them from their parents: the bounds, and so every
+       node's lb, must still be the same bit for bit. *)
+    let lbs (run : Engine.run) =
+      let module Tree = Ivan_spectree.Tree in
+      let acc = ref [] in
+      Tree.iter_nodes run.Engine.tree (fun n ->
+          acc := (Tree.node_id n, Int64.bits_of_float (Tree.lb n)) :: !acc);
+      List.sort compare !acc
+    in
+    if lbs g <> lbs r then err "node lower bounds differ"
   end;
   (* Certificate equivalence is stats-compatible: the counters above
      must match exactly, and the artifact must agree in presence and

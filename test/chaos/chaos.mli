@@ -37,9 +37,9 @@ type workload = {
       (** the tree the golden run starts from, as an incremental run
           starts from its pruned predecessor; [None] is a single root *)
   compare_lp : bool;
-      (** also assert LP counters (warm-start off / LP-free workloads
-          only: parked bases are not journaled, so a resumed warm run
-          legitimately solves colder) *)
+      (** also assert LP counters and every node's lb, bit for bit
+          (warm-start off / LP-free workloads only: parked bases are not
+          journaled, so a resumed warm run legitimately solves colder) *)
 }
 
 val workload :
@@ -65,6 +65,8 @@ type golden = {
 
 val golden : workload -> golden
 (** The uninterrupted reference run. *)
+
+val verdict_name : Engine.verdict -> string
 
 type failure = { workload : string; schedule : string; reason : string }
 

@@ -44,17 +44,27 @@ let prop offset =
     ~name:(Printf.sprintf "paper+%g" offset)
     ~input ~c:(Vec.of_list [ 1.0 ]) ~offset
 
-(* Warm starts stay off in chaos workloads: parked simplex bases are a
-   performance cache that is deliberately not journaled, so a resumed
-   run solves colder — with [~warm:false] every LP stat is
-   deterministic and must replay exactly. *)
+(* A random 2-8-8-1 net whose minimum over the box is about -0.37.
+   The triangle LP does not decide it at the root, so the LP workloads
+   below split ReLUs: with offset 0.5 a proof takes 9 calls, with 0.3 a
+   counterexample takes 3 (the matrix prints each golden run's calls). *)
+let deep = Ivan_nn.Builder.dense_net ~rng:(Ivan_tensor.Rng.create 3) ~dims:[ 2; 8; 8; 1 ]
+
+(* Warm starts stay off in the LP workloads: parked hints (a parent's
+   simplex basis and DeepPoly run) are a performance cache that is
+   deliberately not journaled, so a resumed run's first nodes start
+   cold — with [~warm:false] every LP stat is deterministic and must
+   replay exactly.  DeepPoly resumes from the parent whatever [warm]
+   says; its bounds are the same bit for bit either way, so every
+   node's lb must replay exactly too. *)
+let lp ?certify () = Analyzer.lp_triangle ~warm:false ?certify ()
+
 (* The start an incremental run journals: N's bounded tree, pruned as
    IVAN prunes it, seeds a best-first run on N perturbed by 2%, so the
-   frontier starts from the leaves' recorded lower bounds (N: a random
-   2-8-8-1 net whose minimum over the box is about -0.37; 21 calls on N,
-   11 seeded leaves, 13 calls on the update). *)
+   frontier starts from the leaves' recorded lower bounds (N: [deep];
+   21 calls on N, 11 seeded leaves, 13 calls on the update). *)
 let seeded =
-  let n = Ivan_nn.Builder.dense_net ~rng:(Ivan_tensor.Rng.create 3) ~dims:[ 2; 8; 8; 1 ] in
+  let n = deep in
   let original =
     Engine.run
       (Engine.create ~analyzer:(Analyzer.zonotope ()) ~heuristic:Heuristic.input_smear ~net:n
@@ -72,14 +82,11 @@ let seeded =
 let workloads =
   [
     seeded;
-    Chaos.workload ~name:"lp/proved" ~net ~prop:(prop 1.7)
-      ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ())
+    Chaos.workload ~name:"lp/proved" ~net:deep ~prop:(prop 0.5) ~analyzer:lp
       ~heuristic:Heuristic.zono_coeff ();
-    Chaos.workload ~name:"lp/disproved" ~net ~prop:(prop 1.3)
-      ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ())
+    Chaos.workload ~name:"lp/disproved" ~net:deep ~prop:(prop 0.3) ~analyzer:lp
       ~heuristic:Heuristic.zono_coeff ();
-    Chaos.workload ~name:"lp/exhausted" ~net ~prop:(prop 1.7)
-      ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ())
+    Chaos.workload ~name:"lp/exhausted" ~net:deep ~prop:(prop 0.5) ~analyzer:lp
       ~heuristic:Heuristic.zono_coeff
       ~config:
         {
@@ -87,8 +94,8 @@ let workloads =
           budget = { Engine.max_analyzer_calls = 3; max_seconds = infinity };
         }
       ();
-    Chaos.workload ~name:"lp/certified" ~net ~prop:(prop 1.7)
-      ~analyzer:(fun () -> Analyzer.lp_triangle ~warm:false ~certify:true ())
+    Chaos.workload ~name:"lp/certified" ~net:deep ~prop:(prop 0.5)
+      ~analyzer:(lp ~certify:true)
       ~heuristic:Heuristic.zono_coeff ~config:{ Engine.default_config with certify = true } ();
     Chaos.workload ~name:"zono/proved-bestfirst" ~net ~prop:(prop 1.7)
       ~analyzer:(fun () -> Analyzer.zonotope ())
@@ -104,6 +111,13 @@ let workloads =
   ]
 
 let () =
+  List.iter
+    (fun w ->
+      let g = (Chaos.golden w).Chaos.run in
+      Format.printf "%s: %s in %d calls, tree %d@." w.Chaos.name
+        (Chaos.verdict_name g.Engine.verdict) g.Engine.stats.Engine.analyzer_calls
+        g.Engine.stats.Engine.tree_size)
+    workloads;
   let report = Chaos.run_matrix workloads in
   Format.printf "%a@." Chaos.pp_report report;
   if report.Chaos.failures <> [] then begin

@@ -5,4 +5,7 @@ let () =
   exit
     (QCheck_base_runner.run_tests ~verbose:true
        ~rand:(Random.State.make [| Deeppoly_oracle.Oracle.seed |])
-       [ Deeppoly_oracle.Oracle.test ~count:(20 * Deeppoly_oracle.Oracle.tier1_count) ])
+       [
+         Deeppoly_oracle.Oracle.test ~count:(20 * Deeppoly_oracle.Oracle.tier1_count);
+         Deeppoly_oracle.Oracle.resume_test ~count:(20 * Deeppoly_oracle.Oracle.tier1_count);
+       ])

@@ -4,7 +4,9 @@
    exactly {!Reference.objective_itv}, down to the bit pattern of every
    float.  Networks and boxes come from the zonotope oracle's
    generators: dense and conv ReLU nets, leaky and sigmoid/tanh hidden
-   layers, exact zero weights, boxes with zero-width dimensions. *)
+   layers, exact zero weights, boxes with zero-width dimensions.  A
+   second property runs [Deeppoly.analyze ~parent], as a BaB child
+   resumes from its parent, against the reference's run from scratch. *)
 
 module Rng = Ivan_tensor.Rng
 module Network = Ivan_nn.Network
@@ -24,9 +26,10 @@ let tier1_count = 1000
 (* No splits, or a random subset of the units DeepPoly finds ambiguous
    at the root, sometimes with one arbitrary unit (often fixing it
    against its bounds, which empties the region). *)
+let phase rng = if Rng.bool rng then Splits.Pos else Splits.Neg
+
 let random_splits rng net box =
-  let phase () = if Rng.bool rng then Splits.Pos else Splits.Neg in
-  let add splits r = if Splits.mem r splits then splits else Splits.add r (phase ()) splits in
+  let add splits r = if Splits.mem r splits then splits else Splits.add r (phase rng) splits in
   if Network.num_relus net = 0 || Rng.int rng 3 = 0 then Splits.empty
   else
     let ambiguous =
@@ -60,20 +63,51 @@ let same_itv x y =
   | Error e, Error e' -> e = e'
   | Ok _, Error _ | Error _, Ok _ -> false
 
+(* [result] is what the reference computes on the same case: the same
+   feasibility, every bound and the objective interval bit for bit. *)
+let matches_reference net ~box ~splits ~c ~offset result =
+  let itv f = try Ok (f ()) with e -> Error e in
+  match (Reference.analyze net ~box ~splits, result) with
+  | Reference.Infeasible, Deeppoly.Infeasible -> true
+  | Reference.Feasible r, Deeppoly.Feasible a ->
+      let lr = (Reference.bounds r).Bounds.layers and la = (Deeppoly.bounds a).Bounds.layers in
+      Array.length lr = Array.length la
+      && Array.for_all2 Zo.same_layer lr la
+      && same_itv
+           (itv (fun () -> Reference.objective_itv r ~c ~offset))
+           (itv (fun () -> Deeppoly.objective_itv a ~c ~offset))
+  | Reference.Feasible _, Deeppoly.Infeasible | Reference.Infeasible, Deeppoly.Feasible _ -> false
+
+let seed_arb = QCheck.(make ~print:(Printf.sprintf "case seed %d") Gen.(int_bound 1_000_000_000))
+
 let test ~count =
-  QCheck.Test.make ~name:"deeppoly kernel matches the reference bit for bit" ~count
-    QCheck.(make ~print:(Printf.sprintf "case seed %d") Gen.(int_bound 1_000_000_000))
+  QCheck.Test.make ~name:"deeppoly kernel matches the reference bit for bit" ~count seed_arb
     (fun seed ->
       let net, box, splits, (c, offset) = case seed in
-      let itv f = try Ok (f ()) with e -> Error e in
-      match (Reference.analyze net ~box ~splits, Deeppoly.analyze net ~box ~splits) with
-      | Reference.Infeasible, Deeppoly.Infeasible -> true
-      | Reference.Feasible r, Deeppoly.Feasible a ->
-          let lr = (Reference.bounds r).Bounds.layers and la = (Deeppoly.bounds a).Bounds.layers in
-          Array.length lr = Array.length la
-          && Array.for_all2 Zo.same_layer lr la
-          && same_itv
-               (itv (fun () -> Reference.objective_itv r ~c ~offset))
-               (itv (fun () -> Deeppoly.objective_itv a ~c ~offset))
-      | Reference.Feasible _, Deeppoly.Infeasible | Reference.Infeasible, Deeppoly.Feasible _ ->
-          false)
+      matches_reference net ~box ~splits ~c ~offset (Deeppoly.analyze net ~box ~splits))
+
+(* A BaB child: the case's splits S are the parent's, and the child adds
+   one unit r not in S (or nothing, on a net whose every unit S splits).
+   One case in five gives the child another box, where the parent must
+   not apply. *)
+let resume_test ~count =
+  QCheck.Test.make ~name:"deeppoly resumed from a parent matches the reference bit for bit" ~count
+    seed_arb (fun seed ->
+      let net, box, parent_splits, (c, offset) = case seed in
+      let rng = Rng.create (seed + 1) in
+      match Deeppoly.analyze net ~box ~splits:parent_splits with
+      | Deeppoly.Infeasible -> true
+      | Deeppoly.Feasible p ->
+          let free =
+            List.filter
+              (fun r -> not (Splits.mem r parent_splits))
+              (Array.to_list (Network.relu_ids net))
+          in
+          let splits =
+            match free with
+            | [] -> parent_splits
+            | _ -> Splits.add (Zo.pick rng (Array.of_list free)) (phase rng) parent_splits
+          in
+          let box = if Rng.int rng 5 = 0 then Zo.random_box rng (Network.input_dim net) else box in
+          matches_reference net ~box ~splits ~c ~offset
+            (Deeppoly.analyze ~parent:(Deeppoly.as_parent p) net ~box ~splits))

@@ -13,6 +13,7 @@ module Encoding = Ivan_analyzer.Encoding
 module Deeppoly = Ivan_domains.Deeppoly
 module Zonotope = Ivan_domains.Zonotope
 module Relu_id = Ivan_nn.Relu_id
+module Bounds = Ivan_domains.Bounds
 
 let analyzers () = [ Analyzer.interval (); Analyzer.zonotope (); Analyzer.lp_triangle () ]
 
@@ -394,10 +395,128 @@ let test_crash_wiring () =
   let tolerance = 1e-6 *. (1.0 +. Float.abs expected) in
   Alcotest.(check int) "one cold solve" 1 info.Analyzer.Warm.cold_solves;
   Alcotest.(check (float tolerance)) "plain bound" expected o.Analyzer.lb;
-  Analyzer.Warm.offer (Lp.Basis.make ~basics:[||] ~statuses:[||]);
+  let empty = Lp.Basis.make ~basics:[||] ~statuses:[||] in
+  Analyzer.Warm.offer { info with Analyzer.Warm.basis = Some empty; deeppoly = None };
   let o, info = run () in
   Alcotest.(check int) "one warm miss" 1 info.Analyzer.Warm.warm_misses;
   Alcotest.(check (float tolerance)) "plain bound after the miss" expected o.Analyzer.lb
+
+(* A net the triangle LP does not decide at its root (the property
+   takes 9 calls of ReLU-splitting BaB), and a node runner that stages
+   [hint] (or clears the channel) and returns the outcome with the LP
+   report, absent when DeepPoly finds the node empty. *)
+let split_subject () =
+  (Fixtures.random_net ~seed:3 ~dims:[ 2; 8; 8; 1 ], Fixtures.paper_prop_with_offset 0.5)
+
+let run_node (a : Analyzer.t) net prop hint splits =
+  (match hint with Some h -> Analyzer.Warm.offer h | None -> Analyzer.Warm.clear ());
+  let o = a.Analyzer.run net ~prop ~box:prop.Prop.input ~splits in
+  (o, Analyzer.Warm.collect ())
+
+let bits = Int64.bits_of_float
+
+let same_outcome label ((o : Analyzer.outcome), info) ((o' : Analyzer.outcome), info') =
+  let layer_bits (l : Bounds.layer) =
+    List.map (Array.map bits) [ l.pre_lo; l.pre_hi; l.post_lo; l.post_hi ]
+  in
+  let bounds_bits o =
+    Option.map (fun b -> Array.map layer_bits b.Bounds.layers) o.Analyzer.bounds
+  in
+  let stats = function
+    | None -> None
+    | Some (i : Analyzer.Warm.lp_info) ->
+        Some (i.warm_hits, i.warm_misses, i.cold_solves, i.pivots, i.factor_pivots)
+  in
+  Alcotest.(check int64) (label ^ ": lb") (bits o.lb) (bits o'.lb);
+  Alcotest.(check bool) (label ^ ": status") true (o.status = o'.status);
+  Alcotest.(check bool) (label ^ ": bounds") true (bounds_bits o = bounds_bits o');
+  Alcotest.(check bool) (label ^ ": LP stats") true (stats info = stats info')
+
+(* Down a BaB path (each step splits the deepest, then the shallowest
+   ambiguous unit of the node, both phases), a child offered its
+   parent's report comes out exactly as a child offered nothing: with
+   [~warm:false] the whole report changes nothing, and with warm starts
+   on, the DeepPoly run in it changes nothing beside the basis. *)
+let test_deeppoly_hint_changes_nothing () =
+  let net, prop = split_subject () in
+  let cold = Analyzer.lp_triangle ~deeppoly_shortcut:false ~warm:false () in
+  let warm = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let resumed = ref 0 in
+  let rec walk depth splits (info : Analyzer.Warm.lp_info) =
+    let o, _ = run_node cold net prop None splits in
+    match o.Analyzer.bounds with
+    | None -> ()
+    | Some b -> (
+        match Bounds.ambiguous_relus b net ~splits with
+        | [] -> ()
+        | ambiguous when depth < 3 ->
+            let r =
+              if depth mod 2 = 0 then List.nth ambiguous (List.length ambiguous - 1)
+              else List.hd ambiguous
+            in
+            List.iter
+              (fun phase ->
+                let child = Splits.add r phase splits in
+                let label = Format.asprintf "%a" Splits.pp child in
+                let plain = run_node cold net prop None child in
+                same_outcome (label ^ " cold") plain (run_node cold net prop (Some info) child);
+                same_outcome (label ^ " warm")
+                  (run_node warm net prop (Some { info with deeppoly = None }) child)
+                  (run_node warm net prop (Some info) child);
+                incr resumed;
+                match plain with
+                | _, Some child_info when phase = Splits.Pos -> walk (depth + 1) child child_info
+                | _ -> ())
+              [ Splits.Pos; Splits.Neg ]
+        | _ -> ())
+  in
+  (match run_node cold net prop None Splits.empty with
+  | _, Some info -> walk 0 Splits.empty info
+  | _, None -> Alcotest.fail "no LP report at the root");
+  Alcotest.(check bool) "children checked" true (!resumed >= 4)
+
+(* An analyzer retry under [with_fallback] finds the hint taken by the
+   failed attempt, so it runs cold: the offered basis would have
+   warm-started the child. *)
+let test_retry_runs_cold () =
+  let net, prop = split_subject () in
+  let inner = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let root, root_info = run_node inner net prop None Splits.empty in
+  let info = match root_info with Some i -> i | None -> Alcotest.fail "no LP report at the root" in
+  let r =
+    match root.Analyzer.bounds with
+    | Some b -> (
+        match Bounds.ambiguous_relus b net ~splits:Splits.empty with
+        | r :: _ -> r
+        | [] -> Alcotest.fail "root has no ambiguous unit")
+    | None -> Alcotest.fail "root is empty"
+  in
+  let child = Splits.add r Splits.Pos Splits.empty in
+  let cold_solves = function
+    | _, Some (i : Analyzer.Warm.lp_info) -> i.cold_solves
+    | _, None -> Alcotest.fail "no LP report at the child"
+  in
+  Alcotest.(check int) "offered basis starts the solve" 0
+    (cold_solves (run_node inner net prop (Some info) child));
+  let failed = ref false in
+  let flaky =
+    {
+      inner with
+      Analyzer.run =
+        (fun net ~prop ~box ~splits ->
+          let o = inner.Analyzer.run net ~prop ~box ~splits in
+          if !failed then o
+          else begin
+            failed := true;
+            failwith "injected"
+          end);
+    }
+  in
+  let hardened = Analyzer.with_fallback ~policy:Analyzer.default_policy flaky in
+  let retried = run_node hardened net prop (Some info) child in
+  Alcotest.(check bool) "first attempt failed" true !failed;
+  Alcotest.(check int) "retry solves cold" 1 (cold_solves retried);
+  same_outcome "retry" (run_node inner net prop None child) retried
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -417,6 +536,8 @@ let suite =
     ("milp warm start", `Quick, test_milp_warm_start);
     ("milp rejects leaky", `Quick, test_milp_rejects_leaky);
     ("crash basis wiring", `Quick, test_crash_wiring);
+    ("deeppoly hint changes nothing", `Quick, test_deeppoly_hint_changes_nothing);
+    ("retry runs cold", `Quick, test_retry_runs_cold);
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Encoding_oracle.Oracle.seed |])
       (Encoding_oracle.Oracle.test ~count:Encoding_oracle.Oracle.tier1_count);

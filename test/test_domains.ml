@@ -557,4 +557,7 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Deeppoly_oracle.Oracle.seed |])
       (Deeppoly_oracle.Oracle.test ~count:Deeppoly_oracle.Oracle.tier1_count);
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| Deeppoly_oracle.Oracle.seed |])
+      (Deeppoly_oracle.Oracle.resume_test ~count:Deeppoly_oracle.Oracle.tier1_count);
   ]

@@ -108,6 +108,55 @@ let test_golden_input_splitting () =
   check_matches_seed ~analyzer:(Analyzer.zonotope ()) ~heuristic:Heuristic.input_smear ~net ~prop
     "input splitting"
 
+(* Parked hints (a parent's basis and DeepPoly run) are a cache: with
+   warm starts off, a ReLU-splitting run that parks them builds the same
+   tree, with the same per-node lbs and pivots, as a run whose analyzer
+   clears them before every call, so that every node's DeepPoly runs
+   from scratch. *)
+let test_parked_hints_change_nothing () =
+  let subjects =
+    [
+      ( "dense-2x8x8x1",
+        Fixtures.random_net ~seed:3 ~dims:[ 2; 8; 8; 1 ],
+        Fixtures.paper_prop_with_offset 0.5 );
+      ( "dense-2x12x12x12x1",
+        Fixtures.random_net ~seed:3 ~dims:[ 2; 12; 12; 12; 1 ],
+        Fixtures.paper_prop_with_offset 0.5 );
+    ]
+  in
+  List.iter
+    (fun (name, net, prop) ->
+      let a = Analyzer.lp_triangle ~warm:false () in
+      let cleared =
+        {
+          a with
+          Analyzer.run =
+            (fun net ~prop ~box ~splits ->
+              Analyzer.Warm.clear ();
+              a.Analyzer.run net ~prop ~box ~splits);
+        }
+      in
+      let budget = { Bab.max_analyzer_calls = 40; max_seconds = infinity } in
+      let run analyzer =
+        Bab.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~budget ~net ~prop ()
+      in
+      let parked = run a and plain = run cleared in
+      let lbs (r : Bab.run) =
+        let acc = ref [] in
+        Tree.iter_nodes r.Bab.tree (fun n ->
+            acc := (Tree.node_id n, Int64.bits_of_float (Tree.lb n)) :: !acc);
+        List.sort compare !acc
+      in
+      Alcotest.(check bool) (name ^ ": splits") true (parked.Bab.stats.Bab.branchings > 0);
+      Alcotest.(check string) (name ^ ": tree") (Tree.to_string plain.Bab.tree)
+        (Tree.to_string parked.Bab.tree);
+      Alcotest.(check bool) (name ^ ": node lbs") true (lbs plain = lbs parked);
+      Alcotest.(check int) (name ^ ": pivots") plain.Bab.stats.Bab.lp_pivots
+        parked.Bab.stats.Bab.lp_pivots;
+      Alcotest.(check int) (name ^ ": cold solves") plain.Bab.stats.Bab.lp_cold_solves
+        parked.Bab.stats.Bab.lp_cold_solves)
+    subjects
+
 (* ------------------------------------------------------------------ *)
 (* Frontier ordering *)
 
@@ -355,6 +404,24 @@ let test_event_json_roundtrip () =
       | _ -> Alcotest.(check bool) json true (e = back))
     sample_events
 
+(* Seconds print as one fixed-width token, so an event's length does not
+   vary with timing, and still round-trip exactly. *)
+let test_seconds_fixed_width () =
+  let json seconds =
+    Trace.event_to_json (Trace.Analyzed { node = 1; status = "unknown"; lb = 0.5; seconds })
+  in
+  let durations = [ 0.0; 1.5; 1.0 /. 3.0; 2e-7; 123.456789; 7e-12 ] in
+  let width = String.length (json 1.0) in
+  List.iter
+    (fun seconds ->
+      Alcotest.(check int) (json seconds) width (String.length (json seconds));
+      match Trace.event_of_json (json seconds) with
+      | Trace.Analyzed a ->
+          Alcotest.(check int64) (json seconds) (Int64.bits_of_float seconds)
+            (Int64.bits_of_float a.seconds)
+      | _ -> Alcotest.fail "not an analyzed event")
+    durations
+
 let test_aggregate_lp_and_cert_counters () =
   (* Refactorization pivots and exact certificate
      fallbacks are summed apart from simplex pivots, solves and emitted
@@ -467,6 +534,8 @@ let suite =
     ("golden: call budgets match seed", `Quick, test_golden_call_budget);
     ("golden: initial-tree reuse matches seed", `Quick, test_golden_initial_tree_reuse);
     ("golden: input splitting matches seed", `Quick, test_golden_input_splitting);
+    ("parked hints change nothing", `Quick, test_parked_hints_change_nothing);
+    ("seconds tokens are fixed width", `Quick, test_seconds_fixed_width);
     ("aggregate lp and cert counters", `Quick, test_aggregate_lp_and_cert_counters);
     ("aggregate warm hit pivots", `Quick, test_aggregate_hit_pivots);
     ("frontier fifo order", `Quick, test_frontier_fifo_order);
