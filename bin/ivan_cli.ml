@@ -255,7 +255,7 @@ let verify_cmd =
               inst.Workload.prop.Ivan_spec.Prop.name
               (verdict_string run.Bab.verdict) run.Bab.stats.Bab.analyzer_calls
               run.Bab.stats.Bab.tree_size seconds;
-            Format.printf "  %a@." Report.pp_engine_stats run.Bab.stats)
+            Format.printf "  %a@." Trace.pp_aggregate run.Bab.stats)
           instances);
     Format.printf "summary: %d verified, %d counterexamples, %d unknown@." !proved !disproved
       !unknown
@@ -285,12 +285,11 @@ let incremental_cmd =
     in
     List.iter
       (fun (c : Runner.comparison) ->
-        let ivan = Report.technique_measurement c Ivan.Full in
+        let base = c.Runner.baseline and ivan = Report.technique_measurement c Ivan.Full in
         Format.printf "%-28s base %-14s %4d calls %.2fs | ivan %-14s %4d calls %.2fs@."
           c.Runner.instance.Workload.prop.Ivan_spec.Prop.name
-          (verdict_string c.Runner.baseline.Runner.verdict)
-          c.Runner.baseline.Runner.calls c.Runner.baseline.Runner.seconds
-          (verdict_string ivan.Runner.verdict) ivan.Runner.calls ivan.Runner.seconds)
+          (verdict_string base.Runner.run.Bab.verdict) (Runner.calls base) base.Runner.seconds
+          (verdict_string ivan.Runner.run.Bab.verdict) (Runner.calls ivan) ivan.Runner.seconds)
       comparisons;
     List.iter
       (fun technique ->
@@ -527,7 +526,7 @@ let check_cmd =
         | Engine.Exhausted -> Format.printf "unknown@.");
         Format.printf "(%d analyzer calls, %d splits, %.2fs)@."
           result.Engine.stats.Bab.analyzer_calls result.Engine.stats.Bab.branchings seconds;
-        Format.printf "%a@." Report.pp_engine_stats result.Engine.stats;
+        Format.printf "%a@." Trace.pp_aggregate result.Engine.stats;
         match certify_out with
         | None -> ()
         | Some path -> (

@@ -68,14 +68,14 @@ let () =
   Format.printf "%-22s %14s %14s %14s@." "property" "baseline" "IVAN[reuse]" "IVAN";
   List.iter
     (fun (c : Runner.comparison) ->
-      let cell (m : Runner.measurement) =
+      let cell (m : Runner.timed) =
         let v =
-          match m.Runner.verdict with
+          match m.Runner.run.Bab.verdict with
           | Bab.Proved -> 'V'
           | Bab.Disproved _ -> 'C'
           | Bab.Exhausted -> 'U'
         in
-        Printf.sprintf "%c %4d calls" v m.Runner.calls
+        Printf.sprintf "%c %4d calls" v (Runner.calls m)
       in
       Format.printf "%-22s %14s %14s %14s@." c.Runner.instance.Workload.prop.Ivan_spec.Prop.name
         (cell c.Runner.baseline)

@@ -38,10 +38,10 @@ let () =
           instances
       in
       let total f = List.fold_left (fun a c -> a +. f c) 0.0 comparisons in
-      let base_calls = total (fun c -> float_of_int c.Runner.baseline.Runner.calls) in
+      let base_calls = total (fun c -> float_of_int (Runner.calls c.Runner.baseline)) in
       let base_time = total (fun c -> c.Runner.baseline.Runner.seconds) in
       let ivan_of c = Report.technique_measurement c Ivan.Full in
-      let ivan_calls = total (fun c -> float_of_int (ivan_of c).Runner.calls) in
+      let ivan_calls = total (fun c -> float_of_int (Runner.calls (ivan_of c))) in
       let ivan_time = total (fun c -> (ivan_of c).Runner.seconds) in
       let s = Report.summarize comparisons Ivan.Full in
       Format.printf "%-8s %8.3f | %10.0f %9.2fs | %10.0f %9.2fs | %6.2fx@."

@@ -13,12 +13,23 @@ module Clock = Ivan_clock.Clock
 
 type status = Verified | Counterexample of Vec.t | Unknown
 
+type lp_report = {
+  warm_hits : int;
+  warm_misses : int;
+  cold_solves : int;
+  pivots : int;
+  factor_pivots : int;
+  basis : Lp.Basis.t option;
+  deeppoly : Deeppoly.parent option;
+}
+
 type outcome = {
   status : status;
   lb : float;
   bounds : Bounds.t option;
   zono : Zonotope.analysis option;
   cert : Ivan_cert.Cert.evidence option;
+  lp : lp_report option;
 }
 
 type t = {
@@ -26,7 +37,9 @@ type t = {
   run : Network.t -> prop:Prop.t -> box:Box.t -> splits:Splits.t -> outcome;
 }
 
-let vacuous = { status = Verified; lb = infinity; bounds = None; zono = None; cert = None }
+let vacuous = { status = Verified; lb = infinity; bounds = None; zono = None; cert = None; lp = None }
+
+let degraded_outcome = { vacuous with status = Unknown; lb = neg_infinity }
 
 let instrument ~on_run t =
   {
@@ -48,85 +61,49 @@ let concrete_status net ~prop candidate =
   if check_concrete net ~prop x then Counterexample x else Unknown
 
 (* ------------------------------------------------------------------ *)
-(* Warm-start side channel between the BaB engine and the LP-backed
-   analyzers.
-
-   The engine sits above the analyzer abstraction and only sees
-   [outcome]s, while warm-starting needs two extra pieces of plumbing:
-   the parent node's report (its simplex basis and DeepPoly run)
-   flowing IN to the next analyzer call, and the solved node's report
-   plus solver statistics flowing OUT.  Rather than widen every
-   analyzer signature (most analyzers never touch an LP), both travel
-   through a per-domain side channel: the engine {!Warm.offer}s the
-   parent's report before calling the analyzer and {!Warm.collect}s the
-   node's afterwards.  Slots are domain-local ([Domain.DLS]), so
-   parallel runner workers verifying different properties never see
-   each other's reports, and both slots are consumed on read, so a
-   retry of a failed analyzer call runs cold instead of reusing a hint
-   that may have contributed to the failure. *)
+(* Warm-start hint between the BaB engine and the LP-backed analyzers.
+   A report goes out in [outcome.lp]; the parent's comes back in through
+   this per-domain slot, which the engine fills before a child's call,
+   so analyzers without an LP keep their signature.  Domain-local, so
+   parallel runner workers never see each other's hints, and consumed
+   on read, so a retry of a failed call runs cold. *)
 
 module Warm = struct
-  type lp_info = {
-    warm_hits : int;
-    warm_misses : int;
-    cold_solves : int;
-    pivots : int;
-    factor_pivots : int;
-    basis : Lp.Basis.t option;
-    deeppoly : Deeppoly.parent option;
-  }
-
-  let hint_slot : lp_info option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
-
-  let info_slot : lp_info option ref Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> ref None)
+  let hint_slot : lp_report option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
   let offer info = Domain.DLS.get hint_slot := Some info
 
-  let clear () =
-    Domain.DLS.get hint_slot := None;
-    Domain.DLS.get info_slot := None
+  let clear () = Domain.DLS.get hint_slot := None
 
   let take_hint () =
     let r = Domain.DLS.get hint_slot in
     let v = !r in
     r := None;
     v
-
-  let record i = Domain.DLS.get info_slot := Some i
-
-  let collect () =
-    let r = Domain.DLS.get info_slot in
-    let v = !r in
-    r := None;
-    v
 end
 
-(* Report one LP solve's statistics through the side channel, with the
-   node's DeepPoly run for its children to resume from.  Only called
-   after a solve that returned: a solve that raises leaves [last_stats]
-   and [basis] at [None]. *)
-let record_lp_info lp deeppoly =
-  match Lp.last_stats lp with
-  | None -> ()
-  | Some s ->
+(* One LP solve's report, with the node's DeepPoly run for its children
+   to resume from.  Only called after a solve that returned: a solve
+   that raises leaves [last_stats] and [basis] at [None]. *)
+let lp_report lp deeppoly =
+  Option.map
+    (fun s ->
       let hits, misses, cold =
         match s.Lp.warm with
         | Lp.Warm_hit -> (1, 0, 0)
         | Lp.Warm_miss -> (0, 1, 0)
         | Lp.Cold -> (0, 0, 1)
       in
-      Warm.record
-        {
-          Warm.warm_hits = hits;
-          warm_misses = misses;
-          cold_solves = cold;
-          pivots = s.Lp.pivots;
-          factor_pivots = s.Lp.factor_pivots + s.Lp.miss_pivots;
-          basis = Lp.basis lp;
-          deeppoly = Some deeppoly;
-        }
+      {
+        warm_hits = hits;
+        warm_misses = misses;
+        cold_solves = cold;
+        pivots = s.Lp.pivots;
+        factor_pivots = s.Lp.factor_pivots + s.Lp.miss_pivots;
+        basis = Lp.basis lp;
+        deeppoly = Some deeppoly;
+      })
+    (Lp.last_stats lp)
 
 (* ------------------------------------------------------------------ *)
 (* Interval analyzer *)
@@ -136,10 +113,10 @@ let interval_run net ~prop ~box ~splits =
   | Interval_dom.Infeasible -> vacuous
   | Interval_dom.Feasible bounds ->
       let itv = Bounds.objective_itv bounds ~c:prop.Prop.c ~offset:prop.Prop.offset in
-      if itv.Itv.lo >= 0.0 then { status = Verified; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None }
+      if itv.Itv.lo >= 0.0 then { status = Verified; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None; lp = None }
       else
         let status = concrete_status net ~prop (Box.center box) in
-        { status; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None }
+        { status; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None; lp = None }
 
 let interval () = { name = "interval"; run = interval_run }
 
@@ -152,11 +129,11 @@ let zonotope_run net ~prop ~box ~splits =
   | Zonotope.Feasible a ->
       let itv = Zonotope.objective_itv a ~c:prop.Prop.c ~offset:prop.Prop.offset in
       if itv.Itv.lo >= 0.0 then
-        { status = Verified; lb = itv.Itv.lo; bounds = Some a.Zonotope.bounds; zono = Some a; cert = None }
+        { status = Verified; lb = itv.Itv.lo; bounds = Some a.Zonotope.bounds; zono = Some a; cert = None; lp = None }
       else
         let candidate = Zonotope.minimizing_input a ~c:prop.Prop.c in
         let status = concrete_status net ~prop candidate in
-        { status; lb = itv.Itv.lo; bounds = Some a.Zonotope.bounds; zono = Some a; cert = None }
+        { status; lb = itv.Itv.lo; bounds = Some a.Zonotope.bounds; zono = Some a; cert = None; lp = None }
 
 let zonotope () = { name = "zonotope"; run = zonotope_run }
 
@@ -172,10 +149,10 @@ let deeppoly_run net ~prop ~box ~splits =
       let bounds = Deeppoly.bounds dp in
       let itv = Deeppoly.objective_itv dp ~c:prop.Prop.c ~offset:prop.Prop.offset in
       if itv.Itv.lo >= 0.0 then
-        { status = Verified; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None }
+        { status = Verified; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None; lp = None }
       else
         let status = concrete_status net ~prop (Box.center box) in
-        { status; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None }
+        { status; lb = itv.Itv.lo; bounds = Some bounds; zono = None; cert = None; lp = None }
 
 let deeppoly () = { name = "deeppoly"; run = deeppoly_run }
 
@@ -239,7 +216,7 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
      same bit for bit; the parent's basis starts the simplex only under
      [warm].  Taken before anything can fail, so a retry runs cold. *)
   let hint = Warm.take_hint () in
-  let parent = Option.bind hint (fun h -> h.Warm.deeppoly) in
+  let parent = Option.bind hint (fun h -> h.deeppoly) in
   match Deeppoly.analyze ?parent net ~box ~splits with
   | Deeppoly.Infeasible -> vacuous
   | Deeppoly.Feasible dp -> (
@@ -261,14 +238,14 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
       in
       let cheap_lb = Float.max dp_itv.Itv.lo zono_lb in
       if deeppoly_shortcut && cheap_lb >= 0.0 then
-        { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
+        { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None; lp = None }
       else
         (* Specialize the persistent per-property encoding to this node
            and solve it, warm from the parent's basis when one is
            offered, else cold from the crash basis of a concrete forward
            pass.  A warm miss falls back on the crash basis too, so it
            is built only when a solve asks for it. *)
-        let basis = if warm then Option.bind hint (fun h -> h.Warm.basis) else None in
+        let basis = if warm then Option.bind hint (fun h -> h.basis) else None in
         let solved =
           try
             match triangle_encoding net prop with
@@ -289,10 +266,10 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
         | `Solver_failed ->
             (* Corrupt bounds or numerical failure: fall back on the
                sound cheap bound. *)
-            if cheap_lb >= 0.0 then { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
-            else { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
+            if cheap_lb >= 0.0 then { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None; lp = None }
+            else { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None; lp = None }
         | `Result (lp, const, r) -> (
-            record_lp_info lp resume_from;
+            let report = lp_report lp resume_from in
             (* Evidence is only captured where it can be used, and before
                the shared encoding is touched again. *)
             let evidence () = if certify then evidence_of lp ~const else None in
@@ -300,18 +277,18 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
             | Lp.Infeasible ->
                 (* The relaxation is a superset of the true region, so an
                    infeasible relaxation proves the region empty. *)
-                { vacuous with bounds = Some bounds; zono; cert = evidence () }
+                { vacuous with bounds = Some bounds; zono; cert = evidence (); lp = report }
             | Lp.Unbounded ->
                 (* Cannot happen with a bounded input box, but stay sound. *)
-                { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None }
+                { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None; lp = report }
             | Lp.Optimal { objective; primal; _ } ->
                 let lb = Float.max (objective +. const) cheap_lb in
                 if lb >= 0.0 then
-                  { status = Verified; lb; bounds = Some bounds; zono; cert = evidence () }
+                  { status = Verified; lb; bounds = Some bounds; zono; cert = evidence (); lp = report }
                 else
                   let candidate = Array.sub primal 0 (Box.dim box) in
                   let status = concrete_status net ~prop candidate in
-                  { status; lb; bounds = Some bounds; zono; cert = None }))
+                  { status; lb; bounds = Some bounds; zono; cert = None; lp = report }))
 
 let lp_triangle ?(deeppoly_shortcut = true) ?(warm = true) ?(certify = false) () =
   (* A shortcut verdict has no LP behind it, hence no certificate. *)
@@ -328,19 +305,19 @@ type milp_outcome = {
   milp_status : status;
   milp_lb : float;
   nodes : int;
-  lp_solves : int;
   witness : Vec.t option;
+  milp_lp : lp_report option;
 }
 
 (* A capped, numerically failed or unencodable search: inconclusive
    either way, never a fabricated answer. *)
-let milp_inconclusive ~nodes ~lp_solves =
-  { milp_status = Unknown; milp_lb = neg_infinity; nodes; lp_solves; witness = None }
+let milp_inconclusive ~nodes milp_lp =
+  { milp_status = Unknown; milp_lb = neg_infinity; nodes; witness = None; milp_lp }
 
 let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box ~splits =
   match Deeppoly.analyze net ~box ~splits with
   | Deeppoly.Infeasible ->
-      { milp_status = Verified; milp_lb = infinity; nodes = 0; lp_solves = 0; witness = None }
+      { milp_status = Verified; milp_lb = infinity; nodes = 0; witness = None; milp_lp = None }
   | Deeppoly.Feasible dp -> (
       let bounds = Deeppoly.bounds dp in
       let specialized =
@@ -350,7 +327,7 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
             | exception Encoding.Mismatch -> None)
       in
       match specialized with
-      | None -> milp_inconclusive ~nodes:0 ~lp_solves:0
+      | None -> milp_inconclusive ~nodes:0 None
       | Some enc -> (
           let const = Encoding.Milp.const enc in
           (* Verification cutoff: branches that cannot push the objective
@@ -368,34 +345,31 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
             | Ivan_lp.Milp.Infeasible s | Node_limit s | Solver_failure s -> s
             | Optimal { stats; _ } -> stats
           in
-          Warm.record
-            {
-              Warm.warm_hits = stats.Ivan_lp.Milp.warm_hits;
-              warm_misses = stats.Ivan_lp.Milp.warm_misses;
-              cold_solves =
-                stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits
-                - stats.Ivan_lp.Milp.warm_misses;
-              pivots = stats.Ivan_lp.Milp.simplex_pivots;
-              factor_pivots = stats.Ivan_lp.Milp.factor_pivots;
-              basis = None;
-              deeppoly = None;
-            };
-          let nodes = stats.Ivan_lp.Milp.nodes and lp_solves = stats.Ivan_lp.Milp.lp_solves in
+          let nodes = stats.Ivan_lp.Milp.nodes in
+          let milp_lp =
+            Some
+              {
+                warm_hits = stats.Ivan_lp.Milp.warm_hits;
+                warm_misses = stats.Ivan_lp.Milp.warm_misses;
+                cold_solves =
+                  stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits
+                  - stats.Ivan_lp.Milp.warm_misses;
+                pivots = stats.Ivan_lp.Milp.simplex_pivots;
+                factor_pivots = stats.Ivan_lp.Milp.factor_pivots;
+                basis = None;
+                deeppoly = None;
+              }
+          in
           match result with
           | Ivan_lp.Milp.Infeasible _ ->
               (* Either the region is empty or nothing goes below the
                  cutoff.  With the default cutoff 0 that proves the
                  property; with a negative warm cutoff it only bounds the
                  minimum from below. *)
-              {
-                milp_status = (if cutoff >= 0.0 then Verified else Unknown);
-                milp_lb = cutoff;
-                nodes;
-                lp_solves;
-                witness = None;
-              }
+              let milp_status = if cutoff >= 0.0 then Verified else Unknown in
+              { milp_status; milp_lb = cutoff; nodes; witness = None; milp_lp }
           | Ivan_lp.Milp.Node_limit _ | Ivan_lp.Milp.Solver_failure _ ->
-              milp_inconclusive ~nodes ~lp_solves
+              milp_inconclusive ~nodes milp_lp
           | Ivan_lp.Milp.Optimal { objective; primal; _ } ->
               let lb = objective +. const in
               let witness = Array.sub primal 0 (Box.dim box) in
@@ -406,12 +380,12 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
                   | Counterexample x -> Counterexample x
                   | Verified | Unknown -> Unknown
               in
-              { milp_status = status; milp_lb = lb; nodes; lp_solves; witness = Some witness }))
+              { milp_status = status; milp_lb = lb; nodes; witness = Some witness; milp_lp }))
 
 let milp_exact ?(max_nodes = 100_000) ?(warm = true) () =
   let run net ~prop ~box ~splits =
     let o = milp_verify ~max_nodes ~warm net ~prop ~box ~splits in
-    { status = o.milp_status; lb = o.milp_lb; bounds = None; zono = None; cert = None }
+    { status = o.milp_status; lb = o.milp_lb; bounds = None; zono = None; cert = None; lp = o.milp_lp }
   in
   { name = "milp-exact"; run }
 
@@ -430,8 +404,6 @@ type fallback_event =
 (* Conditions the resilience layer must never swallow: they signal the
    process itself is in trouble, not one analyzer call. *)
 let fatal_exn = function Out_of_memory | Stack_overflow | Sys.Break -> true | _ -> false
-
-let degraded_outcome = { status = Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None }
 
 (* An outcome produced under possible faults is only trusted when it
    cannot violate soundness: no NaN bound, [Verified] only with a

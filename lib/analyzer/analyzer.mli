@@ -21,6 +21,29 @@
 
 type status = Verified | Counterexample of Ivan_tensor.Vec.t | Unknown
 
+type lp_report = {
+  warm_hits : int;  (** solves warm-started successfully *)
+  warm_misses : int;
+      (** {!Ivan_lp.Lp.solve_from} abandoned the parent basis; the crash
+          basis or the slack basis answered *)
+  cold_solves : int;  (** solves that never attempted a warm start, crash-started or not *)
+  pivots : int;  (** total simplex pivots across the call's solves *)
+  factor_pivots : int;
+      (** pivots [pivots] leaves out: refactorizations of a parent or
+          crash basis, and everything the attempts a solve abandoned
+          spent (a warm attempt that missed, a crash start that did not
+          answer) *)
+  basis : Ivan_lp.Lp.Basis.t option;
+      (** basis to offer to child nodes; [None] when the solve did not
+          end [Optimal] or the call ran the MILP search *)
+  deeppoly : Ivan_domains.Deeppoly.parent option;
+      (** the node's DeepPoly run, for child nodes to resume from;
+          O(neurons); [None] when the call ran the MILP search *)
+}
+(** What an LP-backed analyzer call solved: the BaB engine counts it
+    into the run's statistics and offers it to the node's children
+    through {!Warm}. *)
+
 type outcome = {
   status : status;
   lb : float;
@@ -36,7 +59,14 @@ type outcome = {
           {!lp_triangle} with [certify] set — [None] from every other
           analyzer and from cheap-bound shortcuts, which the engine
           counts as certificate-unavailable *)
+  lp : lp_report option;
+      (** the call's LP report, from {!lp_triangle} and {!milp_exact}
+          when they solved an LP; [None] otherwise *)
 }
+
+val degraded_outcome : outcome
+(** [Unknown] with [lb = neg_infinity] and nothing else: what a failed
+    call degrades to. *)
 
 type t = {
   name : string;
@@ -92,54 +122,27 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     failed solve: the outcome rests on the sound DeepPoly/zonotope
     bound. *)
 
-(** {2 Warm-start side channel}
+(** {2 Warm-start hint}
 
-    The BaB engine offers a parent node's report before an analyzer call
-    and collects the node's own report afterwards.  {!lp_triangle} takes
-    two things from an offered report: its DeepPoly run, which the node
-    resumes below its new split ({!Ivan_domains.Deeppoly.analyze}
-    [?parent]; used whatever [warm] says, since the bounds come out the
-    same bit for bit), and its basis, which warm-starts the simplex when
-    [warm] holds.  Both slots are domain-local and consumed on read:
-    parallel runner workers never observe each other's reports, and an
-    analyzer retry (under {!with_fallback}) runs cold, DeepPoly and LP
-    both, rather than re-using a hint that may have contributed to the
-    failure.  Analyzers without an LP back-end simply never touch the
-    channel. *)
+    The BaB engine offers a parent node's {!lp_report} before an
+    analyzer call.  {!lp_triangle} takes two things from it: its
+    DeepPoly run, which the node resumes below its new split
+    ({!Ivan_domains.Deeppoly.analyze} [?parent]; used whatever [warm]
+    says, since the bounds come out the same bit for bit), and its
+    basis, which warm-starts the simplex when [warm] holds.  The slot is
+    domain-local and consumed on read: parallel runner workers never
+    observe each other's hints, and an analyzer retry (under
+    {!with_fallback}) runs cold, DeepPoly and LP both, rather than
+    re-using a hint that may have contributed to the failure.  Analyzers
+    without an LP back-end simply never read it. *)
 module Warm : sig
-  type lp_info = {
-    warm_hits : int;  (** solves warm-started successfully *)
-    warm_misses : int;
-        (** {!Ivan_lp.Lp.solve_from} abandoned the parent basis; the
-            crash basis or the slack basis answered *)
-    cold_solves : int;
-        (** solves that never attempted a warm start, crash-started or
-            not *)
-    pivots : int;  (** total simplex pivots across the call's solves *)
-    factor_pivots : int;
-        (** pivots [pivots] leaves out: refactorizations of a parent or
-            crash basis, and everything the attempts a solve abandoned
-            spent (a warm attempt that missed, a crash start that did
-            not answer) *)
-    basis : Ivan_lp.Lp.Basis.t option;
-        (** basis to offer to child nodes; [None] when the solve did not
-            end [Optimal] or the call ran the MILP search *)
-    deeppoly : Ivan_domains.Deeppoly.parent option;
-        (** the node's DeepPoly run, for child nodes to resume from;
-            O(neurons); [None] when the call ran the MILP search *)
-  }
-
-  val offer : lp_info -> unit
+  val offer : lp_report -> unit
   (** Stage a parent's report for the next LP-backed analyzer call on
       this domain; only its [basis] and [deeppoly] are read. *)
 
   val clear : unit -> unit
-  (** Drop any staged hint and pending report (call before analyzing a
-      node with no usable parent basis). *)
-
-  val collect : unit -> lp_info option
-  (** The report of the most recent LP-backed analyzer call, if any;
-      consumes the slot. *)
+  (** Drop any staged hint (call before analyzing a node with no usable
+      parent report). *)
 end
 
 val zonotope : unit -> t
@@ -172,8 +175,8 @@ type milp_outcome = {
           otherwise the cutoff that nothing beat (0 for a plain verified
           run) *)
   nodes : int;  (** branch-and-bound nodes explored *)
-  lp_solves : int;
   witness : Ivan_tensor.Vec.t option;  (** minimizing input, if found *)
+  milp_lp : lp_report option;  (** the search's LP report, when it ran *)
 }
 
 val milp_verify :

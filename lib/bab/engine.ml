@@ -28,25 +28,32 @@ let default_config =
 (* Steps between wall-clock budget checks. *)
 let check_time_every = 8
 
-type stats = {
+type stats = Trace.aggregate = {
+  events : int;
   analyzer_calls : int;
+  analyzer_seconds : float;
   branchings : int;
   tree_size : int;
   tree_leaves : int;
   elapsed_seconds : float;
-  analyzer_seconds : float;
-  max_frontier : int;
-  max_depth : int;
+  pruned : int;
   heuristic_failures : int;
   retries : int;
   fallback_bounds : int;
   faults_absorbed : int;
+  max_frontier : int;
+  max_depth : int;
   lp_warm_hits : int;
   lp_warm_misses : int;
   lp_cold_solves : int;
   lp_pivots : int;
+  lp_factor_pivots : int;
+  lp_hit_pivots : int;
+  lp_hit_solves : int;
   certs_emitted : int;
   certs_unavailable : int;
+  cert_exact_checks : int;
+  verdict : string option;
 }
 
 type verdict = Proved | Disproved of Ivan_tensor.Vec.t | Exhausted
@@ -58,9 +65,9 @@ type run = {
   artifact : Cert.Artifact.t option;
 }
 
-(* The run's counters are one [Trace.aggregate], advanced by [Trace.count]
-   on every event the engine emits ({!emit}) — so [stats], a trace replay
-   and a journal resume all count through the same fold. *)
+(* The run's statistics are one [Trace.aggregate], advanced by
+   [Trace.count] on every event the engine emits ({!emit}) — so [stats],
+   a trace replay and a journal resume all count through the same fold. *)
 type t = {
   mutable analyzer : Analyzer.t;  (* hardened by [config.policy]; [degrade] swaps it *)
   heuristic : Heuristic.t;
@@ -72,13 +79,13 @@ type t = {
   frontier : Tree.node Frontier.t;
   mutable started : float;  (* the run clock's origin; replay moves it back *)
   mutable current_node : int;  (* node id under analysis, for resilience events *)
-  mutable counters : Trace.aggregate;
+  mutable counters : stats;
   (* Warm-start plumbing: frontier nodes whose parent solved an LP have
      the parent's report — its basis and its DeepPoly run — parked here
      until they are dequeued.  The table is engine-local bookkeeping,
      not verification state — a resumed run simply starts its nodes
      cold. *)
-  hints : (int, Analyzer.Warm.lp_info) Hashtbl.t;
+  hints : (int, Analyzer.lp_report) Hashtbl.t;
   (* Per-leaf certificates keyed by node id, admitted only once the
      float screen or the exact check has accepted them; assembled into
      the run's proof artifact at [finish].  Like [hints], the table is
@@ -138,29 +145,6 @@ let frontier_length t = Frontier.length t.frontier
 
 let finished t = t.finished
 
-let stats_of t ~elapsed =
-  let c = t.counters in
-  {
-    analyzer_calls = c.Trace.analyzer_calls;
-    branchings = c.Trace.branchings;
-    tree_size = Tree.size t.tree;
-    tree_leaves = Tree.num_leaves t.tree;
-    elapsed_seconds = elapsed;
-    analyzer_seconds = c.Trace.analyzer_seconds;
-    max_frontier = c.Trace.max_frontier;
-    max_depth = c.Trace.max_depth;
-    heuristic_failures = c.Trace.stuck;
-    retries = c.Trace.retries;
-    fallback_bounds = c.Trace.fallbacks;
-    faults_absorbed = c.Trace.absorbed;
-    lp_warm_hits = c.Trace.lp_warm_hits;
-    lp_warm_misses = c.Trace.lp_warm_misses;
-    lp_cold_solves = c.Trace.lp_cold_solves;
-    lp_pivots = c.Trace.lp_pivots;
-    certs_emitted = c.Trace.certified;
-    certs_unavailable = c.Trace.certs_unavailable;
-  }
-
 (* The proof artifact of a certified run: the final tree with one
    checked certificate per verified leaf ([Proved]), or the concrete
    counterexample ([Disproved]).  Leaves whose certificate was
@@ -196,20 +180,22 @@ let artifact_of t verdict =
             leaves = [];
           }
 
-let finished_run t ~elapsed verdict =
-  { verdict; tree = t.tree; stats = stats_of t ~elapsed; artifact = artifact_of t verdict }
+(* The run as it stands once its [Verdict] event is counted. *)
+let finished_run t verdict =
+  { verdict; tree = t.tree; stats = t.counters; artifact = artifact_of t verdict }
 
 let finish t verdict =
-  let elapsed = Clock.monotonic () -. t.started in
-  let run = finished_run t ~elapsed verdict in
   emit t
     (Trace.Verdict
        {
          verdict = verdict_label verdict;
          calls = calls t;
-         seconds = elapsed;
+         seconds = Clock.monotonic () -. t.started;
+         nodes = Tree.size t.tree;
+         leaves = Tree.num_leaves t.tree;
          counterexample = (match verdict with Disproved x -> Some x | Proved | Exhausted -> None);
        });
+  let run = finished_run t verdict in
   t.finished <- Some run;
   run
 
@@ -268,27 +254,24 @@ let step_once t =
               emit t
                 (Trace.Absorbed
                    { node = id; analyzer = t.analyzer.Analyzer.name; reason = Printexc.to_string e });
-              { Analyzer.status = Analyzer.Unknown; lb = neg_infinity; bounds = None; zono = None; cert = None }
+              Analyzer.degraded_outcome
         in
-        (* Collect the LP report, if the analyzer solved any: an event
-           for the run's counters, and the report to hand to the node's
-           children (below, if it splits). *)
-        let report =
-          match Analyzer.Warm.collect () with
-          | None -> None
-          | Some info ->
-              emit t
-                (Trace.Lp_solved
-                   {
-                     node = id;
-                     warm_hits = info.Analyzer.Warm.warm_hits;
-                     warm_misses = info.Analyzer.Warm.warm_misses;
-                     cold_solves = info.Analyzer.Warm.cold_solves;
-                     pivots = info.Analyzer.Warm.pivots;
-                     factor_pivots = info.Analyzer.Warm.factor_pivots;
-                   });
-              Some info
-        in
+        (* The accepted outcome's LP report, if it solved any: an event
+           for the run's counters, and the hint for the node's children
+           (below, if it splits). *)
+        Option.iter
+          (fun (r : Analyzer.lp_report) ->
+            emit t
+              (Trace.Lp_solved
+                 {
+                   node = id;
+                   warm_hits = r.warm_hits;
+                   warm_misses = r.warm_misses;
+                   cold_solves = r.cold_solves;
+                   pivots = r.pivots;
+                   factor_pivots = r.factor_pivots;
+                 }))
+          outcome.Analyzer.lp;
         emit t
           (Trace.Analyzed
              {
@@ -361,7 +344,7 @@ let step_once t =
                   (fun info ->
                     Hashtbl.replace t.hints (Tree.node_id left) info;
                     Hashtbl.replace t.hints (Tree.node_id right) info)
-                  report;
+                  outcome.Analyzer.lp;
                 Frontier.push t.frontier ~priority:outcome.Analyzer.lb left;
                 Frontier.push t.frontier ~priority:outcome.Analyzer.lb right;
                 Running)
@@ -568,7 +551,7 @@ let parse_start payload =
    split, so continuing could finish [Proved] over a leaf nothing
    verified. *)
 let continue_exhausted t ~budget_overridden =
-  budget_overridden && Frontier.length t.frontier > 0 && t.counters.Trace.stuck = 0
+  budget_overridden && Frontier.length t.frontier > 0 && t.counters.heuristic_failures = 0
 
 type resume_info = {
   replayed_steps : int;
@@ -587,9 +570,11 @@ type resume_info = {
    analyzer call's seconds, so a resumed run does not regain time it
    spent, and a replayed verdict takes the elapsed time it recorded.  A
    replayed [exhausted] verdict the run continues past leaves the engine
-   running.  Any divergence raises [Failure]: a diverging journal means
+   running and is left out of the counters, as the journal copy leaves
+   out its Step.  [ended] records that a verdict was replayed.  Any
+   divergence raises [Failure]: a diverging journal means
    the config fingerprint lied, and the caller turns it into [Error]. *)
-let replay_events t ~nodes ~budget_overridden events =
+let replay_events t ~nodes ~budget_overridden ~ended events =
   let find_node id =
     match Hashtbl.find_opt nodes id with
     | Some n -> n
@@ -598,7 +583,8 @@ let replay_events t ~nodes ~budget_overridden events =
   let last_lb = ref neg_infinity in
   List.iter
     (fun ev ->
-      if t.counters.Trace.verdict <> None then fail "journal has events after the terminal verdict";
+      if !ended then fail "journal has events after the terminal verdict";
+      let uncounted = t.counters in
       t.counters <- Trace.count t.counters ev;
       match ev with
       | Trace.Dequeued { node; depth = _; frontier } -> (
@@ -626,14 +612,14 @@ let replay_events t ~nodes ~budget_overridden events =
           Frontier.push t.frontier ~priority:!last_lb r
       | Trace.Pruned _ -> fail "unexpected pruner event in an engine journal"
       | Trace.Verdict { verdict; seconds; counterexample; _ } -> (
+          ended := true;
           t.started <- Clock.monotonic () -. seconds;
-          let finish_replayed verdict =
-            t.finished <- Some (finished_run t ~elapsed:seconds verdict)
-          in
+          let finish_replayed verdict = t.finished <- Some (finished_run t verdict) in
           match (verdict, counterexample) with
           | "proved", None -> finish_replayed Proved
           | "exhausted", None ->
-              if not (continue_exhausted t ~budget_overridden) then finish_replayed Exhausted
+              if continue_exhausted t ~budget_overridden then t.counters <- uncounted
+              else finish_replayed Exhausted
           | "disproved", Some x -> finish_replayed (Disproved x)
           | v, _ -> fail "malformed journaled verdict %S" v)
       | Trace.Lp_solved _ | Trace.Stuck _ | Trace.Retried _ | Trace.Fallback _
@@ -678,13 +664,13 @@ let resume ~analyzer ~heuristic ?config ?(trace = Trace.null) ?journal ~net ~pro
             in
             let t = create ~analyzer ~heuristic ~config ~trace ~initial_tree:tree ~net ~prop () in
             let start = start_payload t in
-            let nodes = Hashtbl.create 64 in
+            let nodes = Hashtbl.create 64 and ended = ref false in
             Tree.iter_nodes t.tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
             List.iter
               (fun (r : Journal.record) ->
                 match r.kind with
                 | Journal.Step ->
-                    replay_events t ~nodes ~budget_overridden
+                    replay_events t ~nodes ~budget_overridden ~ended
                       (List.filter_map
                          (fun line ->
                            if String.trim line = "" then None else Some (Trace.event_of_json line))
@@ -694,7 +680,7 @@ let resume ~analyzer ~heuristic ?config ?(trace = Trace.null) ?journal ~net ~pro
               steps;
             (* The copy leaves out the budget-exhausted terminal Step the
                run continued past: it holds only that verdict. *)
-            let continued = t.finished = None && t.counters.Trace.verdict <> None in
+            let continued = t.finished = None && !ended in
             let copied =
               List.filteri (fun i _ -> not (continued && i = List.length steps - 1)) steps
             in

@@ -7,15 +7,14 @@
     verify / report a counterexample / branch.  Callers can drive the
     loop themselves (interleaving verification with other work, or
     cancelling via {!cancel}); {!run} steps to
-    completion.  [Bab.verify] is a thin wrapper over [create] + [run]
-    and keeps the historical interface.
+    completion.  {!Bab} is this module plus [Bab.verify], a thin wrapper
+    over [create] + [run].
 
     One {!config} value carries a run's settings; every step can be
     observed through a {!Trace.sink}.  The wall-clock budget is enforced
     centrally — one clock read every 8 steps rather than per node.  The
-    run's counters are a
-    {!Trace.aggregate} folded from the events the engine emits, so a
-    trace and the run's {!stats} cannot disagree. *)
+    run's {!stats} are the {!Trace.aggregate} folded from the events the
+    engine emits, so a trace and the run's statistics cannot disagree. *)
 
 type budget = {
   max_analyzer_calls : int;
@@ -39,48 +38,36 @@ type config = {
 val default_config : config
 (** [Fifo], {!default_budget}, no policy, no certification. *)
 
-type stats = {
-  analyzer_calls : int;  (** bounding steps (the paper's Cost metric) *)
-  branchings : int;  (** node branchings *)
-  tree_size : int;  (** [|Nodes(T_f)|] *)
+type stats = Trace.aggregate = {
+  events : int;
+  analyzer_calls : int;
+  analyzer_seconds : float;
+  branchings : int;
+  tree_size : int;
   tree_leaves : int;
   elapsed_seconds : float;
-  analyzer_seconds : float;
-      (** wall-clock spent inside analyzer calls, each timed around
-          the hardened analyzer, so retries, degraded attempts and a
-          call that raised count too *)
-  max_frontier : int;  (** largest frontier observed at a dequeue *)
-  max_depth : int;  (** deepest node dequeued *)
+  pruned : int;
   heuristic_failures : int;
-      (** unsolved nodes the heuristic could not branch (numerical
-          failure, reported distinctly from budget exhaustion) *)
-  retries : int;  (** analyzer re-attempts made by the resilience layer *)
+  retries : int;
   fallback_bounds : int;
-      (** nodes whose accepted bound came from a degraded (non-primary)
-          analyzer in the fallback chain *)
   faults_absorbed : int;
-      (** analyzer failures (exceptions or untrustworthy outcomes)
-          swallowed instead of crashing the run *)
+  max_frontier : int;
+  max_depth : int;
   lp_warm_hits : int;
-      (** node LP solves that warm-started from the parent's simplex
-          basis ({!Ivan_lp.Lp.solve_from} succeeded) *)
   lp_warm_misses : int;
-      (** warm-start attempts that fell back to an internal cold solve *)
   lp_cold_solves : int;
-      (** node LP solves that never attempted a warm start (root node,
-          the first solves after a resume or {!degrade}, a parent that
-          solved no LP, an analyzer built with [~warm:false]) *)
-  lp_pivots : int;  (** total simplex pivots across all node LP solves *)
+  lp_pivots : int;
+  lp_factor_pivots : int;
+  lp_hit_pivots : int;
+  lp_hit_solves : int;
   certs_emitted : int;
-      (** verified leaves whose certificate passed the emission-time
-          check (float screen, else exact) and joined the proof
-          artifact (0 unless the engine was created with
-          [config.certify]) *)
   certs_unavailable : int;
-      (** verified leaves with no checkable certificate — the analyzer
-          produced none (non-LP verdict, fallback bound) or the exact
-          check rejected the solver's multipliers *)
+  cert_exact_checks : int;
+  verdict : string option;
 }
+(** A run's statistics are the fold of its events ({!Trace.aggregate},
+    where the fields are documented): [Trace.aggregate] over a run's full
+    trace equals its [stats], floats included. *)
 
 type verdict =
   | Proved
@@ -243,8 +230,9 @@ val resume :
     with one exception: an [Exhausted] run resumed with an overriding
     budget continues the search when its frontier still holds nodes and
     no node ended it {!Trace.Stuck} (that node left the frontier
-    unverified, so continuing could prove the property over it).  When
-    the journal died before its Checkpoint frame landed, the run starts
+    unverified, so continuing could prove the property over it); the
+    verdict it continues past is left out of its stats.  When the
+    journal died before its Checkpoint frame landed, the run starts
     fresh under [config].
 
     [journal], when supplied, receives a copy of the run: a Header, the

@@ -24,6 +24,8 @@ type event =
       verdict : string;
       calls : int;
       seconds : float;
+      nodes : int;
+      leaves : int;
       counterexample : float array option;
     }
 
@@ -102,9 +104,10 @@ let event_to_json = function
       Printf.sprintf {|{"ev":"absorbed","node":%d,"analyzer":%S,"reason":%S}|} node analyzer reason
   | Certified { node; kind; exact } ->
       Printf.sprintf {|{"ev":"certified","node":%d,"kind":%S,"exact":%b}|} node kind exact
-  | Verdict { verdict; calls; seconds; counterexample } ->
-      Printf.sprintf {|{"ev":"verdict","verdict":%S,"calls":%d,"seconds":%s%s}|} verdict calls
-        (seconds_token seconds)
+  | Verdict { verdict; calls; seconds; nodes; leaves; counterexample } ->
+      Printf.sprintf
+        {|{"ev":"verdict","verdict":%S,"calls":%d,"seconds":%s,"nodes":%d,"leaves":%d%s}|} verdict
+        calls (seconds_token seconds) nodes leaves
         (match counterexample with
         | None -> ""
         | Some x ->
@@ -241,6 +244,8 @@ let event_of_json line =
           verdict = str "verdict";
           calls = int "calls";
           seconds = float "seconds";
+          nodes = int "nodes";
+          leaves = int "leaves";
           counterexample = floats "counterexample";
         }
   | ev -> failwith (Printf.sprintf "Trace.event_of_json: unknown event %S" ev)
@@ -284,11 +289,14 @@ type aggregate = {
   analyzer_calls : int;
   analyzer_seconds : float;
   branchings : int;
+  tree_size : int;
+  tree_leaves : int;
+  elapsed_seconds : float;
   pruned : int;
-  stuck : int;
+  heuristic_failures : int;
   retries : int;
-  fallbacks : int;
-  absorbed : int;
+  fallback_bounds : int;
+  faults_absorbed : int;
   max_frontier : int;
   max_depth : int;
   lp_warm_hits : int;
@@ -298,7 +306,7 @@ type aggregate = {
   lp_factor_pivots : int;
   lp_hit_pivots : int;
   lp_hit_solves : int;
-  certified : int;
+  certs_emitted : int;
   certs_unavailable : int;
   cert_exact_checks : int;
   verdict : string option;
@@ -310,11 +318,14 @@ let empty_aggregate =
     analyzer_calls = 0;
     analyzer_seconds = 0.0;
     branchings = 0;
+    tree_size = 0;
+    tree_leaves = 0;
+    elapsed_seconds = 0.0;
     pruned = 0;
-    stuck = 0;
+    heuristic_failures = 0;
     retries = 0;
-    fallbacks = 0;
-    absorbed = 0;
+    fallback_bounds = 0;
+    faults_absorbed = 0;
     max_frontier = 0;
     max_depth = 0;
     lp_warm_hits = 0;
@@ -324,7 +335,7 @@ let empty_aggregate =
     lp_factor_pivots = 0;
     lp_hit_pivots = 0;
     lp_hit_solves = 0;
-    certified = 0;
+    certs_emitted = 0;
     certs_unavailable = 0;
     cert_exact_checks = 0;
     verdict = None;
@@ -355,28 +366,41 @@ let count acc ev =
       }
   | Split _ -> { acc with branchings = acc.branchings + 1 }
   | Pruned _ -> { acc with pruned = acc.pruned + 1 }
-  | Stuck _ -> { acc with stuck = acc.stuck + 1 }
+  | Stuck _ -> { acc with heuristic_failures = acc.heuristic_failures + 1 }
   | Retried _ -> { acc with retries = acc.retries + 1 }
-  | Fallback _ -> { acc with fallbacks = acc.fallbacks + 1 }
-  | Absorbed _ -> { acc with absorbed = acc.absorbed + 1 }
+  | Fallback _ -> { acc with fallback_bounds = acc.fallback_bounds + 1 }
+  | Absorbed _ -> { acc with faults_absorbed = acc.faults_absorbed + 1 }
   | Certified { kind; exact; _ } ->
       let acc =
         if exact then { acc with cert_exact_checks = acc.cert_exact_checks + 1 } else acc
       in
       if kind = "unavailable" then { acc with certs_unavailable = acc.certs_unavailable + 1 }
-      else { acc with certified = acc.certified + 1 }
-  | Verdict { verdict; _ } -> { acc with verdict = Some verdict }
+      else { acc with certs_emitted = acc.certs_emitted + 1 }
+  | Verdict { verdict; seconds; nodes; leaves; _ } ->
+      {
+        acc with
+        verdict = Some verdict;
+        elapsed_seconds = acc.elapsed_seconds +. seconds;
+        tree_size = acc.tree_size + nodes;
+        tree_leaves = acc.tree_leaves + leaves;
+      }
 
 let aggregate events = List.fold_left count empty_aggregate events
 
 let pp_aggregate fmt a =
-  Format.fprintf fmt "%d calls (%.3fs in analyzer), %d splits, frontier peak %d, depth %d"
-    a.analyzer_calls a.analyzer_seconds a.branchings a.max_frontier a.max_depth;
+  let share =
+    if a.elapsed_seconds > 0.0 then 100.0 *. a.analyzer_seconds /. a.elapsed_seconds else 0.0
+  in
+  Format.fprintf fmt
+    "%d calls (%.3fs in analyzer, %.0f%% of %.3fs), %d splits, tree %d/%d, frontier peak %d, \
+     depth %d"
+    a.analyzer_calls a.analyzer_seconds share a.elapsed_seconds a.branchings a.tree_size
+    a.tree_leaves a.max_frontier a.max_depth;
   if a.pruned > 0 then Format.fprintf fmt ", %d pruned" a.pruned;
-  if a.stuck > 0 then Format.fprintf fmt ", %d heuristic failures" a.stuck;
+  if a.heuristic_failures > 0 then Format.fprintf fmt ", %d heuristic failures" a.heuristic_failures;
   if a.retries > 0 then Format.fprintf fmt ", %d retries" a.retries;
-  if a.fallbacks > 0 then Format.fprintf fmt ", %d fallback bounds" a.fallbacks;
-  if a.absorbed > 0 then Format.fprintf fmt ", %d faults absorbed" a.absorbed;
+  if a.fallback_bounds > 0 then Format.fprintf fmt ", %d fallback bounds" a.fallback_bounds;
+  if a.faults_absorbed > 0 then Format.fprintf fmt ", %d faults absorbed" a.faults_absorbed;
   let solves = a.lp_warm_hits + a.lp_warm_misses + a.lp_cold_solves in
   if solves > 0 then begin
     Format.fprintf fmt ", LP %d warm / %d miss / %d cold (%d pivots, %d refactor" a.lp_warm_hits
@@ -386,7 +410,7 @@ let pp_aggregate fmt a =
       (per a.lp_hit_pivots a.lp_hit_solves)
       (per (a.lp_pivots + a.lp_factor_pivots - a.lp_hit_pivots) (solves - a.lp_hit_solves))
   end;
-  if a.certified > 0 || a.certs_unavailable > 0 then
-    Format.fprintf fmt ", %d certified / %d uncertified (%d exact checks)" a.certified
+  if a.certs_emitted > 0 || a.certs_unavailable > 0 then
+    Format.fprintf fmt ", %d certified / %d uncertified (%d exact checks)" a.certs_emitted
       a.certs_unavailable a.cert_exact_checks;
   match a.verdict with None -> () | Some v -> Format.fprintf fmt ", verdict %s" v

@@ -54,11 +54,15 @@ type event =
       verdict : string;
       calls : int;
       seconds : float;
+      nodes : int;
+      leaves : int;
       counterexample : float array option;
     }
       (** terminal event: [proved], [disproved] or [exhausted];
-          [seconds] is the run's elapsed time, and [counterexample] the
-          concrete violating input, present exactly when [disproved] *)
+          [seconds] is the run's elapsed time, [nodes] and [leaves] the
+          final specification tree's (seed nodes included), and
+          [counterexample] the concrete violating input, present exactly
+          when [disproved] *)
 
 type sink
 
@@ -101,20 +105,38 @@ val read_jsonl : string -> event list
 
 type aggregate = {
   events : int;
-  analyzer_calls : int;  (** [Analyzed] events *)
-  analyzer_seconds : float;  (** summed analyzer time *)
+  analyzer_calls : int;  (** [Analyzed] events: the paper's Cost metric *)
+  analyzer_seconds : float;
+      (** summed analyzer time: each call timed around the hardened
+          analyzer, so retries, degraded attempts and a call that raised
+          count too *)
   branchings : int;  (** [Split] events *)
-  pruned : int;
-  stuck : int;
+  tree_size : int;  (** [|Nodes(T_f)|], from the [Verdict] event *)
+  tree_leaves : int;  (** from the [Verdict] event *)
+  elapsed_seconds : float;  (** the run's wall time, from the [Verdict] event *)
+  pruned : int;  (** [Pruned] events *)
+  heuristic_failures : int;
+      (** [Stuck] events: unsolved nodes the heuristic could not branch
+          (numerical failure, reported distinctly from budget
+          exhaustion) *)
   retries : int;  (** [Retried] events *)
-  fallbacks : int;  (** [Fallback] events *)
-  absorbed : int;  (** [Absorbed] events *)
+  fallback_bounds : int;
+      (** [Fallback] events: nodes whose accepted bound came from a
+          degraded analyzer *)
+  faults_absorbed : int;
+      (** [Absorbed] events: analyzer failures (exceptions or
+          untrustworthy outcomes) swallowed instead of crashing the run *)
   max_frontier : int;  (** largest frontier observed at a dequeue *)
   max_depth : int;  (** deepest node dequeued *)
-  lp_warm_hits : int;  (** summed from [Lp_solved] events *)
-  lp_warm_misses : int;
+  lp_warm_hits : int;
+      (** summed from [Lp_solved] events: node LP solves warm-started
+          from the parent's basis *)
+  lp_warm_misses : int;  (** warm attempts that fell back to a cold solve *)
   lp_cold_solves : int;
-  lp_pivots : int;
+      (** node LP solves that never attempted a warm start (the root,
+          the first solves after a resume or [Engine.degrade], a parent
+          that solved no LP, an analyzer built with [~warm:false]) *)
+  lp_pivots : int;  (** total simplex pivots across node LP solves *)
   lp_factor_pivots : int;
       (** refactorization and abandoned-start pivots [lp_pivots] leaves
           out (see [Lp_solved]) *)
@@ -126,13 +148,20 @@ type aggregate = {
           [lp_hit_pivots / lp_hit_solves] beside the pivots per other
           solve (cold solves, warm misses, and warm hits that share an
           event with a cold solve, as a MILP search's do) *)
-  certified : int;  (** [Certified] events with an emitted certificate *)
-  certs_unavailable : int;  (** [Certified] events with kind ["unavailable"] *)
+  certs_emitted : int;
+      (** [Certified] events with an emitted certificate: verified
+          leaves whose certificate passed the emission-time check *)
+  certs_unavailable : int;
+      (** [Certified] events with kind ["unavailable"]: verified leaves
+          left without a checkable certificate *)
   cert_exact_checks : int;
       (** [Certified] events whose emission fell back to the exact
           check; the rest were admitted by the float screen *)
-  verdict : string option;  (** from the terminal [Verdict] event *)
+  verdict : string option;  (** from the [Verdict] event *)
 }
+(** A run's statistics.  Folded over several runs' events, every count,
+    the elapsed time and the tree sizes add up, and [verdict] is the
+    last run's. *)
 
 val empty_aggregate : aggregate
 (** All counters zero, no verdict. *)
@@ -144,6 +173,10 @@ val count : aggregate -> event -> aggregate
 
 val aggregate : event list -> aggregate
 (** [List.fold_left count empty_aggregate].  On a full engine trace this
-    reproduces the run's {!Engine.stats} counters exactly. *)
+    is the run's {!Engine.stats}, floats included. *)
 
 val pp_aggregate : Format.formatter -> aggregate -> unit
+(** One line: analyzer calls and their share of the elapsed time,
+    splits, the tree's nodes and leaves, frontier peak and depth, then
+    the non-zero resilience, LP and certificate counters and the
+    verdict. *)

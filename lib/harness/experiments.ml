@@ -152,12 +152,12 @@ let scatter fmt comparisons =
       let base = c.Runner.baseline in
       let sp_t = if ivan.Runner.seconds > 0.0 then base.Runner.seconds /. ivan.Runner.seconds else 1.0 in
       let sp_c =
-        if ivan.Runner.calls > 0 then float_of_int base.Runner.calls /. float_of_int ivan.Runner.calls
+        if Runner.calls ivan > 0 then float_of_int (Runner.calls base) /. float_of_int (Runner.calls ivan)
         else 1.0
       in
       Format.fprintf fmt "%4d %9.3f %9.3f %8d %8d %6.2f %6.2f  %c/%c@." c.Runner.instance.Workload.id
-        base.Runner.seconds ivan.Runner.seconds base.Runner.calls ivan.Runner.calls sp_t sp_c
-        (verdict_char base.Runner.verdict) (verdict_char ivan.Runner.verdict))
+        base.Runner.seconds ivan.Runner.seconds (Runner.calls base) (Runner.calls ivan) sp_t sp_c
+        (verdict_char base.Runner.run.Bab.verdict) (verdict_char ivan.Runner.run.Bab.verdict))
     rows;
   let s = Report.summarize comparisons Ivan.Full in
   Format.fprintf fmt "overall: Sp(time) %.2fx  Sp(calls) %.2fx  geomean(time) %.2fx  +solved %d@."
@@ -338,7 +338,7 @@ let table4 ctx fmt =
           let avg_calls ms =
             if ms = [] then 0.0
             else
-              float_of_int (List.fold_left (fun acc m -> acc + m.Runner.calls) 0 ms)
+              float_of_int (List.fold_left (fun acc m -> acc + Runner.calls m) 0 ms)
               /. float_of_int (List.length ms)
           in
           let easy, hard = Report.split_hard comparisons in

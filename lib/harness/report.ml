@@ -14,6 +14,8 @@ type summary = {
 
 let technique_measurement (c : Runner.comparison) technique = List.assoc technique c.Runner.techniques
 
+let stats (t : Runner.timed) = t.Runner.run.Bab.stats
+
 let geomean = function
   | [] -> 1.0
   | xs ->
@@ -35,15 +37,15 @@ let summarize comparisons technique =
       if Runner.solved tech && not (Runner.solved base) then incr plus_solved;
       (* Overall speedup over the baseline-solved set, per the paper. *)
       if Runner.solved base then begin
+        let base_c = Runner.calls base and tech_c = Runner.calls tech in
         base_time := !base_time +. base.Runner.seconds;
         tech_time := !tech_time +. tech.Runner.seconds;
-        base_calls := !base_calls + base.Runner.calls;
-        tech_calls := !tech_calls + tech.Runner.calls;
+        base_calls := !base_calls + base_c;
+        tech_calls := !tech_calls + tech_c;
         if tech.Runner.seconds > 0.0 then
           time_ratios := (base.Runner.seconds /. tech.Runner.seconds) :: !time_ratios;
-        if tech.Runner.calls > 0 then
-          call_ratios :=
-            (float_of_int base.Runner.calls /. float_of_int tech.Runner.calls) :: !call_ratios
+        if tech_c > 0 then
+          call_ratios := (float_of_int base_c /. float_of_int tech_c) :: !call_ratios
       end)
     comparisons;
   {
@@ -58,56 +60,34 @@ let summarize comparisons technique =
     geomean_calls = geomean !call_ratios;
   }
 
-let verdict_counts measurements =
+let verdict_counts runs =
   List.fold_left
-    (fun (v, c, u) (m : Runner.measurement) ->
-      match m.Runner.verdict with
+    (fun (v, c, u) (t : Runner.timed) ->
+      match t.Runner.run.Bab.verdict with
       | Bab.Proved -> (v + 1, c, u)
       | Bab.Disproved _ -> (v, c + 1, u)
       | Bab.Exhausted -> (v, c, u + 1))
-    (0, 0, 0) measurements
+    (0, 0, 0) runs
 
 let split_hard comparisons =
-  List.partition (fun (c : Runner.comparison) -> c.Runner.original.Runner.tree_size <= 5) comparisons
+  List.partition (fun (c : Runner.comparison) -> (stats c.Runner.original).tree_size <= 5) comparisons
 
-let verdict_name (m : Runner.measurement) =
-  match m.Runner.verdict with
+let verdict_name (t : Runner.timed) =
+  match t.Runner.run.Bab.verdict with
   | Bab.Proved -> "verified"
   | Bab.Disproved _ -> "counterexample"
   | Bab.Exhausted -> "unknown"
-
-let pp_engine_stats fmt (s : Bab.stats) =
-  let share =
-    if s.Bab.elapsed_seconds > 0.0 then
-      100.0 *. s.Bab.analyzer_seconds /. s.Bab.elapsed_seconds
-    else 0.0
-  in
-  Format.fprintf fmt
-    "analyzer calls %d (%.3fs, %.0f%% of %.3fs)  branchings %d  tree %d/%d  frontier peak %d  \
-     max depth %d"
-    s.Bab.analyzer_calls s.Bab.analyzer_seconds share s.Bab.elapsed_seconds s.Bab.branchings
-    s.Bab.tree_size s.Bab.tree_leaves s.Bab.max_frontier s.Bab.max_depth;
-  if s.Bab.heuristic_failures > 0 then
-    Format.fprintf fmt "  heuristic failures %d" s.Bab.heuristic_failures;
-  if s.Bab.retries > 0 then Format.fprintf fmt "  retries %d" s.Bab.retries;
-  if s.Bab.fallback_bounds > 0 then Format.fprintf fmt "  fallback bounds %d" s.Bab.fallback_bounds;
-  if s.Bab.faults_absorbed > 0 then Format.fprintf fmt "  faults absorbed %d" s.Bab.faults_absorbed;
-  if s.Bab.lp_warm_hits + s.Bab.lp_warm_misses + s.Bab.lp_cold_solves > 0 then
-    Format.fprintf fmt "  LP solves %d warm / %d miss / %d cold (%d pivots)" s.Bab.lp_warm_hits
-      s.Bab.lp_warm_misses s.Bab.lp_cold_solves s.Bab.lp_pivots;
-  if s.Bab.certs_emitted + s.Bab.certs_unavailable > 0 then
-    Format.fprintf fmt "  certificates %d emitted / %d unavailable" s.Bab.certs_emitted
-      s.Bab.certs_unavailable
 
 let to_csv comparisons =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     "instance,property,run,verdict,calls,seconds,tree_size,tree_leaves,retries,fallback_bounds,faults_absorbed\n";
-  let row id name run (m : Runner.measurement) =
+  let row id name run (t : Runner.timed) =
+    let s = stats t in
     Buffer.add_string buf
-      (Printf.sprintf "%d,%s,%s,%s,%d,%.6f,%d,%d,%d,%d,%d\n" id name run (verdict_name m)
-         m.Runner.calls m.Runner.seconds m.Runner.tree_size m.Runner.tree_leaves m.Runner.retries
-         m.Runner.fallback_bounds m.Runner.faults_absorbed)
+      (Printf.sprintf "%d,%s,%s,%s,%d,%.6f,%d,%d,%d,%d,%d\n" id name run (verdict_name t)
+         s.analyzer_calls t.Runner.seconds s.tree_size s.tree_leaves s.retries s.fallback_bounds
+         s.faults_absorbed)
   in
   List.iter
     (fun (c : Runner.comparison) ->

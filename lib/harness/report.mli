@@ -16,10 +16,9 @@ type summary = {
 val summarize : Runner.comparison list -> Ivan_core.Ivan.technique -> summary
 (** @raise Not_found if the technique was not measured. *)
 
-val technique_measurement :
-  Runner.comparison -> Ivan_core.Ivan.technique -> Runner.measurement
+val technique_measurement : Runner.comparison -> Ivan_core.Ivan.technique -> Runner.timed
 
-val verdict_counts : Runner.measurement list -> int * int * int
+val verdict_counts : Runner.timed list -> int * int * int
 (** (verified, counterexample, unknown) — the paper's v/c/u columns. *)
 
 val geomean : float list -> float
@@ -28,12 +27,6 @@ val geomean : float list -> float
 val split_hard : Runner.comparison list -> Runner.comparison list * Runner.comparison list
 (** Partition into easy ([|T_f^N| <= 5]) and hard instances by the
     original proof-tree size, as in the paper's Table 4. *)
-
-val pp_engine_stats : Format.formatter -> Ivan_bab.Bab.stats -> unit
-(** One-line rendering of the extended per-run engine statistics:
-    analyzer calls and time share, branchings, tree size, frontier peak,
-    max dequeued depth, and (when non-zero) heuristic failures, retries,
-    fallback bounds and absorbed faults. *)
 
 val to_csv : Runner.comparison list -> string
 (** Machine-readable per-instance results: one row per (instance,

@@ -22,70 +22,40 @@ let acas_setting
     () =
   { analyzer = Analyzer.zonotope (); heuristic = Heuristic.input_smear; config }
 
-type measurement = {
-  verdict : Bab.verdict;
-  calls : int;
-  seconds : float;
-  tree_size : int;
-  tree_leaves : int;
-  retries : int;
-  fallback_bounds : int;
-  faults_absorbed : int;
-  certs_emitted : int;
-  certs_unavailable : int;
-  artifact : Ivan_cert.Cert.Artifact.t option;
-}
+type timed = { run : Bab.run; seconds : float }
 
-let solved m = match m.verdict with Bab.Proved | Bab.Disproved _ -> true | Bab.Exhausted -> false
+let solved t = match t.run.Bab.verdict with Bab.Proved | Bab.Disproved _ -> true | Bab.Exhausted -> false
+
+let calls t = t.run.Bab.stats.Bab.analyzer_calls
 
 type comparison = {
   instance : Workload.instance;
-  original : measurement;
-  baseline : measurement;
-  techniques : (Ivan.technique * measurement) list;
+  original : timed;
+  baseline : timed;
+  techniques : (Ivan.technique * timed) list;
 }
 
-let measure_of_run (run : Bab.run) seconds =
-  {
-    verdict = run.Bab.verdict;
-    calls = run.Bab.stats.Bab.analyzer_calls;
-    seconds;
-    tree_size = run.Bab.stats.Bab.tree_size;
-    tree_leaves = run.Bab.stats.Bab.tree_leaves;
-    retries = run.Bab.stats.Bab.retries;
-    fallback_bounds = run.Bab.stats.Bab.fallback_bounds;
-    faults_absorbed = run.Bab.stats.Bab.faults_absorbed;
-    certs_emitted = run.Bab.stats.Bab.certs_emitted;
-    certs_unavailable = run.Bab.stats.Bab.certs_unavailable;
-    artifact = run.Bab.artifact;
-  }
+let timed f =
+  let run, seconds = Clock.timed f in
+  { run; seconds }
 
 let run_instance setting ~net ~updated ~techniques (instance : Workload.instance) =
   let prop = instance.Workload.prop in
   let { analyzer; heuristic; config } = setting in
-  let original_run, original_time =
-    Clock.timed (fun () -> Ivan.verify_original ~analyzer ~heuristic ~config ~net ~prop)
+  let original = timed (fun () -> Ivan.verify_original ~analyzer ~heuristic ~config ~net ~prop) in
+  let baseline =
+    timed (fun () -> Ivan.verify_original ~analyzer ~heuristic ~config ~net:updated ~prop)
   in
-  let baseline_run, baseline_time =
-    Clock.timed (fun () -> Ivan.verify_original ~analyzer ~heuristic ~config ~net:updated ~prop)
-  in
-  let technique_runs =
+  let techniques =
     List.map
       (fun technique ->
-        let run, seconds =
-          Clock.timed (fun () ->
+        ( technique,
+          timed (fun () ->
               Ivan.verify_updated ~analyzer ~heuristic ~config:{ config with Ivan.technique }
-                ~original_run ~updated ~prop)
-        in
-        (technique, measure_of_run run seconds))
+                ~original_run:original.run ~updated ~prop) ))
       techniques
   in
-  {
-    instance;
-    original = measure_of_run original_run original_time;
-    baseline = measure_of_run baseline_run baseline_time;
-    techniques = technique_runs;
-  }
+  { instance; original; baseline; techniques }
 
 let run_all ?(domains = 1) setting ~net ~updated ~techniques instances =
   if domains > 1 && Option.is_some setting.config.Ivan.journal then

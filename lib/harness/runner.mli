@@ -26,30 +26,24 @@ val acas_setting : ?config:Ivan_core.Ivan.config -> unit -> setting
     config: {!Ivan_core.Ivan.default_config} with a budget of 3000
     calls, 60 s. *)
 
-type measurement = {
-  verdict : Ivan_bab.Bab.verdict;
-  calls : int;
+type timed = {
+  run : Ivan_bab.Bab.run;  (** its [stats] carry the calls, tree and resilience counters *)
   seconds : float;
-  tree_size : int;
-  tree_leaves : int;
-  retries : int;  (** analyzer re-attempts by the resilience layer *)
-  fallback_bounds : int;  (** nodes bounded by a degraded analyzer *)
-  faults_absorbed : int;  (** analyzer failures swallowed *)
-  certs_emitted : int;  (** leaf certificates emitted (certify runs) *)
-  certs_unavailable : int;  (** verified leaves without a certificate *)
-  artifact : Ivan_cert.Cert.Artifact.t option;
-      (** the run's proof artifact under [certify] (see
-          {!Ivan_bab.Bab.run}) *)
+      (** wall time of the whole call, an incremental run's tree pruning
+          and [H_Delta] construction included *)
 }
 
-val solved : measurement -> bool
+val solved : timed -> bool
 (** Proved or disproved within budget. *)
+
+val calls : timed -> int
+(** The run's analyzer calls, the paper's Cost metric. *)
 
 type comparison = {
   instance : Workload.instance;
-  original : measurement;  (** verifying [N] from scratch *)
-  baseline : measurement;  (** verifying [N^a] from scratch *)
-  techniques : (Ivan_core.Ivan.technique * measurement) list;
+  original : timed;  (** verifying [N] from scratch *)
+  baseline : timed;  (** verifying [N^a] from scratch *)
+  techniques : (Ivan_core.Ivan.technique * timed) list;
       (** verifying [N^a] incrementally *)
 }
 

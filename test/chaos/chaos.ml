@@ -84,25 +84,30 @@ let compare_runs w (g : Engine.run) (r : Engine.run) =
   | Engine.Disproved x, Engine.Disproved y ->
       if x <> y then err "counterexample vectors differ"
   | gv, rv -> err "verdict: golden %s, resumed %s" (verdict_name gv) (verdict_name rv));
-  let gs = g.Engine.stats and rs = r.Engine.stats in
-  let chk name a b = if a <> b then err "%s: golden %d, resumed %d" name a b in
-  chk "analyzer_calls" gs.Engine.analyzer_calls rs.Engine.analyzer_calls;
-  chk "branchings" gs.Engine.branchings rs.Engine.branchings;
-  chk "tree_size" gs.Engine.tree_size rs.Engine.tree_size;
-  chk "tree_leaves" gs.Engine.tree_leaves rs.Engine.tree_leaves;
-  chk "max_frontier" gs.Engine.max_frontier rs.Engine.max_frontier;
-  chk "max_depth" gs.Engine.max_depth rs.Engine.max_depth;
-  chk "heuristic_failures" gs.Engine.heuristic_failures rs.Engine.heuristic_failures;
-  chk "retries" gs.Engine.retries rs.Engine.retries;
-  chk "fallback_bounds" gs.Engine.fallback_bounds rs.Engine.fallback_bounds;
-  chk "faults_absorbed" gs.Engine.faults_absorbed rs.Engine.faults_absorbed;
-  chk "certs_emitted" gs.Engine.certs_emitted rs.Engine.certs_emitted;
-  chk "certs_unavailable" gs.Engine.certs_unavailable rs.Engine.certs_unavailable;
+  (* The run statistics compared whole, less the wall-clock fields, and
+     less the LP counters unless [compare_lp]: a resumed warm run solves
+     its first nodes colder. *)
+  let deterministic (s : Engine.stats) =
+    let s = { s with analyzer_seconds = 0.0; elapsed_seconds = 0.0 } in
+    if w.compare_lp then s
+    else
+      {
+        s with
+        lp_warm_hits = 0;
+        lp_warm_misses = 0;
+        lp_cold_solves = 0;
+        lp_pivots = 0;
+        lp_factor_pivots = 0;
+        lp_hit_pivots = 0;
+        lp_hit_solves = 0;
+      }
+  in
+  let gs = deterministic g.Engine.stats and rs = deterministic r.Engine.stats in
+  if gs <> rs then
+    err "stats: golden %s; resumed %s"
+      (Format.asprintf "%a" Ivan_bab.Trace.pp_aggregate gs)
+      (Format.asprintf "%a" Ivan_bab.Trace.pp_aggregate rs);
   if w.compare_lp then begin
-    chk "lp_warm_hits" gs.Engine.lp_warm_hits rs.Engine.lp_warm_hits;
-    chk "lp_warm_misses" gs.Engine.lp_warm_misses rs.Engine.lp_warm_misses;
-    chk "lp_cold_solves" gs.Engine.lp_cold_solves rs.Engine.lp_cold_solves;
-    chk "lp_pivots" gs.Engine.lp_pivots rs.Engine.lp_pivots;
     (* A resumed run's first nodes run DeepPoly cold where the golden
        run resumed them from their parents: the bounds, and so every
        node's lb, must still be the same bit for bit. *)

@@ -198,7 +198,7 @@ let wrap_analyzer p a =
     | Some Nan_bounds ->
         (* A corrupt "don't know" with a poisoned bound: the sanitation
            layer must reject it rather than record the NaN. *)
-        { Analyzer.status = Analyzer.Unknown; lb = nan; bounds = None; zono = None; cert = None }
+        { Analyzer.degraded_outcome with Analyzer.lb = nan }
     | Some Inf_bounds ->
         (* Corrupt only the reported bound, never the status: a
            fabricated [Verified] would let the injector itself break

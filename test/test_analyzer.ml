@@ -386,19 +386,19 @@ let test_crash_wiring () =
   let a = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
   let run () =
     let o = a.Analyzer.run net ~prop ~box ~splits in
-    match Analyzer.Warm.collect () with
+    match o.Analyzer.lp with
     | Some info -> (o, info)
     | None -> Alcotest.fail "no LP report"
   in
   Analyzer.Warm.clear ();
   let o, info = run () in
   let tolerance = 1e-6 *. (1.0 +. Float.abs expected) in
-  Alcotest.(check int) "one cold solve" 1 info.Analyzer.Warm.cold_solves;
+  Alcotest.(check int) "one cold solve" 1 info.Analyzer.cold_solves;
   Alcotest.(check (float tolerance)) "plain bound" expected o.Analyzer.lb;
   let empty = Lp.Basis.make ~basics:[||] ~statuses:[||] in
-  Analyzer.Warm.offer { info with Analyzer.Warm.basis = Some empty; deeppoly = None };
+  Analyzer.Warm.offer { info with Analyzer.basis = Some empty; deeppoly = None };
   let o, info = run () in
-  Alcotest.(check int) "one warm miss" 1 info.Analyzer.Warm.warm_misses;
+  Alcotest.(check int) "one warm miss" 1 info.Analyzer.warm_misses;
   Alcotest.(check (float tolerance)) "plain bound after the miss" expected o.Analyzer.lb
 
 (* A net the triangle LP does not decide at its root (the property
@@ -411,7 +411,7 @@ let split_subject () =
 let run_node (a : Analyzer.t) net prop hint splits =
   (match hint with Some h -> Analyzer.Warm.offer h | None -> Analyzer.Warm.clear ());
   let o = a.Analyzer.run net ~prop ~box:prop.Prop.input ~splits in
-  (o, Analyzer.Warm.collect ())
+  (o, o.Analyzer.lp)
 
 let bits = Int64.bits_of_float
 
@@ -424,7 +424,7 @@ let same_outcome label ((o : Analyzer.outcome), info) ((o' : Analyzer.outcome), 
   in
   let stats = function
     | None -> None
-    | Some (i : Analyzer.Warm.lp_info) ->
+    | Some (i : Analyzer.lp_report) ->
         Some (i.warm_hits, i.warm_misses, i.cold_solves, i.pivots, i.factor_pivots)
   in
   Alcotest.(check int64) (label ^ ": lb") (bits o.lb) (bits o'.lb);
@@ -442,7 +442,7 @@ let test_deeppoly_hint_changes_nothing () =
   let cold = Analyzer.lp_triangle ~deeppoly_shortcut:false ~warm:false () in
   let warm = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
   let resumed = ref 0 in
-  let rec walk depth splits (info : Analyzer.Warm.lp_info) =
+  let rec walk depth splits (info : Analyzer.lp_report) =
     let o, _ = run_node cold net prop None splits in
     match o.Analyzer.bounds with
     | None -> ()
@@ -493,7 +493,7 @@ let test_retry_runs_cold () =
   in
   let child = Splits.add r Splits.Pos Splits.empty in
   let cold_solves = function
-    | _, Some (i : Analyzer.Warm.lp_info) -> i.cold_solves
+    | _, Some (i : Analyzer.lp_report) -> i.cold_solves
     | _, None -> Alcotest.fail "no LP report at the child"
   in
   Alcotest.(check int) "offered basis starts the solve" 0

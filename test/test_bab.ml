@@ -99,7 +99,7 @@ let test_dimension_mismatch () =
   let input = Box.make ~lo:(Vec.zeros 3) ~hi:(Vec.create 3 1.0) in
   let prop = Prop.make ~name:"bad" ~input ~c:(Vec.of_list [ 1.0 ]) ~offset:0.0 in
   Alcotest.check_raises "mismatch"
-    (Invalid_argument "Bab.verify: property dimension does not match the network") (fun () ->
+    (Invalid_argument "Engine.create: property dimension does not match the network") (fun () ->
       ignore (verify net prop))
 
 (* Completeness sweep: for offsets straddling the exact minimum (-1.5),

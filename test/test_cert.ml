@@ -395,7 +395,7 @@ let test_fcn_screen_decides_every_leaf () =
       | _ -> ())
     (Workload.robustness_instances ~spec ~net ~count:4);
   let a = !totals in
-  Alcotest.(check bool) "certificates were emitted" true (a.Trace.certified > 0);
+  Alcotest.(check bool) "certificates were emitted" true (a.Trace.certs_emitted > 0);
   Alcotest.(check int) "no certificate unavailable" 0 a.Trace.certs_unavailable;
   Alcotest.(check int) "no exact fallback" 0 a.Trace.cert_exact_checks
 
@@ -480,11 +480,11 @@ let test_parallel_certified_runs () =
     Runner.run_all ~domains setting ~net ~updated ~techniques:[ Ivan.Full ] instances
   in
   let seq = run 1 and par = run 4 in
-  let kind (m : Runner.measurement) =
-    match m.Runner.verdict with Bab.Proved -> 0 | Bab.Disproved _ -> 1 | Bab.Exhausted -> 2
+  let kind (m : Runner.timed) =
+    match m.Runner.run.Bab.verdict with Bab.Proved -> 0 | Bab.Disproved _ -> 1 | Bab.Exhausted -> 2
   in
-  let check_measurement label (m : Runner.measurement) =
-    match m.Runner.artifact with
+  let check_measurement label (m : Runner.timed) =
+    match m.Runner.run.Bab.artifact with
     | None ->
         (* Only an exhausted run may fail to produce an artifact under
            certify. *)
@@ -499,7 +499,8 @@ let test_parallel_certified_runs () =
       Alcotest.(check int) "verdicts identical across domains" (kind a.Runner.baseline)
         (kind b.Runner.baseline);
       Alcotest.(check int) "emitted counts identical across domains"
-        a.Runner.baseline.Runner.certs_emitted b.Runner.baseline.Runner.certs_emitted;
+        a.Runner.baseline.Runner.run.Bab.stats.Bab.certs_emitted
+        b.Runner.baseline.Runner.run.Bab.stats.Bab.certs_emitted;
       check_measurement "seq original" a.Runner.original;
       check_measurement "seq baseline" a.Runner.baseline;
       check_measurement "par baseline" b.Runner.baseline;

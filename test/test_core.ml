@@ -109,7 +109,7 @@ let dummy_ctx () =
     prop;
     box = prop.Prop.input;
     splits = Ivan_domains.Splits.empty;
-    outcome = { Analyzer.status = Analyzer.Unknown; lb = -1.0; bounds = None; zono = None; cert = None };
+    outcome = { Analyzer.status = Analyzer.Unknown; lb = -1.0; bounds = None; zono = None; cert = None; lp = None };
   }
 
 let test_hdelta_alpha_extremes () =

@@ -18,6 +18,9 @@ module Decision = Ivan_spectree.Decision
 
 let lp = Analyzer.lp_triangle ()
 
+(* Run statistics compared whole, floats bit for bit. *)
+let stats = Alcotest.testable Trace.pp_aggregate ( = )
+
 (* ------------------------------------------------------------------ *)
 (* Golden regression: a verbatim copy of the seed implementation's BaB
    loop (the recursive Queue-based [Bab.verify] this engine replaced).
@@ -296,7 +299,7 @@ let test_stuck_heuristic_accounted () =
     {
       Analyzer.name = "always-unknown";
       run = (fun _net ~prop:_ ~box:_ ~splits:_ ->
-          { Analyzer.status = Analyzer.Unknown; lb = -1.0; bounds = None; zono = None; cert = None });
+          { Analyzer.status = Analyzer.Unknown; lb = -1.0; bounds = None; zono = None; cert = None; lp = None });
     }
   in
   let no_decisions = { Heuristic.name = "none"; scores = (fun _ -> []) } in
@@ -381,12 +384,15 @@ let sample_events =
     Trace.Certified { node = 5; kind = "dual"; exact = false };
     Trace.Certified { node = 6; kind = "unavailable"; exact = true };
     Trace.Analyzed { node = 1; status = "verified"; lb = neg_infinity; seconds = nan };
-    Trace.Verdict { verdict = "proved"; calls = 7; seconds = 1.5; counterexample = None };
+    Trace.Verdict
+      { verdict = "proved"; calls = 7; seconds = 1.5; nodes = 13; leaves = 7; counterexample = None };
     Trace.Verdict
       {
         verdict = "disproved";
         calls = 3;
         seconds = 0.25;
+        nodes = 5;
+        leaves = 3;
         counterexample = Some [| 0.1; -0.0; 5e-324; 1.0 /. 3.0; infinity |];
       };
   ]
@@ -429,7 +435,7 @@ let test_aggregate_lp_and_cert_counters () =
   let agg = Trace.aggregate sample_events in
   Alcotest.(check int) "simplex pivots" 12 agg.Trace.lp_pivots;
   Alcotest.(check int) "refactor pivots" 7 agg.Trace.lp_factor_pivots;
-  Alcotest.(check int) "certified" 1 agg.Trace.certified;
+  Alcotest.(check int) "certified" 1 agg.Trace.certs_emitted;
   Alcotest.(check int) "unavailable" 1 agg.Trace.certs_unavailable;
   Alcotest.(check int) "exact fallbacks" 1 agg.Trace.cert_exact_checks
 
@@ -480,13 +486,8 @@ let test_jsonl_file_roundtrip_and_aggregate () =
       in
       let events = Trace.read_jsonl path in
       let agg = Trace.aggregate events in
-      (* The replayed trace reproduces the run's aggregate statistics. *)
-      Alcotest.(check int) "calls" run.Bab.stats.Bab.analyzer_calls agg.Trace.analyzer_calls;
-      Alcotest.(check int) "branchings" run.Bab.stats.Bab.branchings agg.Trace.branchings;
-      Alcotest.(check int) "max frontier" run.Bab.stats.Bab.max_frontier agg.Trace.max_frontier;
-      Alcotest.(check int) "max depth" run.Bab.stats.Bab.max_depth agg.Trace.max_depth;
-      Alcotest.(check (float 1e-12)) "analyzer seconds" run.Bab.stats.Bab.analyzer_seconds
-        agg.Trace.analyzer_seconds;
+      (* The replayed trace is the run's statistics, floats included. *)
+      Alcotest.check stats "stats are the trace's fold" agg run.Bab.stats;
       Alcotest.(check int) "no pruning in a plain run" 0 agg.Trace.pruned;
       Alcotest.(check bool) "verdict recorded" true (agg.Trace.verdict = Some "proved");
       (* Each line parses back to the event that produced it. *)
@@ -513,7 +514,9 @@ let test_tee_and_hook () =
   Alcotest.(check int) "hook fired" 1 (List.length !seen)
 
 (* Engine stats vs trace aggregate under the non-default strategy too:
-   the equality is by construction, not an accident of Fifo. *)
+   the equality is by construction, not an accident of Fifo.  A Full
+   incremental run counts the nodes of its pruned seed tree, which no
+   Split event of its own created, in its tree size. *)
 let test_best_first_trace_consistent () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
@@ -523,10 +526,19 @@ let test_best_first_trace_consistent () =
       ~trace:ring ~net ~prop ()
   in
   Alcotest.(check bool) "proved" true (run.Bab.verdict = Bab.Proved);
-  let agg = Trace.aggregate (Trace.ring_contents ring) in
-  Alcotest.(check int) "calls" run.Bab.stats.Bab.analyzer_calls agg.Trace.analyzer_calls;
-  Alcotest.(check int) "max frontier" run.Bab.stats.Bab.max_frontier agg.Trace.max_frontier;
-  Alcotest.(check int) "max depth" run.Bab.stats.Bab.max_depth agg.Trace.max_depth
+  Alcotest.check stats "stats are the trace's fold" (Trace.aggregate (Trace.ring_contents ring))
+    run.Bab.stats;
+  let module Ivan = Ivan_core.Ivan in
+  let updated = Ivan_nn.Quant.network Ivan_nn.Quant.Int8 net in
+  let ivan =
+    Ivan.verify_updated ~analyzer:lp ~heuristic:Heuristic.zono_coeff
+      ~config:{ Ivan.default_config with technique = Ivan.Full } ~original_run:run ~updated ~prop
+  in
+  let s = ivan.Bab.stats in
+  Alcotest.(check bool) "seeded with more than a root" true
+    (Tree.size ivan.Bab.tree - (2 * s.Bab.branchings) > 1);
+  Alcotest.(check int) "tree size counts the seed" (Tree.size ivan.Bab.tree) s.Bab.tree_size;
+  Alcotest.(check int) "tree leaves" (Tree.num_leaves ivan.Bab.tree) s.Bab.tree_leaves
 
 let suite =
   [

@@ -69,11 +69,11 @@ let test_runner_comparison () =
   List.iter
     (fun (c : Runner.comparison) ->
       Alcotest.(check int) "two techniques" 2 (List.length c.Runner.techniques);
-      Alcotest.(check bool) "calls positive" true (c.Runner.baseline.Runner.calls >= 1);
+      Alcotest.(check bool) "calls positive" true (Runner.calls c.Runner.baseline >= 1);
       (* Verdicts agree across techniques when all are solved (the
          verifier is complete). *)
-      let verdict_kind (m : Runner.measurement) =
-        match m.Runner.verdict with
+      let verdict_kind (m : Runner.timed) =
+        match m.Runner.run.Bab.verdict with
         | Bab.Proved -> `P
         | Bab.Disproved _ -> `D
         | Bab.Exhausted -> `E
@@ -87,6 +87,15 @@ let test_runner_comparison () =
         c.Runner.techniques)
     comparisons
 
+(* A one-node run that made [calls] analyzer calls. *)
+let synthetic_run verdict calls =
+  {
+    Bab.verdict;
+    tree = Ivan_spectree.Tree.create ();
+    stats = { Ivan_bab.Trace.empty_aggregate with analyzer_calls = calls; tree_size = 1; tree_leaves = 1 };
+    artifact = None;
+  }
+
 let test_report_summarize () =
   (* Synthetic comparisons with known ratios. *)
   let dummy_prop =
@@ -94,21 +103,7 @@ let test_report_summarize () =
       ~input:(Ivan_spec.Box.make ~lo:(Vec.zeros 1) ~hi:(Vec.create 1 1.0))
       ~c:(Vec.of_list [ 1.0 ]) ~offset:0.0
   in
-  let m ?(verdict = Bab.Proved) calls seconds =
-    {
-      Runner.verdict;
-      calls;
-      seconds;
-      tree_size = 1;
-      tree_leaves = 1;
-      retries = 0;
-      fallback_bounds = 0;
-      faults_absorbed = 0;
-      certs_emitted = 0;
-      certs_unavailable = 0;
-      artifact = None;
-    }
-  in
+  let m ?(verdict = Bab.Proved) calls seconds = { Runner.run = synthetic_run verdict calls; seconds } in
   let comparison id base tech =
     {
       Runner.instance = { Workload.id; prop = dummy_prop };
@@ -137,21 +132,7 @@ let test_report_summarize () =
   Alcotest.(check (float 1e-9)) "geomean time" 2.0 s.Report.geomean_time
 
 let test_report_verdict_counts () =
-  let m verdict =
-    {
-      Runner.verdict;
-      calls = 1;
-      seconds = 0.0;
-      tree_size = 1;
-      tree_leaves = 1;
-      retries = 0;
-      fallback_bounds = 0;
-      faults_absorbed = 0;
-      certs_emitted = 0;
-      certs_unavailable = 0;
-      artifact = None;
-    }
-  in
+  let m verdict = { Runner.run = synthetic_run verdict 1; seconds = 0.0 } in
   let v, c, u =
     Report.verdict_counts
       [ m Bab.Proved; m Bab.Proved; m (Bab.Disproved [| 0.0 |]); m Bab.Exhausted ]
@@ -170,36 +151,11 @@ let test_report_split_hard () =
       ~c:(Vec.of_list [ 1.0 ]) ~offset:0.0
   in
   let with_tree_size id tree_size =
+    let original = synthetic_run Bab.Proved 1 in
     {
       Runner.instance = { Workload.id; prop = dummy_prop };
-      original =
-        {
-          Runner.verdict = Bab.Proved;
-          calls = 1;
-          seconds = 0.0;
-          tree_size;
-          tree_leaves = 1;
-          retries = 0;
-          fallback_bounds = 0;
-          faults_absorbed = 0;
-          certs_emitted = 0;
-          certs_unavailable = 0;
-          artifact = None;
-        };
-      baseline =
-        {
-          Runner.verdict = Bab.Proved;
-          calls = 1;
-          seconds = 0.0;
-          tree_size = 1;
-          tree_leaves = 1;
-          retries = 0;
-          fallback_bounds = 0;
-          faults_absorbed = 0;
-          certs_emitted = 0;
-          certs_unavailable = 0;
-          artifact = None;
-        };
+      original = { run = { original with stats = { original.stats with tree_size } }; seconds = 0.0 };
+      baseline = { run = synthetic_run Bab.Proved 1; seconds = 0.0 };
       techniques = [];
     }
   in
@@ -230,16 +186,16 @@ let test_parallel_matches_sequential () =
       Alcotest.(check int) "same instance" a.Runner.instance.Workload.id
         b.Runner.instance.Workload.id;
       (* Deterministic: identical call counts and verdict kinds. *)
-      Alcotest.(check int) "baseline calls equal" a.Runner.baseline.Runner.calls
-        b.Runner.baseline.Runner.calls;
-      let kind (m : Runner.measurement) =
-        match m.Runner.verdict with Bab.Proved -> 0 | Bab.Disproved _ -> 1 | Bab.Exhausted -> 2
+      Alcotest.(check int) "baseline calls equal" (Runner.calls a.Runner.baseline)
+        (Runner.calls b.Runner.baseline);
+      let kind (m : Runner.timed) =
+        match m.Runner.run.Bab.verdict with Bab.Proved -> 0 | Bab.Disproved _ -> 1 | Bab.Exhausted -> 2
       in
       Alcotest.(check int) "baseline verdicts equal" (kind a.Runner.baseline)
         (kind b.Runner.baseline);
       let am = Report.technique_measurement a Ivan.Full
       and bm = Report.technique_measurement b Ivan.Full in
-      Alcotest.(check int) "ivan calls equal" am.Runner.calls bm.Runner.calls)
+      Alcotest.(check int) "ivan calls equal" (Runner.calls am) (Runner.calls bm))
     seq par
 
 let test_parallel_journal_rejected () =

@@ -64,8 +64,8 @@ let test_incremental_agrees_after_quantization () =
   List.iter
     (fun (c : Runner.comparison) ->
       List.iter
-        (fun (technique, (m : Runner.measurement)) ->
-          match (c.Runner.baseline.Runner.verdict, m.Runner.verdict) with
+        (fun (technique, (m : Runner.timed)) ->
+          match (c.Runner.baseline.Runner.run.Bab.verdict, m.Runner.run.Bab.verdict) with
           | Bab.Proved, Bab.Disproved _ | Bab.Disproved _, Bab.Proved ->
               Alcotest.failf "technique %s disagrees with the baseline verdict"
                 (Ivan.technique_name technique)

@@ -156,7 +156,7 @@ let collect () =
   (notify, fun () -> (count retried, count fell_back, count absorbed))
 
 let test_fallback_retry_recovers () =
-  let verified = { Analyzer.status = Analyzer.Verified; lb = 0.5; bounds = None; zono = None; cert = None } in
+  let verified = { Analyzer.status = Analyzer.Verified; lb = 0.5; bounds = None; zono = None; cert = None; lp = None } in
   let attempts = ref 0 in
   let flaky =
     {
@@ -210,12 +210,12 @@ let test_fallback_sanitizes_outcomes () =
     o.Analyzer.status = Analyzer.Unknown && o.Analyzer.lb = neg_infinity
   in
   (* NaN lower bound. *)
-  let nan_lb = { Analyzer.status = Analyzer.Unknown; lb = nan; bounds = None; zono = None; cert = None } in
+  let nan_lb = { Analyzer.status = Analyzer.Unknown; lb = nan; bounds = None; zono = None; cert = None; lp = None } in
   Alcotest.(check bool) "NaN bound rejected" true
     (degraded (run_on_paper (Analyzer.with_fallback ~policy (constant "a" nan_lb))));
   (* Verified with a negative bound contradicts itself. *)
   let lying =
-    { Analyzer.status = Analyzer.Verified; lb = -1.0; bounds = None; zono = None; cert = None }
+    { Analyzer.status = Analyzer.Verified; lb = -1.0; bounds = None; zono = None; cert = None; lp = None }
   in
   Alcotest.(check bool) "inconsistent Verified rejected" true
     (degraded (run_on_paper (Analyzer.with_fallback ~policy (constant "b" lying))));
@@ -228,6 +228,7 @@ let test_fallback_sanitizes_outcomes () =
       bounds = None;
       zono = None;
       cert = None;
+      lp = None;
     }
   in
   Alcotest.(check bool) "bogus counterexample rejected" true
@@ -468,6 +469,72 @@ let test_two_faults_race_fallback_chain () =
   Alcotest.(check int) "exactly one fallback bound" 1 run.Bab.stats.Bab.fallback_bounds;
   Alcotest.(check bool) "tree well-formed" true (Tree.well_formed run.Bab.tree)
 
+(* An LP outcome the resilience layer rejects leaves no trace of its LP
+   report: the node's accepted bound is the fallback's, so no Lp_solved
+   event carries the node and its children are not offered the rejected
+   solve's basis — they solve cold.  The faulted node is the first whose
+   LP verifies it from an optimal basis where DeepPoly alone cannot, so
+   the fallback leaves it unknown and it splits. *)
+let test_rejected_lp_outcome_reports_nothing () =
+  let net = Fixtures.random_net ~seed:3 ~dims:[ 2; 8; 8; 1 ] in
+  let prop = Fixtures.paper_prop_with_offset 0.5 in
+  let analyzer = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let policy = { Analyzer.max_retries = 0; node_timeout = infinity; fallback = true } in
+  let verify ?(trace = Trace.null) a =
+    Bab.verify ~analyzer:a ~heuristic:Heuristic.zono_coeff ~policy ~trace ~net ~prop ()
+  in
+  let reference_trace = Trace.ring ~capacity:10_000 in
+  let reference = verify ~trace:reference_trace analyzer in
+  let nodes = Hashtbl.create 64 in
+  Tree.iter_nodes reference.Bab.tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
+  let deeppoly_unknown id =
+    let box, splits = Tree.subproblem ~root_box:prop.Prop.input (Hashtbl.find nodes id) in
+    ((Analyzer.deeppoly ()).Analyzer.run net ~prop ~box ~splits).Analyzer.status = Analyzer.Unknown
+  in
+  let analyzed =
+    List.filter_map
+      (function Trace.Analyzed { node; status; lb; _ } -> Some (node, status, lb) | _ -> None)
+      (Trace.ring_contents reference_trace)
+  in
+  let call, node =
+    match
+      List.find_opt
+        (fun (_, (node, status, lb)) ->
+          status = "verified" && lb < infinity && deeppoly_unknown node)
+        (List.mapi (fun i a -> (i, a)) analyzed)
+    with
+    | Some (call, (node, _, _)) -> (call, node)
+    | None -> Alcotest.fail "no node that only the LP verifies"
+  in
+  let plan = Fault.plan ~at:[ (Fault.Analyzer_run, call, Fault.Inf_bounds) ] ~seed:0 () in
+  let trace = Trace.ring ~capacity:10_000 in
+  let run = verify ~trace (Fault.wrap_analyzer plan analyzer) in
+  let events = Trace.ring_contents trace in
+  Alcotest.(check int) "exactly the scheduled fault fired" 1 (Fault.injected plan);
+  Alcotest.(check bool) "the fallback's bound was accepted" true
+    (List.exists (function Trace.Fallback f -> f.node = node | _ -> false) events);
+  Alcotest.(check bool) "no Lp_solved event for the rejected outcome" false
+    (List.exists (function Trace.Lp_solved l -> l.node = node | _ -> false) events);
+  let children =
+    List.concat_map
+      (function Trace.Split s when s.node = node -> [ s.left; s.right ] | _ -> [])
+      events
+  in
+  Alcotest.(check int) "the node split" 2 (List.length children);
+  let child_solves =
+    List.filter_map
+      (function
+        | Trace.Lp_solved l when List.mem l.node children -> Some (l.node, l.warm_hits + l.warm_misses)
+        | _ -> None)
+      events
+  in
+  Alcotest.(check bool) "a child solved an LP" true (child_solves <> []);
+  List.iter
+    (fun (child, warm) ->
+      Alcotest.(check int) (Printf.sprintf "child %d offered no basis" child) 0 warm)
+    child_solves;
+  Alcotest.(check bool) "verdict preserved" true (run.Bab.verdict = reference.Bab.verdict)
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / resume *)
 
@@ -664,6 +731,7 @@ let suite =
     ("fault at the first LP solve", `Quick, test_fault_at_first_lp_solve);
     ("fault at the final frontier node", `Quick, test_fault_at_final_frontier_node);
     ("two faults race the fallback chain", `Quick, test_two_faults_race_fallback_chain);
+    ("rejected LP outcome reports nothing", `Quick, test_rejected_lp_outcome_reports_nothing);
     ("checkpoint mid-run roundtrip", `Quick, test_checkpoint_midrun_roundtrip);
     ("checkpoint terminal roundtrip", `Quick, test_checkpoint_terminal_roundtrip);
     ("checkpoint exhausted + more budget", `Quick, test_checkpoint_exhausted_then_more_budget);
