@@ -163,18 +163,37 @@ let deeppoly () = { name = "deeppoly"; run = deeppoly_run }
    changes — detected by physical equality, which is exactly right for
    the BaB engine (it holds one network and one property for a whole
    run and calls the analyzer once per node).  Per-domain so parallel
-   runner workers each hold their own. *)
+   runner workers each hold their own.
+
+   A build starts from the property root's DeepPoly bounds.  On a miss,
+   [root ()] hands them over when the missing call is the root call
+   itself, so the build does not run that pass again; it is [None] for
+   every other first call (an IVAN seed leaf, a sub-box under input
+   splitting), whose bounds hold only on its own subproblem, and the
+   build then runs the root's DeepPoly. *)
 
 let cached build =
   let slot = Domain.DLS.new_key (fun () -> ref None) in
-  fun net prop ->
+  fun net prop ~root ->
     let r = Domain.DLS.get slot in
     match !r with
     | Some (n, p, enc) when n == net && p == prop -> enc
     | _ ->
-        let enc = build net ~prop in
+        let enc = build ?root:(root ()) net ~prop in
         r := Some (net, prop, enc);
         enc
+
+(* [root] for {!cached}: a call's DeepPoly [bounds] when the call is the
+   property root, its box the property's input box bit for bit and no
+   splits. *)
+let root_call ~prop ~box ~splits bounds () =
+  let bits v = Array.map Int64.bits_of_float v and input = prop.Prop.input in
+  if
+    Splits.is_empty splits
+    && bits (Box.lo box) = bits (Box.lo input)
+    && bits (Box.hi box) = bits (Box.hi input)
+  then Some bounds
+  else None
 
 let triangle_encoding = cached Encoding.Triangle.build
 
@@ -248,7 +267,7 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
         let basis = if warm then Option.bind hint (fun h -> h.basis) else None in
         let solved =
           try
-            match triangle_encoding net prop with
+            match triangle_encoding net prop ~root:(root_call ~prop ~box ~splits bounds) with
             | None -> `Solver_failed
             | Some enc ->
                 Encoding.Triangle.specialize enc ~box ~splits ~bounds;
@@ -321,7 +340,7 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
   | Deeppoly.Feasible dp -> (
       let bounds = Deeppoly.bounds dp in
       let specialized =
-        Option.bind (milp_encoding net prop) (fun enc ->
+        Option.bind (milp_encoding net prop ~root:(root_call ~prop ~box ~splits bounds)) (fun enc ->
             match Encoding.Milp.specialize enc ~box ~splits ~bounds with
             | () -> Some enc
             | exception Encoding.Mismatch -> None)

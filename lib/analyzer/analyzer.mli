@@ -84,9 +84,10 @@ val instrument :
   on_run:(name:string -> elapsed:float -> outcome:outcome -> unit) -> t -> t
 (** [instrument ~on_run a] is [a] with every [run] timed: [on_run] fires
     after each call with the analyzer's name, the wall-clock seconds the
-    call took, and its outcome.  The BaB engine uses this hook to
-    attribute time to the analyzer boundary; it composes (instrumenting
-    twice fires both hooks). *)
+    call took, and its outcome.  The benchmark's traced pass
+    ([perfbench/pass.ml]) uses this hook to attribute time to the
+    analyzer boundary; the engine times its calls itself.  It composes
+    (instrumenting twice fires both hooks). *)
 
 val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit -> t
 (** The LP analyzer.  When [deeppoly_shortcut] is true (default), a

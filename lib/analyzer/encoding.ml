@@ -11,50 +11,54 @@ module Deeppoly = Ivan_domains.Deeppoly
 
 exception Mismatch
 
-(* Linear expressions over the LP variables: dense coefficient array
-   plus a constant. *)
-type expr = { coeffs : float array; const : float }
+(* Linear expressions over the LP variables: the nonzero coefficients
+   [cf.(k)] of the variables [idx.(k)], indices increasing, plus a
+   constant — the form {!Lp.add_row} / {!Lp.set_row} consume directly. *)
+type expr = { idx : int array; cf : float array; const : float }
 
-(* Sparse (indices, coefficients) arrays of an expression — the form
-   {!Lp.add_row} / {!Lp.set_row} consume directly. *)
-let sparse_arrays coeffs =
-  let nnz = ref 0 in
-  Array.iter (fun c -> if c <> 0.0 then incr nnz) coeffs;
-  let idx = Array.make !nnz 0 in
-  let cf = Array.make !nnz 0.0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun j c ->
-      if c <> 0.0 then begin
-        idx.(!k) <- j;
-        cf.(!k) <- c;
-        incr k
-      end)
-    coeffs;
-  (idx, cf)
-
-(* Affine image of per-neuron expressions under (w, b).  Hot path:
-   iterate raw weight rows and skip structural zeros (conv-lowered rows
-   are sparse). *)
+(* Affine image of per-neuron expressions under (w, b).  Each output row
+   is accumulated into one dense scratch row over the variables, visiting
+   the nonzero weights in column order, so every coefficient is the same
+   sum in the same order as a dense composition, bit for bit.  The span
+   of variables the row touched is then compacted to its nonzero entries
+   ([-0.0] compares equal to 0 and is dropped) and cleared; scanning
+   only that span keeps wide inputs (an image's pixels under a conv
+   layer's local rows) from costing every row a pass over all of them. *)
 let affine_exprs nvars w b exprs =
   let cols = Mat.cols w in
+  let acc = Array.make nvars 0.0 in
+  let nz_idx = Array.make nvars 0 and nz_cf = Array.make nvars 0.0 in
   Array.init (Mat.rows w) (fun i ->
       let row = Mat.row w i in
-      let coeffs = Array.make nvars 0.0 in
       let const = ref b.(i) in
+      let lo = ref nvars and hi = ref (-1) in
       for j = 0 to cols - 1 do
         let wij = row.(j) in
         if wij <> 0.0 then begin
           let e = exprs.(j) in
           const := !const +. (wij *. e.const);
-          let ec = e.coeffs in
-          for v = 0 to nvars - 1 do
-            let c = ec.(v) in
-            if c <> 0.0 then coeffs.(v) <- coeffs.(v) +. (wij *. c)
+          let n = Array.length e.idx in
+          if n > 0 then begin
+            lo := Int.min !lo e.idx.(0);
+            hi := Int.max !hi e.idx.(n - 1)
+          end;
+          for k = 0 to n - 1 do
+            let v = e.idx.(k) in
+            acc.(v) <- acc.(v) +. (wij *. e.cf.(k))
           done
         end
       done;
-      { coeffs; const = !const })
+      let nnz = ref 0 in
+      for v = !lo to !hi do
+        let c = acc.(v) in
+        if c <> 0.0 then begin
+          nz_idx.(!nnz) <- v;
+          nz_cf.(!nnz) <- c;
+          incr nnz
+        end;
+        acc.(v) <- 0.0
+      done;
+      { idx = Array.sub nz_idx 0 !nnz; cf = Array.sub nz_cf 0 !nnz; const = !const })
 
 (* Dense objective vector and constant for [c . outputs + offset]. *)
 let objective_of nvars exprs ~c ~offset =
@@ -65,26 +69,21 @@ let objective_of nvars exprs ~c ~offset =
       if ci <> 0.0 then begin
         let e = exprs.(i) in
         const := !const +. (ci *. e.const);
-        for v = 0 to nvars - 1 do
-          obj.(v) <- obj.(v) +. (ci *. e.coeffs.(v))
-        done
+        Array.iteri (fun k v -> obj.(v) <- obj.(v) +. (ci *. e.cf.(k))) e.idx
       end)
     c;
   (obj, !const)
 
-(* Unit-coefficient expressions for the input variables. *)
-let input_exprs nvars d =
-  Array.init d (fun j ->
-      let coeffs = Array.make nvars 0.0 in
-      coeffs.(j) <- 1.0;
-      { coeffs; const = 0.0 })
+(* The expression of a single variable. *)
+let var_expr v = { idx = [| v |]; cf = [| 1.0 |]; const = 0.0 }
 
-let var_expr nvars v =
-  let coeffs = Array.make nvars 0.0 in
-  coeffs.(v) <- 1.0;
-  { coeffs; const = 0.0 }
-
-let scale_expr s e = { coeffs = Array.map (fun c -> s *. c) e.coeffs; const = s *. e.const }
+(* [s] times [e].  A zero product is dropped for a zero slope (a plain
+   ReLU) and kept otherwise (a subnormal underflow): only
+   {!affine_exprs} and {!objective_of} read a scaled expression, and
+   both add such a term as a no-op. *)
+let scale_expr s e =
+  if s = 0.0 then { idx = [||]; cf = [||]; const = s *. e.const }
+  else { e with cf = Array.map (fun c -> s *. c) e.cf; const = s *. e.const }
 
 (* ------------------------------------------------------------------ *)
 (* Persistent encodings.
@@ -167,9 +166,9 @@ let encode net ~prop ~box ~bounds ~pinned ~width ~on_unit =
     let v = !next_var in
     next_var := v + width;
     units := on_unit lp ~li ~idx act ~v e :: !units;
-    var_expr nvars v
+    var_expr v
   in
-  let exprs = ref (input_exprs nvars d) in
+  let exprs = ref (Array.init d var_expr) in
   Array.iteri
     (fun li layer ->
       let w, b = Layer.dense_affine layer in
@@ -243,12 +242,16 @@ let node_bounds bounds li idx =
   if Float.is_nan l || Float.is_nan h || l > h then raise Mismatch;
   (l, h)
 
-(* The root DeepPoly bounds of a property; [None] when the root is
+(* The root DeepPoly bounds of a property: [root] when the caller has
+   them, else a DeepPoly run of the root; [None] when the root is
    DeepPoly-infeasible. *)
-let root_bounds net ~prop =
-  match Deeppoly.analyze net ~box:prop.Prop.input ~splits:Splits.empty with
-  | Deeppoly.Infeasible -> None
-  | Deeppoly.Feasible dp -> Some (Deeppoly.bounds dp)
+let root_bounds ?root net ~prop =
+  match root with
+  | Some _ -> root
+  | None -> (
+      match Deeppoly.analyze net ~box:prop.Prop.input ~splits:Splits.empty with
+      | Deeppoly.Infeasible -> None
+      | Deeppoly.Feasible dp -> Some (Deeppoly.bounds dp))
 
 (* ------------------------------------------------------------------ *)
 (* Triangle encoding.  Row slots per piecewise unit with variable [v]:
@@ -294,8 +297,8 @@ module Triangle = struct
 
   let const t = t.shape.const
 
-  let on_unit lp ~li ~idx act ~v e =
-    let pre_idx, pre_cf = sparse_arrays e.coeffs in
+  let on_unit lp ~li ~idx act ~v (e : expr) =
+    let pre_idx = e.idx and pre_cf = e.cf in
     let vrow_idx = Array.append [| v |] pre_idx in
     let slot cmp = Lp.add_row lp [||] [||] cmp 0.0 in
     let kind =
@@ -329,10 +332,10 @@ module Triangle = struct
   let make net ~prop ~box ~bounds ~pinned =
     persistent net ~prop ~box ~bounds ~pinned ~width:1 ~on_unit ~relu:(fun u -> u.relu)
 
-  let build net ~prop =
+  let build ?root net ~prop =
     Option.map
       (fun bounds -> make net ~prop ~box:prop.Prop.input ~bounds ~pinned:Relu_id.Set.empty)
-      (root_bounds net ~prop)
+      (root_bounds ?root net ~prop)
 
   (* Row over [var; pre...]: scale*pre + vcoeff*v <= rhs. *)
   let set_vrow lp row u ~vcoeff ~scale ~rhs =
@@ -552,9 +555,9 @@ module Milp = struct
 
   let binaries t = Array.to_list (Array.map (fun u -> u.mz) t.shape.units)
 
-  let on_unit lp ~li ~idx _act ~v e =
+  let on_unit lp ~li ~idx _act ~v (e : expr) =
     let z = v + 1 in
-    let pre_idx, pre_cf = sparse_arrays e.coeffs in
+    let pre_idx = e.idx and pre_cf = e.cf in
     (* M1 is phase-independent: v >= pre always holds for ReLU. *)
     let m1_idx = Array.append [| v |] pre_idx and m1_cf = Array.append [| -1.0 |] pre_cf in
     ignore (Lp.add_row lp m1_idx m1_cf Lp.Le (-.e.const));
@@ -579,7 +582,7 @@ module Milp = struct
       m4_scratch = Array.make (Array.length pre_idx) 0.0;
     }
 
-  let build net ~prop =
+  let build ?root net ~prop =
     Array.iter
       (fun layer ->
         let plain_relu =
@@ -594,7 +597,7 @@ module Milp = struct
       (fun bounds ->
         persistent net ~prop ~box:prop.Prop.input ~bounds ~pinned:Relu_id.Set.empty ~width:2
           ~on_unit ~relu:(fun u -> u.mrelu))
-      (root_bounds net ~prop)
+      (root_bounds ?root net ~prop)
 
   let specialize t ~box ~splits ~bounds =
     let lp = prepare t ~box ~splits in

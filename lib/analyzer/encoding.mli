@@ -10,6 +10,18 @@
     in its children, which is what makes {!Ivan_lp.Lp.solve_from} warm
     starts possible.
 
+    An encoding is built from the property root's DeepPoly bounds: the
+    DeepPoly run of [prop.input] with no splits.  A caller that has just
+    run exactly that pass (the analyzer's call at the property root)
+    hands its bounds in as [?root], and the build then runs no DeepPoly
+    of its own; without [?root] the build runs it.  Bounds of any other
+    subproblem (a split node, a sub-box) must never be passed: they hold
+    only on that subproblem, so every other node's LP built from them
+    could cut off its true region.  Pre-activations are composed as
+    sparse affine expressions over the variables, so a build costs the
+    weights' nonzeros times the expressions' nonzeros, not times the
+    variable count.
+
     Units stable at the property root are substituted away by their root
     phase.  Specialization is total over splits: when a node splits such
     a unit (a specification tree built for one network and replayed on an
@@ -57,10 +69,13 @@ val build_lp :
 module Triangle : sig
   type t
 
-  val build : Network.t -> prop:Prop.t -> t option
+  val build : ?root:Bounds.t -> Network.t -> prop:Prop.t -> t option
   (** Build the per-property encoding from the property root's DeepPoly
-      bounds.  [None] when the root itself is DeepPoly-infeasible (the
-      property is vacuously true everywhere, so no LP is ever needed). *)
+      bounds: [root] when given, which must be the bounds of
+      [Deeppoly.analyze net ~box:prop.input ~splits:Splits.empty] and of
+      nothing else, else the build's own run of that pass.  [None] when
+      the root itself is DeepPoly-infeasible (the property is vacuously
+      true everywhere, so no LP is ever needed). *)
 
   val specialize : t -> box:Box.t -> splits:Splits.t -> bounds:Bounds.t -> unit
   (** Rewrite variable bounds and per-unit rows for one node's
@@ -99,8 +114,9 @@ end
 module Milp : sig
   type t
 
-  val build : Network.t -> prop:Prop.t -> t option
-  (** [None] for a DeepPoly-infeasible property root.
+  val build : ?root:Bounds.t -> Network.t -> prop:Prop.t -> t option
+  (** As {!Triangle.build}, with the same contract on [root].  [None]
+      for a DeepPoly-infeasible property root.
       @raise Invalid_argument on networks that are not plain ReLU. *)
 
   val specialize : t -> box:Box.t -> splits:Splits.t -> bounds:Bounds.t -> unit

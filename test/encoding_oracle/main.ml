@@ -10,9 +10,10 @@ let () =
   in
   Printf.printf
     "%d subproblems: %d split a root-stable unit, %d a unit ambiguous at the root but stable at \
-     the node; %d strictly tighter than the reference; %d MILP pairs compared\n"
+     the node; %d strictly tighter than the reference; %d MILP pairs compared; %d \
+     specializations of encodings built with ~root bit-identical\n"
     tally.subproblems tally.root_stable_splits tally.node_stable_splits tally.tighter
-    tally.milp_compared;
+    tally.milp_compared tally.rooted_compared;
   Printf.printf
     "%d crash-started solves compared: %d answered by the crash basis; %d corners outside a \
      split row: %d answered by the dual simplex from the crash basis, %d by the slack basis\n"

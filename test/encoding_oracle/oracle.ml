@@ -11,7 +11,12 @@
        reference makes the encoding infeasible too);
    (b) the triangle optimum is at most the margin of every sampled
        concrete point of the subproblem (soundness);
-   (c) both MILPs are exact, so when both searches finish they agree.
+   (c) both MILPs are exact, so when both searches finish they agree;
+   (g) a second triangle (and MILP) encoding, built from the root's
+       DeepPoly bounds handed in as [~root] (as the analyzer's root call
+       does) rather than from a DeepPoly run of its own, is specialized
+       alongside: after every specialization, re-encodes included, the
+       two problems are bit-identical.
 
    A second property ({!crash_test}) checks the crash start of
    {!Encoding.Triangle.crash} against the plain solve of the same node
@@ -57,6 +62,7 @@ type tally = {
   mutable node_stable_splits : int;  (* ... ambiguous at the root, stable at the node *)
   mutable tighter : int;  (* triangle optimum strictly above the reference's *)
   mutable milp_compared : int;
+  mutable rooted_compared : int;  (* (g): specializations compared bit for bit *)
 }
 
 let tally =
@@ -66,6 +72,7 @@ let tally =
     node_stable_splits = 0;
     tighter = 0;
     milp_compared = 0;
+    rooted_compared = 0;
   }
 
 (* Crash-started solves the crash property compared, and how many of
@@ -214,8 +221,16 @@ let failf fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt
 
 let show = function None -> "infeasible" | Some v -> Printf.sprintf "%.17g" v
 
-(* One subproblem against both encodings. *)
-let check_node rng net prop ~root ~tri ~milp =
+(* (g): the encoding built with [~root] holds the same problem, bit for
+   bit, as the one that ran the root's DeepPoly itself. *)
+let same_problem label lp rooted =
+  let bytes lp = Marshal.to_string (Ivan_cert.Cert.Snapshot.of_problem lp) [] in
+  tally.rooted_compared <- tally.rooted_compared + 1;
+  if bytes lp <> bytes rooted then failf "%s built with ~root differs from the one without" label
+
+(* One subproblem against both encodings; [tri'] and the second MILP of
+   [milps] are the ones built with [~root]. *)
+let check_node rng net prop ~root ~tri ~tri' ~milps =
   let box = sub_box rng prop.Prop.input in
   let x0 = point_in rng box in
   let splits = random_splits rng net x0 in
@@ -227,6 +242,8 @@ let check_node rng net prop ~root ~tri ~milp =
         let ref_lp, ref_const = Reference.build_lp net ~prop ~box ~splits ~bounds in
         let expected = triangle_value ref_lp ref_const in
         Encoding.Triangle.specialize tri ~box ~splits ~bounds;
+        Encoding.Triangle.specialize tri' ~box ~splits ~bounds;
+        same_problem "triangle" (Encoding.Triangle.lp tri) (Encoding.Triangle.lp tri');
         let got = triangle_value (Encoding.Triangle.lp tri) (Encoding.Triangle.const tri) in
         tally.subproblems <- tally.subproblems + 1;
         let split_units = List.map fst (Splits.bindings splits) in
@@ -251,10 +268,12 @@ let check_node rng net prop ~root ~tri ~milp =
           (concrete_margins rng net prop box splits x0);
         (* (c) two exact MILPs agree. *)
         Option.iter
-          (fun milp ->
+          (fun (milp, milp') ->
             let ref_lp, ref_const, integer = Reference.build_milp net ~prop ~box ~splits ~bounds in
             let expected = milp_value ref_lp ref_const ~integer in
             Encoding.Milp.specialize milp ~box ~splits ~bounds;
+            Encoding.Milp.specialize milp' ~box ~splits ~bounds;
+            same_problem "MILP" (Encoding.Milp.lp milp) (Encoding.Milp.lp milp');
             let got =
               milp_value (Encoding.Milp.lp milp) (Encoding.Milp.const milp)
                 ~integer:(Encoding.Milp.binaries milp)
@@ -267,7 +286,7 @@ let check_node rng net prop ~root ~tri ~milp =
               | Some _, None | None, Some _ -> false
             in
             if not agree then failf "MILP optimum %s, reference %s" (show got) (show expected))
-          milp
+          milps
       with Exit -> ())
 
 let case seed =
@@ -285,9 +304,16 @@ let check seed =
   with
   | Deeppoly.Feasible dp, Some tri ->
       let root = Deeppoly.bounds dp in
-      let milp = if plain_relu net then Encoding.Milp.build net ~prop else None in
+      let tri' = Option.get (Encoding.Triangle.build ~root net ~prop) in
+      let milps =
+        if not (plain_relu net) then None
+        else
+          match (Encoding.Milp.build net ~prop, Encoding.Milp.build ~root net ~prop) with
+          | Some milp, Some milp' -> Some (milp, milp')
+          | _ -> failf "MILP encodings of a DeepPoly-feasible root"
+      in
       for _ = 0 to Rng.int rng 4 do
-        check_node rng net prop ~root ~tri ~milp
+        check_node rng net prop ~root ~tri ~tri' ~milps
       done;
       true
   | _ -> failf "root of a random property is DeepPoly-infeasible"

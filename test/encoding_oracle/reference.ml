@@ -3,7 +3,10 @@
    encoding oracle's reference.  Each call builds a fresh minimal problem
    for one subproblem from that subproblem's own bounds: every ReLU that
    is ambiguous under them and unsplit gets a variable, every split one
-   a half-space row, every other one is substituted away. *)
+   a half-space row, every other one is substituted away.  They compose
+   pre-activations as dense coefficient arrays over all the variables,
+   the walk the encodings used before their expressions became sparse,
+   so the reference does not share the encodings' sparse composition. *)
 
 module Mat = Ivan_tensor.Mat
 module Lp = Ivan_lp.Lp

@@ -518,6 +518,85 @@ let test_retry_runs_cold () =
   Alcotest.(check int) "retry solves cold" 1 (cold_solves retried);
   same_outcome "retry" (run_node inner net prop None child) retried
 
+(* A node's LP is the same whichever call builds the persistent
+   encoding.  The first LP call on a (network, property) pair builds it,
+   from the root call's own DeepPoly bounds when that call is the root,
+   else from a DeepPoly run of the root: a split child's or a sub-box's
+   bounds hold only on that subproblem.  The nodes checked are ones the
+   LP certifies and whose own bounds, seeding the encoding, would give a
+   different LP.
+   Node first then root, and root first then node, give the same
+   outcomes bit for bit, and the node's certified snapshot is the
+   encoding built from the property root, specialized to the node. *)
+let test_root_bounds_seed_only_the_root () =
+  let net = Fixtures.random_net ~seed:4 ~dims:[ 2; 8; 8; 1 ] in
+  let prop = Fixtures.paper_prop_with_offset 0.5 in
+  let a = Analyzer.lp_triangle ~certify:true () in
+  let input = prop.Prop.input in
+  (* A copy of the property misses the analyzer's one-slot cache. *)
+  let fresh () = Prop.make ~name:prop.Prop.name ~input ~c:prop.Prop.c ~offset:prop.Prop.offset in
+  (* A digest of the snapshot's bytes. *)
+  let fingerprint (s : Ivan_cert.Cert.Snapshot.t) = Digest.to_hex (Digest.string (Marshal.to_string s [])) in
+  let call prop (box, splits) =
+    Analyzer.Warm.clear ();
+    let o = a.Analyzer.run net ~prop ~box ~splits in
+    ( bits o.Analyzer.lb,
+      Option.map
+        (fun (e : Ivan_cert.Cert.evidence) -> fingerprint e.snapshot)
+        o.Analyzer.cert )
+  in
+  let bounds (box, splits) =
+    match Deeppoly.analyze net ~box ~splits with
+    | Deeppoly.Feasible dp -> Some (Deeppoly.bounds dp)
+    | Deeppoly.Infeasible -> None
+  in
+  let root = (input, Splits.empty) in
+  let root_ambiguous = Bounds.ambiguous_relus (Option.get (bounds root)) net ~splits:Splits.empty in
+  let snapshot_of ?root ((box, splits) as node) =
+    let tri = Option.get (Encoding.Triangle.build ?root net ~prop) in
+    Encoding.Triangle.specialize tri ~box ~splits ~bounds:(Option.get (bounds node));
+    fingerprint (Ivan_cert.Cert.Snapshot.of_problem (Encoding.Triangle.lp tri))
+  in
+  let expected node = snapshot_of node in
+  let wanted node =
+    Option.is_some (snd (call (fresh ()) node))
+    && Option.is_some (bounds node)
+    && snapshot_of ?root:(bounds node) node <> expected node
+  in
+  let check label node =
+    let first = fresh () in
+    let node_first = call first node in
+    let root_after = call first root in
+    let second = fresh () in
+    let root_first = call second root in
+    let node_after = call second node in
+    let same what (lb, snap) (lb', snap') =
+      Alcotest.(check int64) (label ^ ": " ^ what ^ " lb") lb lb';
+      Alcotest.(check (option string)) (label ^ ": " ^ what ^ " snapshot") snap snap'
+    in
+    same "node" node_first node_after;
+    same "root" root_after root_first;
+    Alcotest.(check (option string)) (label ^ ": built from the root") (Some (expected node)) (snd node_first)
+  in
+  let children =
+    List.concat_map
+      (fun r -> List.map (fun phase -> (input, Splits.add r phase Splits.empty)) [ Splits.Pos; Splits.Neg ])
+      root_ambiguous
+  in
+  let halves =
+    List.concat_map
+      (fun j ->
+        let lo, hi = Box.split_dim input j in
+        [ (lo, Splits.empty); (hi, Splits.empty) ])
+      (List.init (Box.dim input) Fun.id)
+  in
+  (match List.find_opt wanted children with
+  | Some node -> check "split child" node
+  | None -> Alcotest.fail "no split child to check");
+  match List.find_opt wanted halves with
+  | Some node -> check "sub-box" node
+  | None -> Alcotest.fail "no sub-box to check"
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -538,6 +617,7 @@ let suite =
     ("crash basis wiring", `Quick, test_crash_wiring);
     ("deeppoly hint changes nothing", `Quick, test_deeppoly_hint_changes_nothing);
     ("retry runs cold", `Quick, test_retry_runs_cold);
+    ("root bounds seed only the root", `Quick, test_root_bounds_seed_only_the_root);
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Encoding_oracle.Oracle.seed |])
       (Encoding_oracle.Oracle.test ~count:Encoding_oracle.Oracle.tier1_count);
