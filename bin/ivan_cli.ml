@@ -36,10 +36,10 @@ module Clock = Ivan_clock.Clock
 
 open Cmdliner
 
-(* An input the run cannot use (an unreadable path, an instance index past
-   the suite, a journal damaged or written for another network or
-   property) is an operational error, not a crash: report the diagnostic
-   and exit 2. *)
+(* An input the run cannot use (an unreadable path, an instance index
+   outside the suite, a negative retry count or non-positive node timeout,
+   a journal damaged or written for another network or property) is an
+   operational error, not a crash: report the diagnostic and exit 2. *)
 let or_die_2 = function
   | Ok v -> v
   | Error msg ->
@@ -144,6 +144,10 @@ let policy_term =
          & info [ "fallback" ] ~docv:"on|off" ~doc)
   in
   let make max_retries node_timeout fallback =
+    if max_retries < 0 then or_die_2 (Error "--max-retries must be non-negative");
+    (match node_timeout with
+    | Some s when not (s > 0.0) -> or_die_2 (Error "--node-timeout must be positive")
+    | _ -> ());
     {
       Analyzer.max_retries;
       node_timeout = Option.value node_timeout ~default:infinity;
@@ -315,7 +319,11 @@ let incremental_cmd =
 
 let index_arg =
   let doc = "Instance index within the model's property suite." in
-  Arg.(value & opt int 0 & info [ "i"; "index" ] ~docv:"I" ~doc)
+  let nonnegative index =
+    if index < 0 then or_die_2 (Error (Printf.sprintf "no instance with index %d" index));
+    index
+  in
+  Term.(const nonnegative $ Arg.(value & opt int 0 & info [ "i"; "index" ] ~docv:"I" ~doc))
 
 let nth_instance spec net index =
   let instances = instances_for spec net (index + 1) in

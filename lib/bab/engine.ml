@@ -141,8 +141,6 @@ let tree t = t.tree
 
 let calls t = t.counters.Trace.analyzer_calls
 
-let frontier_length t = Frontier.length t.frontier
-
 let finished t = t.finished
 
 (* The proof artifact of a certified run: the final tree with one

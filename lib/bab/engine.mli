@@ -161,8 +161,6 @@ val tree : t -> Ivan_spectree.Tree.t
 val calls : t -> int
 (** Analyzer calls completed so far ([Trace.Analyzed] events counted). *)
 
-val frontier_length : t -> int
-
 val finished : t -> run option
 
 (** {2 Resume}

@@ -38,7 +38,6 @@ type sink =
   | Ring of ring
   | Channel of out_channel
   | Hook of (event -> unit)
-  | Tee of sink * sink
 
 let null = Null
 
@@ -48,13 +47,9 @@ let ring ~capacity =
 
 let ring_contents = function
   | Ring r -> List.of_seq (Queue.to_seq r.items)
-  | Null | Channel _ | Hook _ | Tee _ -> []
-
-let channel oc = Channel oc
+  | Null | Channel _ | Hook _ -> []
 
 let hook f = Hook f
-
-let tee a b = Tee (a, b)
 
 (* ---------------- JSONL serialization ---------------- *)
 
@@ -250,7 +245,7 @@ let event_of_json line =
         }
   | ev -> failwith (Printf.sprintf "Trace.event_of_json: unknown event %S" ev)
 
-let rec emit sink ev =
+let emit sink ev =
   match sink with
   | Null -> ()
   | Ring r ->
@@ -260,9 +255,6 @@ let rec emit sink ev =
       output_string oc (event_to_json ev);
       output_char oc '\n'
   | Hook f -> f ev
-  | Tee (a, b) ->
-      emit a ev;
-      emit b ev
 
 let with_jsonl_file path f =
   let oc = open_out path in

@@ -2,9 +2,9 @@
 
     The {!Engine} (and the tree pruner) emit one {!event} per observable
     step of branch and bound; a {!sink} decides where events go — thrown
-    away ([null]), kept in a bounded in-memory buffer ([ring]), written
-    as JSON Lines ([channel] / {!with_jsonl_file}), or handed to a
-    callback ([hook]).  A recorded JSONL trace {!read_jsonl}s back into
+    away ([null]), kept in a bounded in-memory buffer ([ring]), handed
+    to a callback ([hook]), or written as JSON Lines to a file
+    ({!with_jsonl_file}).  A recorded JSONL trace {!read_jsonl}s back into
     the same events, and {!aggregate} folds any event list into the
     run's summary statistics — so a trace file is a complete,
     machine-readable account of where the verifier spent its effort. *)
@@ -76,13 +76,7 @@ val ring : capacity:int -> sink
 val ring_contents : sink -> event list
 (** Buffered events, oldest first; [[]] for non-ring sinks. *)
 
-val channel : out_channel -> sink
-(** Writes each event as one JSON line.  The caller owns the channel. *)
-
 val hook : (event -> unit) -> sink
-
-val tee : sink -> sink -> sink
-(** Duplicates every event to both sinks. *)
 
 val emit : sink -> event -> unit
 

@@ -141,8 +141,6 @@ let of_int v =
   else if v > 0 then make 1 (nat_of_int v) 0
   else make (-1) (nat_of_int (-v)) 0
 
-let one = of_int 1
-
 let of_float_opt f =
   let bits = Int64.bits_of_float f in
   let biased = Int64.to_int (Int64.logand (Int64.shift_right_logical bits 52) 0x7FFL) in

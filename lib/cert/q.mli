@@ -15,8 +15,6 @@ type t
 
 val zero : t
 
-val one : t
-
 val of_int : int -> t
 
 val of_float : float -> t

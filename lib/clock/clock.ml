@@ -1,5 +1,3 @@
-let wall = Unix.gettimeofday
-
 let monotonic () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let timed f =

@@ -22,11 +22,6 @@ type proof = {
   total_calls : int;
 }
 
-val properties :
-  outputs:int -> box:Ivan_spec.Box.t -> delta:float -> Ivan_spec.Prop.t list
-(** The 2m product-network properties.  @raise Invalid_argument if
-    [delta < 0] or [outputs <= 0]. *)
-
 val verify :
   analyzer:Ivan_analyzer.Analyzer.t ->
   heuristic:Ivan_bab.Heuristic.t ->

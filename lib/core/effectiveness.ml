@@ -40,5 +40,3 @@ let observe tree =
 let score table d = Dmap.find_opt d table
 
 let max_abs_score table = Dmap.fold (fun _ v acc -> Float.max acc (Float.abs v)) table 0.0
-
-let bindings table = Dmap.bindings table

@@ -5,10 +5,7 @@
     [I_N(n, r) = min(LB(n_l) - LB(n), LB(n_r) - LB(n))]; the observed
     score [H_obs(r)] averages the improvement over every node where [r]
     was split.  Infinite LB values (vacuously verified children) are
-    clamped so scores stay finite. *)
-
-val lb_clamp : float
-(** Magnitude to which node LB values are clamped (1e6). *)
+    clamped to magnitude 1e6 so scores stay finite. *)
 
 val improvement : Ivan_spectree.Tree.node -> float option
 (** [I_N(n, r)] for an internal node; [None] for leaves and for nodes
@@ -26,6 +23,3 @@ val score : table -> Ivan_spectree.Decision.t -> float option
 val max_abs_score : table -> float
 (** Largest |H_obs| in the table; [0.] for an empty table.  Used to
     normalize observed scores against heuristic scores. *)
-
-val bindings : table -> (Ivan_spectree.Decision.t * float) list
-(** Sorted by decision. *)

@@ -75,20 +75,3 @@ let verify_incremental ~analyzer ~heuristic ?(config = default_config) ~net ~upd
   let original = verify_original ~analyzer ~heuristic ~config ~net ~prop in
   let updated_run = verify_updated ~analyzer ~heuristic ~config ~original_run:original ~updated ~prop in
   { original; updated = updated_run }
-
-let verify_chain ~analyzer ~heuristic ?(config = default_config) ~net ~updates ~prop () =
-  List.iter
-    (fun u ->
-      if not (Network.same_architecture net u) then
-        invalid_arg "Ivan.verify_chain: every update must share the architecture")
-    updates;
-  let original = verify_original ~analyzer ~heuristic ~config ~net ~prop in
-  let _, reversed_runs =
-    List.fold_left
-      (fun (previous, acc) updated ->
-        let run = verify_updated ~analyzer ~heuristic ~config ~original_run:previous ~updated ~prop in
-        (* The freshest proof seeds the next update in the chain. *)
-        (run, run :: acc))
-      (original, []) updates
-  in
-  (original, List.rev reversed_runs)

@@ -87,18 +87,3 @@ val verify_incremental :
     @raise Invalid_argument if the two networks differ in architecture
     (the specification tree is only replayable on the same
     architecture). *)
-
-val verify_chain :
-  analyzer:Ivan_analyzer.Analyzer.t ->
-  heuristic:Ivan_bab.Heuristic.t ->
-  ?config:config ->
-  net:Ivan_nn.Network.t ->
-  updates:Ivan_nn.Network.t list ->
-  prop:Ivan_spec.Prop.t ->
-  unit ->
-  Ivan_bab.Bab.run * Ivan_bab.Bab.run list
-(** Deployment-cycle mode: verify [net] once, then each update in order,
-    always seeding from the freshest proof (the previous update's tree),
-    so the proof tracks the drifting network instead of the original.
-    Returns the original run and one run per update.
-    @raise Invalid_argument if any update differs in architecture. *)

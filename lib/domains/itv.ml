@@ -6,11 +6,7 @@ let make lo hi =
 
 let point v = { lo = v; hi = v }
 
-let zero = point 0.0
-
 let add a b = { lo = a.lo +. b.lo; hi = a.hi +. b.hi }
-
-let neg a = { lo = -.a.hi; hi = -.a.lo }
 
 let scale k a = if k >= 0.0 then { lo = k *. a.lo; hi = k *. a.hi } else { lo = k *. a.hi; hi = k *. a.lo }
 
@@ -21,9 +17,3 @@ let relu a = { lo = Float.max 0.0 a.lo; hi = Float.max 0.0 a.hi }
 let meet a b =
   let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
   if lo > hi then None else Some { lo; hi }
-
-let contains a v = v >= a.lo && v <= a.hi
-
-let width a = a.hi -. a.lo
-
-let pp fmt a = Format.fprintf fmt "[%g, %g]" a.lo a.hi

@@ -7,11 +7,7 @@ val make : float -> float -> t
 
 val point : float -> t
 
-val zero : t
-
 val add : t -> t -> t
-
-val neg : t -> t
 
 val scale : float -> t -> t
 (** Multiplication by a constant (sign-aware). *)
@@ -23,9 +19,3 @@ val relu : t -> t
 
 val meet : t -> t -> t option
 (** Intersection; [None] when empty. *)
-
-val contains : t -> float -> bool
-
-val width : t -> float
-
-val pp : Format.formatter -> t -> unit

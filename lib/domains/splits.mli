@@ -26,6 +26,4 @@ val bindings : t -> (Ivan_nn.Relu_id.t * phase) list
 
 val negate : phase -> phase
 
-val phase_name : phase -> string
-
 val pp : Format.formatter -> t -> unit

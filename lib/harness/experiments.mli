@@ -34,11 +34,6 @@ val create :
     domains; [strategy] (default [Fifo]) is the frontier exploration
     order of every BaB run the experiments drive. *)
 
-val campaign :
-  context -> Ivan_data.Zoo.spec -> Ivan_nn.Quant.scheme -> Runner.comparison list
-(** The (model, quantization) workload run with all three techniques;
-    memoized. *)
-
 val table1 : context -> Format.formatter -> unit
 
 val fig6 : context -> Format.formatter -> unit

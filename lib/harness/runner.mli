@@ -47,15 +47,6 @@ type comparison = {
       (** verifying [N^a] incrementally *)
 }
 
-val run_instance :
-  setting ->
-  net:Ivan_nn.Network.t ->
-  updated:Ivan_nn.Network.t ->
-  techniques:Ivan_core.Ivan.technique list ->
-  Workload.instance ->
-  comparison
-(** The original run is shared across all techniques of the instance. *)
-
 val run_all :
   ?domains:int ->
   setting ->

@@ -34,5 +34,3 @@ let product a b =
     la;
   Network.make
     (List.init (Array.length la) (fun i -> combine_layers ~first:(i = 0) la.(i) lb.(i)))
-
-let output_split a _b = Network.output_dim a

@@ -13,7 +13,3 @@ val product : Network.t -> Network.t -> Network.t
 (** @raise Invalid_argument unless the networks have the same input
     dimension, the same number of layers, and matching activations per
     layer. *)
-
-val output_split : Network.t -> Network.t -> int
-(** Where the first network's outputs end in the product's output
-    vector (= [Network.output_dim a]). *)

@@ -7,8 +7,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let hash t = (t.layer * 8191) + t.index
-
 let pp fmt t = Format.fprintf fmt "r[%d,%d]" t.layer t.index
 
 let to_string t = Printf.sprintf "r[%d,%d]" t.layer t.index

@@ -14,8 +14,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

@@ -63,9 +63,6 @@ val encode_frame : kind -> string -> string
     4-byte big-endian payload length, a 4-byte big-endian CRC32 (over
     the kind byte and payload), then the payload. *)
 
-val crc32 : string -> int32
-(** CRC-32 (IEEE 802.3) of the whole string. *)
-
 (** {2 Recovery} *)
 
 type recovery = {

@@ -28,12 +28,6 @@ let unit_vec ~index ~sign ~num_outputs =
 let output_upper ~name ~input ~index ~bound ~num_outputs =
   { name; input; c = unit_vec ~index ~sign:(-1.0) ~num_outputs; offset = bound }
 
-let output_lower ~name ~input ~index ~bound ~num_outputs =
-  { name; input; c = unit_vec ~index ~sign:1.0 ~num_outputs; offset = -.bound }
-
-let output_pairwise ~name ~input ~ge ~le ~num_outputs =
-  { name; input; c = unit_diff ~plus:ge ~minus:le ~num_outputs; offset = 0.0 }
-
 let pp fmt p =
   Format.fprintf fmt "@[<h>%s: forall x in %a. c.y + %g >= 0 with c=%a@]" p.name Box.pp p.input
     p.offset Vec.pp p.c

@@ -36,11 +36,4 @@ val robustness :
 val output_upper : name:string -> input:Box.t -> index:int -> bound:float -> num_outputs:int -> t
 (** Global property [y_index <= bound], i.e. [bound - y_index >= 0]. *)
 
-val output_lower : name:string -> input:Box.t -> index:int -> bound:float -> num_outputs:int -> t
-(** Global property [y_index >= bound]. *)
-
-val output_pairwise :
-  name:string -> input:Box.t -> ge:int -> le:int -> num_outputs:int -> t
-(** Global property [y_ge >= y_le]. *)
-
 val pp : Format.formatter -> t -> unit

@@ -16,10 +16,6 @@ let equal a b = compare a b = 0
 
 let relu_phase = function Left -> Splits.Pos | Right -> Splits.Neg
 
-let pp fmt = function
-  | Relu_split r -> Relu_id.pp fmt r
-  | Input_split d -> Format.fprintf fmt "x[%d]" d
-
 let pp_edge fmt (d, side) =
   match d with
   | Relu_split r -> Format.fprintf fmt "%a%s" Relu_id.pp r (match side with Left -> "+" | Right -> "-")

@@ -18,8 +18,6 @@ val equal : t -> t -> bool
 val relu_phase : side -> Ivan_domains.Splits.phase
 (** Phase assumed by the child on the given side of a ReLU split. *)
 
-val pp : Format.formatter -> t -> unit
-
 val pp_edge : Format.formatter -> t * side -> unit
 
 val to_string : t -> string

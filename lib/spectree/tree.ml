@@ -33,8 +33,6 @@ let decision n = n.decision
 
 let children n = n.kids
 
-let parent n = n.parent_link
-
 let edge n = n.edge_label
 
 let lb n = n.lb_value
@@ -235,36 +233,3 @@ let pp fmt t =
         go (indent ^ "  ") r
   in
   go "" t.root_node
-
-let to_dot t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "digraph spectree {\n  node [shape=box, fontsize=10];\n";
-  let rec emit n =
-    let lb =
-      if Float.is_nan n.lb_value then "?"
-      else if n.lb_value = infinity then "inf"
-      else Printf.sprintf "%.3g" n.lb_value
-    in
-    let fill = if n.kids = None then ", style=filled, fillcolor=lightgrey" else "" in
-    Buffer.add_string buf
-      (Printf.sprintf "  n%d [label=\"#%d\\nlb=%s\"%s];\n" n.id n.id lb fill);
-    match n.kids with
-    | None -> ()
-    | Some (l, r) ->
-        let edge child =
-          let label =
-            match child.edge_label with
-            | Some e -> Format.asprintf "%a" Decision.pp_edge e
-            | None -> ""
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "  n%d -> n%d [label=\"%s\", fontsize=9];\n" n.id child.id label)
-        in
-        edge l;
-        edge r;
-        emit l;
-        emit r
-  in
-  emit t.root_node;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

@@ -30,8 +30,6 @@ val decision : node -> Decision.t option
 val children : node -> (node * node) option
 (** [(left, right)] children, present iff the node is internal. *)
 
-val parent : node -> node option
-
 val edge : node -> (Decision.t * Decision.side) option
 (** The labelled edge from the parent into this node; [None] at root. *)
 
@@ -85,7 +83,3 @@ val of_string : string -> t
 
 val pp : Format.formatter -> t -> unit
 (** Compact ASCII rendering for debugging. *)
-
-val to_dot : t -> string
-(** Graphviz rendering: nodes labelled with id and LB, edges with the
-    split predicate ([r+]/[r-] or the input half). *)

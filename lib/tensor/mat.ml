@@ -27,8 +27,6 @@ let get m i j = m.data.((i * m.cols) + j)
 
 let set m i j x = m.data.((i * m.cols) + j) <- x
 
-let copy m = { m with data = Array.copy m.data }
-
 let of_arrays a =
   let rows = Array.length a in
   let cols = if rows = 0 then 0 else Array.length a.(0) in
@@ -137,10 +135,3 @@ let equal ?(eps = 1e-9) a b =
        done;
        !ok
      end
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to m.rows - 1 do
-    Format.fprintf fmt "%a@," Vec.pp (row m i)
-  done;
-  Format.fprintf fmt "@]"

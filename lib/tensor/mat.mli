@@ -2,9 +2,6 @@
 
 type t
 
-val create : int -> int -> float -> t
-(** [create rows cols x] is the [rows × cols] matrix filled with [x]. *)
-
 val zeros : int -> int -> t
 
 val identity : int -> t
@@ -19,8 +16,6 @@ val cols : t -> int
 val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
-
-val copy : t -> t
 
 val of_arrays : float array array -> t
 (** @raise Invalid_argument if rows have unequal lengths. *)
@@ -64,5 +59,3 @@ val max_abs : t -> float
 (** Largest absolute entry. *)
 
 val equal : ?eps:float -> t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

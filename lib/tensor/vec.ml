@@ -4,19 +4,13 @@ let create n x = Array.make n x
 
 let zeros n = Array.make n 0.0
 
-let init = Array.init
-
 let dim = Array.length
 
 let copy = Array.copy
 
 let of_list = Array.of_list
 
-let to_list = Array.to_list
-
 let get (v : t) i = v.(i)
-
-let set (v : t) i x = v.(i) <- x
 
 let check_dims name a b =
   if Array.length a <> Array.length b then
@@ -37,10 +31,6 @@ let axpy a x y =
   for i = 0 to Array.length x - 1 do
     y.(i) <- (a *. x.(i)) +. y.(i)
   done
-
-let mul a b =
-  check_dims "mul" a b;
-  Array.init (Array.length a) (fun i -> a.(i) *. b.(i))
 
 let dot a b =
   check_dims "dot" a b;

@@ -11,19 +11,13 @@ val create : int -> float -> t
 
 val zeros : int -> t
 
-val init : int -> (int -> float) -> t
-
 val dim : t -> int
 
 val copy : t -> t
 
 val of_list : float list -> t
 
-val to_list : t -> float list
-
 val get : t -> int -> float
-
-val set : t -> int -> float -> unit
 
 val add : t -> t -> t
 (** Pointwise sum.  @raise Invalid_argument on dimension mismatch. *)
@@ -34,9 +28,6 @@ val scale : float -> t -> t
 
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] sets [y <- a*x + y] in place. *)
-
-val mul : t -> t -> t
-(** Pointwise (Hadamard) product. *)
 
 val dot : t -> t -> float
 

@@ -195,7 +195,7 @@ let softmax logits =
   let z = Array.fold_left ( +. ) 0.0 exps in
   Array.map (fun e -> e /. z) exps
 
-(* Shared training loop; [output_delta logits sample_index] gives
+(* The training loop; [output_delta logits sample_index] gives
    dL/d(network output) for one sample. *)
 let train_loop ~rng ~cfg net ~inputs ~output_delta =
   if Array.length inputs = 0 then invalid_arg "Sgd: empty training set";
@@ -255,16 +255,6 @@ let train_classifier ~rng ~config net ~inputs ~labels =
   in
   train_loop ~rng ~cfg:config net ~inputs ~output_delta
 
-let train_regressor ~rng ~config net ~inputs ~targets =
-  if Array.length inputs <> Array.length targets then
-    invalid_arg "Sgd.train_regressor: inputs and targets differ in length";
-  let output_delta out sample =
-    let t = targets.(sample) in
-    let scale = 2.0 /. float_of_int (Array.length out) in
-    Array.mapi (fun k v -> scale *. (v -. t.(k))) out
-  in
-  train_loop ~rng ~cfg:config net ~inputs ~output_delta
-
 let accuracy net ~inputs ~labels =
   if Array.length inputs = 0 then invalid_arg "Sgd.accuracy: empty dataset";
   let correct = ref 0 in
@@ -272,16 +262,6 @@ let accuracy net ~inputs ~labels =
     (fun i x -> if Vec.argmax (Network.forward net x) = labels.(i) then incr correct)
     inputs;
   float_of_int !correct /. float_of_int (Array.length inputs)
-
-let mean_squared_error net ~inputs ~targets =
-  if Array.length inputs = 0 then invalid_arg "Sgd.mean_squared_error: empty dataset";
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let diff = Vec.sub (Network.forward net x) targets.(i) in
-      acc := !acc +. (Vec.dot diff diff /. float_of_int (Vec.dim diff)))
-    inputs;
-  !acc /. float_of_int (Array.length inputs)
 
 let cross_entropy net ~inputs ~labels =
   if Array.length inputs = 0 then invalid_arg "Sgd.cross_entropy: empty dataset";

@@ -27,20 +27,8 @@ val train_classifier :
 (** Minimize softmax cross-entropy.  Labels index network outputs.
     @raise Invalid_argument on empty data or mismatched lengths. *)
 
-val train_regressor :
-  rng:Ivan_tensor.Rng.t ->
-  config:config ->
-  Ivan_nn.Network.t ->
-  inputs:Ivan_tensor.Vec.t array ->
-  targets:Ivan_tensor.Vec.t array ->
-  Ivan_nn.Network.t
-(** Minimize mean squared error against vector targets. *)
-
 val accuracy : Ivan_nn.Network.t -> inputs:Ivan_tensor.Vec.t array -> labels:int array -> float
 (** Fraction of inputs whose argmax output matches the label. *)
-
-val mean_squared_error :
-  Ivan_nn.Network.t -> inputs:Ivan_tensor.Vec.t array -> targets:Ivan_tensor.Vec.t array -> float
 
 val cross_entropy :
   Ivan_nn.Network.t -> inputs:Ivan_tensor.Vec.t array -> labels:int array -> float

@@ -275,64 +275,6 @@ let test_milp_rejects_leaky () =
 
 
 
-(* ---------------- Grad / PGD falsification ---------------- *)
-
-module Attack = Ivan_analyzer.Attack
-module Grad = Ivan_nn.Grad
-
-(* Gradient matches finite differences away from ReLU kinks. *)
-let test_gradient_finite_difference () =
-  let rng = Rng.create 301 in
-  for seed = 1 to 5 do
-    let net = Fixtures.random_net ~seed ~dims:[ 3; 5; 4; 2 ] in
-    let c = Vec.of_list [ 1.0; -0.5 ] in
-    let x = Array.init 3 (fun _ -> Rng.uniform rng 0.1 0.9) in
-    let g = Grad.objective_gradient net ~c x in
-    let f v = Vec.dot c (Network.forward net v) in
-    let h = 1e-6 in
-    for j = 0 to 2 do
-      let xp = Vec.copy x and xm = Vec.copy x in
-      xp.(j) <- xp.(j) +. h;
-      xm.(j) <- xm.(j) -. h;
-      let fd = (f xp -. f xm) /. (2.0 *. h) in
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d dim %d grad %.4f fd %.4f" seed j g.(j) fd)
-        true
-        (Float.abs (g.(j) -. fd) < 1e-3)
-    done
-  done
-
-let test_gradient_dim_check () =
-  let net = Fixtures.paper_net () in
-  Alcotest.check_raises "dims"
-    (Invalid_argument "Grad.objective_gradient: objective dimension mismatch") (fun () ->
-      ignore (Grad.objective_gradient net ~c:(Vec.zeros 3) (Vec.zeros 2)))
-
-(* PGD finds the known violation of the paper network's tight property
-   and never "finds" one for a true property. *)
-let test_pgd_finds_violation () =
-  let net = Fixtures.paper_net () in
-  let falsified = Fixtures.paper_prop_with_offset 1.3 in
-  (match Attack.pgd ~rng:(Rng.create 302) net ~prop:falsified with
-  | Some x ->
-      Alcotest.(check bool) "genuine CE" true (Analyzer.check_concrete net ~prop:falsified x)
-  | None -> Alcotest.fail "PGD missed an easy violation");
-  let proved = Fixtures.paper_prop_with_offset 2.0 in
-  match Attack.pgd ~rng:(Rng.create 303) net ~prop:proved with
-  | None -> ()
-  | Some _ -> Alcotest.fail "PGD claimed a CE for a true property"
-
-(* best_margin upper-bounds the true minimum and improves on the naive
-   centre evaluation. *)
-let test_pgd_best_margin () =
-  let net = Fixtures.paper_net () in
-  let prop = Fixtures.paper_prop_with_offset 0.0 in
-  let margin, x = Attack.best_margin ~rng:(Rng.create 304) net ~prop in
-  Alcotest.(check bool) "achievable" true
-    (Float.abs (Prop.margin prop (Network.forward net x) -. margin) < 1e-9);
-  Alcotest.(check bool) "above the true min" true (margin >= -1.5 -. 1e-9);
-  Alcotest.(check bool) "close to the true min" true (margin < -1.3)
-
 (* The crash wiring of [lp_triangle] on a golden dense subject.  The
    node splits a first-layer unit to the side the crash corner (each
    input at the end minimizing its zonotope objective coefficient) is
@@ -624,8 +566,4 @@ let suite =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Encoding_oracle.Oracle.seed |])
       (Encoding_oracle.Oracle.crash_test ~count:Encoding_oracle.Oracle.crash_tier1_count);
-    ("gradient finite difference", `Quick, test_gradient_finite_difference);
-    ("gradient dim check", `Quick, test_gradient_dim_check);
-    ("pgd finds violation", `Quick, test_pgd_finds_violation);
-    ("pgd best margin", `Quick, test_pgd_best_margin);
   ]

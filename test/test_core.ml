@@ -677,54 +677,6 @@ let prop_prune_decisions_subset =
 
 
 
-(* ---------------- Chained incremental verification ---------------- *)
-
-let test_verify_chain () =
-  let net = Fixtures.paper_net () in
-  let prop = Fixtures.paper_prop_with_offset 1.7 in
-  let rng = Rng.create 101 in
-  (* Drifting deployment: successive small perturbations. *)
-  let u1 = Perturb.random_relative ~rng ~fraction:0.01 net in
-  let u2 = Perturb.random_relative ~rng ~fraction:0.01 u1 in
-  let u3 = Quant.network Quant.Int8 u2 in
-  let original, runs =
-    Ivan.verify_chain ~analyzer ~heuristic:Heuristic.zono_coeff ~net ~updates:[ u1; u2; u3 ]
-      ~prop ()
-  in
-  Alcotest.(check int) "three runs" 3 (List.length runs);
-  Alcotest.(check bool) "original proved" true (original.Bab.verdict = Bab.Proved);
-  List.iter
-    (fun (run : Bab.run) ->
-      match run.Bab.verdict with
-      | Bab.Proved | Bab.Disproved _ -> ()
-      | Bab.Exhausted -> Alcotest.fail "chain step exhausted")
-    runs
-
-let test_verify_chain_architecture_check () =
-  let net = Fixtures.paper_net () in
-  let other = Fixtures.random_net ~seed:1 ~dims:[ 2; 3; 1 ] in
-  let prop = Fixtures.paper_prop () in
-  Alcotest.check_raises "arch"
-    (Invalid_argument "Ivan.verify_chain: every update must share the architecture") (fun () ->
-      ignore
-        (Ivan.verify_chain ~analyzer ~heuristic:Heuristic.zono_coeff ~net ~updates:[ other ]
-           ~prop ()))
-
-(* ---------------- DOT export ---------------- *)
-
-let test_tree_to_dot () =
-  let t = example_tree () in
-  let dot = Tree.to_dot t in
-  let contains needle =
-    let n = String.length needle and h = String.length dot in
-    let rec go i = i + n <= h && (String.sub dot i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "digraph" true (contains "digraph spectree");
-  Alcotest.(check bool) "root node" true (contains "n0 [label=");
-  Alcotest.(check bool) "edge labels" true (contains "r[0,0]+");
-  Alcotest.(check bool) "nine nodes" true (contains "n8 [label=")
-
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -759,7 +711,4 @@ let suite =
     q prop_prune_well_formed;
     q prop_prune_theta_zero_keeps_positive_trees;
     q prop_prune_decisions_subset;
-    ("verify chain", `Quick, test_verify_chain);
-    ("verify chain architecture check", `Quick, test_verify_chain_architecture_check);
-    ("tree to dot", `Quick, test_tree_to_dot);
   ]

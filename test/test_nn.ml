@@ -293,7 +293,6 @@ let test_product_forward () =
   let p = Product.product a b in
   Alcotest.(check int) "input" 3 (Network.input_dim p);
   Alcotest.(check int) "output" 4 (Network.output_dim p);
-  Alcotest.(check int) "split" 2 (Product.output_split a b);
   let rng = Rng.create 83 in
   for _ = 1 to 20 do
     let x = Array.init 3 (fun _ -> Rng.gaussian rng) in

@@ -8,7 +8,6 @@ module Network = Ivan_nn.Network
 module Builder = Ivan_nn.Builder
 module Quant = Ivan_nn.Quant
 module Serialize = Ivan_nn.Serialize
-module Grad = Ivan_nn.Grad
 module Sgd = Ivan_train.Sgd
 module Box = Ivan_spec.Box
 module Prop = Ivan_spec.Prop
@@ -70,21 +69,6 @@ let test_training_learns () =
   let config = { Sgd.default_config with epochs = 30 } in
   let trained = Sgd.train_classifier ~rng ~config net ~inputs ~labels in
   Alcotest.(check bool) "tanh net learns" true (Sgd.accuracy trained ~inputs ~labels >= 0.95)
-
-let test_gradient_finite_difference () =
-  let net = smooth_net ~activation:Layer.Sigmoid ~seed:4 ~dims:[ 3; 5; 2 ] in
-  let c = Vec.of_list [ 1.0; -1.0 ] in
-  let x = [| 0.2; 0.7; 0.4 |] in
-  let g = Grad.objective_gradient net ~c x in
-  let f v = Vec.dot c (Network.forward net v) in
-  let h = 1e-6 in
-  for j = 0 to 2 do
-    let xp = Vec.copy x and xm = Vec.copy x in
-    xp.(j) <- xp.(j) +. h;
-    xm.(j) <- xm.(j) -. h;
-    let fd = (f xp -. f xm) /. (2.0 *. h) in
-    Alcotest.(check bool) "smooth grad matches fd" true (Float.abs (g.(j) -. fd) < 1e-4)
-  done
 
 (* All three domains stay sound on smooth networks. *)
 let test_domains_sound () =
@@ -199,7 +183,6 @@ let suite =
     ("no split candidates", `Quick, test_no_split_candidates);
     ("serialize roundtrip", `Quick, test_serialize_roundtrip);
     ("training learns", `Quick, test_training_learns);
-    ("gradient finite difference", `Quick, test_gradient_finite_difference);
     ("domains sound", `Quick, test_domains_sound);
     ("analyzer lb sound", `Quick, test_analyzer_lb_sound);
     ("input splitting refines", `Quick, test_input_splitting_refines);

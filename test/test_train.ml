@@ -40,17 +40,6 @@ let test_loss_decreases () =
   let after = Sgd.cross_entropy trained ~inputs ~labels in
   Alcotest.(check bool) "loss decreased" true (after < before)
 
-let test_regressor_fits_linear () =
-  let rng = Rng.create 44 in
-  let net = Builder.dense_net ~rng ~dims:[ 2; 16; 1 ] in
-  let count = 300 in
-  let inputs = Array.init count (fun _ -> [| Rng.uniform rng (-1.0) 1.0; Rng.uniform rng (-1.0) 1.0 |]) in
-  let targets = Array.map (fun x -> [| (2.0 *. x.(0)) -. x.(1) +. 0.5 |]) inputs in
-  let config = { Sgd.default_config with epochs = 60; learning_rate = 0.03 } in
-  let trained = Sgd.train_regressor ~rng ~config net ~inputs ~targets in
-  let mse = Sgd.mean_squared_error trained ~inputs ~targets in
-  Alcotest.(check bool) (Printf.sprintf "mse %.4f < 0.02" mse) true (mse < 0.02)
-
 let test_conv_classifier_learns () =
   let rng = Rng.create 45 in
   let net =
@@ -125,7 +114,6 @@ let suite =
   [
     ("classifier learns blobs", `Quick, test_classifier_learns);
     ("loss decreases", `Quick, test_loss_decreases);
-    ("regressor fits linear", `Quick, test_regressor_fits_linear);
     ("conv classifier learns", `Quick, test_conv_classifier_learns);
     ("gradient direction", `Quick, test_gradient_direction);
     ("empty dataset", `Quick, test_empty_dataset);
