@@ -290,10 +290,14 @@ let incremental_cmd =
     List.iter
       (fun (c : Runner.comparison) ->
         let base = c.Runner.baseline and ivan = Report.technique_measurement c Ivan.Full in
-        Format.printf "%-28s base %-14s %4d calls %.2fs | ivan %-14s %4d calls %.2fs@."
+        let pivots (m : Runner.timed) = m.Runner.run.Bab.stats.Bab.lp_pivots in
+        Format.printf
+          "%-28s base %-14s %4d calls %6d pivots %.2fs | ivan %-14s %4d calls %6d pivots %.2fs, %d \
+           closed by N's multipliers@."
           c.Runner.instance.Workload.prop.Ivan_spec.Prop.name
-          (verdict_string base.Runner.run.Bab.verdict) (Runner.calls base) base.Runner.seconds
-          (verdict_string ivan.Runner.run.Bab.verdict) (Runner.calls ivan) ivan.Runner.seconds)
+          (verdict_string base.Runner.run.Bab.verdict) (Runner.calls base) (pivots base)
+          base.Runner.seconds (verdict_string ivan.Runner.run.Bab.verdict) (Runner.calls ivan)
+          (pivots ivan) ivan.Runner.seconds ivan.Runner.run.Bab.stats.Bab.dual_closures)
       comparisons;
     List.iter
       (fun technique ->

@@ -10,6 +10,8 @@ module Interval_dom = Ivan_domains.Interval_dom
 module Zonotope = Ivan_domains.Zonotope
 module Deeppoly = Ivan_domains.Deeppoly
 module Clock = Ivan_clock.Clock
+module Tree = Ivan_spectree.Tree
+module Screen = Ivan_cert.Screen
 
 type status = Verified | Counterexample of Vec.t | Unknown
 
@@ -21,6 +23,8 @@ type lp_report = {
   factor_pivots : int;
   basis : Lp.Basis.t option;
   deeppoly : Deeppoly.parent option;
+  proof : Tree.multipliers option;
+  closed : bool;
 }
 
 type outcome = {
@@ -64,14 +68,20 @@ let concrete_status net ~prop candidate =
 (* Warm-start hint between the BaB engine and the LP-backed analyzers.
    A report goes out in [outcome.lp]; the parent's comes back in through
    this per-domain slot, which the engine fills before a child's call,
-   so analyzers without an LP keep their signature.  Domain-local, so
-   parallel runner workers never see each other's hints, and consumed
-   on read, so a retry of a failed call runs cold. *)
+   so analyzers without an LP keep their signature.  A node with no
+   parent report may instead come with the multipliers that verified it
+   in an earlier run.  Domain-local, so parallel runner workers never
+   see each other's hints, and consumed on read, so a retry of a failed
+   call runs cold. *)
+
+type hint = Parent of lp_report | Own of Tree.multipliers
 
 module Warm = struct
-  let hint_slot : lp_report option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
+  let hint_slot : hint option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
-  let offer info = Domain.DLS.get hint_slot := Some info
+  let offer info = Domain.DLS.get hint_slot := Some (Parent info)
+
+  let offer_multipliers m = Domain.DLS.get hint_slot := Some (Own m)
 
   let clear () = Domain.DLS.get hint_slot := None
 
@@ -82,10 +92,16 @@ module Warm = struct
     v
 end
 
+(* The keyed multipliers of a verdict certificate. *)
+let keyed keys = function
+  | Lp.Certificate.Dual y -> { Tree.keys; y; farkas = false }
+  | Lp.Certificate.Farkas y -> { Tree.keys; y; farkas = true }
+
 (* One LP solve's report, with the node's DeepPoly run for its children
-   to resume from.  Only called after a solve that returned: a solve
-   that raises leaves [last_stats] and [basis] at [None]. *)
-let lp_report lp deeppoly =
+   to resume from and the solve's multipliers keyed by [keys].  Only
+   called after a solve that returned: a solve that raises leaves
+   [last_stats] and [basis] at [None]. *)
+let lp_report lp ~keys deeppoly =
   Option.map
     (fun s ->
       let hits, misses, cold =
@@ -102,6 +118,8 @@ let lp_report lp deeppoly =
         factor_pivots = s.Lp.factor_pivots + s.Lp.miss_pivots;
         basis = Lp.basis lp;
         deeppoly = Some deeppoly;
+        proof = Option.map (keyed keys) (Lp.last_certificate lp);
+        closed = false;
       })
     (Lp.last_stats lp)
 
@@ -202,21 +220,25 @@ let milp_encoding = cached Encoding.Milp.build
 (* ------------------------------------------------------------------ *)
 (* LP analyzer with triangle relaxation *)
 
-(* Freeze the LP and pair it with the solver's multipliers, right after
-   the solve and before any further mutation of the shared encoding.
-   Extraction is float-only and untrusted; the exact checker in
-   [Ivan_cert.Cert] decides whether the evidence actually proves
-   anything. *)
-let evidence_of lp ~const =
-  match Lp.last_certificate lp with
-  | None -> None
-  | Some witness ->
-      Some
-        {
-          Ivan_cert.Cert.const;
-          snapshot = Ivan_cert.Cert.Snapshot.of_problem lp;
-          witness;
-        }
+(* Freeze the LP and pair it with the multipliers of its verdict, right
+   after the solve (or the closure) and before any further mutation of
+   the shared encoding.  Extraction is float-only and untrusted; the
+   exact checker in [Ivan_cert.Cert] decides whether the evidence
+   actually proves anything. *)
+let evidence_of lp ~const witness =
+  { Ivan_cert.Cert.const; snapshot = Ivan_cert.Cert.Snapshot.of_problem lp; witness }
+
+(* The closure: multipliers [m] that verified this node in an earlier
+   run, on another network of the same architecture or on this one,
+   carried onto the node's specialized LP by row key and evaluated by
+   weak duality under the certificate screen's rounding model.  Returns
+   the carried certificate and the bound it proves ([infinity] for a
+   Farkas witness: the node is empty), or [None] when it proves
+   nothing and the simplex must run. *)
+let closure enc lp ~const (m : Tree.multipliers) =
+  Option.bind (Encoding.Triangle.transfer enc ~keys:m.Tree.keys ~y:m.Tree.y) (fun y ->
+      let witness = if m.Tree.farkas then Lp.Certificate.Farkas y else Lp.Certificate.Dual y in
+      Option.map (fun lb -> (witness, lb)) (Screen.proves lp ~const witness))
 
 (* The box corner a cold solve's crash basis starts from: each input at
    the end that minimizes its coefficient in the zonotope objective,
@@ -230,12 +252,19 @@ let crash_corner ~prop ~box zono =
       Array.init d (fun j -> obj.(j) < 0.0)
 
 let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
-  (* The parent's report, when the engine staged one: DeepPoly resumes
-     from the parent's run whatever [warm] says, since the result is the
-     same bit for bit; the parent's basis starts the simplex only under
+  (* The hint the engine staged, if any: the parent's report, or the
+     node's own multipliers from an earlier run.  DeepPoly resumes from
+     the parent's run whatever [warm] says, since the result is the same
+     bit for bit; the parent's basis starts the simplex only under
      [warm].  Taken before anything can fail, so a retry runs cold. *)
   let hint = Warm.take_hint () in
-  let parent = Option.bind hint (fun h -> h.deeppoly) in
+  let report, own =
+    match hint with
+    | Some (Parent r) -> (Some r, None)
+    | Some (Own m) -> (None, Some m)
+    | None -> (None, None)
+  in
+  let parent = Option.bind report (fun h -> h.deeppoly) in
   match Deeppoly.analyze ?parent net ~box ~splits with
   | Deeppoly.Infeasible -> vacuous
   | Deeppoly.Feasible dp -> (
@@ -259,26 +288,32 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
       if deeppoly_shortcut && cheap_lb >= 0.0 then
         { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None; lp = None }
       else
-        (* Specialize the persistent per-property encoding to this node
-           and solve it, warm from the parent's basis when one is
-           offered, else cold from the crash basis of a concrete forward
-           pass.  A warm miss falls back on the crash basis too, so it
-           is built only when a solve asks for it. *)
-        let basis = if warm then Option.bind hint (fun h -> h.basis) else None in
+        (* Specialize the persistent per-property encoding to this node.
+           Multipliers from an earlier run get the first try: when they
+           prove the node on its LP, no simplex runs.  Otherwise solve,
+           warm from the parent's basis when one is offered, else cold
+           from the crash basis of a concrete forward pass.  A warm miss
+           falls back on the crash basis too, so it is built only when a
+           solve asks for it. *)
+        let basis = if warm then Option.bind report (fun h -> h.basis) else None in
         let solved =
           try
             match triangle_encoding net prop ~root:(root_call ~prop ~box ~splits bounds) with
             | None -> `Solver_failed
-            | Some enc ->
+            | Some enc -> (
                 Encoding.Triangle.specialize enc ~box ~splits ~bounds;
-                let lp = Encoding.Triangle.lp enc in
-                let start () = Encoding.Triangle.crash enc ~upper:(crash_corner ~prop ~box zono) in
-                let r =
-                  match basis with
-                  | Some b -> Lp.solve_from ~start lp b
-                  | None -> Lp.solve ?start:(start ()) lp
-                in
-                `Result (lp, Encoding.Triangle.const enc, r)
+                let lp = Encoding.Triangle.lp enc and const = Encoding.Triangle.const enc in
+                let keys = Encoding.Triangle.keys enc in
+                match Option.bind own (closure enc lp ~const) with
+                | Some (witness, lb) -> `Closed (lp, const, keys, witness, lb)
+                | None ->
+                    let start () = Encoding.Triangle.crash enc ~upper:(crash_corner ~prop ~box zono) in
+                    let r =
+                      match basis with
+                      | Some b -> Lp.solve_from ~start lp b
+                      | None -> Lp.solve ?start:(start ()) lp
+                    in
+                    `Result (lp, const, keys, r))
           with Encoding.Mismatch | Lp.Iteration_limit | Lp.Numerical_failure _ -> `Solver_failed
         in
         match solved with
@@ -287,11 +322,35 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
                sound cheap bound. *)
             if cheap_lb >= 0.0 then { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None; lp = None }
             else { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None; lp = None }
-        | `Result (lp, const, r) -> (
-            let report = lp_report lp resume_from in
+        | `Closed (lp, const, keys, witness, lb) -> (
+            (* The carried multipliers are this node's proof: its
+               certificate under [certify], and its annotation for the
+               next run. *)
+            let report =
+              {
+                warm_hits = 0;
+                warm_misses = 0;
+                cold_solves = 0;
+                pivots = 0;
+                factor_pivots = 0;
+                basis = None;
+                deeppoly = Some resume_from;
+                proof = Some (keyed keys witness);
+                closed = true;
+              }
+            in
+            let cert = if certify then Some (evidence_of lp ~const witness) else None in
+            match witness with
+            | Lp.Certificate.Farkas _ -> { vacuous with bounds = Some bounds; zono; cert; lp = Some report }
+            | Lp.Certificate.Dual _ ->
+                { status = Verified; lb = Float.max lb cheap_lb; bounds = Some bounds; zono; cert; lp = Some report })
+        | `Result (lp, const, keys, r) -> (
+            let report = lp_report lp ~keys resume_from in
             (* Evidence is only captured where it can be used, and before
                the shared encoding is touched again. *)
-            let evidence () = if certify then evidence_of lp ~const else None in
+            let evidence () =
+              if certify then Option.map (evidence_of lp ~const) (Lp.last_certificate lp) else None
+            in
             match r with
             | Lp.Infeasible ->
                 (* The relaxation is a superset of the true region, so an
@@ -377,6 +436,8 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
                 factor_pivots = stats.Ivan_lp.Milp.factor_pivots;
                 basis = None;
                 deeppoly = None;
+                proof = None;
+                closed = false;
               }
           in
           match result with

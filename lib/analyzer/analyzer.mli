@@ -39,6 +39,17 @@ type lp_report = {
   deeppoly : Ivan_domains.Deeppoly.parent option;
       (** the node's DeepPoly run, for child nodes to resume from;
           O(neurons); [None] when the call ran the MILP search *)
+  proof : Ivan_spectree.Tree.multipliers option;
+      (** the row multipliers behind the call's LP answer, keyed by the
+          encoding's row keys: the solver's dual [y] after an optimum,
+          its Farkas [y] after an infeasible LP, or the carried
+          multipliers that closed the node; the same arrays, not
+          copies.  The engine keeps them on a verified node
+          ({!Ivan_spectree.Tree.set_multipliers}).  [None] from the MILP
+          search *)
+  closed : bool;
+      (** the node was closed by multipliers offered through {!Warm},
+          with no simplex solve: every count above is 0 *)
 }
 (** What an LP-backed analyzer call solved: the BaB engine counts it
     into the run's statistics and offers it to the node's children
@@ -130,7 +141,10 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     DeepPoly run, which the node resumes below its new split
     ({!Ivan_domains.Deeppoly.analyze} [?parent]; used whatever [warm]
     says, since the bounds come out the same bit for bit), and its
-    basis, which warm-starts the simplex when [warm] holds.  The slot is
+    basis, which warm-starts the simplex when [warm] holds.  A node
+    with no parent report to offer is offered its own multiplier
+    annotation instead, when it has one (a seed leaf of an incremental
+    run), for {!lp_triangle}'s closure.  The slot holds one hint, is
     domain-local and consumed on read: parallel runner workers never
     observe each other's hints, and an analyzer retry (under
     {!with_fallback}) runs cold, DeepPoly and LP both, rather than
@@ -140,6 +154,10 @@ module Warm : sig
   val offer : lp_report -> unit
   (** Stage a parent's report for the next LP-backed analyzer call on
       this domain; only its [basis] and [deeppoly] are read. *)
+
+  val offer_multipliers : Ivan_spectree.Tree.multipliers -> unit
+  (** Stage the node's own multipliers from an earlier run for the next
+      LP-backed call's closure, in place of a parent's report. *)
 
   val clear : unit -> unit
   (** Drop any staged hint (call before analyzing a node with no usable

@@ -147,12 +147,19 @@ let count_units net bounds ~pinned =
     (Network.layers net);
   !total
 
+(* Row keys (see encoding.mli): row [i] has the key
+   [unit * slots + slot], with [unit] numbering every layer's outputs in
+   layer order, whether or not they get variables, and [slot] the row's
+   kind within its unit.  Rows are added unit by unit and slot by slot,
+   so keys increase with the row index. *)
+let slots = 6
+
 (* The walk both encodings share.  Variables [0, d) are the inputs;
    then, in layer order, every unit that gets variables takes a block of
-   [width] fresh ones, and [on_unit] reserves its rows and returns its
-   record.  Every other piecewise unit is substituted away by its phase
-   under [bounds].  Returns the problem, the objective constant and the
-   unit records in order. *)
+   [width] fresh ones, and [on_unit] adds its rows through [row] and
+   returns its record.  Every other piecewise unit is substituted away
+   by its phase under [bounds].  Returns the problem, the objective
+   constant, the unit records in order and the row keys. *)
 let encode net ~prop ~box ~bounds ~pinned ~width ~on_unit =
   let d = Box.dim box in
   let nvars = d + (width * count_units net bounds ~pinned) in
@@ -161,11 +168,15 @@ let encode net ~prop ~box ~bounds ~pinned ~width ~on_unit =
     Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
   done;
   let next_var = ref d in
-  let units = ref [] in
+  let units = ref [] and keys = ref [] and base = ref 0 in
   let fresh ~li ~idx act e =
     let v = !next_var in
     next_var := v + width;
-    units := on_unit lp ~li ~idx act ~v e :: !units;
+    let row ~slot ridx rcf cmp rhs =
+      keys := (((!base + idx) * slots) + slot) :: !keys;
+      Lp.add_row lp ridx rcf cmp rhs
+    in
+    units := on_unit ~row ~li ~idx act ~v e :: !units;
     var_expr v
   in
   let exprs = ref (Array.init d var_expr) in
@@ -175,7 +186,7 @@ let encode net ~prop ~box ~bounds ~pinned ~width ~on_unit =
       let pre = affine_exprs nvars w b !exprs in
       let act = Layer.classify (Layer.activation layer) in
       exprs :=
-        match act with
+        (match act with
         | Layer.Linear_activation -> pre
         | Layer.Smooth _ -> Array.mapi (fun idx e -> fresh ~li ~idx act e) pre
         | Layer.Piecewise slope ->
@@ -185,16 +196,23 @@ let encode net ~prop ~box ~bounds ~pinned ~width ~on_unit =
                 if needs_vars bounds ~pinned li idx then fresh ~li ~idx act e
                 else if lb.(idx) >= 0.0 then e
                 else scale_expr slope e)
-              pre)
+              pre);
+      base := !base + Layer.output_dim layer)
     (Network.layers net);
   let obj, const = objective_of nvars !exprs ~c:prop.Prop.c ~offset:prop.Prop.offset in
   Lp.set_objective lp obj;
-  (lp, const, Array.of_list (List.rev !units))
+  (lp, const, Array.of_list (List.rev !units), Array.of_list (List.rev !keys))
 
 (* One encoding's current problem.  [covered] holds every unit a node
    may split without a re-encoding: the pinned units and the units with
-   variables. *)
-type 'u shape = { lp : Lp.problem; const : float; units : 'u array; covered : Relu_id.Set.t }
+   variables.  [keys] holds every row's key. *)
+type 'u shape = {
+  lp : Lp.problem;
+  const : float;
+  units : 'u array;
+  covered : Relu_id.Set.t;
+  keys : int array;
+}
 
 (* An encoding: its input dimension, its current shape, and how to
    re-encode it with a given set of pinned units. *)
@@ -206,9 +224,9 @@ type 'u persistent = {
 
 let persistent net ~prop ~box ~bounds ~pinned ~width ~on_unit ~relu =
   let reencode pinned =
-    let lp, const, units = encode net ~prop ~box ~bounds ~pinned ~width ~on_unit in
+    let lp, const, units, keys = encode net ~prop ~box ~bounds ~pinned ~width ~on_unit in
     let covered = Array.fold_left (fun acc u -> Relu_id.Set.add (relu u) acc) pinned units in
-    { lp; const; units; covered }
+    { lp; const; units; covered; keys }
   in
   { d = Box.dim box; reencode; shape = reencode pinned }
 
@@ -230,6 +248,34 @@ let prepare p ~box ~splits =
     Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
   done;
   lp
+
+(* Multipliers [y] of the rows keyed [keys] carried onto the current
+   problem by key, in one merge of the two increasing key arrays: a row
+   the current problem lacks drops its multiplier, a row [keys] lacks
+   gets 0, and each multiplier is clamped to the sign its new row
+   admits (NaN stays NaN).  Weak duality holds for any such vector, so
+   nothing about [y] needs to be trusted. *)
+let transfer p ~keys ~y =
+  if Array.length keys <> Array.length y then None
+  else begin
+    let shape = p.shape in
+    let n = Array.length keys in
+    let k = ref 0 in
+    Some
+      (Array.mapi
+         (fun i key ->
+           while !k < n && keys.(!k) < key do
+             incr k
+           done;
+           if !k < n && keys.(!k) = key then
+             let _, _, cmp, _ = Lp.row_view shape.lp i in
+             match cmp with
+             | Lp.Le -> Float.min 0.0 y.(!k)
+             | Lp.Ge -> Float.max 0.0 y.(!k)
+             | Lp.Eq -> y.(!k)
+           else 0.0)
+         shape.keys)
+  end
 
 (* Write a vacuous all-zero row into a slot (0 <= 0). *)
 let vacuous lp row = Lp.set_row lp row [||] [||] Lp.Le 0.0
@@ -297,21 +343,25 @@ module Triangle = struct
 
   let const t = t.shape.const
 
-  let on_unit lp ~li ~idx act ~v (e : expr) =
+  let keys t = t.shape.keys
+
+  let transfer = transfer
+
+  let on_unit ~row ~li ~idx act ~v (e : expr) =
     let pre_idx = e.idx and pre_cf = e.cf in
     let vrow_idx = Array.append [| v |] pre_idx in
-    let slot cmp = Lp.add_row lp [||] [||] cmp 0.0 in
+    let slot k cmp = row ~slot:k [||] [||] cmp 0.0 in
     let kind =
       match act with
       | Layer.Smooth { f; df } ->
-          let row_hi = slot Lp.Le in
-          let row_lo = slot Lp.Ge in
+          let row_hi = slot 4 Lp.Le in
+          let row_lo = slot 5 Lp.Ge in
           Smooth_unit { f; df; row_hi; row_lo }
       | Layer.Piecewise slope ->
-          let row_a = slot Lp.Le in
-          let row_b = slot Lp.Le in
-          let row_c = slot Lp.Le in
-          let row_d = slot Lp.Le in
+          let row_a = slot 0 Lp.Le in
+          let row_b = slot 1 Lp.Le in
+          let row_c = slot 2 Lp.Le in
+          let row_d = slot 3 Lp.Le in
           Piecewise_unit
             { slope; row_a; row_b; row_c; row_d; d_scratch = Array.make (Array.length pre_idx) 0.0 }
       | Layer.Linear_activation -> assert false
@@ -555,15 +605,15 @@ module Milp = struct
 
   let binaries t = Array.to_list (Array.map (fun u -> u.mz) t.shape.units)
 
-  let on_unit lp ~li ~idx _act ~v (e : expr) =
+  let on_unit ~row ~li ~idx _act ~v (e : expr) =
     let z = v + 1 in
     let pre_idx = e.idx and pre_cf = e.cf in
     (* M1 is phase-independent: v >= pre always holds for ReLU. *)
     let m1_idx = Array.append [| v |] pre_idx and m1_cf = Array.append [| -1.0 |] pre_cf in
-    ignore (Lp.add_row lp m1_idx m1_cf Lp.Le (-.e.const));
-    let row_m2 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-    let row_m3 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
-    let row_m4 = Lp.add_row lp [||] [||] Lp.Le 0.0 in
+    ignore (row ~slot:0 m1_idx m1_cf Lp.Le (-.e.const));
+    let row_m2 = row ~slot:1 [||] [||] Lp.Le 0.0 in
+    let row_m3 = row ~slot:2 [||] [||] Lp.Le 0.0 in
+    let row_m4 = row ~slot:3 [||] [||] Lp.Le 0.0 in
     let m2_idx = Array.append [| v; z |] pre_idx in
     {
       mvar = v;

@@ -38,7 +38,19 @@
     On 1,542 random subproblems of random dense ReLU nets (random
     sub-boxes, 30% of the ReLUs split), 19 had a strictly higher optimum,
     by up to 28% relative, and none a lower one.  Both LPs are sound, so
-    verdicts cannot flip, but a replayed node's bound may rise. *)
+    verdicts cannot flip, but a replayed node's bound may rise.
+
+    {b Row keys.}  Every row has a key that depends only on the
+    network's architecture: [unit * 6 + slot], where [unit] numbers the
+    outputs of all layers in layer order and [slot] is the row's kind
+    within its unit (triangle: [row_a]..[row_d] are 0..3, a smooth
+    unit's [row_hi]/[row_lo] 4 and 5; MILP: M1..M4 are 0..3).  The input
+    box lives in variable bounds and the objective in the cost vector,
+    so there are no input or objective rows to key.  Keys survive
+    re-encodes and name the same row in two networks of one
+    architecture, whatever each substitutes away, and they increase
+    with the row index.  They let the multipliers that proved a node of
+    one run be tried on the same node of another ({!Triangle.transfer}). *)
 
 module Lp = Ivan_lp.Lp
 module Network = Ivan_nn.Network
@@ -92,6 +104,24 @@ module Triangle : sig
   val const : t -> float
   (** Objective constant, fixed between re-encodings: root-stable units
       are substituted with node-independent expressions. *)
+
+  val keys : t -> int array
+  (** The key of every row of the current problem (see above).  The
+      array belongs to the current shape and is never written: hold it
+      beside multipliers of a solve of this shape. *)
+
+  val transfer : t -> keys:int array -> y:float array -> float array option
+  (** Row multipliers [y], with [keys.(i)] the key of the row [y.(i)]
+      multiplied (another node's, another re-encode's, or another
+      network's of the same architecture), carried onto the current
+      problem's rows by key: a row the current problem lacks drops its
+      multiplier, a row [keys] lacks gets 0, and each multiplier is
+      clamped to the sign its new row admits.  Any result is a valid
+      weak-duality multiplier vector, so its bound is sound whatever [y]
+      was (a NaN stays NaN, and the bound's evaluation refuses it).
+      Keys are matched by one merge, so [keys] out of increasing order
+      only loses matches.  [None] when [keys] and [y] differ in
+      length. *)
 
   val crash : t -> upper:bool array -> Lp.Basis.t option
   (** A start basis for a cold {!Ivan_lp.Lp.solve} of the current

@@ -50,6 +50,7 @@ type stats = Trace.aggregate = {
   lp_factor_pivots : int;
   lp_hit_pivots : int;
   lp_hit_solves : int;
+  dual_closures : int;
   certs_emitted : int;
   certs_unavailable : int;
   cert_exact_checks : int;
@@ -227,13 +228,16 @@ let step_once t =
         let box, splits = Tree.subproblem ~root_box:t.prop.Prop.input node in
         t.current_node <- id;
         (* Stage the parent's report (if the parent solved an LP) for
-           the analyzer's warm start; otherwise make sure no stale hint
-           from an earlier node is lying around. *)
-        (match Hashtbl.find_opt t.hints id with
-        | Some info ->
+           the analyzer's warm start, else the node's own multipliers
+           (a seed leaf an earlier run's LP verified) for its closure;
+           otherwise make sure no stale hint from an earlier node is
+           lying around. *)
+        (match (Hashtbl.find_opt t.hints id, Tree.multipliers node) with
+        | Some info, _ ->
             Hashtbl.remove t.hints id;
             Analyzer.Warm.offer info
-        | None -> Analyzer.Warm.clear ());
+        | None, Some m -> Analyzer.Warm.offer_multipliers m
+        | None, None -> Analyzer.Warm.clear ());
         (* The call's time includes retries and degraded attempts inside
            the resilience wrapper, and a call that raised. *)
         let result, seconds =
@@ -254,21 +258,26 @@ let step_once t =
                    { node = id; analyzer = t.analyzer.Analyzer.name; reason = Printexc.to_string e });
               Analyzer.degraded_outcome
         in
-        (* The accepted outcome's LP report, if it solved any: an event
-           for the run's counters, and the hint for the node's children
-           (below, if it splits). *)
+        (* The accepted outcome's LP report, if it solved any or closed
+           the node by carried multipliers: an event for the run's
+           counters, and the hint for the node's children (below, if it
+           splits). *)
         Option.iter
           (fun (r : Analyzer.lp_report) ->
             emit t
-              (Trace.Lp_solved
-                 {
-                   node = id;
-                   warm_hits = r.warm_hits;
-                   warm_misses = r.warm_misses;
-                   cold_solves = r.cold_solves;
-                   pivots = r.pivots;
-                   factor_pivots = r.factor_pivots;
-                 }))
+              (if r.closed then
+                 Trace.Dual_closed
+                   { node = id; farkas = Option.fold ~none:false ~some:(fun m -> m.Tree.farkas) r.proof }
+               else
+                 Trace.Lp_solved
+                   {
+                     node = id;
+                     warm_hits = r.warm_hits;
+                     warm_misses = r.warm_misses;
+                     cold_solves = r.cold_solves;
+                     pivots = r.pivots;
+                     factor_pivots = r.factor_pivots;
+                   }))
           outcome.Analyzer.lp;
         emit t
           (Trace.Analyzed
@@ -281,6 +290,11 @@ let step_once t =
         Tree.set_lb node outcome.Analyzer.lb;
         match outcome.Analyzer.status with
         | Analyzer.Verified ->
+            (* The multipliers that verified the node stay on it, for a
+               later run on an updated network to try first. *)
+            Option.iter
+              (fun (r : Analyzer.lp_report) -> Tree.set_multipliers node r.proof)
+              outcome.Analyzer.lp;
             (* Certificate collection: admit the analyzer's evidence
                only once the exact checker is sure to accept it, so the
                table never holds a certificate the independent check
@@ -620,8 +634,8 @@ let replay_events t ~nodes ~budget_overridden ~ended events =
               else finish_replayed Exhausted
           | "disproved", Some x -> finish_replayed (Disproved x)
           | v, _ -> fail "malformed journaled verdict %S" v)
-      | Trace.Lp_solved _ | Trace.Stuck _ | Trace.Retried _ | Trace.Fallback _
-      | Trace.Absorbed _ | Trace.Certified _ ->
+      | Trace.Lp_solved _ | Trace.Dual_closed _ | Trace.Stuck _ | Trace.Retried _
+      | Trace.Fallback _ | Trace.Absorbed _ | Trace.Certified _ ->
           ())
     events
 

@@ -60,6 +60,7 @@ type stats = Trace.aggregate = {
   lp_factor_pivots : int;
   lp_hit_pivots : int;
   lp_hit_solves : int;
+  dual_closures : int;
   certs_emitted : int;
   certs_unavailable : int;
   cert_exact_checks : int;

@@ -13,6 +13,7 @@ type event =
       pivots : int;
       factor_pivots : int;
     }
+  | Dual_closed of { node : int; farkas : bool }
   | Split of { node : int; decision : Decision.t; left : int; right : int }
   | Pruned of { node : int }
   | Stuck of { node : int }
@@ -85,6 +86,8 @@ let event_to_json = function
         ({|{"ev":"lp","node":%d,"warm_hits":%d,"warm_misses":%d,"cold_solves":%d,|}
         ^^ {|"pivots":%d,"factor_pivots":%d}|})
         node warm_hits warm_misses cold_solves pivots factor_pivots
+  | Dual_closed { node; farkas } ->
+      Printf.sprintf {|{"ev":"dual_closed","node":%d,"farkas":%b}|} node farkas
   | Split { node; decision; left; right } ->
       Printf.sprintf {|{"ev":"split","node":%d,"decision":%S,"left":%d,"right":%d}|} node
         (Decision.to_string decision) left right
@@ -217,6 +220,7 @@ let event_of_json line =
           pivots = int "pivots";
           factor_pivots = int "factor_pivots";
         }
+  | "dual_closed" -> Dual_closed { node = int "node"; farkas = bool "farkas" }
   | "split" ->
       Split
         {
@@ -298,6 +302,7 @@ type aggregate = {
   lp_factor_pivots : int;
   lp_hit_pivots : int;
   lp_hit_solves : int;
+  dual_closures : int;
   certs_emitted : int;
   certs_unavailable : int;
   cert_exact_checks : int;
@@ -327,6 +332,7 @@ let empty_aggregate =
     lp_factor_pivots = 0;
     lp_hit_pivots = 0;
     lp_hit_solves = 0;
+    dual_closures = 0;
     certs_emitted = 0;
     certs_unavailable = 0;
     cert_exact_checks = 0;
@@ -356,6 +362,7 @@ let count acc ev =
         lp_hit_pivots = (acc.lp_hit_pivots + if all_hits then pivots + factor_pivots else 0);
         lp_hit_solves = (acc.lp_hit_solves + if all_hits then warm_hits else 0);
       }
+  | Dual_closed _ -> { acc with dual_closures = acc.dual_closures + 1 }
   | Split _ -> { acc with branchings = acc.branchings + 1 }
   | Pruned _ -> { acc with pruned = acc.pruned + 1 }
   | Stuck _ -> { acc with heuristic_failures = acc.heuristic_failures + 1 }
@@ -402,6 +409,8 @@ let pp_aggregate fmt a =
       (per a.lp_hit_pivots a.lp_hit_solves)
       (per (a.lp_pivots + a.lp_factor_pivots - a.lp_hit_pivots) (solves - a.lp_hit_solves))
   end;
+  if a.dual_closures > 0 then
+    Format.fprintf fmt ", %d closed by carried multipliers" a.dual_closures;
   if a.certs_emitted > 0 || a.certs_unavailable > 0 then
     Format.fprintf fmt ", %d certified / %d uncertified (%d exact checks)" a.certs_emitted
       a.certs_unavailable a.cert_exact_checks;

@@ -32,6 +32,11 @@ type event =
           basis), plus everything the attempts a solve abandoned spent:
           a warm attempt before the crash or slack basis answered, a
           crash start before the slack basis did *)
+  | Dual_closed of { node : int; farkas : bool }
+      (** the analyzer closed the node with the multipliers that
+          verified it in an earlier run (a seed leaf of an incremental
+          run), carried onto its LP, with no simplex solve; [farkas]
+          when they showed the node empty *)
   | Split of { node : int; decision : Ivan_spectree.Decision.t; left : int; right : int }
       (** the node branched into children [left]/[right] *)
   | Pruned of { node : int }  (** reuse-prune: an ineffective split was skipped *)
@@ -142,6 +147,9 @@ type aggregate = {
           [lp_hit_pivots / lp_hit_solves] beside the pivots per other
           solve (cold solves, warm misses, and warm hits that share an
           event with a cold solve, as a MILP search's do) *)
+  dual_closures : int;
+      (** [Dual_closed] events: nodes closed by carried multipliers
+          without a simplex solve *)
   certs_emitted : int;
       (** [Certified] events with an emitted certificate: verified
           leaves whose certificate passed the emission-time check *)
@@ -172,5 +180,5 @@ val aggregate : event list -> aggregate
 val pp_aggregate : Format.formatter -> aggregate -> unit
 (** One line: analyzer calls and their share of the elapsed time,
     splits, the tree's nodes and leaves, frontier peak and depth, then
-    the non-zero resilience, LP and certificate counters and the
-    verdict. *)
+    the non-zero resilience, LP, closure and certificate counters and
+    the verdict. *)

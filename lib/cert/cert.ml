@@ -259,6 +259,9 @@ let check_leaf ~box (l : leaf) =
 (* ------------------------------------------------------------------ *)
 (* Exact network evaluation (counterexample checking) *)
 
+(* Every layer is evaluated through its dense lowering: a convolution's
+   matrix holds each kernel value at most once per entry, as [0. +. k],
+   so the lowering adds no rounding to the trusted base. *)
 let exact_forward net (x : Q.t array) =
   let v = ref x in
   let layers = Network.layers net in
@@ -266,11 +269,10 @@ let exact_forward net (x : Q.t array) =
     Array.fold_left
       (fun acc layer ->
         let* () = acc in
-        match (Layer.affine layer, Layer.activation layer) with
-        | Layer.Conv2d _, _ -> Error "exact evaluation does not support convolutional layers"
-        | Layer.Dense _, (Layer.Sigmoid | Layer.Tanh) ->
-            Error "exact evaluation does not support smooth activations"
-        | Layer.Dense { weights; bias }, act ->
+        let weights, bias = Layer.dense_affine layer in
+        match Layer.activation layer with
+        | Layer.Sigmoid | Layer.Tanh -> Error "exact evaluation does not support smooth activations"
+        | (Layer.Identity | Layer.Relu | Layer.Leaky_relu _) as act ->
             let rows = Mat.rows weights and cols = Mat.cols weights in
             if Array.length !v <> cols then Error "layer input dimension mismatch"
             else begin
@@ -284,13 +286,11 @@ let exact_forward net (x : Q.t array) =
               in
               let out =
                 match act with
-                | Layer.Identity -> out
-                | Layer.Relu ->
-                    Array.map (fun q -> if Q.sign q < 0 then Q.zero else q) out
+                | Layer.Relu -> Array.map (fun q -> if Q.sign q < 0 then Q.zero else q) out
                 | Layer.Leaky_relu a ->
                     let qa = Q.of_float a in
                     Array.map (fun q -> if Q.sign q < 0 then Q.mul qa q else q) out
-                | Layer.Sigmoid | Layer.Tanh -> assert false
+                | Layer.Identity | Layer.Sigmoid | Layer.Tanh -> out
               in
               v := out;
               Ok ()

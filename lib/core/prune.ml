@@ -12,8 +12,14 @@ let prune ?(trace = Ivan_bab.Trace.null) ~theta tree =
   let bad n =
     match Effectiveness.improvement n with None -> false | Some i -> i /. norm < theta
   in
+  (* A node of the pruned tree takes its source's bound and the
+     multipliers that verified it, for the next run to try. *)
+  let keep nhat n =
+    Tree.set_lb nhat (Tree.lb n);
+    Tree.set_multipliers nhat (Tree.multipliers n)
+  in
   let pruned = Tree.create () in
-  Tree.set_lb (Tree.root pruned) (Tree.lb (Tree.root tree));
+  keep (Tree.root pruned) (Tree.root tree);
   let q = Queue.create () in
   Queue.add (Tree.root tree, Tree.root pruned) q;
   while not (Queue.is_empty q) do
@@ -23,8 +29,8 @@ let prune ?(trace = Ivan_bab.Trace.null) ~theta tree =
     | Some (l, r), Some d ->
         if not (bad n) then begin
           let hl, hr = Tree.split pruned nhat d in
-          Tree.set_lb hl (Tree.lb l);
-          Tree.set_lb hr (Tree.lb r);
+          keep hl l;
+          keep hr r;
           Queue.add (l, hl) q;
           Queue.add (r, hr) q
         end
@@ -35,11 +41,14 @@ let prune ?(trace = Ivan_bab.Trace.null) ~theta tree =
           let delta_l = Tree.lb l -. Tree.lb n and delta_r = Tree.lb r -. Tree.lb n in
           let nk = if Float.is_nan delta_r || delta_l <= delta_r then l else r in
           match (Tree.children nk, Tree.decision nk) with
-          | None, _ | _, None -> () (* the kept child is a leaf: nhat stays a leaf *)
+          | None, _ | _, None ->
+              (* The kept child is a leaf: nhat stays a leaf, keeping its
+                 bound and taking the child's multipliers. *)
+              Tree.set_multipliers nhat (Tree.multipliers nk)
           | Some (kl, kr), Some dk ->
               let hl, hr = Tree.split pruned nhat dk in
-              Tree.set_lb hl (Tree.lb kl);
-              Tree.set_lb hr (Tree.lb kr);
+              keep hl kl;
+              keep hr kr;
               Queue.add (kl, hl) q;
               Queue.add (kr, hr) q
         end

@@ -15,5 +15,8 @@ val prune :
   ?trace:Ivan_bab.Trace.sink -> theta:float -> Ivan_spectree.Tree.t -> Ivan_spectree.Tree.t
 (** Returns a fresh tree; the input is not modified.  Nodes without LB
     annotations are kept as-is (their improvement is unknown, so their
-    splits are never judged bad).  [trace] (default null) receives one
-    [Pruned] event per skipped split. *)
+    splits are never judged bad).  Every kept node carries its source's
+    LB and multiplier annotation ({!Ivan_spectree.Tree.multipliers}); a
+    leaf left where a bad split was skipped takes the kept child's
+    multipliers.  [trace] (default null) receives one [Pruned] event
+    per skipped split. *)

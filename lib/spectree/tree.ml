@@ -1,11 +1,14 @@
 module Box = Ivan_spec.Box
 module Splits = Ivan_domains.Splits
 
+type multipliers = { keys : int array; y : float array; farkas : bool }
+
 type node = {
   id : int;
   mutable decision : Decision.t option;
   mutable kids : (node * node) option;
   mutable lb_value : float;
+  mutable proof : multipliers option;
   parent_link : node option;
   edge_label : (Decision.t * Decision.side) option;
 }
@@ -15,11 +18,19 @@ type t = { mutable next_id : int; root_node : node }
 let fresh_node t ~parent ~edge =
   let id = t.next_id in
   t.next_id <- id + 1;
-  { id; decision = None; kids = None; lb_value = nan; parent_link = parent; edge_label = edge }
+  { id; decision = None; kids = None; lb_value = nan; proof = None; parent_link = parent; edge_label = edge }
 
 let create () =
   let root =
-    { id = 0; decision = None; kids = None; lb_value = nan; parent_link = None; edge_label = None }
+    {
+      id = 0;
+      decision = None;
+      kids = None;
+      lb_value = nan;
+      proof = None;
+      parent_link = None;
+      edge_label = None;
+    }
   in
   { next_id = 1; root_node = root }
 
@@ -38,6 +49,10 @@ let edge n = n.edge_label
 let lb n = n.lb_value
 
 let set_lb n v = n.lb_value <- v
+
+let multipliers n = n.proof
+
+let set_multipliers n m = n.proof <- m
 
 let rec path_on p n =
   match n.parent_link with
@@ -105,6 +120,7 @@ let copy t =
         decision = n.decision;
         kids = None;
         lb_value = n.lb_value;
+        proof = n.proof;
         parent_link = parent;
         edge_label = edge;
       }
@@ -192,6 +208,7 @@ let of_string s =
           decision = None;
           kids = None;
           lb_value = float_of_token lbtok;
+          proof = None;
           parent_link = parent;
           edge_label = edge;
         }
@@ -205,6 +222,7 @@ let of_string s =
             decision = Some d;
             kids = None;
             lb_value = float_of_token lbtok;
+            proof = None;
             parent_link = parent;
             edge_label = edge;
           }

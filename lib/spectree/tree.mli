@@ -38,6 +38,21 @@ val lb : node -> float
 
 val set_lb : node -> float -> unit
 
+(** Row multipliers of the LP that verified a node: the dual vector [y]
+    of an optimal solve, or a Farkas [y] of an infeasible one
+    ([farkas]), with [keys.(i)] the encoding's key of the row [y.(i)]
+    multiplies (see [Ivan_analyzer.Encoding]).  Plain arrays, shared
+    and never written: a cache a later run on an updated network tries
+    before its own simplex, like the warm-start hints.  Like them, it
+    is not serialized. *)
+type multipliers = { keys : int array; y : float array; farkas : bool }
+
+val multipliers : node -> multipliers option
+(** The annotation {!set_multipliers} left; [None] on a fresh node and
+    on every node {!of_string} reads. *)
+
+val set_multipliers : node -> multipliers option -> unit
+
 val split : t -> node -> Decision.t -> node * node
 (** Algorithm 2: attach two children to a leaf.
     @raise Invalid_argument if the node is internal, or if a ReLU split
@@ -68,7 +83,8 @@ val subproblem : root_box:Ivan_spec.Box.t -> node -> Ivan_spec.Box.t * Ivan_doma
     ReLU phases. *)
 
 val copy : t -> t
-(** Deep copy preserving ids, decisions and LB annotations. *)
+(** Deep copy preserving ids, decisions, LB and multiplier annotations
+    (the multiplier arrays are shared, not copied). *)
 
 val well_formed : t -> bool
 (** Structural invariant behind Lemma 1: every internal node has exactly
@@ -76,7 +92,8 @@ val well_formed : t -> bool
     split repeats along any root-to-leaf path. *)
 
 val to_string : t -> string
-(** Serialize structure, decisions and LB values. *)
+(** Serialize structure, decisions and LB values; multiplier
+    annotations are left out. *)
 
 val of_string : string -> t
 (** @raise Failure on malformed input. *)

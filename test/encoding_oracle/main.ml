@@ -6,7 +6,11 @@ let () =
   let status =
     QCheck_base_runner.run_tests ~verbose:true
       ~rand:(Random.State.make [| seed |])
-      [ test ~count:(20 * tier1_count); crash_test ~count:(20 * crash_tier1_count) ]
+      [
+        test ~count:(20 * tier1_count);
+        crash_test ~count:(20 * crash_tier1_count);
+        transfer_test ~count:(20 * transfer_tier1_count);
+      ]
   in
   Printf.printf
     "%d subproblems: %d split a root-stable unit, %d a unit ambiguous at the root but stable at \
@@ -20,4 +24,9 @@ let () =
     crash_tally.crash_compared crash_tally.crash_answered
     (crash_tally.violating_dual + crash_tally.violating_slack)
     crash_tally.violating_dual crash_tally.violating_slack;
+  Printf.printf
+    "%d node LPs bounded by multipliers carried from N: %d under an identity update, %d with \
+     other rows than N's, %d splitting a root-stable unit; %d closed by the screened bound\n"
+    transfer_tally.carried transfer_tally.identity transfer_tally.reshaped transfer_tally.pinned
+    transfer_tally.closed;
   exit status

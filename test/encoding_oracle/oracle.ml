@@ -31,7 +31,21 @@
        infeasible basis, which the dual simplex repairs or, at an
        infeasible node, decides by its dual ray (or, when the crash
        attempt bails, the slack basis answers): the same status as the
-       slack-basis solve, with the optimum within 1e-6 relative. *)
+       slack-basis solve, with the optimum within 1e-6 relative.
+
+   A third property ({!transfer_test}) carries the multipliers of a
+   node's triangle LP on a random net N onto the same node of a
+   perturbed copy N^a by row key ({!Encoding.Triangle.transfer}), as a
+   seed leaf of an incremental run does.  The two nets' root-stable
+   sets may differ, and splits on root-stable units make either
+   encoding re-encode itself, so the two LPs can differ in shape:
+
+   (h) the exact weak-duality bound of the carried multipliers never
+       exceeds N^a's LP optimum, a bound the certificate screen proves
+       ({!Ivan_cert.Screen.proves}, which closes a node) never does
+       either, and a carried Farkas witness proves only an infeasible
+       N^a LP; under an identity update (N^a = N) the carried
+       multipliers reproduce N's optimum within 1e-6 relative. *)
 
 module Rng = Ivan_tensor.Rng
 module Lp = Ivan_lp.Lp
@@ -460,3 +474,136 @@ let crash_test ~count =
   QCheck.Test.make ~name:"crash-started triangle solves agree with the slack-basis solve" ~count
     QCheck.(make ~print:(Printf.sprintf "case seed %d") Gen.(int_bound 1_000_000_000))
     check_crash
+
+(* ---------------- multipliers carried to an updated net ---------------- *)
+
+(* Cases in the transfer property's tier-1 slice; 20x under
+   [dune build @encoding-oracle]. *)
+let transfer_tier1_count = 500
+
+type transfer_tally = {
+  mutable carried : int;  (* node LPs the carried multipliers were evaluated on *)
+  mutable identity : int;  (* ... under an identity update *)
+  mutable reshaped : int;  (* ... where N^a's LP has other rows than N's *)
+  mutable pinned : int;  (* ... whose node splits a unit stable at N's or N^a's root *)
+  mutable closed : int;  (* ... that the screen's bound closes *)
+}
+
+let transfer_tally = { carried = 0; identity = 0; reshaped = 0; pinned = 0; closed = 0 }
+
+(* N^a: N itself for an identity update, else N with every weight
+   perturbed by up to 1%, 5% or 20% of itself. *)
+let updated_net rng net =
+  match Rng.int rng 4 with
+  | 0 -> (true, net)
+  | _ ->
+      let fraction = pick rng [| 0.01; 0.05; 0.2 |] in
+      (false, Ivan_nn.Perturb.random_relative ~rng:(Rng.create (Rng.int rng 1_000_000)) ~fraction net)
+
+let root_bounds net prop =
+  match Deeppoly.analyze net ~box:prop.Prop.input ~splits:Splits.empty with
+  | Deeppoly.Infeasible -> raise Exit
+  | Deeppoly.Feasible dp -> Deeppoly.bounds dp
+
+(* The node's triangle LP, solved: the problem, its optimum plus the
+   encoding's constant ([None] when infeasible) and the certificate. *)
+let solved_node net tri ~box ~splits =
+  match Deeppoly.analyze net ~box ~splits with
+  | Deeppoly.Infeasible -> raise Exit
+  | Deeppoly.Feasible dp -> (
+      Encoding.Triangle.specialize tri ~box ~splits ~bounds:(Deeppoly.bounds dp);
+      let lp = Encoding.Triangle.lp tri in
+      match Lp.solve lp with
+      | Lp.Optimal s -> (lp, Some (s.Lp.objective +. Encoding.Triangle.const tri), Lp.last_certificate lp)
+      | Lp.Infeasible -> (lp, None, Lp.last_certificate lp)
+      | Lp.Unbounded -> failwith "unbounded triangle LP over a bounded box"
+      | exception (Lp.Iteration_limit | Lp.Numerical_failure _) -> raise Exit)
+
+module Q = Ivan_cert.Q
+module Cert = Ivan_cert.Cert
+
+(* The exact weak-duality bound of [y] on [lp] plus [const], or with the
+   objective zeroed for a Farkas witness. *)
+let exact_bound lp ~const ~farkas y =
+  let s = Cert.Snapshot.of_problem lp in
+  if farkas then
+    Result.to_option (Cert.implied_bound { s with Cert.Snapshot.obj = Array.make s.Cert.Snapshot.nvars 0.0 } ~y)
+  else Option.map (Q.add (Q.of_float const)) (Result.to_option (Cert.implied_bound s ~y))
+
+(* One node: N's LP solved, its multipliers carried onto N^a's LP. *)
+let check_transfer_node rng ~identity ~roots net updated prop tri tri' =
+  let box = sub_box rng prop.Prop.input in
+  let splits = random_splits rng net (point_in rng box) in
+  let _, value, cert = solved_node net tri ~box ~splits in
+  let farkas, y =
+    match cert with
+    | Some (Lp.Certificate.Dual y) -> (false, y)
+    | Some (Lp.Certificate.Farkas y) -> (true, y)
+    | None -> raise Exit
+  in
+  let keys = Encoding.Triangle.keys tri in
+  let lp', optimum, _ = solved_node updated tri' ~box ~splits in
+  let const' = Encoding.Triangle.const tri' in
+  let y' =
+    match Encoding.Triangle.transfer tri' ~keys ~y with
+    | Some y' -> y'
+    | None -> failf "keys and multipliers differ in length"
+  in
+  let carried = if farkas then Lp.Certificate.Farkas y' else Lp.Certificate.Dual y' in
+  let proved = Ivan_cert.Screen.proves lp' ~const:const' carried in
+  let exact = exact_bound lp' ~const:const' ~farkas y' in
+  let t = transfer_tally in
+  t.carried <- t.carried + 1;
+  if Encoding.Triangle.keys tri' <> keys then t.reshaped <- t.reshaped + 1;
+  if List.exists (fun (r, _) -> List.exists (fun b -> stable b r) roots) (Splits.bindings splits) then
+    t.pinned <- t.pinned + 1;
+  if proved <> None then t.closed <- t.closed + 1;
+  let tol v = 1e-6 *. (1.0 +. Float.abs v) in
+  (* (h) never above N^a's optimum; N^a infeasible allows any bound. *)
+  (match optimum with
+  | None -> ()
+  | Some opt ->
+      if farkas then begin
+        if proved <> None then failf "a carried Farkas witness closed a feasible LP"
+      end
+      else begin
+        (match proved with
+        | Some lb when lb > opt +. tol opt ->
+            failf "screened carried bound %.17g above N^a's optimum %.17g" lb opt
+        | _ -> ());
+        Option.iter
+          (fun q ->
+            if Q.compare q (Q.of_float (opt +. tol opt)) > 0 then
+              failf "exact carried bound %s above N^a's optimum %.17g" (Q.to_string q) opt)
+          exact
+      end);
+  (* (h) an identity update reproduces N's optimum. *)
+  if identity then begin
+    t.identity <- t.identity + 1;
+    match (value, exact) with
+    | Some v, Some q ->
+        if Q.compare q (Q.of_float (v -. tol v)) < 0 then
+          failf "identity transfer bounds N's optimum %.17g only by %s" v (Q.to_string q)
+    | Some v, None -> failf "identity transfer of N's optimum %.17g has no exact bound" v
+    | None, _ -> ()
+  end
+
+let check_transfer seed =
+  let rng, net, prop = case seed in
+  let identity, updated = updated_net rng net in
+  (try
+     let roots = [ root_bounds net prop; root_bounds updated prop ] in
+     match (Encoding.Triangle.build net ~prop, Encoding.Triangle.build updated ~prop) with
+     | Some tri, Some tri' ->
+         for _ = 0 to Rng.int rng 4 do
+           try check_transfer_node rng ~identity ~roots net updated prop tri tri' with Exit -> ()
+         done
+     | _ -> ()
+   with Exit -> ());
+  true
+
+let transfer_test ~count =
+  QCheck.Test.make ~name:"multipliers carried by row key to an updated net bound its LP soundly"
+    ~count
+    QCheck.(make ~print:(Printf.sprintf "case seed %d") Gen.(int_bound 1_000_000_000))
+    check_transfer

@@ -8,6 +8,11 @@
    counterexamples, and always leaves a well-formed specification
    tree.
 
+   Certificate schedules damage proof evidence instead, and
+   carried-multiplier schedules damage the multipliers a seed leaf of an
+   incremental run tries before its simplex: neither may change a
+   verdict.
+
    Run via the alias:  dune build @fault-matrix *)
 
 module Vec = Ivan_tensor.Vec
@@ -155,6 +160,82 @@ let certificate_schedules () =
       done)
     [ Fault.Cert_perturb_dual; Fault.Cert_drop ]
 
+(* Carried-multiplier schedules.  An incremental run seeds N^a (N with
+   every weight moved by up to 1%) with N's certified tree, whose
+   verified leaves carry the multipliers that proved them.  Each
+   schedule damages every one of them (signs flipped, scaled by 1e6, a
+   NaN entry, keys reversed, uniform noise) before the run.  Property
+   checked: a damaged multiplier vector is refused (its leaf is solved)
+   or closes only what it proves — the verdict, the calls and the tree
+   stay those of the run seeded with intact multipliers, and every leaf
+   certificate of the artifact still checks. *)
+let transfer_schedules () =
+  let property = prop 1.6 in
+  let updated = Ivan_nn.Perturb.random_relative ~rng:(Ivan_tensor.Rng.create 11) ~fraction:0.01 net in
+  let certified ?initial_tree net =
+    Bab.verify
+      ~analyzer:(Analyzer.lp_triangle ~certify:true ())
+      ~heuristic:Heuristic.zono_coeff ~budget ~policy:Analyzer.default_policy ~certify:true
+      ?initial_tree ~net ~prop:property ()
+  in
+  let original = certified net in
+  let reference = certified ~initial_tree:original.Bab.tree updated in
+  incr schedules;
+  if reference.Bab.stats.Bab.dual_closures = 0 then
+    fail "multipliers intact" "no seed leaf was closed by its intact multipliers";
+  Printf.printf "multipliers intact: %d of %d seed leaves closed, %d calls, tree %d\n"
+    reference.Bab.stats.Bab.dual_closures (Tree.num_leaves original.Bab.tree)
+    reference.Bab.stats.Bab.analyzer_calls (Tree.size reference.Bab.tree);
+  let damages =
+    [
+      ("signs-flipped", fun _ (m : Tree.multipliers) -> { m with y = Array.map Float.neg m.y });
+      ("scaled-1e6", fun _ (m : Tree.multipliers) -> { m with y = Array.map (fun v -> v *. 1e6) m.y });
+      ( "nan-entry",
+        fun rng (m : Tree.multipliers) ->
+          let i = Ivan_tensor.Rng.int rng (max 1 (Array.length m.y)) in
+          { m with y = Array.mapi (fun k v -> if k = i then nan else v) m.y } );
+      ( "keys-reversed",
+        fun _ (m : Tree.multipliers) -> { m with keys = Array.of_list (List.rev (Array.to_list m.keys)) } );
+      ( "noise",
+        fun rng (m : Tree.multipliers) ->
+          { m with y = Array.map (fun _ -> Ivan_tensor.Rng.uniform rng (-1.0) 1.0) m.y } );
+    ]
+  in
+  List.iter
+    (fun (name, damage) ->
+      for seed = 1 to 3 do
+        incr schedules;
+        let label = Printf.sprintf "multipliers %s seed=%d" name seed in
+        let rng = Ivan_tensor.Rng.create seed in
+        let seeded = Tree.copy original.Bab.tree in
+        Tree.iter_nodes seeded (fun n ->
+            Option.iter
+              (fun m ->
+                incr injected;
+                Tree.set_multipliers n (Some (damage rng m)))
+              (Tree.multipliers n));
+        match certified ~initial_tree:seeded updated with
+        | exception e -> fail label "uncaught exception %s" (Printexc.to_string e)
+        | faulted -> (
+            (match (reference.Bab.verdict, faulted.Bab.verdict) with
+            | Bab.Proved, Bab.Proved | Bab.Disproved _, Bab.Disproved _ -> ()
+            | (Bab.Proved | Bab.Disproved _), Bab.Exhausted -> incr weakened
+            | _ -> fail label "verdict flipped by damaged multipliers");
+            if faulted.Bab.stats.Bab.analyzer_calls <> reference.Bab.stats.Bab.analyzer_calls then
+              fail label "%d calls where intact multipliers take %d" faulted.Bab.stats.Bab.analyzer_calls
+                reference.Bab.stats.Bab.analyzer_calls;
+            if Tree.size faulted.Bab.tree <> Tree.size reference.Bab.tree then
+              fail label "tree of %d nodes where intact multipliers build %d" (Tree.size faulted.Bab.tree)
+                (Tree.size reference.Bab.tree);
+            match faulted.Bab.artifact with
+            | None -> fail label "certified run produced no artifact"
+            | Some artifact -> (
+                match Cert.check_artifact artifact with
+                | Ok _ -> ()
+                | Error msg -> fail label "artifact rejected: %s" msg))
+      done)
+    damages
+
 let () =
   List.iter
     (fun (stack, analyzer, heuristic) ->
@@ -182,6 +263,7 @@ let () =
         [ 1.3; 1.7 ])
     stacks;
   certificate_schedules ();
+  transfer_schedules ();
   Printf.printf "fault-matrix: %d schedules, %d faults injected, %d weakened to unknown, %d failures\n"
     !schedules !injected !weakened !failures;
   if !failures > 0 then exit 1

@@ -539,6 +539,134 @@ let test_root_bounds_seed_only_the_root () =
   | Some node -> check "sub-box" node
   | None -> Alcotest.fail "no sub-box to check"
 
+(* ---------------- closure by carried multipliers ---------------- *)
+
+module Tree = Ivan_spectree.Tree
+
+(* One call with the node's own multipliers [own] staged (or nothing):
+   the outcome and its LP report. *)
+let call ?own (a : Analyzer.t) net prop splits =
+  (match own with Some m -> Analyzer.Warm.offer_multipliers m | None -> Analyzer.Warm.clear ());
+  let o = a.Analyzer.run net ~prop ~box:prop.Prop.input ~splits in
+  match o.Analyzer.lp with Some r -> (o, r) | None -> Alcotest.fail "no LP report"
+
+(* The multipliers a verified call leaves for the next run. *)
+let proof_of ((o : Analyzer.outcome), (r : Analyzer.lp_report)) =
+  if o.Analyzer.status <> Analyzer.Verified then Alcotest.fail "the LP did not verify the node";
+  match r.Analyzer.proof with Some m -> m | None -> Alcotest.fail "no multipliers on a verified node"
+
+let no_shortcut () = Analyzer.lp_triangle ~deeppoly_shortcut:false ()
+
+(* The paper net (N) and a 2% perturbation of it (N^a).  At offset 1.9
+   the property's margin on N is 0.4, and both triangle LPs prove it at
+   the root. *)
+let transfer_pair () =
+  let net = Fixtures.paper_net () in
+  (net, Ivan_nn.Perturb.random_relative ~rng:(Rng.create 7) ~fraction:0.02 net)
+
+(* N's root multipliers close N^a's root with no simplex: [Verified],
+   0 pivots, and a bound at most the one N^a's own LP proves. *)
+let test_transfer_closes_seed_leaf () =
+  let net, updated = transfer_pair () in
+  let prop = Fixtures.paper_prop_with_offset 1.9 in
+  let a = no_shortcut () in
+  let m = proof_of (call a net prop Splits.empty) in
+  Alcotest.(check bool) "a dual vector" false m.Tree.farkas;
+  let o, r = call ~own:m a updated prop Splits.empty in
+  let o', r' = call a updated prop Splits.empty in
+  Alcotest.(check bool) "closed" true r.Analyzer.closed;
+  Alcotest.(check bool) "verified" true (o.Analyzer.status = Analyzer.Verified);
+  Alcotest.(check int) "no pivots" 0 (r.Analyzer.pivots + r.Analyzer.factor_pivots);
+  Alcotest.(check int) "no solve" 0 (r.Analyzer.warm_hits + r.Analyzer.warm_misses + r.Analyzer.cold_solves);
+  Alcotest.(check bool) "the LP proves it too" true (o'.Analyzer.status = Analyzer.Verified && not r'.Analyzer.closed);
+  Alcotest.(check bool)
+    (Printf.sprintf "closed lb %h within [0, the LP's %h]" o.Analyzer.lb o'.Analyzer.lb)
+    true
+    (0.0 <= o.Analyzer.lb && o.Analyzer.lb <= o'.Analyzer.lb);
+  (* The carried multipliers become the node's own, keyed by N^a's rows. *)
+  match r.Analyzer.proof with
+  | Some m' -> Alcotest.(check int) "re-keyed" (Array.length m'.Tree.keys) (Array.length m'.Tree.y)
+  | None -> Alcotest.fail "a closed node without multipliers"
+
+(* One input x in [-1, 1] and two ReLUs on x and x - 0.5: splitting the
+   first inactive (x <= 0) and the second active (x >= 0.5) leaves each
+   unit's own bounds non-empty, so DeepPoly passes the node on to the
+   LP, whose rows have no common point. *)
+let empty_leaf_net bias =
+  Network.make
+    [
+      Fixtures.dense [| [| 1.0 |]; [| 1.0 |] |] [| 0.0; bias |];
+      Fixtures.dense ~activation:Ivan_nn.Layer.Identity [| [| 1.0; 1.0 |] |] [| 0.0 |];
+    ]
+
+let test_transfer_farkas () =
+  let prop =
+    Prop.make ~name:"empty" ~input:(Box.make ~lo:[| -1.0 |] ~hi:[| 1.0 |]) ~c:[| 1.0 |] ~offset:(-5.0)
+  in
+  let splits =
+    Splits.empty
+    |> Splits.add (Relu_id.make ~layer:0 ~index:0) Splits.Neg
+    |> Splits.add (Relu_id.make ~layer:0 ~index:1) Splits.Pos
+  in
+  let a = no_shortcut () in
+  let m = proof_of (call a (empty_leaf_net (-0.5)) prop splits) in
+  Alcotest.(check bool) "a Farkas witness" true m.Tree.farkas;
+  let o, r = call ~own:m a (empty_leaf_net (-0.4)) prop splits in
+  Alcotest.(check bool) "closed" true r.Analyzer.closed;
+  Alcotest.(check int) "no pivots" 0 r.Analyzer.pivots;
+  Alcotest.(check bool) "vacuous" true (o.Analyzer.status = Analyzer.Verified && o.Analyzer.lb = infinity);
+  (match r.Analyzer.proof with
+  | Some m' -> Alcotest.(check bool) "still a Farkas witness" true m'.Tree.farkas
+  | None -> Alcotest.fail "a closed node without multipliers");
+  (* Where the rows meet again, the witness proves nothing. *)
+  let o, r = call ~own:m a (empty_leaf_net 0.5) prop splits in
+  Alcotest.(check bool) "not closed on a non-empty leaf" false r.Analyzer.closed;
+  Alcotest.(check bool) "the LP's verdict" true (o.Analyzer.status <> Analyzer.Verified)
+
+(* Corrupted multipliers never close a node: on N^a's root, where the
+   LP proves the property, they fall through to the simplex and reach
+   its verdict; at a tighter offset, where the LP does not prove it,
+   neither they nor the intact ones yield [Verified]. *)
+let test_transfer_adversarial () =
+  let net, updated = transfer_pair () in
+  let a = no_shortcut () in
+  let m = proof_of (call a net (Fixtures.paper_prop_with_offset 1.9) Splits.empty) in
+  let nan_at i y = Array.mapi (fun k v -> if k = i then nan else v) y in
+  let corrupted =
+    [
+      ("signs flipped", { m with Tree.y = Array.map Float.neg m.Tree.y });
+      ("scaled by 1e6", { m with Tree.y = Array.map (fun v -> v *. 1e6) m.Tree.y });
+      ("NaN", { m with Tree.y = Array.map (fun _ -> nan) m.Tree.y });
+      ( "one NaN",
+        let i = ref 0 in
+        Array.iteri (fun k v -> if v <> 0.0 then i := k) m.Tree.y;
+        { m with Tree.y = nan_at !i m.Tree.y } );
+      ("keys permuted", { m with Tree.keys = Array.of_list (List.rev (Array.to_list m.Tree.keys)) });
+      ("keys shifted", { m with Tree.keys = Array.map (fun k -> k + 1) m.Tree.keys });
+      ("too short", { m with Tree.y = Array.sub m.Tree.y 1 (Array.length m.Tree.y - 1) });
+    ]
+  in
+  let proved = Fixtures.paper_prop_with_offset 1.9 in
+  let plain, _ = call a updated proved Splits.empty in
+  List.iter
+    (fun (label, m') ->
+      let o, r = call ~own:m' a updated proved Splits.empty in
+      Alcotest.(check bool) (label ^ ": falls through") false r.Analyzer.closed;
+      Alcotest.(check bool) (label ^ ": solved") true
+        (r.Analyzer.warm_hits + r.Analyzer.warm_misses + r.Analyzer.cold_solves = 1);
+      Alcotest.(check bool) (label ^ ": the LP's verdict") true (o.Analyzer.status = plain.Analyzer.status))
+    corrupted;
+  let tight = Fixtures.paper_prop_with_offset 1.45 in
+  let plain, _ = call a updated tight Splits.empty in
+  Alcotest.(check bool) "the LP does not prove the tight property" true
+    (plain.Analyzer.status <> Analyzer.Verified);
+  List.iter
+    (fun (label, m') ->
+      let o, r = call ~own:m' a updated tight Splits.empty in
+      Alcotest.(check bool) (label ^ ": not closed") false r.Analyzer.closed;
+      Alcotest.(check bool) (label ^ ": not verified") true (o.Analyzer.status <> Analyzer.Verified))
+    (("intact", m) :: corrupted)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -560,10 +688,16 @@ let suite =
     ("deeppoly hint changes nothing", `Quick, test_deeppoly_hint_changes_nothing);
     ("retry runs cold", `Quick, test_retry_runs_cold);
     ("root bounds seed only the root", `Quick, test_root_bounds_seed_only_the_root);
+    ("transfer closes a seed leaf", `Quick, test_transfer_closes_seed_leaf);
+    ("transfer of a farkas witness", `Quick, test_transfer_farkas);
+    ("transfer of corrupted multipliers", `Quick, test_transfer_adversarial);
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Encoding_oracle.Oracle.seed |])
       (Encoding_oracle.Oracle.test ~count:Encoding_oracle.Oracle.tier1_count);
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Encoding_oracle.Oracle.seed |])
       (Encoding_oracle.Oracle.crash_test ~count:Encoding_oracle.Oracle.crash_tier1_count);
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| Encoding_oracle.Oracle.seed |])
+      (Encoding_oracle.Oracle.transfer_test ~count:Encoding_oracle.Oracle.transfer_tier1_count);
   ]

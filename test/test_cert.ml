@@ -508,6 +508,39 @@ let test_parallel_certified_runs () =
       List.iter (fun (_, m) -> check_measurement "par technique" m) b.Runner.techniques)
     seq par
 
+(* Exact evaluation lowers a conv layer to its dense matrix: a certified
+   run's counterexample on a small conv net checks, and the same
+   artifact under a property the point satisfies is rejected. *)
+let test_conv_counterexample_checks () =
+  let net =
+    Ivan_nn.Builder.conv_net ~rng:(Ivan_tensor.Rng.create 5) ~in_channels:1 ~in_height:4 ~in_width:4
+      ~convs:[ { Ivan_nn.Builder.out_channels = 2; kernel = 3; stride = 1; padding = 1 } ]
+      ~dense:[ 4; 2 ]
+  in
+  let d = Network.input_dim net in
+  let lo = Array.make d 0.0 and hi = Array.make d 1.0 in
+  let c = [| 1.0; -1.0 |] in
+  let margin offset x = Prop.margin (Prop.make ~name:"m" ~input:(Box.make ~lo ~hi) ~c ~offset) (Network.forward net x) in
+  (* Violated by 0.5 at the box centre. *)
+  let offset = -.margin 0.0 (Array.make d 0.5) -. 0.5 in
+  let prop = Prop.make ~name:"conv-cex" ~input:(Box.make ~lo ~hi) ~c ~offset in
+  let run =
+    Bab.verify
+      ~analyzer:(Analyzer.lp_triangle ~certify:true ())
+      ~heuristic:Heuristic.zono_coeff ~certify:true ~net ~prop ()
+  in
+  match (run.Bab.verdict, run.Bab.artifact) with
+  | Bab.Disproved x, Some artifact -> (
+      let artifact = Cert.Artifact.of_string (Cert.Artifact.to_string artifact) in
+      (match Cert.check_artifact artifact with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "conv counterexample rejected: %s" msg);
+      let satisfied = { prop with Prop.offset = offset -. margin offset x +. 0.25 } in
+      match Cert.check_artifact { artifact with Cert.Artifact.prop = satisfied } with
+      | Ok _ -> Alcotest.fail "a point the property holds at was accepted as a counterexample"
+      | Error _ -> ())
+  | _ -> Alcotest.fail "no disproved artifact on a property violated at the centre"
+
 let suite =
   [
     ("q exactness", `Quick, test_q_exactness);
@@ -533,6 +566,7 @@ let suite =
     ("screen hand-built", `Quick, test_screen_hand_built);
     ("fcn screen decides every leaf", `Quick, test_fcn_screen_decides_every_leaf);
     ("crash start certificate", `Quick, test_crash_start_certificate);
+    ("conv counterexample checks", `Quick, test_conv_counterexample_checks);
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| Screen_oracle.Oracle.seed |])
       (Screen_oracle.Oracle.test ~count:Screen_oracle.Oracle.tier1_count);

@@ -486,8 +486,19 @@ let test_journal_proof_seeds_update () =
     Ivan.verify_updated ~analyzer ~heuristic:Heuristic.zono_coeff ~config:Ivan.default_config
       ~original_run ~updated ~prop
   in
-  check_same_run "seeded from the journal" (reverify run)
-    (reverify (resumed_finished ~net ~prop data))
+  (* A journal keeps no multipliers ({!Tree.to_string} drops them), so
+     it seeds exactly the run the live tree seeds without them; with
+     them, the live run closes leaves without a solve, on the same
+     search. *)
+  let resumed = reverify (resumed_finished ~net ~prop data) in
+  check_same_run "seeded from the journal"
+    (reverify { run with Bab.tree = Tree.of_string (Tree.to_string run.Bab.tree) })
+    resumed;
+  let live = reverify run in
+  Alcotest.(check bool) "seeded live: verdict" true (live.Bab.verdict = resumed.Bab.verdict);
+  Alcotest.(check int) "seeded live: calls" resumed.Bab.stats.Bab.analyzer_calls
+    live.Bab.stats.Bab.analyzer_calls;
+  Alcotest.(check int) "seeded live: tree size" (Tree.size resumed.Bab.tree) (Tree.size live.Bab.tree)
 
 let test_journal_proof_bound_to_property () =
   let net, _, _, data = journaled_original () in

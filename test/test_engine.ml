@@ -98,12 +98,35 @@ let test_golden_call_budget () =
         (Printf.sprintf "budget %d" max_analyzer_calls))
     [ 1; 2; 3; 5 ]
 
+(* The seed loop offers the analyzer no hints, so the tree it reuses is
+   the first run's as its text form carries it: without the multipliers
+   that verified its leaves.  With them, the engine closes those leaves
+   without a solve, on the same search: the same verdict, calls and
+   shape, each closed leaf's bound at most its LP optimum. *)
 let test_golden_initial_tree_reuse () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
   let first = Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop () in
-  check_matches_seed ~initial_tree:first.Bab.tree ~analyzer:lp ~heuristic:Heuristic.zono_coeff
-    ~net ~prop "reused tree"
+  let plain = Tree.of_string (Tree.to_string first.Bab.tree) in
+  check_matches_seed ~initial_tree:plain ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~net ~prop
+    "reused tree";
+  let solved = Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~initial_tree:plain ~net ~prop () in
+  let closed =
+    Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~initial_tree:first.Bab.tree ~net ~prop ()
+  in
+  Alcotest.(check bool) "closed: verdict" true (solved.Bab.verdict = closed.Bab.verdict);
+  Alcotest.(check int) "closed: calls" solved.Bab.stats.Bab.analyzer_calls
+    closed.Bab.stats.Bab.analyzer_calls;
+  Alcotest.(check bool) "leaves closed" true (closed.Bab.stats.Bab.dual_closures > 0);
+  let lbs run = List.map Tree.lb (Tree.leaves run.Bab.tree) in
+  Alcotest.(check int) "closed: leaves" (List.length (lbs solved)) (List.length (lbs closed));
+  List.iter2
+    (fun lp_lb closed_lb ->
+      Alcotest.(check bool)
+        (Printf.sprintf "closed lb %h within [0, LP's %h]" closed_lb lp_lb)
+        true
+        (0.0 <= closed_lb && closed_lb <= lp_lb))
+    (lbs solved) (lbs closed)
 
 let test_golden_input_splitting () =
   let net = Fixtures.paper_net () in
@@ -383,6 +406,7 @@ let sample_events =
       };
     Trace.Certified { node = 5; kind = "dual"; exact = false };
     Trace.Certified { node = 6; kind = "unavailable"; exact = true };
+    Trace.Dual_closed { node = 7; farkas = true };
     Trace.Analyzed { node = 1; status = "verified"; lb = neg_infinity; seconds = nan };
     Trace.Verdict
       { verdict = "proved"; calls = 7; seconds = 1.5; nodes = 13; leaves = 7; counterexample = None };
@@ -428,16 +452,26 @@ let test_seconds_fixed_width () =
       | _ -> Alcotest.fail "not an analyzed event")
     durations
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_aggregate_lp_and_cert_counters () =
   (* Refactorization pivots and exact certificate
      fallbacks are summed apart from simplex pivots, solves and emitted
-     certificates. *)
+     certificates, and closures by carried multipliers apart from
+     both. *)
   let agg = Trace.aggregate sample_events in
   Alcotest.(check int) "simplex pivots" 12 agg.Trace.lp_pivots;
   Alcotest.(check int) "refactor pivots" 7 agg.Trace.lp_factor_pivots;
   Alcotest.(check int) "certified" 1 agg.Trace.certs_emitted;
   Alcotest.(check int) "unavailable" 1 agg.Trace.certs_unavailable;
-  Alcotest.(check int) "exact fallbacks" 1 agg.Trace.cert_exact_checks
+  Alcotest.(check int) "exact fallbacks" 1 agg.Trace.cert_exact_checks;
+  Alcotest.(check int) "closures" 1 agg.Trace.dual_closures;
+  let line = Format.asprintf "%a" Trace.pp_aggregate agg in
+  Alcotest.(check bool) line true
+    (contains line "1 closed by carried multipliers")
 
 (* Pivots per warm hit come only from events whose solves were all warm
    hits; everything else, a mixed event's hit included, counts per other
@@ -466,11 +500,6 @@ let test_aggregate_hit_pivots () =
   Alcotest.(check int) "hit solves" 1 a.Trace.lp_hit_solves;
   Alcotest.(check int) "simplex pivots unchanged" 37 a.Trace.lp_pivots;
   let line = Format.asprintf "%a" Trace.pp_aggregate a in
-  let contains s sub =
-    let n = String.length sub in
-    let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) line true (contains line "8.0 per warm hit, 13.0 per other solve")
 
 let test_jsonl_file_roundtrip_and_aggregate () =
