@@ -220,25 +220,37 @@ let milp_encoding = cached Encoding.Milp.build
 (* ------------------------------------------------------------------ *)
 (* LP analyzer with triangle relaxation *)
 
-(* Freeze the LP and pair it with the multipliers of its verdict, right
-   after the solve (or the closure) and before any further mutation of
-   the shared encoding.  Extraction is float-only and untrusted; the
-   exact checker in [Ivan_cert.Cert] decides whether the evidence
-   actually proves anything. *)
-let evidence_of lp ~const witness =
-  { Ivan_cert.Cert.const; snapshot = Ivan_cert.Cert.Snapshot.of_problem lp; witness }
+(* Freeze the LP and pair it with the solver's multipliers, right after
+   the solve and before any further mutation of the shared encoding.
+   Extraction is float-only and untrusted; the exact checker in
+   [Ivan_cert.Cert] decides whether the evidence actually proves
+   anything. *)
+let evidence_of lp ~const =
+  match Lp.last_certificate lp with
+  | None -> None
+  | Some witness ->
+      Some
+        {
+          Ivan_cert.Cert.const;
+          snapshot = Ivan_cert.Cert.Snapshot.of_problem lp;
+          witness;
+        }
 
 (* The closure: multipliers [m] that verified this node in an earlier
    run, on another network of the same architecture or on this one,
    carried onto the node's specialized LP by row key and evaluated by
-   weak duality under the certificate screen's rounding model.  Returns
-   the carried certificate and the bound it proves ([infinity] for a
+   weak duality under the certificate screen's rounding model, on a
+   snapshot of the LP that is also the evidence a certificate needs.
+   Returns that evidence and the bound it proves ([infinity] for a
    Farkas witness: the node is empty), or [None] when it proves
    nothing and the simplex must run. *)
 let closure enc lp ~const (m : Tree.multipliers) =
   Option.bind (Encoding.Triangle.transfer enc ~keys:m.Tree.keys ~y:m.Tree.y) (fun y ->
       let witness = if m.Tree.farkas then Lp.Certificate.Farkas y else Lp.Certificate.Dual y in
-      Option.map (fun lb -> (witness, lb)) (Screen.proves lp ~const witness))
+      let snapshot = Ivan_cert.Cert.Snapshot.of_problem lp in
+      Option.map
+        (fun lb -> ({ Ivan_cert.Cert.const; snapshot; witness }, lb))
+        (Screen.proves snapshot ~const witness))
 
 (* The box corner a cold solve's crash basis starts from: each input at
    the end that minimizes its coefficient in the zonotope objective,
@@ -255,13 +267,15 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
   (* The hint the engine staged, if any: the parent's report, or the
      node's own multipliers from an earlier run.  DeepPoly resumes from
      the parent's run whatever [warm] says, since the result is the same
-     bit for bit; the parent's basis starts the simplex only under
-     [warm].  Taken before anything can fail, so a retry runs cold. *)
+     bit for bit; the parent's basis starts the simplex, and the node's
+     own multipliers get a try before it, only under [warm]: neither is
+     journaled, so a run without them replays exactly.  Taken before
+     anything can fail, so a retry runs cold. *)
   let hint = Warm.take_hint () in
   let report, own =
     match hint with
     | Some (Parent r) -> (Some r, None)
-    | Some (Own m) -> (None, Some m)
+    | Some (Own m) -> (None, if warm then Some m else None)
     | None -> (None, None)
   in
   let parent = Option.bind report (fun h -> h.deeppoly) in
@@ -305,7 +319,7 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
                 let lp = Encoding.Triangle.lp enc and const = Encoding.Triangle.const enc in
                 let keys = Encoding.Triangle.keys enc in
                 match Option.bind own (closure enc lp ~const) with
-                | Some (witness, lb) -> `Closed (lp, const, keys, witness, lb)
+                | Some (evidence, lb) -> `Closed (keys, evidence, lb)
                 | None ->
                     let start () = Encoding.Triangle.crash enc ~upper:(crash_corner ~prop ~box zono) in
                     let r =
@@ -322,7 +336,7 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
                sound cheap bound. *)
             if cheap_lb >= 0.0 then { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None; lp = None }
             else { status = Unknown; lb = cheap_lb; bounds = Some bounds; zono; cert = None; lp = None }
-        | `Closed (lp, const, keys, witness, lb) -> (
+        | `Closed (keys, (evidence : Ivan_cert.Cert.evidence), lb) -> (
             (* The carried multipliers are this node's proof: its
                certificate under [certify], and its annotation for the
                next run. *)
@@ -335,12 +349,12 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
                 factor_pivots = 0;
                 basis = None;
                 deeppoly = Some resume_from;
-                proof = Some (keyed keys witness);
+                proof = Some (keyed keys evidence.witness);
                 closed = true;
               }
             in
-            let cert = if certify then Some (evidence_of lp ~const witness) else None in
-            match witness with
+            let cert = if certify then Some evidence else None in
+            match evidence.witness with
             | Lp.Certificate.Farkas _ -> { vacuous with bounds = Some bounds; zono; cert; lp = Some report }
             | Lp.Certificate.Dual _ ->
                 { status = Verified; lb = Float.max lb cheap_lb; bounds = Some bounds; zono; cert; lp = Some report })
@@ -348,9 +362,7 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
             let report = lp_report lp ~keys resume_from in
             (* Evidence is only captured where it can be used, and before
                the shared encoding is touched again. *)
-            let evidence () =
-              if certify then Option.map (evidence_of lp ~const) (Lp.last_certificate lp) else None
-            in
+            let evidence () = if certify then evidence_of lp ~const else None in
             match r with
             | Lp.Infeasible ->
                 (* The relaxation is a superset of the true region, so an

@@ -125,11 +125,27 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     infeasible the solver's dual simplex repairs it, and decides an
     infeasible node by its dual ray.  A warm attempt that misses tries
     the same crash basis, built only then; the slack basis answers when
-    neither does.  [~warm:false] still
-    crash-starts every solve and only ignores the offered parent bases,
-    so every node is a cold solve.  [warm] only toggles the solver entry
-    point — warm and cold runs share the identical specialized LP, so
-    verdicts and bounds are unchanged.  A
+    neither does.
+
+    Under [warm], a node offered its own multipliers through {!Warm}
+    (a seed leaf that an earlier run's LP verified, on this network or
+    another of the same architecture) first tries them: after the
+    DeepPoly/zonotope shortcut and the specialization, and before any
+    crash basis, they are carried onto the node's LP by row key
+    ({!Encoding.Triangle.transfer}) and evaluated by weak duality under
+    the certificate screen's rounding model ({!Ivan_cert.Screen.proves}).
+    When that proves the node, the call returns [Verified] with the
+    proved bound as [lb] (at most the LP's own optimum) and no simplex
+    runs; under [certify] the carried multipliers are the leaf's
+    evidence.  Otherwise the node is solved as any other.
+
+    [~warm:false] still crash-starts every solve and ignores the offered
+    parent bases and multipliers, so every node is a cold solve.  Like
+    the bases, the multipliers are not journaled, so a run without them
+    is the one a journal replays exactly.  [warm] only toggles the
+    solver entry point — warm and cold runs share the identical
+    specialized LP, so verdicts are unchanged, and so are bounds but
+    those of closed nodes.  A
     node the encoding rejects ({!Encoding.Mismatch}) is treated like a
     failed solve: the outcome rests on the sound DeepPoly/zonotope
     bound. *)
@@ -144,7 +160,7 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     basis, which warm-starts the simplex when [warm] holds.  A node
     with no parent report to offer is offered its own multiplier
     annotation instead, when it has one (a seed leaf of an incremental
-    run), for {!lp_triangle}'s closure.  The slot holds one hint, is
+    run), for {!lp_triangle}'s closure under [warm].  The slot holds one hint, is
     domain-local and consumed on read: parallel runner workers never
     observe each other's hints, and an analyzer retry (under
     {!with_fallback}) runs cold, DeepPoly and LP both, rather than

@@ -268,8 +268,7 @@ let transfer p ~keys ~y =
              incr k
            done;
            if !k < n && keys.(!k) = key then
-             let _, _, cmp, _ = Lp.row_view shape.lp i in
-             match cmp with
+             match Lp.row_cmp shape.lp i with
              | Lp.Le -> Float.min 0.0 y.(!k)
              | Lp.Ge -> Float.max 0.0 y.(!k)
              | Lp.Eq -> y.(!k)

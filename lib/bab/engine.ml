@@ -265,9 +265,7 @@ let step_once t =
         Option.iter
           (fun (r : Analyzer.lp_report) ->
             emit t
-              (if r.closed then
-                 Trace.Dual_closed
-                   { node = id; farkas = Option.fold ~none:false ~some:(fun m -> m.Tree.farkas) r.proof }
+              (if r.closed then Trace.Dual_closed { node = id }
                else
                  Trace.Lp_solved
                    {

@@ -13,7 +13,7 @@ type event =
       pivots : int;
       factor_pivots : int;
     }
-  | Dual_closed of { node : int; farkas : bool }
+  | Dual_closed of { node : int }
   | Split of { node : int; decision : Decision.t; left : int; right : int }
   | Pruned of { node : int }
   | Stuck of { node : int }
@@ -86,8 +86,7 @@ let event_to_json = function
         ({|{"ev":"lp","node":%d,"warm_hits":%d,"warm_misses":%d,"cold_solves":%d,|}
         ^^ {|"pivots":%d,"factor_pivots":%d}|})
         node warm_hits warm_misses cold_solves pivots factor_pivots
-  | Dual_closed { node; farkas } ->
-      Printf.sprintf {|{"ev":"dual_closed","node":%d,"farkas":%b}|} node farkas
+  | Dual_closed { node } -> Printf.sprintf {|{"ev":"dual_closed","node":%d}|} node
   | Split { node; decision; left; right } ->
       Printf.sprintf {|{"ev":"split","node":%d,"decision":%S,"left":%d,"right":%d}|} node
         (Decision.to_string decision) left right
@@ -220,7 +219,7 @@ let event_of_json line =
           pivots = int "pivots";
           factor_pivots = int "factor_pivots";
         }
-  | "dual_closed" -> Dual_closed { node = int "node"; farkas = bool "farkas" }
+  | "dual_closed" -> Dual_closed { node = int "node" }
   | "split" ->
       Split
         {

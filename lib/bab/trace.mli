@@ -32,11 +32,10 @@ type event =
           basis), plus everything the attempts a solve abandoned spent:
           a warm attempt before the crash or slack basis answered, a
           crash start before the slack basis did *)
-  | Dual_closed of { node : int; farkas : bool }
+  | Dual_closed of { node : int }
       (** the analyzer closed the node with the multipliers that
           verified it in an earlier run (a seed leaf of an incremental
-          run), carried onto its LP, with no simplex solve; [farkas]
-          when they showed the node empty *)
+          run), carried onto its LP, with no simplex solve *)
   | Split of { node : int; decision : Ivan_spectree.Decision.t; left : int; right : int }
       (** the node branched into children [left]/[right] *)
   | Pruned of { node : int }  (** reuse-prune: an ineffective split was skipped *)

@@ -37,40 +37,6 @@ let dot_err n mag =
     add_up (mul_up (n *. 0x1p-52) mag) (n *. 0x1p-1073)
   end
 
-(* What [lower_bound] reads of an LP: a frozen snapshot's arrays or a
-   live problem's, through the same accessors. *)
-type source = {
-  nvars : int;
-  nrows : int;
-  obj : float array;  (* length [nvars] *)
-  lo : int -> float;
-  hi : int -> float;
-  row : int -> int array * float array * Lp.cmp * float;
-}
-
-let of_snapshot (s : Cert.Snapshot.t) =
-  {
-    nvars = s.nvars;
-    nrows = Array.length s.rows;
-    obj = s.obj;
-    lo = (fun j -> s.lo.(j));
-    hi = (fun j -> s.hi.(j));
-    row =
-      (fun i ->
-        let r = s.rows.(i) in
-        (r.idx, r.cf, r.cmp, r.rhs));
-  }
-
-let of_problem p =
-  {
-    nvars = Lp.num_vars p;
-    nrows = Lp.num_rows p;
-    obj = Lp.objective_coeffs p;
-    lo = (fun j -> fst (Lp.get_bounds p j));
-    hi = (fun j -> snd (Lp.get_bounds p j));
-    row = Lp.row_view p;
-  }
-
 (* The weak-duality sum of [Cert.implied_bound], plus [const], as a
    float [total] and an error [err] with exact sum >= total - err.
    Terms are those of the exact checker: [const + y^T b] plus, per
@@ -81,9 +47,9 @@ let of_problem p =
    least -max((d̃_j + e_j) max(0, -lo), (e_j - d̃_j) max(0, hi)), and
    that maximum joins the error.  Raises [Unsure] wherever the exact
    checker could reject. *)
-let lower_bound (s : source) ~zero_obj ~const ~y =
+let lower_bound (s : Cert.Snapshot.t) ~zero_obj ~const ~y =
   let n = s.nvars in
-  require (Array.length y = s.nrows);
+  require (Array.length y = Array.length s.rows);
   let d = if zero_obj then Array.make n 0.0 else Array.copy s.obj in
   let mag = Array.make n 0.0 and terms = Array.make n 0 in
   if not zero_obj then
@@ -102,50 +68,50 @@ let lower_bound (s : source) ~zero_obj ~const ~y =
     tmag := !tmag +. Float.abs p;
     incr tterms
   in
-  for i = 0 to s.nrows - 1 do
-    let idx, cf, cmp, rhs = s.row i in
-    let yi = y.(i) in
-    finite yi;
-    (match cmp with
-    | Lp.Le -> require (yi <= 0.0)
-    | Lp.Ge -> require (yi >= 0.0)
-    | Lp.Eq -> ());
-    require (Array.length idx = Array.length cf);
-    finite rhs;
-    if yi <> 0.0 then begin
-      add (yi *. rhs);
-      Array.iteri
-        (fun k j ->
-          require (j >= 0 && j < n);
-          let a = cf.(k) in
-          finite a;
-          if a <> 0.0 then begin
-            let p = yi *. a in
-            d.(j) <- d.(j) -. p;
-            mag.(j) <- mag.(j) +. Float.abs p;
-            terms.(j) <- terms.(j) + 1
-          end)
-        idx
-    end
-  done;
+  Array.iteri
+    (fun i (r : Cert.Snapshot.row) ->
+      let yi = y.(i) in
+      finite yi;
+      (match r.cmp with
+      | Lp.Le -> require (yi <= 0.0)
+      | Lp.Ge -> require (yi >= 0.0)
+      | Lp.Eq -> ());
+      require (Array.length r.idx = Array.length r.cf);
+      finite r.rhs;
+      if yi <> 0.0 then begin
+        add (yi *. r.rhs);
+        Array.iteri
+          (fun k j ->
+            require (j >= 0 && j < n);
+            let a = r.cf.(k) in
+            finite a;
+            if a <> 0.0 then begin
+              let p = yi *. a in
+              d.(j) <- d.(j) -. p;
+              mag.(j) <- mag.(j) +. Float.abs p;
+              terms.(j) <- terms.(j) + 1
+            end)
+          r.idx
+      end)
+    s.rows;
   let radius = ref 0.0 in
   for j = 0 to n - 1 do
     if terms.(j) > 0 then begin
       let dj = d.(j) and ej = dot_err terms.(j) mag.(j) in
       if dj > ej then begin
-        let lo = s.lo j in
+        let lo = s.lo.(j) in
         finite lo;
         add (dj *. lo);
         radius := add_up !radius (mul_up ej (Float.abs lo))
       end
       else if dj < -.ej then begin
-        let hi = s.hi j in
+        let hi = s.hi.(j) in
         finite hi;
         add (dj *. hi);
         radius := add_up !radius (mul_up ej (Float.abs hi))
       end
       else begin
-        let lo = s.lo j and hi = s.hi j in
+        let lo = s.lo.(j) and hi = s.hi.(j) in
         finite lo;
         finite hi;
         radius :=
@@ -161,27 +127,27 @@ let lower_bound (s : source) ~zero_obj ~const ~y =
   finite err;
   (!total, err)
 
-(* What [witness] certainly proves on [src]: for [Dual y], a bound
+(* What [witness] certainly proves on [s]: for [Dual y], a bound
    [lb >= 0] at most the exact weak-duality bound plus [const]
    ([total - err] rounded to nearest may sit above the exact sum; its
    predecessor cannot); for [Farkas y], [infinity] (no feasible point).
    [None] when the sum is not certainly past its threshold. *)
-let proved src ~const = function
+let proved s ~const = function
   | Lp.Certificate.Dual y ->
       finite const;
-      let total, err = lower_bound src ~zero_obj:false ~const ~y in
+      let total, err = lower_bound s ~zero_obj:false ~const ~y in
       if total >= err then Some (Float.max 0.0 (Float.pred (total -. err))) else None
   | Lp.Certificate.Farkas y ->
-      let total, err = lower_bound src ~zero_obj:true ~const:0.0 ~y in
+      let total, err = lower_bound s ~zero_obj:true ~const:0.0 ~y in
       if total > err then Some infinity else None
+
+let shaped (s : Cert.Snapshot.t) =
+  require (Array.length s.obj = s.nvars && Array.length s.lo = s.nvars && Array.length s.hi = s.nvars)
 
 let passes ~box (l : Cert.leaf) =
   let s = l.evidence.snapshot in
   try
-    require
-      (Array.length s.obj = s.nvars
-      && Array.length s.lo = s.nvars
-      && Array.length s.hi = s.nvars);
+    shaped s;
     require (s.nvars >= Box.dim box);
     for j = 0 to Box.dim box - 1 do
       (* Finite floats are equal exactly when their values are. *)
@@ -189,7 +155,11 @@ let passes ~box (l : Cert.leaf) =
       finite s.hi.(j);
       require (s.lo.(j) = Box.lo_at box j && s.hi.(j) = Box.hi_at box j)
     done;
-    Option.is_some (proved (of_snapshot s) ~const:l.evidence.const l.evidence.witness)
+    Option.is_some (proved s ~const:l.evidence.const l.evidence.witness)
   with Unsure -> false
 
-let proves p ~const witness = try proved (of_problem p) ~const witness with Unsure -> None
+let proves s ~const witness =
+  try
+    shaped s;
+    proved s ~const witness
+  with Unsure -> None

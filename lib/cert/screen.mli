@@ -19,19 +19,19 @@
     never consults it.  It only decides, at emission time, whether the
     exact check may be skipped because it is certain to pass.
 
-    The same bound, read from a live {!Ivan_lp.Lp.problem} instead of a
-    snapshot, is how the analyzer closes a node with multipliers carried
-    over from an earlier run ({!proves}). *)
+    The same bound is how the analyzer closes a node with multipliers
+    carried over from an earlier run ({!proves}), read from a snapshot
+    of the node's LP that then serves as the leaf's evidence. *)
 
 val passes : box:Ivan_spec.Box.t -> Cert.leaf -> bool
 (** [true] only if [Cert.check_leaf ~box leaf] returns [Ok ()]. *)
 
-val proves : Ivan_lp.Lp.problem -> const:float -> Ivan_lp.Lp.Certificate.t -> float option
-(** The verdict row multipliers prove on the problem as it stands,
-    under the same rounding model as {!passes}: for [Dual y], [Some lb]
-    with [0 <= lb <=] the exact weak-duality bound plus [const], when
-    that sum is certainly [>= 0]; for [Farkas y], [Some infinity] when
-    the witness certainly shows the problem infeasible.  [None] — don't
+val proves : Cert.Snapshot.t -> const:float -> Ivan_lp.Lp.Certificate.t -> float option
+(** The verdict row multipliers prove on the snapshot's problem, under
+    the same rounding model as {!passes}: for [Dual y], [Some lb] with
+    [0 <= lb <=] the exact weak-duality bound plus [const], when that
+    sum is certainly [>= 0]; for [Farkas y], [Some infinity] when the
+    witness certainly shows the problem infeasible.  [None] — don't
     know — otherwise, including a multiplier that is not finite or has
     a sign its row does not admit, or a length other than the row
     count. *)

@@ -111,12 +111,9 @@ let row p i =
   let r = p.rows.(i) in
   (Array.copy r.idx, Array.copy r.cf, r.cmp, r.rhs)
 
-(* A stored row is never written after [add_row] / [set_row] builds it
-   ([set_row] installs a fresh one), so sharing its arrays is safe. *)
-let row_view p i =
-  if i < 0 || i >= p.nrows then invalid_arg "Lp.row_view: row out of range";
-  let r = p.rows.(i) in
-  (r.idx, r.cf, r.cmp, r.rhs)
+let row_cmp p i =
+  if i < 0 || i >= p.nrows then invalid_arg "Lp.row_cmp: row out of range";
+  p.rows.(i).cmp
 
 let set_objective p c =
   if Array.length c <> p.nvars then invalid_arg "Lp.set_objective: dimension mismatch";

@@ -128,12 +128,9 @@ val row : problem -> int -> int array * float array * cmp * float
     them, and so must any checker).  @raise Invalid_argument if [i] is
     out of range. *)
 
-val row_view : problem -> int -> int array * float array * cmp * float
-(** As {!row}, without the copies: the arrays are the problem's own.
-    They keep describing row [i] as it was when read (a later
-    {!set_row} installs fresh arrays), and must never be written.  For
-    readers that make one pass over a problem, such as a weak-duality
-    bound.  @raise Invalid_argument if [i] is out of range. *)
+val row_cmp : problem -> int -> cmp
+(** The comparison of row [i], without copying the row.
+    @raise Invalid_argument if [i] is out of range. *)
 
 val add_constraint : problem -> (int * float) list -> cmp -> float -> unit
 (** [add_constraint p coeffs cmp rhs] adds the row

@@ -79,9 +79,26 @@ let seeded =
     ~initial_tree:(Ivan_core.Prune.prune ~theta:0.01 original.Engine.tree)
     ()
 
+(* The same start on the LP: N's tree carries the multipliers that
+   verified its leaves, which [Prune.prune] keeps on the seeded leaves.
+   They are a cache like the warm-start hints and are not journaled, so
+   under [~warm:false] the analyzer ignores them and the seeded run
+   replays exactly. *)
+let lp_seeded =
+  let original =
+    Engine.run (Engine.create ~analyzer:(lp ()) ~heuristic:Heuristic.zono_coeff ~net:deep ~prop:(prop 0.5) ())
+  in
+  Chaos.workload ~name:"lp/seeded-bestfirst"
+    ~net:(Ivan_nn.Perturb.random_relative ~rng:(Ivan_tensor.Rng.create 7) ~fraction:0.02 deep)
+    ~prop:(prop 0.5) ~analyzer:lp ~heuristic:Heuristic.zono_coeff
+    ~config:{ Engine.default_config with strategy = Frontier.Best_first }
+    ~initial_tree:(Ivan_core.Prune.prune ~theta:0.01 original.Engine.tree)
+    ()
+
 let workloads =
   [
     seeded;
+    lp_seeded;
     Chaos.workload ~name:"lp/proved" ~net:deep ~prop:(prop 0.5) ~analyzer:lp
       ~heuristic:Heuristic.zono_coeff ();
     Chaos.workload ~name:"lp/disproved" ~net:deep ~prop:(prop 0.3) ~analyzer:lp

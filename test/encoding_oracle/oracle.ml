@@ -522,10 +522,9 @@ let solved_node net tri ~box ~splits =
 module Q = Ivan_cert.Q
 module Cert = Ivan_cert.Cert
 
-(* The exact weak-duality bound of [y] on [lp] plus [const], or with the
-   objective zeroed for a Farkas witness. *)
-let exact_bound lp ~const ~farkas y =
-  let s = Cert.Snapshot.of_problem lp in
+(* The exact weak-duality bound of [y] on the snapshot [s] plus
+   [const], or with the objective zeroed for a Farkas witness. *)
+let exact_bound s ~const ~farkas y =
   if farkas then
     Result.to_option (Cert.implied_bound { s with Cert.Snapshot.obj = Array.make s.Cert.Snapshot.nvars 0.0 } ~y)
   else Option.map (Q.add (Q.of_float const)) (Result.to_option (Cert.implied_bound s ~y))
@@ -550,8 +549,9 @@ let check_transfer_node rng ~identity ~roots net updated prop tri tri' =
     | None -> failf "keys and multipliers differ in length"
   in
   let carried = if farkas then Lp.Certificate.Farkas y' else Lp.Certificate.Dual y' in
-  let proved = Ivan_cert.Screen.proves lp' ~const:const' carried in
-  let exact = exact_bound lp' ~const:const' ~farkas y' in
+  let s' = Cert.Snapshot.of_problem lp' in
+  let proved = Ivan_cert.Screen.proves s' ~const:const' carried in
+  let exact = exact_bound s' ~const:const' ~farkas y' in
   let t = transfer_tally in
   t.carried <- t.carried + 1;
   if Encoding.Triangle.keys tri' <> keys then t.reshaped <- t.reshaped + 1;

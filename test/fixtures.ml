@@ -134,3 +134,47 @@ let approx_min_margin ?(samples = 2000) ~seed net prop =
     done
   end;
   !best
+
+(* [closed] is the run [solved] made, but seeded with multipliers that
+   closed some of its leaves without a solve: the same verdict, calls,
+   and tree text (ids, decisions and shape) once lbs are masked, and per
+   node the same lb or, at a closed leaf, one in [0, the LP's]. *)
+let check_closed_run label ~(solved : Ivan_bab.Bab.run) ~(closed : Ivan_bab.Bab.run) =
+  let module Bab = Ivan_bab.Bab in
+  let module Tree = Ivan_spectree.Tree in
+  Alcotest.(check bool) (label ^ ": verdict") true (solved.Bab.verdict = closed.Bab.verdict);
+  Alcotest.(check int) (label ^ ": calls") solved.Bab.stats.Bab.analyzer_calls
+    closed.Bab.stats.Bab.analyzer_calls;
+  let masked t =
+    String.split_on_char '\n' (Tree.to_string t)
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line with
+           | kind :: id :: _lb :: rest -> String.concat " " (kind :: id :: "_" :: rest)
+           | _ -> line)
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) (label ^ ": tree without lbs") (masked solved.Bab.tree)
+    (masked closed.Bab.tree);
+  let nodes t =
+    let acc = ref [] in
+    Tree.iter_nodes t (fun n -> acc := n :: !acc);
+    List.rev !acc
+  in
+  let moved = ref 0 in
+  List.iter2
+    (fun a b ->
+      let lp_lb = Tree.lb a and closed_lb = Tree.lb b in
+      if Int64.bits_of_float lp_lb <> Int64.bits_of_float closed_lb then begin
+        incr moved;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: node %d's closed lb %h within [0, the LP's %h]" label
+             (Tree.node_id b) closed_lb lp_lb)
+          true
+          (Tree.is_leaf b && 0.0 <= closed_lb && closed_lb <= lp_lb)
+      end)
+    (nodes solved.Bab.tree) (nodes closed.Bab.tree);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %d lbs moved, by %d closures" label !moved
+       closed.Bab.stats.Bab.dual_closures)
+    true
+    (!moved <= closed.Bab.stats.Bab.dual_closures)

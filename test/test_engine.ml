@@ -101,8 +101,9 @@ let test_golden_call_budget () =
 (* The seed loop offers the analyzer no hints, so the tree it reuses is
    the first run's as its text form carries it: without the multipliers
    that verified its leaves.  With them, the engine closes those leaves
-   without a solve, on the same search: the same verdict, calls and
-   shape, each closed leaf's bound at most its LP optimum. *)
+   without a solve, on the same search: the same verdict, calls, ids,
+   decisions and shape, each closed leaf's bound at most its LP
+   optimum. *)
 let test_golden_initial_tree_reuse () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
@@ -114,19 +115,8 @@ let test_golden_initial_tree_reuse () =
   let closed =
     Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~initial_tree:first.Bab.tree ~net ~prop ()
   in
-  Alcotest.(check bool) "closed: verdict" true (solved.Bab.verdict = closed.Bab.verdict);
-  Alcotest.(check int) "closed: calls" solved.Bab.stats.Bab.analyzer_calls
-    closed.Bab.stats.Bab.analyzer_calls;
   Alcotest.(check bool) "leaves closed" true (closed.Bab.stats.Bab.dual_closures > 0);
-  let lbs run = List.map Tree.lb (Tree.leaves run.Bab.tree) in
-  Alcotest.(check int) "closed: leaves" (List.length (lbs solved)) (List.length (lbs closed));
-  List.iter2
-    (fun lp_lb closed_lb ->
-      Alcotest.(check bool)
-        (Printf.sprintf "closed lb %h within [0, LP's %h]" closed_lb lp_lb)
-        true
-        (0.0 <= closed_lb && closed_lb <= lp_lb))
-    (lbs solved) (lbs closed)
+  Fixtures.check_closed_run "closed" ~solved ~closed
 
 let test_golden_input_splitting () =
   let net = Fixtures.paper_net () in
@@ -406,7 +396,7 @@ let sample_events =
       };
     Trace.Certified { node = 5; kind = "dual"; exact = false };
     Trace.Certified { node = 6; kind = "unavailable"; exact = true };
-    Trace.Dual_closed { node = 7; farkas = true };
+    Trace.Dual_closed { node = 7 };
     Trace.Analyzed { node = 1; status = "verified"; lb = neg_infinity; seconds = nan };
     Trace.Verdict
       { verdict = "proved"; calls = 7; seconds = 1.5; nodes = 13; leaves = 7; counterexample = None };
