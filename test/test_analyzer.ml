@@ -583,6 +583,11 @@ let test_transfer_closes_seed_leaf () =
     (Printf.sprintf "closed lb %h within [0, the LP's %h]" o.Analyzer.lb o'.Analyzer.lb)
     true
     (0.0 <= o.Analyzer.lb && o.Analyzer.lb <= o'.Analyzer.lb);
+  (* Like a parent's basis, they are a cache that only [warm] reads. *)
+  let cold_analyzer = Analyzer.lp_triangle ~deeppoly_shortcut:false ~warm:false () in
+  let _, cold = call ~own:m cold_analyzer updated prop Splits.empty in
+  Alcotest.(check bool) "not closed under ~warm:false" false cold.Analyzer.closed;
+  Alcotest.(check int) "solved cold" 1 cold.Analyzer.cold_solves;
   (* The carried multipliers become the node's own, keyed by N^a's rows. *)
   match r.Analyzer.proof with
   | Some m' -> Alcotest.(check int) "re-keyed" (Array.length m'.Tree.keys) (Array.length m'.Tree.y)
