@@ -144,8 +144,8 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     the bases, the multipliers are not journaled, so a run without them
     is the one a journal replays exactly.  [warm] only toggles the
     solver entry point — warm and cold runs share the identical
-    specialized LP, so verdicts are unchanged, and so are bounds but
-    those of closed nodes.  A
+    specialized LP, so verdicts are unchanged, and so are bounds,
+    except at nodes closed by carried multipliers.  A
     node the encoding rejects ({!Encoding.Mismatch}) is treated like a
     failed solve: the outcome rests on the sound DeepPoly/zonotope
     bound. *)
@@ -160,8 +160,8 @@ val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit
     basis, which warm-starts the simplex when [warm] holds.  A node
     with no parent report to offer is offered its own multiplier
     annotation instead, when it has one (a seed leaf of an incremental
-    run), for {!lp_triangle}'s closure under [warm].  The slot holds one hint, is
-    domain-local and consumed on read: parallel runner workers never
+    run), for {!lp_triangle}'s closure under [warm].  The slot holds
+    one hint, is domain-local and consumed on read: parallel runner workers never
     observe each other's hints, and an analyzer retry (under
     {!with_fallback}) runs cold, DeepPoly and LP both, rather than
     re-using a hint that may have contributed to the failure.  Analyzers
