@@ -431,9 +431,14 @@ let diff_cmd =
         Format.printf "zonotope bound: max |output drift| <= %.5f over the region@." worst);
     (* Level 2: complete differential verification. *)
     let analyzer = Ivan_analyzer.Analyzer.lp_triangle () in
-    let budget = { Bab.max_analyzer_calls = budget_calls; max_seconds = 60.0 } in
+    let config =
+      {
+        Ivan_core.Ivan.default_config with
+        budget = { Bab.max_analyzer_calls = budget_calls; max_seconds = 60.0 };
+      }
+    in
     let proof =
-      Ivan_core.Diffverify.verify ~analyzer ~heuristic:Ivan_bab.Heuristic.zono_coeff ~budget net
+      Ivan_core.Diffverify.verify ~analyzer ~heuristic:Ivan_bab.Heuristic.zono_coeff ~config net
         updated ~box ~delta
     in
     match proof.Ivan_core.Diffverify.verdict with

@@ -50,7 +50,12 @@ let () =
      BaB actually work for its verdict. *)
   let delta = 0.75 *. level1_worst in
   let analyzer = Analyzer.lp_triangle () in
-  let budget = { Ivan_bab.Bab.max_analyzer_calls = 100; max_seconds = 10.0 } in
+  let config =
+    {
+      Ivan_core.Ivan.default_config with
+      budget = { Ivan_bab.Bab.max_analyzer_calls = 100; max_seconds = 10.0 };
+    }
+  in
   let verdict_name = function
     | Diffverify.Equivalent -> "equivalent"
     | Diffverify.Deviation _ -> "deviates"
@@ -59,19 +64,18 @@ let () =
   Format.printf "@.[complete differential verification, delta = %.3f]@." delta;
   let t0 = Unix.gettimeofday () in
   let first =
-    Diffverify.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~budget net u16 ~box ~delta
+    Diffverify.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~config net u16 ~box ~delta
   in
   let t1 = Unix.gettimeofday () in
   Format.printf "int16 variant: %-10s (%d analyzer calls, %.2fs, from scratch)@."
     (verdict_name first.Diffverify.verdict) first.Diffverify.total_calls (t1 -. t0);
   let u8 = Quant.network Quant.Int8 net in
   let scratch =
-    Diffverify.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~budget net u8 ~box ~delta
+    Diffverify.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~config net u8 ~box ~delta
   in
   let t2 = Unix.gettimeofday () in
   let second =
-    Diffverify.verify_incremental ~analyzer ~heuristic:Heuristic.zono_coeff
-      ~config:{ Ivan_core.Ivan.default_config with budget }
+    Diffverify.verify_incremental ~analyzer ~heuristic:Heuristic.zono_coeff ~config
       ~previous:first net u8 ~box ~delta
   in
   let t3 = Unix.gettimeofday () in

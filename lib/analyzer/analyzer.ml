@@ -175,7 +175,7 @@ let deeppoly_run net ~prop ~box ~splits =
 let deeppoly () = { name = "deeppoly"; run = deeppoly_run }
 
 (* ------------------------------------------------------------------ *)
-(* Persistent-encoding caches.
+(* The persistent triangle encoding.
 
    One encoding per (network, property) pair, rebuilt only when either
    changes — detected by physical equality, which is exactly right for
@@ -190,20 +190,9 @@ let deeppoly () = { name = "deeppoly"; run = deeppoly_run }
    splitting), whose bounds hold only on its own subproblem, and the
    build then runs the root's DeepPoly. *)
 
-let cached build =
-  let slot = Domain.DLS.new_key (fun () -> ref None) in
-  fun net prop ~root ->
-    let r = Domain.DLS.get slot in
-    match !r with
-    | Some (n, p, enc) when n == net && p == prop -> enc
-    | _ ->
-        let enc = build ?root:(root ()) net ~prop in
-        r := Some (net, prop, enc);
-        enc
-
-(* [root] for {!cached}: a call's DeepPoly [bounds] when the call is the
-   property root, its box the property's input box bit for bit and no
-   splits. *)
+(* [root] for an encoding build: a call's DeepPoly [bounds] when the
+   call is the property root, its box the property's input box bit for
+   bit and no splits. *)
 let root_call ~prop ~box ~splits bounds () =
   let bits v = Array.map Int64.bits_of_float v and input = prop.Prop.input in
   if
@@ -213,9 +202,16 @@ let root_call ~prop ~box ~splits bounds () =
   then Some bounds
   else None
 
-let triangle_encoding = cached Encoding.Triangle.build
+let triangle_slot = Domain.DLS.new_key (fun () -> ref None)
 
-let milp_encoding = cached Encoding.Milp.build
+let triangle_encoding net prop ~root =
+  let r = Domain.DLS.get triangle_slot in
+  match !r with
+  | Some (n, p, enc) when n == net && p == prop -> enc
+  | _ ->
+      let enc = Encoding.Triangle.build ?root:(root ()) net ~prop in
+      r := Some (net, prop, enc);
+      enc
 
 (* ------------------------------------------------------------------ *)
 (* LP analyzer with triangle relaxation *)
@@ -263,7 +259,7 @@ let crash_corner ~prop ~box zono =
       let obj = Zonotope.objective_coeffs a ~c:prop.Prop.c in
       Array.init d (fun j -> obj.(j) < 0.0)
 
-let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
+let lp_triangle_run ~warm ~certify net ~prop ~box ~splits =
   (* The hint the engine staged, if any: the parent's report, or the
      node's own multipliers from an earlier run.  DeepPoly resumes from
      the parent's run whatever [warm] says, since the result is the same
@@ -299,7 +295,9 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
         | Some a -> (Zonotope.objective_itv a ~c:prop.Prop.c ~offset:prop.Prop.offset).Itv.lo
       in
       let cheap_lb = Float.max dp_itv.Itv.lo zono_lb in
-      if deeppoly_shortcut && cheap_lb >= 0.0 then
+      (* A shortcut verdict has no LP behind it, hence no certificate:
+         under [certify] every node reaches its LP. *)
+      if (not certify) && cheap_lb >= 0.0 then
         { status = Verified; lb = cheap_lb; bounds = Some bounds; zono; cert = None; lp = None }
       else
         (* Specialize the persistent per-property encoding to this node.
@@ -380,44 +378,37 @@ let lp_triangle_run ~deeppoly_shortcut ~warm ~certify net ~prop ~box ~splits =
                   let status = concrete_status net ~prop candidate in
                   { status; lb; bounds = Some bounds; zono; cert = None; lp = report }))
 
-let lp_triangle ?(deeppoly_shortcut = true) ?(warm = true) ?(certify = false) () =
-  (* A shortcut verdict has no LP behind it, hence no certificate. *)
-  let deeppoly_shortcut = deeppoly_shortcut && not certify in
-  { name = "lp-triangle"; run = lp_triangle_run ~deeppoly_shortcut ~warm ~certify }
+let lp_triangle ?(warm = true) ?(certify = false) () =
+  { name = "lp-triangle"; run = lp_triangle_run ~warm ~certify }
 
 (* ------------------------------------------------------------------ *)
-(* Exact MILP analyzer: big-M indicator encoding of every ambiguous
-   ReLU, solved by branch and bound over the phase binaries.  One call
-   decides the subproblem exactly (the "one-shot complete verifier"
-   style the paper compares against in its §7 MILP discussion). *)
+(* Exact MILP: big-M indicator encoding of every ambiguous ReLU, solved
+   by branch and bound over the phase binaries.  One call decides the
+   subproblem exactly (the "one-shot complete verifier" style the paper
+   compares against in its §7 MILP discussion).  Each call builds its
+   own encoding: it is a one-shot decider, not a BaB analyzer. *)
 
-type milp_outcome = {
-  milp_status : status;
-  milp_lb : float;
-  nodes : int;
-  witness : Vec.t option;
-  milp_lp : lp_report option;
-}
+type milp_outcome = { milp_status : status; milp_lb : float; nodes : int; witness : Vec.t option }
 
 (* A capped, numerically failed or unencodable search: inconclusive
    either way, never a fabricated answer. *)
-let milp_inconclusive ~nodes milp_lp =
-  { milp_status = Unknown; milp_lb = neg_infinity; nodes; witness = None; milp_lp }
+let milp_inconclusive ~nodes = { milp_status = Unknown; milp_lb = neg_infinity; nodes; witness = None }
 
-let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box ~splits =
+let milp_verify ?(max_nodes = 100_000) ?incumbent net ~prop ~box ~splits =
   match Deeppoly.analyze net ~box ~splits with
-  | Deeppoly.Infeasible ->
-      { milp_status = Verified; milp_lb = infinity; nodes = 0; witness = None; milp_lp = None }
+  | Deeppoly.Infeasible -> { milp_status = Verified; milp_lb = infinity; nodes = 0; witness = None }
   | Deeppoly.Feasible dp -> (
       let bounds = Deeppoly.bounds dp in
       let specialized =
-        Option.bind (milp_encoding net prop ~root:(root_call ~prop ~box ~splits bounds)) (fun enc ->
+        Option.bind
+          (Encoding.Milp.build ?root:(root_call ~prop ~box ~splits bounds ()) net ~prop)
+          (fun enc ->
             match Encoding.Milp.specialize enc ~box ~splits ~bounds with
             | () -> Some enc
             | exception Encoding.Mismatch -> None)
       in
       match specialized with
-      | None -> milp_inconclusive ~nodes:0 None
+      | None -> milp_inconclusive ~nodes:0
       | Some enc -> (
           let const = Encoding.Milp.const enc in
           (* Verification cutoff: branches that cannot push the objective
@@ -427,30 +418,13 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
              to). *)
           let cutoff = match incumbent with None -> 0.0 | Some v -> Float.min 0.0 v in
           let result =
-            Ivan_lp.Milp.solve ~max_nodes ~incumbent:(cutoff -. const) ~warm (Encoding.Milp.lp enc)
+            Ivan_lp.Milp.solve ~max_nodes ~incumbent:(cutoff -. const) (Encoding.Milp.lp enc)
               ~integer:(Encoding.Milp.binaries enc)
           in
-          let stats =
+          let nodes =
             match result with
-            | Ivan_lp.Milp.Infeasible s | Node_limit s | Solver_failure s -> s
-            | Optimal { stats; _ } -> stats
-          in
-          let nodes = stats.Ivan_lp.Milp.nodes in
-          let milp_lp =
-            Some
-              {
-                warm_hits = stats.Ivan_lp.Milp.warm_hits;
-                warm_misses = stats.Ivan_lp.Milp.warm_misses;
-                cold_solves =
-                  stats.Ivan_lp.Milp.lp_solves - stats.Ivan_lp.Milp.warm_hits
-                  - stats.Ivan_lp.Milp.warm_misses;
-                pivots = stats.Ivan_lp.Milp.simplex_pivots;
-                factor_pivots = stats.Ivan_lp.Milp.factor_pivots;
-                basis = None;
-                deeppoly = None;
-                proof = None;
-                closed = false;
-              }
+            | Ivan_lp.Milp.Infeasible s | Node_limit s | Solver_failure s -> s.Ivan_lp.Milp.nodes
+            | Optimal { stats; _ } -> stats.Ivan_lp.Milp.nodes
           in
           match result with
           | Ivan_lp.Milp.Infeasible _ ->
@@ -459,9 +433,8 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
                  property; with a negative warm cutoff it only bounds the
                  minimum from below. *)
               let milp_status = if cutoff >= 0.0 then Verified else Unknown in
-              { milp_status; milp_lb = cutoff; nodes; witness = None; milp_lp }
-          | Ivan_lp.Milp.Node_limit _ | Ivan_lp.Milp.Solver_failure _ ->
-              milp_inconclusive ~nodes milp_lp
+              { milp_status; milp_lb = cutoff; nodes; witness = None }
+          | Ivan_lp.Milp.Node_limit _ | Ivan_lp.Milp.Solver_failure _ -> milp_inconclusive ~nodes
           | Ivan_lp.Milp.Optimal { objective; primal; _ } ->
               let lb = objective +. const in
               let witness = Array.sub primal 0 (Box.dim box) in
@@ -472,14 +445,7 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent ?(warm = true) net ~prop ~box 
                   | Counterexample x -> Counterexample x
                   | Verified | Unknown -> Unknown
               in
-              { milp_status = status; milp_lb = lb; nodes; witness = Some witness; milp_lp }))
-
-let milp_exact ?(max_nodes = 100_000) ?(warm = true) () =
-  let run net ~prop ~box ~splits =
-    let o = milp_verify ~max_nodes ~warm net ~prop ~box ~splits in
-    { status = o.milp_status; lb = o.milp_lb; bounds = None; zono = None; cert = None; lp = o.milp_lp }
-  in
-  { name = "milp-exact"; run }
+              { milp_status = status; milp_lb = lb; nodes; witness = Some witness }))
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: retry-then-degrade fallback chains *)
@@ -509,16 +475,12 @@ let trustworthy net ~prop o =
   | Counterexample x -> check_concrete net ~prop x
   | Unknown -> true
 
-let with_fallback ?chain ?(notify = fun (_ : fallback_event) -> ()) ~policy primary =
+let with_fallback ?(notify = fun (_ : fallback_event) -> ()) ~policy primary =
   if policy.max_retries < 0 then invalid_arg "Analyzer.with_fallback: negative max_retries";
   if policy.node_timeout <= 0.0 then invalid_arg "Analyzer.with_fallback: non-positive node_timeout";
   let chain =
-    match chain with
-    | Some c -> c
-    | None ->
-        if policy.fallback then
-          List.filter (fun a -> a.name <> primary.name) [ deeppoly (); interval () ]
-        else []
+    if policy.fallback then List.filter (fun a -> a.name <> primary.name) [ deeppoly (); interval () ]
+    else []
   in
   let run net ~prop ~box ~splits =
     (* Monotonic deadline: a wall-clock step (NTP) must not extend or

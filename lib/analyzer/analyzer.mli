@@ -7,7 +7,7 @@
     [Counterexample x] implies [x] lies in the property's input region
     and concretely violates [psi].
 
-    Five analyzers are provided:
+    Four analyzers are provided:
     - {!lp_triangle}: DeepPoly bounds + LP with the triangle relaxation —
       the paper's baseline for ReLU-splitting BaB [Bunel et al. 2020;
       Ehlers 2017], with GUROBI replaced by {!Ivan_lp.Lp}.
@@ -15,9 +15,10 @@
       RefineZono-style input-splitting baseline (paper §6.4).
     - {!deeppoly}: DeepPoly bounds without the LP — the middle rung of
       the {!with_fallback} degradation ladder.
-    - {!milp_exact}: the exact big-M MILP, complete in one call — an
-      independent decider for tests and the paper's §7 comparison.
-    - {!interval}: plain box propagation, mainly for tests. *)
+    - {!interval}: plain box propagation, mainly for tests.
+
+    {!milp_verify} is no analyzer: the exact big-M MILP decides a
+    subproblem in one call, for the paper's §7 comparison. *)
 
 type status = Verified | Counterexample of Ivan_tensor.Vec.t | Unknown
 
@@ -35,18 +36,18 @@ type lp_report = {
           answer) *)
   basis : Ivan_lp.Lp.Basis.t option;
       (** basis to offer to child nodes; [None] when the solve did not
-          end [Optimal] or the call ran the MILP search *)
+          end [Optimal] or no solve ran ([closed]) *)
   deeppoly : Ivan_domains.Deeppoly.parent option;
       (** the node's DeepPoly run, for child nodes to resume from;
-          O(neurons); [None] when the call ran the MILP search *)
+          O(neurons) *)
   proof : Ivan_spectree.Tree.multipliers option;
       (** the row multipliers behind the call's LP answer, keyed by the
           encoding's row keys: the solver's dual [y] after an optimum,
           its Farkas [y] after an infeasible LP, or the carried
           multipliers that closed the node; the same arrays, not
           copies.  The engine keeps them on a verified node
-          ({!Ivan_spectree.Tree.set_multipliers}).  [None] from the MILP
-          search *)
+          ({!Ivan_spectree.Tree.set_multipliers}).  [None] when the
+          solver ended with no certificate *)
   closed : bool;
       (** the node was closed by multipliers offered through {!Warm},
           with no simplex solve: every count above is 0 *)
@@ -71,8 +72,9 @@ type outcome = {
           analyzer and from cheap-bound shortcuts, which the engine
           counts as certificate-unavailable *)
   lp : lp_report option;
-      (** the call's LP report, from {!lp_triangle} and {!milp_exact}
-          when they solved an LP; [None] otherwise *)
+      (** the call's LP report, from {!lp_triangle} when the node
+          reached its LP (solved, or closed by carried multipliers);
+          [None] otherwise *)
 }
 
 val degraded_outcome : outcome
@@ -100,20 +102,21 @@ val instrument :
     analyzer boundary; the engine times its calls itself.  It composes
     (instrumenting twice fires both hooks). *)
 
-val lp_triangle : ?deeppoly_shortcut:bool -> ?warm:bool -> ?certify:bool -> unit -> t
-(** The LP analyzer.  When [deeppoly_shortcut] is true (default), a
-    subproblem already proved by the DeepPoly pass skips the LP solve;
-    the returned [lb] is then DeepPoly's.  Each [run] also performs a
-    zonotope pass so branching heuristics can score ReLUs.
+val lp_triangle : ?warm:bool -> ?certify:bool -> unit -> t
+(** The LP analyzer.  Without [certify], a subproblem already proved by
+    the DeepPoly pass (or the zonotope pass) skips the LP solve; the
+    returned [lb] is then that pass's and [lp] is [None].  Each [run]
+    also performs a zonotope pass so branching heuristics can score
+    ReLUs.
 
     [certify] (default false) makes every LP-decided outcome carry
     {!Ivan_cert.Cert.evidence}: the solver's dual or Farkas multipliers
     together with a frozen copy of the node's LP, ready for exact
-    re-checking.  Certification disables the DeepPoly shortcut (a
-    shortcut verdict has no LP certificate) and snapshots each solved
-    LP, so it costs extra time and memory — perfbench's
-    [fcn-perturb-certified] workload measures it (its [cert.*]
-    metrics).  Verdicts and bounds are unchanged.
+    re-checking.  Certification turns the shortcut off (a shortcut
+    verdict has no LP certificate), so every node reaches its LP, and
+    it snapshots each solved LP, so it costs extra time and memory —
+    perfbench's [fcn-perturb-certified] workload measures it (its
+    [cert.*] metrics).  Verdicts are unchanged.
 
     Node LPs come from a persistent per-(network, property) encoding
     ({!Encoding.Triangle}) specialized in place per subproblem, and when
@@ -198,10 +201,10 @@ val check_concrete :
 (** {2 Exact MILP verification}
 
     The "one-shot" alternative to BaB: a big-M indicator encoding of
-    every ambiguous ReLU solved by {!Ivan_lp.Milp}.  Used as an exact
-    oracle in tests and to reproduce the paper's §7 observation that
-    MILP warm-starting yields insignificant incremental speedup.
-    Supports plain-ReLU networks only. *)
+    every ambiguous ReLU solved by {!Ivan_lp.Milp}, built afresh on each
+    call.  Used to reproduce the paper's §7 observation that MILP
+    warm-starting yields insignificant incremental speedup, and as an
+    exact oracle in tests.  Supports plain-ReLU networks only. *)
 
 type milp_outcome = {
   milp_status : status;
@@ -211,13 +214,11 @@ type milp_outcome = {
           run) *)
   nodes : int;  (** branch-and-bound nodes explored *)
   witness : Ivan_tensor.Vec.t option;  (** minimizing input, if found *)
-  milp_lp : lp_report option;  (** the search's LP report, when it ran *)
 }
 
 val milp_verify :
   ?max_nodes:int ->
   ?incumbent:float ->
-  ?warm:bool ->
   Ivan_nn.Network.t ->
   prop:Ivan_spec.Prop.t ->
   box:Ivan_spec.Box.t ->
@@ -228,14 +229,10 @@ val milp_verify :
     achievable margin, e.g. of the previous network's minimizing input
     evaluated on this network — tightens the cutoff further when
     negative; this is MILP warm starting, and exactly as the paper's §7
-    observes, it cannot help on instances that end up verified.
-    [warm] (default true) warm-starts each MILP node's LP relaxation
-    from its parent's simplex basis; verdict and optimum are unchanged,
-    only the pivot count drops.
+    observes, it cannot help on instances that end up verified.  Each
+    MILP node's LP relaxation warm-starts from its parent's simplex
+    basis.
     @raise Invalid_argument on leaky-ReLU networks. *)
-
-val milp_exact : ?max_nodes:int -> ?warm:bool -> unit -> t
-(** {!milp_verify} wrapped as an analyzer: complete in one call. *)
 
 (** {2 Resilience}
 
@@ -270,12 +267,11 @@ val fatal_exn : exn -> bool
 (** True for conditions the resilience layer must re-raise rather than
     absorb: [Out_of_memory], [Stack_overflow], [Sys.Break]. *)
 
-val with_fallback :
-  ?chain:t list -> ?notify:(fallback_event -> unit) -> policy:policy -> t -> t
+val with_fallback : ?notify:(fallback_event -> unit) -> policy:policy -> t -> t
 (** [with_fallback ~policy primary] is [primary] hardened per the policy.
-    [chain] overrides the degradation ladder (default: {!deeppoly} then
-    {!interval}, minus any analyzer sharing the primary's name; empty
-    when [policy.fallback] is false).  [notify] observes resilience
+    Its degradation ladder is {!deeppoly} then {!interval}, minus any
+    analyzer sharing the primary's name, and empty when
+    [policy.fallback] is false.  [notify] observes resilience
     events — the BaB engine uses it to count retries, fallback bounds
     and absorbed faults.  When the chain is exhausted or the node
     deadline passes, the result is a degraded [Unknown] outcome with

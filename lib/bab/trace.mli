@@ -144,8 +144,7 @@ type aggregate = {
   lp_hit_solves : int;
       (** the warm hits of those events; {!pp_aggregate} sets
           [lp_hit_pivots / lp_hit_solves] beside the pivots per other
-          solve (cold solves, warm misses, and warm hits that share an
-          event with a cold solve, as a MILP search's do) *)
+          solve (cold solves and warm misses) *)
   dual_closures : int;
       (** [Dual_closed] events: nodes closed by carried multipliers
           without a simplex solve *)

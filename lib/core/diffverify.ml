@@ -45,10 +45,11 @@ let conclude runs =
     total_calls = List.fold_left (fun acc r -> acc + r.Bab.stats.Bab.analyzer_calls) 0 runs;
   }
 
-let verify ~analyzer ~heuristic ?(budget = Bab.default_budget) a b ~box ~delta =
+let verify ~analyzer ~heuristic ?(config = Ivan.default_config) a b ~box ~delta =
   let combined = Product.product a b in
   let props = properties ~outputs:(Network.output_dim a) ~box ~delta in
-  conclude (List.map (fun prop -> Bab.verify ~analyzer ~heuristic ~budget ~net:combined ~prop ()) props)
+  conclude
+    (List.map (fun prop -> Ivan.verify_original ~analyzer ~heuristic ~config ~net:combined ~prop) props)
 
 let verify_incremental ~analyzer ~heuristic ?(config = Ivan.default_config) ~previous a b ~box
     ~delta =

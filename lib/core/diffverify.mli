@@ -25,13 +25,16 @@ type proof = {
 val verify :
   analyzer:Ivan_analyzer.Analyzer.t ->
   heuristic:Ivan_bab.Heuristic.t ->
-  ?budget:Ivan_bab.Bab.budget ->
+  ?config:Ivan.config ->
   Ivan_nn.Network.t ->
   Ivan_nn.Network.t ->
   box:Ivan_spec.Box.t ->
   delta:float ->
   proof
-(** From-scratch complete differential verification. *)
+(** From-scratch complete differential verification: each property is
+    one {!Ivan.verify_original} run under [config] (default
+    {!Ivan.default_config}), the engine configuration
+    {!verify_incremental} runs under too. *)
 
 val verify_incremental :
   analyzer:Ivan_analyzer.Analyzer.t ->

@@ -9,11 +9,6 @@ type layer = {
 
 type t = { layers : layer array }
 
-val output_lo : t -> Ivan_tensor.Vec.t
-(** Post-activation lower bounds of the final layer. *)
-
-val output_hi : t -> Ivan_tensor.Vec.t
-
 val pre_itv : t -> Ivan_nn.Relu_id.t -> Itv.t
 (** Pre-activation interval of a ReLU unit. *)
 

@@ -15,7 +15,3 @@ val scale : float -> t -> t
 val add_scaled : t -> float -> t -> t
 (** [add_scaled acc k x] is [acc + k*x]. *)
 
-val relu : t -> t
-
-val meet : t -> t -> t option
-(** Intersection; [None] when empty. *)

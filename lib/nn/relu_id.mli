@@ -12,8 +12,6 @@ val make : layer:int -> index:int -> t
 
 val compare : t -> t -> int
 
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

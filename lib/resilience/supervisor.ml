@@ -19,34 +19,20 @@ let escalation_to_string = function
   | Degraded { analyzer; reason } -> Printf.sprintf "degraded to %s (%s)" analyzer reason
   | Cancelled { reason } -> Printf.sprintf "cancelled (%s)" reason
 
-type outcome = {
-  run : Engine.run;
-  escalations : escalation list;
-  checks : int;
-  peak_major_words : float;
-}
+type outcome = { run : Engine.run; escalations : escalation list }
 
 let major_words () = float_of_int (Gc.quick_stat ()).Gc.heap_words
 
-let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) engine =
+let supervise ~limits ?(on_escalation = fun _ -> ()) engine =
   if limits.check_every <= 0 then invalid_arg "Supervisor.supervise: check_every must be positive";
-  let fallbacks =
-    match fallbacks with
-    | Some l -> l
-    | None -> [ Analyzer.deeppoly (); Analyzer.interval () ]
-  in
-  let ladder = ref fallbacks in
+  let ladder = ref [ Analyzer.deeppoly (); Analyzer.interval () ] in
   let escalations = ref [] in
-  let checks = ref 0 in
-  let peak = ref (major_words ()) in
   let record e =
     escalations := e :: !escalations;
     on_escalation e
   in
   let watchdog () =
-    incr checks;
     let heap = major_words () in
-    peak := max !peak heap;
     if heap <= limits.max_major_words then None
     else begin
       (* Cheapest rung first: compaction, then re-measure. *)
@@ -87,9 +73,4 @@ let supervise ~limits ?fallbacks ?(on_escalation = fun _ -> ()) engine =
         else loop ()
   in
   let run = loop () in
-  {
-    run;
-    escalations = List.rev !escalations;
-    checks = !checks;
-    peak_major_words = !peak;
-  }
+  { run; escalations = List.rev !escalations }

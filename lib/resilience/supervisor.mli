@@ -20,7 +20,6 @@
     outcome, so callers can tell a clean run from a degraded one. *)
 
 module Engine = Ivan_bab.Engine
-module Analyzer = Ivan_analyzer.Analyzer
 
 type limits = {
   max_major_words : float;
@@ -50,20 +49,16 @@ val escalation_to_string : escalation -> string
 type outcome = {
   run : Engine.run;
   escalations : escalation list;  (** oldest first; [[]] = clean run *)
-  checks : int;  (** watchdog checks performed *)
-  peak_major_words : float;  (** largest heap sample observed *)
 }
 
 val supervise :
   limits:limits ->
-  ?fallbacks:Analyzer.t list ->
   ?on_escalation:(escalation -> unit) ->
   Engine.t ->
   outcome
-(** Drive the engine to completion under [limits].  [fallbacks] is the
-    degradation ladder, tried in order (default
-    [[Analyzer.deeppoly (); Analyzer.interval ()]]); each rung is an
-    {!Engine.degrade} of the engine itself, which keeps its heuristic,
-    config, trace sink and journal.  When the engine journals, it keeps
-    appending Step frames to the same run, so a kill at any escalation
-    point still resumes. *)
+(** Drive the engine to completion under [limits].  The degradation
+    ladder is [[Analyzer.deeppoly (); Analyzer.interval ()]], tried in
+    order; each rung is an {!Engine.degrade} of the engine itself, which
+    keeps its heuristic, config, trace sink and journal.  When the
+    engine journals, it keeps appending Step frames to the same run, so
+    a kill at any escalation point still resumes. *)

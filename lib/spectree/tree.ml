@@ -88,10 +88,6 @@ let size t = fold_nodes (fun acc _ -> acc + 1) 0 t.root_node
 
 let num_leaves t = fold_nodes (fun acc n -> if is_leaf n then acc + 1 else acc) 0 t.root_node
 
-let depth t =
-  let rec go n = match n.kids with None -> 0 | Some (l, r) -> 1 + max (go l) (go r) in
-  go t.root_node
-
 let iter_nodes t f = fold_nodes (fun () n -> f n) () t.root_node
 
 let path_decisions n =

@@ -68,9 +68,6 @@ val size : t -> int
 
 val num_leaves : t -> int
 
-val depth : t -> int
-(** Edge-count height; 0 for a single-node tree. *)
-
 val iter_nodes : t -> (node -> unit) -> unit
 (** Pre-order traversal. *)
 

@@ -17,8 +17,6 @@ let init rows cols f =
   done;
   { rows; cols; data }
 
-let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
-
 let rows m = m.rows
 
 let cols m = m.cols
@@ -38,10 +36,6 @@ let to_arrays m = Array.init m.rows (fun i -> Array.init m.cols (fun j -> get m 
 let row m i = Array.sub m.data (i * m.cols) m.cols
 
 let blit_row m i dst = Array.blit m.data (i * m.cols) dst 0 m.cols
-
-let col m j = Array.init m.rows (fun i -> get m i j)
-
-let transpose m = init m.cols m.rows (fun i j -> get m j i)
 
 let check_same name a b =
   if a.rows <> b.rows || a.cols <> b.cols then
@@ -74,20 +68,6 @@ let matvec m x =
   done;
   y
 
-let matvec_t m x =
-  if Array.length x <> m.rows then
-    invalid_arg (Printf.sprintf "Mat.matvec_t: %dx%d with vector of dim %d" m.rows m.cols (Array.length x));
-  let y = Array.make m.cols 0.0 in
-  for i = 0 to m.rows - 1 do
-    let base = i * m.cols in
-    let xi = x.(i) in
-    if xi <> 0.0 then
-      for j = 0 to m.cols - 1 do
-        y.(j) <- y.(j) +. (m.data.(base + j) *. xi)
-      done
-  done;
-  y
-
 let abs_matvec_t m x =
   if Array.length x <> m.rows then
     invalid_arg
@@ -103,21 +83,6 @@ let abs_matvec_t m x =
       done
   done;
   y
-
-let matmul a b =
-  if a.cols <> b.rows then
-    invalid_arg (Printf.sprintf "Mat.matmul: %dx%d times %dx%d" a.rows a.cols b.rows b.cols);
-  let c = zeros a.rows b.cols in
-  for i = 0 to a.rows - 1 do
-    for k = 0 to a.cols - 1 do
-      let aik = get a i k in
-      if aik <> 0.0 then
-        for j = 0 to b.cols - 1 do
-          set c i j (get c i j +. (aik *. get b k j))
-        done
-    done
-  done;
-  c
 
 let frobenius_norm m =
   let acc = ref 0.0 in

@@ -4,8 +4,6 @@ type t
 
 val zeros : int -> int -> t
 
-val identity : int -> t
-
 val init : int -> int -> (int -> int -> float) -> t
 (** [init rows cols f] has entry [f i j] at row [i], column [j]. *)
 
@@ -29,10 +27,6 @@ val blit_row : t -> int -> float array -> unit
 (** [blit_row m i dst] copies row [i] into [dst.(0 .. cols m - 1)]
     without allocating.  @raise Invalid_argument if [dst] is shorter. *)
 
-val col : t -> int -> Vec.t
-
-val transpose : t -> t
-
 val add : t -> t -> t
 
 val sub : t -> t -> t
@@ -44,14 +38,10 @@ val map : (float -> float) -> t -> t
 val matvec : t -> Vec.t -> Vec.t
 (** [matvec m x] is [m · x].  @raise Invalid_argument on mismatch. *)
 
-val matvec_t : t -> Vec.t -> Vec.t
-(** [matvec_t m x] is [mᵀ · x] without materializing the transpose. *)
-
 val abs_matvec_t : t -> Vec.t -> Vec.t
-(** [abs_matvec_t m x] is [|m|ᵀ · x], with the same products in the same
-    order as [matvec_t (map Float.abs m) x], without building [|m|]. *)
-
-val matmul : t -> t -> t
+(** [abs_matvec_t m x] is [|m|ᵀ · x] without building [|m|] or the
+    transpose: each entry sums [|m_ij| · x_i] in row order, skipping
+    rows with [x_i = 0]. *)
 
 val frobenius_norm : t -> float
 

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 core: advance by the golden gamma, then mix. *)
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
@@ -13,10 +11,6 @@ let bits64 t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
-
-let split t =
-  let seed = bits64 t in
-  { state = seed }
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

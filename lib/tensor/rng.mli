@@ -12,14 +12,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Two generators created with
     the same seed produce identical streams. *)
 
-val copy : t -> t
-(** [copy t] is an independent generator whose future stream equals the
-    future stream of [t] at the time of the call. *)
-
-val split : t -> t
-(** [split t] derives a new generator from [t], advancing [t].  Streams of
-    the parent and child are independent for practical purposes. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -24,14 +24,6 @@ let sub a b =
   check_dims "sub" a b;
   Array.init (Array.length a) (fun i -> a.(i) -. b.(i))
 
-let scale s a = Array.map (fun x -> s *. x) a
-
-let axpy a x y =
-  check_dims "axpy" x y;
-  for i = 0 to Array.length x - 1 do
-    y.(i) <- (a *. x.(i)) +. y.(i)
-  done
-
 let dot a b =
   check_dims "dot" a b;
   let acc = ref 0.0 in
@@ -47,10 +39,6 @@ let norm_inf a = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 
 let max_elt a =
   if Array.length a = 0 then invalid_arg "Vec.max_elt: empty vector";
   Array.fold_left Float.max a.(0) a
-
-let min_elt a =
-  if Array.length a = 0 then invalid_arg "Vec.min_elt: empty vector";
-  Array.fold_left Float.min a.(0) a
 
 let argmax a =
   if Array.length a = 0 then invalid_arg "Vec.argmax: empty vector";

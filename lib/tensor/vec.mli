@@ -24,11 +24,6 @@ val add : t -> t -> t
 
 val sub : t -> t -> t
 
-val scale : float -> t -> t
-
-val axpy : float -> t -> t -> unit
-(** [axpy a x y] sets [y <- a*x + y] in place. *)
-
 val dot : t -> t -> float
 
 val norm2 : t -> float
@@ -38,8 +33,6 @@ val norm_inf : t -> float
 
 val max_elt : t -> float
 (** @raise Invalid_argument on the empty vector. *)
-
-val min_elt : t -> float
 
 val argmax : t -> int
 (** Index of the first maximal element. *)

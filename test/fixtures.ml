@@ -44,6 +44,14 @@ let random_net ~seed ~dims =
   let rng = Rng.create seed in
   Builder.dense_net ~rng ~dims
 
+(* The LP analyzer that solves the LP on every node.  Without [certify],
+   [lp_triangle] answers a node the DeepPoly or zonotope pass already
+   proves with that pass's bound and runs no LP; [certify] turns that
+   shortcut off, because a shortcut verdict has no LP certificate.  Tests
+   that need the LP's own bound, report or multipliers on such nodes
+   build their analyzer here. *)
+let lp_every_node ?warm () = Ivan_analyzer.Analyzer.lp_triangle ?warm ~certify:true ()
+
 (* Subjects of the golden kernel tests: seeded dense nets and one
    untrained conv net with conv-cifar-deep's shape (3x8x8 input, convs
    3 / 4 stride 2 / 6 / 6 stride 2, dense 24 / 10), each with a

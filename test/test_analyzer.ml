@@ -73,7 +73,7 @@ let test_lp_tighter_than_interval () =
     let net = Fixtures.random_net ~seed ~dims:[ 3; 6; 4; 2 ] in
     let input = Box.make ~lo:(Vec.zeros 3) ~hi:(Vec.create 3 1.0) in
     let prop = Prop.make ~name:"t" ~input ~c:(Vec.of_list [ 1.0; -1.0 ]) ~offset:0.0 in
-    let lp = run_analyzer (Analyzer.lp_triangle ~deeppoly_shortcut:false ()) net prop in
+    let lp = run_analyzer (Fixtures.lp_every_node ()) net prop in
     let itv = run_analyzer (Analyzer.interval ()) net prop in
     Alcotest.(check bool) "lp lb >= interval lb" true (lp.Analyzer.lb >= itv.Analyzer.lb -. 1e-6)
   done
@@ -85,7 +85,7 @@ let test_fully_split_exact () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 0.0 in
   let relus = Network.relu_ids net in
-  let lp = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let lp = Fixtures.lp_every_node () in
   (* Enumerate all 2^4 phase patterns. *)
   let count = Array.length relus in
   let best = ref infinity in
@@ -146,11 +146,28 @@ let test_lp_shortcut_consistent () =
      verified instances. *)
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop () in
-  let a1 = run_analyzer (Analyzer.lp_triangle ~deeppoly_shortcut:true ()) net prop in
-  let a2 = run_analyzer (Analyzer.lp_triangle ~deeppoly_shortcut:false ()) net prop in
+  let a1 = run_analyzer (Analyzer.lp_triangle ()) net prop in
+  let a2 = run_analyzer (Fixtures.lp_every_node ()) net prop in
   match (a1.Analyzer.status, a2.Analyzer.status) with
   | Analyzer.Verified, Analyzer.Verified -> ()
   | _, _ -> Alcotest.fail "shortcut changed the verdict"
+
+(* [lp_triangle] skips the LP on a node DeepPoly proves exactly when
+   [certify] is off: the paper property is such a node, so it gets an
+   LP report only under [certify]. *)
+let test_lp_runs_exactly_under_certify () =
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop () in
+  let deeppoly = run_analyzer (Analyzer.deeppoly ()) net prop in
+  Alcotest.(check bool) "DeepPoly proves the node" true (deeppoly.Analyzer.status = Analyzer.Verified);
+  let lp certify =
+    Analyzer.Warm.clear ();
+    let o = run_analyzer (Analyzer.lp_triangle ~certify ()) net prop in
+    Alcotest.(check bool) "verified" true (o.Analyzer.status = Analyzer.Verified);
+    o.Analyzer.lp
+  in
+  Alcotest.(check bool) "no LP without certify" true (lp false = None);
+  Alcotest.(check bool) "the LP under certify" true (Option.is_some (lp true))
 
 let prop_analyzer_never_unsound =
   QCheck.Test.make ~name:"analyzer verdicts sound on random instances" ~count:15
@@ -196,22 +213,23 @@ let test_milp_exact_paper_net () =
      exact (positive) margin. *)
   Alcotest.(check (float 1e-6)) "cutoff lb" 0.0 o2.Analyzer.milp_lb
 
-(* MILP agrees with BaB (which is complete) on random instances. *)
+(* MILP and BaB (both complete) decide small random instances, and
+   decide them alike. *)
 let test_milp_matches_bab () =
-  let milp = Analyzer.milp_exact () in
   for seed = 61 to 66 do
     let net = Fixtures.random_net ~seed ~dims:[ 2; 4; 3; 1 ] in
     let input = Box.make ~lo:(Vec.zeros 2) ~hi:(Vec.create 2 1.0) in
     let prop = Prop.make ~name:"m" ~input ~c:(Vec.of_list [ 1.0 ]) ~offset:0.3 in
-    let milp_out = milp.Analyzer.run net ~prop ~box:input ~splits:Splits.empty in
+    let milp = Analyzer.milp_verify net ~prop ~box:input ~splits:Splits.empty in
     let bab =
       Ivan_bab.Bab.verify ~analyzer:(Analyzer.lp_triangle ())
         ~heuristic:Ivan_bab.Heuristic.zono_coeff ~net ~prop ()
     in
-    match (milp_out.Analyzer.status, bab.Ivan_bab.Bab.verdict) with
+    match (milp.Analyzer.milp_status, bab.Ivan_bab.Bab.verdict) with
     | Analyzer.Verified, Ivan_bab.Bab.Proved -> ()
     | Analyzer.Counterexample _, Ivan_bab.Bab.Disproved _ -> ()
-    | Analyzer.Unknown, _ | _, Ivan_bab.Bab.Exhausted -> ()
+    | Analyzer.Unknown, _ -> Alcotest.failf "seed %d: MILP did not decide" seed
+    | _, Ivan_bab.Bab.Exhausted -> Alcotest.failf "seed %d: BaB did not decide" seed
     | _, _ -> Alcotest.failf "seed %d: MILP and BaB verdicts disagree" seed
   done
 
@@ -325,7 +343,7 @@ let test_crash_wiring () =
     | Some found -> found
     | None -> Alcotest.fail "no node whose crash corner violates its split"
   in
-  let a = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let a = Fixtures.lp_every_node () in
   let run () =
     let o = a.Analyzer.run net ~prop ~box ~splits in
     match o.Analyzer.lp with
@@ -381,8 +399,8 @@ let same_outcome label ((o : Analyzer.outcome), info) ((o' : Analyzer.outcome), 
    on, the DeepPoly run in it changes nothing beside the basis. *)
 let test_deeppoly_hint_changes_nothing () =
   let net, prop = split_subject () in
-  let cold = Analyzer.lp_triangle ~deeppoly_shortcut:false ~warm:false () in
-  let warm = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let cold = Fixtures.lp_every_node ~warm:false () in
+  let warm = Fixtures.lp_every_node () in
   let resumed = ref 0 in
   let rec walk depth splits (info : Analyzer.lp_report) =
     let o, _ = run_node cold net prop None splits in
@@ -422,7 +440,7 @@ let test_deeppoly_hint_changes_nothing () =
    warm-started the child. *)
 let test_retry_runs_cold () =
   let net, prop = split_subject () in
-  let inner = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let inner = Fixtures.lp_every_node () in
   let root, root_info = run_node inner net prop None Splits.empty in
   let info = match root_info with Some i -> i | None -> Alcotest.fail "no LP report at the root" in
   let r =
@@ -555,8 +573,6 @@ let proof_of ((o : Analyzer.outcome), (r : Analyzer.lp_report)) =
   if o.Analyzer.status <> Analyzer.Verified then Alcotest.fail "the LP did not verify the node";
   match r.Analyzer.proof with Some m -> m | None -> Alcotest.fail "no multipliers on a verified node"
 
-let no_shortcut () = Analyzer.lp_triangle ~deeppoly_shortcut:false ()
-
 (* The paper net (N) and a 2% perturbation of it (N^a).  At offset 1.9
    the property's margin on N is 0.4, and both triangle LPs prove it at
    the root. *)
@@ -569,7 +585,7 @@ let transfer_pair () =
 let test_transfer_closes_seed_leaf () =
   let net, updated = transfer_pair () in
   let prop = Fixtures.paper_prop_with_offset 1.9 in
-  let a = no_shortcut () in
+  let a = Fixtures.lp_every_node () in
   let m = proof_of (call a net prop Splits.empty) in
   Alcotest.(check bool) "a dual vector" false m.Tree.farkas;
   let o, r = call ~own:m a updated prop Splits.empty in
@@ -584,7 +600,7 @@ let test_transfer_closes_seed_leaf () =
     true
     (0.0 <= o.Analyzer.lb && o.Analyzer.lb <= o'.Analyzer.lb);
   (* Like a parent's basis, they are a cache that only [warm] reads. *)
-  let cold_analyzer = Analyzer.lp_triangle ~deeppoly_shortcut:false ~warm:false () in
+  let cold_analyzer = Fixtures.lp_every_node ~warm:false () in
   let _, cold = call ~own:m cold_analyzer updated prop Splits.empty in
   Alcotest.(check bool) "not closed under ~warm:false" false cold.Analyzer.closed;
   Alcotest.(check int) "solved cold" 1 cold.Analyzer.cold_solves;
@@ -613,7 +629,7 @@ let test_transfer_farkas () =
     |> Splits.add (Relu_id.make ~layer:0 ~index:0) Splits.Neg
     |> Splits.add (Relu_id.make ~layer:0 ~index:1) Splits.Pos
   in
-  let a = no_shortcut () in
+  let a = Fixtures.lp_every_node () in
   let m = proof_of (call a (empty_leaf_net (-0.5)) prop splits) in
   Alcotest.(check bool) "a Farkas witness" true m.Tree.farkas;
   let o, r = call ~own:m a (empty_leaf_net (-0.4)) prop splits in
@@ -634,7 +650,7 @@ let test_transfer_farkas () =
    neither they nor the intact ones yield [Verified]. *)
 let test_transfer_adversarial () =
   let net, updated = transfer_pair () in
-  let a = no_shortcut () in
+  let a = Fixtures.lp_every_node () in
   let m = proof_of (call a net (Fixtures.paper_prop_with_offset 1.9) Splits.empty) in
   let nan_at i y = Array.mapi (fun k v -> if k = i then nan else v) y in
   let corrupted =
@@ -683,6 +699,7 @@ let suite =
     ("vacuous verified", `Quick, test_vacuous_verified);
     ("check concrete", `Quick, test_check_concrete);
     ("lp shortcut consistent", `Quick, test_lp_shortcut_consistent);
+    ("lp runs exactly under certify", `Quick, test_lp_runs_exactly_under_certify);
     q prop_analyzer_never_unsound;
     ("milp exact on paper net", `Quick, test_milp_exact_paper_net);
     ("milp matches bab", `Quick, test_milp_matches_bab);

@@ -150,7 +150,7 @@ let test_fully_split_exact () =
   let box = unit_box 2 in
   let prop = Prop.make ~name:"leaky" ~input:box ~c:(Vec.of_list [ 1.0 ]) ~offset:0.0 in
   let relus = Network.relu_ids net in
-  let lp = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let lp = Fixtures.lp_every_node () in
   let count = Array.length relus in
   let best = ref infinity in
   for mask = 0 to (1 lsl count) - 1 do

@@ -478,7 +478,7 @@ let test_two_faults_race_fallback_chain () =
 let test_rejected_lp_outcome_reports_nothing () =
   let net = Fixtures.random_net ~seed:3 ~dims:[ 2; 8; 8; 1 ] in
   let prop = Fixtures.paper_prop_with_offset 0.5 in
-  let analyzer = Analyzer.lp_triangle ~deeppoly_shortcut:false () in
+  let analyzer = Fixtures.lp_every_node () in
   let policy = { Analyzer.max_retries = 0; node_timeout = infinity; fallback = true } in
   let verify ?(trace = Trace.null) a =
     Bab.verify ~analyzer:a ~heuristic:Heuristic.zono_coeff ~policy ~trace ~net ~prop ()
@@ -693,9 +693,11 @@ let test_diffverify_reuses_exhausted_trees () =
   let net = Fixtures.paper_net () in
   let updated = Quant.network Quant.Int16 net in
   let box = Box.make ~lo:(Vec.of_list [ 0.0; 0.0 ]) ~hi:(Vec.of_list [ 1.0; 1.0 ]) in
-  let tight = { Bab.max_analyzer_calls = 1; max_seconds = infinity } in
+  let config =
+    { Ivan.default_config with budget = { Bab.max_analyzer_calls = 1; max_seconds = infinity } }
+  in
   let partial =
-    Diffverify.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~budget:tight net updated ~box
+    Diffverify.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~config net updated ~box
       ~delta:0.5
   in
   List.iter
@@ -708,6 +710,36 @@ let test_diffverify_reuses_exhausted_trees () =
   in
   Alcotest.(check bool) "incremental pass completes from partial trees" true
     (complete.Diffverify.verdict = Diffverify.Equivalent)
+
+(* The from-scratch differential run uses the engine configuration of
+   the incremental one, hardened by its resilience policy: an analyzer
+   that raises on its first call is retried. *)
+let test_diffverify_retries_like_incremental () =
+  let net = Fixtures.paper_net () in
+  let updated = Quant.network Quant.Int16 net in
+  let box = Box.make ~lo:(Vec.of_list [ 0.0; 0.0 ]) ~hi:(Vec.of_list [ 1.0; 1.0 ]) in
+  let failed = ref false in
+  let flaky =
+    {
+      lp with
+      Analyzer.run =
+        (fun net ~prop ~box ~splits ->
+          if !failed then lp.Analyzer.run net ~prop ~box ~splits
+          else begin
+            failed := true;
+            failwith "injected"
+          end);
+    }
+  in
+  let proof =
+    Diffverify.verify ~analyzer:flaky ~heuristic:Heuristic.zono_coeff net updated ~box ~delta:0.5
+  in
+  let retries =
+    List.fold_left (fun acc (r : Bab.run) -> acc + r.Bab.stats.Bab.retries) 0 proof.Diffverify.runs
+  in
+  Alcotest.(check bool) "the first call failed" true !failed;
+  Alcotest.(check bool) "the failed call was retried" true (retries >= 1);
+  Alcotest.(check bool) "equivalent" true (proof.Diffverify.verdict = Diffverify.Equivalent)
 
 let suite =
   [
@@ -738,4 +770,5 @@ let suite =
     ("checkpoint rejects garbage", `Quick, test_checkpoint_rejects_garbage);
     ("cancelled tree reusable", `Quick, test_cancelled_tree_reusable);
     ("diffverify reuses exhausted trees", `Quick, test_diffverify_reuses_exhausted_trees);
+    ("diffverify retries like incremental", `Quick, test_diffverify_retries_like_incremental);
   ]

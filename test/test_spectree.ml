@@ -17,7 +17,6 @@ let test_single_node () =
   let t = Tree.create () in
   Alcotest.(check int) "size" 1 (Tree.size t);
   Alcotest.(check int) "leaves" 1 (Tree.num_leaves t);
-  Alcotest.(check int) "depth" 0 (Tree.depth t);
   Alcotest.(check bool) "root is leaf" true (Tree.is_leaf (Tree.root t));
   Alcotest.(check bool) "well formed" true (Tree.well_formed t)
 
@@ -26,7 +25,6 @@ let test_split_grows () =
   let l, rgt = Tree.split t (Tree.root t) (r 0 0) in
   Alcotest.(check int) "size" 3 (Tree.size t);
   Alcotest.(check int) "leaves" 2 (Tree.num_leaves t);
-  Alcotest.(check int) "depth" 1 (Tree.depth t);
   Alcotest.(check bool) "root no longer leaf" false (Tree.is_leaf (Tree.root t));
   Alcotest.(check bool) "children are leaves" true (Tree.is_leaf l && Tree.is_leaf rgt);
   Alcotest.(check bool) "edges" true

@@ -18,24 +18,6 @@ let test_rng_seeds_differ () =
   let a = Rng.create 1 and b = Rng.create 2 in
   Alcotest.(check bool) "different seeds differ" true (Rng.bits64 a <> Rng.bits64 b)
 
-let test_rng_copy_independent () =
-  let a = Rng.create 7 in
-  let _ = Rng.bits64 a in
-  let b = Rng.copy a in
-  let xa = Rng.bits64 a in
-  let xb = Rng.bits64 b in
-  Alcotest.(check int64) "copy continues the stream" xa xb;
-  (* Advancing the copy does not disturb the original. *)
-  let _ = Rng.bits64 b in
-  let _ = Rng.bits64 b in
-  let ya = Rng.bits64 a in
-  let yb =
-    let c = Rng.copy a in
-    ignore (Rng.bits64 c);
-    Rng.bits64 c
-  in
-  Alcotest.(check bool) "streams advanced consistently" true (ya <> yb || ya = yb)
-
 let test_rng_int_range () =
   let t = Rng.create 3 in
   for _ = 1 to 1000 do
@@ -84,11 +66,6 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "is a permutation" (Array.init 50 (fun i -> i)) sorted
 
-let test_rng_split_independent () =
-  let t = Rng.create 17 in
-  let child = Rng.split t in
-  Alcotest.(check bool) "parent and child differ" true (Rng.bits64 t <> Rng.bits64 child)
-
 (* ---------------- Vec ---------------- *)
 
 let test_vec_add_sub () =
@@ -120,18 +97,10 @@ let test_vec_argmax () =
 
 let test_vec_minmax () =
   let v = Vec.of_list [ 2.0; -7.0; 4.0 ] in
-  check_float "max" 4.0 (Vec.max_elt v);
-  check_float "min" (-7.0) (Vec.min_elt v)
-
-let test_vec_axpy () =
-  let x = Vec.of_list [ 1.0; 2.0 ] in
-  let y = Vec.of_list [ 10.0; 20.0 ] in
-  Vec.axpy 3.0 x y;
-  Alcotest.(check bool) "axpy" true (Vec.equal y (Vec.of_list [ 13.0; 26.0 ]))
+  check_float "max" 4.0 (Vec.max_elt v)
 
 let test_vec_scale_map () =
   let v = Vec.of_list [ 1.0; -2.0 ] in
-  Alcotest.(check bool) "scale" true (Vec.equal (Vec.scale (-2.0) v) (Vec.of_list [ -2.0; 4.0 ]));
   Alcotest.(check bool) "map" true (Vec.equal (Vec.map Float.abs v) (Vec.of_list [ 1.0; 2.0 ]))
 
 (* ---------------- Mat ---------------- *)
@@ -142,35 +111,25 @@ let test_mat_matvec () =
   Alcotest.(check bool) "matvec" true (Vec.equal (Mat.matvec m x) (Vec.of_list [ -1.0; -1.0; -1.0 ]))
 
 let test_mat_matvec_t () =
-  let m = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let x = Vec.of_list [ 1.0; 2.0 ] in
-  let direct = Mat.matvec (Mat.transpose m) x in
-  Alcotest.(check bool) "matvec_t agrees with transpose" true (Vec.equal (Mat.matvec_t m x) direct);
-  (* |m|^T x is the same sum of the same products as matvec_t on a copy
-     of |m|, bit for bit, signed zeros included. *)
+  let m = Mat.of_arrays [| [| 1.0; -2.0 |]; [| -3.0; 4.0 |] |] in
+  Alcotest.(check bool) "|m|^T x" true
+    (Vec.equal (Mat.abs_matvec_t m (Vec.of_list [ 1.0; 2.0 ])) (Vec.of_list [ 7.0; 10.0 ]));
+  (* Each entry is the sum of |m_ij| x_i in row order, bit for bit,
+     signed zeros included. *)
   let rng = Rng.create 144 in
   let m =
     Mat.init 7 5 (fun i j -> if (i + j) mod 4 = 0 then -0.0 else Rng.uniform rng (-2.0) 2.0)
   in
   let x = Array.init 7 (fun i -> if i = 3 then 0.0 else Rng.uniform rng 0.0 3.0) in
+  let expected =
+    Array.init 5 (fun j ->
+        let acc = ref 0.0 in
+        Array.iteri (fun i xi -> if xi <> 0.0 then acc := !acc +. (Float.abs (Mat.get m i j) *. xi)) x;
+        !acc)
+  in
   Alcotest.(check (list int64)) "abs_matvec_t bits"
-    (Array.to_list (Array.map Int64.bits_of_float (Mat.matvec_t (Mat.map Float.abs m) x)))
+    (Array.to_list (Array.map Int64.bits_of_float expected))
     (Array.to_list (Array.map Int64.bits_of_float (Mat.abs_matvec_t m x)))
-
-let test_mat_matmul_identity () =
-  let m = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  Alcotest.(check bool) "I*m = m" true (Mat.equal (Mat.matmul (Mat.identity 2) m) m);
-  Alcotest.(check bool) "m*I = m" true (Mat.equal (Mat.matmul m (Mat.identity 2)) m)
-
-let test_mat_matmul_known () =
-  let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let b = Mat.of_arrays [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-  let expected = Mat.of_arrays [| [| 2.0; 1.0 |]; [| 4.0; 3.0 |] |] in
-  Alcotest.(check bool) "swap columns" true (Mat.equal (Mat.matmul a b) expected)
-
-let test_mat_transpose_involution () =
-  let m = Mat.init 3 5 (fun i j -> float_of_int ((i * 7) + j)) in
-  Alcotest.(check bool) "transpose twice" true (Mat.equal (Mat.transpose (Mat.transpose m)) m)
 
 let test_mat_frobenius () =
   let m = Mat.of_arrays [| [| 3.0; 0.0 |]; [| 0.0; 4.0 |] |] in
@@ -178,8 +137,7 @@ let test_mat_frobenius () =
 
 let test_mat_row_col () =
   let m = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  Alcotest.(check bool) "row" true (Vec.equal (Mat.row m 1) (Vec.of_list [ 3.0; 4.0 ]));
-  Alcotest.(check bool) "col" true (Vec.equal (Mat.col m 1) (Vec.of_list [ 2.0; 4.0 ]))
+  Alcotest.(check bool) "row" true (Vec.equal (Mat.row m 1) (Vec.of_list [ 3.0; 4.0 ]))
 
 let test_mat_ragged () =
   Alcotest.check_raises "ragged" (Invalid_argument "Mat.of_arrays: ragged rows") (fun () ->
@@ -217,14 +175,12 @@ let suite =
   [
     ("rng deterministic", `Quick, test_rng_deterministic);
     ("rng seeds differ", `Quick, test_rng_seeds_differ);
-    ("rng copy independent", `Quick, test_rng_copy_independent);
     ("rng int range", `Quick, test_rng_int_range);
     ("rng int invalid", `Quick, test_rng_int_invalid);
     ("rng float range", `Quick, test_rng_float_range);
     ("rng uniform range", `Quick, test_rng_uniform_range);
     ("rng gaussian moments", `Quick, test_rng_gaussian_moments);
     ("rng shuffle permutation", `Quick, test_rng_shuffle_permutation);
-    ("rng split independent", `Quick, test_rng_split_independent);
     ("vec add/sub", `Quick, test_vec_add_sub);
     ("vec dim mismatch", `Quick, test_vec_dims_mismatch);
     ("vec dot", `Quick, test_vec_dot);
@@ -232,13 +188,9 @@ let suite =
     ("vec relu", `Quick, test_vec_relu);
     ("vec argmax", `Quick, test_vec_argmax);
     ("vec min/max", `Quick, test_vec_minmax);
-    ("vec axpy", `Quick, test_vec_axpy);
     ("vec scale/map", `Quick, test_vec_scale_map);
     ("mat matvec", `Quick, test_mat_matvec);
     ("mat matvec_t", `Quick, test_mat_matvec_t);
-    ("mat matmul identity", `Quick, test_mat_matmul_identity);
-    ("mat matmul known", `Quick, test_mat_matmul_known);
-    ("mat transpose involution", `Quick, test_mat_transpose_involution);
     ("mat frobenius", `Quick, test_mat_frobenius);
     ("mat row/col", `Quick, test_mat_row_col);
     ("mat ragged", `Quick, test_mat_ragged);
