@@ -10,6 +10,7 @@
      diff         differential verification of a quantized variant
      check        verify a VNN-LIB property against a serialized network
      cert-check   re-validate a proof artifact in exact arithmetic
+     stats        print the statistics of every run in a journal
      experiment   regenerate one of the paper's tables/figures *)
 
 module Vec = Ivan_tensor.Vec
@@ -119,9 +120,13 @@ let strategy_arg =
         Frontier.Fifo
     & info [ "strategy" ] ~docv:"STRATEGY" ~doc)
 
-let trace_out_arg =
-  let doc = "Write a JSONL engine trace (one event per line) to FILE." in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+let journal_arg =
+  let doc =
+    "Write-ahead journal every run to FILE: each run appends a checkpoint of its starting state, \
+     then one flushed frame per engine step.  $(b,ivan stats) FILE prints each run's statistics; \
+     a killed check run resumes with --resume-journal, losing only the step in flight."
+  in
+  Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
 
 (* Resilience policy: how analyzer failures are retried and degraded
    (Analyzer.with_fallback).  Shared by every verifying subcommand. *)
@@ -138,8 +143,8 @@ let policy_term =
     Arg.(value & opt (some float) None & info [ "node-timeout" ] ~docv:"SECONDS" ~doc)
   in
   let fallback_arg =
-    let doc = "Degrade through cheaper analyzers (DeepPoly, then intervals) when the primary \
-               keeps failing, instead of giving the node up immediately." in
+    let doc = "Degrade through cheaper analyzers (DeepPoly, zonotopes, then intervals) when the \
+               primary keeps failing, instead of giving the node up immediately." in
     Arg.(value & opt (enum [ ("on", true); ("off", false) ]) true
          & info [ "fallback" ] ~docv:"on|off" ~doc)
   in
@@ -155,18 +160,6 @@ let policy_term =
     }
   in
   Term.(const make $ max_retries_arg $ node_timeout_arg $ fallback_arg)
-
-(* Runs the body with a trace sink for [path] (null when absent); after
-   the body returns, reads the file back and prints the aggregate so the
-   trace demonstrably round-trips. *)
-let with_trace path body =
-  match path with
-  | None -> body Trace.null
-  | Some path ->
-      Trace.with_jsonl_file path body;
-      let events = Trace.read_jsonl path in
-      Format.printf "trace: %d events written to %s@." (List.length events) path;
-      Format.printf "%a@." Trace.pp_aggregate (Trace.aggregate events)
 
 let verdict_string = function
   | Bab.Proved -> "verified"
@@ -232,7 +225,7 @@ let train_cmd =
 (* ---------------- verify ---------------- *)
 
 let verify_cmd =
-  let run spec cache count budget_calls strategy policy trace_out =
+  let run spec cache count budget_calls strategy policy journal_out =
     let net = Zoo.load_or_train ?cache_dir:cache spec in
     let { Runner.analyzer; heuristic; config } =
       setting_for spec budget_calls policy { Ivan.default_config with strategy }
@@ -242,25 +235,27 @@ let verify_cmd =
       spec.Zoo.name
       (Frontier.strategy_name strategy);
     let proved = ref 0 and disproved = ref 0 and unknown = ref 0 in
-    with_trace trace_out (fun trace ->
-        List.iter
-          (fun (inst : Workload.instance) ->
-            let run, seconds =
-              Clock.timed (fun () ->
-                  Engine.run
-                    (Engine.create ~analyzer ~heuristic ~config:(Ivan.engine_config config) ~trace
-                       ~net ~prop:inst.Workload.prop ()))
-            in
-            (match run.Bab.verdict with
-            | Bab.Proved -> incr proved
-            | Bab.Disproved _ -> incr disproved
-            | Bab.Exhausted -> incr unknown);
-            Format.printf "%-28s %-18s calls=%4d tree=%4d %.2fs@."
-              inst.Workload.prop.Ivan_spec.Prop.name
-              (verdict_string run.Bab.verdict) run.Bab.stats.Bab.analyzer_calls
-              run.Bab.stats.Bab.tree_size seconds;
-            Format.printf "  %a@." Trace.pp_aggregate run.Bab.stats)
-          instances);
+    (* One writer: each instance's run appends under its own Header. *)
+    let journal = Option.map open_journal journal_out in
+    List.iter
+      (fun (inst : Workload.instance) ->
+        let run, seconds =
+          Clock.timed (fun () ->
+              Engine.run
+                (Engine.create ~analyzer ~heuristic ~config:(Ivan.engine_config config) ?journal
+                   ~net ~prop:inst.Workload.prop ()))
+        in
+        (match run.Bab.verdict with
+        | Bab.Proved -> incr proved
+        | Bab.Disproved _ -> incr disproved
+        | Bab.Exhausted -> incr unknown);
+        Format.printf "%-28s %-18s calls=%4d tree=%4d %.2fs@."
+          inst.Workload.prop.Ivan_spec.Prop.name
+          (verdict_string run.Bab.verdict) run.Bab.stats.Bab.analyzer_calls
+          run.Bab.stats.Bab.tree_size seconds;
+        Format.printf "  %a@." Trace.pp_aggregate run.Bab.stats)
+      instances;
+    Option.iter Journal.close journal;
     Format.printf "summary: %d verified, %d counterexamples, %d unknown@." !proved !disproved
       !unknown
   in
@@ -268,7 +263,7 @@ let verify_cmd =
     (Cmd.info "verify" ~doc:"Verify properties of a zoo model from scratch.")
     Term.(
       const run $ model_arg $ cache_arg $ instances_arg 10 $ budget_arg $ strategy_arg
-      $ policy_term $ trace_out_arg)
+      $ policy_term $ journal_arg)
 
 (* ---------------- incremental ---------------- *)
 
@@ -464,8 +459,8 @@ let diff_cmd =
 (* ---------------- check: network file + VNN-LIB property ---------------- *)
 
 let check_cmd =
-  let run net_path prop_path budget_calls input_split strategy policy certify_out trace_out
-      journal_out resume_journal mem_limit_mb =
+  let run net_path prop_path budget_calls input_split strategy policy certify_out journal_out
+      resume_journal mem_limit_mb =
     let certify = certify_out <> None in
     if certify && input_split then
       or_die_2 (Error "--certify requires ReLU splitting (input-split proofs are not certifiable)");
@@ -483,84 +478,81 @@ let check_cmd =
       if input_split then (Analyzer.zonotope (), Ivan_bab.Heuristic.input_smear)
       else (Analyzer.lp_triangle ~certify (), Ivan_bab.Heuristic.zono_coeff)
     in
-    with_trace trace_out (fun trace ->
-        (* An interrupted run restarts from its write-ahead journal with
-           --resume-journal, surviving kills at arbitrary points.  The CLI
-           budget (and the strategy recorded in the journal) governs the
-           continued run.  Read the old journal in full before (possibly)
-           opening the same path as the new sink — opening truncates. *)
-        let resume_data =
-          Option.map
-            (fun jpath ->
-              Format.printf "resuming from journal %s@." jpath;
-              read_journal jpath)
-            resume_journal
-        in
-        let journal = Option.map open_journal journal_out in
-        let engine =
-          match resume_data with
-          | Some data ->
-              let engine, info =
-                or_die_2
-                  (Engine.resume ~analyzer ~heuristic ~config ~trace ?journal ~net ~prop data)
+    (* An interrupted run restarts from its write-ahead journal with
+       --resume-journal, surviving kills at arbitrary points.  The CLI
+       budget (and the strategy recorded in the journal) governs the
+       continued run.  Read the old journal in full before (possibly)
+       opening the same path as the new sink — opening truncates. *)
+    let resume_data =
+      Option.map
+        (fun jpath ->
+          Format.printf "resuming from journal %s@." jpath;
+          read_journal jpath)
+        resume_journal
+    in
+    let journal = Option.map open_journal journal_out in
+    let engine =
+      match resume_data with
+      | Some data ->
+          let engine, info =
+            or_die_2 (Engine.resume ~analyzer ~heuristic ~config ?journal ~net ~prop data)
+          in
+          Format.printf
+            "journal recovered: %d steps replayed (%d analyzer calls), %d bytes valid, %d \
+             torn bytes dropped@."
+            info.Engine.replayed_steps info.Engine.replayed_calls info.Engine.valid_bytes
+            info.Engine.dropped_bytes;
+          engine
+      | None -> Engine.create ~analyzer ~heuristic ~config ?journal ~net ~prop ()
+    in
+    let result, seconds =
+      Clock.timed (fun () ->
+          match mem_limit_mb with
+          | Some mb ->
+              (* Supervised run: the watchdog enforces the memory
+                 watermark, degrading down the analyzer ladder before
+                 ever giving up. *)
+              let limits =
+                {
+                  Supervisor.default_limits with
+                  Supervisor.max_major_words = Supervisor.mb_words (float_of_int mb);
+                }
               in
+              (Supervisor.supervise ~limits
+                 ~on_escalation:(fun e ->
+                   Format.printf "supervisor: %s@." (Supervisor.escalation_to_string e))
+                 engine)
+                .Supervisor.run
+          | None -> Engine.run engine)
+    in
+    Option.iter Journal.close journal;
+    (match result.Engine.verdict with
+    | Engine.Proved -> Format.printf "holds@."
+    | Engine.Disproved x ->
+        Format.printf "violated@.counterexample:";
+        Array.iter (fun v -> Format.printf " %.17g" v) x;
+        Format.printf "@."
+    | Engine.Exhausted -> Format.printf "unknown@.");
+    Format.printf "(%d analyzer calls, %d splits, %.2fs)@."
+      result.Engine.stats.Bab.analyzer_calls result.Engine.stats.Bab.branchings seconds;
+    Format.printf "%a@." Trace.pp_aggregate result.Engine.stats;
+    match certify_out with
+    | None -> ()
+    | Some path -> (
+        match result.Engine.artifact with
+        | None ->
+            Format.printf
+              "no proof artifact: the run was exhausted (nothing proved or disproved)@."
+        | Some artifact ->
+            Cert.Artifact.to_file path artifact;
+            Format.printf
+              "proof artifact written to %s (%d certificates emitted, %d unavailable)@." path
+              result.Engine.stats.Bab.certs_emitted
+              result.Engine.stats.Bab.certs_unavailable;
+            if result.Engine.stats.Bab.certs_unavailable > 0 then
               Format.printf
-                "journal recovered: %d steps replayed (%d analyzer calls), %d bytes valid, %d \
-                 torn bytes dropped@."
-                info.Engine.replayed_steps info.Engine.replayed_calls info.Engine.valid_bytes
-                info.Engine.dropped_bytes;
-              engine
-          | None ->
-              Engine.create ~analyzer ~heuristic ~config ~trace ?journal ~net ~prop ()
-        in
-        let result, seconds =
-          Clock.timed (fun () ->
-              match mem_limit_mb with
-              | Some mb ->
-                  (* Supervised run: the watchdog enforces the memory
-                     watermark, degrading through the fallback chain
-                     before ever giving up. *)
-                  let limits =
-                    {
-                      Supervisor.default_limits with
-                      Supervisor.max_major_words = Supervisor.mb_words (float_of_int mb);
-                    }
-                  in
-                  (Supervisor.supervise ~limits
-                     ~on_escalation:(fun e ->
-                       Format.printf "supervisor: %s@." (Supervisor.escalation_to_string e))
-                     engine)
-                    .Supervisor.run
-              | None -> Engine.run engine)
-        in
-        Option.iter Journal.close journal;
-        (match result.Engine.verdict with
-        | Engine.Proved -> Format.printf "holds@."
-        | Engine.Disproved x ->
-            Format.printf "violated@.counterexample:";
-            Array.iter (fun v -> Format.printf " %.17g" v) x;
-            Format.printf "@."
-        | Engine.Exhausted -> Format.printf "unknown@.");
-        Format.printf "(%d analyzer calls, %d splits, %.2fs)@."
-          result.Engine.stats.Bab.analyzer_calls result.Engine.stats.Bab.branchings seconds;
-        Format.printf "%a@." Trace.pp_aggregate result.Engine.stats;
-        match certify_out with
-        | None -> ()
-        | Some path -> (
-            match result.Engine.artifact with
-            | None ->
-                Format.printf
-                  "no proof artifact: the run was exhausted (nothing proved or disproved)@."
-            | Some artifact ->
-                Cert.Artifact.to_file path artifact;
-                Format.printf
-                  "proof artifact written to %s (%d certificates emitted, %d unavailable)@." path
-                  result.Engine.stats.Bab.certs_emitted
-                  result.Engine.stats.Bab.certs_unavailable;
-                if result.Engine.stats.Bab.certs_unavailable > 0 then
-                  Format.printf
-                    "warning: %d leaves lack certificates; cert-check will reject the artifact@."
-                    result.Engine.stats.Bab.certs_unavailable))
+                "warning: %d leaves lack certificates; cert-check will reject the artifact@."
+                result.Engine.stats.Bab.certs_unavailable)
   in
   let net_arg =
     Arg.(
@@ -583,15 +575,6 @@ let check_cmd =
           ~doc:
             "Collect an exact-arithmetic proof certificate for every verified leaf and write the \
              self-contained proof artifact to FILE; re-validate it later with cert-check.")
-  in
-  let journal_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Write-ahead journal the run to FILE (a checkpoint of the starting state, then \
-                one flushed frame per engine step), so a kill at any point can be resumed with \
-                --resume-journal losing only the step in flight.")
   in
   let resume_journal_arg =
     Arg.(
@@ -616,8 +599,7 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Verify a VNN-LIB property against a serialized network.")
     Term.(
       const run $ net_arg $ prop_arg $ budget_arg $ input_split_arg $ strategy_arg $ policy_term
-      $ certify_out_arg $ trace_out_arg $ journal_arg $ resume_journal_arg
-      $ mem_limit_arg)
+      $ certify_out_arg $ journal_arg $ resume_journal_arg $ mem_limit_arg)
 
 (* ---------------- cert-check: independent proof validation ---------------- *)
 
@@ -650,6 +632,32 @@ let cert_check_cmd =
           LP bound is re-derived in exact rational arithmetic, counterexamples are re-evaluated \
           exactly, and the specification tree's structure is checked.  Exits non-zero on any \
           defect.")
+    Term.(const run $ path_arg)
+
+(* ---------------- stats: a journal's runs ---------------- *)
+
+let stats_cmd =
+  let run path =
+    let runs =
+      or_die_2
+        (Result.map_error (fun msg -> path ^ ": " ^ msg) (Engine.journal_runs (read_journal path)))
+    in
+    if runs = [] then or_die_2 (Error (path ^ ": the journal holds no run"));
+    List.iter
+      (fun events -> Format.printf "%a@." Trace.pp_aggregate (Trace.aggregate events))
+      runs
+  in
+  let path_arg =
+    Arg.(
+      required
+      & pos 0 (some string) None
+      & info [] ~docv:"JOURNAL" ~doc:"Journal written by --journal or prove -o.")
+  in
+  Cmd.v
+    (Cmd.info "stats"
+       ~doc:
+         "Print the statistics of every run in a journal, oldest first, one line per run: each \
+          line is the fold of the run's journaled events, the same line the run printed.")
     Term.(const run $ path_arg)
 
 (* ---------------- experiment ---------------- *)
@@ -718,6 +726,7 @@ let () =
         diff_cmd;
         check_cmd;
         cert_check_cmd;
+        stats_cmd;
         experiment_cmd;
       ] in
   exit (Cmd.eval group)

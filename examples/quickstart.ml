@@ -61,12 +61,17 @@ let () =
   Format.printf "property: %a@." Prop.pp prop;
 
   (* Step 1: verify N from scratch with the LP analyzer and the
-     zonotope-coefficient branching heuristic.  A ring-buffer trace sink
-     keeps the last engine events so we can show what the verifier did. *)
+     zonotope-coefficient branching heuristic.  A hook trace sink keeps
+     the last engine events so we can show what the verifier did. *)
   let analyzer = Analyzer.lp_triangle () in
-  let ring = Trace.ring ~capacity:8 in
+  let last = Queue.create () in
+  let trace =
+    Trace.hook (fun e ->
+        Queue.add e last;
+        if Queue.length last > 8 then ignore (Queue.pop last))
+  in
   let original =
-    Bab.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~trace:ring ~net:network ~prop ()
+    Bab.verify ~analyzer ~heuristic:Heuristic.zono_coeff ~trace ~net:network ~prop ()
   in
   describe "original network" original;
   Format.printf "engine stats: analyzer %.1f%% of %.4fs, frontier peak %d, max depth %d@."
@@ -77,9 +82,7 @@ let () =
     original.Bab.stats.Bab.elapsed_seconds original.Bab.stats.Bab.max_frontier
     original.Bab.stats.Bab.max_depth;
   Format.printf "last engine events:@.";
-  List.iter
-    (fun e -> Format.printf "  %s@." (Trace.event_to_json e))
-    (Trace.ring_contents ring);
+  Queue.iter (fun e -> Format.printf "  %s@." (Trace.event_to_json e)) last;
 
   (* The frontier is pluggable: the same problem under each exploration
      order.  All three prove the property; the traversal differs. *)

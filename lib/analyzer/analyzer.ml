@@ -157,7 +157,7 @@ let zonotope () = { name = "zonotope"; run = zonotope_run }
 
 (* ------------------------------------------------------------------ *)
 (* DeepPoly-only analyzer: back-substituted bounds without the LP pass.
-   Middle rung of the degradation ladder — cheaper and numerically far
+   Top rung of the degradation ladder — cheaper and numerically far
    simpler than {!lp_triangle}, tighter than {!interval}. *)
 
 let deeppoly_run net ~prop ~box ~splits =
@@ -450,6 +450,17 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent net ~prop ~box ~splits =
 (* ------------------------------------------------------------------ *)
 (* Resilience: retry-then-degrade fallback chains *)
 
+(* The degradation ladder, costliest rung first: what a failing or
+   memory-starved analyzer steps down to.  An analyzer not on it
+   (lp_triangle, or any other) is costlier than every rung. *)
+let ladder a =
+  let rungs = [ deeppoly (); zonotope (); interval () ] in
+  let rec below = function
+    | [] -> rungs
+    | r :: rest -> if r.name = a.name then rest else below rest
+  in
+  below rungs
+
 type policy = { max_retries : int; node_timeout : float; fallback : bool }
 
 let default_policy = { max_retries = 1; node_timeout = infinity; fallback = true }
@@ -478,10 +489,7 @@ let trustworthy net ~prop o =
 let with_fallback ?(notify = fun (_ : fallback_event) -> ()) ~policy primary =
   if policy.max_retries < 0 then invalid_arg "Analyzer.with_fallback: negative max_retries";
   if policy.node_timeout <= 0.0 then invalid_arg "Analyzer.with_fallback: non-positive node_timeout";
-  let chain =
-    if policy.fallback then List.filter (fun a -> a.name <> primary.name) [ deeppoly (); interval () ]
-    else []
-  in
+  let chain = if policy.fallback then ladder primary else [] in
   let run net ~prop ~box ~splits =
     (* Monotonic deadline: a wall-clock step (NTP) must not extend or
        shrink a node budget. *)

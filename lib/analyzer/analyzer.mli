@@ -13,8 +13,8 @@
       Ehlers 2017], with GUROBI replaced by {!Ivan_lp.Lp}.
     - {!zonotope}: DeepZ affine forms — the bounding engine of the
       RefineZono-style input-splitting baseline (paper §6.4).
-    - {!deeppoly}: DeepPoly bounds without the LP — the middle rung of
-      the {!with_fallback} degradation ladder.
+    - {!deeppoly}: DeepPoly bounds without the LP — the top rung of
+      the degradation {!ladder}.
     - {!interval}: plain box propagation, mainly for tests.
 
     {!milp_verify} is no analyzer: the exact big-M MILP decides a
@@ -186,11 +186,17 @@ end
 val zonotope : unit -> t
 
 val deeppoly : unit -> t
-(** DeepPoly back-substituted bounds without the LP pass — the middle
-    rung of the degradation ladder used by {!with_fallback}: cheaper and
+(** DeepPoly back-substituted bounds without the LP pass: cheaper and
     numerically simpler than {!lp_triangle}, tighter than {!interval}. *)
 
 val interval : unit -> t
+
+val ladder : t -> t list
+(** The degradation rungs strictly cheaper than an analyzer, costliest
+    first, out of {!deeppoly}, {!zonotope} and {!interval} (one root call
+    on ACAS 6x50: 1.6, 0.8 and 0.15 ms; {!lp_triangle}: 70–140 ms).  An
+    analyzer is placed by its name; one named like no rung gets all
+    three.  {!with_fallback} and the memory supervisor step down it. *)
 
 val check_concrete :
   Ivan_nn.Network.t -> prop:Ivan_spec.Prop.t -> Ivan_tensor.Vec.t -> bool
@@ -269,8 +275,7 @@ val fatal_exn : exn -> bool
 
 val with_fallback : ?notify:(fallback_event -> unit) -> policy:policy -> t -> t
 (** [with_fallback ~policy primary] is [primary] hardened per the policy.
-    Its degradation ladder is {!deeppoly} then {!interval}, minus any
-    analyzer sharing the primary's name, and empty when
+    Its fallback chain is [ladder primary], and empty when
     [policy.fallback] is false.  [notify] observes resilience
     events — the BaB engine uses it to count retries, fallback bounds
     and absorbed faults.  When the chain is exhausted or the node

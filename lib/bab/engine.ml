@@ -140,6 +140,8 @@ let harden t analyzer =
 
 let tree t = t.tree
 
+let analyzer t = t.analyzer
+
 let calls t = t.counters.Trace.analyzer_calls
 
 let finished t = t.finished
@@ -367,11 +369,11 @@ let step_once t =
    every run opens with a Header frame carrying the config fingerprint
    and one Checkpoint frame holding what the run starts from; each
    completed engine step then appends exactly one Step frame holding the
-   step's trace events as JSONL (atomic: a step is journaled whole or
-   not at all); the terminal step's events end in the [Verdict] event.
-   Frames are flushed as they are appended, so after a kill the journal
-   is a valid prefix plus at most one torn frame, which {!Journal.scan}
-   drops.
+   step's trace events as [Trace.event_to_json] lines (atomic: a step is
+   journaled whole or not at all); the terminal step's events end in the
+   [Verdict] event.  Frames are flushed as they are appended, so after a
+   kill the journal is a valid prefix plus at most one torn frame, which
+   {!Journal.scan} drops.
 
    A Checkpoint payload is text: the lines [strategy:], [max_calls:] and
    [max_seconds:], then a [tree:] line and the initial specification
@@ -459,6 +461,28 @@ let attach t w ~start ~steps =
   Journal.append w Journal.Header (fingerprint ~net:t.net ~prop:t.prop);
   Journal.append w Journal.Checkpoint start;
   List.iter (Journal.append w Journal.Step) steps
+
+(* The events of a Step payload, one [Trace.event_to_json] line each as
+   [flush_step] writes them: the one decoder of journaled events, shared
+   by [journal_runs] and [resume].  @raise Failure on a malformed line. *)
+let step_events payload =
+  List.filter_map
+    (fun line -> if String.trim line = "" then None else Some (Trace.event_of_json line))
+    (String.split_on_char '\n' payload)
+
+let journal_runs data =
+  match
+    List.fold_left
+      (fun runs (r : Journal.record) ->
+        match (r.kind, runs) with
+        | Journal.Header, _ -> [] :: runs
+        | Journal.Checkpoint, _ -> runs
+        | Journal.Step, run :: older -> List.rev_append (step_events r.payload) run :: older
+        | Journal.Step, [] -> failwith "a Step frame before any run header")
+      [] (Journal.scan data).Journal.records
+  with
+  | runs -> Ok (List.rev_map List.rev runs)
+  | exception (Failure msg | Invalid_argument msg) -> Error ("Engine.journal_runs: " ^ msg)
 
 let flush_step t =
   let events = t.jbuf in
@@ -680,11 +704,7 @@ let resume ~analyzer ~heuristic ?config ?(trace = Trace.null) ?journal ~net ~pro
               (fun (r : Journal.record) ->
                 match r.kind with
                 | Journal.Step ->
-                    replay_events t ~nodes ~budget_overridden ~ended
-                      (List.filter_map
-                         (fun line ->
-                           if String.trim line = "" then None else Some (Trace.event_of_json line))
-                         (String.split_on_char '\n' r.payload))
+                    replay_events t ~nodes ~budget_overridden ~ended (step_events r.payload)
                 | Journal.Header | Journal.Checkpoint ->
                     fail "%s frame after the run's Checkpoint" (Journal.kind_name r.kind))
               steps;

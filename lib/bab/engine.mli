@@ -119,9 +119,9 @@ val create :
     frame with the run's config fingerprint and a Checkpoint frame of
     what the run starts from (strategy, budget, initial tree) are appended
     immediately, then each completed step appends exactly one Step
-    frame (the step's trace events as JSONL — atomic, so a kill never
-    journals half a step; the terminal step's ends in the
-    {!Trace.Verdict}, counterexample included).  A killed run resumes
+    frame (the step's trace events as {!Trace.event_to_json} lines —
+    atomic, so a kill never journals half a step; the terminal step's
+    ends in the {!Trace.Verdict}, counterexample included).  A killed run resumes
     from its journal via {!resume}, re-analyzing no node whose Step
     frame landed.  Events produced while a journal is attached still
     reach [trace] unchanged.
@@ -158,6 +158,11 @@ val cancel : t -> run
 
 val tree : t -> Ivan_spectree.Tree.t
 (** Live view of the specification tree being grown. *)
+
+val analyzer : t -> Ivan_analyzer.Analyzer.t
+(** The analyzer the engine runs now (the one it was created with or
+    the last {!degrade} gave it), hardened by [config.policy] under its
+    own name, which {!Ivan_analyzer.Analyzer.ladder} reads. *)
 
 val calls : t -> int
 (** Analyzer calls completed so far ([Trace.Analyzed] events counted). *)
@@ -241,6 +246,14 @@ val resume :
     sink alone resumes the whole run.  To continue into the file the
     bytes came from, read it fully before opening it as the new sink —
     {!Ivan_resilience.Journal.open_file} truncates. *)
+
+val journal_runs : string -> (Trace.event list list, string) result
+(** Every run in raw journal bytes, oldest first, as its events in
+    emission order: {!Ivan_resilience.Journal.scan} drops a torn tail, a
+    Header frame opens a run and each Step frame adds its events, decoded
+    as {!resume} decodes them.  A run's events fold ({!Trace.aggregate})
+    to its [stats], a resumed run's journal copy included.  A Step frame
+    before any Header, or one that does not decode, is an [Error]. *)
 
 val degrade : t -> Ivan_analyzer.Analyzer.t -> unit
 (** Continue the run on another analyzer, hardened by [config.policy]

@@ -32,27 +32,15 @@ type event =
 
 (* ---------------- sinks ---------------- *)
 
-type ring = { capacity : int; items : event Queue.t }
-
-type sink =
-  | Null
-  | Ring of ring
-  | Channel of out_channel
-  | Hook of (event -> unit)
+type sink = Null | Hook of (event -> unit)
 
 let null = Null
 
-let ring ~capacity =
-  if capacity <= 0 then invalid_arg "Trace.ring: capacity must be positive";
-  Ring { capacity; items = Queue.create () }
-
-let ring_contents = function
-  | Ring r -> List.of_seq (Queue.to_seq r.items)
-  | Null | Channel _ | Hook _ -> []
-
 let hook f = Hook f
 
-(* ---------------- JSONL serialization ---------------- *)
+let emit sink ev = match sink with Null -> () | Hook f -> f ev
+
+(* ---------------- serialization ---------------- *)
 
 (* Floats print with enough digits to round-trip binary64 exactly; the
    three non-finite values, which JSON cannot represent as numbers, are
@@ -247,35 +235,6 @@ let event_of_json line =
           counterexample = floats "counterexample";
         }
   | ev -> failwith (Printf.sprintf "Trace.event_of_json: unknown event %S" ev)
-
-let emit sink ev =
-  match sink with
-  | Null -> ()
-  | Ring r ->
-      Queue.add ev r.items;
-      if Queue.length r.items > r.capacity then ignore (Queue.pop r.items)
-  | Channel oc ->
-      output_string oc (event_to_json ev);
-      output_char oc '\n'
-  | Hook f -> f ev
-
-let with_jsonl_file path f =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f (Channel oc))
-
-let read_jsonl path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let events = ref [] in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then events := event_of_json line :: !events
-         done
-       with End_of_file -> ());
-      List.rev !events)
 
 (* ---------------- aggregation ---------------- *)
 

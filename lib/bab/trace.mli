@@ -1,13 +1,12 @@
 (** Structured event stream of a verification run.
 
     The {!Engine} (and the tree pruner) emit one {!event} per observable
-    step of branch and bound; a {!sink} decides where events go — thrown
-    away ([null]), kept in a bounded in-memory buffer ([ring]), handed
-    to a callback ([hook]), or written as JSON Lines to a file
-    ({!with_jsonl_file}).  A recorded JSONL trace {!read_jsonl}s back into
-    the same events, and {!aggregate} folds any event list into the
-    run's summary statistics — so a trace file is a complete,
-    machine-readable account of where the verifier spent its effort. *)
+    step of branch and bound.  A {!sink} hands them to a callback
+    ([hook]) or throws them away ([null]).  The run's one persistent
+    record is its write-ahead journal, whose Step frames hold the
+    events as {!event_to_json} lines; {!Engine.journal_runs} reads them
+    back, and {!aggregate} folds any event list into the run's summary
+    statistics. *)
 
 type event =
   | Dequeued of { node : int; depth : int; frontier : int }
@@ -73,20 +72,10 @@ type sink
 val null : sink
 (** Discards everything (the default; tracing costs nothing). *)
 
-val ring : capacity:int -> sink
-(** Keeps the most recent [capacity] events in memory.
-    @raise Invalid_argument if [capacity <= 0]. *)
-
-val ring_contents : sink -> event list
-(** Buffered events, oldest first; [[]] for non-ring sinks. *)
-
 val hook : (event -> unit) -> sink
+(** Calls the function on every event, in emission order. *)
 
 val emit : sink -> event -> unit
-
-val with_jsonl_file : string -> (sink -> 'a) -> 'a
-(** [with_jsonl_file path f] opens [path], runs [f] with a JSONL sink
-    writing to it, and closes the file (also on exceptions). *)
 
 val event_to_json : event -> string
 (** One-line JSON object; floats round-trip exactly (non-finite values
@@ -97,9 +86,6 @@ val event_to_json : event -> string
 
 val event_of_json : string -> event
 (** Inverse of {!event_to_json}.  @raise Failure on malformed input. *)
-
-val read_jsonl : string -> event list
-(** Parse a file of {!event_to_json} lines (blank lines are skipped). *)
 
 type aggregate = {
   events : int;

@@ -14,12 +14,6 @@ type advisory = Clear_of_conflict | Weak_left | Strong_left | Weak_right | Stron
 
 val advisory_index : advisory -> int
 
-val num_advisories : int
-
-val input_dim : int
-(** 5: distance, bearing, relative heading, own speed, intruder speed,
-    each normalized to [0, 1]. *)
-
 val oracle : Ivan_tensor.Vec.t -> advisory
 (** The ground-truth advisory for a normalized encounter state.
     @raise Invalid_argument on wrong dimension. *)

@@ -66,8 +66,6 @@ let table1 = [ acas; fcn_mnist; conv_mnist; conv_cifar; conv_cifar_wide; conv_ci
 
 let classifiers = [ fcn_mnist; conv_mnist; conv_cifar; conv_cifar_wide; conv_cifar_deep ]
 
-let find name = List.find (fun s -> s.name = name) table1
-
 let stage out_channels = { Builder.out_channels; kernel = 3; stride = 2; padding = 1 }
 
 let architecture spec rng =

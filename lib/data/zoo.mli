@@ -35,9 +35,6 @@ val table1 : spec list
 val classifiers : spec list
 (** The five image classifiers (everything except ACAS). *)
 
-val find : string -> spec
-(** Look up a spec by name.  @raise Not_found. *)
-
 val untrained : spec -> Ivan_nn.Network.t
 (** The model's architecture with fresh (untrained) weights — cheap, for
     inspecting shapes and parameter counts. *)

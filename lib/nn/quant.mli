@@ -8,8 +8,6 @@
 
 type scheme = Int8 | Int16 | Bits of int
 
-val bits_of_scheme : scheme -> int
-
 val scheme_name : scheme -> string
 
 val quantize_value : scale:float -> float -> float

@@ -25,7 +25,6 @@ let major_words () = float_of_int (Gc.quick_stat ()).Gc.heap_words
 
 let supervise ~limits ?(on_escalation = fun _ -> ()) engine =
   if limits.check_every <= 0 then invalid_arg "Supervisor.supervise: check_every must be positive";
-  let ladder = ref [ Analyzer.deeppoly (); Analyzer.interval () ] in
   let escalations = ref [] in
   let record e =
     escalations := e :: !escalations;
@@ -49,9 +48,8 @@ let supervise ~limits ?(on_escalation = fun _ -> ()) engine =
       end
       else
         let reason = Printf.sprintf "heap %.0f words over %.0f" after limits.max_major_words in
-        match !ladder with
-        | a :: rest ->
-            ladder := rest;
+        match Analyzer.ladder (Engine.analyzer engine) with
+        | a :: _ ->
             Engine.degrade engine a;
             record (Degraded { analyzer = a.Analyzer.name; reason });
             None

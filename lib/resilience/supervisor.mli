@@ -9,7 +9,7 @@
     + every breach first tries [Gc.compact] (the cheap fix: most of the
       engine's garbage is short-lived analyzer state);
     + then the engine continues in place on the next, cheaper analyzer
-      from the fallback ladder ({!Engine.degrade}), with its tree,
+      of {!Ivan_analyzer.Analyzer.ladder} ({!Engine.degrade}), with its tree,
       frontier, trace sink, journal and config unchanged, which both
       shrinks the working set and speeds up the remaining nodes;
     + and with the ladder exhausted, the run ends via [Engine.cancel]: a clean [Exhausted] verdict with the
@@ -56,9 +56,10 @@ val supervise :
   ?on_escalation:(escalation -> unit) ->
   Engine.t ->
   outcome
-(** Drive the engine to completion under [limits].  The degradation
-    ladder is [[Analyzer.deeppoly (); Analyzer.interval ()]], tried in
-    order; each rung is an {!Engine.degrade} of the engine itself, which
-    keeps its heuristic, config, trace sink and journal.  When the
-    engine journals, it keeps appending Step frames to the same run, so
-    a kill at any escalation point still resumes. *)
+(** Drive the engine to completion under [limits].  Each degradation
+    steps to the first rung of [Analyzer.ladder] below the analyzer the
+    engine runs ({!Engine.analyzer}), so an engine already on [interval]
+    is cancelled without one.  Each rung is an {!Engine.degrade} of the
+    engine itself, which keeps its heuristic, config, trace sink and
+    journal.  When the engine journals, it keeps appending Step frames
+    to the same run, so a kill at any escalation point still resumes. *)

@@ -52,6 +52,12 @@ let random_net ~seed ~dims =
    build their analyzer here. *)
 let lp_every_node ?warm () = Ivan_analyzer.Analyzer.lp_triangle ?warm ~certify:true ()
 
+(* A trace sink that keeps every event, and the events it has kept so
+   far, oldest first. *)
+let collect_events () =
+  let events = ref [] in
+  (Ivan_bab.Trace.hook (fun e -> events := e :: !events), fun () -> List.rev !events)
+
 (* Subjects of the golden kernel tests: seeded dense nets and one
    untrained conv net with conv-cifar-deep's shape (3x8x8 input, convs
    3 / 4 stride 2 / 6 / 6 stride 2, dense 24 / 10), each with a

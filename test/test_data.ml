@@ -126,12 +126,6 @@ let test_acas_properties_shape () =
 
 (* ---------------- Zoo ---------------- *)
 
-let test_zoo_find () =
-  Alcotest.(check string) "found" "conv-cifar" (Zoo.find "conv-cifar").Zoo.name;
-  match Zoo.find "nonexistent" with
-  | exception Not_found -> ()
-  | _ -> Alcotest.fail "expected Not_found"
-
 let test_zoo_untrained_shapes () =
   List.iter
     (fun spec ->
@@ -197,7 +191,6 @@ let suite =
     ("acas architecture", `Quick, test_acas_architecture);
     ("acas regions in unit box", `Quick, test_acas_regions_within_unit_box);
     ("acas properties shape", `Quick, test_acas_properties_shape);
-    ("zoo find", `Quick, test_zoo_find);
     ("zoo untrained shapes", `Quick, test_zoo_untrained_shapes);
     ("zoo datasets disjoint", `Quick, test_zoo_datasets_disjoint);
     ("zoo train deterministic", `Quick, test_zoo_train_deterministic_and_accurate);

@@ -1,7 +1,7 @@
 (* Tests for the pluggable verification engine: a golden regression
    against the original (pre-Engine) BaB loop, frontier ordering,
-   explicit stepping/cancellation, trace JSONL round-tripping, and the
-   stuck-heuristic accounting. *)
+   explicit stepping/cancellation, trace event round-tripping through
+   the journal, and the stuck-heuristic accounting. *)
 
 module Vec = Ivan_tensor.Vec
 module Box = Ivan_spec.Box
@@ -318,15 +318,15 @@ let test_stuck_heuristic_accounted () =
   let no_decisions = { Heuristic.name = "none"; scores = (fun _ -> []) } in
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
-  let ring = Trace.ring ~capacity:16 in
+  let trace, events = Fixtures.collect_events () in
   let run =
-    Bab.verify ~analyzer:stuck_analyzer ~heuristic:no_decisions ~trace:ring ~net ~prop ()
+    Bab.verify ~analyzer:stuck_analyzer ~heuristic:no_decisions ~trace ~net ~prop ()
   in
   Alcotest.(check bool) "verdict stays Exhausted" true (run.Bab.verdict = Bab.Exhausted);
   Alcotest.(check int) "one analyzer call" 1 run.Bab.stats.Bab.analyzer_calls;
   Alcotest.(check int) "heuristic failure counted" 1 run.Bab.stats.Bab.heuristic_failures;
   let stuck_events =
-    List.filter (function Trace.Stuck _ -> true | _ -> false) (Trace.ring_contents ring)
+    List.filter (function Trace.Stuck _ -> true | _ -> false) (events ())
   in
   Alcotest.(check int) "Stuck event emitted" 1 (List.length stuck_events)
 
@@ -347,16 +347,16 @@ let test_raising_call_timed () =
     }
   in
   let no_decisions = { Heuristic.name = "none"; scores = (fun _ -> []) } in
-  let ring = Trace.ring ~capacity:16 in
+  let trace, events = Fixtures.collect_events () in
   let run =
-    Bab.verify ~analyzer:spin_then_raise ~heuristic:no_decisions ~trace:ring
+    Bab.verify ~analyzer:spin_then_raise ~heuristic:no_decisions ~trace
       ~net:(Fixtures.paper_net ()) ~prop:(Fixtures.paper_prop_with_offset 1.6) ()
   in
   Alcotest.(check int) "the fault was absorbed" 1 run.Bab.stats.Bab.faults_absorbed;
   let seconds =
     List.filter_map
       (function Trace.Analyzed { seconds; _ } -> Some seconds | _ -> None)
-      (Trace.ring_contents ring)
+      (events ())
   in
   match seconds with
   | [ s ] ->
@@ -492,39 +492,26 @@ let test_aggregate_hit_pivots () =
   let line = Format.asprintf "%a" Trace.pp_aggregate a in
   Alcotest.(check bool) line true (contains line "8.0 per warm hit, 13.0 per other solve")
 
-let test_jsonl_file_roundtrip_and_aggregate () =
+(* The journal is the run's record: read back through the engine's one
+   reader, a journaled run is one run whose events are exactly the ones
+   the trace sink saw and fold to the run's statistics, floats
+   included. *)
+let test_journal_roundtrip_and_aggregate () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
-  let path = Filename.temp_file "ivan_trace" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let run =
-        Trace.with_jsonl_file path (fun trace ->
-            Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~trace ~net ~prop ())
-      in
-      let events = Trace.read_jsonl path in
-      let agg = Trace.aggregate events in
-      (* The replayed trace is the run's statistics, floats included. *)
-      Alcotest.check stats "stats are the trace's fold" agg run.Bab.stats;
+  let buf = Buffer.create 4096 in
+  let journal = Ivan_resilience.Journal.to_buffer buf in
+  let trace, events = Fixtures.collect_events () in
+  let run = Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~trace ~journal ~net ~prop () in
+  match Engine.journal_runs (Buffer.contents buf) with
+  | Error msg -> Alcotest.fail msg
+  | Ok [ journaled ] ->
+      let agg = Trace.aggregate journaled in
+      Alcotest.check stats "stats are the journal's fold" run.Bab.stats agg;
+      Alcotest.(check bool) "the journal holds the traced events" true (journaled = events ());
       Alcotest.(check int) "no pruning in a plain run" 0 agg.Trace.pruned;
-      Alcotest.(check bool) "verdict recorded" true (agg.Trace.verdict = Some "proved");
-      (* Each line parses back to the event that produced it. *)
-      Alcotest.(check int) "event count stable" agg.Trace.events (List.length events);
-      List.iter
-        (fun e ->
-          Alcotest.(check bool) "re-encoding stable" true
-            (Trace.event_to_json (Trace.event_of_json (Trace.event_to_json e))
-            = Trace.event_to_json e))
-        events)
-
-let test_ring_capacity () =
-  let ring = Trace.ring ~capacity:3 in
-  List.iter (fun i -> Trace.emit ring (Trace.Pruned { node = i })) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check bool) "keeps the most recent"
-    true
-    (Trace.ring_contents ring
-    = [ Trace.Pruned { node = 3 }; Trace.Pruned { node = 4 }; Trace.Pruned { node = 5 } ])
+      Alcotest.(check (option string)) "verdict recorded" (Some "proved") agg.Trace.verdict
+  | Ok runs -> Alcotest.failf "%d runs in a one-run journal" (List.length runs)
 
 let test_hook () =
   let seen = ref [] in
@@ -539,13 +526,13 @@ let test_hook () =
 let test_best_first_trace_consistent () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
-  let ring = Trace.ring ~capacity:10_000 in
+  let trace, events = Fixtures.collect_events () in
   let run =
     Bab.verify ~analyzer:lp ~heuristic:Heuristic.zono_coeff ~strategy:Frontier.Best_first
-      ~trace:ring ~net ~prop ()
+      ~trace ~net ~prop ()
   in
   Alcotest.(check bool) "proved" true (run.Bab.verdict = Bab.Proved);
-  Alcotest.check stats "stats are the trace's fold" (Trace.aggregate (Trace.ring_contents ring))
+  Alcotest.check stats "stats are the trace's fold" (Trace.aggregate (events ()))
     run.Bab.stats;
   let module Ivan = Ivan_core.Ivan in
   let updated = Ivan_nn.Quant.network Ivan_nn.Quant.Int8 net in
@@ -581,8 +568,7 @@ let suite =
     ("stuck heuristic accounted", `Quick, test_stuck_heuristic_accounted);
     ("a raising call is timed", `Quick, test_raising_call_timed);
     ("event json roundtrip", `Quick, test_event_json_roundtrip);
-    ("jsonl file roundtrip + aggregate", `Quick, test_jsonl_file_roundtrip_and_aggregate);
-    ("ring capacity", `Quick, test_ring_capacity);
+    ("journal roundtrip + aggregate", `Quick, test_journal_roundtrip_and_aggregate);
     ("hook sink", `Quick, test_hook);
     ("best-first trace consistent", `Quick, test_best_first_trace_consistent);
   ]

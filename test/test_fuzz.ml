@@ -1,6 +1,7 @@
 (* Fuzz properties: every textual parser in the trust path must reject
    arbitrary and mutated input with its documented typed error —
-   [Failure] for the parsers, [Error] for [Engine.resume] — and never
+   [Failure] for the parsers, [Error] for [Engine.resume] and
+   [Engine.journal_runs] — and never
    let [Invalid_argument], [Not_found], out-of-bounds or an allocation
    blow-up escape. *)
 
@@ -180,6 +181,20 @@ let checkpoint_fuzz () =
 let journal_fuzz () =
   fuzz ~name:"Engine.resume journal bytes" ~count:150 (Lazy.force journal_doc) resume
 
+(* [journal_runs] is total too: mutants of a journaled Step payload,
+   re-framed behind a valid Header and Checkpoint, read as Ok or Error
+   and never raise. *)
+let journal_runs_fuzz () =
+  let records = (Journal.scan (Lazy.force journal_doc)).Journal.records in
+  let step = List.find (fun (r : Journal.record) -> r.kind = Journal.Step) records in
+  let run = Journal.encode_frame Journal.Header "fp" ^ Journal.encode_frame Journal.Checkpoint "" in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"Engine.journal_runs step payload" ~count:300
+       (arbitrary_doc step.Journal.payload)
+       (fun payload ->
+         match Engine.journal_runs (run ^ Journal.encode_frame Journal.Step payload) with
+         | Ok _ | Error _ -> true))
+
 let scan_total =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"Journal.scan accounts for every byte" ~count:500
@@ -195,5 +210,6 @@ let suite =
     artifact_fuzz ();
     checkpoint_fuzz ();
     journal_fuzz ();
+    journal_runs_fuzz ();
     scan_total;
   ]

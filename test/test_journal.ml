@@ -175,10 +175,15 @@ let journaled_run ?(offset = 1.7) ?(analyzer = Analyzer.zonotope ()) () =
   Journal.close journal;
   (net, prop, run, Buffer.contents buf)
 
-(* The events of a Step frame. *)
-let step_events (r : Journal.record) =
-  List.map Trace.event_of_json
-    (List.filter (fun l -> l <> "") (String.split_on_char '\n' r.payload))
+(* The runs in journal bytes, read by the engine's reader. *)
+let journal_runs bytes =
+  match Engine.journal_runs bytes with Ok runs -> runs | Error msg -> Alcotest.fail msg
+
+(* The events of the one run in journal bytes. *)
+let run_events bytes =
+  match journal_runs bytes with
+  | [ events ] -> events
+  | runs -> Alcotest.failf "%d runs where one was journaled" (List.length runs)
 
 (* The journal a process killed after its [keep]-th frame leaves. *)
 let first_frames bytes keep =
@@ -205,11 +210,14 @@ let test_journal_structure () =
       Alcotest.(check int) "one Step frame per analyzer call, plus the verdict's"
         (run.stats.analyzer_calls + 1) (List.length steps)
   | _ -> Alcotest.fail "a run must open with a Header and a Checkpoint");
-  match List.rev r.records with
-  | ({ Journal.kind = Journal.Step; _ } as last) :: _ ->
-      Alcotest.(check bool) "the terminal Step frame carries the verdict" true
-        (List.exists (function Trace.Verdict _ -> true | _ -> false) (step_events last))
-  | _ -> Alcotest.fail "terminal frame must be a Step"
+  (match List.rev r.records with
+  | { Journal.kind = Journal.Step; _ } :: _ -> ()
+  | _ -> Alcotest.fail "terminal frame must be a Step");
+  match List.rev (run_events bytes) with
+  | Trace.Verdict _ :: earlier ->
+      Alcotest.(check bool) "the terminal Step frame carries the one verdict" false
+        (List.exists (function Trace.Verdict _ -> true | _ -> false) earlier)
+  | _ -> Alcotest.fail "the run's last event must be its verdict"
 
 let test_resume_full_journal () =
   let net, prop, golden, bytes = journaled_run () in
@@ -317,14 +325,9 @@ let test_resume_keeps_run_clock () =
   let keep = 3 * List.length records / 4 in
   let replayed_seconds =
     List.fold_left
-      (fun acc (r : Journal.record) ->
-        if r.kind <> Journal.Step then acc
-        else
-          List.fold_left
-            (fun acc -> function Trace.Analyzed { seconds; _ } -> acc +. seconds | _ -> acc)
-            acc (step_events r))
+      (fun acc -> function Trace.Analyzed { seconds; _ } -> acc +. seconds | _ -> acc)
       0.0
-      (List.filteri (fun i _ -> i < keep) records)
+      (run_events (first_frames bytes keep))
   in
   if replayed_seconds < 0.01 then
     Alcotest.failf "the kept steps of %d analyzer calls spent only %.4fs"
@@ -545,6 +548,75 @@ let test_resume_empty_journal () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "resume from an empty journal must be Error"
 
+(* --- reading a journal's runs ------------------------------------- *)
+
+let stats = Alcotest.testable Trace.pp_aggregate ( = )
+
+(* The reader splits runs at Header frames and drops a torn tail; a
+   Step frame outside any run, or one that does not decode, is an
+   [Error]. *)
+let test_journal_runs_input () =
+  let frame kind payload = Journal.encode_frame kind payload in
+  let step = Trace.event_to_json (Trace.Pruned { node = 3 }) in
+  let run = frame Journal.Header "fp" ^ frame Journal.Checkpoint "start" in
+  let two = run ^ frame Journal.Step step ^ run in
+  Alcotest.(check int) "no bytes, no run" 0 (List.length (journal_runs ""));
+  Alcotest.(check (list int)) "two runs, one step in the first" [ 1; 0 ]
+    (List.map List.length (journal_runs (two ^ String.sub (frame Journal.Step step) 0 9)));
+  let is_error bytes = Result.is_error (Engine.journal_runs bytes) in
+  Alcotest.(check bool) "a step before any header" true (is_error (frame Journal.Step step ^ run));
+  Alcotest.(check bool) "a malformed step" true (is_error (run ^ frame Journal.Step "{\"ev\":"))
+
+(* A killed check-style run (LP analyzer, resilience policy) resumed
+   into a fresh journal: the copy holds the replayed Steps ahead of the
+   live ones, so its one run folds to the resumed run's stats, replayed
+   calls and splits included. *)
+let test_resumed_journal_folds_to_stats () =
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.6 in
+  let analyzer () = Analyzer.lp_triangle () in
+  let heuristic = Heuristic.zono_coeff in
+  let config = { Engine.default_config with policy = Some Analyzer.default_policy } in
+  let buf = Buffer.create 4096 in
+  let journal = Journal.to_buffer buf in
+  let golden =
+    Engine.run (Engine.create ~analyzer:(analyzer ()) ~heuristic ~config ~journal ~net ~prop ())
+  in
+  let bytes = Buffer.contents buf in
+  let torn = String.sub bytes 0 (2 * String.length bytes / 3) in
+  let copy = Buffer.create 4096 in
+  let journal = Journal.to_buffer copy in
+  match Engine.resume ~analyzer:(analyzer ()) ~heuristic ~config ~journal ~net ~prop torn with
+  | Error msg -> Alcotest.fail msg
+  | Ok (engine, info) ->
+      let resumed = Engine.run engine in
+      Journal.close journal;
+      if info.replayed_calls = 0 || info.replayed_calls >= golden.stats.analyzer_calls then
+        Alcotest.failf "the torn journal replayed %d of %d calls" info.replayed_calls
+          golden.stats.analyzer_calls;
+      Alcotest.check stats "the copy folds to the resumed run's stats" resumed.stats
+        (Trace.aggregate (run_events (Buffer.contents copy)))
+
+(* An incremental run journaled through [Ivan.config.journal] is two
+   runs in one file, N's then N^a's, each folding to its run's stats. *)
+let test_incremental_journal_runs () =
+  let module Ivan = Ivan_core.Ivan in
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.6 in
+  let buf = Buffer.create 4096 in
+  let journal = Journal.to_buffer buf in
+  let r =
+    Ivan.verify_incremental ~analyzer:(Analyzer.lp_triangle ()) ~heuristic:Heuristic.zono_coeff
+      ~config:{ Ivan.default_config with journal = Some journal }
+      ~net ~updated:(reweighted_net ()) ~prop ()
+  in
+  Journal.close journal;
+  match journal_runs (Buffer.contents buf) with
+  | [ original; updated ] ->
+      Alcotest.check stats "the first run is N's" r.original.stats (Trace.aggregate original);
+      Alcotest.check stats "the second run is N^a's" r.updated.stats (Trace.aggregate updated)
+  | runs -> Alcotest.failf "%d runs where two were journaled" (List.length runs)
+
 (* --- supervisor ----------------------------------------------------- *)
 
 let test_supervise_clean_run () =
@@ -587,9 +659,11 @@ let test_supervise_memory_ladder () =
         | Supervisor.Cancelled _ -> "cancelled")
       outcome.escalations
   in
+  (* Nothing on the ladder is cheaper than interval: the supervisor
+     cancels without degrading. *)
   Alcotest.(check bool) "ladder ends in a cancel" true
     (List.mem "cancelled" names);
-  Alcotest.(check bool) "degradation was attempted first" true
+  Alcotest.(check bool) "no degradation below interval" false
     (List.mem "degraded" names);
   (* The journal must be intact — no torn tail — and resumable even
      after the ladder rebuilt and then cancelled the engine. *)
@@ -609,7 +683,7 @@ let test_supervise_memory_ladder () =
 let test_supervise_degrade_keeps_trace () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.55 in
-  let trace = Trace.ring ~capacity:1000 in
+  let trace, events = Fixtures.collect_events () in
   let engine =
     Engine.create
       ~analyzer:(Analyzer.zonotope ())
@@ -623,10 +697,29 @@ let test_supervise_degrade_keeps_trace () =
     (List.exists
        (function Supervisor.Degraded _ -> true | _ -> false)
        outcome.escalations);
-  let agg = Trace.aggregate (Trace.ring_contents trace) in
+  let agg = Trace.aggregate (events ()) in
   Alcotest.(check bool) "the run's stats are the trace's fold" true (outcome.run.stats = agg);
   Alcotest.(check (option string)) "trace carries the verdict"
     (Some (verdict_name outcome.run.verdict)) agg.Trace.verdict
+
+(* A zonotope engine steps down the ladder to interval, the one rung
+   cheaper than zonotope, and then cancels. *)
+let test_supervise_zonotope_degrades_to_interval () =
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.55 in
+  let engine =
+    Engine.create ~analyzer:(Analyzer.zonotope ()) ~heuristic:Heuristic.input_smear ~net ~prop ()
+  in
+  let limits =
+    { Supervisor.max_major_words = 0.0 (* breached from the first check *); check_every = 1 }
+  in
+  let outcome = Supervisor.supervise ~limits engine in
+  Alcotest.(check (list string)) "degraded to interval only" [ "interval" ]
+    (List.filter_map
+       (function Supervisor.Degraded { analyzer; _ } -> Some analyzer | _ -> None)
+       outcome.escalations);
+  Alcotest.(check string) "the engine runs interval" "interval"
+    (Engine.analyzer engine).Analyzer.name
 
 let test_mb_words () =
   (* 1 MB = 131072 8-byte words. *)
@@ -674,5 +767,13 @@ let suite =
       test_supervise_memory_ladder;
     Alcotest.test_case "supervise: degrade keeps the trace sink" `Quick
       test_supervise_degrade_keeps_trace;
+    Alcotest.test_case "supervise: zonotope degrades to interval only" `Quick
+      test_supervise_zonotope_degrades_to_interval;
+    Alcotest.test_case "journal_runs: runs, torn tails and malformed frames" `Quick
+      test_journal_runs_input;
+    Alcotest.test_case "journal of a resumed run folds to its stats" `Quick
+      test_resumed_journal_folds_to_stats;
+    Alcotest.test_case "journal of an incremental run holds two runs" `Quick
+      test_incremental_journal_runs;
     Alcotest.test_case "mb_words" `Quick test_mb_words;
   ]

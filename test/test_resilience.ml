@@ -267,6 +267,17 @@ let test_fallback_rejects_bad_policy () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero node_timeout accepted"
 
+(* The ladder below each analyzer holds only strictly cheaper rungs,
+   costliest first. *)
+let test_fallback_ladder () =
+  let below a = List.map (fun r -> r.Analyzer.name) (Analyzer.ladder a) in
+  Alcotest.(check (list string)) "below lp-triangle" [ "deeppoly"; "zonotope"; "interval" ]
+    (below lp);
+  Alcotest.(check (list string)) "below deeppoly" [ "zonotope"; "interval" ]
+    (below (Analyzer.deeppoly ()));
+  Alcotest.(check (list string)) "below zonotope" [ "interval" ] (below (Analyzer.zonotope ()));
+  Alcotest.(check (list string)) "below interval" [] (below (Analyzer.interval ()))
+
 (* Fatal conditions must pass straight through the combinator. *)
 let test_fallback_fatal_passthrough () =
   let fatal = { Analyzer.name = "oom"; run = (fun _ ~prop:_ ~box:_ ~splits:_ -> raise Out_of_memory) } in
@@ -280,16 +291,16 @@ let test_fallback_fatal_passthrough () =
 let test_engine_absorbs_crashing_analyzer () =
   let net = Fixtures.paper_net () in
   let prop = Fixtures.paper_prop_with_offset 1.6 in
-  let ring = Trace.ring ~capacity:64 in
+  let trace, events = Fixtures.collect_events () in
   let run =
-    Bab.verify ~analyzer:(crashing "lp-triangle") ~heuristic:Heuristic.zono_coeff ~trace:ring ~net
+    Bab.verify ~analyzer:(crashing "lp-triangle") ~heuristic:Heuristic.zono_coeff ~trace ~net
       ~prop ()
   in
   Alcotest.(check bool) "crash becomes Exhausted, not an exception" true
     (run.Bab.verdict = Bab.Exhausted);
   Alcotest.(check bool) "absorption counted" true (run.Bab.stats.Bab.faults_absorbed >= 1);
   let absorbed =
-    List.filter (function Trace.Absorbed _ -> true | _ -> false) (Trace.ring_contents ring)
+    List.filter (function Trace.Absorbed _ -> true | _ -> false) (events ())
   in
   Alcotest.(check bool) "Absorbed event emitted" true (absorbed <> []);
   Alcotest.(check bool) "tree still well-formed" true (Tree.well_formed run.Bab.tree)
@@ -312,9 +323,9 @@ let test_engine_policy_retries_preserve_run () =
           else lp.Analyzer.run n ~prop ~box ~splits);
     }
   in
-  let ring = Trace.ring ~capacity:4096 in
+  let trace, events = Fixtures.collect_events () in
   let run =
-    Bab.verify ~analyzer:flaky ~heuristic:Heuristic.zono_coeff ~trace:ring
+    Bab.verify ~analyzer:flaky ~heuristic:Heuristic.zono_coeff ~trace
       ~policy:Analyzer.default_policy ~net ~prop ()
   in
   Alcotest.(check bool) "verdict preserved" true (run.Bab.verdict = reference.Bab.verdict);
@@ -326,7 +337,7 @@ let test_engine_policy_retries_preserve_run () =
     run.Bab.stats.Bab.retries;
   Alcotest.(check int) "no fallback bounds" 0 run.Bab.stats.Bab.fallback_bounds;
   let retried =
-    List.filter (function Trace.Retried _ -> true | _ -> false) (Trace.ring_contents ring)
+    List.filter (function Trace.Retried _ -> true | _ -> false) (events ())
   in
   Alcotest.(check int) "Retried events match the counter" run.Bab.stats.Bab.retries
     (List.length retried)
@@ -483,7 +494,7 @@ let test_rejected_lp_outcome_reports_nothing () =
   let verify ?(trace = Trace.null) a =
     Bab.verify ~analyzer:a ~heuristic:Heuristic.zono_coeff ~policy ~trace ~net ~prop ()
   in
-  let reference_trace = Trace.ring ~capacity:10_000 in
+  let reference_trace, reference_events = Fixtures.collect_events () in
   let reference = verify ~trace:reference_trace analyzer in
   let nodes = Hashtbl.create 64 in
   Tree.iter_nodes reference.Bab.tree (fun n -> Hashtbl.replace nodes (Tree.node_id n) n);
@@ -494,7 +505,7 @@ let test_rejected_lp_outcome_reports_nothing () =
   let analyzed =
     List.filter_map
       (function Trace.Analyzed { node; status; lb; _ } -> Some (node, status, lb) | _ -> None)
-      (Trace.ring_contents reference_trace)
+      (reference_events ())
   in
   let call, node =
     match
@@ -507,9 +518,9 @@ let test_rejected_lp_outcome_reports_nothing () =
     | None -> Alcotest.fail "no node that only the LP verifies"
   in
   let plan = Fault.plan ~at:[ (Fault.Analyzer_run, call, Fault.Inf_bounds) ] ~seed:0 () in
-  let trace = Trace.ring ~capacity:10_000 in
+  let trace, events = Fixtures.collect_events () in
   let run = verify ~trace (Fault.wrap_analyzer plan analyzer) in
-  let events = Trace.ring_contents trace in
+  let events = events () in
   Alcotest.(check int) "exactly the scheduled fault fired" 1 (Fault.injected plan);
   Alcotest.(check bool) "the fallback's bound was accepted" true
     (List.exists (function Trace.Fallback f -> f.node = node | _ -> false) events);
@@ -757,6 +768,7 @@ let suite =
     ("fallback: node timeout", `Quick, test_fallback_node_timeout);
     ("fallback: rejects bad policy", `Quick, test_fallback_rejects_bad_policy);
     ("fallback: fatal exceptions pass through", `Quick, test_fallback_fatal_passthrough);
+    ("fallback: ladder order", `Quick, test_fallback_ladder);
     ("engine absorbs crashing analyzer", `Quick, test_engine_absorbs_crashing_analyzer);
     ("engine retries preserve the run", `Quick, test_engine_policy_retries_preserve_run);
     ("seeded fault campaign", `Slow, test_fault_campaign);
