@@ -386,7 +386,8 @@ let lp_triangle ?(warm = true) ?(certify = false) () =
    by branch and bound over the phase binaries.  One call decides the
    subproblem exactly (the "one-shot complete verifier" style the paper
    compares against in its §7 MILP discussion).  Each call builds its
-   own encoding: it is a one-shot decider, not a BaB analyzer. *)
+   own encoding from its subproblem's own DeepPoly bounds: it is a
+   one-shot decider, not a BaB analyzer. *)
 
 type milp_outcome = { milp_status : status; milp_lb : float; nodes : int; witness : Vec.t option }
 
@@ -398,29 +399,16 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent net ~prop ~box ~splits =
   match Deeppoly.analyze net ~box ~splits with
   | Deeppoly.Infeasible -> { milp_status = Verified; milp_lb = infinity; nodes = 0; witness = None }
   | Deeppoly.Feasible dp -> (
-      let bounds = Deeppoly.bounds dp in
-      let specialized =
-        Option.bind
-          (Encoding.Milp.build ?root:(root_call ~prop ~box ~splits bounds ()) net ~prop)
-          (fun enc ->
-            match Encoding.Milp.specialize enc ~box ~splits ~bounds with
-            | () -> Some enc
-            | exception Encoding.Mismatch -> None)
-      in
-      match specialized with
-      | None -> milp_inconclusive ~nodes:0
-      | Some enc -> (
-          let const = Encoding.Milp.const enc in
+      match Encoding.milp net ~prop ~box ~splits ~bounds:(Deeppoly.bounds dp) with
+      | exception Encoding.Mismatch -> milp_inconclusive ~nodes:0
+      | lp, const, integer ->
           (* Verification cutoff: branches that cannot push the objective
              below 0 cannot yield a counterexample, so the search always
              prunes at 0; a caller-supplied incumbent can only tighten
              the cutoff further (this is what "warm starting" amounts
              to). *)
           let cutoff = match incumbent with None -> 0.0 | Some v -> Float.min 0.0 v in
-          let result =
-            Ivan_lp.Milp.solve ~max_nodes ~incumbent:(cutoff -. const) (Encoding.Milp.lp enc)
-              ~integer:(Encoding.Milp.binaries enc)
-          in
+          let result = Ivan_lp.Milp.solve ~max_nodes ~incumbent:(cutoff -. const) lp ~integer in
           let nodes =
             match result with
             | Ivan_lp.Milp.Infeasible s | Node_limit s | Solver_failure s -> s.Ivan_lp.Milp.nodes
@@ -445,7 +433,7 @@ let milp_verify ?(max_nodes = 100_000) ?incumbent net ~prop ~box ~splits =
                   | Counterexample x -> Counterexample x
                   | Verified | Unknown -> Unknown
               in
-              { milp_status = status; milp_lb = lb; nodes; witness = Some witness }))
+              { milp_status = status; milp_lb = lb; nodes; witness = Some witness })
 
 (* ------------------------------------------------------------------ *)
 (* Resilience: retry-then-degrade fallback chains *)

@@ -85,44 +85,6 @@ let scale_expr s e =
   if s = 0.0 then { idx = [||]; cf = [||]; const = s *. e.const }
   else { e with cf = Array.map (fun c -> s *. c) e.cf; const = s *. e.const }
 
-(* ------------------------------------------------------------------ *)
-(* Persistent encodings.
-
-   An encoding is built ONCE per (network, property) from the root
-   DeepPoly bounds and then specialized per BaB node by mutating only
-   variable bounds and the rows of the affected units — no expression
-   recomputation, no fresh LP.  A unit stable at the root is substituted
-   away by its root phase: the root bounds hold on every node's region,
-   so that substitution is valid everywhere.  Every root-ambiguous unit
-   gets a permanent LP variable and a fixed set of row slots whose
-   coefficients the per-node table rewrites; unused slots become vacuous
-   all-zero rows.  The fixed shape is what makes warm starts work: a
-   parent's {!Lp.Basis.t} maps 1:1 onto every child's problem.
-
-   A node can split a unit that is stable at the root — a specification
-   tree built for one network and replayed on an update does.  The unit
-   is then {e pinned}: the encoding re-encodes itself once with a
-   variable and row slots for it, and the per-node table specializes it
-   like any other.  Bases from before the re-encoding no longer fit, so
-   the node that triggers it falls back to a cold solve; its children
-   warm-start again.  A pinned unit stays pinned for the encoding's
-   life, and at nodes that do not split it the table works from the
-   node's bounds, not the root's; such a node's LP can then be looser
-   than it was before the re-encoding, but never looser than the
-   invariant below allows.
-
-   Invariant: a node's LP is the same as, or tighter than, the per-node
-   encoding built from the node's own bounds ({!build_lp}).  Every
-   constraint beyond that one is a root DeepPoly fact, valid on the
-   node, so the LP stays a sound relaxation.  It is not always the same
-   LP: DeepPoly is not monotone under splits, so a unit stable at the
-   root can be ambiguous under a node's bounds, and the substitution is
-   then strictly tighter than that node's triangle.  On 1,542 random
-   subproblems of random dense ReLU nets (random sub-boxes, 30% of the
-   ReLUs split), 64 had such a unit and 19 had a strictly higher optimum,
-   by up to 28% relative; none had a lower one.  Verdicts cannot flip
-   (both LPs are sound), but a replayed node's bound may rise. *)
-
 (* Whether a piecewise unit gets LP variables: it is pinned, or
    ambiguous under the bounds the encoding is built from. *)
 let needs_vars bounds ~pinned li idx =
@@ -203,81 +165,10 @@ let encode net ~prop ~box ~bounds ~pinned ~width ~on_unit =
   Lp.set_objective lp obj;
   (lp, const, Array.of_list (List.rev !units), Array.of_list (List.rev !keys))
 
-(* One encoding's current problem.  [covered] holds every unit a node
-   may split without a re-encoding: the pinned units and the units with
-   variables.  [keys] holds every row's key. *)
-type 'u shape = {
-  lp : Lp.problem;
-  const : float;
-  units : 'u array;
-  covered : Relu_id.Set.t;
-  keys : int array;
-}
-
-(* An encoding: its input dimension, its current shape, and how to
-   re-encode it with a given set of pinned units. *)
-type 'u persistent = {
-  d : int;
-  reencode : Relu_id.Set.t -> 'u shape;
-  mutable shape : 'u shape;
-}
-
-let persistent net ~prop ~box ~bounds ~pinned ~width ~on_unit ~relu =
-  let reencode pinned =
-    let lp, const, units, keys = encode net ~prop ~box ~bounds ~pinned ~width ~on_unit in
-    let covered = Array.fold_left (fun acc u -> Relu_id.Set.add (relu u) acc) pinned units in
-    { lp; const; units; covered; keys }
-  in
-  { d = Box.dim box; reencode; shape = reencode pinned }
-
 let split_units splits =
   List.fold_left
     (fun acc (id, _) -> Relu_id.Set.add id acc)
     Relu_id.Set.empty (Splits.bindings splits)
-
-(* Make the shape cover every split of the node (pinning the units it
-   substituted away), then set the input box.  Returns the problem to
-   specialize. *)
-let prepare p ~box ~splits =
-  if Box.dim box <> p.d then raise Mismatch;
-  let split = split_units splits and covered = p.shape.covered in
-  if not (Relu_id.Set.subset split covered) then
-    p.shape <- p.reencode (Relu_id.Set.union split covered);
-  let lp = p.shape.lp in
-  for j = 0 to p.d - 1 do
-    Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
-  done;
-  lp
-
-(* Multipliers [y] of the rows keyed [keys] carried onto the current
-   problem by key, in one merge of the two increasing key arrays: a row
-   the current problem lacks drops its multiplier, a row [keys] lacks
-   gets 0, and each multiplier is clamped to the sign its new row
-   admits (NaN stays NaN).  Weak duality holds for any such vector, so
-   nothing about [y] needs to be trusted. *)
-let transfer p ~keys ~y =
-  if Array.length keys <> Array.length y then None
-  else begin
-    let shape = p.shape in
-    let n = Array.length keys in
-    let k = ref 0 in
-    Some
-      (Array.mapi
-         (fun i key ->
-           while !k < n && keys.(!k) < key do
-             incr k
-           done;
-           if !k < n && keys.(!k) = key then
-             match Lp.row_cmp shape.lp i with
-             | Lp.Le -> Float.min 0.0 y.(!k)
-             | Lp.Ge -> Float.max 0.0 y.(!k)
-             | Lp.Eq -> y.(!k)
-           else 0.0)
-         shape.keys)
-  end
-
-(* Write a vacuous all-zero row into a slot (0 <= 0). *)
-let vacuous lp row = Lp.set_row lp row [||] [||] Lp.Le 0.0
 
 (* A unit's pre-activation bounds at the node.  @raise Mismatch on NaN
    or inverted bounds. *)
@@ -287,19 +178,45 @@ let node_bounds bounds li idx =
   if Float.is_nan l || Float.is_nan h || l > h then raise Mismatch;
   (l, h)
 
-(* The root DeepPoly bounds of a property: [root] when the caller has
-   them, else a DeepPoly run of the root; [None] when the root is
-   DeepPoly-infeasible. *)
-let root_bounds ?root net ~prop =
-  match root with
-  | Some _ -> root
-  | None -> (
-      match Deeppoly.analyze net ~box:prop.Prop.input ~splits:Splits.empty with
-      | Deeppoly.Infeasible -> None
-      | Deeppoly.Feasible dp -> Some (Deeppoly.bounds dp))
-
 (* ------------------------------------------------------------------ *)
-(* Triangle encoding.  Row slots per piecewise unit with variable [v]:
+(* The persistent triangle encoding.
+
+   It is built ONCE per (network, property) from the root DeepPoly
+   bounds and then specialized per BaB node by mutating only variable
+   bounds and the rows of the affected units — no expression
+   recomputation, no fresh LP.  A unit stable at the root is substituted
+   away by its root phase: the root bounds hold on every node's region,
+   so that substitution is valid everywhere.  Every root-ambiguous unit
+   gets a permanent LP variable and a fixed set of row slots whose
+   coefficients the per-node table rewrites; unused slots become vacuous
+   all-zero rows.  The fixed shape is what makes warm starts work: a
+   parent's {!Lp.Basis.t} maps 1:1 onto every child's problem.
+
+   A node can split a unit that is stable at the root — a specification
+   tree built for one network and replayed on an update does.  The unit
+   is then {e pinned}: the encoding re-encodes itself once with a
+   variable and row slots for it, and the per-node table specializes it
+   like any other.  Bases from before the re-encoding no longer fit, so
+   the node that triggers it falls back to a cold solve; its children
+   warm-start again.  A pinned unit stays pinned for the encoding's
+   life, and at nodes that do not split it the table works from the
+   node's bounds, not the root's; such a node's LP can then be looser
+   than it was before the re-encoding, but never looser than the
+   invariant below allows.
+
+   Invariant: a node's LP is the same as, or tighter than, the per-node
+   encoding built from the node's own bounds ({!build_lp}).  Every
+   constraint beyond that one is a root DeepPoly fact, valid on the
+   node, so the LP stays a sound relaxation.  It is not always the same
+   LP: DeepPoly is not monotone under splits, so a unit stable at the
+   root can be ambiguous under a node's bounds, and the substitution is
+   then strictly tighter than that node's triangle.  On 1,542 random
+   subproblems of random dense ReLU nets (random sub-boxes, 30% of the
+   ReLUs split), 64 had such a unit and 19 had a strictly higher optimum,
+   by up to 28% relative; none had a lower one.  Verdicts cannot flip
+   (both LPs are sound), but a replayed node's bound may rise. *)
+
+(* Row slots per piecewise unit with variable [v]:
 
      A:  pre - v <= 0                (v >= pre)
      B:  v - lambda*pre <= mu        (chord / upper equality side)
@@ -335,8 +252,27 @@ type tunit = {
   kind : tkind;
 }
 
+(* The encoding's current problem.  [covered] holds every unit a node
+   may split without a re-encoding: the pinned units and the units with
+   variables.  [keys] holds every row's key. *)
+type shape = {
+  lp : Lp.problem;
+  const : float;
+  units : tunit array;
+  covered : Relu_id.Set.t;
+  keys : int array;
+}
+
+(* The encoding: its input dimension, its current shape, and how to
+   re-encode it with a given set of pinned units. *)
+type persistent = {
+  d : int;
+  reencode : Relu_id.Set.t -> shape;
+  mutable shape : shape;
+}
+
 module Triangle = struct
-  type t = tunit persistent
+  type t = persistent
 
   let lp t = t.shape.lp
 
@@ -344,7 +280,49 @@ module Triangle = struct
 
   let keys t = t.shape.keys
 
-  let transfer = transfer
+  (* Make the shape cover every split of the node (pinning the units it
+     substituted away), then set the input box.  Returns the problem to
+     specialize. *)
+  let prepare p ~box ~splits =
+    if Box.dim box <> p.d then raise Mismatch;
+    let split = split_units splits and covered = p.shape.covered in
+    if not (Relu_id.Set.subset split covered) then
+      p.shape <- p.reencode (Relu_id.Set.union split covered);
+    let lp = p.shape.lp in
+    for j = 0 to p.d - 1 do
+      Lp.set_bounds lp j (Box.lo_at box j) (Box.hi_at box j)
+    done;
+    lp
+
+  (* Multipliers [y] of the rows keyed [keys] carried onto the current
+     problem by key, in one merge of the two increasing key arrays: a row
+     the current problem lacks drops its multiplier, a row [keys] lacks
+     gets 0, and each multiplier is clamped to the sign its new row
+     admits (NaN stays NaN).  Weak duality holds for any such vector, so
+     nothing about [y] needs to be trusted. *)
+  let transfer t ~keys ~y =
+    if Array.length keys <> Array.length y then None
+    else begin
+      let shape = t.shape in
+      let n = Array.length keys in
+      let k = ref 0 in
+      Some
+        (Array.mapi
+           (fun i key ->
+             while !k < n && keys.(!k) < key do
+               incr k
+             done;
+             if !k < n && keys.(!k) = key then
+               match Lp.row_cmp shape.lp i with
+               | Lp.Le -> Float.min 0.0 y.(!k)
+               | Lp.Ge -> Float.max 0.0 y.(!k)
+               | Lp.Eq -> y.(!k)
+             else 0.0)
+           shape.keys)
+    end
+
+  (* Write a vacuous all-zero row into a slot (0 <= 0). *)
+  let vacuous lp row = Lp.set_row lp row [||] [||] Lp.Le 0.0
 
   let on_unit ~row ~li ~idx act ~v (e : expr) =
     let pre_idx = e.idx and pre_cf = e.cf in
@@ -379,12 +357,25 @@ module Triangle = struct
     }
 
   let make net ~prop ~box ~bounds ~pinned =
-    persistent net ~prop ~box ~bounds ~pinned ~width:1 ~on_unit ~relu:(fun u -> u.relu)
+    let reencode pinned =
+      let lp, const, units, keys = encode net ~prop ~box ~bounds ~pinned ~width:1 ~on_unit in
+      let covered = Array.fold_left (fun acc u -> Relu_id.Set.add u.relu acc) pinned units in
+      { lp; const; units; covered; keys }
+    in
+    { d = Box.dim box; reencode; shape = reencode pinned }
 
+  (* From [root] when the caller has the root's bounds, else from a
+     DeepPoly run of the root; [None] when that is infeasible. *)
   let build ?root net ~prop =
-    Option.map
-      (fun bounds -> make net ~prop ~box:prop.Prop.input ~bounds ~pinned:Relu_id.Set.empty)
-      (root_bounds ?root net ~prop)
+    let root =
+      match root with
+      | Some _ -> root
+      | None -> (
+          match Deeppoly.analyze net ~box:prop.Prop.input ~splits:Splits.empty with
+          | Deeppoly.Infeasible -> None
+          | Deeppoly.Feasible dp -> Some (Deeppoly.bounds dp))
+    in
+    Option.map (fun bounds -> make net ~prop ~box:prop.Prop.input ~bounds ~pinned:Relu_id.Set.empty) root
 
   (* Row over [var; pre...]: scale*pre + vcoeff*v <= rhs. *)
   let set_vrow lp row u ~vcoeff ~scale ~rhs =
@@ -566,137 +557,61 @@ let build_lp net ~prop ~box ~splits ~bounds =
   (Triangle.lp t, Triangle.const t)
 
 (* ------------------------------------------------------------------ *)
-(* MILP encoding: big-M indicator form with a (v, z) pair per unit with
-   variables.  Units resolved at a node (stable or split) keep their
-   pair with z pinned to the known phase ([1,1] or [0,0]) and vacuous
-   big-M rows, so the integral feasible set is the node's region and
-   the MILP optimum is exact; pinned binaries are never fractional, so
-   the search never branches on them.  Row slots per unit:
+(* MILP encoding: big-M indicator form, built from one subproblem's own
+   bounds for that subproblem alone.  Every unit ambiguous under those
+   bounds, and every split unit, gets a (v, z) pair; every other unit is
+   substituted away by its phase.  A split unit keeps its pair with z
+   pinned to its phase ([1,1] or [0,0]), so the integral feasible set is
+   the subproblem's region and the MILP optimum is exact; pinned
+   binaries are never fractional, so the search never branches on them.
+   Rows per unit, each written once:
 
-     M1:  pre - v <= 0          (fixed at build)
-     M2:  v - pre - l*z <= -l   (per-node l; vacuous when z pinned 0)
-     M3:  v - u*z <= 0          (per-node u; vacuous when z pinned)
-     M4:  +/- pre <= 0          (split assumption; vacuous otherwise) *)
+     M1:  pre - v <= 0          (always)
+     M2:  v - pre - l*z <= -l   (unless z is pinned 0)
+     M3:  v - u*z <= 0          (only when z is free)
+     M4:  +/- pre <= 0          (the split assumption, when split) *)
 
-type munit = {
-  mvar : int;
-  mz : int;
-  mrelu : Relu_id.t;
-  mli : int;
-  midx : int;
-  mpre_const : float;
-  mpre_idx : int array;
-  mpre_cf : float array;
-  row_m2 : int;
-  row_m3 : int;
-  row_m4 : int;
-  m2_idx : int array;  (* [| v; z; pre vars... |] *)
-  m2_scratch : float array;
-  m4_scratch : float array;  (* len nnz(pre) *)
-}
-
-module Milp = struct
-  type t = munit persistent
-
-  let lp t = t.shape.lp
-
-  let const t = t.shape.const
-
-  let binaries t = Array.to_list (Array.map (fun u -> u.mz) t.shape.units)
-
+let milp net ~prop ~box ~splits ~bounds =
+  Array.iter
+    (fun layer ->
+      match Layer.classify (Layer.activation layer) with
+      | Layer.Linear_activation | Layer.Piecewise 0.0 -> ()
+      | Layer.Piecewise _ | Layer.Smooth _ ->
+          invalid_arg "Analyzer.milp_verify: only plain ReLU networks are supported")
+    (Network.layers net);
+  if Box.dim box <> Network.input_dim net then raise Mismatch;
   let on_unit ~row ~li ~idx _act ~v (e : expr) =
-    let z = v + 1 in
-    let pre_idx = e.idx and pre_cf = e.cf in
-    (* M1 is phase-independent: v >= pre always holds for ReLU. *)
-    let m1_idx = Array.append [| v |] pre_idx and m1_cf = Array.append [| -1.0 |] pre_cf in
-    ignore (row ~slot:0 m1_idx m1_cf Lp.Le (-.e.const));
-    let row_m2 = row ~slot:1 [||] [||] Lp.Le 0.0 in
-    let row_m3 = row ~slot:2 [||] [||] Lp.Le 0.0 in
-    let row_m4 = row ~slot:3 [||] [||] Lp.Le 0.0 in
-    let m2_idx = Array.append [| v; z |] pre_idx in
-    {
-      mvar = v;
-      mz = z;
-      mrelu = Relu_id.make ~layer:li ~index:idx;
-      mli = li;
-      midx = idx;
-      mpre_const = e.const;
-      mpre_idx = pre_idx;
-      mpre_cf = pre_cf;
-      row_m2;
-      row_m3;
-      row_m4;
-      m2_idx;
-      m2_scratch = Array.make (Array.length m2_idx) 0.0;
-      m4_scratch = Array.make (Array.length pre_idx) 0.0;
-    }
-
-  let build ?root net ~prop =
-    Array.iter
-      (fun layer ->
-        let plain_relu =
-          match Layer.classify (Layer.activation layer) with
-          | Layer.Linear_activation -> true
-          | Layer.Smooth _ -> false
-          | Layer.Piecewise slope -> slope = 0.0
-        in
-        if not plain_relu then invalid_arg "Analyzer.milp: only plain ReLU networks are supported")
-      (Network.layers net);
-    Option.map
-      (fun bounds ->
-        persistent net ~prop ~box:prop.Prop.input ~bounds ~pinned:Relu_id.Set.empty ~width:2
-          ~on_unit ~relu:(fun u -> u.mrelu))
-      (root_bounds ?root net ~prop)
-
-  let specialize t ~box ~splits ~bounds =
-    let lp = prepare t ~box ~splits in
-    Array.iter
-      (fun u ->
-        let l, h = node_bounds bounds u.mli u.midx in
-        let m2_active ll =
-          (* v - pre - l*z <= -l *)
-          u.m2_scratch.(0) <- 1.0;
-          u.m2_scratch.(1) <- -.ll;
-          for k = 0 to Array.length u.mpre_cf - 1 do
-            u.m2_scratch.(k + 2) <- -.u.mpre_cf.(k)
-          done;
-          Lp.set_row lp u.row_m2 u.m2_idx u.m2_scratch Lp.Le (-.ll +. u.mpre_const)
-        in
-        let phase = Splits.find u.mrelu splits in
-        (* M4: the split assumption sign*pre <= 0, whatever the bounds
-           say about the unit. *)
-        (match phase with
-        | None -> vacuous lp u.row_m4
-        | Some p ->
-            let sign = match p with Splits.Pos -> -1.0 | Splits.Neg -> 1.0 in
-            for k = 0 to Array.length u.mpre_cf - 1 do
-              u.m4_scratch.(k) <- sign *. u.mpre_cf.(k)
-            done;
-            Lp.set_row lp u.row_m4 u.mpre_idx u.m4_scratch Lp.Le (-.sign *. u.mpre_const));
-        if phase = Some Splits.Pos || l >= 0.0 then begin
-          (* z pinned 1: v = pre via M1 + M2, so v <= h already; the
-             bound keeps every column of the MILP boxed. *)
-          Lp.set_bounds lp u.mz 1.0 1.0;
-          Lp.set_bounds lp u.mvar 0.0 (Float.max 0.0 h);
-          m2_active l;
-          vacuous lp u.row_m3
-        end
-        else if phase = Some Splits.Neg || h <= 0.0 then begin
-          (* z pinned 0: v = 0 via its bounds. *)
-          Lp.set_bounds lp u.mz 0.0 0.0;
-          Lp.set_bounds lp u.mvar 0.0 0.0;
-          vacuous lp u.row_m2;
-          vacuous lp u.row_m3
-        end
-        else begin
-          (* Ambiguous at this node: the full big-M relaxation. *)
-          Lp.set_bounds lp u.mz 0.0 1.0;
-          Lp.set_bounds lp u.mvar 0.0 h;
-          m2_active l;
-          (* M3: v - u*z <= 0 *)
-          u.m2_scratch.(0) <- 1.0;
-          u.m2_scratch.(1) <- -.h;
-          Lp.set_row lp u.row_m3 (Array.sub u.m2_idx 0 2) (Array.sub u.m2_scratch 0 2) Lp.Le 0.0
-        end)
-      t.shape.units
-end
+    let z = v + 1 and l, h = node_bounds bounds li idx in
+    let row ~slot ridx rcf rhs = ignore (row ~slot ridx rcf Lp.Le rhs) in
+    row ~slot:0 (Array.append [| v |] e.idx) (Array.append [| -1.0 |] e.cf) (-.e.const);
+    let m2 () =
+      row ~slot:1
+        (Array.append [| v; z |] e.idx)
+        (Array.append [| 1.0; -.l |] (Array.map Float.neg e.cf))
+        (-.l +. e.const)
+    in
+    let phase = Splits.find (Relu_id.make ~layer:li ~index:idx) splits in
+    (* z pinned 1 (v = pre via M1 + M2; the bound v <= max 0 h keeps
+       every column boxed), z pinned 0 (v = 0 by its bounds), or free. *)
+    let unit =
+      if phase = Some Splits.Pos || l >= 0.0 then (m2 (); (z, 1.0, 1.0, Float.max 0.0 h))
+      else if phase = Some Splits.Neg || h <= 0.0 then (z, 0.0, 0.0, 0.0)
+      else (m2 (); row ~slot:2 [| v; z |] [| 1.0; -.h |] 0.0; (z, 0.0, 1.0, h))
+    in
+    (* M4, whatever the bounds say about the unit. *)
+    Option.iter
+      (fun p ->
+        let sign = match p with Splits.Pos -> -1.0 | Splits.Neg -> 1.0 in
+        row ~slot:3 e.idx (Array.map (fun c -> sign *. c) e.cf) (-.sign *. e.const))
+      phase;
+    unit
+  in
+  let lp, const, units, _ =
+    encode net ~prop ~box ~bounds ~pinned:(split_units splits) ~width:2 ~on_unit
+  in
+  Array.iter
+    (fun (z, z_lo, z_hi, v_hi) ->
+      Lp.set_bounds lp z z_lo z_hi;
+      Lp.set_bounds lp (z - 1) 0.0 v_hi)
+    units;
+  (lp, const, Array.to_list (Array.map (fun (z, _, _, _) -> z) units))

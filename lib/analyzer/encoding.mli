@@ -1,16 +1,20 @@
 (** LP / MILP encodings of verification subproblems.
 
-    The {e persistent encodings} {!Triangle} / {!Milp} turn a
+    There is one {e persistent} encoding, the triangle relaxation
+    {!Triangle}, and two one-shot builders, {!build_lp} (the same
+    triangle) and {!milp} (the exact big-M MILP).  Each turns a
     (network, property, box, splits) subproblem into an
-    {!Ivan_lp.Lp.problem}.  Each is built once per (network, property)
-    pair and then {e specialized} per branch-and-bound node by mutating
-    only variable bounds and the row slots of affected units.  Because
-    every node of a property shares one LP of fixed shape, a parent
-    node's simplex basis ({!Ivan_lp.Lp.Basis.t}) is directly installable
-    in its children, which is what makes {!Ivan_lp.Lp.solve_from} warm
-    starts possible.
+    {!Ivan_lp.Lp.problem}.  The one-shot builders encode one subproblem
+    from its own box and DeepPoly bounds and serve that subproblem
+    alone.  {!Triangle} is built once per (network, property) pair and
+    then {e specialized} per branch-and-bound node by mutating only
+    variable bounds and the row slots of affected units.  Because every
+    node of a property shares one LP of fixed shape, a parent node's
+    simplex basis ({!Ivan_lp.Lp.Basis.t}) is directly installable in its
+    children, which is what makes {!Ivan_lp.Lp.solve_from} warm starts
+    possible.
 
-    An encoding is built from the property root's DeepPoly bounds: the
+    {!Triangle} is built from the property root's DeepPoly bounds: the
     DeepPoly run of [prop.input] with no splits.  A caller that has just
     run exactly that pass (the analyzer's call at the property root)
     hands its bounds in as [?root], and the build then runs no DeepPoly
@@ -40,16 +44,15 @@
     by up to 28% relative, and none a lower one.  Both LPs are sound, so
     verdicts cannot flip, but a replayed node's bound may rise.
 
-    {b Row keys.}  Every row has a key that depends only on the
-    network's architecture: [unit * 6 + slot], where [unit] numbers the
-    outputs of all layers in layer order and [slot] is the row's kind
-    within its unit (triangle: [row_a]..[row_d] are 0..3, a smooth
-    unit's [row_hi]/[row_lo] 4 and 5; MILP: M1..M4 are 0..3).  The input
-    box lives in variable bounds and the objective in the cost vector,
-    so there are no input or objective rows to key.  Keys survive
-    re-encodes and name the same row in two networks of one
-    architecture, whatever each substitutes away, and they increase
-    with the row index.  They let the multipliers that proved a node of
+    {b Row keys.}  Every row of a triangle encoding has a key that
+    depends only on the network's architecture: [unit * 6 + slot], where
+    [unit] numbers the outputs of all layers in layer order and [slot]
+    is the row's kind within its unit ([row_a]..[row_d] are 0..3, a
+    smooth unit's [row_hi]/[row_lo] 4 and 5).  The input box lives in
+    variable bounds and the objective in the cost vector, so there are
+    no input or objective rows to key.  Keys survive re-encodes and name
+    the same row in two networks of one architecture, whatever each
+    substitutes away, and they increase with the row index.  They let the multipliers that proved a node of
     one run be tried on the same node of another ({!Triangle.transfer}). *)
 
 module Lp = Ivan_lp.Lp
@@ -140,24 +143,18 @@ module Triangle : sig
       have the input dimension. *)
 end
 
-(** Persistent big-M MILP encoding (plain-ReLU networks only). *)
-module Milp : sig
-  type t
-
-  val build : ?root:Bounds.t -> Network.t -> prop:Prop.t -> t option
-  (** As {!Triangle.build}, with the same contract on [root].  [None]
-      for a DeepPoly-infeasible property root.
-      @raise Invalid_argument on networks that are not plain ReLU. *)
-
-  val specialize : t -> box:Box.t -> splits:Splits.t -> bounds:Bounds.t -> unit
-  (** As {!Triangle.specialize}. *)
-
-  val lp : t -> Lp.problem
-
-  val const : t -> float
-
-  val binaries : t -> int list
-  (** All indicator variables, including ones pinned to a single phase
-      by the current specialization (pinned binaries are integral by
-      their bounds, so the MILP search never branches on them). *)
-end
+val milp :
+  Network.t ->
+  prop:Prop.t ->
+  box:Box.t ->
+  splits:Splits.t ->
+  bounds:Bounds.t ->
+  Lp.problem * float * int list
+(** The big-M MILP encoding of one subproblem, built from its own [box]
+    and [bounds] for it alone, as {!build_lp} builds the triangle.
+    Returns the problem, the objective constant (the subproblem's
+    optimum is [objective + constant]) and the indicator variables,
+    including ones a split pins to one phase (pinned binaries are
+    integral by their bounds, so the MILP search never branches on
+    them).  @raise Mismatch as {!build_lp}.
+    @raise Invalid_argument on networks that are not plain ReLU. *)

@@ -602,12 +602,15 @@ type resume_info = {
    ({!Tree.of_string} restores the id counter, so replayed splits mint
    the same child ids).  The run clock moves back by each replayed
    analyzer call's seconds, so a resumed run does not regain time it
-   spent, and a replayed verdict takes the elapsed time it recorded.  A
-   replayed [exhausted] verdict the run continues past leaves the engine
-   running and is left out of the counters, as the journal copy leaves
-   out its Step.  [ended] records that a verdict was replayed.  Any
-   divergence raises [Failure]: a diverging journal means
-   the config fingerprint lied, and the caller turns it into [Error]. *)
+   spent, and a replayed verdict takes the elapsed time it recorded.
+   Every replayed event also goes to the trace sink (not to the journal
+   buffer: the copy holds its Steps already), so a sink's fold agrees
+   with the resumed run's stats.  A replayed [exhausted] verdict the run
+   continues past leaves the engine running and is left out of the
+   counters and the sink, as the journal copy leaves out its Step.
+   [ended] records that a verdict was replayed.  Any divergence raises
+   [Failure]: a diverging journal means the config fingerprint lied,
+   and the caller turns it into [Error]. *)
 let replay_events t ~nodes ~budget_overridden ~ended events =
   let find_node id =
     match Hashtbl.find_opt nodes id with
@@ -618,8 +621,16 @@ let replay_events t ~nodes ~budget_overridden ~ended events =
   List.iter
     (fun ev ->
       if !ended then fail "journal has events after the terminal verdict";
-      let uncounted = t.counters in
-      t.counters <- Trace.count t.counters ev;
+      let continued =
+        match ev with
+        | Trace.Verdict { verdict = "exhausted"; counterexample = None; _ } ->
+            continue_exhausted t ~budget_overridden
+        | _ -> false
+      in
+      if not continued then begin
+        t.counters <- Trace.count t.counters ev;
+        Trace.emit t.trace ev
+      end;
       match ev with
       | Trace.Dequeued { node; depth = _; frontier } -> (
           let now = Frontier.length t.frontier in
@@ -651,9 +662,7 @@ let replay_events t ~nodes ~budget_overridden ~ended events =
           let finish_replayed verdict = t.finished <- Some (finished_run t verdict) in
           match (verdict, counterexample) with
           | "proved", None -> finish_replayed Proved
-          | "exhausted", None ->
-              if continue_exhausted t ~budget_overridden then t.counters <- uncounted
-              else finish_replayed Exhausted
+          | "exhausted", None -> if not continued then finish_replayed Exhausted
           | "disproved", Some x -> finish_replayed (Disproved x)
           | v, _ -> fail "malformed journaled verdict %S" v)
       | Trace.Lp_solved _ | Trace.Dual_closed _ | Trace.Stuck _ | Trace.Retried _

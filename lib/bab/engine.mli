@@ -239,6 +239,10 @@ val resume :
     journal died before its Checkpoint frame landed, the run starts
     fresh under [config].
 
+    [trace] receives every replayed event, less the verdict a budget
+    override continued past, and then the resumed engine's own, so its
+    {!Trace.aggregate} equals the resumed run's [stats].
+
     [journal], when supplied, receives a copy of the run: a Header, the
     Checkpoint with the budget now in force, and the replayed Step
     frames — less the terminal [exhausted] Step a budget override

@@ -19,7 +19,7 @@ let eps_prune = 1e-9
 
 exception Out_of_nodes
 
-let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
+let solve ?(max_nodes = 100_000) ?incumbent p ~integer =
   List.iter
     (fun j ->
       if j < 0 || j >= Lp.num_vars p then invalid_arg "Milp.solve: binary out of range";
@@ -56,11 +56,7 @@ let solve ?(max_nodes = 100_000) ?incumbent ?(warm = true) p ~integer =
      both children: only bounds changed, the rows are identical. *)
   let node_solve parent_basis =
     incr lp_solves;
-    let result =
-      match parent_basis with
-      | Some b when warm -> Lp.solve_from p b
-      | Some _ | None -> Lp.solve p
-    in
+    let result = match parent_basis with Some b -> Lp.solve_from p b | None -> Lp.solve p in
     (match Lp.last_stats p with
     | Some s ->
         simplex_pivots := !simplex_pivots + s.Lp.pivots;

@@ -20,13 +20,12 @@ type stats = {
       (** warm-start pivots [simplex_pivots] leaves out: basis
           refactorizations and abandoned warm attempts
           ({!Lp.solve_stats}) *)
-  warm_hits : int;
-      (** node LPs answered from the parent basis; 0 when [warm:false] *)
+  warm_hits : int;  (** node LPs answered from the parent basis *)
   warm_misses : int;
       (** node LPs that abandoned the parent basis and were answered
-          from the slack basis; 0 when [warm:false].  The node LPs
-          solved without a parent basis (the root, or every node when
-          [warm:false]) are [lp_solves - warm_hits - warm_misses]. *)
+          from the slack basis.  The node LPs solved without a parent
+          basis (the root: every optimal node captures one) are
+          [lp_solves - warm_hits - warm_misses]. *)
 }
 
 type result =
@@ -44,7 +43,6 @@ type result =
 val solve :
   ?max_nodes:int ->
   ?incumbent:float ->
-  ?warm:bool ->
   Lp.problem ->
   integer:int list ->
   result
@@ -54,12 +52,11 @@ val solve :
     bound on the optimum (e.g. from a feasible point or a previous
     solve); branches whose LP relaxation cannot beat it are pruned, and
     if no solution improves on it the result is [Infeasible] (meaning:
-    the true optimum is at least [incumbent]).  [warm] (default [true])
-    re-prices each child node's LP from its parent's basis (every
-    optimal node captures one, so with [warm] only the root is solved
-    without); the verdict and optimum are unchanged either way
-    ({!Lp.solve_from} falls back to the slack basis rather than alter an
-    answer), only the pivot count drops.  Binary variables must have bounds within [0, 1].
+    the true optimum is at least [incumbent]).  Each child node's LP is
+    re-priced from its parent's basis ({!Lp.solve_from}, which falls
+    back to the slack basis rather than alter an answer), so only the
+    root is solved without one.  Binary variables must have bounds
+    within [0, 1].
     Inner LP failures ({!Lp.Iteration_limit}, {!Lp.Numerical_failure})
     are absorbed into [Solver_failure] rather than escaping.
     @raise Invalid_argument on out-of-range or mis-bounded binaries. *)

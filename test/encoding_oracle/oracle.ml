@@ -1,20 +1,22 @@
-(* Differential oracle for the persistent encodings.  On a random
-   network and property, one {!Encoding.Triangle} and one
-   {!Encoding.Milp} are built at the property root and specialized to a
-   run of random subproblems (sub-box, splits), as the BaB engine does
-   node after node.  The splits cover root-stable units, which make the
-   encodings re-encode themselves, and units that are ambiguous at the
-   root but stable at the node.  Against the one-shot {!Reference}
-   builders, fed each node's own DeepPoly bounds:
+(* Differential oracle for the encodings.  On a random network and
+   property, one persistent {!Encoding.Triangle} is built at the
+   property root and specialized to a run of random subproblems
+   (sub-box, splits), as the BaB engine does node after node.  The
+   splits cover root-stable units, which make the encoding re-encode
+   itself, and units that are ambiguous at the root but stable at the
+   node.  Against the one-shot {!Reference} builders, fed each node's
+   own DeepPoly bounds:
 
    (a) the triangle optimum is at least the reference's (an infeasible
        reference makes the encoding infeasible too);
    (b) the triangle optimum is at most the margin of every sampled
        concrete point of the subproblem (soundness);
-   (c) both MILPs are exact, so when both searches finish they agree;
-   (g) a second triangle (and MILP) encoding, built from the root's
-       DeepPoly bounds handed in as [~root] (as the analyzer's root call
-       does) rather than from a DeepPoly run of its own, is specialized
+   (c) on plain-ReLU nets, the one-shot {!Encoding.milp} of every node
+       and the reference's MILP are both exact, so when both searches
+       finish they agree;
+   (g) a second triangle encoding, built from the root's DeepPoly
+       bounds handed in as [~root] (as the analyzer's root call does)
+       rather than from a DeepPoly run of its own, is specialized
        alongside: after every specialization, re-encodes included, the
        two problems are bit-identical.
 
@@ -235,16 +237,16 @@ let failf fmt = Printf.ksprintf (fun m -> QCheck.Test.fail_report m) fmt
 
 let show = function None -> "infeasible" | Some v -> Printf.sprintf "%.17g" v
 
-(* (g): the encoding built with [~root] holds the same problem, bit for
+(* (g): the triangle built with [~root] holds the same problem, bit for
    bit, as the one that ran the root's DeepPoly itself. *)
-let same_problem label lp rooted =
+let same_problem lp rooted =
   let bytes lp = Marshal.to_string (Ivan_cert.Cert.Snapshot.of_problem lp) [] in
   tally.rooted_compared <- tally.rooted_compared + 1;
-  if bytes lp <> bytes rooted then failf "%s built with ~root differs from the one without" label
+  if bytes lp <> bytes rooted then failf "triangle built with ~root differs from the one without"
 
-(* One subproblem against both encodings; [tri'] and the second MILP of
-   [milps] are the ones built with [~root]. *)
-let check_node rng net prop ~root ~tri ~tri' ~milps =
+(* One subproblem against the encodings; [tri'] is the triangle built
+   with [~root]. *)
+let check_node rng net prop ~root ~tri ~tri' =
   let box = sub_box rng prop.Prop.input in
   let x0 = point_in rng box in
   let splits = random_splits rng net x0 in
@@ -257,7 +259,7 @@ let check_node rng net prop ~root ~tri ~tri' ~milps =
         let expected = triangle_value ref_lp ref_const in
         Encoding.Triangle.specialize tri ~box ~splits ~bounds;
         Encoding.Triangle.specialize tri' ~box ~splits ~bounds;
-        same_problem "triangle" (Encoding.Triangle.lp tri) (Encoding.Triangle.lp tri');
+        same_problem (Encoding.Triangle.lp tri) (Encoding.Triangle.lp tri');
         let got = triangle_value (Encoding.Triangle.lp tri) (Encoding.Triangle.const tri) in
         tally.subproblems <- tally.subproblems + 1;
         let split_units = List.map fst (Splits.bindings splits) in
@@ -281,26 +283,20 @@ let check_node rng net prop ~root ~tri ~tri' ~milps =
             | _ -> failf "triangle optimum %s above the concrete margin %.17g" (show got) m)
           (concrete_margins rng net prop box splits x0);
         (* (c) two exact MILPs agree. *)
-        Option.iter
-          (fun (milp, milp') ->
-            let ref_lp, ref_const, integer = Reference.build_milp net ~prop ~box ~splits ~bounds in
-            let expected = milp_value ref_lp ref_const ~integer in
-            Encoding.Milp.specialize milp ~box ~splits ~bounds;
-            Encoding.Milp.specialize milp' ~box ~splits ~bounds;
-            same_problem "MILP" (Encoding.Milp.lp milp) (Encoding.Milp.lp milp');
-            let got =
-              milp_value (Encoding.Milp.lp milp) (Encoding.Milp.const milp)
-                ~integer:(Encoding.Milp.binaries milp)
-            in
-            tally.milp_compared <- tally.milp_compared + 1;
-            let agree =
-              match (got, expected) with
-              | Some g, Some e -> Float.abs (g -. e) <= 1e-6 *. (1.0 +. Float.abs e)
-              | None, None -> true
-              | Some _, None | None, Some _ -> false
-            in
-            if not agree then failf "MILP optimum %s, reference %s" (show got) (show expected))
-          milps
+        if plain_relu net then begin
+          let ref_lp, ref_const, integer = Reference.build_milp net ~prop ~box ~splits ~bounds in
+          let expected = milp_value ref_lp ref_const ~integer in
+          let lp, const, integer = Encoding.milp net ~prop ~box ~splits ~bounds in
+          let got = milp_value lp const ~integer in
+          tally.milp_compared <- tally.milp_compared + 1;
+          let agree =
+            match (got, expected) with
+            | Some g, Some e -> Float.abs (g -. e) <= 1e-6 *. (1.0 +. Float.abs e)
+            | None, None -> true
+            | Some _, None | None, Some _ -> false
+          in
+          if not agree then failf "MILP optimum %s, reference %s" (show got) (show expected)
+        end
       with Exit -> ())
 
 let case seed =
@@ -319,15 +315,8 @@ let check seed =
   | Deeppoly.Feasible dp, Some tri ->
       let root = Deeppoly.bounds dp in
       let tri' = Option.get (Encoding.Triangle.build ~root net ~prop) in
-      let milps =
-        if not (plain_relu net) then None
-        else
-          match (Encoding.Milp.build net ~prop, Encoding.Milp.build ~root net ~prop) with
-          | Some milp, Some milp' -> Some (milp, milp')
-          | _ -> failf "MILP encodings of a DeepPoly-feasible root"
-      in
       for _ = 0 to Rng.int rng 4 do
-        check_node rng net prop ~root ~tri ~tri' ~milps
+        check_node rng net prop ~root ~tri ~tri'
       done;
       true
   | _ -> failf "root of a random property is DeepPoly-infeasible"

@@ -246,10 +246,10 @@ let build_milp net ~prop ~box ~splits ~bounds =
       let dim = Array.length pre in
       match Layer.classify (Layer.activation layer) with
       | Layer.Linear_activation -> exprs := pre
-      | Layer.Smooth _ -> invalid_arg "Analyzer.milp: only plain ReLU networks are supported"
+      | Layer.Smooth _ -> invalid_arg "Analyzer.milp_verify: only plain ReLU networks are supported"
       | Layer.Piecewise slope ->
           if slope <> 0.0 then
-            invalid_arg "Analyzer.milp: only plain ReLU networks are supported";
+            invalid_arg "Analyzer.milp_verify: only plain ReLU networks are supported";
           let lb = bounds.Bounds.layers.(li).Bounds.pre_lo in
           let ub = bounds.Bounds.layers.(li).Bounds.pre_hi in
           let zero_expr = { coeffs = Array.make nvars 0.0; const = 0.0 } in

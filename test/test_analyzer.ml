@@ -211,7 +211,27 @@ let test_milp_exact_paper_net () =
   Alcotest.(check bool) "verified" true (o2.Analyzer.milp_status = Analyzer.Verified);
   (* Verification cutoff: a verified run reports the cutoff 0, not the
      exact (positive) margin. *)
-  Alcotest.(check (float 1e-6)) "cutoff lb" 0.0 o2.Analyzer.milp_lb
+  Alcotest.(check (float 1e-6)) "cutoff lb" 0.0 o2.Analyzer.milp_lb;
+  (* The golden subjects at their roots: status, the bits of [milp_lb]
+     and the node count, pinned.  The conv subject's search runs past
+     1000 nodes, so it is capped at 20. *)
+  let status_name = function
+    | Analyzer.Verified -> "verified"
+    | Analyzer.Counterexample _ -> "counterexample"
+    | Analyzer.Unknown -> "unknown"
+  in
+  List.iter2
+    (fun (name, net, prop) (max_nodes, status, lb_bits, nodes) ->
+      let o = Analyzer.milp_verify ?max_nodes net ~prop ~box:prop.Prop.input ~splits:Splits.empty in
+      Alcotest.(check string) (name ^ ": status") status (status_name o.Analyzer.milp_status);
+      Alcotest.(check int64) (name ^ ": milp_lb bits") lb_bits (Int64.bits_of_float o.Analyzer.milp_lb);
+      Alcotest.(check int) (name ^ ": nodes") nodes o.Analyzer.nodes)
+    (Fixtures.golden_subjects ())
+    [
+      (None, "counterexample", 0xbfc1788036975ecaL, 37);
+      (None, "verified", 0L, 1);
+      (Some 20, "unknown", 0xfff0000000000000L, 20);
+    ]
 
 (* MILP and BaB (both complete) decide small random instances, and
    decide them alike. *)
@@ -244,7 +264,19 @@ let test_milp_respects_splits () =
       let o = Analyzer.milp_verify net ~prop ~box:prop.Prop.input ~splits in
       (* The split subproblem minimum is at least the global minimum. *)
       Alcotest.(check bool) "split min >= global min" true (o.Analyzer.milp_lb >= -1.5 -. 1e-9))
-    [ Splits.Pos; Splits.Neg ]
+    [ Splits.Pos; Splits.Neg ];
+  (* A split of the first golden subject under which the encoding built
+     from the node's bounds has other units than the one built from the
+     root's: either is exact, so the optimum is the root-built one's,
+     -0x1.34b2c835f4db4p-9, up to rounding. *)
+  let _, net, prop = List.hd (Fixtures.golden_subjects ()) in
+  let splits = Splits.add (Ivan_nn.Relu_id.make ~layer:0 ~index:9) Splits.Neg Splits.empty in
+  let o = Analyzer.milp_verify net ~prop ~box:prop.Prop.input ~splits in
+  (match o.Analyzer.milp_status with
+  | Analyzer.Counterexample x ->
+      Alcotest.(check bool) "split CE genuine" true (Analyzer.check_concrete net ~prop x)
+  | Analyzer.Verified | Analyzer.Unknown -> Alcotest.fail "expected a counterexample on the split");
+  Alcotest.(check (float 1e-15)) "split optimum" (-0x1.34b2c835f4db4p-9) o.Analyzer.milp_lb
 
 (* Warm starting: for instances that end up verified, a positive warm
    margin cannot tighten the 0 cutoff, so node counts are identical (the
@@ -288,7 +320,7 @@ let test_milp_rejects_leaky () =
   let input = Box.make ~lo:(Vec.zeros 2) ~hi:(Vec.create 2 1.0) in
   let prop = Prop.make ~name:"l" ~input ~c:(Vec.of_list [ 1.0 ]) ~offset:0.0 in
   Alcotest.check_raises "leaky rejected"
-    (Invalid_argument "Analyzer.milp: only plain ReLU networks are supported") (fun () ->
+    (Invalid_argument "Analyzer.milp_verify: only plain ReLU networks are supported") (fun () ->
       ignore (Analyzer.milp_verify net ~prop ~box:input ~splits:Splits.empty))
 
 

@@ -597,6 +597,43 @@ let test_resumed_journal_folds_to_stats () =
       Alcotest.check stats "the copy folds to the resumed run's stats" resumed.stats
         (Trace.aggregate (run_events (Buffer.contents copy)))
 
+(* A sink handed to [Engine.resume] sees the replayed events and then
+   the live ones, so its fold is the resumed run's stats: for a run torn
+   at 2/3, and for an exhausted run continued under a larger budget,
+   whose replayed [exhausted] verdict is left out of both. *)
+let test_resume_hook_folds_to_stats () =
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 1.6 in
+  let resumed_with_hook ~analyzer ~heuristic ~config bytes =
+    let sink, events = Fixtures.collect_events () in
+    match Engine.resume ~analyzer ~heuristic ~config ~trace:sink ~net ~prop bytes with
+    | Error msg -> Alcotest.fail msg
+    | Ok (engine, info) ->
+        let resumed = Engine.run engine in
+        if info.replayed_calls = 0 then Alcotest.fail "the journal replayed no call";
+        Alcotest.check stats "the hook folds to the resumed run's stats" resumed.stats
+          (Trace.aggregate (events ()))
+  in
+  let buf = Buffer.create 4096 in
+  let config = { Engine.default_config with policy = Some Analyzer.default_policy } in
+  ignore
+    (Engine.run
+       (Engine.create ~analyzer:(Analyzer.lp_triangle ()) ~heuristic:Heuristic.zono_coeff ~config
+          ~journal:(Journal.to_buffer buf) ~net ~prop ()));
+  let bytes = Buffer.contents buf in
+  resumed_with_hook ~analyzer:(Analyzer.lp_triangle ()) ~heuristic:Heuristic.zono_coeff ~config
+    (String.sub bytes 0 (2 * String.length bytes / 3));
+  let budget max_analyzer_calls =
+    { Engine.default_config with budget = { Engine.max_analyzer_calls; max_seconds = infinity } }
+  in
+  let buf = Buffer.create 4096 in
+  ignore
+    (Engine.run
+       (Engine.create ~analyzer:(Analyzer.interval ()) ~heuristic:Heuristic.input_smear
+          ~config:(budget 3) ~journal:(Journal.to_buffer buf) ~net ~prop ()));
+  resumed_with_hook ~analyzer:(Analyzer.interval ()) ~heuristic:Heuristic.input_smear
+    ~config:(budget 500) (Buffer.contents buf)
+
 (* An incremental run journaled through [Ivan.config.journal] is two
    runs in one file, N's then N^a's, each folding to its run's stats. *)
 let test_incremental_journal_runs () =
@@ -773,6 +810,8 @@ let suite =
       test_journal_runs_input;
     Alcotest.test_case "journal of a resumed run folds to its stats" `Quick
       test_resumed_journal_folds_to_stats;
+    Alcotest.test_case "a hook passed to resume folds to its stats" `Quick
+      test_resume_hook_folds_to_stats;
     Alcotest.test_case "journal of an incremental run holds two runs" `Quick
       test_incremental_journal_runs;
     Alcotest.test_case "mb_words" `Quick test_mb_words;
