@@ -82,7 +82,7 @@ let () =
     original.Bab.stats.Bab.elapsed_seconds original.Bab.stats.Bab.max_frontier
     original.Bab.stats.Bab.max_depth;
   Format.printf "last engine events:@.";
-  Queue.iter (fun e -> Format.printf "  %s@." (Trace.event_to_json e)) last;
+  Queue.iter (fun e -> Format.printf "  %s@." (Trace.event_to_string e)) last;
 
   (* The frontier is pluggable: the same problem under each exploration
      order.  All three prove the property; the traversal differs. *)

@@ -552,6 +552,7 @@ module Triangle = struct
 end
 
 let build_lp net ~prop ~box ~splits ~bounds =
+  if Box.dim box <> Network.input_dim net then raise Mismatch;
   let t = Triangle.make net ~prop ~box ~bounds ~pinned:(split_units splits) in
   Triangle.specialize t ~box ~splits ~bounds;
   (Triangle.lp t, Triangle.const t)

@@ -369,24 +369,20 @@ let step_once t =
    every run opens with a Header frame carrying the config fingerprint
    and one Checkpoint frame holding what the run starts from; each
    completed engine step then appends exactly one Step frame holding the
-   step's trace events as [Trace.event_to_json] lines (atomic: a step is
-   journaled whole or not at all); the terminal step's events end in the
-   [Verdict] event.  Frames are flushed as they are appended, so after a
-   kill the journal is a valid prefix plus at most one torn frame, which
-   {!Journal.scan} drops.
+   step's trace events, one [Trace.event_to_string] line each (atomic: a
+   step is journaled whole or not at all); the terminal step's events
+   end in the [Verdict] event.  Frames are flushed as they are appended,
+   so after a kill the journal is a valid prefix plus at most one torn
+   frame, which {!Journal.scan} drops.
 
    A Checkpoint payload is text: the lines [strategy:], [max_calls:] and
-   [max_seconds:], then a [tree:] line and the initial specification
-   tree in its {!Tree.to_string} format, which preserves node ids and
-   lower bounds.  Everything else a run holds — frontier, counters, run
+   [max_seconds:] (a [%h] token, like every float in the journal), then
+   a [tree:] line and the initial specification tree in its
+   {!Tree.to_string} format, which preserves node ids and lower
+   bounds.  Everything else a run holds — frontier, counters, run
    clock, verdict — follows from that tree and the Step frames.  The
    analyzer, heuristic and network are code, not state — [resume] takes
    them as arguments. *)
-
-(* [float_of_string_opt] accepts the "inf"/"-inf"/"nan" spellings %.17g
-   produces for non-finite values, so no special casing is needed when
-   reading tokens back. *)
-let float_token v = Printf.sprintf "%.17g" v
 
 (* The config digest covers the architecture and the IEEE bit pattern
    of every weight, bias, box bound, coefficient and the offset.  Every
@@ -449,7 +445,7 @@ let start_payload t =
     [
       "strategy: " ^ Frontier.strategy_name t.config.strategy;
       "max_calls: " ^ string_of_int t.config.budget.max_analyzer_calls;
-      "max_seconds: " ^ float_token t.config.budget.max_seconds;
+      Printf.sprintf "max_seconds: %h" t.config.budget.max_seconds;
       "tree:";
       Tree.to_string t.tree;
     ]
@@ -462,12 +458,12 @@ let attach t w ~start ~steps =
   Journal.append w Journal.Checkpoint start;
   List.iter (Journal.append w Journal.Step) steps
 
-(* The events of a Step payload, one [Trace.event_to_json] line each as
+(* The events of a Step payload, one [Trace.event_to_string] line each as
    [flush_step] writes them: the one decoder of journaled events, shared
    by [journal_runs] and [resume].  @raise Failure on a malformed line. *)
 let step_events payload =
   List.filter_map
-    (fun line -> if String.trim line = "" then None else Some (Trace.event_of_json line))
+    (fun line -> if String.trim line = "" then None else Some (Trace.event_of_string line))
     (String.split_on_char '\n' payload)
 
 let journal_runs data =
@@ -490,7 +486,7 @@ let flush_step t =
   match t.journal with
   | Some w when events <> [] ->
       Journal.append w Journal.Step
-        (String.concat "\n" (List.rev_map Trace.event_to_json events))
+        (String.concat "\n" (List.rev_map Trace.event_to_string events))
   | Some _ | None -> ()
 
 let step t =

@@ -119,8 +119,8 @@ val create :
     frame with the run's config fingerprint and a Checkpoint frame of
     what the run starts from (strategy, budget, initial tree) are appended
     immediately, then each completed step appends exactly one Step
-    frame (the step's trace events as {!Trace.event_to_json} lines —
-    atomic, so a kill never journals half a step; the terminal step's
+    frame (the step's trace events, one {!Trace.event_to_string} line
+    each — atomic, so a kill never journals half a step; the terminal step's
     ends in the {!Trace.Verdict}, counterexample included).  A killed run resumes
     from its journal via {!resume}, re-analyzing no node whose Step
     frame landed.  Events produced while a journal is attached still

@@ -4,14 +4,9 @@ type strategy = Fifo | Lifo | Best_first
 
 let strategy_name = function Fifo -> "fifo" | Lifo -> "lifo" | Best_first -> "best"
 
-let strategy_of_string s =
-  match String.lowercase_ascii s with
-  | "fifo" | "bfs" -> Some Fifo
-  | "lifo" | "dfs" -> Some Lifo
-  | "best" | "best-first" | "best_first" -> Some Best_first
-  | _ -> None
-
 let all_strategies = [ Fifo; Lifo; Best_first ]
+
+let strategy_of_string s = List.find_opt (fun st -> strategy_name st = s) all_strategies
 
 (* Min-heap over (priority, seq): among equal priorities the earliest
    push wins, so Best_first is deterministic. *)

@@ -15,8 +15,7 @@ val strategy_name : strategy -> string
 (** ["fifo"], ["lifo"], ["best"] — the CLI spellings. *)
 
 val strategy_of_string : string -> strategy option
-(** Accepts the {!strategy_name} spellings plus the aliases [bfs],
-    [dfs], [best-first] and [best_first] (case-insensitive). *)
+(** Accepts exactly the {!strategy_name} spellings. *)
 
 val all_strategies : strategy list
 

@@ -42,199 +42,104 @@ let emit sink ev = match sink with Null -> () | Hook f -> f ev
 
 (* ---------------- serialization ---------------- *)
 
-(* Floats print with enough digits to round-trip binary64 exactly; the
-   three non-finite values, which JSON cannot represent as numbers, are
-   encoded as strings the parser recognizes. *)
-let float_token v =
-  if Float.is_nan v then "\"nan\""
-  else if v = infinity then "\"inf\""
-  else if v = neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
+(* One line per event: its tag, then [key=value] fields in a fixed
+   order.  Each layout below is one format, written by [Printf] and read
+   back by [Scanf]: ints [%d], strings [%S] (escaped, so no line holds a
+   raw newline), booleans [%B] and floats [%h], which read back bit for
+   bit, -0, subnormals and infinities included (a NaN stays a NaN). *)
+let dequeued : _ format6 = "dequeued node=%d depth=%d frontier=%d"
+let analyzed : _ format6 = "analyzed node=%d status=%S lb=%h seconds=%s"
+
+let lp_solved : _ format6 =
+  "lp node=%d warm_hits=%d warm_misses=%d cold_solves=%d pivots=%d factor_pivots=%d"
+
+let dual_closed : _ format6 = "dual_closed node=%d"
+let split : _ format6 = "split node=%d decision=%S left=%d right=%d"
+let pruned : _ format6 = "pruned node=%d"
+let stuck : _ format6 = "stuck node=%d"
+let retried : _ format6 = "retried node=%d analyzer=%S attempt=%d reason=%S"
+let fallback : _ format6 = "fallback node=%d analyzer=%S reason=%S"
+let absorbed : _ format6 = "absorbed node=%d analyzer=%S reason=%S"
+let certified : _ format6 = "certified node=%d kind=%S exact=%B"
+
+let verdict : _ format6 =
+  "verdict verdict=%S calls=%d seconds=%s nodes=%d leaves=%d counterexample=%s"
 
 (* A duration as an exact token of one width: [%.16e] carries the 17
    significant digits binary64 needs, so any finite seconds from 1e-99
    to 1e99 print as 22 bytes and an event's length does not vary with
-   timing.  Parsed by [float_of_token] like any other float. *)
-let seconds_token v = if Float.is_finite v then Printf.sprintf "%.16e" v else float_token v
+   timing.  [Scanf]'s [%e] does not read [nan] back, so the layouts take
+   it as a [%s] token for [float_of_string]. *)
+let seconds_token = Printf.sprintf "%.16e"
 
-let float_of_token = function
-  | "nan" -> nan
-  | "inf" -> infinity
-  | "-inf" -> neg_infinity
-  | s -> float_of_string s
+(* A counterexample as one token: [none], or its [%h] coordinates
+   joined by commas. *)
+let counterexample_token = function
+  | None -> "none"
+  | Some x -> String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") x))
 
-let event_to_json = function
-  | Dequeued { node; depth; frontier } ->
-      Printf.sprintf {|{"ev":"dequeued","node":%d,"depth":%d,"frontier":%d}|} node depth frontier
+let counterexample_of_token = function
+  | "none" -> None
+  | "" -> Some [||]
+  | s -> Some (Array.of_list (List.map float_of_string (String.split_on_char ',' s)))
+
+let event_to_string = function
+  | Dequeued { node; depth; frontier } -> Printf.sprintf dequeued node depth frontier
   | Analyzed { node; status; lb; seconds } ->
-      Printf.sprintf {|{"ev":"analyzed","node":%d,"status":%S,"lb":%s,"seconds":%s}|} node status
-        (float_token lb) (seconds_token seconds)
+      Printf.sprintf analyzed node status lb (seconds_token seconds)
   | Lp_solved { node; warm_hits; warm_misses; cold_solves; pivots; factor_pivots } ->
-      Printf.sprintf
-        ({|{"ev":"lp","node":%d,"warm_hits":%d,"warm_misses":%d,"cold_solves":%d,|}
-        ^^ {|"pivots":%d,"factor_pivots":%d}|})
-        node warm_hits warm_misses cold_solves pivots factor_pivots
-  | Dual_closed { node } -> Printf.sprintf {|{"ev":"dual_closed","node":%d}|} node
+      Printf.sprintf lp_solved node warm_hits warm_misses cold_solves pivots factor_pivots
+  | Dual_closed { node } -> Printf.sprintf dual_closed node
   | Split { node; decision; left; right } ->
-      Printf.sprintf {|{"ev":"split","node":%d,"decision":%S,"left":%d,"right":%d}|} node
-        (Decision.to_string decision) left right
-  | Pruned { node } -> Printf.sprintf {|{"ev":"pruned","node":%d}|} node
-  | Stuck { node } -> Printf.sprintf {|{"ev":"stuck","node":%d}|} node
+      Printf.sprintf split node (Decision.to_string decision) left right
+  | Pruned { node } -> Printf.sprintf pruned node
+  | Stuck { node } -> Printf.sprintf stuck node
   | Retried { node; analyzer; attempt; reason } ->
-      Printf.sprintf {|{"ev":"retried","node":%d,"analyzer":%S,"attempt":%d,"reason":%S}|} node
-        analyzer attempt reason
-  | Fallback { node; analyzer; reason } ->
-      Printf.sprintf {|{"ev":"fallback","node":%d,"analyzer":%S,"reason":%S}|} node analyzer reason
-  | Absorbed { node; analyzer; reason } ->
-      Printf.sprintf {|{"ev":"absorbed","node":%d,"analyzer":%S,"reason":%S}|} node analyzer reason
-  | Certified { node; kind; exact } ->
-      Printf.sprintf {|{"ev":"certified","node":%d,"kind":%S,"exact":%b}|} node kind exact
-  | Verdict { verdict; calls; seconds; nodes; leaves; counterexample } ->
-      Printf.sprintf
-        {|{"ev":"verdict","verdict":%S,"calls":%d,"seconds":%s,"nodes":%d,"leaves":%d%s}|} verdict
-        calls (seconds_token seconds) nodes leaves
-        (match counterexample with
-        | None -> ""
-        | Some x ->
-            Printf.sprintf {|,"counterexample":[%s]|}
-              (String.concat "," (Array.to_list (Array.map float_token x))))
+      Printf.sprintf retried node analyzer attempt reason
+  | Fallback { node; analyzer; reason } -> Printf.sprintf fallback node analyzer reason
+  | Absorbed { node; analyzer; reason } -> Printf.sprintf absorbed node analyzer reason
+  | Certified { node; kind; exact } -> Printf.sprintf certified node kind exact
+  | Verdict { verdict = v; calls; seconds; nodes; leaves; counterexample } ->
+      Printf.sprintf verdict v calls (seconds_token seconds) nodes leaves
+        (counterexample_token counterexample)
 
-(* Minimal parser for the flat one-line objects emitted above: string
-   keys mapping to quoted strings, bare number tokens, or arrays of
-   those. *)
-let parse_flat line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "Trace.event_of_json: %s in %S" msg line) in
-  let skip_ws () = while !pos < n && (line.[!pos] = ' ' || line.[!pos] = '\t') do incr pos done in
-  let expect c =
-    skip_ws ();
-    if !pos >= n || line.[!pos] <> c then fail (Printf.sprintf "expected %c" c);
-    incr pos
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let closed = ref false in
-    while not !closed do
-      if !pos >= n then fail "unterminated string";
-      (match line.[!pos] with
-      | '"' -> closed := true
-      | '\\' ->
-          if !pos + 1 >= n then fail "dangling escape";
-          incr pos;
-          Buffer.add_char buf
-            (match line.[!pos] with
-            | 'n' -> '\n'
-            | 't' -> '\t'
-            | 'r' -> '\r'
-            | c -> c)
-      | c -> Buffer.add_char buf c);
-      incr pos
-    done;
-    Buffer.contents buf
-  in
-  let parse_bare () =
-    skip_ws ();
-    let start = !pos in
-    while !pos < n && (match line.[!pos] with ',' | '}' | ']' | ' ' -> false | _ -> true) do
-      incr pos
-    done;
-    if !pos = start then fail "empty value";
-    String.sub line start (!pos - start)
-  in
-  let parse_scalar () =
-    skip_ws ();
-    if !pos < n && line.[!pos] = '"' then parse_string () else parse_bare ()
-  in
-  (* Comma-separated items up to [close], the opening bracket consumed. *)
-  let parse_seq close item =
-    let rec go acc =
-      let acc = item () :: acc in
-      skip_ws ();
-      if !pos < n && line.[!pos] = ',' then (incr pos; go acc)
-      else (expect close; List.rev acc)
-    in
-    skip_ws ();
-    if !pos < n && line.[!pos] = close then (incr pos; []) else go []
-  in
-  expect '{';
-  parse_seq '}' (fun () ->
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      if !pos < n && line.[!pos] = '[' then (incr pos; (key, `List (parse_seq ']' parse_scalar)))
-      else (key, `Scalar (parse_scalar ())))
-
-(* Typed accessors over one parsed flat object; every failure, a missing
-   key or a malformed number alike, is [Failure]. *)
-let accessors line =
-  let fields = parse_flat line in
-  let fail key = failwith (Printf.sprintf "Trace: missing or mistyped field %S in %S" key line) in
-  let str key =
-    match List.assoc_opt key fields with
-    | Some (`Scalar s) -> s
-    | Some (`List _) | None -> fail key
-  in
-  (* An optional array of floats. *)
-  let floats key =
-    match List.assoc_opt key fields with
-    | Some (`List vs) -> Some (Array.of_list (List.map float_of_token vs))
-    | None -> None
-    | Some (`Scalar _) -> fail key
-  in
-  (str, (fun key -> int_of_string (str key)), (fun key -> float_of_token (str key)), floats)
-
-let event_of_json line =
-  let str, int, float, floats = accessors line in
-  let bool key =
-    match str key with
-    | "true" -> true
-    | "false" -> false
-    | v -> failwith (Printf.sprintf "Trace: field %S is not a boolean (%S) in %S" key v line)
-  in
-  match str "ev" with
-  | "dequeued" -> Dequeued { node = int "node"; depth = int "depth"; frontier = int "frontier" }
-  | "analyzed" ->
-      Analyzed { node = int "node"; status = str "status"; lb = float "lb"; seconds = float "seconds" }
-  | "lp" ->
-      Lp_solved
-        {
-          node = int "node";
-          warm_hits = int "warm_hits";
-          warm_misses = int "warm_misses";
-          cold_solves = int "cold_solves";
-          pivots = int "pivots";
-          factor_pivots = int "factor_pivots";
-        }
-  | "dual_closed" -> Dual_closed { node = int "node" }
-  | "split" ->
-      Split
-        {
-          node = int "node";
-          decision = Decision.of_string (str "decision");
-          left = int "left";
-          right = int "right";
-        }
-  | "pruned" -> Pruned { node = int "node" }
-  | "stuck" -> Stuck { node = int "node" }
-  | "retried" ->
-      Retried
-        { node = int "node"; analyzer = str "analyzer"; attempt = int "attempt"; reason = str "reason" }
-  | "fallback" -> Fallback { node = int "node"; analyzer = str "analyzer"; reason = str "reason" }
-  | "absorbed" -> Absorbed { node = int "node"; analyzer = str "analyzer"; reason = str "reason" }
-  | "certified" -> Certified { node = int "node"; kind = str "kind"; exact = bool "exact" }
-  | "verdict" ->
-      Verdict
-        {
-          verdict = str "verdict";
-          calls = int "calls";
-          seconds = float "seconds";
-          nodes = int "nodes";
-          leaves = int "leaves";
-          counterexample = floats "counterexample";
-        }
-  | ev -> failwith (Printf.sprintf "Trace.event_of_json: unknown event %S" ev)
+let event_of_string line =
+  let scan layout k = Scanf.sscanf line (layout ^^ "%!") k in
+  let tag = match String.index_opt line ' ' with Some i -> String.sub line 0 i | None -> line in
+  try
+    match tag with
+    | "dequeued" -> scan dequeued (fun node depth frontier -> Dequeued { node; depth; frontier })
+    | "analyzed" ->
+        scan analyzed (fun node status lb seconds ->
+            Analyzed { node; status; lb; seconds = float_of_string seconds })
+    | "lp" ->
+        scan lp_solved (fun node warm_hits warm_misses cold_solves pivots factor_pivots ->
+            Lp_solved { node; warm_hits; warm_misses; cold_solves; pivots; factor_pivots })
+    | "dual_closed" -> scan dual_closed (fun node -> Dual_closed { node })
+    | "split" ->
+        scan split (fun node decision left right ->
+            Split { node; decision = Decision.of_string decision; left; right })
+    | "pruned" -> scan pruned (fun node -> Pruned { node })
+    | "stuck" -> scan stuck (fun node -> Stuck { node })
+    | "retried" ->
+        scan retried (fun node analyzer attempt reason -> Retried { node; analyzer; attempt; reason })
+    | "fallback" -> scan fallback (fun node analyzer reason -> Fallback { node; analyzer; reason })
+    | "absorbed" -> scan absorbed (fun node analyzer reason -> Absorbed { node; analyzer; reason })
+    | "certified" -> scan certified (fun node kind exact -> Certified { node; kind; exact })
+    | "verdict" ->
+        scan verdict (fun verdict calls seconds nodes leaves counterexample ->
+            Verdict
+              {
+                verdict;
+                calls;
+                seconds = float_of_string seconds;
+                nodes;
+                leaves;
+                counterexample = counterexample_of_token counterexample;
+              })
+    | _ -> failwith "unknown event"
+  with Scanf.Scan_failure _ | Failure _ | End_of_file | Invalid_argument _ ->
+    failwith (Printf.sprintf "Trace.event_of_string: malformed event %S" line)
 
 (* ---------------- aggregation ---------------- *)
 

@@ -4,7 +4,7 @@
     step of branch and bound.  A {!sink} hands them to a callback
     ([hook]) or throws them away ([null]).  The run's one persistent
     record is its write-ahead journal, whose Step frames hold the
-    events as {!event_to_json} lines; {!Engine.journal_runs} reads them
+    events as {!event_to_string} lines; {!Engine.journal_runs} reads them
     back, and {!aggregate} folds any event list into the run's summary
     statistics. *)
 
@@ -77,15 +77,19 @@ val hook : (event -> unit) -> sink
 
 val emit : sink -> event -> unit
 
-val event_to_json : event -> string
-(** One-line JSON object; floats round-trip exactly (non-finite values
-    are encoded as the strings ["nan"], ["inf"], ["-inf"]), the
-    counterexample as an array of them.  Durations ([seconds]) print as
-    fixed-width [%.16e] tokens, so an event's length does not depend on
+val event_to_string : event -> string
+(** One line: the event's tag, then [key=value] fields in a fixed order,
+    e.g. [analyzed node=3 status="verified" lb=0x1p-1
+    seconds=6.2696009990759194e-05].  Strings print as OCaml literals
+    ([%S]), floats as [%h] tokens (exact, non-finite values included),
+    the counterexample as [none] or its [%h] coordinates joined by
+    commas.  Durations ([seconds]) print as [%.16e] tokens, fixed-width
+    for finite values, so an event's length does not depend on
     timing. *)
 
-val event_of_json : string -> event
-(** Inverse of {!event_to_json}.  @raise Failure on malformed input. *)
+val event_of_string : string -> event
+(** Inverse of {!event_to_string}, bit for bit.  @raise Failure on
+    malformed input. *)
 
 type aggregate = {
   events : int;

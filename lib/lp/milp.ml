@@ -1,8 +1,6 @@
 type stats = {
   nodes : int;
   lp_solves : int;
-  simplex_pivots : int;
-  factor_pivots : int;
   warm_hits : int;
   warm_misses : int;
 }
@@ -33,8 +31,6 @@ let solve ?(max_nodes = 100_000) ?incumbent p ~integer =
   let best_primal = ref None in
   let nodes = ref 0 in
   let lp_solves = ref 0 in
-  let simplex_pivots = ref 0 in
-  let factor_pivots = ref 0 in
   let warm_hits = ref 0 in
   let warm_misses = ref 0 in
   (* Most fractional binary of an LP solution, if any. *)
@@ -58,14 +54,9 @@ let solve ?(max_nodes = 100_000) ?incumbent p ~integer =
     incr lp_solves;
     let result = match parent_basis with Some b -> Lp.solve_from p b | None -> Lp.solve p in
     (match Lp.last_stats p with
-    | Some s ->
-        simplex_pivots := !simplex_pivots + s.Lp.pivots;
-        factor_pivots := !factor_pivots + s.Lp.factor_pivots + s.Lp.miss_pivots;
-        (match s.Lp.warm with
-        | Lp.Warm_hit -> incr warm_hits
-        | Lp.Warm_miss -> incr warm_misses
-        | Lp.Cold -> ())
-    | None -> ());
+    | Some { Lp.warm = Lp.Warm_hit; _ } -> incr warm_hits
+    | Some { Lp.warm = Lp.Warm_miss; _ } -> incr warm_misses
+    | Some { Lp.warm = Lp.Cold; _ } | None -> ());
     result
   in
   let rec explore parent_basis =
@@ -115,8 +106,6 @@ let solve ?(max_nodes = 100_000) ?incumbent p ~integer =
     {
       nodes = !nodes;
       lp_solves = !lp_solves;
-      simplex_pivots = !simplex_pivots;
-      factor_pivots = !factor_pivots;
       warm_hits = !warm_hits;
       warm_misses = !warm_misses;
     }

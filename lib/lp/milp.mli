@@ -14,12 +14,6 @@
 type stats = {
   nodes : int;
   lp_solves : int;
-  simplex_pivots : int;
-      (** total simplex iterations across all node LPs (warm and cold) *)
-  factor_pivots : int;
-      (** warm-start pivots [simplex_pivots] leaves out: basis
-          refactorizations and abandoned warm attempts
-          ({!Lp.solve_stats}) *)
   warm_hits : int;  (** node LPs answered from the parent basis *)
   warm_misses : int;
       (** node LPs that abandoned the parent basis and were answered

@@ -153,26 +153,13 @@ let well_formed t =
 
 (* ---------------- serialization ---------------- *)
 
-let float_to_token v =
-  if Float.is_nan v then "nan"
-  else if v = infinity then "inf"
-  else if v = neg_infinity then "-inf"
-  else Printf.sprintf "%h" v
-
-let float_of_token = function
-  | "nan" -> nan
-  | "inf" -> infinity
-  | "-inf" -> neg_infinity
-  | s -> float_of_string s
-
 let to_string t =
   let buf = Buffer.create 1024 in
   let rec emit n =
     match n.decision with
-    | None -> Buffer.add_string buf (Printf.sprintf "leaf %d %s\n" n.id (float_to_token n.lb_value))
+    | None -> Printf.bprintf buf "leaf %d %h\n" n.id n.lb_value
     | Some d ->
-        Buffer.add_string buf
-          (Printf.sprintf "node %d %s %s\n" n.id (float_to_token n.lb_value) (Decision.to_string d));
+        Printf.bprintf buf "node %d %h %s\n" n.id n.lb_value (Decision.to_string d);
         (match n.kids with
         | Some (l, r) ->
             emit l;
@@ -203,7 +190,7 @@ let of_string s =
           id;
           decision = None;
           kids = None;
-          lb_value = float_of_token lbtok;
+          lb_value = float_of_string lbtok;
           proof = None;
           parent_link = parent;
           edge_label = edge;
@@ -217,7 +204,7 @@ let of_string s =
             id;
             decision = Some d;
             kids = None;
-            lb_value = float_of_token lbtok;
+            lb_value = float_of_string lbtok;
             proof = None;
             parent_link = parent;
             edge_label = edge;

@@ -89,8 +89,8 @@ val well_formed : t -> bool
     split repeats along any root-to-leaf path. *)
 
 val to_string : t -> string
-(** Serialize structure, decisions and LB values; multiplier
-    annotations are left out. *)
+(** Serialize structure, decisions and LB values (exact [%h] tokens);
+    multiplier annotations are left out. *)
 
 val of_string : string -> t
 (** @raise Failure on malformed input. *)

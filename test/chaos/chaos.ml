@@ -10,12 +10,11 @@ type workload = {
   heuristic : Ivan_bab.Heuristic.t;
   config : Engine.config;
   initial_tree : Ivan_spectree.Tree.t option;
-  compare_lp : bool;
 }
 
 let workload ~name ~net ~prop ~analyzer ~heuristic ?(config = Engine.default_config) ?initial_tree
-    ?(compare_lp = true) () =
-  { name; net; prop; analyzer; heuristic; config; initial_tree; compare_lp }
+    () =
+  { name; net; prop; analyzer; heuristic; config; initial_tree }
 
 type golden = { run : Engine.run; journal : string; boundaries : (int * int) list }
 
@@ -76,7 +75,7 @@ let verdict_name = function
   | Engine.Disproved _ -> "disproved"
   | Engine.Exhausted -> "exhausted"
 
-let compare_runs w (g : Engine.run) (r : Engine.run) =
+let compare_runs (g : Engine.run) (r : Engine.run) =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   (match (g.Engine.verdict, r.Engine.verdict) with
@@ -84,42 +83,24 @@ let compare_runs w (g : Engine.run) (r : Engine.run) =
   | Engine.Disproved x, Engine.Disproved y ->
       if x <> y then err "counterexample vectors differ"
   | gv, rv -> err "verdict: golden %s, resumed %s" (verdict_name gv) (verdict_name rv));
-  (* The run statistics compared whole, less the wall-clock fields, and
-     less the LP counters unless [compare_lp]: a resumed warm run solves
-     its first nodes colder. *)
-  let deterministic (s : Engine.stats) =
-    let s = { s with analyzer_seconds = 0.0; elapsed_seconds = 0.0 } in
-    if w.compare_lp then s
-    else
-      {
-        s with
-        lp_warm_hits = 0;
-        lp_warm_misses = 0;
-        lp_cold_solves = 0;
-        lp_pivots = 0;
-        lp_factor_pivots = 0;
-        lp_hit_pivots = 0;
-        lp_hit_solves = 0;
-      }
-  in
+  (* The run statistics compared whole, less the wall-clock fields. *)
+  let deterministic (s : Engine.stats) = { s with analyzer_seconds = 0.0; elapsed_seconds = 0.0 } in
   let gs = deterministic g.Engine.stats and rs = deterministic r.Engine.stats in
   if gs <> rs then
     err "stats: golden %s; resumed %s"
       (Format.asprintf "%a" Ivan_bab.Trace.pp_aggregate gs)
       (Format.asprintf "%a" Ivan_bab.Trace.pp_aggregate rs);
-  if w.compare_lp then begin
-    (* A resumed run's first nodes run DeepPoly cold where the golden
-       run resumed them from their parents: the bounds, and so every
-       node's lb, must still be the same bit for bit. *)
-    let lbs (run : Engine.run) =
-      let module Tree = Ivan_spectree.Tree in
-      let acc = ref [] in
-      Tree.iter_nodes run.Engine.tree (fun n ->
-          acc := (Tree.node_id n, Int64.bits_of_float (Tree.lb n)) :: !acc);
-      List.sort compare !acc
-    in
-    if lbs g <> lbs r then err "node lower bounds differ"
-  end;
+  (* A resumed run's first nodes run DeepPoly cold where the golden run
+     resumed them from their parents: the bounds, and so every node's
+     lb, must still be the same bit for bit. *)
+  let lbs (run : Engine.run) =
+    let module Tree = Ivan_spectree.Tree in
+    let acc = ref [] in
+    Tree.iter_nodes run.Engine.tree (fun n ->
+        acc := (Tree.node_id n, Int64.bits_of_float (Tree.lb n)) :: !acc);
+    List.sort compare !acc
+  in
+  if lbs g <> lbs r then err "node lower bounds differ";
   (* Certificate equivalence is stats-compatible: the counters above
      must match exactly, and the artifact must agree in presence and
      verdict.  A resumed Proved artifact can carry fewer leaf
@@ -168,7 +149,7 @@ let trial w g bytes =
     (* Nothing actionable survived (at most a Header): the only honest
        recovery is to start over, which must still reach the golden
        verdict. *)
-    (compare_runs w g.run (fresh_run w), false, 0)
+    (compare_runs g.run (fresh_run w), false, 0)
   else
     match resume w bytes with
     | Error msg -> ([ Printf.sprintf "resume failed: %s" msg ], false, 0)
@@ -189,7 +170,7 @@ let trial w g bytes =
           errs :=
             Printf.sprintf "%d nodes whose Step frames landed were analyzed again" rework :: !errs;
         let run = Engine.run e in
-        ((!errs @ compare_runs w g.run run : string list), true, max 0 rework)
+        ((!errs @ compare_runs g.run run : string list), true, max 0 rework)
 
 (* Steps the resumed run of the double kill makes before its own kill. *)
 let second_life_steps = 8
@@ -238,7 +219,7 @@ let double_kill_trial w g =
                   [ ("first", rework1); ("second", rework2) ]
               in
               let run = Engine.run e2 in
-              (errs @ compare_runs w g.run run, true, max 0 rework1 + max 0 rework2))
+              (errs @ compare_runs g.run run, true, max 0 rework1 + max 0 rework2))
 
 let frame_starts g =
   let ends = List.map fst g.boundaries in

@@ -17,10 +17,10 @@
     Each schedule resumes from the truncated bytes via
     [Engine.resume], runs to completion, and asserts against the
     golden run: identical verdict (including the counterexample vector),
-    identical stats on every deterministic counter, and — what the
-    journal exists to provide — no rework: the analyzer calls recorded
-    in the surviving prefix are exactly the calls the resumed engine
-    starts from. *)
+    identical stats on every deterministic counter, every node's lower
+    bound bit for bit, and — what the journal exists to provide — no
+    rework: the analyzer calls recorded in the surviving prefix are
+    exactly the calls the resumed engine starts from. *)
 
 module Engine = Ivan_bab.Engine
 module Analyzer = Ivan_analyzer.Analyzer
@@ -36,10 +36,6 @@ type workload = {
   initial_tree : Ivan_spectree.Tree.t option;
       (** the tree the golden run starts from, as an incremental run
           starts from its pruned predecessor; [None] is a single root *)
-  compare_lp : bool;
-      (** also assert LP counters and every node's lb, bit for bit
-          (warm-start off / LP-free workloads only: parked bases are not
-          journaled, so a resumed warm run legitimately solves colder) *)
 }
 
 val workload :
@@ -50,10 +46,9 @@ val workload :
   heuristic:Ivan_bab.Heuristic.t ->
   ?config:Engine.config ->
   ?initial_tree:Ivan_spectree.Tree.t ->
-  ?compare_lp:bool ->
   unit ->
   workload
-(** Defaults: {!Engine.default_config}, a single root, [compare_lp = true]. *)
+(** Defaults: {!Engine.default_config}, a single root. *)
 
 type golden = {
   run : Engine.run;

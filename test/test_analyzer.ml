@@ -321,7 +321,22 @@ let test_milp_rejects_leaky () =
   let prop = Prop.make ~name:"l" ~input ~c:(Vec.of_list [ 1.0 ]) ~offset:0.0 in
   Alcotest.check_raises "leaky rejected"
     (Invalid_argument "Analyzer.milp_verify: only plain ReLU networks are supported") (fun () ->
-      ignore (Analyzer.milp_verify net ~prop ~box:input ~splits:Splits.empty))
+      ignore (Analyzer.milp_verify net ~prop ~box:input ~splits:Splits.empty));
+  (* Neither one-shot encoding accepts a box of the wrong dimension: a
+     3-dim box on the 2-input paper net, with the bounds of its own
+     root. *)
+  let net = Fixtures.paper_net () in
+  let prop = Fixtures.paper_prop_with_offset 0.0 in
+  let bounds =
+    match Deeppoly.analyze net ~box:prop.Prop.input ~splits:Splits.empty with
+    | Deeppoly.Feasible dp -> Deeppoly.bounds dp
+    | Deeppoly.Infeasible -> Alcotest.fail "empty paper root"
+  in
+  let box = Box.make ~lo:(Vec.zeros 3) ~hi:(Vec.create 3 1.0) in
+  Alcotest.check_raises "build_lp: wrong box dimension" Encoding.Mismatch (fun () ->
+      ignore (Encoding.build_lp net ~prop ~box ~splits:Splits.empty ~bounds));
+  Alcotest.check_raises "milp: wrong box dimension" Encoding.Mismatch (fun () ->
+      ignore (Encoding.milp net ~prop ~box ~splits:Splits.empty ~bounds))
 
 
 

@@ -221,10 +221,9 @@ let test_strategy_of_string () =
       Alcotest.(check bool) s true (Frontier.strategy_of_string s = expected))
     [
       ("fifo", Some Frontier.Fifo);
-      ("BFS", Some Frontier.Fifo);
-      ("dfs", Some Frontier.Lifo);
-      ("best-first", Some Frontier.Best_first);
-      ("nonsense", None);
+      ("lifo", Some Frontier.Lifo);
+      ("best", Some Frontier.Best_first);
+      ("BFS", None);
     ]
 
 (* All strategies remain complete verifiers: same verdict, possibly
@@ -385,6 +384,7 @@ let sample_events =
     Trace.Retried { node = 4; analyzer = "lp-triangle"; attempt = 2; reason = "Lp.Iteration_limit" };
     Trace.Fallback { node = 4; analyzer = "interval"; reason = "degraded after retries" };
     Trace.Absorbed { node = 5; analyzer = "lp-triangle"; reason = "injected \"fault\"" };
+    Trace.Absorbed { node = 5; analyzer = "lp triangle"; reason = "two\nlines =\\ \t" };
     Trace.Lp_solved
       {
         node = 5;
@@ -398,6 +398,9 @@ let sample_events =
     Trace.Certified { node = 6; kind = "unavailable"; exact = true };
     Trace.Dual_closed { node = 7 };
     Trace.Analyzed { node = 1; status = "verified"; lb = neg_infinity; seconds = nan };
+    Trace.Analyzed { node = 2; status = "verified"; lb = infinity; seconds = infinity };
+    Trace.Analyzed { node = 3; status = ""; lb = nan; seconds = -0.0 };
+    Trace.Analyzed { node = 4; status = "unknown"; lb = -0.0; seconds = 5e-324 };
     Trace.Verdict
       { verdict = "proved"; calls = 7; seconds = 1.5; nodes = 13; leaves = 7; counterexample = None };
     Trace.Verdict
@@ -411,33 +414,38 @@ let sample_events =
       };
   ]
 
-let test_event_json_roundtrip () =
+(* Every float compares by its bits, -0 and subnormals included; NaN by
+   being NaN, since its payload is not kept. *)
+let test_event_line_roundtrip () =
+  let floats = function
+    | Trace.Analyzed { lb; seconds; _ } -> [ lb; seconds ]
+    | Trace.Verdict { seconds; counterexample; _ } ->
+        seconds :: Option.fold ~none:[] ~some:Array.to_list counterexample
+    | _ -> []
+  in
+  let bits v = if Float.is_nan v then None else Some (Int64.bits_of_float v) in
   List.iter
     (fun e ->
-      let json = Trace.event_to_json e in
-      let back = Trace.event_of_json json in
-      (* Structural equality, except NaN fields compare by being NaN. *)
-      match (e, back) with
-      | Trace.Analyzed a, Trace.Analyzed b when Float.is_nan a.seconds ->
-          Alcotest.(check bool) json true
-            (a.node = b.node && a.status = b.status && a.lb = b.lb && Float.is_nan b.seconds)
-      | _ -> Alcotest.(check bool) json true (e = back))
+      let line = Trace.event_to_string e in
+      let back = Trace.event_of_string line in
+      Alcotest.(check bool) line true
+        (compare e back = 0 && List.map bits (floats e) = List.map bits (floats back)))
     sample_events
 
 (* Seconds print as one fixed-width token, so an event's length does not
    vary with timing, and still round-trip exactly. *)
 let test_seconds_fixed_width () =
-  let json seconds =
-    Trace.event_to_json (Trace.Analyzed { node = 1; status = "unknown"; lb = 0.5; seconds })
+  let line seconds =
+    Trace.event_to_string (Trace.Analyzed { node = 1; status = "unknown"; lb = 0.5; seconds })
   in
   let durations = [ 0.0; 1.5; 1.0 /. 3.0; 2e-7; 123.456789; 7e-12 ] in
-  let width = String.length (json 1.0) in
+  let width = String.length (line 1.0) in
   List.iter
     (fun seconds ->
-      Alcotest.(check int) (json seconds) width (String.length (json seconds));
-      match Trace.event_of_json (json seconds) with
+      Alcotest.(check int) (line seconds) width (String.length (line seconds));
+      match Trace.event_of_string (line seconds) with
       | Trace.Analyzed a ->
-          Alcotest.(check int64) (json seconds) (Int64.bits_of_float seconds)
+          Alcotest.(check int64) (line seconds) (Int64.bits_of_float seconds)
             (Int64.bits_of_float a.seconds)
       | _ -> Alcotest.fail "not an analyzed event")
     durations
@@ -567,7 +575,7 @@ let suite =
     ("cancel mid-run", `Quick, test_cancel_mid_run);
     ("stuck heuristic accounted", `Quick, test_stuck_heuristic_accounted);
     ("a raising call is timed", `Quick, test_raising_call_timed);
-    ("event json roundtrip", `Quick, test_event_json_roundtrip);
+    ("event line roundtrip", `Quick, test_event_line_roundtrip);
     ("journal roundtrip + aggregate", `Quick, test_journal_roundtrip_and_aggregate);
     ("hook sink", `Quick, test_hook);
     ("best-first trace consistent", `Quick, test_best_first_trace_consistent);

@@ -557,7 +557,7 @@ let stats = Alcotest.testable Trace.pp_aggregate ( = )
    [Error]. *)
 let test_journal_runs_input () =
   let frame kind payload = Journal.encode_frame kind payload in
-  let step = Trace.event_to_json (Trace.Pruned { node = 3 }) in
+  let step = Trace.event_to_string (Trace.Pruned { node = 3 }) in
   let run = frame Journal.Header "fp" ^ frame Journal.Checkpoint "start" in
   let two = run ^ frame Journal.Step step ^ run in
   Alcotest.(check int) "no bytes, no run" 0 (List.length (journal_runs ""));
